@@ -2,7 +2,7 @@
 synthetic teach-and-repeat evaluation harness."""
 
 from .errors import StereolocError
-from .geometry import CameraIntrinsics, PlanarPose, SE3Pose, StereoObservation
+from .geometry import CameraIntrinsics, PlanarPose, SE3Pose
 
 __version__ = "0.1.0"
 
@@ -10,7 +10,6 @@ __all__ = [
     "CameraIntrinsics",
     "PlanarPose",
     "SE3Pose",
-    "StereoObservation",
     "StereolocError",
     "__version__",
 ]

@@ -10,7 +10,7 @@ gradient accumulation deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -104,22 +104,6 @@ class Tape:
         return self._push(_Node(np.asarray(value), idx, pullback))
 
 
-class GradientMap(Mapping):
-    """Partial derivatives of a scalar output, keyed by parameter node index."""
-
-    def __init__(self, grads: dict[int, Array]):
-        self._grads = grads
-
-    def __getitem__(self, index: int) -> Array:
-        return self._grads[index]
-
-    def __iter__(self):
-        return iter(self._grads)
-
-    def __len__(self):
-        return len(self._grads)
-
-
 def _as_var(tape: Tape, x) -> Var:
     if isinstance(x, Var):
         if x.tape is not tape:
@@ -144,8 +128,9 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return np.asarray(g).reshape(shape)
 
 
-def backward(tape: Tape, output: Var) -> GradientMap:
-    """Reverse accumulation from a scalar output to every parameter node."""
+def backward(tape: Tape, output: Var) -> dict[int, Array]:
+    """Reverse accumulation from a scalar output to every parameter node;
+    returns the gradients keyed by parameter node index."""
     if output.tape is not tape:
         raise ValueError("output does not belong to this tape")
     out_val = output.value
@@ -172,11 +157,10 @@ def backward(tape: Tape, output: Var) -> GradientMap:
             else:
                 adjoints[p] = np.asarray(g, dtype=float)
 
-    grads = {
+    return {
         i: adjoints.get(i, np.zeros_like(nodes[i].value))
         for i in tape.param_indices
     }
-    return GradientMap(grads)
 
 
 def finite_diff(f: Callable[[Array], float], x: Array, h: float | None = None) -> Array:
@@ -408,20 +392,8 @@ def _im2col(x: Array, kh: int, kw: int) -> Array:
     return windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, h * w)
 
 
-def _col2im(cols: Array, shape: tuple[int, int, int], kh: int, kw: int) -> Array:
-    """Adjoint of _im2col."""
-    c, h, w = shape
-    ph, pw = kh // 2, kw // 2
-    out = np.zeros((c, h + 2 * ph, w + 2 * pw))
-    cols = cols.reshape(c, kh, kw, h, w)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, i : i + h, j : j + w] += cols[:, i, j]
-    return out[:, ph : ph + h, pw : pw + w]
-
-
 def conv2d(x: Var, weight: Var, bias: Var) -> Var:
-    """'Same' 2D convolution (zero padding, stride 1).
+    """'Same' 2D convolution (zero padding, stride 1, odd kernel sizes).
 
     x: (C_in, H, W); weight: (C_out, C_in, kh, kw); bias: (C_out,).
     """
@@ -431,13 +403,14 @@ def conv2d(x: Var, weight: Var, bias: Var) -> Var:
         raise ShapeError(f"conv2d input {xv.shape} incompatible with kernel {wv.shape}")
     _, h, w = xv.shape
     cols = _im2col(xv, kh, kw)
-    wmat = wv.reshape(c_out, c_in * kh * kw)
-    out = (wmat @ cols).reshape(c_out, h, w) + bv[:, None, None]
+    out = (wv.reshape(c_out, -1) @ cols).reshape(c_out, h, w) + bv[:, None, None]
 
     def pull(g):
-        gmat = g.reshape(c_out, h * w)
-        gx = _col2im(wmat.T @ gmat, xv.shape, kh, kw)
-        gw = (gmat @ cols.T).reshape(wv.shape)
+        # the input gradient is the 'same' convolution of g with the
+        # spatially flipped kernel, input and output channels swapped
+        flipped = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+        gx = (flipped @ _im2col(g, kh, kw)).reshape(xv.shape)
+        gw = (g.reshape(c_out, h * w) @ cols.T).reshape(wv.shape)
         gb = g.sum(axis=(1, 2))
         return gx, gw, gb
 
@@ -470,41 +443,34 @@ def upsample_nearest(x: Var, factor: int = 2) -> Var:
     )
 
 
-def _linear_weights(n_out: int, n_in: int):
-    """Align-corners bilinear resampling weights along one axis."""
+def _resample_matrix(n_out: int, n_in: int) -> Array:
+    """(n_out, n_in) align-corners linear interpolation along one axis."""
     if n_out == 1 or n_in == 1:
         pos = np.zeros(n_out)
     else:
         pos = np.arange(n_out) * (n_in - 1) / (n_out - 1)
     i0 = np.clip(np.floor(pos).astype(int), 0, max(n_in - 2, 0))
     frac = pos - i0
-    return i0, frac
+    rows = np.arange(n_out)
+    R = np.zeros((n_out, n_in))
+    R[rows, i0] = 1.0 - frac
+    R[rows, np.minimum(i0 + 1, n_in - 1)] += frac
+    return R
 
 
 def upsample_bilinear(x: Var, out_hw: tuple[int, int]) -> Var:
-    """Resize (C, h, w) -> (C, H, W) with align-corners bilinear interpolation."""
+    """Resize (C, h, w) -> (C, H, W) with align-corners bilinear interpolation,
+    as the separable product Ry @ X @ Rx^T per channel."""
     xv = x.value
-    c, h, w = xv.shape
+    _, h, w = xv.shape
     H, W = out_hw
-    i0, fy = _linear_weights(H, h)
-    j0, fx = _linear_weights(W, w)
-    i1 = np.minimum(i0 + 1, h - 1)
-    j1 = np.minimum(j0 + 1, w - 1)
-    fy_ = fy[None, :, None]
-    fx_ = fx[None, None, :]
-    top = xv[:, i0][:, :, j0] * (1 - fx_) + xv[:, i0][:, :, j1] * fx_
-    bot = xv[:, i1][:, :, j0] * (1 - fx_) + xv[:, i1][:, :, j1] * fx_
-    out = top * (1 - fy_) + bot * fy_
+    Ry = _resample_matrix(H, h)
+    Rx = _resample_matrix(W, w)
 
     def pull(g):
-        gx = np.zeros_like(xv)
-        for wy, ii in ((1 - fy, i0), (fy, i1)):
-            for wx, jj in ((1 - fx, j0), (fx, j1)):
-                contrib = g * wy[None, :, None] * wx[None, None, :]
-                np.add.at(gx, (slice(None), ii[:, None], jj[None, :]), contrib)
-        return (gx,)
+        return (Ry.T @ g @ Rx,)
 
-    return x.tape.record(out, (x,), pull)
+    return x.tape.record(Ry @ xv @ Rx.T, (x,), pull)
 
 
 BOUNDS_SLACK = 1e-6  # px; convex combinations can overshoot by rounding
@@ -563,22 +529,27 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
 ZNCC_VARIANCE_FLOOR = 1e-12
 
 
-def row_znorm(x: Var) -> Var:
-    """Zero-normalize each row so that dot products of rows are ZNCC values.
+def znorm_rows(x: Array) -> tuple[Array, Array]:
+    """Zero-normalize each row of a plain array so that dot products of rows
+    are ZNCC values.
 
     Rows with (near-)zero variance map to zero, making constant descriptors
-    unmatchable rather than undefined.
+    unmatchable rather than undefined. Also returns each row's centred norm
+    as an (N, 1) column, infinite for the rows mapped to zero.
     """
-    xv = x.value
-    mu = xv.mean(axis=1, keepdims=True)
-    centered = xv - mu
+    centered = x - x.mean(axis=1, keepdims=True)
     norm = np.sqrt((centered * centered).sum(axis=1, keepdims=True))
     ok = norm > ZNCC_VARIANCE_FLOOR
-    safe = np.where(ok, norm, 1.0)
-    out = np.where(ok, centered / safe, 0.0)
+    out = np.where(ok, centered / np.where(ok, norm, 1.0), 0.0)
+    return out, np.where(ok, norm, np.inf)
+
+
+def row_znorm(x: Var) -> Var:
+    """Tape form of `znorm_rows`; rows mapped to zero get zero gradient."""
+    out, norm = znorm_rows(x.value)
 
     def pull(g):
-        h = np.where(ok, (g - out * (g * out).sum(axis=1, keepdims=True)) / safe, 0.0)
+        h = (g - out * (g * out).sum(axis=1, keepdims=True)) / norm
         return (h - h.mean(axis=1, keepdims=True),)
 
     return x.tape.record(out, (x,), pull)
@@ -644,21 +615,3 @@ def rigid_align(p_s: Var, p_t: Var, w: Var) -> Var:
         return gp_s, gp_t, gw
 
     return p_s.tape.record(np.concatenate([C.ravel(), r]), (p_s, p_t, w), pull)
-
-
-def svd_alignment_gradient(
-    points_s: Array, points_t: Array, weights: Array, upstream: Array
-) -> tuple[Array, Array, Array]:
-    """Gradients of the weighted alignment w.r.t. its inputs.
-
-    `upstream` is the 12-vector [dL/dC.ravel(), dL/dr]; returns gradients
-    for the source points, target points, and weights.
-    """
-    tape = Tape()
-    ps = tape.param(points_s)
-    pt = tape.param(points_t)
-    w = tape.param(weights)
-    out = rigid_align(ps, pt, w)
-    loss = sum_(mul(out, tape.constant(np.asarray(upstream, dtype=float))))
-    grads = backward(tape, loss)
-    return grads[ps.index], grads[pt.index], grads[w.index]

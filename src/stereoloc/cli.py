@@ -135,7 +135,8 @@ def cmd_synth(args) -> int:
         live, _ = synth.offset_poses(poses, seed=args.seed)
         frames = synth.render_sequence(scene, live, args.condition, K, size, args.seed)
         synth.save_sequence(out, frames, K, args.condition, args.seed,
-                            extra={"repeat_of": str(args.of)})
+                            extra={"repeat_of": str(args.of),
+                                   "teach_condition": manifest["condition"]})
     else:
         raise ConfigError(f"unknown kind {args.kind!r}")
     _write_run_manifest(out, args)
@@ -323,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat dotted-key config file")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (this build is single-threaded)")
 
     p = sub.add_parser("synth", help="generate synthetic data")
     common(p)

@@ -104,12 +104,6 @@ def weighted_alignment(prob: AlignmentProblem) -> SE3Pose:
     return SE3Pose(C, r)
 
 
-def alignment_cost(p_s, p_t, w, C, r) -> float:
-    """The weighted squared-residual objective at a candidate pose."""
-    res = p_s @ C.T + r - p_t
-    return float((w * (res * res).sum(axis=1)).sum())
-
-
 def ransac_pose(
     p_s: np.ndarray,
     p_t: np.ndarray,

@@ -48,19 +48,6 @@ class CameraIntrinsics:
 
 
 @dataclass(frozen=True)
-class StereoObservation:
-    """Left-image pixel coordinates plus disparity."""
-
-    u_l: float
-    v_l: float
-    d: float
-
-    @property
-    def valid(self) -> bool:
-        return self.d > MIN_DISPARITY
-
-
-@dataclass(frozen=True)
 class SE3Pose:
     """Rigid transform: p_out = C @ p_in + r."""
 
@@ -128,37 +115,9 @@ def se3_to_planar(T: SE3Pose) -> PlanarPose:
     return PlanarPose(T.r[0], T.r[1], math.atan2(T.C[1, 0], T.C[0, 0]))
 
 
-def compose(a: SE3Pose, b: SE3Pose) -> SE3Pose:
-    """a after b: (a*b)(p) = a(b(p))."""
-    return SE3Pose(a.C @ b.C, a.C @ b.r + a.r)
-
-
-def inverse(T: SE3Pose) -> SE3Pose:
-    return SE3Pose(T.C.T, -T.C.T @ T.r)
-
-
-def apply(T: SE3Pose, p: np.ndarray) -> np.ndarray:
-    """Transform a 3-vector or an (N, 3) stack of points."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 1:
-        return T.C @ p + T.r
-    return p @ T.C.T + T.r
-
-
-def project(p, K: CameraIntrinsics) -> StereoObservation:
-    """Map a camera-frame 3D point to left-image pixel plus disparity."""
-    x, y, z = np.asarray(p, dtype=float)
-    if z <= 0:
-        raise DegenerateDepth(f"point depth {z} is not positive")
-    return StereoObservation(
-        K.fu * x / z + K.cu,
-        K.fv * y / z + K.cv,
-        K.fu * K.b / z,
-    )
-
-
 def project_points(P: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
-    """Vectorized project: (N, 3) points -> (N, 3) array of (u_l, v_l, d)."""
+    """Map (N, 3) camera-frame points to an (N, 3) array of left-image
+    pixel plus disparity, (u_l, v_l, d)."""
     P = np.asarray(P, dtype=float)
     z = P[:, 2]
     if np.any(z <= 0):
@@ -169,20 +128,9 @@ def project_points(P: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
     )
 
 
-def backproject(y, K: CameraIntrinsics) -> np.ndarray:
-    """Inverse stereo model: (u_l, v_l, d) -> camera-frame 3D point."""
-    if isinstance(y, StereoObservation):
-        u, v, d = y.u_l, y.v_l, y.d
-    else:
-        u, v, d = (float(c) for c in y)
-    if d <= MIN_DISPARITY:
-        raise InvalidDisparity(f"disparity {d} <= {MIN_DISPARITY}")
-    s = K.b / d
-    return np.array([s * (u - K.cu), s * (K.fu / K.fv) * (v - K.cv), s * K.fu])
-
-
 def backproject_points(Y: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
-    """Vectorized backproject: (N, 3) observations -> (N, 3) points."""
+    """Inverse stereo model: (N, 3) observations (u_l, v_l, d) -> (N, 3)
+    camera-frame points."""
     Y = np.asarray(Y, dtype=float)
     d = Y[:, 2]
     if np.any(d <= MIN_DISPARITY):
@@ -192,19 +140,3 @@ def backproject_points(Y: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
         [s * (Y[:, 0] - K.cu), s * (K.fu / K.fv) * (Y[:, 1] - K.cv), s * K.fu],
         axis=1,
     )
-
-
-def backproject_jacobian(y, K: CameraIntrinsics) -> np.ndarray:
-    """Analytic 3x3 Jacobian of backproject w.r.t. (u_l, v_l, d)."""
-    if isinstance(y, StereoObservation):
-        u, v, d = y.u_l, y.v_l, y.d
-    else:
-        u, v, d = (float(c) for c in y)
-    if d <= MIN_DISPARITY:
-        raise InvalidDisparity(f"disparity {d} <= {MIN_DISPARITY}")
-    p = backproject((u, v, d), K)
-    J = np.zeros((3, 3))
-    J[0, 0] = K.b / d
-    J[1, 1] = K.b * K.fu / (K.fv * d)
-    J[:, 2] = -p / d
-    return J

@@ -77,7 +77,7 @@ class MapVertex:
     scores: np.ndarray  # (N,)
     points3d: np.ndarray  # (N, 3) camera-frame lifts
     frame: StereoFrame
-    dense: tuple | None = None  # (extractor ident, desc, scores, disparity)
+    dense: tuple | None = None  # (extractor ident, dense descriptors, dense scores)
 
 
 @dataclass
@@ -134,6 +134,19 @@ def _frame_disparity(frame: StereoFrame, source: str) -> tuple[np.ndarray, np.nd
     raise ValueError(f"unknown disparity source {source!r}")
 
 
+def _disparity_at(
+    frame: StereoFrame, source: str, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-pixel disparity at (N, 2) (u, v) points, clamped into the
+    image, and whether each value is valid and above MIN_DISPARITY."""
+    dmap, valid = _frame_disparity(frame, source)
+    nearest = np.rint(pts).astype(int)
+    u = np.clip(nearest[:, 0], 0, dmap.shape[1] - 1)
+    v = np.clip(nearest[:, 1], 0, dmap.shape[0] - 1)
+    d = dmap[v, u]
+    return d, valid[v, u] & (d > MIN_DISPARITY)
+
+
 def _keypoints_numpy(extractor, frame: StereoFrame, disparity_source: str):
     """Extract keypoints and their 3D lifts as plain arrays."""
     tape = Tape()
@@ -142,13 +155,7 @@ def _keypoints_numpy(extractor, frame: StereoFrame, disparity_source: str):
     coords = kps.coords.value
     desc = kps.descriptors.value
     scores = kps.scores.value
-
-    dmap, valid = _frame_disparity(frame, disparity_source)
-    nearest = np.clip(np.rint(coords).astype(int), 0, None)
-    nearest[:, 0] = np.minimum(nearest[:, 0], dmap.shape[1] - 1)
-    nearest[:, 1] = np.minimum(nearest[:, 1], dmap.shape[0] - 1)
-    d = dmap[nearest[:, 1], nearest[:, 0]]
-    ok = valid[nearest[:, 1], nearest[:, 0]] & (d > MIN_DISPARITY)
+    d, ok = _disparity_at(frame, disparity_source, coords)
     return coords, desc, scores, d, ok
 
 
@@ -256,12 +263,7 @@ def _dense_pairs(vertex, extractor, coords, desc, scores, p_live, params, K):
     pts = m.target_points.value
     weights = m.weights.value
 
-    vd, valid = _frame_disparity(vertex.frame, params.disparity)
-    nearest = np.rint(pts).astype(int)
-    nearest[:, 0] = np.clip(nearest[:, 0], 0, vd.shape[1] - 1)
-    nearest[:, 1] = np.clip(nearest[:, 1], 0, vd.shape[0] - 1)
-    d_t = vd[nearest[:, 1], nearest[:, 0]]
-    ok = valid[nearest[:, 1], nearest[:, 0]] & (d_t > MIN_DISPARITY)
+    d_t, ok = _disparity_at(vertex.frame, params.disparity, pts)
     if int(ok.sum()) < 3:
         raise InsufficientMatches("too few matches with valid disparity")
     p_t = backproject_points(
@@ -272,14 +274,9 @@ def _dense_pairs(vertex, extractor, coords, desc, scores, p_live, params, K):
 
 def _sparse_pairs(vertex, desc, scores, p_live):
     """Mutual-best ZNCC pairs against the vertex's sparse keypoints."""
-    pairs = matching.mutual_best_matches(desc, vertex.descriptors)
-    if len(pairs) < 3:
-        raise InsufficientMatches(f"only {len(pairs)} mutual matches")
-    ai = np.array([i for i, _ in pairs])
-    bj = np.array([j for _, j in pairs])
-    corr = np.array(
-        [matching.zncc(desc[i], vertex.descriptors[j]) for i, j in pairs]
-    )
+    ai, bj, corr = matching.mutual_best_matches(desc, vertex.descriptors)
+    if len(ai) < 3:
+        raise InsufficientMatches(f"only {len(ai)} mutual matches")
     w = 0.5 * (corr + 1.0) * scores[ai] * vertex.scores[bj]
     return p_live[ai], vertex.points3d[bj], w
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import features
 from .autodiff import Var
 from .features import DenseFeatureMap, KeypointSet
 
@@ -36,36 +37,6 @@ class MatchSet:
         return len(self.weights.value)
 
 
-def zncc(a: np.ndarray, b: np.ndarray) -> float:
-    """Zero-normalized cross correlation of two vectors, in [-1, 1].
-
-    Zero-variance inputs correlate to 0 by convention.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size < 2 or a.shape != b.shape:
-        raise ValueError("zncc needs two equal-length vectors with D >= 2")
-    ca = a - a.mean()
-    cb = b - b.mean()
-    na = np.linalg.norm(ca)
-    nb = np.linalg.norm(cb)
-    if na <= ad.ZNCC_VARIANCE_FLOOR or nb <= ad.ZNCC_VARIANCE_FLOOR:
-        return 0.0
-    return float(ca @ cb / (na * nb))
-
-
-def zncc_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise ZNCC between rows of A (N, D) and rows of B (M, D)."""
-
-    def normalize(X):
-        c = X - X.mean(axis=1, keepdims=True)
-        n = np.linalg.norm(c, axis=1, keepdims=True)
-        ok = n > ad.ZNCC_VARIANCE_FLOOR
-        return np.where(ok, c / np.where(ok, n, 1.0), 0.0)
-
-    return normalize(np.asarray(A, float)) @ normalize(np.asarray(B, float)).T
-
-
 def _pixel_coords(h: int, w: int, stride: int = 1) -> np.ndarray:
     us, vs = np.meshgrid(np.arange(0, w, stride), np.arange(0, h, stride))
     return np.stack([us.ravel(), vs.ravel()], axis=1).astype(float)
@@ -82,24 +53,6 @@ def _flatten_target(target: DenseFeatureMap, stride: int) -> tuple[Var, np.ndarr
     return flat, _pixel_coords(h, w, stride)
 
 
-def soft_match(
-    source_descriptor: Var, target: DenseFeatureMap, tau: float, stride: int = 1
-) -> tuple[Var, Var, Var]:
-    """Match one descriptor against every target pixel.
-
-    Returns (point (2,), descriptor (D,), score ()) at the softmax-weighted
-    coordinate.
-    """
-    d = source_descriptor.value.shape[0]
-    one = ad.reshape(source_descriptor, (1, d))
-    pts, desc, scores, _ = _match_core(one, target, tau, stride)
-    return (
-        ad.reshape(pts, (2,)),
-        ad.reshape(desc, (d,)),
-        ad.reshape(scores, ()),
-    )
-
-
 def _match_core(src_desc: Var, target: DenseFeatureMap, tau, stride):
     if tau <= 0:
         raise ValueError("temperature must be positive")
@@ -110,16 +63,8 @@ def _match_core(src_desc: Var, target: DenseFeatureMap, tau, stride):
     attn = ad.softmax(ad.mul(sim, float(tau)), axis=1)
     tape = src_desc.tape
     points = ad.matmul(attn, tape.constant(coords))
-    desc, scores = _sample_target(target, points)
+    desc, scores = features.sample_at(target, points)
     return points, desc, scores, attn
-
-
-def _sample_target(target: DenseFeatureMap, points: Var) -> tuple[Var, Var]:
-    desc = ad.bilinear_sample(target.descriptors, points)
-    h, w = target.scores.value.shape
-    score_map = ad.reshape(target.scores, (1, h, w))
-    scores = ad.reshape(ad.bilinear_sample(score_map, points), (len(points.value),))
-    return desc, scores
 
 
 def match_weights(
@@ -132,12 +77,6 @@ def match_weights(
     corr = ad.sum_(ad.mul(zn_a, zn_b), axis=1)
     half = ad.mul(ad.add(corr, 1.0), 0.5)
     return ad.mul(ad.mul(half, source_scores), target_scores)
-
-
-def matchset_weights(m: MatchSet) -> Var:
-    return match_weights(
-        m.source.descriptors, m.target_descriptors, m.source.scores, m.target_scores
-    )
 
 
 def match_all(
@@ -153,35 +92,17 @@ def match_all(
     return MatchSet(source, points, desc, scores, w)
 
 
-def match_all_reference(
-    src_desc: np.ndarray,
-    target_desc: np.ndarray,
-    tau: float,
-) -> np.ndarray:
-    """Naive double-loop soft matcher used as test oracle: for each source
-    descriptor, softmax over per-pixel scalar ZNCC, then the weighted sum of
-    coordinates. target_desc is (D, H, W); returns (N, 2) points."""
-    d, h, w = target_desc.shape
-    out = np.zeros((len(src_desc), 2))
-    for i, sd in enumerate(src_desc):
-        vals = np.empty(h * w)
-        coords = np.empty((h * w, 2))
-        k = 0
-        for v in range(h):
-            for u in range(w):
-                vals[k] = zncc(sd, target_desc[:, v, u])
-                coords[k] = (u, v)
-                k += 1
-        e = np.exp(tau * vals - (tau * vals).max())
-        sm = e / e.sum()
-        out[i] = sm @ coords
-    return out
-
-
-def mutual_best_matches(desc_a: np.ndarray, desc_b: np.ndarray) -> list[tuple[int, int]]:
-    """Sparse matching: pairs (i, j) where i and j are each other's best
-    ZNCC match."""
-    sim = zncc_matrix(desc_a, desc_b)
+def mutual_best_matches(
+    desc_a: np.ndarray, desc_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse matching: index arrays (i, j) of the rows of desc_a and desc_b
+    that are each other's best ZNCC match, in increasing i, and the ZNCC of
+    each pair."""
+    zn_a, _ = ad.znorm_rows(np.asarray(desc_a, float))
+    zn_b, _ = ad.znorm_rows(np.asarray(desc_b, float))
+    sim = zn_a @ zn_b.T
     best_b = sim.argmax(axis=1)
     best_a = sim.argmax(axis=0)
-    return [(i, j) for i, j in enumerate(best_b) if best_a[j] == i]
+    i = np.flatnonzero(best_a[best_b] == np.arange(len(best_b)))
+    j = best_b[i]
+    return i, j, sim[i, j]

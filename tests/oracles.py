@@ -1,0 +1,149 @@
+"""Reference implementations and helpers that only tests use.
+
+The scalar `zncc` and the double-loop `match_all_reference` are oracles
+written independently of the vectorized production code they check.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from stereoloc import autodiff as ad
+from stereoloc import matching
+from stereoloc.autodiff import Tape, Var
+from stereoloc.features import DenseFeatureMap
+from stereoloc.geometry import CameraIntrinsics, SE3Pose, backproject_points
+
+Array = np.ndarray
+
+
+# ---------------------------------------------------------------------------
+# matching
+
+
+def zncc(a: np.ndarray, b: np.ndarray) -> float:
+    """Zero-normalized cross correlation of two vectors, in [-1, 1].
+
+    Zero-variance inputs correlate to 0 by convention.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.size < 2 or a.shape != b.shape:
+        raise ValueError("zncc needs two equal-length vectors with D >= 2")
+    ca = a - a.mean()
+    cb = b - b.mean()
+    na = np.linalg.norm(ca)
+    nb = np.linalg.norm(cb)
+    if na <= ad.ZNCC_VARIANCE_FLOOR or nb <= ad.ZNCC_VARIANCE_FLOOR:
+        return 0.0
+    return float(ca @ cb / (na * nb))
+
+
+def match_all_reference(
+    src_desc: np.ndarray,
+    target_desc: np.ndarray,
+    tau: float,
+) -> np.ndarray:
+    """Naive double-loop soft matcher used as test oracle: for each source
+    descriptor, softmax over per-pixel scalar ZNCC, then the weighted sum of
+    coordinates. target_desc is (D, H, W); returns (N, 2) points."""
+    d, h, w = target_desc.shape
+    out = np.zeros((len(src_desc), 2))
+    for i, sd in enumerate(src_desc):
+        vals = np.empty(h * w)
+        coords = np.empty((h * w, 2))
+        k = 0
+        for v in range(h):
+            for u in range(w):
+                vals[k] = zncc(sd, target_desc[:, v, u])
+                coords[k] = (u, v)
+                k += 1
+        e = np.exp(tau * vals - (tau * vals).max())
+        sm = e / e.sum()
+        out[i] = sm @ coords
+    return out
+
+
+def soft_match(
+    source_descriptor: Var, target: DenseFeatureMap, tau: float, stride: int = 1
+) -> tuple[Var, Var, Var]:
+    """Match one descriptor against every target pixel.
+
+    Returns (point (2,), descriptor (D,), score ()) at the softmax-weighted
+    coordinate.
+    """
+    d = source_descriptor.value.shape[0]
+    one = ad.reshape(source_descriptor, (1, d))
+    pts, desc, scores, _ = matching._match_core(one, target, tau, stride)
+    return (
+        ad.reshape(pts, (2,)),
+        ad.reshape(desc, (d,)),
+        ad.reshape(scores, ()),
+    )
+
+
+def matchset_weights(m: matching.MatchSet) -> Var:
+    return matching.match_weights(
+        m.source.descriptors, m.target_descriptors, m.source.scores, m.target_scores
+    )
+
+
+# ---------------------------------------------------------------------------
+# alignment
+
+
+def svd_alignment_gradient(
+    points_s: Array, points_t: Array, weights: Array, upstream: Array
+) -> tuple[Array, Array, Array]:
+    """Gradients of the weighted alignment w.r.t. its inputs.
+
+    `upstream` is the 12-vector [dL/dC.ravel(), dL/dr]; returns gradients
+    for the source points, target points, and weights.
+    """
+    tape = Tape()
+    ps = tape.param(points_s)
+    pt = tape.param(points_t)
+    w = tape.param(weights)
+    out = ad.rigid_align(ps, pt, w)
+    loss = ad.sum_(ad.mul(out, tape.constant(np.asarray(upstream, dtype=float))))
+    grads = ad.backward(tape, loss)
+    return grads[ps.index], grads[pt.index], grads[w.index]
+
+
+def alignment_cost(p_s, p_t, w, C, r) -> float:
+    """The weighted squared-residual objective at a candidate pose."""
+    res = p_s @ C.T + r - p_t
+    return float((w * (res * res).sum(axis=1)).sum())
+
+
+# ---------------------------------------------------------------------------
+# geometry
+
+
+def compose(a: SE3Pose, b: SE3Pose) -> SE3Pose:
+    """a after b: (a*b)(p) = a(b(p))."""
+    return SE3Pose(a.C @ b.C, a.C @ b.r + a.r)
+
+
+def inverse(T: SE3Pose) -> SE3Pose:
+    return SE3Pose(T.C.T, -T.C.T @ T.r)
+
+
+def apply(T: SE3Pose, p: np.ndarray) -> np.ndarray:
+    """Transform a 3-vector or an (N, 3) stack of points."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 1:
+        return T.C @ p + T.r
+    return p @ T.C.T + T.r
+
+
+def backproject_jacobian(y, K: CameraIntrinsics) -> np.ndarray:
+    """Analytic 3x3 Jacobian of backprojection w.r.t. (u_l, v_l, d)."""
+    y = np.asarray(y, dtype=float)
+    p = backproject_points(y[None], K)[0]
+    d = y[2]
+    J = np.zeros((3, 3))
+    J[0, 0] = K.b / d
+    J[1, 1] = K.b * K.fu / (K.fv * d)
+    J[:, 2] = -p / d
+    return J

@@ -24,6 +24,7 @@ from stereoloc.geometry import (
 )
 from stereoloc.training import LossConfig, TrainConfig, keypoint_loss, pose_loss
 
+from oracles import match_all_reference
 from test_estimator import grid_search_planar, planar_instance
 
 SCENE_SEED = 3
@@ -182,7 +183,7 @@ def test_criterion_4_matching_oracle():
             tape.constant(np.full(4, 0.5)),
         )
         m = matching.match_all(kps, fmap, tau=15.0)
-        ref = matching.match_all_reference(src, desc, tau=15.0)
+        ref = match_all_reference(src, desc, tau=15.0)
         worst = max(worst, float(np.abs(m.target_points.value - ref).max()))
         _, _, _, attn = matching._match_core(kps.descriptors, fmap, 15.0, 1)
         worst_rows = max(worst_rows, float(np.abs(attn.value.sum(axis=1) - 1).max()))

@@ -91,6 +91,8 @@ class TestSubcommands:
                      "--name", "night", "--out", str(rep)]) == 0
         assert (rep / "run_night.csv").is_file()
         assert (rep / "summary.json").is_file()
+        matrix = (rep / "condition_matrix.csv").read_text().splitlines()
+        assert matrix[1].split(",")[0] == "noon"
 
         assert main(["report", "--runs", str(rep), "--out", str(rpt)]) == 0
         table = (rpt / "aggregate.csv").read_text().splitlines()

@@ -12,12 +12,13 @@ from stereoloc.errors import (
 from stereoloc.estimator import (
     AlignmentProblem,
     RansacParams,
-    alignment_cost,
     gt_outlier_gate,
     ransac_pose,
     weighted_alignment,
 )
-from stereoloc.geometry import PlanarPose, SE3Pose, apply, planar_to_se3, rot_z, se3_to_planar
+from stereoloc.geometry import PlanarPose, SE3Pose, planar_to_se3, rot_z, se3_to_planar
+
+from oracles import alignment_cost, apply
 
 
 def planar_instance(seed, n=5, noise=0.0):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stereoloc import features, synth, training
 from stereoloc.errors import ConfigError
-from stereoloc.geometry import PlanarPose, apply, planar_to_se3
+from stereoloc.geometry import PlanarPose, planar_to_se3
 from stereoloc.training import (
     AdamState,
     LossConfig,
@@ -18,6 +18,8 @@ from stereoloc.training import (
     total_loss,
     train,
 )
+
+from oracles import apply
 
 
 def tiny_dataset(scene, count=8, seed=11):
