@@ -480,18 +480,20 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
     """Sample a (C, H, W) map at (N, 2) sub-pixel (u, v) points -> (N, C).
 
     Differentiable in both the map and the points; raises OutOfBounds for
-    points outside [0, W-1] x [0, H-1] (beyond rounding slack).
+    points outside [0, W-1] x [0, H-1] (beyond rounding slack) and for
+    non-finite points.
     """
     mv, pv = m.value, pts.value
     c, h, w = mv.shape
     u, v = pv[:, 0], pv[:, 1]
-    if (
-        np.any(u < -BOUNDS_SLACK)
-        or np.any(u > w - 1 + BOUNDS_SLACK)
-        or np.any(v < -BOUNDS_SLACK)
-        or np.any(v > h - 1 + BOUNDS_SLACK)
-    ):
-        raise OutOfBounds("sample point outside image bounds")
+    inside = (
+        (u >= -BOUNDS_SLACK)
+        & (u <= w - 1 + BOUNDS_SLACK)
+        & (v >= -BOUNDS_SLACK)
+        & (v <= h - 1 + BOUNDS_SLACK)
+    )  # False for NaN
+    if not inside.all():
+        raise OutOfBounds("sample point outside image bounds or not finite")
     u = np.clip(u, 0.0, float(w - 1))
     v = np.clip(v, 0.0, float(h - 1))
     x0 = np.clip(np.floor(u).astype(int), 0, w - 2) if w > 1 else np.zeros(len(u), int)

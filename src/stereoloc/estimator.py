@@ -68,6 +68,22 @@ class _AlignAux:
     D: np.ndarray
 
 
+def _rotation_from_covariance(W: np.ndarray):
+    """Closed-form rotations for a (..., 3, 3) stack of cross-covariances.
+
+    Returns (C, aux, collinear): C = U D Vt is the rotation maximizing
+    tr(C^T W), with D = diag(1, 1, sign det(U Vt)) forcing a proper
+    rotation; aux holds U, s, Vt and D; collinear flags the entries whose
+    points are nearly collinear (second singular value near zero).
+    """
+    U, s, Vt = np.linalg.svd(W)
+    D = np.broadcast_to(np.eye(3), W.shape).copy()
+    D[..., 2, 2] = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
+    C = U @ D @ Vt
+    collinear = s[..., 1] <= COLLINEARITY_TOL * np.maximum(s[..., 0], 1e-300)
+    return C, _AlignAux(U, s, Vt, D), collinear
+
+
 def align_core(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
     """Closed-form weighted alignment; returns (C, r, svd factors).
 
@@ -89,13 +105,11 @@ def align_core(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
     a = p_s - mu_s
     b = p_t - mu_t
     W = (b * wn[:, None]).T @ a
-    U, s, Vt = np.linalg.svd(W)
-    if s[1] <= COLLINEARITY_TOL * max(s[0], 1e-300):
-        raise DegenerateGeometry(f"weighted points nearly collinear (spectrum {s})")
-    D = np.diag([1.0, 1.0, np.sign(np.linalg.det(U) * np.linalg.det(Vt))])
-    C = U @ D @ Vt
+    C, aux, collinear = _rotation_from_covariance(W)
+    if collinear:
+        raise DegenerateGeometry(f"weighted points nearly collinear (spectrum {aux.s})")
     r = mu_t - C @ mu_s
-    return C, r, _AlignAux(U, s, Vt, D)
+    return C, r, aux
 
 
 def weighted_alignment(prob: AlignmentProblem) -> SE3Pose:
@@ -123,22 +137,31 @@ def ransac_pose(
     if n < 3:
         raise InsufficientMatches(f"{n} matches < 3-point minimal set")
 
+    # One draw per iteration, in order, so the hypotheses follow the seed's
+    # stream exactly; then every minimal set is solved at once. Each stacked
+    # product below is the same BLAS call per hypothesis that align_core
+    # makes for one minimal set.
     rng = np.random.default_rng(params.seed)
-    ones = np.ones(3)
-    best_count = 0
-    best_mask = np.zeros(n, dtype=bool)
-    for _ in range(params.iterations):
-        idx = rng.choice(n, size=3, replace=False)
-        try:
-            C, r, _ = align_core(p_s[idx], p_t[idx], ones)
-        except DegenerateGeometry:
-            continue
-        res = np.linalg.norm(p_s @ C.T + r - p_t, axis=1)
-        mask = res < params.inlier_threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
+    idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(params.iterations)])
+    wn = np.ones(3) / 3.0
+    A, B = p_s[idx], p_t[idx]  # (I, 3, 3) minimal sets
+    mu_s = wn @ A
+    mu_t = wn @ B
+    # Non-finite pairs give NaN covariances and residuals; both are masked.
+    with np.errstate(invalid="ignore"):
+        W = ((B - mu_t[:, None]) * wn[:, None]).transpose(0, 2, 1) @ (A - mu_s[:, None])
+        # One non-finite matrix would fail the whole stacked SVD: solve such
+        # hypotheses on a stand-in and discard them.
+        finite = np.isfinite(W).all(axis=(1, 2))
+        W[~finite] = np.eye(3)
+        C, _, collinear = _rotation_from_covariance(W)
+        r = mu_t - (C @ mu_s[:, :, None])[:, :, 0]
+        res = np.linalg.norm(p_s @ C.transpose(0, 2, 1) + r[:, None] - p_t, axis=2)
+    masks = res < params.inlier_threshold  # never true for a NaN residual
+    counts = np.where(finite & ~collinear, masks.sum(axis=1), 0)
+    best = int(np.argmax(counts))  # the first of the largest, as a strict > scan
+    best_count = int(counts[best])
+    best_mask = masks[best]
 
     if best_count < max(params.min_inliers, 3):
         raise LocalizationFailure(

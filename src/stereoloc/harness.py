@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from .errors import (
     DegenerateGeometry,
     InsufficientMatches,
     LocalizationFailure,
+    OutOfBounds,
     StereolocError,
     TeachFailure,
 )
@@ -69,6 +70,18 @@ class AnalyticExtractor:
 
 
 @dataclass
+class VertexCache:
+    """What localization derives from a vertex's frame, kept across calls:
+    the dense feature maps of one extractor, and the (disparity, valid)
+    maps per disparity source."""
+
+    extractor_ident: str
+    descriptors: np.ndarray  # (D, H, W)
+    scores: np.ndarray  # (H, W)
+    disparity: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+
+@dataclass
 class MapVertex:
     frame_id: int
     world_pose: np.ndarray  # taught (x, y, yaw)
@@ -77,7 +90,7 @@ class MapVertex:
     scores: np.ndarray  # (N,)
     points3d: np.ndarray  # (N, 3) camera-frame lifts
     frame: StereoFrame
-    dense: tuple | None = None  # (extractor ident, dense descriptors, dense scores)
+    cache: VertexCache | None = None  # filled by the first localization
 
 
 @dataclass
@@ -135,11 +148,10 @@ def _frame_disparity(frame: StereoFrame, source: str) -> tuple[np.ndarray, np.nd
 
 
 def _disparity_at(
-    frame: StereoFrame, source: str, pts: np.ndarray
+    dmap: np.ndarray, valid: np.ndarray, pts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-pixel disparity at (N, 2) (u, v) points, clamped into the
     image, and whether each value is valid and above MIN_DISPARITY."""
-    dmap, valid = _frame_disparity(frame, source)
     nearest = np.rint(pts).astype(int)
     u = np.clip(nearest[:, 0], 0, dmap.shape[1] - 1)
     v = np.clip(nearest[:, 1], 0, dmap.shape[0] - 1)
@@ -155,7 +167,7 @@ def _keypoints_numpy(extractor, frame: StereoFrame, disparity_source: str):
     coords = kps.coords.value
     desc = kps.descriptors.value
     scores = kps.scores.value
-    d, ok = _disparity_at(frame, disparity_source, coords)
+    d, ok = _disparity_at(*_frame_disparity(frame, disparity_source), coords)
     return coords, desc, scores, d, ok
 
 
@@ -184,17 +196,18 @@ def teach(
     return TeachMap(vertices, K, extractor.window, extractor.ident)
 
 
-def _vertex_dense(vertex: MapVertex, extractor) -> tuple[np.ndarray, np.ndarray]:
-    """Dense descriptor and score maps for a vertex, cached per extractor."""
-    if vertex.dense is None or vertex.dense[0] != extractor.ident:
-        tape = Tape()
-        fmap = extractor.features_on(tape, vertex.frame.left)
-        vertex.dense = (
-            extractor.ident,
-            fmap.descriptors.value.copy(),
-            fmap.scores.value.copy(),
+def _vertex_cache(vertex: MapVertex, extractor, disparity_source: str) -> VertexCache:
+    """The vertex's cache for this extractor, holding the disparity maps
+    of this source; each is computed on first use."""
+    cache = vertex.cache
+    if cache is None or cache.extractor_ident != extractor.ident:
+        fmap = extractor.features_on(Tape(), vertex.frame.left)
+        cache = vertex.cache = VertexCache(
+            extractor.ident, fmap.descriptors.value.copy(), fmap.scores.value.copy()
         )
-    return vertex.dense[1], vertex.dense[2]
+    if disparity_source not in cache.disparity:
+        cache.disparity[disparity_source] = _frame_disparity(vertex.frame, disparity_source)
+    return cache
 
 
 def localize(
@@ -208,15 +221,15 @@ def localize(
 
     Dense mode soft-matches live keypoints into the vertex's dense feature
     map; sparse mode uses mutual-best ZNCC between the two keypoint sets.
-    Estimation failures surface as the failure flag, not exceptions.
+    Estimation failures, and live keypoints that leave the image (as NaN
+    pixels make them), surface as the failure flag, not exceptions.
     """
     start = time.perf_counter()
-    coords, desc, scores, d, ok = _keypoints_numpy(extractor, frame, params.disparity)
-    coords, desc, scores, d = coords[ok], desc[ok], scores[ok], d[ok]
-
     inliers = 0
     pose = None
     try:
+        coords, desc, scores, d, ok = _keypoints_numpy(extractor, frame, params.disparity)
+        coords, desc, scores, d = coords[ok], desc[ok], scores[ok], d[ok]
         if len(coords) < 3:
             raise InsufficientMatches(f"only {len(coords)} usable live keypoints")
         p_live = backproject_points(
@@ -233,7 +246,7 @@ def localize(
         se3, mask = estimator.ransac_pose(p_s, p_t, w, params.ransac)
         inliers = int(mask.sum())
         pose = se3
-    except (InsufficientMatches, LocalizationFailure, DegenerateGeometry):
+    except (InsufficientMatches, LocalizationFailure, DegenerateGeometry, OutOfBounds):
         pose = None
 
     failure = pose is None or inliers < params.failure_inliers
@@ -249,12 +262,12 @@ def localize(
 def _dense_pairs(vertex, extractor, coords, desc, scores, p_live, params, K):
     """Live keypoints soft-matched into the vertex's dense map, then lifted
     through the vertex's disparity."""
-    dense_desc, dense_scores = _vertex_dense(vertex, extractor)
+    cache = _vertex_cache(vertex, extractor, params.disparity)
     tape = Tape()
     fmap = features.DenseFeatureMap(
-        tape.constant(dense_desc),
-        tape.constant(dense_scores),
-        tape.constant(np.zeros_like(dense_scores)),
+        tape.constant(cache.descriptors),
+        tape.constant(cache.scores),
+        tape.constant(np.zeros_like(cache.scores)),
     )
     kps = features.KeypointSet(
         tape.constant(coords), tape.constant(desc), tape.constant(scores)
@@ -263,7 +276,7 @@ def _dense_pairs(vertex, extractor, coords, desc, scores, p_live, params, K):
     pts = m.target_points.value
     weights = m.weights.value
 
-    d_t, ok = _disparity_at(vertex.frame, params.disparity, pts)
+    d_t, ok = _disparity_at(*cache.disparity[params.disparity], pts)
     if int(ok.sum()) < 3:
         raise InsufficientMatches("too few matches with valid disparity")
     p_t = backproject_points(

@@ -11,6 +11,13 @@ import numpy as np
 from stereoloc import autodiff as ad
 from stereoloc import matching
 from stereoloc.autodiff import Tape, Var
+from stereoloc.errors import DegenerateGeometry, InsufficientMatches, LocalizationFailure
+from stereoloc.estimator import (
+    AlignmentProblem,
+    RansacParams,
+    align_core,
+    weighted_alignment,
+)
 from stereoloc.features import DenseFeatureMap
 from stereoloc.geometry import CameraIntrinsics, SE3Pose, backproject_points
 
@@ -114,6 +121,51 @@ def alignment_cost(p_s, p_t, w, C, r) -> float:
     """The weighted squared-residual objective at a candidate pose."""
     res = p_s @ C.T + r - p_t
     return float((w * (res * res).sum(axis=1)).sum())
+
+
+def ransac_pose_reference(
+    p_s: np.ndarray,
+    p_t: np.ndarray,
+    w: np.ndarray,
+    params: RansacParams,
+) -> tuple[SE3Pose, np.ndarray]:
+    """Hypothesize-and-verify pose estimation with 3-point minimal sets,
+    one hypothesis at a time: the loop the stacked `ransac_pose` must match
+    bitwise (same draws, same masks, same final pose)."""
+    p_s = np.asarray(p_s, dtype=float)
+    p_t = np.asarray(p_t, dtype=float)
+    w = np.asarray(w, dtype=float)
+    n = p_s.shape[0]
+    if n < 3:
+        raise InsufficientMatches(f"{n} matches < 3-point minimal set")
+
+    rng = np.random.default_rng(params.seed)
+    ones = np.ones(3)
+    best_count = 0
+    best_mask = np.zeros(n, dtype=bool)
+    for _ in range(params.iterations):
+        idx = rng.choice(n, size=3, replace=False)
+        try:
+            C, r, _ = align_core(p_s[idx], p_t[idx], ones)
+        except DegenerateGeometry:
+            continue
+        res = np.linalg.norm(p_s @ C.T + r - p_t, axis=1)
+        mask = res < params.inlier_threshold
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+
+    if best_count < max(params.min_inliers, 3):
+        raise LocalizationFailure(
+            f"consensus {best_count} below minimum {params.min_inliers}"
+        )
+
+    w_in = w[best_mask]
+    if w_in.sum() <= 0 or int((w_in > 0).sum()) < 3:
+        w_in = np.ones(best_count)
+    pose = weighted_alignment(AlignmentProblem(p_s[best_mask], p_t[best_mask], w_in))
+    return pose, best_mask
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,16 @@ class TestImagePrimitives:
         with pytest.raises(OutOfBounds):
             ad.bilinear_sample(mv, t.constant(np.array([[7.0, 0.0]])))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_bilinear_sample_rejects_non_finite_points(self, bad, axis):
+        t = Tape()
+        mv = t.constant(np.random.default_rng(27).normal(size=(2, 5, 7)))
+        pts = np.array([[2.0, 3.0], [1.5, 2.5]])
+        pts[1, axis] = bad
+        with pytest.raises(OutOfBounds):
+            ad.bilinear_sample(mv, t.constant(pts))
+
     def test_bilinear_sample_matches_bruteforce(self):
         rng = np.random.default_rng(26)
         m = rng.normal(size=(4, 6, 9))

@@ -12,13 +12,14 @@ from stereoloc.errors import (
 from stereoloc.estimator import (
     AlignmentProblem,
     RansacParams,
+    align_core,
     gt_outlier_gate,
     ransac_pose,
     weighted_alignment,
 )
 from stereoloc.geometry import PlanarPose, SE3Pose, planar_to_se3, rot_z, se3_to_planar
 
-from oracles import alignment_cost, apply
+from oracles import alignment_cost, apply, ransac_pose_reference
 
 
 def planar_instance(seed, n=5, noise=0.0):
@@ -213,6 +214,91 @@ class TestRansac:
             RansacParams(iterations=0)
         with pytest.raises(ValueError):
             RansacParams(inlier_threshold=0.0)
+
+
+def assert_matches_reference(p_s, p_t, w, params):
+    """ransac_pose and the per-hypothesis loop agree bitwise: same mask,
+    same C and r, or the same LocalizationFailure."""
+    try:
+        ref_pose, ref_mask = ransac_pose_reference(p_s, p_t, w, params)
+    except LocalizationFailure:
+        with pytest.raises(LocalizationFailure):
+            ransac_pose(p_s, p_t, w, params)
+        return
+    pose, mask = ransac_pose(p_s, p_t, w, params)
+    assert np.array_equal(mask, ref_mask)
+    assert pose.C.tobytes() == ref_pose.C.tobytes()
+    assert pose.r.tobytes() == ref_pose.r.tobytes()
+
+
+class TestRansacMatchesReference:
+    @pytest.mark.parametrize("noise", [0.0, 0.04])
+    @pytest.mark.parametrize("iterations", [1, 50, 500])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_contaminated_instances(self, seed, iterations, noise):
+        # with noise near the threshold, hypotheses tie on count with
+        # different masks, so the first-of-the-largest rule is exercised
+        ps, pt, _, _, _ = TestRansac.contaminated_instance(seed, outlier_fraction=0.4)
+        rng = np.random.default_rng(seed)
+        pt = pt + noise * rng.normal(size=pt.shape)
+        w = rng.uniform(0.2, 1.0, len(ps))
+        params = RansacParams(iterations=iterations, inlier_threshold=0.1, min_inliers=6,
+                              seed=seed)
+        assert_matches_reference(ps, pt, w, params)
+
+    @pytest.mark.parametrize("seed", range(3, 8))
+    def test_degenerate_minimal_sets(self, seed):
+        # 15 pairs on one line, away from the other points, consistent with
+        # one another but not with the true pose: a hypothesis drawn only
+        # from them is collinear and would outvote the 12 true inliers if it
+        # were not discarded
+        ps, pt, _, _, true_mask = TestRansac.contaminated_instance(
+            seed, n=30, outlier_fraction=0.6)
+        line = np.outer(np.arange(1.0, 16.0), [0.1, -0.05, 0.02]) + [2.0, -2.0, 0.5]
+        ps = np.concatenate([ps, line])
+        pt = np.concatenate([pt, line + 1.0])
+        params = RansacParams(iterations=200, inlier_threshold=0.1, min_inliers=6, seed=seed)
+        rng = np.random.default_rng(params.seed)
+        degenerate = 0
+        for _ in range(params.iterations):
+            idx = rng.choice(len(ps), size=3, replace=False)
+            try:
+                align_core(ps[idx], pt[idx], np.ones(3))
+            except DegenerateGeometry:
+                degenerate += 1
+        assert degenerate > 0
+        w = np.ones(len(ps))
+        assert_matches_reference(ps, pt, w, params)
+        _, mask = ransac_pose(ps, pt, w, params)
+        assert np.array_equal(mask, np.concatenate([true_mask, np.zeros(15, bool)]))
+
+    def test_all_garbage_still_fails(self):
+        rng = np.random.default_rng(33)
+        ps = rng.uniform(-1, 1, (12, 3))
+        pt = rng.uniform(50, 100, (12, 3))
+        params = RansacParams(iterations=50, min_inliers=6)
+        with pytest.raises(LocalizationFailure):
+            ransac_pose_reference(ps, pt, np.ones(12), params)
+        assert_matches_reference(ps, pt, np.ones(12), params)
+
+
+class TestRansacNonFinite:
+    def test_nan_rows_are_never_inliers(self):
+        ps, pt, w, T, true_mask = TestRansac.contaminated_instance(4)
+        ps[[1, 7]] = np.nan
+        pt[[2, 9]] = np.inf
+        pt[11, 0] = np.nan
+        finite = np.isfinite(ps).all(axis=1) & np.isfinite(pt).all(axis=1)
+        params = RansacParams(iterations=500, inlier_threshold=0.1, min_inliers=6, seed=4)
+        pose, mask = ransac_pose(ps, pt, w, params)
+        assert not mask[~finite].any()
+        assert np.array_equal(mask, true_mask & finite)
+        assert np.abs(pose.C - T.C).max() < 1e-6
+
+    def test_all_nan_is_a_localization_failure(self):
+        ps = np.full((10, 3), np.nan)
+        with pytest.raises(LocalizationFailure):
+            ransac_pose(ps, ps.copy(), np.ones(10), RansacParams(iterations=20))
 
 
 class TestGroundTruthGate:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,23 @@ class TestLocalize:
         res = localize(frames[0], teach_map.vertices[0], extractor, params, K_default)
         assert res.inliers >= 3 or res.failure
 
+    def test_vertex_block_disparity_computed_once(self, rig, K_default, monkeypatch):
+        frames, extractor, teach_map = rig
+        vertex = dataclasses.replace(teach_map.vertices[0], cache=None)
+        calls = []
+        block_match = synth.block_match_disparity
+
+        def counted(left, right):
+            calls.append(1)
+            return block_match(left, right)
+
+        monkeypatch.setattr(synth, "block_match_disparity", counted)
+        params = LocalizeParams(mode="dense", disparity="block")
+        a = localize(frames[0], vertex, extractor, params, K_default)
+        b = localize(frames[0], vertex, extractor, params, K_default)
+        assert len(calls) == 3  # one per live frame, one for the vertex
+        assert a.inliers == b.inliers
+
 
 class TestRepeat:
     def test_self_repeat_sparse_is_clean(self, rig, K_default):
@@ -136,6 +155,18 @@ class TestRepeat:
         report = repeat(frames, teach_map, extractor, LocalizeParams(), K_default)
         assert report.failure_count == 0
         assert report.pose_rmse < 5e-2
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    def test_nan_patched_frame_is_a_recorded_failure(self, rig, K_default, mode):
+        frames, extractor, teach_map = rig
+        left = frames[1].left.copy()
+        left[10:20, 20:30] = np.nan
+        patched = StereoFrame(left, frames[1].right, frames[1].disparity, frames[1].pose)
+        seq = [frames[0], patched, frames[2]]
+        report = repeat(seq, teach_map, extractor, LocalizeParams(mode=mode), K_default)
+        assert len(report.results) == len(seq)
+        assert report.results[1].failure and report.results[1].inliers == 0
+        assert not report.results[0].failure and not report.results[2].failure
 
     def test_nearest_vertex_association(self, rig):
         frames, _, teach_map = rig
