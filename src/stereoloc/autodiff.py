@@ -9,6 +9,7 @@ gradient accumulation deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -386,10 +387,13 @@ def _im2col(x: Array, kh: int, kw: int) -> Array:
     """(C, H, W) zero-padded 'same' -> (C*kh*kw, H*W)."""
     c, h, w = x.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    # windows: (C, H, W, kh, kw)
-    return windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, h * w)
+    xp = np.zeros((c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    xp[:, ph:ph + h, pw:pw + w] = x
+    cols = np.empty((c, kh, kw, h, w), dtype=x.dtype)
+    for dy in range(kh):
+        for dx in range(kw):
+            cols[:, dy, dx] = xp[:, dy:dy + h, dx:dx + w]
+    return cols.reshape(c * kh * kw, h * w)
 
 
 def conv2d(x: Var, weight: Var, bias: Var) -> Var:
@@ -443,8 +447,10 @@ def upsample_nearest(x: Var, factor: int = 2) -> Var:
     )
 
 
+@functools.lru_cache(maxsize=64)
 def _resample_matrix(n_out: int, n_in: int) -> Array:
-    """(n_out, n_in) align-corners linear interpolation along one axis."""
+    """(n_out, n_in) align-corners linear interpolation along one axis;
+    memoized, so the returned array is read-only."""
     if n_out == 1 or n_in == 1:
         pos = np.zeros(n_out)
     else:
@@ -455,6 +461,7 @@ def _resample_matrix(n_out: int, n_in: int) -> Array:
     R = np.zeros((n_out, n_in))
     R[rows, i0] = 1.0 - frac
     R[rows, np.minimum(i0 + 1, n_in - 1)] += frac
+    R.flags.writeable = False
     return R
 
 
@@ -496,14 +503,18 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
         raise OutOfBounds("sample point outside image bounds or not finite")
     u = np.clip(u, 0.0, float(w - 1))
     v = np.clip(v, 0.0, float(h - 1))
-    x0 = np.clip(np.floor(u).astype(int), 0, w - 2) if w > 1 else np.zeros(len(u), int)
-    y0 = np.clip(np.floor(v).astype(int), 0, h - 2) if h > 1 else np.zeros(len(v), int)
+    x0 = np.clip(np.floor(u).astype(int), 0, max(w - 2, 0))
+    y0 = np.clip(np.floor(v).astype(int), 0, max(h - 2, 0))
+    # on a width- or height-1 map the far corner clamps onto the near one;
+    # its weight fx or fy is exactly 0 there
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
     fx = (u - x0)[:, None]
     fy = (v - y0)[:, None]
     m00 = mv[:, y0, x0].T
-    m01 = mv[:, y0, x0 + 1].T if w > 1 else m00
-    m10 = mv[:, y0 + 1, x0].T if h > 1 else m00
-    m11 = mv[:, y0 + 1, x0 + 1].T if (h > 1 and w > 1) else m00
+    m01 = mv[:, y0, x1].T
+    m10 = mv[:, y1, x0].T
+    m11 = mv[:, y1, x1].T
     out = (
         m00 * (1 - fx) * (1 - fy)
         + m01 * fx * (1 - fy)
@@ -512,15 +523,18 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
     )
 
     def pull(g):
-        gm = np.zeros_like(mv)
-        np.add.at(gm, (slice(None), y0, x0), (g * (1 - fx) * (1 - fy)).T)
-        np.add.at(gm, (slice(None), y0, x0 + 1), (g * fx * (1 - fy)).T)
-        np.add.at(gm, (slice(None), y0 + 1, x0), (g * (1 - fx) * fy).T)
-        np.add.at(gm, (slice(None), y0 + 1, x0 + 1), (g * fx * fy).T)
-        du = ((m01 - m00) * (1 - fy) + (m11 - m10) * fy) if w > 1 else np.zeros_like(out)
-        dv = ((m10 - m00) * (1 - fx) + (m11 - m01) * fx) if h > 1 else np.zeros_like(out)
+        # one bincount over flat (c, y, x) indices, corners in the order
+        # 00, 01, 10, 11: each cell sums its terms in that fixed order
+        cells = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
+        idx = np.arange(c)[None, :, None] * (h * w) + cells[:, None, :]
+        terms = np.stack([
+            g * (1 - fx) * (1 - fy), g * fx * (1 - fy), g * (1 - fx) * fy, g * fx * fy
+        ]).transpose(0, 2, 1)
+        gm = np.bincount(idx.ravel(), terms.ravel(), minlength=c * h * w)
+        du = (m01 - m00) * (1 - fy) + (m11 - m10) * fy
+        dv = (m10 - m00) * (1 - fx) + (m11 - m01) * fx
         gp = np.stack([(g * du).sum(axis=1), (g * dv).sum(axis=1)], axis=1)
-        return gm, gp
+        return gm.reshape(mv.shape), gp
 
     return m.tape.record(out, (m, pts), pull)
 

@@ -182,9 +182,12 @@ def teach(
         raise TeachFailure("empty teach sequence")
     vertices = []
     for i, frame in enumerate(frames):
-        coords, desc, scores, d, ok = _keypoints_numpy(
-            extractor, frame, disparity_source
-        )
+        try:
+            coords, desc, scores, d, ok = _keypoints_numpy(
+                extractor, frame, disparity_source
+            )
+        except OutOfBounds as e:  # non-finite pixels push keypoints off the image
+            raise TeachFailure(f"frame {i}: {e}") from e
         if int(ok.sum()) < 3:
             raise TeachFailure(f"frame {i}: only {int(ok.sum())} usable keypoints")
         obs = np.concatenate([coords[ok], d[ok, None]], axis=1)

@@ -96,6 +96,57 @@ def matchset_weights(m: matching.MatchSet) -> Var:
 
 
 # ---------------------------------------------------------------------------
+# image primitives
+
+
+def im2col_reference(x: Array, kh: int, kw: int) -> Array:
+    """(C, H, W) zero-padded 'same' -> (C*kh*kw, H*W), as one gather over
+    a sliding-window view of the padded input."""
+    c, h, w = x.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    # windows: (C, H, W, kh, kw)
+    return windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, h * w)
+
+
+def bilinear_sample_reference(m: Var, pts: Var) -> Var:
+    """`ad.bilinear_sample` with the map gradient scattered by four
+    `np.add.at` calls, one per corner. Needs H, W >= 2 for the pullback."""
+    mv, pv = m.value, pts.value
+    c, h, w = mv.shape
+    u = np.clip(pv[:, 0], 0.0, float(w - 1))
+    v = np.clip(pv[:, 1], 0.0, float(h - 1))
+    x0 = np.clip(np.floor(u).astype(int), 0, w - 2) if w > 1 else np.zeros(len(u), int)
+    y0 = np.clip(np.floor(v).astype(int), 0, h - 2) if h > 1 else np.zeros(len(v), int)
+    fx = (u - x0)[:, None]
+    fy = (v - y0)[:, None]
+    m00 = mv[:, y0, x0].T
+    m01 = mv[:, y0, x0 + 1].T if w > 1 else m00
+    m10 = mv[:, y0 + 1, x0].T if h > 1 else m00
+    m11 = mv[:, y0 + 1, x0 + 1].T if (h > 1 and w > 1) else m00
+    out = (
+        m00 * (1 - fx) * (1 - fy)
+        + m01 * fx * (1 - fy)
+        + m10 * (1 - fx) * fy
+        + m11 * fx * fy
+    )
+
+    def pull(g):
+        gm = np.zeros_like(mv)
+        np.add.at(gm, (slice(None), y0, x0), (g * (1 - fx) * (1 - fy)).T)
+        np.add.at(gm, (slice(None), y0, x0 + 1), (g * fx * (1 - fy)).T)
+        np.add.at(gm, (slice(None), y0 + 1, x0), (g * (1 - fx) * fy).T)
+        np.add.at(gm, (slice(None), y0 + 1, x0 + 1), (g * fx * fy).T)
+        du = ((m01 - m00) * (1 - fy) + (m11 - m10) * fy) if w > 1 else np.zeros_like(out)
+        dv = ((m10 - m00) * (1 - fx) + (m11 - m01) * fx) if h > 1 else np.zeros_like(out)
+        gp = np.stack([(g * du).sum(axis=1), (g * dv).sum(axis=1)], axis=1)
+        return gm, gp
+
+    return m.tape.record(out, (m, pts), pull)
+
+
+# ---------------------------------------------------------------------------
 # alignment
 
 

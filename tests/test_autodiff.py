@@ -10,7 +10,7 @@ from stereoloc.errors import DegenerateGradient, OutOfBounds, ShapeError
 from stereoloc.geometry import rot_z
 
 from conftest import rel_err
-from oracles import svd_alignment_gradient
+from oracles import bilinear_sample_reference, im2col_reference, svd_alignment_gradient
 
 
 def check_gradient(build, x0: np.ndarray, tol: float = 1e-5, h=None) -> None:
@@ -285,6 +285,105 @@ class TestImagePrimitives:
             lambda t, x: scalarize(ad.bilinear_sample(t.constant(m0), x), up),
             pts0, tol=1e-6,
         )
+
+    @pytest.mark.parametrize("shape", [(2, 1, 5), (2, 5, 1), (2, 1, 1)])
+    def test_bilinear_sample_gradients_on_degenerate_maps(self, shape):
+        c, h, w = shape
+        rng = np.random.default_rng(28)
+        m0 = rng.normal(size=shape)
+        n = 6
+        u = rng.uniform(0.2, w - 1.2, n) if w > 1 else np.zeros(n)
+        v = rng.uniform(0.2, h - 1.2, n) if h > 1 else np.zeros(n)
+        pts0 = np.stack([u, v], axis=1)
+        pts0 = np.where(np.abs(pts0 - np.round(pts0)) < 0.1, pts0 + 0.15, pts0)
+        pts0[:, 0] *= w > 1
+        pts0[:, 1] *= h > 1
+        up = rng.normal(size=(n, c))
+        check_gradient(
+            lambda t, x: scalarize(ad.bilinear_sample(x, t.constant(pts0)), up),
+            m0, tol=1e-7,
+        )
+        # a step along a length-1 axis must stay inside the rounding slack
+        check_gradient(
+            lambda t, x: scalarize(ad.bilinear_sample(t.constant(m0), x), up),
+            pts0, tol=1e-6, h=1e-7,
+        )
+
+
+class TestImageKernelsMatchOracles:
+    """The production image kernels give bitwise the results of the
+    reference implementations in tests/oracles.py."""
+
+    @pytest.mark.parametrize("c", [1, 3, 32])
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 3), (5, 7), (24, 32)])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_im2col_matches_reference(self, c, hw, k):
+        x = np.random.default_rng(40).normal(size=(c, *hw))
+        cols = ad._im2col(x, k, k)
+        ref = im2col_reference(x, k, k)
+        assert cols.shape == ref.shape
+        assert cols.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "c_in, c_out, hw, k",
+        [(1, 4, (5, 7), 1), (3, 8, (24, 32), 3), (8, 2, (6, 8), 5), (32, 16, (12, 16), 3)],
+    )
+    def test_conv2d_matches_conv_on_reference_im2col(self, monkeypatch, c_in, c_out, hw, k):
+        rng = np.random.default_rng(41)
+        x0 = rng.normal(size=(c_in, *hw))
+        w0 = rng.normal(size=(c_out, c_in, k, k))
+        b0 = rng.normal(size=c_out)
+        up = rng.normal(size=(c_out, *hw))
+
+        def run():
+            t = Tape()
+            x, w, b = t.param(x0), t.param(w0), t.param(b0)
+            out = ad.conv2d(x, w, b)
+            grads = backward(t, ad.sum_(ad.mul(out, t.constant(up))))
+            return [out.value] + [grads[v.index] for v in (x, w, b)]
+
+        got = run()
+        monkeypatch.setattr(ad, "_im2col", im2col_reference)
+        want = run()
+        for name, a, b in zip(("out", "gx", "gw", "gb"), got, want):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_resample_matrices_are_read_only_and_fresh(self):
+        R = ad._resample_matrix(7, 3)
+        assert ad._resample_matrix(7, 3) is R
+        with pytest.raises(ValueError):
+            R[0, 0] = 2.0
+        for n_out, n_in in ((7, 3), (1, 4), (5, 1), (48, 6)):
+            cached = ad._resample_matrix(n_out, n_in)
+            fresh = ad._resample_matrix.__wrapped__(n_out, n_in)
+            assert not cached.flags.writeable
+            assert cached.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bilinear_sample_matches_reference(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        c, h, w = rng.integers(1, 5), rng.integers(2, 7), rng.integers(2, 9)
+        m0 = rng.normal(size=(c, h, w)) * 10.0 ** rng.uniform(-8, 8)
+        n = 40
+        pts = np.stack([rng.uniform(0, w - 1, n), rng.uniform(0, h - 1, n)], axis=1)
+        # repeated corners: duplicate points, integer points, the far edges
+        pts[:8] = pts[8:16]
+        pts[16:20] = np.round(pts[16:20])
+        pts[20:24] = [w - 1, h - 1]
+        pts[24:26, 0] = w - 1
+        pts[26:28, 1] = h - 1
+        up = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+
+        def run(sample):
+            t = Tape()
+            m, p = t.param(m0), t.param(pts)
+            out = sample(m, p)
+            grads = backward(t, ad.sum_(ad.mul(out, t.constant(up))))
+            return out.value, grads[m.index], grads[p.index]
+
+        for name, a, b in zip(("out", "gm", "gp"), run(ad.bilinear_sample),
+                              run(bilinear_sample_reference)):
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestRowZnorm:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stereoloc import storage
+from stereoloc import storage, synth
 from stereoloc.cli import main, read_config_file
 
 
@@ -143,6 +143,19 @@ class TestExitCodes:
     def test_teach_without_checkpoint_is_3(self, tmp_path):
         assert main(["teach", "--frames", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == 3
+
+    def test_teach_on_non_finite_frame_is_4(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        assert main(["synth", "--kind", "path", "--count", "3", "--condition", "noon",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(seq)]) == 0
+        frames, manifest = synth.load_sequence(seq)
+        frames[1].left[10:20, 20:30] = np.nan
+        synth.save_sequence(seq, frames, synth.camera_from_dict(manifest["camera"]),
+                            manifest["condition"], manifest["seed"])
+        capsys.readouterr()
+        assert main(["teach", "--frames", str(seq), "--features", "analytic",
+                     "--out", str(tmp_path / "map")]) == 4
+        assert "error: numeric: TeachFailure: frame 1: " in capsys.readouterr().err
 
     def test_run_dir_env_default(self, workdir, tmp_path, monkeypatch):
         monkeypatch.setenv("STEREOLOC_RUN_DIR", str(tmp_path / "envruns"))

@@ -66,6 +66,14 @@ class TestTeach:
         with pytest.raises(TeachFailure):
             teach([bad], extractor, K_default)
 
+    def test_non_finite_frame_names_the_frame(self, rig, K_default):
+        frames, extractor, _ = rig
+        left = frames[1].left.copy()
+        left[10:20, 20:30] = np.nan
+        patched = StereoFrame(left, frames[1].right, frames[1].disparity, frames[1].pose)
+        with pytest.raises(TeachFailure, match="frame 1"):
+            teach([frames[0], patched, frames[2]], extractor, K_default)
+
 
 class TestLocalize:
     def test_sparse_self_localization_is_exact(self, rig, K_default):
