@@ -292,12 +292,14 @@ class TestImagePrimitives:
         rng = np.random.default_rng(28)
         m0 = rng.normal(size=shape)
         n = 6
-        u = rng.uniform(0.2, w - 1.2, n) if w > 1 else np.zeros(n)
-        v = rng.uniform(0.2, h - 1.2, n) if h > 1 else np.zeros(n)
-        pts0 = np.stack([u, v], axis=1)
-        pts0 = np.where(np.abs(pts0 - np.round(pts0)) < 0.1, pts0 + 0.15, pts0)
-        pts0[:, 0] *= w > 1
-        pts0[:, 1] *= h > 1
+
+        def coord(size):
+            if size == 1:
+                return np.zeros(n)
+            x = rng.uniform(0.2, size - 1.2, n)
+            return np.where(np.abs(x - np.round(x)) < 0.1, x + 0.15, x)
+
+        pts0 = np.stack([coord(w), coord(h)], axis=1)
         up = rng.normal(size=(n, c))
         check_gradient(
             lambda t, x: scalarize(ad.bilinear_sample(x, t.constant(pts0)), up),
