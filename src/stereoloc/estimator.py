@@ -9,6 +9,8 @@ rotation.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +60,7 @@ class RansacParams:
             raise ValueError("iterations must be >= 1")
         if self.inlier_threshold <= 0:
             raise ValueError("inlier_threshold must be positive")
+        operator.index(self.seed)  # an int: the memoized minimal sets key on it
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,17 @@ def weighted_alignment(prob: AlignmentProblem) -> SE3Pose:
     return SE3Pose(C, r)
 
 
+@functools.lru_cache(maxsize=64)
+def _minimal_sets(seed: int, n: int, iterations: int) -> np.ndarray:
+    """(iterations, 3) minimal-set indices into n pairs: one draw per
+    iteration, in order, from a fresh generator on the seed; memoized, so
+    the returned array is read-only."""
+    rng = np.random.default_rng(seed)
+    idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
+    idx.flags.writeable = False
+    return idx
+
+
 def ransac_pose(
     p_s: np.ndarray,
     p_t: np.ndarray,
@@ -137,12 +151,10 @@ def ransac_pose(
     if n < 3:
         raise InsufficientMatches(f"{n} matches < 3-point minimal set")
 
-    # One draw per iteration, in order, so the hypotheses follow the seed's
-    # stream exactly; then every minimal set is solved at once. Each stacked
-    # product below is the same BLAS call per hypothesis that align_core
-    # makes for one minimal set.
-    rng = np.random.default_rng(params.seed)
-    idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(params.iterations)])
+    # The hypotheses follow the seed's stream exactly; every minimal set is
+    # solved at once. Each stacked product below is the same BLAS call per
+    # hypothesis that align_core makes for one minimal set.
+    idx = _minimal_sets(params.seed, n, params.iterations)
     wn = np.ones(3) / 3.0
     A, B = p_s[idx], p_t[idx]  # (I, 3, 3) minimal sets
     mu_s = wn @ A

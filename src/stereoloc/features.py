@@ -313,6 +313,8 @@ def load_checkpoint(directory: str | Path) -> tuple[ExtractorWeights, dict]:
         if name not in expected or expected[name] != shape:
             raise ValueError(f"layer {name} with shape {shape} does not fit config")
         tensors[name] = storage.read_blob(directory / entry["file"], shape)
+        if not np.isfinite(tensors[name]).all():
+            raise ValueError(f"layer {name} has non-finite values")
     missing = set(expected) - set(tensors)
     if missing:
         raise ValueError(f"checkpoint missing layers: {sorted(missing)}")

@@ -110,6 +110,13 @@ def im2col_reference(x: Array, kh: int, kw: int) -> Array:
     return windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, h * w)
 
 
+def avgpool2_reference(x: Array) -> Array:
+    """2x2 average pooling, stride 2, as numpy's mean over the two pooled
+    axes of a (C, H/2, 2, W/2, 2) view."""
+    c, h, w = x.shape
+    return x.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+
+
 def bilinear_sample_reference(m: Var, pts: Var) -> Var:
     """`ad.bilinear_sample` with the map gradient scattered by four
     `np.add.at` calls, one per corner. Needs H, W >= 2 for the pullback."""

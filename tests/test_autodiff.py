@@ -10,7 +10,12 @@ from stereoloc.errors import DegenerateGradient, OutOfBounds, ShapeError
 from stereoloc.geometry import rot_z
 
 from conftest import rel_err
-from oracles import bilinear_sample_reference, im2col_reference, svd_alignment_gradient
+from oracles import (
+    avgpool2_reference,
+    bilinear_sample_reference,
+    im2col_reference,
+    svd_alignment_gradient,
+)
 
 
 def check_gradient(build, x0: np.ndarray, tol: float = 1e-5, h=None) -> None:
@@ -360,6 +365,51 @@ class TestImageKernelsMatchOracles:
             fresh = ad._resample_matrix.__wrapped__(n_out, n_in)
             assert not cached.flags.writeable
             assert cached.tobytes() == fresh.tobytes()
+
+    @staticmethod
+    def _pool_input(seed, c, h, w):
+        """Values spanning 1e-8 to 1e8 with NaN and +-inf sprinkled in."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(c, h, w)) * 10.0 ** rng.uniform(-8, 8, size=(c, h, w))
+        flat = x.reshape(-1)
+        special = rng.choice(flat.size, size=min(flat.size, 6), replace=False)
+        flat[special] = [np.nan, np.inf, -np.inf, np.nan, np.inf, -np.inf][: len(special)]
+        return x
+
+    # The six pooling shapes of the benchmark's forwards (32x24 training and
+    # 64x48 repeat frames), then other widths of at least 4 px.
+    @pytest.mark.parametrize("c", [1, 8, 32])
+    @pytest.mark.parametrize(
+        "hw", [(24, 32), (12, 16), (6, 8), (48, 64), (2, 4), (4, 6), (10, 12), (6, 20)]
+    )
+    def test_avgpool2_matches_reference(self, c, hw):
+        with np.errstate(invalid="ignore"):
+            for seed in range(3):
+                x0 = self._pool_input(seed, c, *hw)
+                out = ad.avgpool2(Tape().constant(x0)).value
+                ref = avgpool2_reference(x0)
+                assert out.shape == ref.shape
+                assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("c, h", [(1, 2), (8, 6), (32, 24)])
+    def test_avgpool2_two_px_wide_sums_pairwise(self, c, h):
+        x0 = self._pool_input(60 + c, c, h, 2)
+        with np.errstate(invalid="ignore"):
+            out = ad.avgpool2(Tape().constant(x0)).value
+            a, b = x0[:, 0::2, 0:1], x0[:, 0::2, 1:2]
+            d, e = x0[:, 1::2, 0:1], x0[:, 1::2, 1:2]
+            assert out.tobytes() == (((a + b) + (d + e)) / 4).tobytes()
+
+    @pytest.mark.parametrize("chw", [(1, 24, 32), (8, 12, 16), (32, 6, 8), (3, 2, 2)])
+    def test_avgpool2_pullback_is_scaled_repeat(self, chw):
+        rng = np.random.default_rng(61)
+        c, h, w = chw
+        up = rng.normal(size=(c, h // 2, w // 2)) * 10.0 ** rng.uniform(-8, 8, (c, h // 2, w // 2))
+        t = Tape()
+        x = t.param(rng.normal(size=chw))
+        g = backward(t, ad.sum_(ad.mul(ad.avgpool2(x), t.constant(up))))[x.index]
+        want = np.repeat(np.repeat(up, 2, axis=1), 2, axis=2) * 0.25
+        assert g.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bilinear_sample_matches_reference(self, seed):

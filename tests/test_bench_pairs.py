@@ -1,0 +1,104 @@
+"""scripts/bench_pairs.py's summary and record writer, on canned result
+lines (no benchmark is run)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+SPEC = [
+    {"name": "step_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+ENV = {"nproc": 2, "python": "3.11.7", "git_sha": "abc", "machine": "x86_64 Linux"}
+
+
+def line(side, workload, seed, trace=0, **metrics):
+    unit = "ms/item" if trace else "ms"
+    return {
+        "side": side, "workload": workload, "seed": seed, "trace": trace, "env": ENV,
+        "detail": {"workload": workload, "seed": seed, "trace": trace},
+        "result": {"correct": True, "attempted": 10, "failed": 0,
+                   "metrics": {k: {"value": v, "unit": unit} for k, v in metrics.items()}},
+    }
+
+
+def canned_runs():
+    # step_ms_p50: the change wins seeds 1 and 2, ties 3, loses 4;
+    # items_per_s: the change wins 1, 3 and 4, ties 2
+    pairs = [(1, (20.0, 10.0), (18.0, 19.0)), (2, (22.0, 12.0), (21.0, 12.0)),
+             (3, (24.0, 14.0), (24.0, 15.0)), (4, (26.0, 16.0), (27.0, 17.0))]
+    runs = []
+    for seed, parent, change in pairs:
+        runs.append(line("parent", "repeat-day", seed, step_ms_p50=parent[0],
+                         items_per_s=parent[1]))
+        runs.append(line("change", "repeat-day", seed, step_ms_p50=change[0],
+                         items_per_s=change[1]))
+    runs.append(line("parent", "repeat-day", 9, trace=1, **{"estimator.ransac_pose.self_ms": 3.0}))
+    runs.append(line("change", "repeat-day", 9, trace=1, **{"estimator.ransac_pose.self_ms": 1.0}))
+    return runs
+
+
+def test_summary_counts_wins_and_ties_per_direction():
+    s = bench_pairs.summarize(canned_runs(), SPEC)["repeat-day"]
+    step = s["step_ms_p50"]
+    assert step["parent"] == {"median": 23.0, "q1": 21.5, "q3": 24.5, "n": 4}
+    assert step["change"]["median"] == 22.5
+    assert (step["change_better_pairs"], step["tied_pairs"], step["pairs"]) == (2, 1, 4)
+    assert step["change_over_parent"] == pytest.approx(22.5 / 23.0)
+    assert step["parent_iqr_over_median"] == pytest.approx(3.0 / 23.0)
+    assert step["bound"] == 0.25
+    items = s["items_per_s"]
+    assert (items["change_better_pairs"], items["tied_pairs"]) == (3, 1)
+
+
+def test_traced_runs_are_kept_out_of_the_summary():
+    record = bench_pairs.build_record("t", "note", {"parent": "p1", "change": "c1"}, "proto",
+                                      25, canned_runs(), SPEC)
+    assert record["summary"]["repeat-day"]["step_ms_p50"]["parent"]["n"] == 4
+    assert record["traced_repeat_day_per_item"] == {
+        "parent": {"estimator.ransac_pose.self_ms": 3.0},
+        "change": {"estimator.ransac_pose.self_ms": 1.0},
+    }
+
+
+def test_record_schema_round_trips(tmp_path):
+    runs = canned_runs()
+    record = bench_pairs.build_record("t", "note", {"parent": "p1", "change": "c1"}, "proto",
+                                      25, runs, SPEC)
+    path = tmp_path / "BENCH_t.json"
+    bench_pairs.write_record(path, record)
+    loaded = json.loads(path.read_text())
+    assert list(loaded) == ["label", "change", "parent_commit", "change_commit", "command",
+                            "protocol", "machine", "summary", "traced_repeat_day_per_item",
+                            "runs"]
+    assert loaded["command"] == ("python3 perfbench/run.py --workload <w> --seed <s> "
+                                 "--seconds 25 [--trace 1]")
+    assert "git_sha" not in loaded["machine"] and loaded["machine"]["nproc"] == 2
+    assert loaded["runs"] == runs
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_single_run_side_and_missing_pair():
+    runs = [line("parent", "train-desk", 5, step_ms_p50=50.0, items_per_s=1.0),
+            line("change", "train-desk", 5, step_ms_p50=50.0, items_per_s=1.0),
+            line("parent", "train-desk", 6, step_ms_p50=52.0, items_per_s=1.0)]
+    step = bench_pairs.summarize(runs, SPEC)["train-desk"]["step_ms_p50"]
+    assert step["change"] == {"median": 50.0, "q1": 50.0, "q3": 50.0, "n": 1}
+    assert (step["change_better_pairs"], step["tied_pairs"], step["pairs"]) == (0, 1, 1)
+
+
+def test_seed_ranges_and_protocol():
+    assert bench_pairs.seed_range("repeat-day:1501-1503") == ("repeat-day", [1501, 1502, 1503])
+    assert bench_pairs.seed_range("train-desk:7") == ("train-desk", [7])
+    with pytest.raises(Exception):
+        bench_pairs.seed_range("repeat-day")
+    text = bench_pairs.protocol_text([("repeat-day", [1, 2])], [("repeat-day", [9])])
+    assert "2 pairs on repeat-day (seeds 1-2)" in text
+    assert "one traced repeat-day run per side (seed 9)" in text

@@ -144,6 +144,26 @@ class TestExitCodes:
         assert main(["teach", "--frames", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_teach_with_non_finite_checkpoint_is_3(self, tmp_path, capsys):
+        from stereoloc import features
+
+        seq = tmp_path / "seq"
+        assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(seq)]) == 0
+        ckpt = tmp_path / "ckpt"
+        features.save_checkpoint(
+            ckpt, features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8))
+        )
+        blob = ckpt / "enc1.weight.f32"
+        values = np.fromfile(blob, dtype="<f4")
+        values[0] = np.inf
+        values.tofile(blob)
+        capsys.readouterr()
+        assert main(["teach", "--frames", str(seq), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "map")]) == 3
+        err = capsys.readouterr().err
+        assert "error: data: " in err and "layer enc1.weight has non-finite values" in err
+
     def test_teach_on_non_finite_frame_is_4(self, tmp_path, capsys):
         seq = tmp_path / "seq"
         assert main(["synth", "--kind", "path", "--count", "3", "--condition", "noon",

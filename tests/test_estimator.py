@@ -12,6 +12,7 @@ from stereoloc.errors import (
 from stereoloc.estimator import (
     AlignmentProblem,
     RansacParams,
+    _minimal_sets,
     align_core,
     gt_outlier_gate,
     ransac_pose,
@@ -280,6 +281,41 @@ class TestRansacMatchesReference:
         with pytest.raises(LocalizationFailure):
             ransac_pose_reference(ps, pt, np.ones(12), params)
         assert_matches_reference(ps, pt, np.ones(12), params)
+
+
+class TestMinimalSetsMemo:
+    @pytest.mark.parametrize(
+        "seed, n, iterations", [(0, 3, 1), (0, 3, 50), (5, 4, 1), (9, 43, 200), (21, 100, 17)]
+    )
+    def test_read_only_and_equal_to_fresh_draws(self, seed, n, iterations):
+        idx = _minimal_sets(seed, n, iterations)
+        rng = np.random.default_rng(seed)
+        fresh = np.array([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
+        assert idx.shape == (iterations, 3)
+        assert idx.dtype == fresh.dtype
+        assert np.array_equal(idx, fresh)
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0, 0] = 0
+        assert _minimal_sets(seed, n, iterations) is idx
+
+    def test_cold_and_warm_calls_match_reference(self):
+        ps, pt, w, _, _ = TestRansac.contaminated_instance(9, outlier_fraction=0.4)
+        params = RansacParams(iterations=200, inlier_threshold=0.1, min_inliers=6, seed=9)
+        _minimal_sets.cache_clear()
+        assert_matches_reference(ps, pt, w, params)
+        assert_matches_reference(ps, pt, w, params)
+        assert _minimal_sets.cache_info().hits == 1
+
+    def test_different_seeds_give_different_sets(self):
+        sets = {_minimal_sets(seed, 30, 20).tobytes() for seed in range(6)}
+        assert len(sets) == 6
+
+    def test_seed_must_be_an_integer(self):
+        for bad in (None, 1.5, 2.0, "3"):
+            with pytest.raises(TypeError):
+                RansacParams(seed=bad)
+        RansacParams(seed=np.int64(4))
 
 
 class TestRansacNonFinite:

@@ -254,6 +254,16 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "ck")
 
 
+    def test_rejects_non_finite_weights(self, tmp_path):
+        save_checkpoint(tmp_path / "ck", init_weights(TINY))
+        blob = tmp_path / "ck" / "enc1.weight.f32"
+        values = np.fromfile(blob, dtype="<f4")
+        values[4] = np.nan
+        values.tofile(blob)
+        with pytest.raises(ValueError, match=r"layer enc1\.weight has non-finite values"):
+            load_checkpoint(tmp_path / "ck")
+
+
 class TestExtractKeypoints:
     def test_sampled_fields_shapes(self, noon_frame):
         fmap = analytic_features(noon_frame.left, Tape())

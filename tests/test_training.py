@@ -238,6 +238,29 @@ class TestTrainLoop:
         assert result.best_epoch == 0
         assert [c["epoch"] for c in result.curves] == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "val_losses, best_epoch", [([math.nan, 2.0, 1.5, 1.0], 3), ([3.64, math.nan, math.nan], 0)]
+    )
+    def test_nan_validation_never_blocks_or_becomes_best(
+        self, small_data, monkeypatch, tmp_path, val_losses, best_epoch
+    ):
+        samples, K = small_data
+        tr, va = split_dataset(samples, 0.25)
+        scripted = iter(val_losses)
+        monkeypatch.setattr(training, "validate", lambda *args: (next(scripted), 0.5))
+        w = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=9))
+        tcfg = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=len(val_losses) - 1,
+                           early_stop_patience=5, seed=0)
+        result = train(tr, va, w, tcfg, LossConfig(), K, out_dir=tmp_path / "run")
+        assert result.best_epoch == best_epoch
+        initial = all(np.array_equal(result.weights.tensors[k], v) for k, v in w.tensors.items())
+        assert initial == (best_epoch == 0)
+        _, extra = features.load_checkpoint(tmp_path / "run" / "checkpoint")
+        assert extra["best_epoch"] == best_epoch
+        lines = (tmp_path / "run" / "loss_curves.csv").read_text().splitlines()
+        assert lines[0] == "epoch,train_loss,val_loss,val_pose_err"
+        assert [line.split(",")[2] for line in lines[1:]] == [repr(v) for v in val_losses]
+
     def test_training_reduces_validation_pose_error(self, scene):
         samples, K = tiny_dataset(scene, count=40, seed=21)
         tr, va = split_dataset(samples, 0.2)
