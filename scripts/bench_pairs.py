@@ -6,8 +6,9 @@
         --trace repeat-day:1530 --note "what the change does"
 
 Each seed runs `python3 perfbench/run.py --workload W --seed S --seconds T`
-once in each checkout; the side that runs first alternates from seed to
-seed. Each `--trace` seed runs once per side with `--trace 1`. The record
+once in each checkout, T being the change checkout's BENCHMARK.json
+`run_seconds`; the side that runs first alternates from seed to seed.
+Each `--trace` seed runs once per side with `--trace 1`. The record
 holds the label, both commits, the command, the protocol, the machine, a
 per-workload summary of every end-to-end metric in the change checkout's
 BENCHMARK.json (median, inclusive quartiles, pairs the change wins or ties,
@@ -154,7 +155,6 @@ def main(argv=None) -> int:
                     metavar="WORKLOAD:SEEDS")
     ap.add_argument("--trace", type=seed_range, action="append", default=[],
                     metavar="WORKLOAD:SEEDS")
-    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--out", type=Path, help="default: BENCH_<label>.json in the change checkout")
     args = ap.parse_args(argv)
 
@@ -162,7 +162,8 @@ def main(argv=None) -> int:
     commits = {s: subprocess.run(["git", "rev-parse", "HEAD"], cwd=c, capture_output=True,
                                  text=True, check=True).stdout.strip()
                for s, c in checkouts.items()}
-    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    spec, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     out = args.out or checkouts["change"] / f"BENCH_{args.label}.json"
     protocol = protocol_text(args.pairs, args.trace)
 
@@ -174,12 +175,12 @@ def main(argv=None) -> int:
                 jobs += [(side, workload, seed, trace) for side in order]
     runs: list[dict] = []
     for side, workload, seed, trace in jobs:
-        run = run_one(checkouts[side], workload, seed, args.seconds, trace)
+        run = run_one(checkouts[side], workload, seed, seconds, trace)
         runs.append({"side": side, **run})
         print(f"{side} {workload} seed {seed} trace {trace}: "
               f"{json.dumps(run['result']['metrics'].get('step_ms_p50'))}", file=sys.stderr)
         write_record(out, build_record(args.label, args.note, commits, protocol,
-                                       args.seconds, runs, spec))
+                                       seconds, runs, spec))
     return 0
 
 

@@ -424,7 +424,7 @@ def conv2d(x: Var, weight: Var, bias: Var) -> Var:
 def avgpool2(x: Var) -> Var:
     """2x2 average pooling, stride 2. H and W must be even."""
     xv = x.value
-    c, h, w = xv.shape
+    _, h, w = xv.shape
     if h % 2 or w % 2:
         raise ShapeError(f"avgpool2 needs even spatial dims, got {xv.shape}")
     # The pairwise order numpy's mean uses on inputs at least 4 px wide, so

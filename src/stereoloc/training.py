@@ -308,7 +308,7 @@ def train(
     curves = [
         {"epoch": 0, "train_loss": math.nan, "val_loss": val_loss, "val_pose_err": val_pose}
     ]
-    best_val = val_loss if math.isfinite(val_loss) else math.inf  # NaN never compares less
+    best_val = val_loss if math.isfinite(val_loss) else math.inf  # a NaN is never beaten
     best_epoch = 0
     best_weights = weights.copy()
     patience_left = tcfg.early_stop_patience
