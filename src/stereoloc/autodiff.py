@@ -4,7 +4,9 @@ The tape records coarse array-level primitives (whole softmax, whole ZNCC
 normalization, whole SVD alignment) rather than scalar operations; each
 primitive carries a hand-derived pullback. One tape per training sample;
 `backward` walks the record once in reverse index order, which makes
-gradient accumulation deterministic.
+gradient accumulation deterministic. Inference runs the same primitives on
+a no-grad tape (`Tape(grad=False)`), which keeps each value and drops its
+parents and pullback, so nothing a pullback closes over stays alive.
 """
 
 from __future__ import annotations
@@ -79,9 +81,11 @@ class Var:
 
 class Tape:
     """Ordered record of primitive operations. Nodes are appended in
-    execution order, so the record is topologically sorted by construction."""
+    execution order, so the record is topologically sorted by construction.
+    A no-grad tape (`grad=False`) records values only."""
 
-    def __init__(self):
+    def __init__(self, grad: bool = True):
+        self.grad = grad
         self._nodes: list[_Node] = []
         self.param_indices: list[int] = []
 
@@ -101,6 +105,8 @@ class Tape:
         return v
 
     def record(self, value: Array, parents: Sequence[Var], pullback) -> Var:
+        if not self.grad:
+            return self._push(_Node(np.asarray(value)))
         idx = tuple(p.index for p in parents)
         return self._push(_Node(np.asarray(value), idx, pullback))
 
@@ -134,6 +140,8 @@ def backward(tape: Tape, output: Var) -> dict[int, Array]:
     returns the gradients keyed by parameter node index."""
     if output.tape is not tape:
         raise ValueError("output does not belong to this tape")
+    if not tape.grad:
+        raise ValueError("backward on a no-grad tape")
     out_val = output.value
     if out_val.shape != ():
         raise ShapeError(f"backward needs a scalar output, got shape {out_val.shape}")
@@ -233,26 +241,6 @@ def neg(a: Var) -> Var:
     return a.tape.record(-a.value, (a,), lambda g: (-g,))
 
 
-def sqrt(a: Var) -> Var:
-    out = np.sqrt(a.value)
-    return a.tape.record(out, (a,), lambda g: (g * 0.5 / out,))
-
-
-def exp(a: Var) -> Var:
-    out = np.exp(a.value)
-    return a.tape.record(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Var) -> Var:
-    av = a.value
-    return a.tape.record(np.log(av), (a,), lambda g: (g / av,))
-
-
-def sin(a: Var) -> Var:
-    av = a.value
-    return a.tape.record(np.sin(av), (a,), lambda g: (g * np.cos(av),))
-
-
 def cos(a: Var) -> Var:
     av = a.value
     return a.tape.record(np.cos(av), (a,), lambda g: (-g * np.sin(av),))
@@ -302,14 +290,6 @@ def sum_(a: Var, axis=None, keepdims: bool = False) -> Var:
         return (np.broadcast_to(g, av.shape).copy(),)
 
     return a.tape.record(out, (a,), pull)
-
-
-def mean_(a: Var, axis=None, keepdims: bool = False) -> Var:
-    av = a.value
-    n = av.size if axis is None else np.prod(
-        [av.shape[i] for i in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
 
 
 def reshape(a: Var, shape) -> Var:
@@ -368,9 +348,9 @@ def matmul(a: Var, b: Var) -> Var:
 
 def softmax(a: Var, axis: int = -1) -> Var:
     av = a.value
-    shifted = av - av.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = av - av.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def pull(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
@@ -407,7 +387,8 @@ def conv2d(x: Var, weight: Var, bias: Var) -> Var:
         raise ShapeError(f"conv2d input {xv.shape} incompatible with kernel {wv.shape}")
     _, h, w = xv.shape
     cols = _im2col(xv, kh, kw)
-    out = (wv.reshape(c_out, -1) @ cols).reshape(c_out, h, w) + bv[:, None, None]
+    out = (wv.reshape(c_out, -1) @ cols).reshape(c_out, h, w)
+    out += bv[:, None, None]
 
     def pull(g):
         # the input gradient is the 'same' convolution of g with the
@@ -555,10 +536,11 @@ def znorm_rows(x: Array) -> tuple[Array, Array]:
     unmatchable rather than undefined. Also returns each row's centred norm
     as an (N, 1) column, infinite for the rows mapped to zero.
     """
-    centered = x - x.mean(axis=1, keepdims=True)
-    norm = np.sqrt((centered * centered).sum(axis=1, keepdims=True))
+    out = x - x.mean(axis=1, keepdims=True)
+    norm = np.sqrt((out * out).sum(axis=1, keepdims=True))
     ok = norm > ZNCC_VARIANCE_FLOOR
-    out = np.where(ok, centered / np.where(ok, norm, 1.0), 0.0)
+    out /= np.where(ok, norm, 1.0)
+    out[~ok[:, 0]] = 0.0
     return out, np.where(ok, norm, np.inf)
 
 

@@ -90,11 +90,12 @@ def init_weights(cfg: ExtractorConfig, seed: int | None = None) -> ExtractorWeig
 @dataclass
 class DenseFeatureMap:
     """Per-pixel descriptors (D, H, W), scores in (0, 1) (H, W), and raw
-    keypoint logits (H, W), all tape variables."""
+    keypoint logits (H, W), all tape variables. A map that is only matched
+    into (a map vertex) carries no logits."""
 
     descriptors: Var
     scores: Var
-    keypoint_logits: Var
+    keypoint_logits: Var | None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -110,13 +111,14 @@ class KeypointSet:
     scores: Var  # (N,)
 
 
-def forward(
+def encode(
     image: np.ndarray | Var,
     params: dict[str, Var],
     cfg: ExtractorConfig,
     tape: Tape,
-) -> DenseFeatureMap:
-    """Run the encoder-decoder on one intensity image (H, W)."""
+) -> tuple[Var, Var]:
+    """Run the encoder on one intensity image (H, W); returns the dense
+    descriptors (D, H, W) and the bottleneck the decoder branches start from."""
     act = ACTIVATIONS[cfg.activation]
     x = image if isinstance(image, Var) else tape.constant(np.asarray(image, dtype=float))
     if x.value.ndim != 2:
@@ -136,22 +138,40 @@ def forward(
     descriptors = ad.concat(
         [ad.upsample_bilinear(m, (h, w)) for m in enc_maps], axis=0
     )
-
     bottleneck = act(
         ad.conv2d(feat, params["bottleneck.weight"], params["bottleneck.bias"])
     )
+    return descriptors, bottleneck
 
-    def decode(branch: str) -> Var:
-        d = bottleneck
-        for i in range(1, depth + 1):
-            d = ad.upsample_nearest(d, 2)
-            d = ad.conv2d(d, params[f"{branch}{i}.weight"], params[f"{branch}{i}.bias"])
-            if i < depth:
-                d = act(d)
-        return ad.reshape(d, (h, w))
 
-    logits = decode("kp")
-    scores = ad.sigmoid(decode("score"))
+def decode(
+    bottleneck: Var, branch: str, params: dict[str, Var], cfg: ExtractorConfig
+) -> Var:
+    """One decoder branch at input resolution (H, W): raw keypoint logits
+    for "kp", scores in (0, 1) for "score"."""
+    act = ACTIVATIONS[cfg.activation]
+    depth = len(cfg.channels)
+    d = bottleneck
+    for i in range(1, depth + 1):
+        d = ad.upsample_nearest(d, 2)
+        d = ad.conv2d(d, params[f"{branch}{i}.weight"], params[f"{branch}{i}.bias"])
+        if i < depth:
+            d = act(d)
+    _, h, w = d.value.shape
+    d = ad.reshape(d, (h, w))
+    return ad.sigmoid(d) if branch == "score" else d
+
+
+def forward(
+    image: np.ndarray | Var,
+    params: dict[str, Var],
+    cfg: ExtractorConfig,
+    tape: Tape,
+) -> DenseFeatureMap:
+    """Run the encoder-decoder on one intensity image (H, W)."""
+    descriptors, bottleneck = encode(image, params, cfg, tape)
+    logits = decode(bottleneck, "kp", params, cfg)
+    scores = decode(bottleneck, "score", params, cfg)
     return DenseFeatureMap(descriptors, scores, logits)
 
 

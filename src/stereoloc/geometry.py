@@ -96,9 +96,6 @@ class PlanarPose:
     def __post_init__(self):
         object.__setattr__(self, "gamma", wrap_angle(self.gamma))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.gamma])
-
 
 def rot_z(gamma: float) -> np.ndarray:
     c, s = math.cos(gamma), math.sin(gamma)

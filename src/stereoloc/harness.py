@@ -56,6 +56,14 @@ class LearnedExtractor:
         params = self.weights.bind(tape, trainable=False)
         return features.forward(image, params, self.weights.config, tape)
 
+    def target_on(self, tape: Tape, image: np.ndarray) -> features.DenseFeatureMap:
+        """Descriptors and scores only: what matching into the image reads."""
+        cfg = self.weights.config
+        params = self.weights.bind(tape, trainable=False)
+        descriptors, bottleneck = features.encode(image, params, cfg, tape)
+        scores = features.decode(bottleneck, "score", params, cfg)
+        return features.DenseFeatureMap(descriptors, scores, None)
+
 
 @dataclass
 class AnalyticExtractor:
@@ -68,14 +76,16 @@ class AnalyticExtractor:
     def features_on(self, tape: Tape, image: np.ndarray) -> features.DenseFeatureMap:
         return features.analytic_features(image, tape)
 
+    target_on = features_on
+
 
 @dataclass
 class VertexCache:
     """What localization derives from a vertex's frame, kept across calls:
-    the dense feature maps of one extractor, and the (disparity, valid)
-    maps per disparity source."""
+    the dense feature maps of one extractor object, and the (disparity,
+    valid) maps per disparity source."""
 
-    extractor_ident: str
+    extractor: LearnedExtractor | AnalyticExtractor
     descriptors: np.ndarray  # (D, H, W)
     scores: np.ndarray  # (H, W)
     disparity: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
@@ -113,7 +123,6 @@ class LocalizeParams:
     tau: float = DEFAULT_LOCALIZE_TAU
     mode: str = "dense"  # or "sparse"
     failure_inliers: int = 20
-    stride: int = 1
     disparity: str = "gt"  # or "block"
 
 
@@ -161,7 +170,7 @@ def _disparity_at(
 
 def _keypoints_numpy(extractor, frame: StereoFrame, disparity_source: str):
     """Extract keypoints and their 3D lifts as plain arrays."""
-    tape = Tape()
+    tape = Tape(grad=False)
     fmap = extractor.features_on(tape, frame.left)
     kps = features.extract_keypoints(fmap, extractor.window)
     coords = kps.coords.value
@@ -200,13 +209,18 @@ def teach(
 
 
 def _vertex_cache(vertex: MapVertex, extractor, disparity_source: str) -> VertexCache:
-    """The vertex's cache for this extractor, holding the disparity maps
-    of this source; each is computed on first use."""
+    """The vertex's cache for this extractor object, holding the disparity
+    maps of this source; each is computed on first use. The cache is keyed
+    on the object, not its `ident`: extractors with different weights can
+    share an ident."""
     cache = vertex.cache
-    if cache is None or cache.extractor_ident != extractor.ident:
-        fmap = extractor.features_on(Tape(), vertex.frame.left)
+    if cache is None or cache.extractor is not extractor:
+        fmap = extractor.target_on(Tape(grad=False), vertex.frame.left)
+        # Copied while the pass's intermediates are alive, so the copies sit
+        # above them: freed below a live block, that memory stays mapped for
+        # the next frame instead of being trimmed off the heap top.
         cache = vertex.cache = VertexCache(
-            extractor.ident, fmap.descriptors.value.copy(), fmap.scores.value.copy()
+            extractor, fmap.descriptors.value.copy(), fmap.scores.value.copy()
         )
     if disparity_source not in cache.disparity:
         cache.disparity[disparity_source] = _frame_disparity(vertex.frame, disparity_source)
@@ -266,16 +280,14 @@ def _dense_pairs(vertex, extractor, coords, desc, scores, p_live, params, K):
     """Live keypoints soft-matched into the vertex's dense map, then lifted
     through the vertex's disparity."""
     cache = _vertex_cache(vertex, extractor, params.disparity)
-    tape = Tape()
+    tape = Tape(grad=False)
     fmap = features.DenseFeatureMap(
-        tape.constant(cache.descriptors),
-        tape.constant(cache.scores),
-        tape.constant(np.zeros_like(cache.scores)),
+        tape.constant(cache.descriptors), tape.constant(cache.scores), None
     )
     kps = features.KeypointSet(
         tape.constant(coords), tape.constant(desc), tape.constant(scores)
     )
-    m = matching.match_all(kps, fmap, tau=params.tau, stride=params.stride)
+    m = matching.match_all(kps, fmap, tau=params.tau)
     pts = m.target_points.value
     weights = m.weights.value
 

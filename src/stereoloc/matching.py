@@ -37,26 +37,21 @@ class MatchSet:
         return len(self.weights.value)
 
 
-def _pixel_coords(h: int, w: int, stride: int = 1) -> np.ndarray:
-    us, vs = np.meshgrid(np.arange(0, w, stride), np.arange(0, h, stride))
+def _pixel_coords(h: int, w: int) -> np.ndarray:
+    us, vs = np.meshgrid(np.arange(w), np.arange(h))
     return np.stack([us.ravel(), vs.ravel()], axis=1).astype(float)
 
 
-def _flatten_target(target: DenseFeatureMap, stride: int) -> tuple[Var, np.ndarray]:
+def _flatten_target(target: DenseFeatureMap) -> tuple[Var, np.ndarray]:
     d, h, w = target.descriptors.value.shape
-    desc = target.descriptors
-    if stride > 1:
-        desc = ad.take(desc, np.arange(0, h, stride), axis=1)
-        desc = ad.take(desc, np.arange(0, w, stride), axis=2)
-    dh, dw = desc.value.shape[1:]
-    flat = ad.reshape(ad.transpose(desc, (1, 2, 0)), (dh * dw, d))
-    return flat, _pixel_coords(h, w, stride)
+    flat = ad.reshape(ad.transpose(target.descriptors, (1, 2, 0)), (h * w, d))
+    return flat, _pixel_coords(h, w)
 
 
-def _match_core(src_desc: Var, target: DenseFeatureMap, tau, stride):
+def _match_core(src_desc: Var, target: DenseFeatureMap, tau):
     if tau <= 0:
         raise ValueError("temperature must be positive")
-    flat, coords = _flatten_target(target, stride)
+    flat, coords = _flatten_target(target)
     zn_src = ad.row_znorm(src_desc)
     zn_tgt = ad.row_znorm(flat)
     sim = ad.matmul(zn_src, ad.transpose(zn_tgt))  # (N, M) of ZNCC values
@@ -83,11 +78,10 @@ def match_all(
     source: KeypointSet,
     target: DenseFeatureMap,
     tau: float = DEFAULT_TEMPERATURE,
-    stride: int = 1,
 ) -> MatchSet:
     """Soft-match every source keypoint against the target feature map and
     attach combined match weights. Output order follows source keypoints."""
-    points, desc, scores, _ = _match_core(source.descriptors, target, tau, stride)
+    points, desc, scores, _ = _match_core(source.descriptors, target, tau)
     w = match_weights(source.descriptors, desc, source.scores, scores)
     return MatchSet(source, points, desc, scores, w)
 

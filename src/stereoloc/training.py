@@ -199,7 +199,7 @@ def total_loss(
     losses = []
     stats_all = []
     for sample in samples:
-        tape = Tape()
+        tape = Tape(grad=compute_grads)
         params = weights.bind(tape, trainable=compute_grads)
         loss, stats = build_sample_loss(tape, params, cfg, sample, K, lcfg)
         stats_all.append(stats)

@@ -72,7 +72,7 @@ def match_all_reference(
 
 
 def soft_match(
-    source_descriptor: Var, target: DenseFeatureMap, tau: float, stride: int = 1
+    source_descriptor: Var, target: DenseFeatureMap, tau: float
 ) -> tuple[Var, Var, Var]:
     """Match one descriptor against every target pixel.
 
@@ -81,7 +81,7 @@ def soft_match(
     """
     d = source_descriptor.value.shape[0]
     one = ad.reshape(source_descriptor, (1, d))
-    pts, desc, scores, _ = matching._match_core(one, target, tau, stride)
+    pts, desc, scores, _ = matching._match_core(one, target, tau)
     return (
         ad.reshape(pts, (2,)),
         ad.reshape(desc, (d,)),
@@ -115,6 +115,31 @@ def avgpool2_reference(x: Array) -> Array:
     axes of a (C, H/2, 2, W/2, 2) view."""
     c, h, w = x.shape
     return x.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+
+
+def conv2d_reference(x: Array, weight: Array, bias: Array) -> Array:
+    """`ad.conv2d`'s forward with the bias added out of place."""
+    c_out, _, kh, kw = weight.shape
+    _, h, w = x.shape
+    return (weight.reshape(c_out, -1) @ ad._im2col(x, kh, kw)).reshape(c_out, h, w) + bias[
+        :, None, None
+    ]
+
+
+def softmax_reference(x: Array, axis: int = -1) -> Array:
+    """`ad.softmax`'s forward with fresh arrays for each step."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def znorm_rows_reference(x: Array) -> tuple[Array, Array]:
+    """`ad.znorm_rows` with fresh arrays for each step."""
+    centered = x - x.mean(axis=1, keepdims=True)
+    norm = np.sqrt((centered * centered).sum(axis=1, keepdims=True))
+    ok = norm > ad.ZNCC_VARIANCE_FLOOR
+    out = np.where(ok, centered / np.where(ok, norm, 1.0), 0.0)
+    return out, np.where(ok, norm, np.inf)
 
 
 def bilinear_sample_reference(m: Var, pts: Var) -> Var:

@@ -185,7 +185,7 @@ def test_criterion_4_matching_oracle():
         m = matching.match_all(kps, fmap, tau=15.0)
         ref = match_all_reference(src, desc, tau=15.0)
         worst = max(worst, float(np.abs(m.target_points.value - ref).max()))
-        _, _, _, attn = matching._match_core(kps.descriptors, fmap, 15.0, 1)
+        _, _, _, attn = matching._match_core(kps.descriptors, fmap, 15.0)
         worst_rows = max(worst_rows, float(np.abs(attn.value.sum(axis=1) - 1).max()))
     check(
         4,

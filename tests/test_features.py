@@ -9,7 +9,9 @@ from stereoloc.features import (
     ExtractorConfig,
     ExtractorWeights,
     analytic_features,
+    decode,
     detect_keypoints,
+    encode,
     extract_keypoints,
     forward,
     init_weights,
@@ -117,6 +119,34 @@ class TestForward:
         flat0 = np.concatenate([base.tensors[n].ravel() for n in names])
         numeric = finite_diff(f, flat0)
         assert rel_err(analytic, numeric) < 1e-4
+
+
+class TestEncodeDecode:
+    """`forward` is `encode` plus both `decode` branches; a no-grad tape
+    gives the same values."""
+
+    @pytest.mark.parametrize("hw", [(24, 32), (48, 64)])
+    @pytest.mark.parametrize("cfg", [TINY, ExtractorConfig(seed=4)])
+    def test_composition_is_bitwise_forward(self, hw, cfg):
+        image = np.random.default_rng(hw[0]).uniform(0.0, 1.0, size=hw)
+        weights = init_weights(cfg)
+        ref, _, _, _ = run_forward(image, cfg, weights)
+        for grad in (True, False):
+            tape = Tape(grad=grad)
+            params = weights.bind(tape, trainable=False)
+            desc, bottleneck = encode(image, params, cfg, tape)
+            logits = decode(bottleneck, "kp", params, cfg)
+            scores = decode(bottleneck, "score", params, cfg)
+            assert desc.value.tobytes() == ref.descriptors.value.tobytes()
+            assert logits.value.tobytes() == ref.keypoint_logits.value.tobytes()
+            assert scores.value.tobytes() == ref.scores.value.tobytes()
+            assert scores.value.shape == logits.value.shape == hw
+
+    def test_no_grad_forward_keeps_no_pullback(self):
+        tape = Tape(grad=False)
+        weights = init_weights(TINY)
+        forward(np.zeros((24, 32)), weights.bind(tape, trainable=False), TINY, tape)
+        assert all(n.pullback is None for n in tape._nodes)
 
 
 class TestDetectKeypoints:

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stereoloc import harness, synth
+from stereoloc import autodiff as ad
+from stereoloc import features, harness, synth
+from stereoloc.autodiff import Tape
 from stereoloc.errors import TeachFailure
 from stereoloc.harness import (
     AnalyticExtractor,
@@ -257,6 +259,61 @@ class TestMapPersistence:
         storage.write_manifest(tmp_path / "x", {"kind": "pairs"})
         with pytest.raises(ValueError):
             load_map(tmp_path / "x")
+
+
+class TestVertexCache:
+    CFG = features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=9)
+
+    def test_keyed_on_the_extractor_not_its_ident(self, rig, K_default):
+        frames, _, _ = rig
+        a = LearnedExtractor(features.init_weights(self.CFG))
+        b = LearnedExtractor(features.init_weights(self.CFG, seed=10))
+        assert a.ident == b.ident
+        teach_map = teach(frames[:2], a, K_default)
+        params = LocalizeParams(mode="dense")
+        warm = teach_map.vertices[0]
+        cold = dataclasses.replace(warm, cache=None)
+        localize(frames[0], warm, a, params, K_default)
+        res_warm = localize(frames[0], warm, b, params, K_default)
+        res_cold = localize(frames[0], cold, b, params, K_default)
+        expected = b.target_on(Tape(grad=False), warm.frame.left).descriptors.value
+        other = a.target_on(Tape(grad=False), warm.frame.left).descriptors.value
+        assert warm.cache.extractor is b
+        assert warm.cache.descriptors.tobytes() == expected.tobytes()
+        assert expected.tobytes() != other.tobytes()
+        assert res_warm.inliers == res_cold.inliers
+        assert res_warm.failure == res_cold.failure
+
+    def test_cold_dense_localize_runs_17_convs_on_no_grad_tapes(
+        self, rig, K_default, monkeypatch
+    ):
+        frames, _, _ = rig
+        extractor = LearnedExtractor(features.init_weights(self.CFG))
+        teach_map = teach(frames[:2], extractor, K_default)
+        vertex = dataclasses.replace(teach_map.vertices[0], cache=None)
+        convs = []
+        conv2d = ad.conv2d
+
+        def counted(*args):
+            convs.append(1)
+            return conv2d(*args)
+
+        tapes = []
+
+        def recorded(grad=True):
+            tapes.append(Tape(grad))
+            return tapes[-1]
+
+        monkeypatch.setattr(ad, "conv2d", counted)
+        monkeypatch.setattr(harness, "Tape", recorded)
+        localize(frames[0], vertex, extractor, LocalizeParams(mode="dense"), K_default)
+        # 10 for the live frame's full forward, 7 for the vertex's
+        # descriptors and scores (3 encoder, bottleneck, 3 score decoder)
+        assert len(convs) == 17
+        assert len(tapes) == 3  # live frame, vertex pass, matching
+        assert not any(t.grad for t in tapes)
+        assert all(n.pullback is None and not n.parents for t in tapes for n in t._nodes)
+        assert vertex.cache.descriptors.flags.owndata
 
 
 class TestLearnedExtractorPath:

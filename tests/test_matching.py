@@ -158,7 +158,7 @@ class TestMatchAll:
         t = Tape()
         fmap = random_feature_map(t, rng)
         kps = keypoints_from(t, fmap, rng, n=6)
-        _, _, _, attn = matching._match_core(kps.descriptors, fmap, 25.0, 1)
+        _, _, _, attn = matching._match_core(kps.descriptors, fmap, 25.0)
         assert np.abs(attn.value.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_matched_points_inside_image(self):
@@ -228,15 +228,23 @@ class TestMatchAll:
         assert err.mean() < 0.6
         assert err.max() < 1.0
 
-    def test_stride_subsampling_contract(self):
-        rng = np.random.default_rng(11)
-        t = Tape()
-        fmap = random_feature_map(t, rng, h=12, w=16)
-        kps = keypoints_from(t, fmap, rng, n=3)
-        m = match_all(kps, fmap, tau=10.0, stride=2)
-        assert m.target_points.value.shape == (3, 2)
-        # strided coordinates are still in full-image pixels
-        assert m.target_points.value[:, 0].max() <= 15.0
+    def test_no_grad_tape_gives_the_same_bits(self):
+        rng = np.random.default_rng(14)
+        desc = rng.normal(size=(8, 24, 32))
+        scores = rng.uniform(0.1, 0.9, size=(24, 32))
+        coords = np.stack([rng.uniform(0.5, 30.5, 9), rng.uniform(0.5, 22.5, 9)], axis=1)
+        src = rng.normal(size=(9, 8))
+        src_scores = rng.uniform(0.1, 0.9, size=9)
+        outs = []
+        for grad in (True, False):
+            t = Tape(grad=grad)
+            fmap = DenseFeatureMap(t.constant(desc), t.constant(scores), None)
+            kps = KeypointSet(t.constant(coords), t.constant(src), t.constant(src_scores))
+            m = match_all(kps, fmap, tau=400.0)
+            outs.append([m.target_points.value, m.target_descriptors.value,
+                         m.target_scores.value, m.weights.value])
+        for a, b in zip(*outs):
+            assert a.tobytes() == b.tobytes()
 
     def test_invalid_temperature(self):
         rng = np.random.default_rng(12)

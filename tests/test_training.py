@@ -159,6 +159,28 @@ class TestSampleLoss:
         assert all(s.skipped for s in stats)
         assert all(not g.any() for g in grads.values())
 
+    def test_forward_only_runs_on_no_grad_tapes_with_the_same_values(
+        self, small_data, monkeypatch
+    ):
+        samples, K = small_data
+        w = features.init_weights(features.ExtractorConfig(window=8, seed=6))
+        lcfg = LossConfig()
+        with_grads = total_loss(samples, w, lcfg, K)
+        tapes = []
+        tape_cls = training.Tape
+
+        def recorded(grad=True):
+            tapes.append(tape_cls(grad))
+            return tapes[-1]
+
+        monkeypatch.setattr(training, "Tape", recorded)
+        mean, grads, stats = total_loss(samples, w, lcfg, K, compute_grads=False)
+        assert grads is None
+        assert len(tapes) == len(samples) and not any(t.grad for t in tapes)
+        assert np.float64(mean).tobytes() == np.float64(with_grads[0]).tobytes()
+        assert repr(stats) == repr(with_grads[2])  # repr: exact floats, NaN == NaN
+        assert any(not s.skipped for s in stats)
+
     def test_loss_config_validation(self):
         with pytest.raises(ValueError):
             LossConfig(lam=0.0)
