@@ -138,6 +138,7 @@ def encode(
     descriptors = ad.concat(
         [ad.upsample_bilinear(m, (h, w)) for m in enc_maps], axis=0
     )
+
     bottleneck = act(
         ad.conv2d(feat, params["bottleneck.weight"], params["bottleneck.bias"])
     )

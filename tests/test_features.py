@@ -142,12 +142,6 @@ class TestEncodeDecode:
             assert scores.value.tobytes() == ref.scores.value.tobytes()
             assert scores.value.shape == logits.value.shape == hw
 
-    def test_no_grad_forward_keeps_no_pullback(self):
-        tape = Tape(grad=False)
-        weights = init_weights(TINY)
-        forward(np.zeros((24, 32)), weights.bind(tape, trainable=False), TINY, tape)
-        assert all(n.pullback is None for n in tape._nodes)
-
 
 class TestDetectKeypoints:
     def test_uniform_logits_give_window_centers(self):
