@@ -29,12 +29,11 @@ class _Node:
     parents: tuple[int, ...] = ()
     pullback: Callable[[Array], tuple] | None = None
     is_param: bool = False
-    name: str | None = None
 
 
 class Var:
-    """Handle to a node on a tape. Supports arithmetic operators; everything
-    else lives in module-level functions."""
+    """Handle to a node on a tape; every operation on it is a module-level
+    function."""
 
     __slots__ = ("tape", "index")
 
@@ -52,31 +51,6 @@ class Var:
 
     def __repr__(self):
         return f"Var(#{self.index}, shape={self.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Tape:
@@ -99,8 +73,8 @@ class Tape:
     def constant(self, value) -> Var:
         return self._push(_Node(np.asarray(value, dtype=float)))
 
-    def param(self, value, name: str | None = None) -> Var:
-        v = self._push(_Node(np.asarray(value, dtype=float), is_param=True, name=name))
+    def param(self, value) -> Var:
+        v = self._push(_Node(np.asarray(value, dtype=float), is_param=True))
         self.param_indices.append(v.index)
         return v
 
@@ -235,10 +209,6 @@ def div(a, b) -> Var:
         )
 
     return tape.record(av / bv, (a, b), pull)
-
-
-def neg(a: Var) -> Var:
-    return a.tape.record(-a.value, (a,), lambda g: (-g,))
 
 
 def cos(a: Var) -> Var:
@@ -564,7 +534,7 @@ def rigid_align(p_s: Var, p_t: Var, w: Var) -> Var:
     """
     ps, pt, wv = p_s.value, p_t.value, w.value
     C, r, aux = _estimator.align_core(ps, pt, wv)
-    U, s, Vt, D = aux.U, aux.s, aux.Vt, aux.D
+    U, s, Vt, D = aux
     gaps = np.array([s[0] - s[1], s[1] - s[2], s[0] - s[2]])
     if gaps.min() < 1e-8 * max(1.0, s[0]):
         raise DegenerateGradient(f"near-tied singular spectrum {s}")

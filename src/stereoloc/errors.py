@@ -5,10 +5,6 @@ class StereolocError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DegenerateDepth(StereolocError):
-    """3D point at or behind the camera plane; cannot be projected."""
-
-
 class InvalidDisparity(StereolocError):
     """Disparity too small (or negative) to backproject to a finite point."""
 

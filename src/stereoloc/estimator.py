@@ -24,31 +24,6 @@ COLLINEARITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class AlignmentProblem:
-    """Matched source/target 3D points with per-pair weights in [0, 1]."""
-
-    p_s: np.ndarray
-    p_t: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        p_s = np.asarray(self.p_s, dtype=float)
-        p_t = np.asarray(self.p_t, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        if not (p_s.shape == p_t.shape and p_s.ndim == 2 and p_s.shape[1] == 3):
-            raise ValueError("point sets must both be (N, 3)")
-        if w.shape != (p_s.shape[0],):
-            raise ValueError("weights must be (N,)")
-        if w.sum() <= 0:
-            raise ValueError("weights must have positive sum")
-        if int((w > 0).sum()) < 3:
-            raise ValueError("need at least 3 positively weighted pairs")
-        object.__setattr__(self, "p_s", p_s)
-        object.__setattr__(self, "p_t", p_t)
-        object.__setattr__(self, "w", w)
-
-
-@dataclass(frozen=True)
 class RansacParams:
     iterations: int = 200
     inlier_threshold: float = 0.1
@@ -63,28 +38,20 @@ class RansacParams:
         operator.index(self.seed)  # an int: the memoized minimal sets key on it
 
 
-@dataclass(frozen=True)
-class _AlignAux:
-    U: np.ndarray
-    s: np.ndarray
-    Vt: np.ndarray
-    D: np.ndarray
-
-
 def _rotation_from_covariance(W: np.ndarray):
     """Closed-form rotations for a (..., 3, 3) stack of cross-covariances.
 
     Returns (C, aux, collinear): C = U D Vt is the rotation maximizing
     tr(C^T W), with D = diag(1, 1, sign det(U Vt)) forcing a proper
-    rotation; aux holds U, s, Vt and D; collinear flags the entries whose
-    points are nearly collinear (second singular value near zero).
+    rotation; aux is the tuple (U, s, Vt, D); collinear flags the entries
+    whose points are nearly collinear (second singular value near zero).
     """
     U, s, Vt = np.linalg.svd(W)
     D = np.broadcast_to(np.eye(3), W.shape).copy()
     D[..., 2, 2] = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
     C = U @ D @ Vt
     collinear = s[..., 1] <= COLLINEARITY_TOL * np.maximum(s[..., 0], 1e-300)
-    return C, _AlignAux(U, s, Vt, D), collinear
+    return C, (U, s, Vt, D), collinear
 
 
 def align_core(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
@@ -110,15 +77,9 @@ def align_core(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
     W = (b * wn[:, None]).T @ a
     C, aux, collinear = _rotation_from_covariance(W)
     if collinear:
-        raise DegenerateGeometry(f"weighted points nearly collinear (spectrum {aux.s})")
+        raise DegenerateGeometry(f"weighted points nearly collinear (spectrum {aux[1]})")
     r = mu_t - C @ mu_s
     return C, r, aux
-
-
-def weighted_alignment(prob: AlignmentProblem) -> SE3Pose:
-    """Pose minimizing the weighted squared alignment cost."""
-    C, r, _ = align_core(prob.p_s, prob.p_t, prob.w)
-    return SE3Pose(C, r)
 
 
 @functools.lru_cache(maxsize=64)
@@ -183,21 +144,21 @@ def ransac_pose(
     w_in = w[best_mask]
     if w_in.sum() <= 0 or int((w_in > 0).sum()) < 3:
         w_in = np.ones(best_count)
-    pose = weighted_alignment(AlignmentProblem(p_s[best_mask], p_t[best_mask], w_in))
-    return pose, best_mask
+    C, r, _ = align_core(p_s[best_mask], p_t[best_mask], w_in)
+    return SE3Pose(C, r), best_mask
 
 
 def gt_outlier_gate(
     p_s: np.ndarray,
     p_t_hat: np.ndarray,
-    T_gt: SE3Pose | PlanarPose,
+    T_gt: PlanarPose,
     threshold: float,
 ) -> np.ndarray:
     """Boolean mask keeping pairs whose planar (x, y) error under the
     ground-truth transform stays within the threshold."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    T = planar_to_se3(T_gt) if isinstance(T_gt, PlanarPose) else T_gt
+    T = planar_to_se3(T_gt)
     pred = np.asarray(p_s, dtype=float) @ T.C.T + T.r
     err = np.linalg.norm(pred[:, :2] - np.asarray(p_t_hat, dtype=float)[:, :2], axis=1)
     return err <= threshold

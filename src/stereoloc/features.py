@@ -20,9 +20,6 @@ from . import storage
 from .autodiff import Tape, Var
 from .errors import ShapeError
 
-ACTIVATIONS = {"tanh": ad.tanh}
-
-
 @dataclass(frozen=True)
 class ExtractorConfig:
     """Desk-scale architecture knobs. Descriptor dimension is the sum of
@@ -30,7 +27,6 @@ class ExtractorConfig:
 
     channels: tuple[int, ...] = (8, 16, 32)
     window: int = 16
-    activation: str = "tanh"
     seed: int = 0
 
     @property
@@ -69,7 +65,7 @@ class ExtractorWeights:
     def bind(self, tape: Tape, trainable: bool = True) -> dict[str, Var]:
         """Register every tensor on a tape, as parameters when training."""
         if trainable:
-            return {k: tape.param(v, name=k) for k, v in self.tensors.items()}
+            return {k: tape.param(v) for k, v in self.tensors.items()}
         return {k: tape.constant(v) for k, v in self.tensors.items()}
 
 
@@ -97,10 +93,6 @@ class DenseFeatureMap:
     scores: Var
     keypoint_logits: Var | None
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.scores.value.shape
-
 
 @dataclass
 class KeypointSet:
@@ -119,7 +111,6 @@ def encode(
 ) -> tuple[Var, Var]:
     """Run the encoder on one intensity image (H, W); returns the dense
     descriptors (D, H, W) and the bottleneck the decoder branches start from."""
-    act = ACTIVATIONS[cfg.activation]
     x = image if isinstance(image, Var) else tape.constant(np.asarray(image, dtype=float))
     if x.value.ndim != 2:
         raise ShapeError(f"expected (H, W) image, got {x.value.shape}")
@@ -131,7 +122,7 @@ def encode(
     feat = ad.reshape(x, (1, h, w))
     enc_maps = []
     for i in range(1, depth + 1):
-        feat = act(ad.conv2d(feat, params[f"enc{i}.weight"], params[f"enc{i}.bias"]))
+        feat = ad.tanh(ad.conv2d(feat, params[f"enc{i}.weight"], params[f"enc{i}.bias"]))
         feat = ad.avgpool2(feat)
         enc_maps.append(feat)
 
@@ -139,7 +130,7 @@ def encode(
         [ad.upsample_bilinear(m, (h, w)) for m in enc_maps], axis=0
     )
 
-    bottleneck = act(
+    bottleneck = ad.tanh(
         ad.conv2d(feat, params["bottleneck.weight"], params["bottleneck.bias"])
     )
     return descriptors, bottleneck
@@ -150,14 +141,13 @@ def decode(
 ) -> Var:
     """One decoder branch at input resolution (H, W): raw keypoint logits
     for "kp", scores in (0, 1) for "score"."""
-    act = ACTIVATIONS[cfg.activation]
     depth = len(cfg.channels)
     d = bottleneck
     for i in range(1, depth + 1):
         d = ad.upsample_nearest(d, 2)
         d = ad.conv2d(d, params[f"{branch}{i}.weight"], params[f"{branch}{i}.bias"])
         if i < depth:
-            d = act(d)
+            d = ad.tanh(d)
     _, h, w = d.value.shape
     d = ad.reshape(d, (h, w))
     return ad.sigmoid(d) if branch == "score" else d
@@ -288,6 +278,9 @@ def analytic_features(image: np.ndarray, tape: Tape) -> DenseFeatureMap:
 # checkpoint persistence
 
 CHECKPOINT_FORMAT = 1
+# The extractor's one activation; the manifest records it so a checkpoint
+# names what it was trained with.
+ACTIVATION = "tanh"
 
 
 def save_checkpoint(
@@ -307,7 +300,7 @@ def save_checkpoint(
         "kind": "checkpoint",
         "channels": list(cfg.channels),
         "window": cfg.window,
-        "activation": cfg.activation,
+        "activation": ACTIVATION,
         "seed": cfg.seed,
         "layers": layers,
     }
@@ -321,10 +314,11 @@ def load_checkpoint(directory: str | Path) -> tuple[ExtractorWeights, dict]:
     manifest = storage.read_manifest(directory)
     if manifest.get("kind") != "checkpoint":
         raise ValueError(f"{directory} is not a checkpoint")
+    if manifest["activation"] != ACTIVATION:
+        raise ValueError(f"unsupported activation {manifest['activation']!r}")
     cfg = ExtractorConfig(
         channels=tuple(manifest["channels"]),
         window=int(manifest["window"]),
-        activation=manifest["activation"],
         seed=int(manifest["seed"]),
     )
     expected = cfg.layer_shapes()

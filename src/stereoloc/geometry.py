@@ -1,4 +1,4 @@
-"""Stereo camera model, SE(3) transforms, and the planar pose parameterization.
+"""Stereo backprojection, SE(3) transforms, and the planar pose parameterization.
 
 Conventions: image coordinates are (u, v) with u along columns and v along
 rows; disparity is u_left - u_right in pixels; 3D points are in the camera
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDepth, InvalidDisparity
+from .errors import InvalidDisparity
 
 # Disparities at or below this are treated as invalid rather than producing
 # astronomically deep points.
@@ -64,17 +64,6 @@ class SE3Pose:
         if abs(det - 1.0) > ORTHONORMALITY_TOL:
             raise ValueError(f"rotation determinant {det} != +1")
 
-    @staticmethod
-    def identity() -> "SE3Pose":
-        return SE3Pose(np.eye(3), np.zeros(3))
-
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous form."""
-        T = np.eye(4)
-        T[:3, :3] = self.C
-        T[:3, 3] = self.r
-        return T
-
 
 def wrap_angle(gamma: float) -> float:
     """Wrap an angle to (-pi, pi]."""
@@ -110,19 +99,6 @@ def planar_to_se3(pp: PlanarPose) -> SE3Pose:
 def se3_to_planar(T: SE3Pose) -> PlanarPose:
     """Extract (x, y, yaw) from a transform; drops any out-of-plane motion."""
     return PlanarPose(T.r[0], T.r[1], math.atan2(T.C[1, 0], T.C[0, 0]))
-
-
-def project_points(P: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
-    """Map (N, 3) camera-frame points to an (N, 3) array of left-image
-    pixel plus disparity, (u_l, v_l, d)."""
-    P = np.asarray(P, dtype=float)
-    z = P[:, 2]
-    if np.any(z <= 0):
-        raise DegenerateDepth("all point depths must be positive")
-    return np.stack(
-        [K.fu * P[:, 0] / z + K.cu, K.fv * P[:, 1] / z + K.cv, K.fu * K.b / z],
-        axis=1,
-    )
 
 
 def backproject_points(Y: np.ndarray, K: CameraIntrinsics) -> np.ndarray:

@@ -156,28 +156,36 @@ def _frame_disparity(frame: StereoFrame, source: str) -> tuple[np.ndarray, np.nd
     raise ValueError(f"unknown disparity source {source!r}")
 
 
-def _disparity_at(
-    dmap: np.ndarray, valid: np.ndarray, pts: np.ndarray
+def _lift(
+    disparity: tuple[np.ndarray, np.ndarray], pts: np.ndarray, K: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-pixel disparity at (N, 2) (u, v) points, clamped into the
-    image, and whether each value is valid and above MIN_DISPARITY."""
+    """Lift (N, 2) (u, v) points through a (disparity, valid) map pair at
+    the nearest pixel, clamped into the image. Returns the mask of points
+    whose disparity is valid and above MIN_DISPARITY, and their 3D points."""
+    dmap, valid = disparity
     nearest = np.rint(pts).astype(int)
     u = np.clip(nearest[:, 0], 0, dmap.shape[1] - 1)
     v = np.clip(nearest[:, 1], 0, dmap.shape[0] - 1)
     d = dmap[v, u]
-    return d, valid[v, u] & (d > MIN_DISPARITY)
+    ok = valid[v, u] & (d > MIN_DISPARITY)
+    return ok, backproject_points(np.concatenate([pts[ok], d[ok, None]], axis=1), K)
 
 
-def _keypoints_numpy(extractor, frame: StereoFrame, disparity_source: str):
-    """Extract keypoints and their 3D lifts as plain arrays."""
+def _keypoints_numpy(
+    extractor, frame: StereoFrame, disparity_source: str, K: CameraIntrinsics
+):
+    """Keypoints with a valid disparity as plain arrays: coordinates,
+    descriptors, scores and 3D lifts."""
     tape = Tape(grad=False)
-    fmap = extractor.features_on(tape, frame.left)
-    kps = features.extract_keypoints(fmap, extractor.window)
-    coords = kps.coords.value
-    desc = kps.descriptors.value
-    scores = kps.scores.value
-    d, ok = _disparity_at(*_frame_disparity(frame, disparity_source), coords)
-    return coords, desc, scores, d, ok
+    kps = features.extract_keypoints(extractor.features_on(tape, frame.left), extractor.window)
+    disparity = _frame_disparity(frame, disparity_source)
+    coords, desc, scores = kps.coords.value, kps.descriptors.value, kps.scores.value
+    # Free the pass's intermediates before the lift allocates: lifting while
+    # they were alive left a heap layout in which every frame trimmed the
+    # heap top and faulted it back in.
+    del tape, kps
+    ok, p3d = _lift(disparity, coords, K)
+    return coords[ok], desc[ok], scores[ok], p3d
 
 
 def teach(
@@ -192,18 +200,13 @@ def teach(
     vertices = []
     for i, frame in enumerate(frames):
         try:
-            coords, desc, scores, d, ok = _keypoints_numpy(
-                extractor, frame, disparity_source
-            )
+            coords, desc, scores, p3d = _keypoints_numpy(extractor, frame, disparity_source, K)
         except OutOfBounds as e:  # non-finite pixels push keypoints off the image
             raise TeachFailure(f"frame {i}: {e}") from e
-        if int(ok.sum()) < 3:
-            raise TeachFailure(f"frame {i}: only {int(ok.sum())} usable keypoints")
-        obs = np.concatenate([coords[ok], d[ok, None]], axis=1)
-        p3d = backproject_points(obs, K)
+        if len(coords) < 3:
+            raise TeachFailure(f"frame {i}: only {len(coords)} usable keypoints")
         vertices.append(
-            MapVertex(i, np.asarray(frame.pose, float), coords[ok], desc[ok],
-                      scores[ok], p3d, frame)
+            MapVertex(i, np.asarray(frame.pose, float), coords, desc, scores, p3d, frame)
         )
     return TeachMap(vertices, K, extractor.window, extractor.ident)
 
@@ -245,13 +248,9 @@ def localize(
     inliers = 0
     pose = None
     try:
-        coords, desc, scores, d, ok = _keypoints_numpy(extractor, frame, params.disparity)
-        coords, desc, scores, d = coords[ok], desc[ok], scores[ok], d[ok]
+        coords, desc, scores, p_live = _keypoints_numpy(extractor, frame, params.disparity, K)
         if len(coords) < 3:
             raise InsufficientMatches(f"only {len(coords)} usable live keypoints")
-        p_live = backproject_points(
-            np.concatenate([coords, d[:, None]], axis=1), K
-        )
         if params.mode == "dense":
             p_s, p_t, w = _dense_pairs(
                 vertex, extractor, coords, desc, scores, p_live, params, K
@@ -288,16 +287,10 @@ def _dense_pairs(vertex, extractor, coords, desc, scores, p_live, params, K):
         tape.constant(coords), tape.constant(desc), tape.constant(scores)
     )
     m = matching.match_all(kps, fmap, tau=params.tau)
-    pts = m.target_points.value
-    weights = m.weights.value
-
-    d_t, ok = _disparity_at(*cache.disparity[params.disparity], pts)
+    ok, p_t = _lift(cache.disparity[params.disparity], m.target_points.value, K)
     if int(ok.sum()) < 3:
         raise InsufficientMatches("too few matches with valid disparity")
-    p_t = backproject_points(
-        np.concatenate([pts[ok], d_t[ok, None]], axis=1), K
-    )
-    return p_live[ok], p_t, weights[ok]
+    return p_live[ok], p_t, m.weights.value[ok]
 
 
 def _sparse_pairs(vertex, desc, scores, p_live):
@@ -324,6 +317,8 @@ def repeat(
     K: CameraIntrinsics,
 ) -> RunReport:
     """Localize every live frame against its nearest vertex and aggregate."""
+    if not frames:
+        raise ValueError("empty repeat sequence")
     results = []
     offsets = []
     for frame in frames:
@@ -378,27 +373,6 @@ def write_run_csv(report: RunReport, path: str | Path) -> None:
                 pose_err = math.hypot(r.planar.alpha - gt.alpha, r.planar.beta - gt.beta)
                 head_err = abs(wrap_angle(r.planar.gamma - gt.gamma))
             writer.writerow([i, r.inliers, int(r.failure), repr(pose_err), repr(head_err)])
-
-
-def read_run_csv(path: str | Path) -> dict:
-    """Parse a run CSV back into its aggregate statistics."""
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            rows.append(row)
-    inliers = np.array([int(r["inliers"]) for r in rows])
-    failures = np.array([int(r["failure"]) for r in rows], dtype=bool)
-    pose_err = np.array([float(r["pose_error"]) for r in rows])
-    head_err = np.array([float(r["heading_error"]) for r in rows])
-    ok = ~failures
-    return {
-        "mean_inliers": float(inliers.mean()),
-        "failure_count": int(failures.sum()),
-        "failure_fraction": float(failures.mean()),
-        "pose_rmse": float(np.sqrt(np.mean(pose_err[ok] ** 2))) if ok.any() else math.nan,
-        "heading_rmse": float(np.sqrt(np.mean(head_err[ok] ** 2))) if ok.any() else math.nan,
-    }
 
 
 @dataclass

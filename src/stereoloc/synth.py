@@ -531,6 +531,8 @@ def save_sequence(
     out_dir: str | Path, frames: list[StereoFrame], K: CameraIntrinsics,
     condition: str, seed: int, extra: dict | None = None,
 ) -> Path:
+    if not frames:
+        raise ValueError("no frames to save")
     out_dir = Path(out_dir)
     entries = []
     for i, frame in enumerate(frames):

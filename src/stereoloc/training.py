@@ -54,29 +54,6 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# losses (array forms; the tape path is built in build_sample_loss)
-
-
-def keypoint_loss(p_s: np.ndarray, p_t_hat: np.ndarray, gt: PlanarPose) -> float:
-    """Squared planar error between ground-truth-transformed source points
-    and matched target points; z is excluded."""
-    T = planar_to_se3(gt)
-    pred = np.asarray(p_s, float) @ T.C.T + T.r
-    diff = pred[:, :2] - np.asarray(p_t_hat, float)[:, :2]
-    return float((diff * diff).sum())
-
-
-def pose_loss(est: PlanarPose, gt: PlanarPose, lam: float) -> float:
-    """Squared translation error plus lam * squared Frobenius rotation error
-    of the planar-embedded poses."""
-    Te = planar_to_se3(est)
-    Tg = planar_to_se3(gt)
-    dr = Te.r - Tg.r
-    drot = Te.C @ Tg.C.T - np.eye(3)
-    return float(dr @ dr + lam * (drot * drot).sum())
-
-
-# ---------------------------------------------------------------------------
 # per-sample tape construction
 
 

@@ -6,20 +6,31 @@ written independently of the vectorized production code they check.
 
 from __future__ import annotations
 
+import csv
+import math
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 
 from stereoloc import autodiff as ad
 from stereoloc import matching
 from stereoloc.autodiff import Tape, Var
-from stereoloc.errors import DegenerateGeometry, InsufficientMatches, LocalizationFailure
-from stereoloc.estimator import (
-    AlignmentProblem,
-    RansacParams,
-    align_core,
-    weighted_alignment,
+from stereoloc.errors import (
+    DegenerateGeometry,
+    InsufficientMatches,
+    LocalizationFailure,
+    StereolocError,
 )
+from stereoloc.estimator import RansacParams, align_core
 from stereoloc.features import DenseFeatureMap
-from stereoloc.geometry import CameraIntrinsics, SE3Pose, backproject_points
+from stereoloc.geometry import (
+    CameraIntrinsics,
+    PlanarPose,
+    SE3Pose,
+    backproject_points,
+    planar_to_se3,
+)
 
 Array = np.ndarray
 
@@ -182,6 +193,37 @@ def bilinear_sample_reference(m: Var, pts: Var) -> Var:
 # alignment
 
 
+@dataclass(frozen=True)
+class AlignmentProblem:
+    """Matched source/target 3D points with per-pair weights in [0, 1]."""
+
+    p_s: np.ndarray
+    p_t: np.ndarray
+    w: np.ndarray
+
+    def __post_init__(self):
+        p_s = np.asarray(self.p_s, dtype=float)
+        p_t = np.asarray(self.p_t, dtype=float)
+        w = np.asarray(self.w, dtype=float)
+        if not (p_s.shape == p_t.shape and p_s.ndim == 2 and p_s.shape[1] == 3):
+            raise ValueError("point sets must both be (N, 3)")
+        if w.shape != (p_s.shape[0],):
+            raise ValueError("weights must be (N,)")
+        if w.sum() <= 0:
+            raise ValueError("weights must have positive sum")
+        if int((w > 0).sum()) < 3:
+            raise ValueError("need at least 3 positively weighted pairs")
+        object.__setattr__(self, "p_s", p_s)
+        object.__setattr__(self, "p_t", p_t)
+        object.__setattr__(self, "w", w)
+
+
+def weighted_alignment(prob: AlignmentProblem) -> SE3Pose:
+    """Pose minimizing the weighted squared alignment cost."""
+    C, r, _ = align_core(prob.p_s, prob.p_t, prob.w)
+    return SE3Pose(C, r)
+
+
 def svd_alignment_gradient(
     points_s: Array, points_t: Array, weights: Array, upstream: Array
 ) -> tuple[Array, Array, Array]:
@@ -252,7 +294,55 @@ def ransac_pose_reference(
 
 
 # ---------------------------------------------------------------------------
+# losses (array forms; the tape path is built in build_sample_loss)
+
+
+def keypoint_loss(p_s: np.ndarray, p_t_hat: np.ndarray, gt: PlanarPose) -> float:
+    """Squared planar error between ground-truth-transformed source points
+    and matched target points; z is excluded."""
+    T = planar_to_se3(gt)
+    pred = np.asarray(p_s, float) @ T.C.T + T.r
+    diff = pred[:, :2] - np.asarray(p_t_hat, float)[:, :2]
+    return float((diff * diff).sum())
+
+
+def pose_loss(est: PlanarPose, gt: PlanarPose, lam: float) -> float:
+    """Squared translation error plus lam * squared Frobenius rotation error
+    of the planar-embedded poses."""
+    Te = planar_to_se3(est)
+    Tg = planar_to_se3(gt)
+    dr = Te.r - Tg.r
+    drot = Te.C @ Tg.C.T - np.eye(3)
+    return float(dr @ dr + lam * (drot * drot).sum())
+
+
+# ---------------------------------------------------------------------------
 # geometry
+
+
+class DegenerateDepth(StereolocError):
+    """3D point at or behind the camera plane; cannot be projected."""
+
+
+def project_points(P: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
+    """Map (N, 3) camera-frame points to an (N, 3) array of left-image
+    pixel plus disparity, (u_l, v_l, d)."""
+    P = np.asarray(P, dtype=float)
+    z = P[:, 2]
+    if np.any(z <= 0):
+        raise DegenerateDepth("all point depths must be positive")
+    return np.stack(
+        [K.fu * P[:, 0] / z + K.cu, K.fv * P[:, 1] / z + K.cv, K.fu * K.b / z],
+        axis=1,
+    )
+
+
+def matrix(T: SE3Pose) -> np.ndarray:
+    """4x4 homogeneous form."""
+    M = np.eye(4)
+    M[:3, :3] = T.C
+    M[:3, 3] = T.r
+    return M
 
 
 def compose(a: SE3Pose, b: SE3Pose) -> SE3Pose:
@@ -282,3 +372,28 @@ def backproject_jacobian(y, K: CameraIntrinsics) -> np.ndarray:
     J[1, 1] = K.b * K.fu / (K.fv * d)
     J[:, 2] = -p / d
     return J
+
+
+# ---------------------------------------------------------------------------
+# reporting
+
+
+def read_run_csv(path: str | Path) -> dict:
+    """Parse a run CSV back into its aggregate statistics."""
+    rows = []
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        for row in reader:
+            rows.append(row)
+    inliers = np.array([int(r["inliers"]) for r in rows])
+    failures = np.array([int(r["failure"]) for r in rows], dtype=bool)
+    pose_err = np.array([float(r["pose_error"]) for r in rows])
+    head_err = np.array([float(r["heading_error"]) for r in rows])
+    ok = ~failures
+    return {
+        "mean_inliers": float(inliers.mean()),
+        "failure_count": int(failures.sum()),
+        "failure_fraction": float(failures.mean()),
+        "pose_rmse": float(np.sqrt(np.mean(pose_err[ok] ** 2))) if ok.any() else math.nan,
+        "heading_rmse": float(np.sqrt(np.mean(head_err[ok] ** 2))) if ok.any() else math.nan,
+    }

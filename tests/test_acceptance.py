@@ -13,18 +13,24 @@ import pytest
 from stereoloc import features, harness, matching, synth, training
 from stereoloc.autodiff import Tape
 from stereoloc.cli import gradient_cross_check, main
-from stereoloc.estimator import AlignmentProblem, RansacParams, ransac_pose, weighted_alignment
+from stereoloc.estimator import RansacParams, ransac_pose
 from stereoloc.features import DenseFeatureMap, KeypointSet
 from stereoloc.geometry import (
     CameraIntrinsics,
     PlanarPose,
     backproject_points,
-    project_points,
     se3_to_planar,
 )
-from stereoloc.training import LossConfig, TrainConfig, keypoint_loss, pose_loss
+from stereoloc.training import LossConfig, TrainConfig
 
-from oracles import match_all_reference
+from oracles import (
+    AlignmentProblem,
+    keypoint_loss,
+    match_all_reference,
+    pose_loss,
+    project_points,
+    weighted_alignment,
+)
 from test_estimator import grid_search_planar, planar_instance
 
 SCENE_SEED = 3

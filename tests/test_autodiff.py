@@ -1,6 +1,8 @@
 """Every tape primitive is checked against central finite differences, plus
 the structural contracts of backward()."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -127,7 +129,6 @@ PRIMITIVE_CASES = {
     "sub": lambda t, x, rng: scalarize(ad.sub(t.constant(_rand(rng, *x.shape)), x), _rand(rng, *x.shape)),
     "mul": lambda t, x, rng: scalarize(ad.mul(x, t.constant(_rand(rng, *x.shape))), _rand(rng, *x.shape)),
     "div": lambda t, x, rng: scalarize(ad.div(t.constant(_rand(rng, *x.shape)), ad.add(ad.mul(x, x), 1.0)), _rand(rng, *x.shape)),
-    "neg": lambda t, x, rng: scalarize(ad.neg(x), _rand(rng, *x.shape)),
     "cos": lambda t, x, rng: scalarize(ad.cos(x), _rand(rng, *x.shape)),
     "tanh": lambda t, x, rng: scalarize(ad.tanh(x), _rand(rng, *x.shape)),
     "sigmoid": lambda t, x, rng: scalarize(ad.sigmoid(x), _rand(rng, *x.shape)),
@@ -146,16 +147,14 @@ PRIMITIVE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
 def test_primitive_gradients(name):
+    # seeded by the case's name, so adding or removing a case leaves the
+    # inputs of every other case unchanged
     build = PRIMITIVE_CASES[name]
+    key = zlib.crc32(name.encode())
     for seed in range(100):
-        rng_data = np.random.default_rng((sorted(PRIMITIVE_CASES).index(name), seed))
-        x0 = rng_data.normal(size=(4, 5))
-        rng_aux = None
+        x0 = np.random.default_rng((key, seed)).normal(size=(4, 5))
         check_gradient(
-            lambda t, x, r=rng_aux: build(
-                t, x, np.random.default_rng((sorted(PRIMITIVE_CASES).index(name), seed, 1))
-            ),
-            x0,
+            lambda t, x: build(t, x, np.random.default_rng((key, seed, 1))), x0
         )
 
 

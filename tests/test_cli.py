@@ -164,6 +164,47 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: data: " in err and "layer enc1.weight has non-finite values" in err
 
+    def test_teach_with_unknown_activation_is_3(self, tmp_path, capsys):
+        import json
+
+        from stereoloc import features
+
+        seq = tmp_path / "seq"
+        assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(seq)]) == 0
+        ckpt = tmp_path / "ckpt"
+        features.save_checkpoint(
+            ckpt, features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8))
+        )
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["activation"] = "relu"
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["teach", "--frames", str(seq), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "map")]) == 3
+        assert "error: data: unsupported activation 'relu'" in capsys.readouterr().err
+
+    def test_synth_path_of_zero_frames_is_3(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["synth", "--kind", "path", "--count", "0",
+                     "--out", str(tmp_path / "seq")]) == 3
+        assert "error: data: no frames to save" in capsys.readouterr().err
+
+    def test_repeat_of_zero_frames_is_3(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(seq)]) == 0
+        map_dir = tmp_path / "map"
+        assert main(["teach", "--frames", str(seq), "--features", "analytic",
+                     "--out", str(map_dir)]) == 0
+        manifest = storage.read_manifest(seq)
+        manifest["frames"] = []
+        storage.write_manifest(seq, manifest)
+        capsys.readouterr()
+        assert main(["repeat", "--map", str(map_dir), "--frames", str(seq),
+                     "--features", "analytic", "--out", str(tmp_path / "rep")]) == 3
+        assert "error: data: empty repeat sequence" in capsys.readouterr().err
+
     def test_teach_on_non_finite_frame_is_4(self, tmp_path, capsys):
         seq = tmp_path / "seq"
         assert main(["synth", "--kind", "path", "--count", "3", "--condition", "noon",

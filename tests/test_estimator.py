@@ -10,17 +10,21 @@ from stereoloc.errors import (
     LocalizationFailure,
 )
 from stereoloc.estimator import (
-    AlignmentProblem,
     RansacParams,
     _minimal_sets,
     align_core,
     gt_outlier_gate,
     ransac_pose,
-    weighted_alignment,
 )
 from stereoloc.geometry import PlanarPose, SE3Pose, planar_to_se3, rot_z, se3_to_planar
 
-from oracles import alignment_cost, apply, ransac_pose_reference
+from oracles import (
+    AlignmentProblem,
+    alignment_cost,
+    apply,
+    ransac_pose_reference,
+    weighted_alignment,
+)
 
 
 def planar_instance(seed, n=5, noise=0.0):

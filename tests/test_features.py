@@ -287,6 +287,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"layer enc1\.weight has non-finite values"):
             load_checkpoint(tmp_path / "ck")
 
+    def test_rejects_unknown_activation(self, tmp_path):
+        import json
+
+        save_checkpoint(tmp_path / "ck", init_weights(TINY))
+        manifest_path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["activation"] == "tanh"
+        manifest["activation"] = "relu"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="unsupported activation 'relu'"):
+            load_checkpoint(tmp_path / "ck")
+
 
 class TestExtractKeypoints:
     def test_sampled_fields_shapes(self, noon_frame):

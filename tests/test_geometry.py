@@ -4,20 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stereoloc.errors import DegenerateDepth, InvalidDisparity
+from stereoloc.errors import InvalidDisparity
 from stereoloc.geometry import (
     CameraIntrinsics,
     PlanarPose,
     SE3Pose,
     backproject_points,
     planar_to_se3,
-    project_points,
     rot_z,
     se3_to_planar,
     wrap_angle,
 )
 
-from oracles import apply, backproject_jacobian, compose, inverse
+from oracles import (
+    DegenerateDepth,
+    apply,
+    backproject_jacobian,
+    compose,
+    inverse,
+    matrix,
+    project_points,
+)
 
 K_SIMPLE = CameraIntrinsics(fu=100.0, fv=100.0, cu=0.0, cv=0.0, b=0.1)
 
@@ -159,7 +166,7 @@ class TestPlanarPose:
 class TestSE3Algebra:
     def test_apply_identity(self):
         p = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(apply(SE3Pose.identity(), p), p)
+        assert np.array_equal(apply(SE3Pose(np.eye(3), np.zeros(3)), p), p)
 
     def test_compose_inverse_identity(self):
         rng = np.random.default_rng(5)
@@ -182,7 +189,7 @@ class TestSE3Algebra:
         rng = np.random.default_rng(7)
         T = SE3Pose(random_rotation(rng), rng.normal(size=3))
         pts = rng.normal(size=(10, 3))
-        hom = np.concatenate([pts, np.ones((10, 1))], axis=1) @ T.matrix().T
+        hom = np.concatenate([pts, np.ones((10, 1))], axis=1) @ matrix(T).T
         assert np.allclose(apply(T, pts), hom[:, :3], atol=1e-12)
 
     def test_rejects_non_rotation(self):

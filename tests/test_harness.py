@@ -16,13 +16,14 @@ from stereoloc.harness import (
     load_map,
     localize,
     nearest_vertex,
-    read_run_csv,
     repeat,
     save_map,
     teach,
     write_run_csv,
 )
 from stereoloc.synth import StereoFrame
+
+from oracles import project_points, read_run_csv
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +49,6 @@ class TestTeach:
             assert a.points3d.tobytes() == b.points3d.tobytes()
 
     def test_lifts_reproject_onto_keypoints(self, rig, K_default):
-        from stereoloc.geometry import project_points
-
         _, _, teach_map = rig
         for v in teach_map.vertices:
             obs = project_points(v.points3d, K_default)

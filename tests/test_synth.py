@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stereoloc import synth
 from stereoloc.errors import InvalidViewpoint
-from stereoloc.geometry import PlanarPose, project_points, wrap_angle
+from stereoloc.geometry import PlanarPose, wrap_angle
 from stereoloc.synth import (
     CONDITIONS,
     DAY_SCHEDULE,
@@ -31,7 +31,7 @@ from stereoloc.synth import (
     texture,
 )
 
-from oracles import zncc
+from oracles import project_points, zncc
 
 
 class TestScene:

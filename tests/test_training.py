@@ -12,14 +12,12 @@ from stereoloc.training import (
     LossConfig,
     TrainConfig,
     adam_step,
-    keypoint_loss,
-    pose_loss,
     split_dataset,
     total_loss,
     train,
 )
 
-from oracles import apply
+from oracles import apply, keypoint_loss, pose_loss
 
 
 def tiny_dataset(scene, count=8, seed=11):
