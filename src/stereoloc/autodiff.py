@@ -4,15 +4,15 @@ The tape records coarse array-level primitives (whole softmax, whole ZNCC
 normalization, whole SVD alignment) rather than scalar operations; each
 primitive carries a hand-derived pullback. One tape per training sample;
 `backward` walks the record once in reverse index order, which makes
-gradient accumulation deterministic. Inference runs the same primitives on
-a no-grad tape (`Tape(grad=False)`), which keeps each value and drops its
-parents and pullback, so nothing a pullback closes over stays alive.
+gradient accumulation deterministic. Every `Var` owns its value, and the
+tape holds only each node's parent indices and pullback, so a value dies
+with its last `Var`. Inference runs the same primitives on a no-grad tape
+(`Tape(grad=False)`), which records nothing: its `Var`s carry no index.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,27 +23,16 @@ from .errors import DegenerateGradient, OutOfBounds, ShapeError
 Array = np.ndarray
 
 
-@dataclass
-class _Node:
-    value: Array
-    parents: tuple[int, ...] = ()
-    pullback: Callable[[Array], tuple] | None = None
-    is_param: bool = False
-
-
 class Var:
-    """Handle to a node on a tape; every operation on it is a module-level
-    function."""
+    """A value plus its node index on a tape (`None` for a constant or on a
+    no-grad tape); every operation on it is a module-level function."""
 
-    __slots__ = ("tape", "index")
+    __slots__ = ("tape", "index", "value")
 
-    def __init__(self, tape: "Tape", index: int):
+    def __init__(self, tape: "Tape", index: int | None, value: Array):
         self.tape = tape
         self.index = index
-
-    @property
-    def value(self) -> Array:
-        return self.tape._nodes[self.index].value
+        self.value = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -54,35 +43,38 @@ class Var:
 
 
 class Tape:
-    """Ordered record of primitive operations. Nodes are appended in
+    """Ordered record of `(parent indices, pullback)` per node, appended in
     execution order, so the record is topologically sorted by construction.
-    A no-grad tape (`grad=False`) records values only."""
+    `params` holds each parameter's `(index, value)`; the tape holds no `Var`.
+    A no-grad tape (`grad=False`) records nothing."""
 
     def __init__(self, grad: bool = True):
         self.grad = grad
-        self._nodes: list[_Node] = []
-        self.param_indices: list[int] = []
+        self._nodes: list[tuple[tuple[int | None, ...], Callable | None]] = []
+        self.params: list[tuple[int, Array]] = []
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _push(self, node: _Node) -> Var:
-        self._nodes.append(node)
-        return Var(self, len(self._nodes) - 1)
+    def _push(self, value: Array, parents: tuple, pullback) -> Var:
+        self._nodes.append((parents, pullback))
+        return Var(self, len(self._nodes) - 1, value)
 
     def constant(self, value) -> Var:
-        return self._push(_Node(np.asarray(value, dtype=float)))
+        return Var(self, None, np.asarray(value, dtype=float))
 
     def param(self, value) -> Var:
-        v = self._push(_Node(np.asarray(value, dtype=float), is_param=True))
-        self.param_indices.append(v.index)
+        """A leaf `backward` differentiates for; a constant on a no-grad tape."""
+        if not self.grad:
+            return self.constant(value)
+        v = self._push(np.asarray(value, dtype=float), (), None)
+        self.params.append((v.index, v.value))
         return v
 
     def record(self, value: Array, parents: Sequence[Var], pullback) -> Var:
         if not self.grad:
-            return self._push(_Node(np.asarray(value)))
-        idx = tuple(p.index for p in parents)
-        return self._push(_Node(np.asarray(value), idx, pullback))
+            return Var(self, None, np.asarray(value))
+        return self._push(np.asarray(value), tuple(p.index for p in parents), pullback)
 
 
 def _as_var(tape: Tape, x) -> Var:
@@ -110,40 +102,29 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 
 def backward(tape: Tape, output: Var) -> dict[int, Array]:
-    """Reverse accumulation from a scalar output to every parameter node;
-    returns the gradients keyed by parameter node index."""
+    """Reverse accumulation from a scalar output to every parameter; returns
+    the gradients keyed by parameter index."""
     if output.tape is not tape:
         raise ValueError("output does not belong to this tape")
     if not tape.grad:
         raise ValueError("backward on a no-grad tape")
-    out_val = output.value
-    if out_val.shape != ():
-        raise ShapeError(f"backward needs a scalar output, got shape {out_val.shape}")
+    if output.value.shape != ():
+        raise ShapeError(f"backward needs a scalar output, got shape {output.value.shape}")
 
-    nodes = tape._nodes
-    adjoints: dict[int, Array] = {output.index: np.ones(())}
-    for i in range(output.index, -1, -1):
-        adj = adjoints.pop(i, None)
-        if adj is None:
-            continue
-        node = nodes[i]
-        if node.pullback is None:
-            if node.is_param:
-                adjoints[i] = adj  # keep parameter grads
-            continue
-        parent_grads = node.pullback(adj)
-        for p, g in zip(node.parents, parent_grads):
-            if g is None:
+    adjoints: dict[int | None, Array] = {output.index: np.ones(())}
+    for i in range(len(tape) - 1, -1, -1):
+        parents, pullback = tape._nodes[i]
+        if pullback is None or i not in adjoints:
+            continue  # a parameter keeps its adjoint
+        for p, g in zip(parents, pullback(adjoints.pop(i))):
+            if g is None or p is None:
                 continue
             if p in adjoints:
                 adjoints[p] = adjoints[p] + g
             else:
                 adjoints[p] = np.asarray(g, dtype=float)
 
-    return {
-        i: adjoints.get(i, np.zeros_like(nodes[i].value))
-        for i in tape.param_indices
-    }
+    return {i: adjoints.get(i, np.zeros_like(value)) for i, value in tape.params}
 
 
 def finite_diff(f: Callable[[Array], float], x: Array, h: float | None = None) -> Array:

@@ -62,11 +62,10 @@ class ExtractorWeights:
     def copy(self) -> "ExtractorWeights":
         return ExtractorWeights(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
-    def bind(self, tape: Tape, trainable: bool = True) -> dict[str, Var]:
-        """Register every tensor on a tape, as parameters when training."""
-        if trainable:
-            return {k: tape.param(v) for k, v in self.tensors.items()}
-        return {k: tape.constant(v) for k, v in self.tensors.items()}
+    def bind(self, tape: Tape) -> dict[str, Var]:
+        """Every tensor as a parameter of the tape (a constant on a no-grad
+        tape)."""
+        return {k: tape.param(v) for k, v in self.tensors.items()}
 
 
 def init_weights(cfg: ExtractorConfig, seed: int | None = None) -> ExtractorWeights:

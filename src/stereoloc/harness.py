@@ -53,13 +53,13 @@ class LearnedExtractor:
         return f"learned-{self.weights.config.seed}"
 
     def features_on(self, tape: Tape, image: np.ndarray) -> features.DenseFeatureMap:
-        params = self.weights.bind(tape, trainable=False)
+        params = self.weights.bind(tape)
         return features.forward(image, params, self.weights.config, tape)
 
     def target_on(self, tape: Tape, image: np.ndarray) -> features.DenseFeatureMap:
         """Descriptors and scores only: what matching into the image reads."""
         cfg = self.weights.config
-        params = self.weights.bind(tape, trainable=False)
+        params = self.weights.bind(tape)
         descriptors, bottleneck = features.encode(image, params, cfg, tape)
         scores = features.decode(bottleneck, "score", params, cfg)
         return features.DenseFeatureMap(descriptors, scores, None)
@@ -180,10 +180,6 @@ def _keypoints_numpy(
     kps = features.extract_keypoints(extractor.features_on(tape, frame.left), extractor.window)
     disparity = _frame_disparity(frame, disparity_source)
     coords, desc, scores = kps.coords.value, kps.descriptors.value, kps.scores.value
-    # Free the pass's intermediates before the lift allocates: lifting while
-    # they were alive left a heap layout in which every frame trimmed the
-    # heap top and faulted it back in.
-    del tape, kps
     ok, p3d = _lift(disparity, coords, K)
     return coords[ok], desc[ok], scores[ok], p3d
 
@@ -219,9 +215,8 @@ def _vertex_cache(vertex: MapVertex, extractor, disparity_source: str) -> Vertex
     cache = vertex.cache
     if cache is None or cache.extractor is not extractor:
         fmap = extractor.target_on(Tape(grad=False), vertex.frame.left)
-        # Copied while the pass's intermediates are alive, so the copies sit
-        # above them: freed below a live block, that memory stays mapped for
-        # the next frame instead of being trimmed off the heap top.
+        # Copies: caching the pass's own arrays made every frame re-fault a
+        # trimmed heap top (scripts/fault_probe.py, 1168 faults against 288).
         cache = vertex.cache = VertexCache(
             extractor, fmap.descriptors.value.copy(), fmap.scores.value.copy()
         )
@@ -399,21 +394,20 @@ def emit_report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
 
     teach_conds = sorted({r.teach_condition for r in records})
     repeat_conds = sorted({r.repeat_condition for r in records})
-    if teach_conds and repeat_conds:
-        by_pair = {
-            (r.teach_condition, r.repeat_condition): r.report.mean_inliers
-            for r in records
-        }
-        matrix_path = out_dir / "condition_matrix.csv"
-        with open(matrix_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["teach\\repeat"] + repeat_conds)
-            for tc in teach_conds:
-                row = [tc] + [
-                    repr(by_pair.get((tc, rc), math.nan)) for rc in repeat_conds
-                ]
-                writer.writerow(row)
-        written.append(matrix_path)
+    by_pair = {
+        (r.teach_condition, r.repeat_condition): r.report.mean_inliers
+        for r in records
+    }
+    matrix_path = out_dir / "condition_matrix.csv"
+    with open(matrix_path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["teach\\repeat"] + repeat_conds)
+        for tc in teach_conds:
+            row = [tc] + [
+                repr(by_pair.get((tc, rc), math.nan)) for rc in repeat_conds
+            ]
+            writer.writerow(row)
+    written.append(matrix_path)
     return written
 
 
@@ -427,7 +421,7 @@ def save_map(directory: str | Path, teach_map: TeachMap) -> None:
     for v in teach_map.vertices:
         frame_file = f"vertex_{v.frame_id:05d}_frame.f32"
         feats_file = f"vertex_{v.frame_id:05d}_feats.f32"
-        storage.write_blob(directory / frame_file, synth._frame_blob(v.frame))
+        storage.write_blob(directory / frame_file, synth.frame_blob(v.frame))
         feats = np.concatenate(
             [v.coords.ravel(), v.descriptors.ravel(), v.scores.ravel(), v.points3d.ravel()]
         )
@@ -447,7 +441,7 @@ def save_map(directory: str | Path, teach_map: TeachMap) -> None:
         "window": teach_map.window,
         "extractor": teach_map.extractor_ident,
         "image_size": [h, w],
-        "camera": synth._camera_dict(teach_map.K),
+        "camera": synth.camera_dict(teach_map.K),
         "vertices": entries,
     })
 
@@ -462,7 +456,7 @@ def load_map(directory: str | Path) -> TeachMap:
     vertices = []
     for e in manifest["vertices"]:
         blob = storage.read_blob(directory / e["frame_file"], (3 * h * w,))
-        frame = synth._frame_from_blob(blob, h, w, e["world_pose"], None)
+        frame = synth.frame_from_blob(blob, h, w, e["world_pose"])
         n, dd = e["n"], e["d"]
         feats = storage.read_blob(
             directory / e["feats_file"], (n * 2 + n * dd + n + n * 3,)

@@ -37,8 +37,15 @@ def write_manifest(directory: Path, manifest: dict) -> None:
     (directory / MANIFEST_NAME).write_text(text + "\n")
 
 
+class _Manifest(dict):
+    """A JSON object of a manifest: a missing key is a data error."""
+
+    def __missing__(self, key):
+        raise ValueError(f"manifest entry lacks key {key!r}")
+
+
 def read_manifest(directory: Path) -> dict:
     path = Path(directory) / MANIFEST_NAME
     if not path.is_file():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
-    return json.loads(path.read_text())
+    return json.loads(path.read_text(), object_hook=_Manifest)

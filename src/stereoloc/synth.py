@@ -202,7 +202,6 @@ class StereoFrame:
     right: np.ndarray
     disparity: np.ndarray | None = None
     pose: np.ndarray | None = None  # world (x, y, yaw)
-    condition: str | None = None
 
 
 def cast_rays(
@@ -281,7 +280,6 @@ def render_stereo(
     photo: PhotometricParams = CONDITIONS["identity"],
     size: tuple[int, int] = (48, 64),
     noise_seed: int = 0,
-    condition: str | None = None,
 ) -> StereoFrame:
     """Render a rectified pair with per-pixel true disparity.
 
@@ -298,7 +296,7 @@ def render_stereo(
     rng = np.random.default_rng([int(noise_seed), 2])
     left = apply_photometrics(left_i.reshape(h, w), photo, rng)
     right = apply_photometrics(right_i.reshape(h, w), photo, rng)
-    return StereoFrame(left, right, disparity, np.asarray(pose, float), condition)
+    return StereoFrame(left, right, disparity, np.asarray(pose, float))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +407,7 @@ def render_sequence(
     frames = []
     for i, pose in enumerate(poses):
         frames.append(
-            render_stereo(scene, pose, K, photo, size,
-                          noise_seed=seed * 100003 + i, condition=condition)
+            render_stereo(scene, pose, K, photo, size, noise_seed=seed * 100003 + i)
         )
     return frames
 
@@ -426,24 +423,23 @@ class Sample:
     gt: PlanarPose
 
 
-def _frame_blob(frame: StereoFrame) -> np.ndarray:
+def frame_blob(frame: StereoFrame) -> np.ndarray:
     return np.concatenate(
         [frame.left.ravel(), frame.right.ravel(), frame.disparity.ravel()]
     )
 
 
-def _frame_from_blob(blob: np.ndarray, h: int, w: int, pose, condition) -> StereoFrame:
+def frame_from_blob(blob: np.ndarray, h: int, w: int, pose) -> StereoFrame:
     n = h * w
     return StereoFrame(
         blob[:n].reshape(h, w),
         blob[n : 2 * n].reshape(h, w),
         blob[2 * n :].reshape(h, w),
         np.asarray(pose, float) if pose is not None else None,
-        condition,
     )
 
 
-def _camera_dict(K: CameraIntrinsics) -> dict:
+def camera_dict(K: CameraIntrinsics) -> dict:
     return {"fu": K.fu, "fv": K.fv, "cu": K.cu, "cv": K.cv, "b": K.b}
 
 
@@ -485,11 +481,11 @@ def make_dataset(
         src_cond = schedule[int(rng.integers(len(schedule)))]
         tgt_cond = schedule[int(rng.integers(len(schedule)))]
         src = render_stereo(scene, src_pose, K, CONDITIONS[src_cond], size,
-                            noise_seed=seed * 1000003 + 2 * i, condition=src_cond)
+                            noise_seed=seed * 1000003 + 2 * i)
         tgt = render_stereo(scene, tgt_pose, K, CONDITIONS[tgt_cond], size,
-                            noise_seed=seed * 1000003 + 2 * i + 1, condition=tgt_cond)
+                            noise_seed=seed * 1000003 + 2 * i + 1)
         fname = f"sample_{i:05d}.f32"
-        storage.write_blob(out_dir / fname, np.concatenate([_frame_blob(src), _frame_blob(tgt)]))
+        storage.write_blob(out_dir / fname, np.concatenate([frame_blob(src), frame_blob(tgt)]))
         samples.append({
             "file": fname,
             "pose": [pp.alpha, pp.beta, pp.gamma],
@@ -503,7 +499,7 @@ def make_dataset(
         "seed": int(seed),
         "scene_seed": scene.seed,
         "image_size": [h, w],
-        "camera": _camera_dict(K),
+        "camera": camera_dict(K),
         "motion_bounds": asdict(motion),
         "schedule": list(schedule),
         "samples": samples,
@@ -521,8 +517,8 @@ def load_dataset(directory: str | Path) -> tuple[list[Sample], dict]:
     samples = []
     for entry in manifest["samples"]:
         blob = storage.read_blob(directory / entry["file"], (6 * n,))
-        src = _frame_from_blob(blob[: 3 * n], h, w, entry["src_pose"], entry["src_condition"])
-        tgt = _frame_from_blob(blob[3 * n :], h, w, entry["tgt_pose"], entry["tgt_condition"])
+        src = frame_from_blob(blob[: 3 * n], h, w, entry["src_pose"])
+        tgt = frame_from_blob(blob[3 * n :], h, w, entry["tgt_pose"])
         samples.append(Sample(src, tgt, PlanarPose(*entry["pose"])))
     return samples, manifest
 
@@ -537,7 +533,7 @@ def save_sequence(
     entries = []
     for i, frame in enumerate(frames):
         fname = f"frame_{i:05d}.f32"
-        storage.write_blob(out_dir / fname, _frame_blob(frame))
+        storage.write_blob(out_dir / fname, frame_blob(frame))
         entries.append({"file": fname, "pose": frame.pose.tolist()})
     h, w = frames[0].left.shape
     manifest = {
@@ -545,7 +541,7 @@ def save_sequence(
         "condition": condition,
         "seed": int(seed),
         "image_size": [h, w],
-        "camera": _camera_dict(K),
+        "camera": camera_dict(K),
         "frames": entries,
     }
     if extra:
@@ -563,7 +559,5 @@ def load_sequence(directory: str | Path) -> tuple[list[StereoFrame], dict]:
     frames = []
     for entry in manifest["frames"]:
         blob = storage.read_blob(directory / entry["file"], (3 * h * w,))
-        frames.append(
-            _frame_from_blob(blob, h, w, entry["pose"], manifest.get("condition"))
-        )
+        frames.append(frame_from_blob(blob, h, w, entry["pose"]))
     return frames, manifest

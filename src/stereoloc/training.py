@@ -177,7 +177,7 @@ def total_loss(
     stats_all = []
     for sample in samples:
         tape = Tape(grad=compute_grads)
-        params = weights.bind(tape, trainable=compute_grads)
+        params = weights.bind(tape)
         loss, stats = build_sample_loss(tape, params, cfg, sample, K, lcfg)
         stats_all.append(stats)
         if loss is None:

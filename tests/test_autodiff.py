@@ -1,6 +1,9 @@
 """Every tape primitive is checked against central finite differences, plus
 the structural contracts of backward()."""
 
+import contextlib
+import gc
+import weakref
 import zlib
 
 import numpy as np
@@ -618,9 +621,24 @@ class TestNoGradTape:
             x = t.constant(x0)
             outs.append(ad.softmax(ad.mul(ad.tanh(x), 3.0), axis=1).value)
         assert _same_bits(outs[0], outs[1])
-        assert len(plain) == len(grad_tape)
-        assert all(n.parents == () and n.pullback is None for n in plain._nodes)
-        assert any(n.pullback is not None for n in grad_tape._nodes)
+        # the values live in the Vars: the no-grad tape records no node
+        assert len(plain) == 0 and len(grad_tape) == 3
+
+    def test_param_is_a_constant(self):
+        t = Tape(grad=False)
+        x = t.param(np.ones(3))
+        y = ad.tanh(x)
+        assert x.index is None and y.index is None
+        assert t.params == [] and len(t) == 0
+
+    def test_value_dies_with_its_var(self):
+        t = Tape(grad=False)
+        with _gc_disabled():
+            y = ad.tanh(ad.mul(t.constant(np.ones((4, 5))), 2.0))
+            value = weakref.ref(y.value)
+            del y
+            assert value() is None
+
 
     def test_backward_raises(self):
         t = Tape(grad=False)
@@ -628,3 +646,40 @@ class TestNoGradTape:
         out = ad.sum_(ad.mul(x, x))
         with pytest.raises(ValueError, match="no-grad"):
             backward(t, out)
+
+
+class TestTapeOwnership:
+    """A grad tape keeps parent indices, pullbacks and parameter values,
+    never a `Var`, so dropping a tape's names frees it without the cycle
+    collector."""
+
+    def test_grad_tape_freed_without_gc(self):
+        with _gc_disabled():
+            t = Tape()
+            x = t.param(np.ones(3))
+            loss = ad.sum_(ad.mul(ad.tanh(x), t.constant(np.arange(3.0))))
+            grads = backward(t, loss)
+            tape, value = weakref.ref(t), weakref.ref(loss.value)
+            del t, x, loss
+            assert tape() is None and value() is None
+        assert grads[0].shape == (3,)
+
+    def test_constants_take_no_node(self):
+        t = Tape()
+        c = t.constant(np.ones(3))
+        x = t.param(np.ones(3))
+        y = ad.mul(x, c)
+        assert c.index is None and (x.index, y.index) == (0, 1)
+        assert [i for i, _ in t.params] == [0]
+        assert np.array_equal(backward(t, ad.sum_(y))[x.index], np.ones(3))
+
+
+@contextlib.contextmanager
+def _gc_disabled():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

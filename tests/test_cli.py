@@ -184,6 +184,38 @@ class TestExitCodes:
                      "--out", str(tmp_path / "map")]) == 3
         assert "error: data: unsupported activation 'relu'" in capsys.readouterr().err
 
+    def test_checkpoint_without_activation_is_3(self, tmp_path, capsys):
+        from stereoloc import features
+
+        seq = tmp_path / "seq"
+        assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(seq)]) == 0
+        ckpt = tmp_path / "ckpt"
+        features.save_checkpoint(
+            ckpt, features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8))
+        )
+        manifest = storage.read_manifest(ckpt)
+        del manifest["activation"]
+        storage.write_manifest(ckpt, manifest)
+        capsys.readouterr()
+        assert main(["teach", "--frames", str(seq), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "map")]) == 3
+        err = capsys.readouterr().err
+        assert "error: data: " in err and "'activation'" in err
+
+    def test_sequence_without_camera_is_3(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(seq)]) == 0
+        manifest = storage.read_manifest(seq)
+        del manifest["camera"]
+        storage.write_manifest(seq, manifest)
+        capsys.readouterr()
+        assert main(["teach", "--frames", str(seq), "--features", "analytic",
+                     "--out", str(tmp_path / "map")]) == 3
+        err = capsys.readouterr().err
+        assert "error: data: " in err and "'camera'" in err
+
     def test_synth_path_of_zero_frames_is_3(self, tmp_path, capsys):
         capsys.readouterr()
         assert main(["synth", "--kind", "path", "--count", "0",

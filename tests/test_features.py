@@ -24,10 +24,10 @@ from conftest import rel_err
 TINY = ExtractorConfig(channels=(2, 3, 4), window=8, seed=1)
 
 
-def run_forward(image, cfg=TINY, weights=None, trainable=False):
+def run_forward(image, cfg=TINY, weights=None):
     tape = Tape()
     weights = weights or init_weights(cfg)
-    params = weights.bind(tape, trainable=trainable)
+    params = weights.bind(tape)
     return forward(image, params, cfg, tape), tape, params, weights
 
 
@@ -86,9 +86,9 @@ class TestForward:
         base = init_weights(TINY)
         names = sorted(base.tensors)
 
-        def loss_from(weights, trainable):
-            tape = Tape()
-            params = weights.bind(tape, trainable=trainable)
+        def loss_from(weights, grad):
+            tape = Tape(grad=grad)
+            params = weights.bind(tape)
             fmap = forward(img, params, TINY, tape)
             total = ad.add(
                 ad.add(
@@ -133,7 +133,7 @@ class TestEncodeDecode:
         ref, _, _, _ = run_forward(image, cfg, weights)
         for grad in (True, False):
             tape = Tape(grad=grad)
-            params = weights.bind(tape, trainable=False)
+            params = weights.bind(tape)
             desc, bottleneck = encode(image, params, cfg, tape)
             logits = decode(bottleneck, "kp", params, cfg)
             scores = decode(bottleneck, "score", params, cfg)

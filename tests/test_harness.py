@@ -303,19 +303,37 @@ class TestVertexCache:
             tapes.append(Tape(grad))
             return tapes[-1]
 
+        records = []
+        record = Tape.record
+
+        def counted_record(*args):
+            records.append(1)
+            return record(*args)
+
+        passes = []
+        target_on = extractor.target_on
+
+        def vertex_pass(*args):
+            passes.append(target_on(*args))
+            return passes[-1]
+
         monkeypatch.setattr(ad, "conv2d", counted)
         monkeypatch.setattr(harness, "Tape", recorded)
+        monkeypatch.setattr(Tape, "record", counted_record)
+        monkeypatch.setattr(extractor, "target_on", vertex_pass)
         localize(frames[0], vertex, extractor, LocalizeParams(mode="dense"), K_default)
         # 10 for the live frame's full forward, 7 for the vertex's
         # descriptors and scores (3 encoder, bottleneck, 3 score decoder)
         assert len(convs) == 17
+        assert len(records) == 92  # one per primitive; constants are not records
         assert len(tapes) == 3  # live frame, vertex pass, matching
         assert not any(t.grad for t in tapes)
-        assert all(n.pullback is None and not n.parents for t in tapes for n in t._nodes)
-        # the cache holds copies made after the vertex pass (tapes[1]), not
-        # the pass's own outputs
-        cached = (vertex.cache.descriptors, vertex.cache.scores)
-        assert not any(np.shares_memory(c, n.value) for c in cached for n in tapes[1]._nodes)
+        assert all(len(t) == 0 for t in tapes)
+        # the cache holds copies of the vertex pass's outputs, not the
+        # outputs themselves
+        (fmap,) = passes
+        assert not np.shares_memory(vertex.cache.descriptors, fmap.descriptors.value)
+        assert not np.shares_memory(vertex.cache.scores, fmap.scores.value)
 
 
 class TestLearnedExtractorPath:

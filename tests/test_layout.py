@@ -1,6 +1,7 @@
-"""Layout guard: every top-level function and class in the package is used
-by the program itself. A name that only tests use is a test helper and
-belongs in tests/oracles.py, not in src/."""
+"""Layout guards: every top-level function and class in the package is used
+by the program itself (a name that only tests use is a test helper and
+belongs in tests/oracles.py, not in src/), and no module reads another
+module's private names."""
 
 import ast
 import re
@@ -44,3 +45,35 @@ def test_every_top_level_name_is_used_by_the_program():
     assert not unused, "defined in src/ but used only by tests (or nowhere):\n" + "\n".join(
         unused
     )
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_a_private_name_of_a_sibling():
+    """A `_name` belongs to its module: siblings reach it neither as an
+    attribute of the module (`synth._frame_blob`) nor by a relative import
+    (`from .synth import _frame_blob`). The package imports its siblings
+    relatively only."""
+    siblings = {path.stem for path in PACKAGE.glob("*.py")}
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in siblings:
+                        aliases[alias.asname or alias.name] = alias.name
+                    elif node.module in siblings and _private(alias.name):
+                        reads.append(f"{path.stem}: {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+                and _private(node.attr)
+            ):
+                reads.append(f"{path.stem}: {aliases[node.value.id]}.{node.attr}")
+    assert not reads, "private names read across modules:\n" + "\n".join(sorted(set(reads)))

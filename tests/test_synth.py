@@ -201,10 +201,10 @@ class TestDatasets:
         samples, manifest = load_dataset(made)
         assert len(samples) == 2
         # re-encoding what was loaded reproduces the stored bytes
-        from stereoloc.synth import _frame_blob
+        from stereoloc.synth import frame_blob
 
         for entry, sample in zip(manifest["samples"], samples):
-            blob = np.concatenate([_frame_blob(sample.source), _frame_blob(sample.target)])
+            blob = np.concatenate([frame_blob(sample.source), frame_blob(sample.target)])
             assert blob.astype("<f4").tobytes() == (made / entry["file"]).read_bytes()
 
     def test_poses_respect_motion_bounds(self, scene, tmp_path):
