@@ -52,9 +52,8 @@ def _match_core(src_desc: Var, target: DenseFeatureMap, tau):
     if tau <= 0:
         raise ValueError("temperature must be positive")
     flat, coords = _flatten_target(target)
-    zn_src = ad.row_znorm(src_desc)
-    zn_tgt = ad.row_znorm(flat)
-    sim = ad.matmul(zn_src, ad.transpose(zn_tgt))  # (N, M) of ZNCC values
+    # (N, M) of ZNCC values; unnamed, the (M, D) normalized rows die here
+    sim = ad.matmul(ad.row_znorm(src_desc), ad.transpose(ad.row_znorm(flat)))
     attn = ad.softmax(ad.mul(sim, float(tau)), axis=1)
     tape = src_desc.tape
     points = ad.matmul(attn, tape.constant(coords))
