@@ -639,7 +639,6 @@ class TestNoGradTape:
             del y
             assert value() is None
 
-
     def test_backward_raises(self):
         t = Tape(grad=False)
         x = t.param(np.ones(3))
