@@ -86,7 +86,7 @@ def init_weights(cfg: ExtractorConfig, seed: int | None = None) -> ExtractorWeig
 class DenseFeatureMap:
     """Per-pixel descriptors (D, H, W), scores in (0, 1) (H, W), and raw
     keypoint logits (H, W), all tape variables. A map that is only matched
-    into (a map vertex) carries no logits."""
+    into (a map vertex, a training target) carries no logits."""
 
     descriptors: Var
     scores: Var
@@ -163,6 +163,18 @@ def forward(
     logits = decode(bottleneck, "kp", params, cfg)
     scores = decode(bottleneck, "score", params, cfg)
     return DenseFeatureMap(descriptors, scores, logits)
+
+
+def forward_target(
+    image: np.ndarray | Var,
+    params: dict[str, Var],
+    cfg: ExtractorConfig,
+    tape: Tape,
+) -> DenseFeatureMap:
+    """Descriptors and scores only, no keypoint logits: what matching into
+    the image reads."""
+    descriptors, bottleneck = encode(image, params, cfg, tape)
+    return DenseFeatureMap(descriptors, decode(bottleneck, "score", params, cfg), None)
 
 
 def detect_keypoints(logits: Var, window: int) -> Var:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,12 +57,8 @@ class LearnedExtractor:
         return features.forward(image, params, self.weights.config, tape)
 
     def target_on(self, tape: Tape, image: np.ndarray) -> features.DenseFeatureMap:
-        """Descriptors and scores only: what matching into the image reads."""
-        cfg = self.weights.config
         params = self.weights.bind(tape)
-        descriptors, bottleneck = features.encode(image, params, cfg, tape)
-        scores = features.decode(bottleneck, "score", params, cfg)
-        return features.DenseFeatureMap(descriptors, scores, None)
+        return features.forward_target(image, params, self.weights.config, tape)
 
 
 @dataclass
@@ -82,13 +78,12 @@ class AnalyticExtractor:
 @dataclass
 class VertexCache:
     """What localization derives from a vertex's frame, kept across calls:
-    the dense feature maps of one extractor object, and the (disparity,
-    valid) maps per disparity source."""
+    the dense feature maps of one extractor object. Disparity is not
+    cached; each lift reads it at the pixels it lifts."""
 
     extractor: LearnedExtractor | AnalyticExtractor
     descriptors: np.ndarray  # (D, H, W)
     scores: np.ndarray  # (H, W)
-    disparity: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 @dataclass
@@ -146,28 +141,27 @@ class RunReport:
     heading_rmse: float
 
 
-def _frame_disparity(frame: StereoFrame, source: str) -> tuple[np.ndarray, np.ndarray]:
+def _lift(
+    frame: StereoFrame, source: str, pts: np.ndarray, K: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lift (N, 2) (u, v) points at the nearest pixel, clamped into the
+    image, through the frame's disparity from `source`: the ground truth
+    ("gt") or block matching at those pixels ("block"). Returns the mask of
+    points whose disparity is valid and above MIN_DISPARITY, and their 3D
+    points."""
+    h, w = frame.left.shape
+    nearest = np.rint(pts).astype(int)
+    u = np.clip(nearest[:, 0], 0, w - 1)
+    v = np.clip(nearest[:, 1], 0, h - 1)
     if source == "gt":
         if frame.disparity is None:
             raise StereolocError("frame carries no ground-truth disparity")
-        return frame.disparity, np.ones_like(frame.disparity, dtype=bool)
-    if source == "block":
-        return synth.block_match_disparity(frame.left, frame.right)
-    raise ValueError(f"unknown disparity source {source!r}")
-
-
-def _lift(
-    disparity: tuple[np.ndarray, np.ndarray], pts: np.ndarray, K: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lift (N, 2) (u, v) points through a (disparity, valid) map pair at
-    the nearest pixel, clamped into the image. Returns the mask of points
-    whose disparity is valid and above MIN_DISPARITY, and their 3D points."""
-    dmap, valid = disparity
-    nearest = np.rint(pts).astype(int)
-    u = np.clip(nearest[:, 0], 0, dmap.shape[1] - 1)
-    v = np.clip(nearest[:, 1], 0, dmap.shape[0] - 1)
-    d = dmap[v, u]
-    ok = valid[v, u] & (d > MIN_DISPARITY)
+        d, valid = frame.disparity[v, u], True
+    elif source == "block":
+        d, valid = synth.block_match_disparity(frame.left, frame.right, u, v)
+    else:
+        raise ValueError(f"unknown disparity source {source!r}")
+    ok = valid & (d > MIN_DISPARITY)
     return ok, backproject_points(np.concatenate([pts[ok], d[ok, None]], axis=1), K)
 
 
@@ -178,9 +172,8 @@ def _keypoints_numpy(
     descriptors, scores and 3D lifts."""
     tape = Tape(grad=False)
     kps = features.extract_keypoints(extractor.features_on(tape, frame.left), extractor.window)
-    disparity = _frame_disparity(frame, disparity_source)
     coords, desc, scores = kps.coords.value, kps.descriptors.value, kps.scores.value
-    ok, p3d = _lift(disparity, coords, K)
+    ok, p3d = _lift(frame, disparity_source, coords, K)
     return coords[ok], desc[ok], scores[ok], p3d
 
 
@@ -207,11 +200,10 @@ def teach(
     return TeachMap(vertices, K, extractor.window, extractor.ident)
 
 
-def _vertex_cache(vertex: MapVertex, extractor, disparity_source: str) -> VertexCache:
-    """The vertex's cache for this extractor object, holding the disparity
-    maps of this source; each is computed on first use. The cache is keyed
-    on the object, not its `ident`: extractors with different weights can
-    share an ident."""
+def _vertex_cache(vertex: MapVertex, extractor) -> VertexCache:
+    """The vertex's cache for this extractor object, computed on first use.
+    The cache is keyed on the object, not its `ident`: extractors with
+    different weights can share an ident."""
     cache = vertex.cache
     if cache is None or cache.extractor is not extractor:
         fmap = extractor.target_on(Tape(grad=False), vertex.frame.left)
@@ -220,8 +212,6 @@ def _vertex_cache(vertex: MapVertex, extractor, disparity_source: str) -> Vertex
         cache = vertex.cache = VertexCache(
             extractor, fmap.descriptors.value.copy(), fmap.scores.value.copy()
         )
-    if disparity_source not in cache.disparity:
-        cache.disparity[disparity_source] = _frame_disparity(vertex.frame, disparity_source)
     return cache
 
 
@@ -273,7 +263,7 @@ def localize(
 def _dense_pairs(vertex, extractor, coords, desc, scores, p_live, params, K):
     """Live keypoints soft-matched into the vertex's dense map, then lifted
     through the vertex's disparity."""
-    cache = _vertex_cache(vertex, extractor, params.disparity)
+    cache = _vertex_cache(vertex, extractor)
     tape = Tape(grad=False)
     fmap = features.DenseFeatureMap(
         tape.constant(cache.descriptors), tape.constant(cache.scores), None
@@ -282,7 +272,7 @@ def _dense_pairs(vertex, extractor, coords, desc, scores, p_live, params, K):
         tape.constant(coords), tape.constant(desc), tape.constant(scores)
     )
     m = matching.match_all(kps, fmap, tau=params.tau)
-    ok, p_t = _lift(cache.disparity[params.disparity], m.target_points.value, K)
+    ok, p_t = _lift(vertex.frame, params.disparity, m.target_points.value, K)
     if int(ok.sum()) < 3:
         raise InsufficientMatches("too few matches with valid disparity")
     return p_live[ok], p_t, m.weights.value[ok]

@@ -16,6 +16,7 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import storage
 from .errors import InvalidViewpoint
@@ -306,53 +307,44 @@ def render_stereo(
 def block_match_disparity(
     left: np.ndarray,
     right: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
     window: int = 5,
     max_disparity: int = 16,
     variance_floor: float = 1e-4,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integer-disparity SAD block matching on a rectified pair.
+    """Integer-disparity SAD block matching on a rectified pair, evaluated
+    only at the integer pixels (u[i], v[i]), which must lie in the image.
 
-    Returns (disparity, valid). Pixels are invalid at the borders, where the
-    window's texture variance is below the floor, or where the search range
-    is cut off by the image edge.
+    Returns (disparity, valid) per pixel. A pixel is invalid where its window
+    leaves the image or holds a non-finite value, or where the window's
+    texture variance is below the floor. A candidate disparity whose right
+    window leaves the image or holds a non-finite value never wins; ties go
+    to the smallest disparity.
     """
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
-    h, w = left.shape
-    half = window // 2
+    k, dmax = window, max_disparity
+    half = k // 2
 
-    def box_sum(img):
-        c = np.cumsum(np.cumsum(np.pad(img, ((1, 0), (1, 0))), axis=0), axis=1)
-        k = window
-        return c[k:, k:] - c[:-k, k:] - c[k:, :-k] + c[:-k, :-k]
+    def padded(img):  # a NaN border: off-image reads like a bad pixel
+        h, w = np.shape(img)
+        out = np.full((h + 2 * half, w + 2 * half + dmax), np.nan)
+        out[half : half + h, half + dmax : half + dmax + w] = img
+        return out
 
-    # Columns with no right-image data under a shift get a huge (finite)
-    # penalty, so contaminated windows never beat a real candidate.
-    best_cost = np.full((h - 2 * half, w - 2 * half), np.inf)
-    best_d = np.zeros_like(best_cost, dtype=int)
-    for d in range(max_disparity + 1):
-        shifted = np.full_like(right, 1e6)
-        if d == 0:
-            shifted = right
-        else:
-            shifted[:, d:] = right[:, :-d]
-        cost = box_sum(np.abs(left - shifted))
-        better = cost < best_cost
-        best_cost = np.where(better, cost, best_cost)
-        best_d = np.where(better, d, best_d)
-
-    disparity = np.zeros((h, w))
-    disparity[half : h - half, half : w - half] = best_d
-    valid = np.zeros((h, w), dtype=bool)
-    valid[half : h - half, half : w - half] = True
-
-    mu = box_sum(left) / (window * window)
-    var = box_sum(left * left) / (window * window) - mu * mu
-    valid[half : h - half, half : w - half] &= var > variance_floor
-    # search must not run off the left edge
-    us = np.arange(w)[None, :]
-    valid &= (us - disparity) >= half
-    return disparity, valid
+    u = np.asarray(u, dtype=int)
+    v = np.asarray(v, dtype=int)
+    patch = sliding_window_view(padded(left), (k, k))[v, u + dmax]  # (N, k, k)
+    band = sliding_window_view(padded(right), (k, k + dmax))[v, u]  # (N, k, k + D)
+    # candidate j holds the right window shifted by disparity D - j
+    candidates = sliding_window_view(band, dmax + 1, axis=2)  # (N, k, k, D + 1)
+    with np.errstate(invalid="ignore"):  # inf - inf is a bad window
+        cost = np.abs(candidates - patch[..., None]).sum(axis=(1, 2))[:, ::-1]
+        mu = patch.sum(axis=(1, 2)) / (k * k)
+        var = (patch * patch).sum(axis=(1, 2)) / (k * k) - mu * mu
+    cost[np.isnan(cost)] = np.inf
+    disparity = np.argmin(cost, axis=1)
+    valid = np.isfinite(cost[np.arange(len(disparity)), disparity]) & (var > variance_floor)
+    return disparity.astype(float), valid
 
 
 # ---------------------------------------------------------------------------

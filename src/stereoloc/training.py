@@ -1,10 +1,11 @@
 """Losses, Adam optimization, and the training loop.
 
-Each sample records one tape: extractor forward on both frames, windowed
-keypoint detection, dense soft matching, stereo 3D lifting, ground-truth
-outlier gating, then the keypoint loss (planar coordinates of gated pairs)
-plus the pose loss on the differentiable weighted-SVD alignment. Early
-stopping watches the validation loss; the best-validation weights win.
+Each sample records one tape: extractor forward on the source frame, its
+descriptors and scores on the target, windowed keypoint detection, dense
+soft matching, stereo 3D lifting, ground-truth outlier gating, then the
+keypoint loss (planar coordinates of gated pairs) plus the pose loss on the
+differentiable weighted-SVD alignment. Early stopping watches the
+validation loss; the best-validation weights win.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def build_sample_loss(
     """
     stats = SampleStats()
     fmap_s = features.forward(sample.source.left, params, cfg, tape)
-    fmap_t = features.forward(sample.target.left, params, cfg, tape)
+    fmap_t = features.forward_target(sample.target.left, params, cfg, tape)
     kps = features.extract_keypoints(fmap_s, cfg.window)
     m = matching.match_all(kps, fmap_t, tau=lcfg.tau)
 

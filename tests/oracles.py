@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from stereoloc import autodiff as ad
-from stereoloc import matching
+from stereoloc import matching, synth
 from stereoloc.autodiff import Tape, Var
 from stereoloc.errors import (
     DegenerateGeometry,
@@ -397,3 +397,70 @@ def read_run_csv(path: str | Path) -> dict:
         "pose_rmse": float(np.sqrt(np.mean(pose_err[ok] ** 2))) if ok.any() else math.nan,
         "heading_rmse": float(np.sqrt(np.mean(head_err[ok] ** 2))) if ok.any() else math.nan,
     }
+
+
+# ---------------------------------------------------------------------------
+# block matching
+
+
+# The dense matcher `synth.block_match_disparity` replaced: cumulative sums
+# over every pixel, one pass per disparity.
+def block_match_reference(
+    left: np.ndarray,
+    right: np.ndarray,
+    window: int = 5,
+    max_disparity: int = 16,
+    variance_floor: float = 1e-4,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer-disparity SAD block matching on a rectified pair.
+
+    Returns (disparity, valid). Pixels are invalid at the borders, where the
+    window's texture variance is below the floor, or where the search range
+    is cut off by the image edge.
+    """
+    left = np.asarray(left, dtype=float)
+    right = np.asarray(right, dtype=float)
+    h, w = left.shape
+    half = window // 2
+
+    def box_sum(img):
+        c = np.cumsum(np.cumsum(np.pad(img, ((1, 0), (1, 0))), axis=0), axis=1)
+        k = window
+        return c[k:, k:] - c[:-k, k:] - c[k:, :-k] + c[:-k, :-k]
+
+    # Columns with no right-image data under a shift get a huge (finite)
+    # penalty, so contaminated windows never beat a real candidate.
+    best_cost = np.full((h - 2 * half, w - 2 * half), np.inf)
+    best_d = np.zeros_like(best_cost, dtype=int)
+    for d in range(max_disparity + 1):
+        shifted = np.full_like(right, 1e6)
+        if d == 0:
+            shifted = right
+        else:
+            shifted[:, d:] = right[:, :-d]
+        cost = box_sum(np.abs(left - shifted))
+        better = cost < best_cost
+        best_cost = np.where(better, cost, best_cost)
+        best_d = np.where(better, d, best_d)
+
+    disparity = np.zeros((h, w))
+    disparity[half : h - half, half : w - half] = best_d
+    valid = np.zeros((h, w), dtype=bool)
+    valid[half : h - half, half : w - half] = True
+
+    mu = box_sum(left) / (window * window)
+    var = box_sum(left * left) / (window * window) - mu * mu
+    valid[half : h - half, half : w - half] &= var > variance_floor
+    # search must not run off the left edge
+    us = np.arange(w)[None, :]
+    valid &= (us - disparity) >= half
+    return disparity, valid
+
+
+def block_match_everywhere(left, right, **kwargs) -> tuple[np.ndarray, np.ndarray]:
+    """`synth.block_match_disparity` queried at every pixel, as (H, W)
+    (disparity, valid) maps."""
+    h, w = np.shape(left)
+    v, u = np.divmod(np.arange(h * w), w)
+    d, valid = synth.block_match_disparity(left, right, u, v, **kwargs)
+    return d.reshape(h, w), valid.reshape(h, w)

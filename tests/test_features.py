@@ -14,6 +14,7 @@ from stereoloc.features import (
     encode,
     extract_keypoints,
     forward,
+    forward_target,
     init_weights,
     load_checkpoint,
     save_checkpoint,
@@ -142,6 +143,17 @@ class TestEncodeDecode:
             assert scores.value.tobytes() == ref.scores.value.tobytes()
             assert scores.value.shape == logits.value.shape == hw
 
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_forward_target_is_forward_without_logits(self, grad):
+        image = np.random.default_rng(7).uniform(0.0, 1.0, size=(24, 32))
+        weights = init_weights(TINY)
+        ref, _, _, _ = run_forward(image, TINY, weights)
+        tape = Tape(grad=grad)
+        fmap = forward_target(image, weights.bind(tape), TINY, tape)
+        assert fmap.keypoint_logits is None
+        assert fmap.descriptors.value.tobytes() == ref.descriptors.value.tobytes()
+        assert fmap.scores.value.tobytes() == ref.scores.value.tobytes()
 
 class TestDetectKeypoints:
     def test_uniform_logits_give_window_centers(self):

@@ -131,21 +131,25 @@ class TestLocalize:
         res = localize(frames[0], teach_map.vertices[0], extractor, params, K_default)
         assert res.inliers >= 3 or res.failure
 
-    def test_vertex_block_disparity_computed_once(self, rig, K_default, monkeypatch):
+    def test_block_matching_reads_only_the_lifted_pixels(self, rig, K_default, monkeypatch):
         frames, extractor, teach_map = rig
         vertex = dataclasses.replace(teach_map.vertices[0], cache=None)
-        calls = []
+        pixels = []
         block_match = synth.block_match_disparity
 
-        def counted(left, right):
-            calls.append(1)
-            return block_match(left, right)
+        def counted(left, right, u, v):
+            pixels.append(len(u))
+            return block_match(left, right, u, v)
 
         monkeypatch.setattr(synth, "block_match_disparity", counted)
         params = LocalizeParams(mode="dense", disparity="block")
         a = localize(frames[0], vertex, extractor, params, K_default)
         b = localize(frames[0], vertex, extractor, params, K_default)
-        assert len(calls) == 3  # one per live frame, one for the vertex
+        h, w = frames[0].left.shape
+        keypoints = (h // extractor.window) * (w // extractor.window)
+        # per localization: the live keypoints, then the dense matches
+        assert len(pixels) == 4
+        assert max(pixels) <= keypoints
         assert a.inliers == b.inliers
 
 

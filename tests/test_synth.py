@@ -14,7 +14,6 @@ from stereoloc.synth import (
     PhotometricParams,
     Scene,
     SceneParams,
-    block_match_disparity,
     cast_rays,
     generate_scene,
     load_dataset,
@@ -31,7 +30,7 @@ from stereoloc.synth import (
     texture,
 )
 
-from oracles import project_points, zncc
+from oracles import block_match_everywhere, block_match_reference, project_points, zncc
 
 
 class TestScene:
@@ -169,15 +168,15 @@ class TestBlockMatching:
     def test_identical_pair_gives_zero_disparity(self):
         rng = np.random.default_rng(2)
         img = rng.uniform(size=(32, 40))
-        d, valid = block_match_disparity(img, img.copy(), window=5, max_disparity=8)
+        d, valid = block_match_everywhere(img, img.copy(), window=5, max_disparity=8)
         assert valid.any()
         assert np.array_equal(d[valid], np.zeros(valid.sum()))
 
     def test_median_error_within_one_pixel_on_rendered_pair(self, scene, K_default):
         frame = render_stereo(scene, (0.1, 0.05, 0.1), K_default,
                               CONDITIONS["identity"], (48, 64))
-        est, valid = block_match_disparity(frame.left, frame.right, window=5,
-                                           max_disparity=16)
+        est, valid = block_match_everywhere(frame.left, frame.right, window=5,
+                                            max_disparity=16)
         err = np.abs(est[valid] - frame.disparity[valid])
         assert np.median(err) <= 1.0
 
@@ -185,8 +184,102 @@ class TestBlockMatching:
         flat = np.full((24, 32), 0.5)
         rng = np.random.default_rng(3)
         flat[:, 20:] = rng.uniform(size=(24, 12))
-        d, valid = block_match_disparity(flat, flat.copy(), window=5, max_disparity=6)
+        d, valid = block_match_everywhere(flat, flat.copy(), window=5, max_disparity=6)
         assert not valid[8:16, 4:14].any()
+
+
+
+def _textureless_pair():
+    flat = np.full((24, 32), 0.5)
+    flat[:, 20:] = np.random.default_rng(3).uniform(size=(24, 12))
+    return flat, flat.copy()
+
+
+def _identical_random_pair():
+    img = np.random.default_rng(2).uniform(size=(32, 40))
+    return img, img.copy()
+
+
+class TestBlockMatchPointQuery:
+    """The point-query matcher, asked at every pixel, is the dense SAD
+    matcher it replaced, bit for bit; a bad or tiny frame is data."""
+
+    @pytest.fixture(scope="class")
+    def day_frames(self, scene, K_default):
+        poses = path_poses(4)
+        frames = []
+        for i, cond in enumerate(DAY_SCHEDULE):
+            frames += render_sequence(scene, poses, cond, K_default, (48, 64), seed=70 + i)
+        return frames
+
+    def assert_matches_reference(self, left, right, **kwargs):
+        d_ref, valid_ref = block_match_reference(left, right, **kwargs)
+        d, valid = block_match_everywhere(left, right, **kwargs)
+        assert d.tobytes() == d_ref.tobytes()
+        assert valid.tobytes() == valid_ref.tobytes()
+        return valid_ref
+
+    def test_bitwise_equal_to_dense_on_every_day_condition(self, day_frames):
+        valid = [self.assert_matches_reference(f.left, f.right) for f in day_frames]
+        assert sum(int(v.sum()) for v in valid) > 0.5 * sum(v.size for v in valid)
+
+    def test_bitwise_equal_to_dense_on_float32_round_trips(self, day_frames):
+        f32 = lambda a: np.asarray(a, dtype="<f4").astype(float)  # noqa: E731
+        for f in day_frames[::4]:
+            self.assert_matches_reference(f32(f.left), f32(f.right))
+
+    @pytest.mark.parametrize("pair", [_identical_random_pair, _textureless_pair])
+    @pytest.mark.parametrize("max_disparity", [6, 8, 16])
+    def test_bitwise_equal_to_dense_on_synthetic_pairs(self, pair, max_disparity):
+        self.assert_matches_reference(*pair(), window=5, max_disparity=max_disparity)
+
+    def test_a_query_reads_only_its_own_pixels(self, day_frames):
+        f = day_frames[0]
+        d_all, valid_all = block_match_everywhere(f.left, f.right)
+        rng = np.random.default_rng(5)
+        u, v = rng.integers(0, 64, size=48), rng.integers(0, 48, size=48)
+        d, valid = synth.block_match_disparity(f.left, f.right, u, v)
+        assert d.tobytes() == d_all[v, u].tobytes()
+        assert valid.tobytes() == valid_all[v, u].tobytes()
+        d, valid = synth.block_match_disparity(f.left, f.right, u[:0], v[:0])
+        assert d.shape == valid.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 40), (40, 3), (4, 4)])
+    def test_image_smaller_than_the_window_is_all_invalid(self, shape):
+        img = np.random.default_rng(6).uniform(size=shape)
+        d, valid = block_match_everywhere(img, np.roll(img, 1, axis=1))
+        assert d.shape == valid.shape == shape
+        assert not valid.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_left_patch_invalidates_only_its_windows(self, noon_frame, bad):
+        f = noon_frame
+        d_clean, valid_clean = block_match_everywhere(f.left, f.right)
+        left = f.left.copy()
+        left[20:22, 30:33] = bad
+        d, valid = block_match_everywhere(left, f.right)
+        touched = np.zeros(left.shape, dtype=bool)
+        touched[18:24, 28:35] = True  # windows (5x5) holding a bad pixel
+        assert not valid[touched].any()
+        assert d[~touched].tobytes() == d_clean[~touched].tobytes()
+        assert valid[~touched].tobytes() == valid_clean[~touched].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_right_patch_never_wins(self, noon_frame, bad):
+        f = noon_frame
+        d_clean, valid_clean = block_match_everywhere(f.left, f.right)
+        right = f.right.copy()
+        right[20, 30] = bad
+        d, valid = block_match_everywhere(f.left, right)
+        vs, us = np.mgrid[0:48, 0:64]
+        # pixel (v, u) can see the bad pixel through a candidate disparity
+        # in 0..16 when its right windows span columns u-18 .. u+2
+        reach = (np.abs(vs - 20) <= 2) & (us - 30 >= -2) & (us - 30 <= 18)
+        assert d[~reach].tobytes() == d_clean[~reach].tobytes()
+        assert valid[~reach].tobytes() == valid_clean[~reach].tobytes()
+        chosen_sees_it = (np.abs(vs - 20) <= 2) & (np.abs(us - d - 30) <= 2)
+        assert not (valid & chosen_sees_it).any()
+        assert valid[reach].any()
 
 
 class TestDatasets:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stereoloc import autodiff as ad
 from stereoloc import features, synth, training
 from stereoloc.errors import ConfigError
 from stereoloc.geometry import PlanarPose, planar_to_se3
@@ -178,6 +179,22 @@ class TestSampleLoss:
         assert np.float64(mean).tobytes() == np.float64(with_grads[0]).tobytes()
         assert repr(stats) == repr(with_grads[2])  # repr: exact floats, NaN == NaN
         assert any(not s.skipped for s in stats)
+
+    def test_target_pass_runs_no_keypoint_branch(self, small_data, monkeypatch):
+        samples, K = small_data
+        w = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=7))
+        convs = []
+        conv2d = ad.conv2d
+
+        def counted(*args):
+            convs.append(1)
+            return conv2d(*args)
+
+        monkeypatch.setattr(ad, "conv2d", counted)
+        total_loss(samples[:1], w, LossConfig(), K)
+        # 10 for the source's full forward, 7 for the target's descriptors
+        # and scores (3 encoder, bottleneck, 3 score decoder)
+        assert len(convs) == 17
 
     def test_loss_config_validation(self):
         with pytest.raises(ValueError):
