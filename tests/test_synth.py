@@ -188,7 +188,6 @@ class TestBlockMatching:
         assert not valid[8:16, 4:14].any()
 
 
-
 def _textureless_pair():
     flat = np.full((24, 32), 0.5)
     flat[:, 20:] = np.random.default_rng(3).uniform(size=(24, 12))
@@ -244,7 +243,8 @@ class TestBlockMatchPointQuery:
         d, valid = synth.block_match_disparity(f.left, f.right, u[:0], v[:0])
         assert d.shape == valid.shape == (0,)
 
-    @pytest.mark.parametrize("shape", [(1, 1), (3, 40), (40, 3), (4, 4)])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 40), (40, 3), (4, 4)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
     def test_image_smaller_than_the_window_is_all_invalid(self, shape):
         img = np.random.default_rng(6).uniform(size=shape)
         d, valid = block_match_everywhere(img, np.roll(img, 1, axis=1))
