@@ -153,6 +153,21 @@ class TestLocalize:
         assert a.inliers == b.inliers
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_right_patch_costs_only_the_keypoints_that_see_it(
+        self, rig, K_default, bad
+    ):
+        frames, extractor, teach_map = rig
+        f = frames[0]
+        right = f.right.copy()
+        right[10:30, 10:40] = bad
+        patched = StereoFrame(f.left, right, f.disparity, f.pose)
+        params = LocalizeParams(mode="sparse", disparity="block")
+        clean = localize(f, teach_map.vertices[0], extractor, params, K_default)
+        res = localize(patched, teach_map.vertices[0], extractor, params, K_default)
+        assert not res.failure
+        assert 0 < res.inliers < clean.inliers
+
 class TestRepeat:
     def test_self_repeat_sparse_is_clean(self, rig, K_default):
         frames, extractor, teach_map = rig
