@@ -13,8 +13,6 @@ codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 import tempfile
@@ -22,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import estimator, features, harness, synth, training
+from . import estimator, features, harness, storage, synth, training
 from .errors import ConfigError, StereolocError
 
 RUN_DIR_ENV = "STEREOLOC_RUN_DIR"
@@ -46,32 +44,21 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """File values fill in flags the user left at their defaults; explicit
-    command-line flags win."""
-    if not getattr(args, "config", None):
-        return
-    file_values = read_config_file(args.config)
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The config file's values for this subcommand, typed like the flags
+    they stand in for. They become the subcommand's defaults, so a flag
+    given on the command line, in any form argparse accepts, wins."""
     prefix = args.command + "."
-    for key, value in file_values.items():
+    defaults = {}
+    for key, value in read_config_file(args.config).items():
         if not key.startswith(prefix):
             continue
         dest = key[len(prefix) :].replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in vars(args) or dest in ("command", "func"):
             raise ConfigError(f"unknown config key {key}")
-        if _flag_given(dest, argv):
-            continue
         current = getattr(args, dest)
-        caster = type(current) if current is not None else str
-        if caster is bool:
-            setattr(args, dest, value.lower() in ("1", "true", "yes"))
-        else:
-            setattr(args, dest, caster(value))
-
-
-def _flag_given(dest: str, argv: list[str]) -> bool:
-    flag = "--" + dest.replace("_", "-")
-    return any(a == flag or a.startswith(flag + "=") for a in argv)
+        defaults[dest] = value if current is None else type(current)(value)
+    return defaults
 
 
 def _write_run_manifest(out_dir: Path, args: argparse.Namespace) -> None:
@@ -80,11 +67,8 @@ def _write_run_manifest(out_dir: Path, args: argparse.Namespace) -> None:
         for k, v in sorted(vars(args).items())
         if k != "func"
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "run_manifest.json").write_text(
-        json.dumps({"command": args.command, "config": resolved}, indent=2, sort_keys=True)
-        + "\n"
-    )
+    storage.write_json(out_dir / "run_manifest.json",
+                       {"command": args.command, "config": resolved})
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -278,7 +262,7 @@ def cmd_repeat(args) -> int:
         "pose_rmse": report.pose_rmse,
         "heading_rmse": report.heading_rmse,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    storage.write_json(out / "summary.json", summary)
     _write_run_manifest(out, args)
     print(
         f"repeat {record.name}: mean inliers {report.mean_inliers:.1f}, "
@@ -289,22 +273,19 @@ def cmd_repeat(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.out) if args.out else _default_out("report")
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for run_dir in args.runs:
         run_dir = Path(run_dir)
         summary_path = run_dir / "summary.json"
         if not summary_path.is_file():
             raise ConfigError(f"{run_dir} has no summary.json (not a repeat output?)")
-        summary = json.loads(summary_path.read_text())
-        manifest = json.loads((run_dir / "run_manifest.json").read_text())
+        summary = storage.read_json(summary_path)
+        manifest = storage.read_json(run_dir / "run_manifest.json")
         rows.append({"run": run_dir.name, **summary,
                      "condition": manifest["config"].get("name") or "unknown"})
     table = out / "aggregate.csv"
-    with open(table, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    header = list(rows[0])
+    storage.write_csv(table, header, [[row.get(k, "") for k in header] for row in rows])
     _write_run_manifest(out, args)
     print(f"aggregated {len(rows)} runs into {table}")
     return 0
@@ -313,7 +294,8 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and, by name, each subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="stereoloc",
         description="Differentiable stereo localization toolkit",
@@ -335,20 +317,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--of", help="teach sequence to align a repeat to")
     p.set_defaults(func=cmd_synth)
 
+    tcfg, lcfg = training.TrainConfig(), training.LossConfig()
     p = sub.add_parser("train", help="train the extractor")
     common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--lr", type=float, default=1e-5)
-    p.add_argument("--batch-size", type=int, default=4)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--patience", type=int, default=5)
+    p.add_argument("--lr", type=float, default=tcfg.learning_rate)
+    p.add_argument("--batch-size", type=int, default=tcfg.batch_size)
+    p.add_argument("--epochs", type=int, default=tcfg.max_epochs)
+    p.add_argument("--patience", type=int, default=tcfg.early_stop_patience)
     p.add_argument("--val-fraction", type=float, default=0.2)
     p.add_argument("--window", type=int, default=8)
     p.add_argument("--channels", default="8,16,32")
-    p.add_argument("--tau", type=float, default=50.0)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--keypoint-weight", type=float, default=1.0)
-    p.add_argument("--gate-threshold", type=float, default=0.5)
+    p.add_argument("--tau", type=float, default=lcfg.tau)
+    p.add_argument("--lam", type=float, default=lcfg.lam)
+    p.add_argument("--keypoint-weight", type=float, default=lcfg.keypoint_weight)
+    p.add_argument("--gate-threshold", type=float, default=lcfg.gate_threshold)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval-grad", help="finite-difference gradient cross-check")
@@ -369,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disparity", choices=["gt", "block"], default="gt")
     p.set_defaults(func=cmd_teach)
 
+    loc = harness.LocalizeParams()
     p = sub.add_parser("repeat", help="localize a sequence against a map")
     common(p)
     p.add_argument("--map", required=True)
@@ -376,13 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt")
     p.add_argument("--features", choices=["learned", "analytic"], default="learned")
     p.add_argument("--window", type=int, default=8)
-    p.add_argument("--mode", choices=["dense", "sparse"], default="dense")
-    p.add_argument("--tau", type=float, default=harness.DEFAULT_LOCALIZE_TAU)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--inlier-threshold", type=float, default=0.1)
-    p.add_argument("--min-inliers", type=int, default=6)
-    p.add_argument("--failure-inliers", type=int, default=20)
-    p.add_argument("--disparity", choices=["gt", "block"], default="gt")
+    p.add_argument("--mode", choices=["dense", "sparse"], default=loc.mode)
+    p.add_argument("--tau", type=float, default=loc.tau)
+    p.add_argument("--iterations", type=int, default=loc.ransac.iterations)
+    p.add_argument("--inlier-threshold", type=float, default=loc.ransac.inlier_threshold)
+    p.add_argument("--min-inliers", type=int, default=loc.ransac.min_inliers)
+    p.add_argument("--failure-inliers", type=int, default=loc.failure_inliers)
+    p.add_argument("--disparity", choices=["gt", "block"], default=loc.disparity)
     p.add_argument("--name", help="run name for reports")
     p.set_defaults(func=cmd_repeat)
 
@@ -391,15 +375,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", nargs="+", required=True)
     p.set_defaults(func=cmd_report)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    effective = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(effective)
+    parser, subcommands = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(argv)
     try:
-        _merge_config(args, effective)
+        if args.config:
+            subcommands[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, FileNotFoundError, ValueError) as e:
         print(f"error: data: {e}", file=sys.stderr)

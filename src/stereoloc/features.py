@@ -29,6 +29,12 @@ class ExtractorConfig:
     window: int = 16
     seed: int = 0
 
+    def __post_init__(self):
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if not self.channels or min(self.channels) < 1:
+            raise ValueError("channels must be a nonempty list of positive counts")
+
     @property
     def descriptor_dim(self) -> int:
         return sum(self.channels)
@@ -322,9 +328,7 @@ def save_checkpoint(
 
 def load_checkpoint(directory: str | Path) -> tuple[ExtractorWeights, dict]:
     directory = Path(directory)
-    manifest = storage.read_manifest(directory)
-    if manifest.get("kind") != "checkpoint":
-        raise ValueError(f"{directory} is not a checkpoint")
+    manifest = storage.read_manifest(directory, "checkpoint")
     if manifest["activation"] != ACTIVATION:
         raise ValueError(f"unsupported activation {manifest['activation']!r}")
     cfg = ExtractorConfig(

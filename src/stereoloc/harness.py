@@ -10,7 +10,6 @@ the threshold (default 20).
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -64,6 +63,10 @@ class LearnedExtractor:
 @dataclass
 class AnalyticExtractor:
     window: int = 8
+
+    def __post_init__(self):
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
 
     @property
     def ident(self) -> str:
@@ -345,19 +348,16 @@ RUN_CSV_FIELDS = ["frame", "inliers", "failure", "pose_error", "heading_error"]
 def write_run_csv(report: RunReport, path: str | Path) -> None:
     """Per-frame rows; aggregates in RunReport are all recomputable from
     these columns."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(RUN_CSV_FIELDS)
-        for i, (r, gt) in enumerate(zip(report.results, report.gt_offsets)):
-            if r.failure or r.planar is None:
-                pose_err = math.nan
-                head_err = math.nan
-            else:
-                pose_err = math.hypot(r.planar.alpha - gt.alpha, r.planar.beta - gt.beta)
-                head_err = abs(wrap_angle(r.planar.gamma - gt.gamma))
-            writer.writerow([i, r.inliers, int(r.failure), repr(pose_err), repr(head_err)])
+    rows = []
+    for i, (r, gt) in enumerate(zip(report.results, report.gt_offsets)):
+        if r.failure or r.planar is None:
+            pose_err = math.nan
+            head_err = math.nan
+        else:
+            pose_err = math.hypot(r.planar.alpha - gt.alpha, r.planar.beta - gt.beta)
+            head_err = abs(wrap_angle(r.planar.gamma - gt.gamma))
+        rows.append([i, r.inliers, int(r.failure), repr(pose_err), repr(head_err)])
+    storage.write_csv(path, RUN_CSV_FIELDS, rows)
 
 
 @dataclass
@@ -375,7 +375,6 @@ def emit_report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
     if not records:
         raise ValueError("no runs to report")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for rec in records:
         path = out_dir / f"run_{rec.name}.csv"
@@ -389,14 +388,10 @@ def emit_report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
         for r in records
     }
     matrix_path = out_dir / "condition_matrix.csv"
-    with open(matrix_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["teach\\repeat"] + repeat_conds)
-        for tc in teach_conds:
-            row = [tc] + [
-                repr(by_pair.get((tc, rc), math.nan)) for rc in repeat_conds
-            ]
-            writer.writerow(row)
+    storage.write_csv(matrix_path, ["teach\\repeat"] + repeat_conds, [
+        [tc] + [repr(by_pair.get((tc, rc), math.nan)) for rc in repeat_conds]
+        for tc in teach_conds
+    ])
     written.append(matrix_path)
     return written
 
@@ -438,25 +433,18 @@ def save_map(directory: str | Path, teach_map: TeachMap) -> None:
 
 def load_map(directory: str | Path) -> TeachMap:
     directory = Path(directory)
-    manifest = storage.read_manifest(directory)
-    if manifest.get("kind") != "map":
-        raise ValueError(f"{directory} is not a map")
+    manifest = storage.read_manifest(directory, "map")
     h, w = manifest["image_size"]
     K = synth.camera_from_dict(manifest["camera"])
     vertices = []
     for e in manifest["vertices"]:
-        blob = storage.read_blob(directory / e["frame_file"], (3 * h * w,))
-        frame = synth.frame_from_blob(blob, h, w, e["world_pose"])
+        blob = storage.read_blob(directory / e["frame_file"], (3, h, w))
+        frame = StereoFrame(*blob, np.asarray(e["world_pose"], float))
         n, dd = e["n"], e["d"]
-        feats = storage.read_blob(
-            directory / e["feats_file"], (n * 2 + n * dd + n + n * 3,)
-        )
-        coords = feats[: 2 * n].reshape(n, 2)
-        desc = feats[2 * n : 2 * n + n * dd].reshape(n, dd)
-        scores = feats[2 * n + n * dd : 2 * n + n * dd + n]
-        p3d = feats[2 * n + n * dd + n :].reshape(n, 3)
+        feats = storage.read_blob(directory / e["feats_file"], (n * (2 + dd + 1 + 3),))
+        coords, desc, scores, p3d = np.split(feats, np.cumsum([2 * n, n * dd, n]))
         vertices.append(
-            MapVertex(e["id"], np.asarray(e["world_pose"], float), coords, desc,
-                      scores, p3d, frame)
+            MapVertex(e["id"], np.asarray(e["world_pose"], float), coords.reshape(n, 2),
+                      desc.reshape(n, dd), scores, p3d.reshape(n, 3), frame)
         )
     return TeachMap(vertices, K, manifest["window"], manifest["extractor"])

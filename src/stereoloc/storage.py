@@ -1,15 +1,21 @@
-"""Manifest + raw-blob persistence.
+"""Every file the toolkit writes: manifests, raw blobs, JSON and CSV.
 
 Every on-disk artifact (checkpoint, dataset, map) is a directory holding a
 `manifest.json` plus raw little-endian float32 tensor blobs. A blob file is
 the row-major array data with no header; its shape lives in the manifest
-entry that references it. Writes are atomic enough for our purposes (full
-rewrite); all paths in manifests are relative to the directory.
+entry that references it. Run directories add JSON and CSV side files.
+Each write goes to a temporary file beside its target, which is then
+renamed over the target, so a reader sees the old file or the new one and
+never a partial one. Writers put the manifest last, so a directory with a
+manifest is complete. All paths in manifests are relative to the directory.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +23,22 @@ import numpy as np
 MANIFEST_NAME = "manifest.json"
 
 
-def write_blob(path: Path, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr, dtype="<f4")
+def _write_atomic(path: Path, data) -> None:
+    """Write `data` (any bytes-like object) to a temporary file beside
+    `path`, then rename it over `path`."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    arr.tofile(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_blob(path: Path, arr: np.ndarray) -> None:
+    _write_atomic(path, np.ascontiguousarray(arr, dtype="<f4").data)
 
 
 def read_blob(path: Path, shape) -> np.ndarray:
@@ -31,21 +49,37 @@ def read_blob(path: Path, shape) -> np.ndarray:
     return data.reshape(shape).astype(float)
 
 
-def write_manifest(directory: Path, manifest: dict) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(manifest, indent=2, sort_keys=True)
-    (directory / MANIFEST_NAME).write_text(text + "\n")
+def write_json(path: Path, obj) -> None:
+    _write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 class _Manifest(dict):
-    """A JSON object of a manifest: a missing key is a data error."""
+    """A JSON object read from disk: a missing key is a data error."""
 
     def __missing__(self, key):
         raise ValueError(f"manifest entry lacks key {key!r}")
 
 
-def read_manifest(directory: Path) -> dict:
+def read_json(path: Path) -> dict:
+    return json.loads(Path(path).read_text(), object_hook=_Manifest)
+
+
+def write_csv(path: Path, header: list, rows) -> None:
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    _write_atomic(path, text.getvalue().encode())
+
+
+def write_manifest(directory: Path, manifest: dict) -> None:
+    write_json(Path(directory) / MANIFEST_NAME, manifest)
+
+
+def read_manifest(directory: Path, kind: str) -> dict:
+    """The directory's manifest, which must be of the given kind."""
     path = Path(directory) / MANIFEST_NAME
     if not path.is_file():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
-    return json.loads(path.read_text(), object_hook=_Manifest)
+    manifest = read_json(path)
+    if manifest.get("kind") != kind:
+        raise ValueError(f"{directory} holds a {manifest.get('kind')!r} manifest, not {kind!r}")
+    return manifest

@@ -416,19 +416,8 @@ class Sample:
 
 
 def frame_blob(frame: StereoFrame) -> np.ndarray:
-    return np.concatenate(
-        [frame.left.ravel(), frame.right.ravel(), frame.disparity.ravel()]
-    )
-
-
-def frame_from_blob(blob: np.ndarray, h: int, w: int, pose) -> StereoFrame:
-    n = h * w
-    return StereoFrame(
-        blob[:n].reshape(h, w),
-        blob[n : 2 * n].reshape(h, w),
-        blob[2 * n :].reshape(h, w),
-        np.asarray(pose, float) if pose is not None else None,
-    )
+    """A frame as stored: the (3, H, W) stack of left, right and disparity."""
+    return np.stack([frame.left, frame.right, frame.disparity])
 
 
 def camera_dict(K: CameraIntrinsics) -> dict:
@@ -477,7 +466,7 @@ def make_dataset(
         tgt = render_stereo(scene, tgt_pose, K, CONDITIONS[tgt_cond], size,
                             noise_seed=seed * 1000003 + 2 * i + 1)
         fname = f"sample_{i:05d}.f32"
-        storage.write_blob(out_dir / fname, np.concatenate([frame_blob(src), frame_blob(tgt)]))
+        storage.write_blob(out_dir / fname, np.stack([frame_blob(src), frame_blob(tgt)]))
         samples.append({
             "file": fname,
             "pose": [pp.alpha, pp.beta, pp.gamma],
@@ -501,17 +490,14 @@ def make_dataset(
 
 def load_dataset(directory: str | Path) -> tuple[list[Sample], dict]:
     directory = Path(directory)
-    manifest = storage.read_manifest(directory)
-    if manifest.get("kind") != "pairs":
-        raise ValueError(f"{directory} is not a pairs dataset")
+    manifest = storage.read_manifest(directory, "pairs")
     h, w = manifest["image_size"]
-    n = h * w
     samples = []
     for entry in manifest["samples"]:
-        blob = storage.read_blob(directory / entry["file"], (6 * n,))
-        src = frame_from_blob(blob[: 3 * n], h, w, entry["src_pose"])
-        tgt = frame_from_blob(blob[3 * n :], h, w, entry["tgt_pose"])
-        samples.append(Sample(src, tgt, PlanarPose(*entry["pose"])))
+        src, tgt = storage.read_blob(directory / entry["file"], (2, 3, h, w))
+        samples.append(Sample(StereoFrame(*src, np.asarray(entry["src_pose"], float)),
+                              StereoFrame(*tgt, np.asarray(entry["tgt_pose"], float)),
+                              PlanarPose(*entry["pose"])))
     return samples, manifest
 
 
@@ -544,12 +530,10 @@ def save_sequence(
 
 def load_sequence(directory: str | Path) -> tuple[list[StereoFrame], dict]:
     directory = Path(directory)
-    manifest = storage.read_manifest(directory)
-    if manifest.get("kind") != "sequence":
-        raise ValueError(f"{directory} is not a sequence")
+    manifest = storage.read_manifest(directory, "sequence")
     h, w = manifest["image_size"]
     frames = []
     for entry in manifest["frames"]:
-        blob = storage.read_blob(directory / entry["file"], (3 * h * w,))
-        frames.append(frame_from_blob(blob, h, w, entry["pose"]))
+        blob = storage.read_blob(directory / entry["file"], (3, h, w))
+        frames.append(StereoFrame(*blob, np.asarray(entry["pose"], float)))
     return frames, manifest

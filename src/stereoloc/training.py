@@ -10,7 +10,6 @@ validation loss; the best-validation weights win.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import estimator, features, matching
+from . import estimator, features, matching, storage
 from .autodiff import Tape, Var
 from .errors import ConfigError, DegenerateGeometry, DegenerateGradient
 from .geometry import CameraIntrinsics, PlanarPose, planar_to_se3
@@ -50,6 +49,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
 
@@ -329,20 +330,10 @@ def train(
             best_weights,
             extra={"tau": lcfg.tau, "best_epoch": best_epoch, "seed": tcfg.seed},
         )
-        write_curves(out_dir / "loss_curves.csv", curves)
+        storage.write_csv(out_dir / "loss_curves.csv", list(curves[0]), [
+            [repr(v) if isinstance(v, float) else v for v in row.values()] for row in curves
+        ])
     return TrainResult(best_weights, curves, best_epoch, stopped)
-
-
-def write_curves(path: str | Path, curves: list[dict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(
-            f, fieldnames=["epoch", "train_loss", "val_loss", "val_pose_err"]
-        )
-        writer.writeheader()
-        for row in curves:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
 
 
 def split_dataset(

@@ -1,7 +1,10 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
-from stereoloc import storage, synth
+from stereoloc import harness, storage, synth
 from stereoloc.cli import main, read_config_file
 
 
@@ -24,11 +27,75 @@ class TestStorage:
 
     def test_manifest_roundtrip(self, tmp_path):
         storage.write_manifest(tmp_path, {"kind": "test", "value": 3})
-        assert storage.read_manifest(tmp_path) == {"kind": "test", "value": 3}
+        assert storage.read_manifest(tmp_path, "test") == {"kind": "test", "value": 3}
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            storage.read_manifest(tmp_path / "nope")
+            storage.read_manifest(tmp_path / "nope", "pairs")
+
+    @pytest.mark.parametrize("write", [
+        lambda path: storage.write_blob(path, np.ones(3)),
+        lambda path: storage.write_json(path, {"a": 1}),
+        lambda path: storage.write_csv(path, ["a"], [[1]]),
+    ], ids=["blob", "json", "csv"])
+    @pytest.mark.parametrize("existed", [True, False], ids=["replace", "create"])
+    def test_failed_rename_keeps_target_and_leaves_no_temp_file(
+        self, tmp_path, monkeypatch, write, existed
+    ):
+        target = tmp_path / "target"
+        if existed:
+            target.write_bytes(b"old bytes")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            write(target)
+        assert [p.name for p in tmp_path.iterdir()] == (["target"] if existed else [])
+        if existed:
+            assert target.read_bytes() == b"old bytes"
+
+    def test_blob_byte_layouts(self, tmp_path):
+        """Raw file bytes, little-endian float32: a sequence frame is left |
+        right | disparity, a pairs sample is its source frame then its
+        target frame, and a map vertex's features blob is coords |
+        descriptors | scores | points3d."""
+
+        def f32(*arrays):
+            return np.concatenate([np.ravel(a) for a in arrays]).astype("<f4").tobytes()
+
+        def manifest(directory):
+            return json.loads((directory / "manifest.json").read_text())
+
+        scene = synth.generate_scene(3)
+        size = (48, 64)
+        K = synth.default_intrinsics(64, 48)
+        frames = synth.render_sequence(scene, synth.path_poses(2), "noon", K, size, seed=1)
+        seq = synth.save_sequence(tmp_path / "seq", frames, K, "noon", 1)
+        entries = manifest(seq)["frames"]
+        for frame, entry in zip(frames, entries):
+            raw = (seq / entry["file"]).read_bytes()
+            assert raw == f32(frame.left, frame.right, frame.disparity)
+
+        # the noiseless "identity" condition lets a fresh render stand in
+        pairs = synth.make_dataset(tmp_path / "pairs", scene, count=2, seed=5, size=size,
+                                   schedule=("identity",))
+        for entry in manifest(pairs)["samples"]:
+            src, tgt = (synth.render_stereo(scene, entry[key], K, synth.CONDITIONS["identity"],
+                                            size) for key in ("src_pose", "tgt_pose"))
+            assert (pairs / entry["file"]).read_bytes() == f32(
+                src.left, src.right, src.disparity, tgt.left, tgt.right, tgt.disparity
+            )
+
+        teach_map = harness.teach(frames, harness.AnalyticExtractor(window=8), K)
+        harness.save_map(tmp_path / "map", teach_map)
+        entries = manifest(tmp_path / "map")["vertices"]
+        for v, entry in zip(teach_map.vertices, entries):
+            raw = (tmp_path / "map" / entry["feats_file"]).read_bytes()
+            assert raw == f32(v.coords, v.descriptors, v.scores, v.points3d)
+            raw = (tmp_path / "map" / entry["frame_file"]).read_bytes()
+            assert raw == f32(v.frame.left, v.frame.right, v.frame.disparity)
 
 
 class TestConfigFile:
@@ -57,7 +124,7 @@ class TestSubcommands:
         out = workdir / "data"
         assert main(["synth", "--kind", "pairs", "--count", "4", "--size", "32x24",
                      "--seed", "7", "--scene-seed", "3", "--out", str(out)]) == 0
-        manifest = storage.read_manifest(out)
+        manifest = storage.read_manifest(out, "pairs")
         assert manifest["kind"] == "pairs"
         assert len(manifest["samples"]) == 4
         assert (out / "run_manifest.json").is_file()
@@ -83,7 +150,7 @@ class TestSubcommands:
 
         assert main(["teach", "--frames", str(teach_seq), "--ckpt",
                      str(run / "checkpoint"), "--out", str(map_dir)]) == 0
-        assert storage.read_manifest(map_dir)["kind"] == "map"
+        assert storage.read_manifest(map_dir, "map")["kind"] == "map"
 
         # localization failures are data, not errors: exit 0 regardless
         assert main(["repeat", "--map", str(map_dir), "--frames", str(night_seq),
@@ -110,7 +177,7 @@ class TestSubcommands:
         cfg.write_text("synth.count = 2\nsynth.size = 32x24\n")
         assert main(["synth", "--config", str(cfg), "--scene-seed", "3",
                      "--out", str(out)]) == 0
-        manifest = storage.read_manifest(out)
+        manifest = storage.read_manifest(out, "pairs")
         assert len(manifest["samples"]) == 2  # file value applied
 
     def test_flag_overrides_config_file(self, workdir, tmp_path):
@@ -119,7 +186,29 @@ class TestSubcommands:
         cfg.write_text("synth.count = 2\nsynth.size = 32x24\n")
         assert main(["synth", "--config", str(cfg), "--count", "3", "--scene-seed", "3",
                      "--out", str(out)]) == 0
-        assert len(storage.read_manifest(out)["samples"]) == 3
+        assert len(storage.read_manifest(out, "pairs")["samples"]) == 3
+
+    @pytest.mark.parametrize("flag", [["--count=3"], ["--coun", "3"], ["--coun=3"]])
+    def test_flag_in_any_form_overrides_config_file(self, tmp_path, flag):
+        cfg = tmp_path / "exp.cfg"
+        out = tmp_path / "data"
+        cfg.write_text("synth.count = 2\nsynth.size = 32x24\n")
+        assert main(["synth", "--config", str(cfg), *flag, "--scene-seed", "3",
+                     "--out", str(out)]) == 0
+        assert len(json.loads((out / "manifest.json").read_text())["samples"]) == 3
+        config = json.loads((out / "run_manifest.json").read_text())["config"]
+        assert (config["count"], config["size"]) == (3, "32x24")
+
+    @pytest.mark.parametrize("line, message", [
+        ("synth.count = many", "invalid literal for int()"),
+        ("synth.func = cmd_train", "unknown config key synth.func"),
+    ])
+    def test_bad_config_entry_is_3(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        capsys.readouterr()
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+        assert "error: data: " + message in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -139,6 +228,31 @@ class TestExitCodes:
     def test_missing_input_is_3(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "missing"),
                      "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("flags, setting", [
+        (["--window", "0"], "window"),
+        (["--channels", "0"], "channels"),
+        (["--batch-size", "0"], "batch_size"),
+    ])
+    def test_bad_training_setting_is_3(self, tmp_path, capsys, flags, setting):
+        data = tmp_path / "data"
+        assert main(["synth", "--kind", "pairs", "--count", "4", "--size", "32x24",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--channels", "2,3,4", "--epochs", "1",
+                     *flags, "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert "error: data: " in err and setting in err
+
+    def test_analytic_window_of_zero_is_3(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(seq)]) == 0
+        capsys.readouterr()
+        assert main(["teach", "--frames", str(seq), "--features", "analytic",
+                     "--window", "0", "--out", str(tmp_path / "map")]) == 3
+        err = capsys.readouterr().err
+        assert "error: data: " in err and "window" in err
 
     def test_teach_without_checkpoint_is_3(self, tmp_path):
         assert main(["teach", "--frames", str(tmp_path / "nope"),
@@ -194,7 +308,7 @@ class TestExitCodes:
         features.save_checkpoint(
             ckpt, features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8))
         )
-        manifest = storage.read_manifest(ckpt)
+        manifest = storage.read_manifest(ckpt, "checkpoint")
         del manifest["activation"]
         storage.write_manifest(ckpt, manifest)
         capsys.readouterr()
@@ -207,7 +321,7 @@ class TestExitCodes:
         seq = tmp_path / "seq"
         assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
                      "--seed", "7", "--scene-seed", "3", "--out", str(seq)]) == 0
-        manifest = storage.read_manifest(seq)
+        manifest = storage.read_manifest(seq, "sequence")
         del manifest["camera"]
         storage.write_manifest(seq, manifest)
         capsys.readouterr()
@@ -229,7 +343,7 @@ class TestExitCodes:
         map_dir = tmp_path / "map"
         assert main(["teach", "--frames", str(seq), "--features", "analytic",
                      "--out", str(map_dir)]) == 0
-        manifest = storage.read_manifest(seq)
+        manifest = storage.read_manifest(seq, "sequence")
         manifest["frames"] = []
         storage.write_manifest(seq, manifest)
         capsys.readouterr()

@@ -77,3 +77,33 @@ def test_no_module_reads_a_private_name_of_a_sibling():
             ):
                 reads.append(f"{path.stem}: {aliases[node.value.id]}.{node.attr}")
     assert not reads, "private names read across modules:\n" + "\n".join(sorted(set(reads)))
+
+
+FILE_WRITERS = {"open", "write_text", "write_bytes", "tofile", "mkdir"}
+SERIALISERS = {"json", "csv"}
+
+
+def test_only_storage_writes_files():
+    """`storage` is the one module that writes a file or (de)serialises JSON
+    or CSV, so every write goes through its atomic replace. Reading text, as
+    the CLI reads its config file, is allowed anywhere."""
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "storage":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in FILE_WRITERS:
+                    offences.append(f"{path.stem}:{node.lineno}: calls {name}")
+            elif isinstance(node, ast.Import):
+                offences += [
+                    f"{path.stem}:{node.lineno}: imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.split(".")[0] in SERIALISERS
+                ]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module.split(".")[0] in SERIALISERS:
+                    offences.append(f"{path.stem}:{node.lineno}: imports from {node.module}")
+    assert not offences, "file writes outside storage:\n" + "\n".join(offences)
