@@ -5,9 +5,11 @@ Every on-disk artifact (checkpoint, dataset, map) is a directory holding a
 the row-major array data with no header; its shape lives in the manifest
 entry that references it. Run directories add JSON and CSV side files.
 Each write goes to a temporary file beside its target, which is then
-renamed over the target, so a reader sees the old file or the new one and
-never a partial one. Writers put the manifest last, so a directory with a
-manifest is complete. All paths in manifests are relative to the directory.
+renamed over the target, so a reader, or a run killed mid-write, finds the
+old file or the new one and never a partial one (nothing is fsynced, so
+this does not extend to a machine crash). Writers put the manifest last,
+so a directory with a manifest is complete. All paths in manifests are
+relative to the directory.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ def read_manifest(directory: Path, kind: str) -> dict:
     if not path.is_file():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
     manifest = read_json(path)
-    if manifest.get("kind") != kind:
-        raise ValueError(f"{directory} holds a {manifest.get('kind')!r} manifest, not {kind!r}")
+    found = manifest.get("kind")
+    if found != kind:
+        raise ValueError(f"{directory} holds a {found!r} manifest, not {kind!r}")
     return manifest

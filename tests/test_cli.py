@@ -81,9 +81,10 @@ class TestStorage:
         # the noiseless "identity" condition lets a fresh render stand in
         pairs = synth.make_dataset(tmp_path / "pairs", scene, count=2, seed=5, size=size,
                                    schedule=("identity",))
+        identity = synth.CONDITIONS["identity"]
         for entry in manifest(pairs)["samples"]:
-            src, tgt = (synth.render_stereo(scene, entry[key], K, synth.CONDITIONS["identity"],
-                                            size) for key in ("src_pose", "tgt_pose"))
+            src, tgt = (synth.render_stereo(scene, entry[key], K, identity, size)
+                        for key in ("src_pose", "tgt_pose"))
             assert (pairs / entry["file"]).read_bytes() == f32(
                 src.left, src.right, src.disparity, tgt.left, tgt.right, tgt.disparity
             )
@@ -188,7 +189,8 @@ class TestSubcommands:
                      "--out", str(out)]) == 0
         assert len(storage.read_manifest(out, "pairs")["samples"]) == 3
 
-    @pytest.mark.parametrize("flag", [["--count=3"], ["--coun", "3"], ["--coun=3"]])
+    @pytest.mark.parametrize("flag", [["--count=3"], ["--coun", "3"], ["--coun=3"]],
+                             ids=["equals", "prefix", "prefix-equals"])
     def test_flag_in_any_form_overrides_config_file(self, tmp_path, flag):
         cfg = tmp_path / "exp.cfg"
         out = tmp_path / "data"
@@ -202,7 +204,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("line, message", [
         ("synth.count = many", "invalid literal for int()"),
         ("synth.func = cmd_train", "unknown config key synth.func"),
-    ])
+    ], ids=["unconvertible-value", "internal-key"])
     def test_bad_config_entry_is_3(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")

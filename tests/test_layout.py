@@ -1,7 +1,7 @@
 """Layout guards: every top-level function and class in the package is used
 by the program itself (a name that only tests use is a test helper and
-belongs in tests/oracles.py, not in src/), and no module reads another
-module's private names."""
+belongs in tests/oracles.py, not in src/), no module reads another
+module's private names, and only `storage` writes files."""
 
 import ast
 import re
@@ -94,7 +94,7 @@ def test_only_storage_writes_files():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
                 if name in FILE_WRITERS:
                     offences.append(f"{path.stem}:{node.lineno}: calls {name}")
             elif isinstance(node, ast.Import):
@@ -105,5 +105,5 @@ def test_only_storage_writes_files():
                 ]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 if node.module.split(".")[0] in SERIALISERS:
-                    offences.append(f"{path.stem}:{node.lineno}: imports from {node.module}")
+                    offences.append(f"{path.stem}:{node.lineno}: imports {node.module}")
     assert not offences, "file writes outside storage:\n" + "\n".join(offences)
