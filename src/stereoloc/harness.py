@@ -210,11 +210,7 @@ def _vertex_cache(vertex: MapVertex, extractor) -> VertexCache:
     cache = vertex.cache
     if cache is None or cache.extractor is not extractor:
         fmap = extractor.target_on(Tape(grad=False), vertex.frame.left)
-        # Copies: caching the pass's own arrays made every frame re-fault a
-        # trimmed heap top (scripts/fault_probe.py, block: 1192 faults, not 0).
-        cache = vertex.cache = VertexCache(
-            extractor, fmap.descriptors.value.copy(), fmap.scores.value.copy()
-        )
+        cache = vertex.cache = VertexCache(extractor, fmap.descriptors.value, fmap.scores.value)
     return cache
 
 

@@ -348,11 +348,10 @@ class TestVertexCache:
         assert len(tapes) == 3  # live frame, vertex pass, matching
         assert not any(t.grad for t in tapes)
         assert all(len(t) == 0 for t in tapes)
-        # the cache holds copies of the vertex pass's outputs, not the
-        # outputs themselves
+        # the cache holds the vertex pass's own outputs, not copies
         (fmap,) = passes
-        assert not np.shares_memory(vertex.cache.descriptors, fmap.descriptors.value)
-        assert not np.shares_memory(vertex.cache.scores, fmap.scores.value)
+        assert vertex.cache.descriptors is fmap.descriptors.value
+        assert vertex.cache.scores is fmap.scores.value
 
 
 class TestLearnedExtractorPath:
