@@ -44,10 +44,12 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _config_defaults(args: argparse.Namespace) -> dict:
+def _config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """The config file's values for this subcommand, typed like the flags
-    they stand in for. They become the subcommand's defaults, so a flag
-    given on the command line, in any form argparse accepts, wins."""
+    they stand in for and checked against their `choices`. They become the
+    subcommand's defaults, so a flag given on the command line, in any form
+    argparse accepts, wins (argparse checks no default against `choices`)."""
+    choices = {a.dest: a.choices for a in parser._actions if a.choices is not None}
     prefix = args.command + "."
     defaults = {}
     for key, value in read_config_file(args.config).items():
@@ -57,7 +59,11 @@ def _config_defaults(args: argparse.Namespace) -> dict:
         if dest not in vars(args) or dest in ("command", "func"):
             raise ConfigError(f"unknown config key {key}")
         current = getattr(args, dest)
-        defaults[dest] = value if current is None else type(current)(value)
+        typed = value if current is None else type(current)(value)
+        if dest in choices and typed not in choices[dest]:
+            raise ConfigError(f"config key {key}: {value!r} is not one of "
+                              + ", ".join(map(str, choices[dest])))
+        defaults[dest] = typed
     return defaults
 
 
@@ -384,7 +390,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            subcommands[args.command].set_defaults(**_config_defaults(args))
+            subparser = subcommands[args.command]
+            subparser.set_defaults(**_config_defaults(args, subparser))
             args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, FileNotFoundError, ValueError) as e:

@@ -212,6 +212,19 @@ class TestSubcommands:
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
         assert "error: data: " + message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, line", [
+        (["synth", "--kind", "path", "--count", "2"], "synth.condition = nite"),
+        (["teach", "--frames", "seq"], "teach.disparity = sgm"),
+    ], ids=["synth-condition", "teach-disparity"])
+    def test_config_value_outside_choices_is_3(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        capsys.readouterr()
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+        key, _, value = line.partition(" = ")
+        assert f"error: data: config key {key}: {value!r} is not one of" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("synth.bogus = 1\n")
