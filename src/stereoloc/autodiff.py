@@ -8,6 +8,8 @@ gradient accumulation deterministic. Every `Var` owns its value, and the
 tape holds only each node's parent indices and pullback, so a value dies
 with its last `Var`. Inference runs the same primitives on a no-grad tape
 (`Tape(grad=False)`), which records nothing: its `Var`s carry no index.
+A tape has one dtype, float64 unless given: its constants and parameters
+are cast to it, and the primitives keep it.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ class Tape:
     `params` holds each parameter's `(index, value)`; the tape holds no `Var`.
     A no-grad tape (`grad=False`) records nothing."""
 
-    def __init__(self, grad: bool = True):
+    def __init__(self, grad: bool = True, dtype=np.float64):
         self.grad = grad
+        self.dtype = np.dtype(dtype)
         self._nodes: list[tuple[tuple[int | None, ...], Callable | None]] = []
         self.params: list[tuple[int, Array]] = []
 
@@ -61,13 +64,13 @@ class Tape:
         return Var(self, len(self._nodes) - 1, value)
 
     def constant(self, value) -> Var:
-        return Var(self, None, np.asarray(value, dtype=float))
+        return Var(self, None, np.asarray(value, dtype=self.dtype))
 
     def param(self, value) -> Var:
         """A leaf `backward` differentiates for; a constant on a no-grad tape."""
         if not self.grad:
             return self.constant(value)
-        v = self._push(np.asarray(value, dtype=float), (), None)
+        v = self._push(np.asarray(value, dtype=self.dtype), (), None)
         self.params.append((v.index, v.value))
         return v
 
@@ -382,9 +385,10 @@ def upsample_nearest(x: Var, factor: int = 2) -> Var:
 
 
 @functools.lru_cache(maxsize=64)
-def _resample_matrix(n_out: int, n_in: int) -> Array:
-    """(n_out, n_in) align-corners linear interpolation along one axis;
-    memoized, so the returned array is read-only."""
+def _resample_matrix(n_out: int, n_in: int, dtype=np.float64) -> Array:
+    """(n_out, n_in) align-corners linear interpolation along one axis, built
+    in float64 and cast to `dtype`; memoized, so the returned array is
+    read-only."""
     if n_out == 1 or n_in == 1:
         pos = np.zeros(n_out)
     else:
@@ -395,6 +399,7 @@ def _resample_matrix(n_out: int, n_in: int) -> Array:
     R = np.zeros((n_out, n_in))
     R[rows, i0] = 1.0 - frac
     R[rows, np.minimum(i0 + 1, n_in - 1)] += frac
+    R = R.astype(dtype, copy=False)
     R.flags.writeable = False
     return R
 
@@ -405,8 +410,8 @@ def upsample_bilinear(x: Var, out_hw: tuple[int, int]) -> Var:
     xv = x.value
     _, h, w = xv.shape
     H, W = out_hw
-    Ry = _resample_matrix(H, h)
-    Rx = _resample_matrix(W, w)
+    Ry = _resample_matrix(H, h, xv.dtype)
+    Rx = _resample_matrix(W, w, xv.dtype)
 
     def pull(g):
         return (Ry.T @ g @ Rx,)
@@ -427,11 +432,13 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
     mv, pv = m.value, pts.value
     c, h, w = mv.shape
     u, v = pv[:, 0], pv[:, 1]
+    # float32 rounding overshoots by a few units in the last place of the extent
+    slack = max(BOUNDS_SLACK, 16 * float(np.finfo(pv.dtype).eps) * max(h, w))
     inside = (
-        (u >= -BOUNDS_SLACK)
-        & (u <= w - 1 + BOUNDS_SLACK)
-        & (v >= -BOUNDS_SLACK)
-        & (v <= h - 1 + BOUNDS_SLACK)
+        (u >= -slack)
+        & (u <= w - 1 + slack)
+        & (v >= -slack)
+        & (v <= h - 1 + slack)
     )  # False for NaN
     if not inside.all():
         raise OutOfBounds("sample point outside image bounds or not finite")
@@ -443,8 +450,9 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
     # its weight fx or fy is exactly 0 there
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = (u - x0)[:, None]
-    fy = (v - y0)[:, None]
+    # in the map's dtype: a float32 point minus an int64 index is float64
+    fx = (u - x0).astype(mv.dtype, copy=False)[:, None]
+    fy = (v - y0).astype(mv.dtype, copy=False)[:, None]
     m00 = mv[:, y0, x0].T
     m01 = mv[:, y0, x1].T
     m10 = mv[:, y1, x0].T

@@ -116,7 +116,7 @@ def encode(
 ) -> tuple[Var, Var]:
     """Run the encoder on one intensity image (H, W); returns the dense
     descriptors (D, H, W) and the bottleneck the decoder branches start from."""
-    x = image if isinstance(image, Var) else tape.constant(np.asarray(image, dtype=float))
+    x = image if isinstance(image, Var) else tape.constant(image)
     if x.value.ndim != 2:
         raise ShapeError(f"expected (H, W) image, got {x.value.shape}")
     h, w = x.value.shape

@@ -109,6 +109,11 @@ class TeachMap:
     extractor_ident: str
 
 
+# The no-grad tapes of teach and localize (extractor passes and soft
+# matching) compute in float32; the lifts, RANSAC and the pose promote to
+# float64. Training, validation and gradient checks stay float64.
+INFERENCE_DTYPE = np.float32
+
 # Inference wants a much sharper softmax than training: the training
 # temperature keeps gradients alive across the whole image, while
 # localization only cares about the peak.
@@ -173,7 +178,7 @@ def _keypoints_numpy(
 ):
     """Keypoints with a valid disparity as plain arrays: coordinates,
     descriptors, scores and 3D lifts."""
-    tape = Tape(grad=False)
+    tape = Tape(grad=False, dtype=INFERENCE_DTYPE)
     kps = features.extract_keypoints(extractor.features_on(tape, frame.left), extractor.window)
     coords, desc, scores = kps.coords.value, kps.descriptors.value, kps.scores.value
     ok, p3d = _lift(frame, disparity_source, coords, K)
@@ -209,7 +214,7 @@ def _vertex_cache(vertex: MapVertex, extractor) -> VertexCache:
     different weights can share an ident."""
     cache = vertex.cache
     if cache is None or cache.extractor is not extractor:
-        fmap = extractor.target_on(Tape(grad=False), vertex.frame.left)
+        fmap = extractor.target_on(Tape(grad=False, dtype=INFERENCE_DTYPE), vertex.frame.left)
         cache = vertex.cache = VertexCache(extractor, fmap.descriptors.value, fmap.scores.value)
     return cache
 
@@ -263,7 +268,7 @@ def _dense_pairs(vertex, extractor, coords, desc, scores, p_live, params, K):
     """Live keypoints soft-matched into the vertex's dense map, then lifted
     through the vertex's disparity."""
     cache = _vertex_cache(vertex, extractor)
-    tape = Tape(grad=False)
+    tape = Tape(grad=False, dtype=INFERENCE_DTYPE)
     fmap = features.DenseFeatureMap(
         tape.constant(cache.descriptors), tape.constant(cache.scores), None
     )

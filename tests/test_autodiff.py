@@ -647,6 +647,43 @@ class TestNoGradTape:
             backward(t, out)
 
 
+class TestFloat32Tape:
+    def test_constants_params_and_primitives_keep_the_tape_dtype(self):
+        rng = np.random.default_rng(66)
+        x0 = rng.normal(size=(2, 6, 8))
+        w0 = rng.normal(size=(3, 2, 3, 3))
+        pts0 = np.array([[0.25, 0.5], [6.75, 4.5], [7.0, 5.0]])
+        outs = {}
+        for dtype in (np.float64, np.float32):
+            t = Tape(grad=False, dtype=dtype)
+            x = t.constant(x0)
+            y = ad.tanh(ad.conv2d(x, t.param(w0), t.param(np.zeros(3))))
+            y = ad.upsample_bilinear(ad.avgpool2(y), (6, 8))
+            s = ad.bilinear_sample(y, t.constant(pts0))
+            z = ad.softmax(ad.mul(ad.row_znorm(s), 4.0), axis=1)
+            outs[dtype] = [v.value for v in (x, y, s, z)]
+        assert all(v.dtype == np.float32 for v in outs[np.float32])
+        assert all(v.dtype == np.float64 for v in outs[np.float64])
+        for a, b in zip(outs[np.float32], outs[np.float64]):
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-5)
+
+    def test_resample_matrix_per_dtype(self):
+        R32 = ad._resample_matrix(7, 3, np.float32)
+        assert R32.dtype == np.float32 and not R32.flags.writeable
+        assert ad._resample_matrix(7, 3, np.float32) is R32
+        assert np.array_equal(R32, ad._resample_matrix(7, 3).astype(np.float32))
+
+    def test_sample_admits_float32_rounding_at_the_edge(self):
+        t = Tape(grad=False, dtype=np.float32)
+        m = t.constant(np.arange(48.0).reshape(1, 6, 8))
+        edge = np.float32(7.0)
+        over = np.nextafter(np.nextafter(edge, np.float32(8)), np.float32(8))
+        out = ad.bilinear_sample(m, t.constant([[over, 5.0]])).value
+        assert out.dtype == np.float32 and out[0, 0] == 47.0
+        with pytest.raises(OutOfBounds):
+            ad.bilinear_sample(m, t.constant([[7.01, 5.0]]))
+
+
 class TestTapeOwnership:
     """A grad tape keeps parent indices, pullbacks and parameter values,
     never a `Var`, so dropping a tape's names frees it without the cycle

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,8 +295,9 @@ class TestVertexCache:
         localize(frames[0], warm, a, params, K_default)
         res_warm = localize(frames[0], warm, b, params, K_default)
         res_cold = localize(frames[0], cold, b, params, K_default)
-        expected = b.target_on(Tape(grad=False), warm.frame.left).descriptors.value
-        other = a.target_on(Tape(grad=False), warm.frame.left).descriptors.value
+        f32 = harness.INFERENCE_DTYPE
+        expected = b.target_on(Tape(grad=False, dtype=f32), warm.frame.left).descriptors.value
+        other = a.target_on(Tape(grad=False, dtype=f32), warm.frame.left).descriptors.value
         assert warm.cache.extractor is b
         assert warm.cache.descriptors.tobytes() == expected.tobytes()
         assert expected.tobytes() != other.tobytes()
@@ -318,8 +320,8 @@ class TestVertexCache:
 
         tapes = []
 
-        def recorded(grad=True):
-            tapes.append(Tape(grad))
+        def recorded(grad=True, dtype=np.float64):
+            tapes.append(Tape(grad, dtype))
             return tapes[-1]
 
         records = []
@@ -347,11 +349,43 @@ class TestVertexCache:
         assert len(records) == 92  # one per primitive; constants are not records
         assert len(tapes) == 3  # live frame, vertex pass, matching
         assert not any(t.grad for t in tapes)
+        assert all(t.dtype == np.float32 for t in tapes)
         assert all(len(t) == 0 for t in tapes)
         # the cache holds the vertex pass's own outputs, not copies
         (fmap,) = passes
         assert vertex.cache.descriptors is fmap.descriptors.value
         assert vertex.cache.scores is fmap.scores.value
+
+
+class TestInferenceDtype:
+    CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoint"
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    @pytest.mark.parametrize("learned", [True, False], ids=["learned", "analytic"])
+    def test_localize_computes_in_float32_and_poses_in_float64(
+        self, rig, K_default, monkeypatch, mode, learned
+    ):
+        frames, analytic, _ = rig
+        extractor = (LearnedExtractor(features.load_checkpoint(self.CHECKPOINT)[0])
+                     if learned else analytic)
+        teach_map = teach(frames[:2], extractor, K_default)
+        vertex = dataclasses.replace(teach_map.vertices[0], cache=None)
+        dtypes = []
+        record = Tape.record
+
+        def dtype_record(tape, value, parents, pullback):
+            var = record(tape, value, parents, pullback)
+            dtypes.append((tape.grad, var.value.dtype))
+            return var
+
+        monkeypatch.setattr(Tape, "record", dtype_record)
+        res = localize(frames[0], vertex, extractor, LocalizeParams(mode=mode), K_default)
+        assert not res.failure
+        assert dtypes and set(dtypes) == {(False, np.dtype(np.float32))}
+        assert res.pose.C.dtype == res.pose.r.dtype == np.float64
+        if mode == "dense":
+            assert vertex.cache.descriptors.dtype == vertex.cache.scores.dtype == np.float32
+        assert teach_map.vertices[0].points3d.dtype == np.float64
 
 
 class TestLearnedExtractorPath:

@@ -205,6 +205,31 @@ class TestSampleLoss:
             LossConfig(tau=0.0)
 
 
+class TestTrainingDtype:
+    @pytest.mark.parametrize("compute_grads", [True, False], ids=["train", "validate"])
+    def test_total_loss_tape_and_gradients_stay_float64(
+        self, small_data, monkeypatch, compute_grads
+    ):
+        samples, K = small_data
+        weights = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8))
+        dtypes = []
+        record = ad.Tape.record
+
+        def dtype_record(tape, value, parents, pullback):
+            var = record(tape, value, parents, pullback)
+            dtypes.append((tape.grad, tape.dtype, var.value.dtype))
+            return var
+
+        monkeypatch.setattr(ad.Tape, "record", dtype_record)
+        loss, grads, _ = total_loss(samples[:2], weights, LossConfig(), K,
+                                    compute_grads=compute_grads)
+        assert math.isfinite(loss)
+        f64 = np.dtype(np.float64)
+        assert dtypes and set(dtypes) == {(compute_grads, f64, f64)}
+        if compute_grads:
+            assert all(g.dtype == np.float64 for g in grads.values())
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_advances_step(self):
         params = {"a": np.array([1.0, -2.0])}
