@@ -23,7 +23,9 @@ def pin_malloc_thresholds() -> bool:
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    return bool(mallopt(M_MMAP_THRESHOLD, 32 << 20)) & bool(mallopt(M_TRIM_THRESHOLD, 64 << 20))
+    mmap_set = mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    trim_set = mallopt(M_TRIM_THRESHOLD, 64 << 20)
+    return bool(mmap_set and trim_set)
 
 
 pin_malloc_thresholds()

@@ -664,8 +664,9 @@ class TestFloat32Tape:
             outs[dtype] = [v.value for v in (x, y, s, z)]
         assert all(v.dtype == np.float32 for v in outs[np.float32])
         assert all(v.dtype == np.float64 for v in outs[np.float64])
+        tol = 100 * np.finfo(np.float32).eps
         for a, b in zip(outs[np.float32], outs[np.float64]):
-            assert np.allclose(a, b, rtol=1e-5, atol=1e-5)
+            assert np.allclose(a, b, rtol=tol, atol=tol)
 
     def test_resample_matrix_per_dtype(self):
         R32 = ad._resample_matrix(7, 3, np.float32)
