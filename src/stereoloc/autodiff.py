@@ -274,18 +274,25 @@ def concat(parts: Sequence[Var], axis: int = 0) -> Var:
 
 
 def take(a: Var, indices, axis: int = 0) -> Var:
-    """Gather along an axis; adjoint scatter-adds back."""
+    """Gather along an axis by an index array or a slice. The adjoint
+    scatter-adds back; a slice gathers each element at most once, so its
+    adjoint is a plain store."""
     av = a.value
-    idx = np.asarray(indices)
+    sliced = isinstance(indices, slice)
+    idx = indices if sliced else np.asarray(indices)
+    sl: list = [slice(None)] * av.ndim
+    sl[axis] = idx
+    sl = tuple(sl)
 
     def pull(g):
         out = np.zeros_like(av)
-        sl: list = [slice(None)] * av.ndim
-        sl[axis] = idx
-        np.add.at(out, tuple(sl), g)
+        if sliced:
+            out[sl] = g
+        else:
+            np.add.at(out, sl, g)
         return (out,)
 
-    return a.tape.record(np.take(av, idx, axis=axis), (a,), pull)
+    return a.tape.record(av[sl] if sliced else np.take(av, idx, axis=axis), (a,), pull)
 
 
 def matmul(a: Var, b: Var) -> Var:

@@ -1,11 +1,12 @@
 """Per-pixel descriptors, scores, and windowed-softmax keypoints.
 
 The learnable extractor is a small encoder-decoder: stride-2 encoder blocks
-whose feature maps, resized back to input resolution and concatenated,
-form the dense descriptors; after the bottleneck two mirrored decoder
-branches produce keypoint logits and (through a sigmoid) scores. An
-analytic, non-learned extractor with the same output contract supports
-pipeline runs without training.
+whose feature maps, resized back to input resolution, form the dense
+descriptors; after the bottleneck two mirrored decoder branches produce
+keypoint logits and (through a sigmoid) scores. Descriptors and score are
+joined into one feature stack per image, so every point set is sampled
+once. An analytic, non-learned extractor with the same output contract
+supports pipeline runs without training.
 """
 
 from __future__ import annotations
@@ -90,12 +91,12 @@ def init_weights(cfg: ExtractorConfig, seed: int | None = None) -> ExtractorWeig
 
 @dataclass
 class DenseFeatureMap:
-    """Per-pixel descriptors (D, H, W), scores in (0, 1) (H, W), and raw
-    keypoint logits (H, W), all tape variables. A map that is only matched
-    into (a map vertex, a training target) carries no logits."""
+    """Per-pixel features as one (D+1, H, W) stack, descriptors in rows
+    0..D-1 and the score in (0, 1) in row D, plus raw keypoint logits
+    (H, W), all tape variables. A map that is only matched into (a map
+    vertex, a training target) carries no logits."""
 
-    descriptors: Var
-    scores: Var
+    stack: Var
     keypoint_logits: Var | None
 
 
@@ -113,9 +114,10 @@ def encode(
     params: dict[str, Var],
     cfg: ExtractorConfig,
     tape: Tape,
-) -> tuple[Var, Var]:
-    """Run the encoder on one intensity image (H, W); returns the dense
-    descriptors (D, H, W) and the bottleneck the decoder branches start from."""
+) -> tuple[list[Var], Var]:
+    """Run the encoder on one intensity image (H, W); returns the encoder
+    maps resized to (C_i, H, W), whose rows are the descriptors, and the
+    bottleneck the decoder branches start from."""
     x = image if isinstance(image, Var) else tape.constant(image)
     if x.value.ndim != 2:
         raise ShapeError(f"expected (H, W) image, got {x.value.shape}")
@@ -131,21 +133,18 @@ def encode(
         feat = ad.avgpool2(feat)
         enc_maps.append(feat)
 
-    descriptors = ad.concat(
-        [ad.upsample_bilinear(m, (h, w)) for m in enc_maps], axis=0
-    )
-
+    upsampled = [ad.upsample_bilinear(m, (h, w)) for m in enc_maps]
     bottleneck = ad.tanh(
         ad.conv2d(feat, params["bottleneck.weight"], params["bottleneck.bias"])
     )
-    return descriptors, bottleneck
+    return upsampled, bottleneck
 
 
 def decode(
     bottleneck: Var, branch: str, params: dict[str, Var], cfg: ExtractorConfig
 ) -> Var:
-    """One decoder branch at input resolution (H, W): raw keypoint logits
-    for "kp", scores in (0, 1) for "score"."""
+    """One decoder branch at input resolution (1, H, W): raw keypoint
+    logits for "kp", scores in (0, 1) for "score"."""
     depth = len(cfg.channels)
     d = bottleneck
     for i in range(1, depth + 1):
@@ -153,8 +152,6 @@ def decode(
         d = ad.conv2d(d, params[f"{branch}{i}.weight"], params[f"{branch}{i}.bias"])
         if i < depth:
             d = ad.tanh(d)
-    _, h, w = d.value.shape
-    d = ad.reshape(d, (h, w))
     return ad.sigmoid(d) if branch == "score" else d
 
 
@@ -165,10 +162,10 @@ def forward(
     tape: Tape,
 ) -> DenseFeatureMap:
     """Run the encoder-decoder on one intensity image (H, W)."""
-    descriptors, bottleneck = encode(image, params, cfg, tape)
+    maps, bottleneck = encode(image, params, cfg, tape)
     logits = decode(bottleneck, "kp", params, cfg)
-    scores = decode(bottleneck, "score", params, cfg)
-    return DenseFeatureMap(descriptors, scores, logits)
+    stack = ad.concat(maps + [decode(bottleneck, "score", params, cfg)], axis=0)
+    return DenseFeatureMap(stack, ad.reshape(logits, logits.value.shape[1:]))
 
 
 def forward_target(
@@ -177,10 +174,11 @@ def forward_target(
     cfg: ExtractorConfig,
     tape: Tape,
 ) -> DenseFeatureMap:
-    """Descriptors and scores only, no keypoint logits: what matching into
-    the image reads."""
-    descriptors, bottleneck = encode(image, params, cfg, tape)
-    return DenseFeatureMap(descriptors, decode(bottleneck, "score", params, cfg), None)
+    """The feature stack only, no keypoint logits: what matching into the
+    image reads."""
+    maps, bottleneck = encode(image, params, cfg, tape)
+    stack = ad.concat(maps + [decode(bottleneck, "score", params, cfg)], axis=0)
+    return DenseFeatureMap(stack, None)
 
 
 def detect_keypoints(logits: Var, window: int) -> Var:
@@ -214,12 +212,12 @@ def detect_keypoints(logits: Var, window: int) -> Var:
 
 
 def sample_at(fmap: DenseFeatureMap, coords: Var) -> tuple[Var, Var]:
-    """Bilinearly sample descriptors (N, D) and scores (N,) at points."""
-    desc = ad.bilinear_sample(fmap.descriptors, coords)
-    h, w = fmap.scores.value.shape
-    score_map = ad.reshape(fmap.scores, (1, h, w))
-    scores = ad.reshape(ad.bilinear_sample(score_map, coords), (len(coords.value),))
-    return desc, scores
+    """Bilinearly sample descriptors (N, D) and scores (N,) at points, in
+    one pass over the feature stack."""
+    sampled = ad.bilinear_sample(fmap.stack, coords)
+    n, d = sampled.value.shape[0], sampled.value.shape[1] - 1
+    desc = ad.take(sampled, slice(0, d), axis=1)
+    return desc, ad.reshape(ad.take(sampled, slice(d, None), axis=1), (n,))
 
 
 def extract_keypoints(fmap: DenseFeatureMap, window: int) -> KeypointSet:
@@ -272,8 +270,6 @@ def analytic_features(image: np.ndarray, tape: Tape) -> DenseFeatureMap:
         gy[0] = gy[1]
         gy[-1] = gy[-2]
         channels.extend([bandpass, gx, gy])
-    desc = np.stack(channels, axis=0)
-
     gx = channels[1]
     gy = channels[2]
     grad_mag = np.sqrt(gx * gx + gy * gy)
@@ -287,7 +283,7 @@ def analytic_features(image: np.ndarray, tape: Tape) -> DenseFeatureMap:
     logits = 4.0 * response / max(float(np.abs(response).max()), 1e-12)
 
     return DenseFeatureMap(
-        tape.constant(desc), tape.constant(scores), tape.constant(logits)
+        tape.constant(np.stack(channels + [scores], axis=0)), tape.constant(logits)
     )
 
 

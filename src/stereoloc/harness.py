@@ -10,6 +10,8 @@ the threshold (default 20).
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -20,6 +22,7 @@ import numpy as np
 from . import estimator, features, matching, storage, synth
 from .autodiff import Tape
 from .errors import (
+    ConfigError,
     DegenerateGeometry,
     InsufficientMatches,
     LocalizationFailure,
@@ -47,9 +50,14 @@ class LearnedExtractor:
     def window(self) -> int:
         return self.weights.config.window
 
-    @property
+    @functools.cached_property
     def ident(self) -> str:
-        return f"learned-{self.weights.config.seed}"
+        """A digest of the weights as float32, shared with its checkpoint."""
+        digest = hashlib.sha256()
+        for name, tensor in sorted(self.weights.tensors.items()):
+            digest.update(f"{name}{tensor.shape}".encode())
+            digest.update(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+        return f"learned-{digest.hexdigest()[:12]}"
 
     def features_on(self, tape: Tape, image: np.ndarray) -> features.DenseFeatureMap:
         params = self.weights.bind(tape)
@@ -81,12 +89,11 @@ class AnalyticExtractor:
 @dataclass
 class VertexCache:
     """What localization derives from a vertex's frame, kept across calls:
-    the dense feature maps of one extractor object. Disparity is not
-    cached; each lift reads it at the pixels it lifts."""
+    the feature stack of one extractor object. Disparity is not cached;
+    each lift reads it at the pixels it lifts."""
 
     extractor: LearnedExtractor | AnalyticExtractor
-    descriptors: np.ndarray  # (D, H, W)
-    scores: np.ndarray  # (H, W)
+    stack: np.ndarray  # (D+1, H, W): descriptors, then the score
 
 
 @dataclass
@@ -210,12 +217,12 @@ def teach(
 
 def _vertex_cache(vertex: MapVertex, extractor) -> VertexCache:
     """The vertex's cache for this extractor object, computed on first use.
-    The cache is keyed on the object, not its `ident`: extractors with
-    different weights can share an ident."""
+    The cache is keyed on the object, not its `ident`, which is computed
+    once and would not follow weights changed in place."""
     cache = vertex.cache
     if cache is None or cache.extractor is not extractor:
         fmap = extractor.target_on(Tape(grad=False, dtype=INFERENCE_DTYPE), vertex.frame.left)
-        cache = vertex.cache = VertexCache(extractor, fmap.descriptors.value, fmap.scores.value)
+        cache = vertex.cache = VertexCache(extractor, fmap.stack.value)
     return cache
 
 
@@ -269,17 +276,15 @@ def _dense_pairs(vertex, extractor, coords, desc, scores, p_live, params, K):
     through the vertex's disparity."""
     cache = _vertex_cache(vertex, extractor)
     tape = Tape(grad=False, dtype=INFERENCE_DTYPE)
-    fmap = features.DenseFeatureMap(
-        tape.constant(cache.descriptors), tape.constant(cache.scores), None
-    )
+    fmap = features.DenseFeatureMap(tape.constant(cache.stack), None)
     kps = features.KeypointSet(
         tape.constant(coords), tape.constant(desc), tape.constant(scores)
     )
-    m = matching.match_all(kps, fmap, tau=params.tau)
-    ok, p_t = _lift(vertex.frame, params.disparity, m.target_points.value, K)
+    points, w = matching.match_all(kps, fmap, tau=params.tau)
+    ok, p_t = _lift(vertex.frame, params.disparity, points.value, K)
     if int(ok.sum()) < 3:
         raise InsufficientMatches("too few matches with valid disparity")
-    return p_live[ok], p_t, m.weights.value[ok]
+    return p_live[ok], p_t, w.value[ok]
 
 
 def _sparse_pairs(vertex, desc, scores, p_live):
@@ -308,6 +313,11 @@ def repeat(
     """Localize every live frame against its nearest vertex and aggregate."""
     if not frames:
         raise ValueError("empty repeat sequence")
+    if params.mode == "sparse" and teach_map.extractor_ident != extractor.ident:
+        raise ConfigError(
+            f"map was taught by extractor {teach_map.extractor_ident}; sparse repeat "
+            f"cannot match its stored descriptors with extractor {extractor.ident}"
+        )
     results = []
     offsets = []
     for frame in frames:
@@ -442,10 +452,12 @@ def load_map(directory: str | Path) -> TeachMap:
         blob = storage.read_blob(directory / e["frame_file"], (3, h, w))
         frame = StereoFrame(*blob, np.asarray(e["world_pose"], float))
         n, dd = e["n"], e["d"]
-        feats = storage.read_blob(directory / e["feats_file"], (n * (2 + dd + 1 + 3),))
+        # in the dtype teach made them in; the 3D points promote below
+        shape = (n * (2 + dd + 1 + 3),)
+        feats = storage.read_blob(directory / e["feats_file"], shape, INFERENCE_DTYPE)
         coords, desc, scores, p3d = np.split(feats, np.cumsum([2 * n, n * dd, n]))
         vertices.append(
             MapVertex(e["id"], np.asarray(e["world_pose"], float), coords.reshape(n, 2),
-                      desc.reshape(n, dd), scores, p3d.reshape(n, 3), frame)
+                      desc.reshape(n, dd), scores, p3d.reshape(n, 3).astype(float), frame)
         )
     return TeachMap(vertices, K, manifest["window"], manifest["extractor"])

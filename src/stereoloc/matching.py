@@ -10,8 +10,6 @@ scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -22,30 +20,13 @@ from .features import DenseFeatureMap, KeypointSet
 DEFAULT_TEMPERATURE = 50.0
 
 
-@dataclass
-class MatchSet:
-    """Source keypoints with their soft-matched target points, sampled
-    target descriptors/scores, and combined match weights, all length N."""
-
-    source: KeypointSet
-    target_points: Var  # (N, 2)
-    target_descriptors: Var  # (N, D)
-    target_scores: Var  # (N,)
-    weights: Var  # (N,)
-
-    def __len__(self) -> int:
-        return len(self.weights.value)
-
-
-def _pixel_coords(h: int, w: int) -> np.ndarray:
-    us, vs = np.meshgrid(np.arange(w), np.arange(h))
-    return np.stack([us.ravel(), vs.ravel()], axis=1).astype(float)
-
-
 def _flatten_target(target: DenseFeatureMap) -> tuple[Var, np.ndarray]:
-    d, h, w = target.descriptors.value.shape
-    flat = ad.reshape(ad.transpose(target.descriptors, (1, 2, 0)), (h * w, d))
-    return flat, _pixel_coords(h, w)
+    """The target's descriptor rows as (H*W, D), and each pixel's (u, v)."""
+    c, h, w = target.stack.value.shape
+    desc = ad.take(target.stack, slice(0, c - 1), axis=0)
+    flat = ad.reshape(ad.transpose(desc, (1, 2, 0)), (h * w, c - 1))
+    us, vs = np.meshgrid(np.arange(w), np.arange(h))
+    return flat, np.stack([us.ravel(), vs.ravel()], axis=1).astype(float)
 
 
 def _match_core(src_desc: Var, target: DenseFeatureMap, tau):
@@ -77,12 +58,12 @@ def match_all(
     source: KeypointSet,
     target: DenseFeatureMap,
     tau: float = DEFAULT_TEMPERATURE,
-) -> MatchSet:
-    """Soft-match every source keypoint against the target feature map and
-    attach combined match weights. Output order follows source keypoints."""
+) -> tuple[Var, Var]:
+    """Soft-match every source keypoint against the target feature map.
+    Returns the matched target points (N, 2) and the combined match weights
+    (N,), in source keypoint order."""
     points, desc, scores, _ = _match_core(source.descriptors, target, tau)
-    w = match_weights(source.descriptors, desc, source.scores, scores)
-    return MatchSet(source, points, desc, scores, w)
+    return points, match_weights(source.descriptors, desc, source.scores, scores)
 
 
 def mutual_best_matches(

@@ -43,12 +43,12 @@ def write_blob(path: Path, arr: np.ndarray) -> None:
     _write_atomic(path, np.ascontiguousarray(arr, dtype="<f4").data)
 
 
-def read_blob(path: Path, shape) -> np.ndarray:
+def read_blob(path: Path, shape, dtype=np.float64) -> np.ndarray:
     data = np.fromfile(path, dtype="<f4")
     expected = int(np.prod(shape))
     if data.size != expected:
         raise ValueError(f"{path}: expected {expected} float32 values, found {data.size}")
-    return data.reshape(shape).astype(float)
+    return data.reshape(shape).astype(dtype, copy=False)
 
 
 def write_json(path: Path, obj) -> None:

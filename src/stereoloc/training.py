@@ -108,10 +108,10 @@ def build_sample_loss(
     fmap_s = features.forward(sample.source.left, params, cfg, tape)
     fmap_t = features.forward_target(sample.target.left, params, cfg, tape)
     kps = features.extract_keypoints(fmap_s, cfg.window)
-    m = matching.match_all(kps, fmap_t, tau=lcfg.tau)
+    target_points, match_w = matching.match_all(kps, fmap_t, tau=lcfg.tau)
 
     p_s = _lift(kps.coords, sample.source.disparity, K)
-    p_t = _lift(m.target_points, sample.target.disparity, K)
+    p_t = _lift(target_points, sample.target.disparity, K)
 
     keep = estimator.gt_outlier_gate(
         p_s.value, p_t.value, sample.gt, lcfg.gate_threshold
@@ -124,7 +124,7 @@ def build_sample_loss(
 
     p_s_g = ad.take(p_s, idx, axis=0)
     p_t_g = ad.take(p_t, idx, axis=0)
-    w_g = ad.take(m.weights, idx, axis=0)
+    w_g = ad.take(match_w, idx, axis=0)
 
     # keypoint loss: planar residual against the ground-truth transform
     T_gt = planar_to_se3(sample.gt)

@@ -23,7 +23,7 @@ from stereoloc.errors import (
     StereolocError,
 )
 from stereoloc.estimator import RansacParams, align_core
-from stereoloc.features import DenseFeatureMap
+from stereoloc.features import DenseFeatureMap, KeypointSet
 from stereoloc.geometry import (
     CameraIntrinsics,
     PlanarPose,
@@ -100,10 +100,33 @@ def soft_match(
     )
 
 
-def matchset_weights(m: matching.MatchSet) -> Var:
-    return matching.match_weights(
-        m.source.descriptors, m.target_descriptors, m.source.scores, m.target_scores
-    )
+def matchset_weights(source: KeypointSet, target: DenseFeatureMap, tau: float) -> Var:
+    """`match_all`'s weights, recomputed from the keypoints and the
+    descriptors and scores `_match_core` samples at the matched points."""
+    _, desc, scores, _ = matching._match_core(source.descriptors, target, tau)
+    return matching.match_weights(source.descriptors, desc, source.scores, scores)
+
+
+# ---------------------------------------------------------------------------
+# feature maps
+
+
+def feature_map(tape: Tape, descriptors, scores, logits=None) -> DenseFeatureMap:
+    """A feature map from (D, H, W) descriptors, (H, W) scores and optional
+    (H, W) logits, each a plain array or a variable on `tape`."""
+    desc, sc = (x if isinstance(x, Var) else tape.constant(x) for x in (descriptors, scores))
+    _, h, w = desc.shape
+    stack = ad.concat([desc, ad.reshape(sc, (1, h, w))], axis=0)
+    if logits is not None and not isinstance(logits, Var):
+        logits = tape.constant(logits)
+    return DenseFeatureMap(stack, logits)
+
+
+def split_stack(stack) -> tuple[Array, Array]:
+    """A (D+1, H, W) feature stack, plain or on a tape, as plain
+    descriptors (D, H, W) and scores (H, W)."""
+    value = stack.value if isinstance(stack, Var) else stack
+    return value[:-1], value[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from stereoloc import features, harness, matching, synth, training
 from stereoloc.autodiff import Tape
 from stereoloc.cli import gradient_cross_check, main
 from stereoloc.estimator import RansacParams, ransac_pose
-from stereoloc.features import DenseFeatureMap, KeypointSet
+from stereoloc.features import KeypointSet
 from stereoloc.geometry import (
     CameraIntrinsics,
     PlanarPose,
@@ -25,6 +25,7 @@ from stereoloc.training import LossConfig, TrainConfig
 
 from oracles import (
     AlignmentProblem,
+    feature_map,
     keypoint_loss,
     match_all_reference,
     pose_loss,
@@ -178,19 +179,17 @@ def test_criterion_4_matching_oracle():
         rng = np.random.default_rng(seed)
         tape = Tape()
         desc = rng.normal(size=(6, 12, 16))
-        fmap = DenseFeatureMap(
-            tape.constant(desc),
-            tape.constant(rng.uniform(0.2, 0.8, size=(12, 16))),
-            tape.constant(np.zeros((12, 16))),
+        fmap = feature_map(
+            tape, desc, rng.uniform(0.2, 0.8, size=(12, 16)), np.zeros((12, 16))
         )
         src = rng.normal(size=(4, 6))
         kps = KeypointSet(
             tape.constant(np.ones((4, 2))), tape.constant(src),
             tape.constant(np.full(4, 0.5)),
         )
-        m = matching.match_all(kps, fmap, tau=15.0)
+        points, _ = matching.match_all(kps, fmap, tau=15.0)
         ref = match_all_reference(src, desc, tau=15.0)
-        worst = max(worst, float(np.abs(m.target_points.value - ref).max()))
+        worst = max(worst, float(np.abs(points.value - ref).max()))
         _, _, _, attn = matching._match_core(kps.descriptors, fmap, 15.0)
         worst_rows = max(worst_rows, float(np.abs(attn.value.sum(axis=1) - 1).max()))
     check(

@@ -144,6 +144,7 @@ PRIMITIVE_CASES = {
     "transpose": lambda t, x, rng: scalarize(ad.transpose(x), _rand(rng, x.shape[1], x.shape[0])),
     "concat": lambda t, x, rng: scalarize(ad.concat([x, t.constant(_rand(rng, *x.shape))], axis=0), _rand(rng, 2 * x.shape[0], x.shape[1])),
     "take": lambda t, x, rng: scalarize(ad.take(x, [0, 2, 2], axis=0), _rand(rng, 3, x.shape[1])),
+    "take_slice": lambda t, x, rng: scalarize(ad.take(x, slice(1, 4), axis=1), _rand(rng, x.shape[0], 3)),
     "row_znorm": lambda t, x, rng: scalarize(ad.row_znorm(x), _rand(rng, *x.shape)),
 }
 
@@ -159,6 +160,32 @@ def test_primitive_gradients(name):
         check_gradient(
             lambda t, x: build(t, x, np.random.default_rng((key, seed, 1))), x0
         )
+
+
+class TestTake:
+    def test_slice_pullback_stores_without_add_at(self, monkeypatch):
+        scattered = []
+
+        class Add:
+            def at(self, *args):
+                scattered.append(1)
+                np.add.at(*args)
+
+        class Numpy:
+            add = Add()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(ad, "np", Numpy())
+        up = np.arange(6.0).reshape(3, 2)
+        for indices, adds in ((slice(1, 3), 0), ([1, 2], 1)):
+            t = Tape()
+            x = t.param(np.ones((3, 4)))
+            out = ad.sum_(ad.mul(ad.take(x, indices, axis=1), t.constant(up)))
+            grad = backward(t, out)[x.index]
+            assert len(scattered) == adds
+            assert np.array_equal(grad[:, 1:3], up) and not grad[:, [0, 3]].any()
 
 
 class TestImagePrimitives:

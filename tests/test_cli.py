@@ -366,6 +366,27 @@ class TestExitCodes:
                      "--features", "analytic", "--out", str(tmp_path / "rep")]) == 3
         assert "error: data: empty repeat sequence" in capsys.readouterr().err
 
+    def test_sparse_repeat_with_another_extractor_is_3(self, tmp_path, capsys):
+        from stereoloc import features
+
+        seq = tmp_path / "seq"
+        assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(seq)]) == 0
+        map_dir = tmp_path / "map"
+        assert main(["teach", "--frames", str(seq), "--features", "analytic",
+                     "--out", str(map_dir)]) == 0
+        weights = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8))
+        features.save_checkpoint(tmp_path / "ckpt", weights)
+        repeat = ["repeat", "--map", str(map_dir), "--frames", str(seq),
+                  "--ckpt", str(tmp_path / "ckpt")]
+        capsys.readouterr()
+        assert main([*repeat, "--mode", "sparse", "--out", str(tmp_path / "rep")]) == 3
+        err = capsys.readouterr().err
+        ident = harness.LearnedExtractor(weights).ident
+        assert "error: data: " in err and "analytic" in err and ident in err
+        # dense mode re-extracts each vertex with the live extractor
+        assert main([*repeat, "--mode", "dense", "--out", str(tmp_path / "rep")]) == 0
+
     def test_teach_on_non_finite_frame_is_4(self, tmp_path, capsys):
         seq = tmp_path / "seq"
         assert main(["synth", "--kind", "path", "--count", "3", "--condition", "noon",

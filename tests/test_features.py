@@ -21,6 +21,7 @@ from stereoloc.features import (
 )
 
 from conftest import rel_err
+from oracles import feature_map, split_stack
 
 TINY = ExtractorConfig(channels=(2, 3, 4), window=8, seed=1)
 
@@ -37,7 +38,7 @@ class TestForward:
         cfg = ExtractorConfig(channels=(8, 16, 32), window=16)
         img = np.random.default_rng(0).uniform(size=(48, 64))
         fmap, _, _, _ = run_forward(img, cfg, init_weights(cfg))
-        assert fmap.descriptors.value.shape == (56, 48, 64)
+        assert fmap.stack.value.shape == (57, 48, 64)
         assert cfg.descriptor_dim == 56
 
     def test_zero_weights_give_half_scores(self):
@@ -47,20 +48,19 @@ class TestForward:
         )
         img = np.random.default_rng(1).uniform(size=(24, 32))
         fmap, _, _, _ = run_forward(img, cfg, weights)
-        assert np.array_equal(fmap.scores.value, np.full((24, 32), 0.5))
+        assert np.array_equal(split_stack(fmap.stack)[1], np.full((24, 32), 0.5))
 
     def test_seeded_determinism_bitwise(self):
         img = np.random.default_rng(2).uniform(size=(24, 32))
         a, _, _, _ = run_forward(img, TINY, init_weights(TINY))
         b, _, _, _ = run_forward(img, TINY, init_weights(TINY))
-        assert a.descriptors.value.tobytes() == b.descriptors.value.tobytes()
-        assert a.scores.value.tobytes() == b.scores.value.tobytes()
+        assert a.stack.value.tobytes() == b.stack.value.tobytes()
         assert a.keypoint_logits.value.tobytes() == b.keypoint_logits.value.tobytes()
 
     def test_scores_strictly_inside_unit_interval(self):
         img = np.random.default_rng(3).uniform(size=(24, 32))
         fmap, _, _, _ = run_forward(img)
-        s = fmap.scores.value
+        s = split_stack(fmap.stack)[1]
         assert np.all(s > 0.0) and np.all(s < 1.0)
 
     def test_indivisible_shape_rejected(self):
@@ -80,8 +80,10 @@ class TestForward:
     def test_forward_gradients_match_finite_differences(self):
         img = np.random.default_rng(4).uniform(size=(24, 32))
         up = {
-            "d": np.random.default_rng(5).normal(size=(9, 24, 32)),
-            "s": np.random.default_rng(6).normal(size=(24, 32)),
+            "ds": np.concatenate([
+                np.random.default_rng(5).normal(size=(9, 24, 32)),
+                np.random.default_rng(6).normal(size=(1, 24, 32)),
+            ]),
             "k": np.random.default_rng(7).normal(size=(24, 32)),
         }
         base = init_weights(TINY)
@@ -92,10 +94,7 @@ class TestForward:
             params = weights.bind(tape)
             fmap = forward(img, params, TINY, tape)
             total = ad.add(
-                ad.add(
-                    ad.sum_(ad.mul(fmap.descriptors, tape.constant(up["d"]))),
-                    ad.sum_(ad.mul(fmap.scores, tape.constant(up["s"]))),
-                ),
+                ad.sum_(ad.mul(fmap.stack, tape.constant(up["ds"]))),
                 ad.sum_(ad.mul(fmap.keypoint_logits, tape.constant(up["k"]))),
             )
             return total, tape, params
@@ -123,8 +122,8 @@ class TestForward:
 
 
 class TestEncodeDecode:
-    """`forward` is `encode` plus both `decode` branches; a no-grad tape
-    gives the same values."""
+    """`forward` is `encode` plus both `decode` branches, the score joined
+    to the encoder maps; a no-grad tape gives the same values."""
 
     @pytest.mark.parametrize("hw", [(24, 32), (48, 64)])
     @pytest.mark.parametrize("cfg", [TINY, ExtractorConfig(seed=4)])
@@ -135,13 +134,14 @@ class TestEncodeDecode:
         for grad in (True, False):
             tape = Tape(grad=grad)
             params = weights.bind(tape)
-            desc, bottleneck = encode(image, params, cfg, tape)
+            maps, bottleneck = encode(image, params, cfg, tape)
             logits = decode(bottleneck, "kp", params, cfg)
             scores = decode(bottleneck, "score", params, cfg)
-            assert desc.value.tobytes() == ref.descriptors.value.tobytes()
+            stack = np.concatenate([m.value for m in maps] + [scores.value])
+            assert stack.tobytes() == ref.stack.value.tobytes()
             assert logits.value.tobytes() == ref.keypoint_logits.value.tobytes()
-            assert scores.value.tobytes() == ref.scores.value.tobytes()
-            assert scores.value.shape == logits.value.shape == hw
+            assert scores.value.shape == logits.value.shape == (1, *hw)
+            assert ref.keypoint_logits.value.shape == hw
 
 
     @pytest.mark.parametrize("grad", [True, False])
@@ -152,8 +152,7 @@ class TestEncodeDecode:
         tape = Tape(grad=grad)
         fmap = forward_target(image, weights.bind(tape), TINY, tape)
         assert fmap.keypoint_logits is None
-        assert fmap.descriptors.value.tobytes() == ref.descriptors.value.tobytes()
-        assert fmap.scores.value.tobytes() == ref.scores.value.tobytes()
+        assert fmap.stack.value.tobytes() == ref.stack.value.tobytes()
 
 class TestDetectKeypoints:
     def test_uniform_logits_give_window_centers(self):
@@ -234,22 +233,23 @@ class TestAnalyticFeatures:
     def test_deterministic(self, noon_frame):
         a = analytic_features(noon_frame.left, Tape())
         b = analytic_features(noon_frame.left, Tape())
-        assert a.descriptors.value.tobytes() == b.descriptors.value.tobytes()
+        assert a.stack.value.tobytes() == b.stack.value.tobytes()
 
     def test_gain_bias_invariant_descriptors(self, noon_frame):
-        base = analytic_features(noon_frame.left, Tape()).descriptors.value
-        scaled = analytic_features(2.0 * noon_frame.left + 5.0, Tape()).descriptors.value
+        base, _ = split_stack(analytic_features(noon_frame.left, Tape()).stack)
+        scaled, _ = split_stack(analytic_features(2.0 * noon_frame.left + 5.0, Tape()).stack)
         assert np.abs(base - scaled).max() < 1e-9
 
     def test_satisfies_feature_map_contract(self, noon_frame):
         fmap = analytic_features(noon_frame.left, Tape())
-        d, h, w = fmap.descriptors.value.shape
+        desc, scores = split_stack(fmap.stack)
+        d, h, w = desc.shape
         assert (h, w) == noon_frame.left.shape
-        assert fmap.scores.value.shape == (h, w)
+        assert scores.shape == (h, w)
         assert fmap.keypoint_logits.value.shape == (h, w)
-        assert fmap.scores.value.min() >= 0.0
-        assert fmap.scores.value.max() <= 1.0
-        assert np.isfinite(fmap.descriptors.value).all()
+        assert scores.min() >= 0.0
+        assert scores.max() <= 1.0
+        assert np.isfinite(desc).all()
 
 
 class TestCheckpoint:
@@ -317,10 +317,24 @@ class TestExtractKeypoints:
         fmap = analytic_features(noon_frame.left, Tape())
         kps = extract_keypoints(fmap, 8)
         n = (48 // 8) * (64 // 8)
-        d = fmap.descriptors.value.shape[0]
+        d = fmap.stack.value.shape[0] - 1
         assert kps.coords.value.shape == (n, 2)
         assert kps.descriptors.value.shape == (n, d)
         assert kps.scores.value.shape == (n,)
+
+    def test_samples_the_stack_once(self, noon_frame, monkeypatch):
+        fmap = analytic_features(noon_frame.left, Tape())
+        calls = []
+        bilinear_sample = ad.bilinear_sample
+
+        def counted(m, pts):
+            calls.append(m.value.shape)
+            return bilinear_sample(m, pts)
+
+        monkeypatch.setattr(ad, "bilinear_sample", counted)
+        kps = extract_keypoints(fmap, 8)
+        assert calls == [fmap.stack.value.shape]
+        assert kps.descriptors.value.shape[1] == fmap.stack.value.shape[0] - 1
 
     def test_descriptor_sampling_matches_map_at_integer_points(self):
         rng = np.random.default_rng(12)
@@ -328,9 +342,7 @@ class TestExtractKeypoints:
         desc = rng.normal(size=(5, 16, 16))
         logits = np.zeros((16, 16))
         logits[4, 3] = 1000.0  # saturate onto integer pixel (3, 4)
-        fmap = features.DenseFeatureMap(
-            t.constant(desc), t.constant(np.full((16, 16), 0.25)), t.constant(logits)
-        )
+        fmap = feature_map(t, desc, np.full((16, 16), 0.25), logits)
         kps = extract_keypoints(fmap, 16)
         assert np.allclose(kps.descriptors.value[0], desc[:, 4, 3], atol=1e-9)
         assert np.allclose(kps.scores.value[0], 0.25, atol=1e-12)

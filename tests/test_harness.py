@@ -7,7 +7,7 @@ import pytest
 from stereoloc import autodiff as ad
 from stereoloc import features, harness, synth
 from stereoloc.autodiff import Tape
-from stereoloc.errors import TeachFailure
+from stereoloc.errors import ConfigError, TeachFailure
 from stereoloc.harness import (
     AnalyticExtractor,
     LearnedExtractor,
@@ -272,6 +272,24 @@ class TestMapPersistence:
         assert [r.inliers for r in a.results] == [r.inliers for r in b.results]
         assert a.pose_rmse == b.pose_rmse
 
+    @pytest.mark.parametrize("learned", [True, False], ids=["learned", "analytic"])
+    def test_reloaded_vertex_arrays_keep_their_taught_dtypes(
+        self, rig, K_default, tmp_path, learned
+    ):
+        frames, analytic, _ = rig
+        extractor = (LearnedExtractor(features.init_weights(TestVertexCache.CFG))
+                     if learned else analytic)
+        teach_map = teach(frames[:2], extractor, K_default)
+        save_map(tmp_path / "m", teach_map)
+        loaded = load_map(tmp_path / "m")
+        for a, b in zip(teach_map.vertices, loaded.vertices):
+            for name in ("world_pose", "coords", "descriptors", "scores", "points3d"):
+                assert getattr(a, name).dtype == getattr(b, name).dtype, name
+            for name in ("left", "right", "disparity"):
+                assert getattr(a.frame, name).dtype == getattr(b.frame, name).dtype, name
+            assert b.descriptors.dtype == np.float32
+            assert b.points3d.dtype == b.frame.left.dtype == np.float64
+
     def test_rejects_non_map(self, tmp_path):
         from stereoloc import storage
 
@@ -287,7 +305,6 @@ class TestVertexCache:
         frames, _, _ = rig
         a = LearnedExtractor(features.init_weights(self.CFG))
         b = LearnedExtractor(features.init_weights(self.CFG, seed=10))
-        assert a.ident == b.ident
         teach_map = teach(frames[:2], a, K_default)
         params = LocalizeParams(mode="dense")
         warm = teach_map.vertices[0]
@@ -296,10 +313,10 @@ class TestVertexCache:
         res_warm = localize(frames[0], warm, b, params, K_default)
         res_cold = localize(frames[0], cold, b, params, K_default)
         f32 = harness.INFERENCE_DTYPE
-        expected = b.target_on(Tape(grad=False, dtype=f32), warm.frame.left).descriptors.value
-        other = a.target_on(Tape(grad=False, dtype=f32), warm.frame.left).descriptors.value
+        expected = b.target_on(Tape(grad=False, dtype=f32), warm.frame.left).stack.value
+        other = a.target_on(Tape(grad=False, dtype=f32), warm.frame.left).stack.value
         assert warm.cache.extractor is b
-        assert warm.cache.descriptors.tobytes() == expected.tobytes()
+        assert warm.cache.stack.tobytes() == expected.tobytes()
         assert expected.tobytes() != other.tobytes()
         assert res_warm.inliers == res_cold.inliers
         assert res_warm.failure == res_cold.failure
@@ -338,7 +355,15 @@ class TestVertexCache:
             passes.append(target_on(*args))
             return passes[-1]
 
+        samples = []
+        bilinear_sample = ad.bilinear_sample
+
+        def counted_sample(*args):
+            samples.append(1)
+            return bilinear_sample(*args)
+
         monkeypatch.setattr(ad, "conv2d", counted)
+        monkeypatch.setattr(ad, "bilinear_sample", counted_sample)
         monkeypatch.setattr(harness, "Tape", recorded)
         monkeypatch.setattr(Tape, "record", counted_record)
         monkeypatch.setattr(extractor, "target_on", vertex_pass)
@@ -346,15 +371,41 @@ class TestVertexCache:
         # 10 for the live frame's full forward, 7 for the vertex's
         # descriptors and scores (3 encoder, bottleneck, 3 score decoder)
         assert len(convs) == 17
-        assert len(records) == 92  # one per primitive; constants are not records
+        assert len(records) == 91  # one per primitive; constants are not records
         assert len(tapes) == 3  # live frame, vertex pass, matching
         assert not any(t.grad for t in tapes)
         assert all(t.dtype == np.float32 for t in tapes)
         assert all(len(t) == 0 for t in tapes)
+        # the live keypoints and the matched points each sample a stack once
+        assert len(samples) == 2
         # the cache holds the vertex pass's own outputs, not copies
         (fmap,) = passes
-        assert vertex.cache.descriptors is fmap.descriptors.value
-        assert vertex.cache.scores is fmap.scores.value
+        assert vertex.cache.stack is fmap.stack.value
+
+
+class TestExtractorIdent:
+    CFG = features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=9)
+
+    def test_names_the_weights_not_the_seed(self):
+        weights = features.init_weights(self.CFG)
+        a = LearnedExtractor(weights)
+        assert a.ident.startswith("learned-") and len(a.ident) == len("learned-") + 12
+        assert LearnedExtractor(weights.copy()).ident == a.ident
+        assert LearnedExtractor(features.init_weights(self.CFG, seed=10)).ident != a.ident
+
+    def test_a_saved_checkpoint_keeps_the_ident(self, tmp_path):
+        weights = features.init_weights(self.CFG)
+        features.save_checkpoint(tmp_path / "ck", weights)
+        loaded, _ = features.load_checkpoint(tmp_path / "ck")
+        assert LearnedExtractor(loaded).ident == LearnedExtractor(weights).ident
+
+    def test_sparse_repeat_needs_the_teaching_extractor(self, rig, K_default):
+        frames, analytic, teach_map = rig
+        learned = LearnedExtractor(features.init_weights(self.CFG))
+        with pytest.raises(ConfigError, match=f"analytic.*{learned.ident}"):
+            repeat(frames[:1], teach_map, learned, LocalizeParams(mode="sparse"), K_default)
+        report = repeat(frames[:1], teach_map, learned, LocalizeParams(mode="dense"), K_default)
+        assert len(report.results) == 1
 
 
 class TestInferenceDtype:
@@ -384,7 +435,7 @@ class TestInferenceDtype:
         assert dtypes and set(dtypes) == {(False, np.dtype(np.float32))}
         assert res.pose.C.dtype == res.pose.r.dtype == np.float64
         if mode == "dense":
-            assert vertex.cache.descriptors.dtype == vertex.cache.scores.dtype == np.float32
+            assert vertex.cache.stack.dtype == np.float32
         assert teach_map.vertices[0].points3d.dtype == np.float64
 
 

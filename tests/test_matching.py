@@ -6,13 +6,20 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stereoloc import autodiff as ad
-from stereoloc import matching
+from stereoloc import features, matching
 from stereoloc.autodiff import Tape, backward, finite_diff
-from stereoloc.features import DenseFeatureMap, KeypointSet
+from stereoloc.features import KeypointSet
 from stereoloc.matching import match_all, match_weights, mutual_best_matches
 
 from conftest import rel_err
-from oracles import match_all_reference, matchset_weights, soft_match, zncc
+from oracles import (
+    feature_map,
+    match_all_reference,
+    matchset_weights,
+    soft_match,
+    split_stack,
+    zncc,
+)
 
 
 def random_feature_map(tape, rng, d=8, h=12, w=16, smooth=False):
@@ -24,22 +31,16 @@ def random_feature_map(tape, rng, d=8, h=12, w=16, smooth=False):
         desc = rng.normal(size=(d, h, w))
     scores = rng.uniform(0.1, 0.9, size=(h, w))
     logits = rng.normal(size=(h, w))
-    return DenseFeatureMap(
-        tape.constant(desc), tape.constant(scores), tape.constant(logits)
-    )
+    return feature_map(tape, desc, scores, logits)
 
 
 def keypoints_from(tape, fmap, rng, n=5):
-    d, h, w = fmap.descriptors.value.shape
+    _, h, w = fmap.stack.value.shape
     coords = np.stack(
         [rng.uniform(0.5, w - 1.5, n), rng.uniform(0.5, h - 1.5, n)], axis=1
     )
     cvar = tape.constant(coords)
-    desc = ad.bilinear_sample(fmap.descriptors, cvar)
-    scores = ad.reshape(
-        ad.bilinear_sample(ad.reshape(fmap.scores, (1, h, w)), cvar), (n,)
-    )
-    return KeypointSet(cvar, desc, scores)
+    return KeypointSet(cvar, *features.sample_at(fmap, cvar))
 
 
 def zncc_matrix(A, B):
@@ -99,9 +100,7 @@ class TestSoftMatch:
         h, w, d = 6, 9, 5
         one = rng.normal(size=d)
         desc = np.tile(one[:, None, None], (1, h, w))
-        fmap = DenseFeatureMap(
-            t.constant(desc), t.constant(np.full((h, w), 0.5)), t.constant(np.zeros((h, w)))
-        )
+        fmap = feature_map(t, desc, np.full((h, w), 0.5), np.zeros((h, w)))
         q, _, _ = soft_match(t.constant(rng.normal(size=d)), fmap, tau=3.0)
         assert np.allclose(q.value, [(w - 1) / 2, (h - 1) / 2], atol=1e-9)
 
@@ -111,11 +110,7 @@ class TestSoftMatch:
         d = rng.normal(size=6)
         t = Tape()
         desc = np.stack([d, -d], axis=1)[:, None, :]  # (6, 1, 2)
-        fmap = DenseFeatureMap(
-            t.constant(desc),
-            t.constant(np.full((1, 2), 0.5)),
-            t.constant(np.zeros((1, 2))),
-        )
+        fmap = feature_map(t, desc, np.full((1, 2), 0.5), np.zeros((1, 2)))
         q, _, _ = soft_match(t.constant(d.copy()), fmap, tau=20.0)
         assert np.abs(q.value - [0.0, 0.0]).max() < 1e-8
 
@@ -124,7 +119,8 @@ class TestSoftMatch:
         t = Tape()
         fmap = random_feature_map(t, rng, smooth=True)
         q, desc, score = soft_match(t.constant(rng.normal(size=8)), fmap, tau=10.0)
-        ref = ad.bilinear_sample(fmap.descriptors, ad.reshape(q, (1, 2))).value[0]
+        desc_map = t.constant(split_stack(fmap.stack)[0])
+        ref = ad.bilinear_sample(desc_map, ad.reshape(q, (1, 2))).value[0]
         assert np.allclose(desc.value, ref, atol=1e-12)
         assert 0.0 < score.value < 1.0
 
@@ -135,11 +131,12 @@ class TestMatchAll:
         t = Tape()
         fmap = random_feature_map(t, rng)
         kps = keypoints_from(t, fmap, rng, n=7)
-        m = match_all(kps, fmap, tau=20.0)
-        assert len(m) == 7
-        assert m.target_points.value.shape == (7, 2)
-        assert m.target_descriptors.value.shape == (7, 8)
-        assert m.weights.value.shape == (7,)
+        points, weights = match_all(kps, fmap, tau=20.0)
+        assert points.value.shape == (7, 2)
+        assert weights.value.shape == (7,)
+        _, desc, scores, _ = matching._match_core(kps.descriptors, fmap, 20.0)
+        assert desc.value.shape == (7, 8)
+        assert scores.value.shape == (7,)
 
     def test_matches_naive_reference(self):
         for seed in range(5):
@@ -147,11 +144,11 @@ class TestMatchAll:
             t = Tape()
             fmap = random_feature_map(t, rng, d=6, h=12, w=16)
             kps = keypoints_from(t, fmap, rng, n=4)
-            m = match_all(kps, fmap, tau=15.0)
+            points, _ = match_all(kps, fmap, tau=15.0)
             ref = match_all_reference(
-                kps.descriptors.value, fmap.descriptors.value, tau=15.0
+                kps.descriptors.value, split_stack(fmap.stack)[0], tau=15.0
             )
-            assert np.abs(m.target_points.value - ref).max() < 1e-10
+            assert np.abs(points.value - ref).max() < 1e-10
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
@@ -166,7 +163,7 @@ class TestMatchAll:
         t = Tape()
         fmap = random_feature_map(t, rng, h=10, w=14)
         kps = keypoints_from(t, fmap, rng, n=6)
-        pts = match_all(kps, fmap, tau=5.0).target_points.value
+        pts = match_all(kps, fmap, tau=5.0)[0].value
         assert (pts[:, 0] >= 0).all() and (pts[:, 0] <= 13).all()
         assert (pts[:, 1] >= 0).all() and (pts[:, 1] <= 9).all()
 
@@ -176,7 +173,7 @@ class TestMatchAll:
         while instances < 5:
             t = Tape()
             fmap = random_feature_map(t, rng, d=6, h=10, w=12)
-            desc_flat = fmap.descriptors.value.reshape(6, -1).T
+            desc_flat = split_stack(fmap.stack)[0].reshape(6, -1).T
             # source descriptor taken from one integer pixel: zncc peak 1 there
             j = int(rng.integers(desc_flat.shape[0]))
             src = desc_flat[j]
@@ -190,9 +187,9 @@ class TestMatchAll:
                 t.constant(src[None].copy()),
                 t.constant(np.array([0.5])),
             )
-            m = match_all(kps, fmap, tau=1e3)
+            points, _ = match_all(kps, fmap, tau=1e3)
             hard = np.array([j % 12, j // 12], dtype=float)
-            assert np.abs(m.target_points.value[0] - hard).max() < 1e-6
+            assert np.abs(points.value[0] - hard).max() < 1e-6
 
     def test_self_matching_recovers_keypoints(self):
         # keypoints detected from the map's own logits (sharp peaks) must
@@ -208,12 +205,10 @@ class TestMatchAll:
         for iy in range(3):
             for ix in range(4):
                 logits[iy * 8 + peaks[iy, ix, 1], ix * 8 + peaks[iy, ix, 0]] = 60.0
-        fmap = DenseFeatureMap(
-            t.constant(desc), t.constant(np.full((h, w), 0.5)), t.constant(logits)
-        )
+        fmap = feature_map(t, desc, np.full((h, w), 0.5), logits)
         kps = extract_keypoints(fmap, 8)
-        m = match_all(kps, fmap, tau=1e3)
-        err = np.linalg.norm(m.target_points.value - kps.coords.value, axis=1)
+        points, _ = match_all(kps, fmap, tau=1e3)
+        err = np.linalg.norm(points.value - kps.coords.value, axis=1)
         assert err.max() < 0.5
 
     def test_self_matching_subpixel_keypoints_stay_local(self):
@@ -223,8 +218,8 @@ class TestMatchAll:
         t = Tape()
         fmap = random_feature_map(t, rng, d=8, h=24, w=32, smooth=True)
         kps = keypoints_from(t, fmap, rng, n=10)
-        m = match_all(kps, fmap, tau=160.0)
-        err = np.linalg.norm(m.target_points.value - kps.coords.value, axis=1)
+        points, _ = match_all(kps, fmap, tau=160.0)
+        err = np.linalg.norm(points.value - kps.coords.value, axis=1)
         assert err.mean() < 0.6
         assert err.max() < 1.0
 
@@ -238,11 +233,11 @@ class TestMatchAll:
         outs = []
         for grad in (True, False):
             t = Tape(grad=grad)
-            fmap = DenseFeatureMap(t.constant(desc), t.constant(scores), None)
+            fmap = feature_map(t, desc, scores)
             kps = KeypointSet(t.constant(coords), t.constant(src), t.constant(src_scores))
-            m = match_all(kps, fmap, tau=400.0)
-            outs.append([m.target_points.value, m.target_descriptors.value,
-                         m.target_scores.value, m.weights.value])
+            points, weights = match_all(kps, fmap, tau=400.0)
+            _, target_desc, target_scores, _ = matching._match_core(kps.descriptors, fmap, 400.0)
+            outs.append([points.value, target_desc.value, target_scores.value, weights.value])
         for a, b in zip(*outs):
             assert a.tobytes() == b.tobytes()
 
@@ -262,16 +257,12 @@ class TestMatchAll:
         up = rng.normal(size=(n, 2))
 
         def build(t, src_var, tgt_var):
-            fmap = DenseFeatureMap(
-                tgt_var,
-                t.constant(np.full((h, w), 0.5)),
-                t.constant(np.zeros((h, w))),
-            )
+            fmap = feature_map(t, tgt_var, np.full((h, w), 0.5), np.zeros((h, w)))
             kps = KeypointSet(
                 t.constant(np.ones((n, 2))), src_var, t.constant(np.full(n, 0.5))
             )
-            m = match_all(kps, fmap, tau=8.0)
-            return ad.sum_(ad.mul(m.target_points, t.constant(up)))
+            points, _ = match_all(kps, fmap, tau=8.0)
+            return ad.sum_(ad.mul(points, t.constant(up)))
 
         t = Tape()
         src = t.param(src0)
@@ -338,10 +329,10 @@ class TestMatchWeights:
         t = Tape()
         fmap = random_feature_map(t, rng)
         kps = keypoints_from(t, fmap, rng, n=6)
-        m = match_all(kps, fmap, tau=10.0)
-        assert (m.weights.value >= 0).all() and (m.weights.value <= 1).all()
-        again = matchset_weights(m).value
-        assert np.abs(again - m.weights.value).max() < 1e-12
+        _, weights = match_all(kps, fmap, tau=10.0)
+        assert (weights.value >= 0).all() and (weights.value <= 1).all()
+        again = matchset_weights(kps, fmap, tau=10.0).value
+        assert np.abs(again - weights.value).max() < 1e-12
 
 
 class TestMutualBest:

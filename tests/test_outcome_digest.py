@@ -1,4 +1,5 @@
-"""Smoke test of scripts/outcome_digest.py: one seed, one frame per condition."""
+"""Smoke tests of scripts/outcome_digest.py: one seed, one frame per
+condition; two training batches."""
 
 import json
 import subprocess
@@ -38,3 +39,35 @@ def test_write_covers_the_grid_and_diff_counts_mismatches(tmp_path):
     assert proc.returncode == 1
     report = json.loads(proc.stdout)
     assert (report["inlier_mismatches"], report["only_in_first"]) == (1, 1)
+
+
+def test_train_writes_one_row_per_batch_and_diff_flags_gating(tmp_path):
+    digest = tmp_path / "t.jsonl"
+    proc = run("train", "--batches", 2, "--out", digest)
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in digest.read_text().splitlines()]
+    assert [(r["seed"], r["batch"]) for r in rows] == [(1, 0), (1, 1)]
+    for r in rows:
+        assert len(r["sample_losses"]) == len(r["gated"]) == len(r["skipped"]) == 4
+        assert len(r["grad_sha256"]) == 64 and r["grad_norm"] > 0.0
+
+    proc = run("diff", digest, digest)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["train_rows"] == 2 and report["rows"] == 0
+    assert report["bitwise_mismatches"] == 0 and report["max_grad_norm_rel_delta"] == 0.0
+
+    other = tmp_path / "u.jsonl"
+    nudged = dict(rows[0], grad_sha256="0" * 64, grad_norm=rows[0]["grad_norm"] * (1 + 1e-12))
+    other.write_text("".join(json.dumps(r) + "\n" for r in (nudged, rows[1])))
+    proc = run("diff", digest, other)
+    assert proc.returncode == 0  # a last-bit gradient change is reported, not fatal
+    report = json.loads(proc.stdout)
+    assert report["bitwise_mismatches"] == 1 and report["max_grad_norm_rel_delta"] > 0.0
+
+    skipped = dict(rows[1], skipped=[True, *rows[1]["skipped"][1:]])
+    other.write_text("".join(json.dumps(r) + "\n" for r in (rows[0], skipped)))
+    proc = run("diff", digest, other)
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert (report["skipped_mismatches"], report["gated_mismatches"]) == (1, 0)

@@ -196,6 +196,22 @@ class TestSampleLoss:
         # and scores (3 encoder, bottleneck, 3 score decoder)
         assert len(convs) == 17
 
+    def test_sample_makes_four_bilinear_samples(self, small_data, monkeypatch):
+        samples, K = small_data
+        w = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=7))
+        calls = []
+        bilinear_sample = ad.bilinear_sample
+
+        def counted(m, pts):
+            calls.append(m.value.shape[0])
+            return bilinear_sample(m, pts)
+
+        monkeypatch.setattr(ad, "bilinear_sample", counted)
+        total_loss(samples[:1], w, LossConfig(), K)
+        # the source keypoints and the matched points each sample a feature
+        # stack (descriptors plus score) once; each lift samples a disparity
+        assert calls == [10, 10, 1, 1]
+
     def test_loss_config_validation(self):
         with pytest.raises(ValueError):
             LossConfig(lam=0.0)
