@@ -292,6 +292,8 @@ def take(a: Var, indices, axis: int = 0) -> Var:
             np.add.at(out, sl, g)
         return (out,)
 
+    # np.take, not fancy indexing: its C-ordered result keeps the sums
+    # downstream adding in the same order
     return a.tape.record(av[sl] if sliced else np.take(av, idx, axis=axis), (a,), pull)
 
 

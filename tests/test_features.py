@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from stereoloc import autodiff as ad
-from stereoloc import features
 from stereoloc.autodiff import Tape, backward, finite_diff
 from stereoloc.errors import ShapeError
 from stereoloc.features import (
