@@ -98,6 +98,7 @@ def _load_extractor(args) -> harness.LearnedExtractor | harness.AnalyticExtracto
     if not args.ckpt:
         raise ConfigError("--ckpt required unless --features analytic")
     weights, _ = features.load_checkpoint(args.ckpt)
+    args.window = weights.config.window  # the run manifest records the window in use
     return harness.LearnedExtractor(weights)
 
 
@@ -307,6 +308,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         description="Differentiable stereo localization toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    analytic_window = "keypoint window of --features analytic; a checkpoint brings its own"
 
     def common(p):
         p.add_argument("--config", help="flat dotted-key config file")
@@ -354,7 +356,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--frames", required=True)
     p.add_argument("--ckpt")
     p.add_argument("--features", choices=["learned", "analytic"], default="learned")
-    p.add_argument("--window", type=int, default=8)
+    p.add_argument("--window", type=int, default=8, help=analytic_window)
     p.add_argument("--disparity", choices=["gt", "block"], default="gt")
     p.set_defaults(func=cmd_teach)
 
@@ -365,7 +367,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--frames", required=True)
     p.add_argument("--ckpt")
     p.add_argument("--features", choices=["learned", "analytic"], default="learned")
-    p.add_argument("--window", type=int, default=8)
+    p.add_argument("--window", type=int, default=8, help=analytic_window)
     p.add_argument("--mode", choices=["dense", "sparse"], default=loc.mode)
     p.add_argument("--tau", type=float, default=loc.tau)
     p.add_argument("--iterations", type=int, default=loc.ransac.iterations)

@@ -5,7 +5,9 @@ vertex per frame (keypoints, descriptors, scores, 3D lifts, and the frame
 itself so dense maps can be rebuilt). Repeating localizes each live frame
 against its nearest-by-ground-truth vertex, with the standard failure
 rule: a frame fails when RANSAC errors out or the inlier count drops below
-the threshold (default 20).
+the threshold (default 20). Localization keeps no state: dense mode
+recomputes the vertex's feature stack from its frame on every call and
+frees it on return, so memory does not grow with the vertices a run visits.
 """
 
 from __future__ import annotations
@@ -87,16 +89,6 @@ class AnalyticExtractor:
 
 
 @dataclass
-class VertexCache:
-    """What localization derives from a vertex's frame, kept across calls:
-    the feature stack of one extractor object. Disparity is not cached;
-    each lift reads it at the pixels it lifts."""
-
-    extractor: LearnedExtractor | AnalyticExtractor
-    stack: np.ndarray  # (D+1, H, W): descriptors, then the score
-
-
-@dataclass
 class MapVertex:
     frame_id: int
     world_pose: np.ndarray  # taught (x, y, yaw)
@@ -105,14 +97,12 @@ class MapVertex:
     scores: np.ndarray  # (N,)
     points3d: np.ndarray  # (N, 3) camera-frame lifts
     frame: StereoFrame
-    cache: VertexCache | None = None  # filled by the first localization
 
 
 @dataclass
 class TeachMap:
     vertices: list[MapVertex]
     K: CameraIntrinsics
-    window: int
     extractor_ident: str
 
 
@@ -212,18 +202,7 @@ def teach(
         vertices.append(
             MapVertex(i, np.asarray(frame.pose, float), coords, desc, scores, p3d, frame)
         )
-    return TeachMap(vertices, K, extractor.window, extractor.ident)
-
-
-def _vertex_cache(vertex: MapVertex, extractor) -> VertexCache:
-    """The vertex's cache for this extractor object, computed on first use.
-    The cache is keyed on the object, not its `ident`, which is computed
-    once and would not follow weights changed in place."""
-    cache = vertex.cache
-    if cache is None or cache.extractor is not extractor:
-        fmap = extractor.target_on(Tape(grad=False, dtype=INFERENCE_DTYPE), vertex.frame.left)
-        cache = vertex.cache = VertexCache(extractor, fmap.stack.value)
-    return cache
+    return TeachMap(vertices, K, extractor.ident)
 
 
 def localize(
@@ -272,11 +251,11 @@ def localize(
 
 
 def _dense_pairs(vertex, extractor, coords, desc, scores, p_live, params, K):
-    """Live keypoints soft-matched into the vertex's dense map, then lifted
+    """Live keypoints soft-matched into the vertex's dense map, which is
+    computed here on the matching tape and freed with it, then lifted
     through the vertex's disparity."""
-    cache = _vertex_cache(vertex, extractor)
     tape = Tape(grad=False, dtype=INFERENCE_DTYPE)
-    fmap = features.DenseFeatureMap(tape.constant(cache.stack), None)
+    fmap = extractor.target_on(tape, vertex.frame.left)
     kps = features.KeypointSet(
         tape.constant(coords), tape.constant(desc), tape.constant(scores)
     )
@@ -434,7 +413,6 @@ def save_map(directory: str | Path, teach_map: TeachMap) -> None:
     h, w = teach_map.vertices[0].frame.left.shape
     storage.write_manifest(directory, {
         "kind": "map",
-        "window": teach_map.window,
         "extractor": teach_map.extractor_ident,
         "image_size": [h, w],
         "camera": synth.camera_dict(teach_map.K),
@@ -460,4 +438,4 @@ def load_map(directory: str | Path) -> TeachMap:
             MapVertex(e["id"], np.asarray(e["world_pose"], float), coords.reshape(n, 2),
                       desc.reshape(n, dd), scores, p3d.reshape(n, 3).astype(float), frame)
         )
-    return TeachMap(vertices, K, manifest["window"], manifest["extractor"])
+    return TeachMap(vertices, K, manifest["extractor"])

@@ -256,11 +256,13 @@ def validate(
     weights: features.ExtractorWeights,
     lcfg: LossConfig,
     K: CameraIntrinsics,
-) -> tuple[float, float]:
-    """Forward-only mean total loss and mean pose loss."""
+) -> tuple[float, float, int]:
+    """Forward-only mean total loss, mean pose loss, and the number of
+    skipped samples, which the means leave out."""
     mean, _, stats = total_loss(samples, weights, lcfg, K, compute_grads=False)
     pose_losses = [s.pose for s in stats if not s.skipped]
-    return mean, float(np.mean(pose_losses)) if pose_losses else math.nan
+    skipped = len(stats) - len(pose_losses)
+    return mean, float(np.mean(pose_losses)) if pose_losses else math.nan, skipped
 
 
 def train(
@@ -283,7 +285,7 @@ def train(
     weights = weights.copy()
     state = AdamState.for_params(weights.tensors)
 
-    val_loss, val_pose = validate(val_samples, weights, lcfg, K)
+    val_loss, val_pose, _ = validate(val_samples, weights, lcfg, K)
     curves = [
         {"epoch": 0, "train_loss": math.nan, "val_loss": val_loss, "val_pose_err": val_pose}
     ]
@@ -304,14 +306,15 @@ def train(
             epoch_losses.append(mean)
             adam_step(weights.tensors, grads, state, tcfg.learning_rate)
         train_mean = float(np.mean(epoch_losses)) if epoch_losses else math.nan
-        val_loss, val_pose = validate(val_samples, weights, lcfg, K)
+        val_loss, val_pose, skipped = validate(val_samples, weights, lcfg, K)
         curves.append(
             {"epoch": epoch, "train_loss": train_mean, "val_loss": val_loss,
              "val_pose_err": val_pose}
         )
         if log:
+            note = f" ({skipped} of {len(val_samples)} validation samples skipped)"
             log(f"epoch {epoch}: train {train_mean:.5f} val {val_loss:.5f} "
-                f"pose {val_pose:.5f}")
+                f"pose {val_pose:.5f}{note if skipped else ''}")
         stopped = epoch
         if val_loss < best_val:
             best_val = val_loss

@@ -172,6 +172,40 @@ class TestSubcommands:
         assert main(["teach", "--frames", str(teach_seq), "--features", "analytic",
                      "--out", str(map_dir)]) == 0
 
+    def test_run_manifest_records_the_checkpoint_window(self, tmp_path):
+        from stereoloc import features
+
+        seq = tmp_path / "seq"
+        assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(seq)]) == 0
+        ckpt = tmp_path / "ckpt"
+        cfg = features.ExtractorConfig(channels=(2, 3, 4), window=16, seed=3)
+        features.save_checkpoint(ckpt, features.init_weights(cfg))
+        map_dir, rep = tmp_path / "map", tmp_path / "rep"
+        assert main(["teach", "--frames", str(seq), "--ckpt", str(ckpt),
+                     "--out", str(map_dir)]) == 0
+        assert main(["repeat", "--map", str(map_dir), "--frames", str(seq),
+                     "--ckpt", str(ckpt), "--out", str(rep)]) == 0
+        for out in (map_dir, rep):
+            assert storage.read_json(out / "run_manifest.json")["config"]["window"] == 16
+
+    def test_nan_validation_says_how_many_samples_were_skipped(self, tmp_path, capsys):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["synth", "--kind", "pairs", "--count", "8", "--size", "32x24",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--lr", "1e-3", "--epochs", "2",
+                     "--patience", "3", "--channels", "2,3,4", "--seed", "3",
+                     "--out", str(run)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for epoch, line in enumerate(lines[:2], start=1):
+            assert line.startswith(f"epoch {epoch}: ")
+            assert line.endswith("val nan pose nan (2 of 2 validation samples skipped)")
+        assert lines[2].startswith("best epoch 0;")
+        curves = (run / "loss_curves.csv").read_text().splitlines()
+        assert curves[0] == "epoch,train_loss,val_loss,val_pose_err"
+        assert [row.split(",")[2:] for row in curves[2:]] == [["nan", "nan"]] * 2
+
     def test_config_file_merging(self, workdir, tmp_path):
         cfg = tmp_path / "exp.cfg"
         out = tmp_path / "cfgdata"

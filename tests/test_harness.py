@@ -1,4 +1,4 @@
-import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +134,7 @@ class TestLocalize:
 
     def test_block_matching_reads_only_the_lifted_pixels(self, rig, K_default, monkeypatch):
         frames, extractor, teach_map = rig
-        vertex = dataclasses.replace(teach_map.vertices[0], cache=None)
+        vertex = teach_map.vertices[0]
         pixels = []
         block_match = synth.block_match_disparity
 
@@ -257,7 +257,6 @@ class TestMapPersistence:
         save_map(tmp_path / "m", teach_map)
         loaded = load_map(tmp_path / "m")
         assert len(loaded.vertices) == len(teach_map.vertices)
-        assert loaded.window == teach_map.window
         assert loaded.extractor_ident == teach_map.extractor_ident
         for a, b in zip(teach_map.vertices, loaded.vertices):
             assert np.allclose(b.coords, a.coords, atol=1e-4)
@@ -277,7 +276,7 @@ class TestMapPersistence:
         self, rig, K_default, tmp_path, learned
     ):
         frames, analytic, _ = rig
-        extractor = (LearnedExtractor(features.init_weights(TestVertexCache.CFG))
+        extractor = (LearnedExtractor(features.init_weights(TestStatelessLocalize.CFG))
                      if learned else analytic)
         teach_map = teach(frames[:2], extractor, K_default)
         save_map(tmp_path / "m", teach_map)
@@ -298,36 +297,34 @@ class TestMapPersistence:
             load_map(tmp_path / "x")
 
 
-class TestVertexCache:
+class TestStatelessLocalize:
     CFG = features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=9)
 
-    def test_keyed_on_the_extractor_not_its_ident(self, rig, K_default):
+    def test_another_extractor_sees_a_fresh_vertex(self, rig, K_default):
         frames, _, _ = rig
         a = LearnedExtractor(features.init_weights(self.CFG))
         b = LearnedExtractor(features.init_weights(self.CFG, seed=10))
         teach_map = teach(frames[:2], a, K_default)
         params = LocalizeParams(mode="dense")
-        warm = teach_map.vertices[0]
-        cold = dataclasses.replace(warm, cache=None)
-        localize(frames[0], warm, a, params, K_default)
-        res_warm = localize(frames[0], warm, b, params, K_default)
-        res_cold = localize(frames[0], cold, b, params, K_default)
+        used = teach_map.vertices[0]
+        fresh = teach(frames[:1], a, K_default).vertices[0]
+        localize(frames[0], used, a, params, K_default)
+        res_used = localize(frames[0], used, b, params, K_default)
+        res_fresh = localize(frames[0], fresh, b, params, K_default)
         f32 = harness.INFERENCE_DTYPE
-        expected = b.target_on(Tape(grad=False, dtype=f32), warm.frame.left).stack.value
-        other = a.target_on(Tape(grad=False, dtype=f32), warm.frame.left).stack.value
-        assert warm.cache.extractor is b
-        assert warm.cache.stack.tobytes() == expected.tobytes()
+        expected = b.target_on(Tape(grad=False, dtype=f32), used.frame.left).stack.value
+        other = a.target_on(Tape(grad=False, dtype=f32), used.frame.left).stack.value
         assert expected.tobytes() != other.tobytes()
-        assert res_warm.inliers == res_cold.inliers
-        assert res_warm.failure == res_cold.failure
+        assert res_used.inliers == res_fresh.inliers
+        assert res_used.failure == res_fresh.failure
 
-    def test_cold_dense_localize_runs_17_convs_on_no_grad_tapes(
+    def test_every_dense_localize_runs_17_convs_on_two_no_grad_tapes(
         self, rig, K_default, monkeypatch
     ):
         frames, _, _ = rig
         extractor = LearnedExtractor(features.init_weights(self.CFG))
         teach_map = teach(frames[:2], extractor, K_default)
-        vertex = dataclasses.replace(teach_map.vertices[0], cache=None)
+        vertex = teach_map.vertices[0]
         convs = []
         conv2d = ad.conv2d
 
@@ -367,20 +364,39 @@ class TestVertexCache:
         monkeypatch.setattr(harness, "Tape", recorded)
         monkeypatch.setattr(Tape, "record", counted_record)
         monkeypatch.setattr(extractor, "target_on", vertex_pass)
-        localize(frames[0], vertex, extractor, LocalizeParams(mode="dense"), K_default)
-        # 10 for the live frame's full forward, 7 for the vertex's
-        # descriptors and scores (3 encoder, bottleneck, 3 score decoder)
-        assert len(convs) == 17
-        assert len(records) == 91  # one per primitive; constants are not records
-        assert len(tapes) == 3  # live frame, vertex pass, matching
-        assert not any(t.grad for t in tapes)
-        assert all(t.dtype == np.float32 for t in tapes)
-        assert all(len(t) == 0 for t in tapes)
-        # the live keypoints and the matched points each sample a stack once
-        assert len(samples) == 2
-        # the cache holds the vertex pass's own outputs, not copies
-        (fmap,) = passes
-        assert vertex.cache.stack is fmap.stack.value
+        for _ in range(2):  # a vertex localized before costs the same again
+            for counts in (convs, tapes, records, passes, samples):
+                counts.clear()
+            localize(frames[0], vertex, extractor, LocalizeParams(mode="dense"), K_default)
+            # 10 for the live frame's full forward, 7 for the vertex's
+            # descriptors and scores (3 encoder, bottleneck, 3 score decoder)
+            assert len(convs) == 17
+            assert len(records) == 91  # one per primitive; constants are not records
+            assert len(tapes) == 2  # live frame; vertex pass and matching
+            assert not any(t.grad for t in tapes)
+            assert all(t.dtype == np.float32 for t in tapes)
+            assert all(len(t) == 0 for t in tapes)
+            assert len(passes) == 1
+            # the live keypoints and the matched points each sample a stack once
+            assert len(samples) == 2
+
+    def test_repeat_memory_stays_flat(self, rig, K_default):
+        frames, extractor, used_map = rig
+        params = LocalizeParams(mode="dense")
+        repeat(frames, used_map, extractor, params, K_default)  # fills memoized tables
+        teach_map = teach(frames, extractor, K_default)
+        f32 = harness.INFERENCE_DTYPE
+        stack = extractor.target_on(Tape(grad=False, dtype=f32), frames[0].left).stack.value
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = repeat(frames, teach_map, extractor, params, K_default)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # every frame localized against its own vertex
+        assert report.failure_count == 0 and len(report.results) == len(teach_map.vertices)
+        assert grown < stack.nbytes
 
 
 class TestExtractorIdent:
@@ -420,7 +436,7 @@ class TestInferenceDtype:
         extractor = (LearnedExtractor(features.load_checkpoint(self.CHECKPOINT)[0])
                      if learned else analytic)
         teach_map = teach(frames[:2], extractor, K_default)
-        vertex = dataclasses.replace(teach_map.vertices[0], cache=None)
+        vertex = teach_map.vertices[0]
         dtypes = []
         record = Tape.record
 
@@ -434,8 +450,6 @@ class TestInferenceDtype:
         assert not res.failure
         assert dtypes and set(dtypes) == {(False, np.dtype(np.float32))}
         assert res.pose.C.dtype == res.pose.r.dtype == np.float64
-        if mode == "dense":
-            assert vertex.cache.stack.dtype == np.float32
         assert teach_map.vertices[0].points3d.dtype == np.float64
 
 

@@ -325,7 +325,7 @@ class TestTrainLoop:
         samples, K = small_data
         tr, va = split_dataset(samples, 0.25)
         scripted = iter(val_losses)
-        monkeypatch.setattr(training, "validate", lambda *args: (next(scripted), 0.5))
+        monkeypatch.setattr(training, "validate", lambda *args: (next(scripted), 0.5, 0))
         w = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=9))
         tcfg = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=len(val_losses) - 1,
                            early_stop_patience=5, seed=0)
