@@ -384,7 +384,7 @@ class TestStatelessLocalize:
         frames, extractor, used_map = rig
         params = LocalizeParams(mode="dense")
         repeat(frames, used_map, extractor, params, K_default)  # fills memoized tables
-        teach_map = teach(frames, extractor, K_default)
+        teach_map = teach(frames, extractor, K_default)  # the rig's map, untouched
         f32 = harness.INFERENCE_DTYPE
         stack = extractor.target_on(Tape(grad=False, dtype=f32), frames[0].left).stack.value
         tracemalloc.start()
