@@ -1,10 +1,13 @@
-"""Reverse-mode automatic differentiation over a per-sample tape.
+"""Reverse-mode automatic differentiation over a per-batch tape.
 
 The tape records coarse array-level primitives (whole softmax, whole ZNCC
 normalization, whole SVD alignment) rather than scalar operations; each
-primitive carries a hand-derived pullback. One tape per training sample;
-`backward` walks the record once in reverse index order, which makes
-gradient accumulation deterministic. Every `Var` owns its value, and the
+primitive carries a hand-derived pullback. One tape per training batch: the
+image primitives take a batch as a second axis, (C, B, H, W), and the
+matching primitives a leading one. `backward` walks the record once in
+reverse index order, which makes gradient accumulation deterministic.
+Pullbacks close over the shapes they need, not over their inputs, unless
+the gradient reads an input's values. Every `Var` owns its value, and the
 tape holds only each node's parent indices and pullback, so a value dies
 with its last `Var`. Inference runs the same primitives on a no-grad tape
 (`Tape(grad=False)`), which records nothing: its `Var`s carry no index.
@@ -231,24 +234,24 @@ def atan2(y, x) -> Var:
 
 
 def sum_(a: Var, axis=None, keepdims: bool = False) -> Var:
-    av = a.value
-    out = av.sum(axis=axis, keepdims=keepdims)
+    out = a.value.sum(axis=axis, keepdims=keepdims)
+    shape = a.value.shape
 
     def pull(g):
         g = np.asarray(g)
         if axis is None:
-            return (np.broadcast_to(g, av.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         ax = axis if isinstance(axis, tuple) else (axis,)
         if not keepdims:
             g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, av.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return a.tape.record(out, (a,), pull)
 
 
 def reshape(a: Var, shape) -> Var:
-    av = a.value
-    return a.tape.record(av.reshape(shape), (a,), lambda g: (g.reshape(av.shape),))
+    old = a.value.shape
+    return a.tape.record(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def transpose(a: Var, axes=None) -> Var:
@@ -278,6 +281,7 @@ def take(a: Var, indices, axis: int = 0) -> Var:
     scatter-adds back; a slice gathers each element at most once, so its
     adjoint is a plain store."""
     av = a.value
+    shape, dtype = av.shape, av.dtype
     sliced = isinstance(indices, slice)
     idx = indices if sliced else np.asarray(indices)
     sl: list = [slice(None)] * av.ndim
@@ -285,7 +289,7 @@ def take(a: Var, indices, axis: int = 0) -> Var:
     sl = tuple(sl)
 
     def pull(g):
-        out = np.zeros_like(av)
+        out = np.zeros(shape, dtype)
         if sliced:
             out[sl] = g
         else:
@@ -298,13 +302,18 @@ def take(a: Var, indices, axis: int = 0) -> Var:
 
 
 def matmul(a: Var, b: Var) -> Var:
+    """Matrix product; `a` may carry a leading batch axis, and `b` with it
+    or without (one matrix for every batch entry)."""
     tape, a, b = _pair(a, b)
     av, bv = a.value, b.value
 
     def pull(g):
-        ga = g @ bv.T if bv.ndim == 2 else np.outer(g, bv)
-        gb = av.T @ g
-        return ga, gb
+        if bv.ndim == 1:
+            return np.outer(g, bv), av.T @ g
+        ga = g @ np.swapaxes(bv, -1, -2)
+        if av.ndim > bv.ndim:  # one `b` for the batch: summed in one product
+            return ga, av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return ga, np.swapaxes(av, -1, -2) @ g
 
     return tape.record(av @ bv, (a, b), pull)
 
@@ -327,69 +336,87 @@ def softmax(a: Var, axis: int = -1) -> Var:
 
 
 def _im2col(x: Array, kh: int, kw: int) -> Array:
-    """(C, H, W) zero-padded 'same' -> (C*kh*kw, H*W)."""
-    c, h, w = x.shape
+    """(C, H, W) zero-padded 'same' -> (C*kh*kw, H*W); a batch (C, B, H, W)
+    gives (C*kh*kw, B*H*W), each image padded on its own."""
+    h, w = x.shape[-2:]
     ph, pw = kh // 2, kw // 2
-    xp = np.zeros((c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    xp[:, ph:ph + h, pw:pw + w] = x
-    cols = np.empty((c, kh, kw, h, w), dtype=x.dtype)
+    xp = np.zeros(x.shape[:-2] + (h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    xp[..., ph:ph + h, pw:pw + w] = x
+    cols = np.empty((x.shape[0], kh, kw) + x.shape[1:], dtype=x.dtype)
     for dy in range(kh):
         for dx in range(kw):
-            cols[:, dy, dx] = xp[:, dy:dy + h, dx:dx + w]
-    return cols.reshape(c * kh * kw, h * w)
+            cols[:, dy, dx] = xp[..., dy:dy + h, dx:dx + w]
+    return cols.reshape(x.shape[0] * kh * kw, -1)
 
 
 def conv2d(x: Var, weight: Var, bias: Var) -> Var:
     """'Same' 2D convolution (zero padding, stride 1, odd kernel sizes).
 
-    x: (C_in, H, W); weight: (C_out, C_in, kh, kw); bias: (C_out,).
+    x: (C_in, H, W), or a batch (C_in, B, H, W); weight: (C_out, C_in, kh,
+    kw); bias: (C_out,).
     """
     xv, wv, bv = x.value, weight.value, bias.value
     c_out, c_in, kh, kw = wv.shape
-    if xv.ndim != 3 or xv.shape[0] != c_in:
+    if xv.ndim not in (3, 4) or xv.shape[0] != c_in:
         raise ShapeError(f"conv2d input {xv.shape} incompatible with kernel {wv.shape}")
-    _, h, w = xv.shape
     cols = _im2col(xv, kh, kw)
-    out = (wv.reshape(c_out, -1) @ cols).reshape(c_out, h, w)
-    out += bv[:, None, None]
+    if xv.ndim == 3:
+        out = (wv.reshape(c_out, -1) @ cols).reshape(c_out, *xv.shape[1:])
+    else:
+        # One product per image, in one matmul call and without copies: the
+        # BLAS rounds an output column by its place in the product's column
+        # blocks, so a single product over the batch would round an image
+        # differently from the same image alone.
+        b = xv.shape[1]
+        out = np.empty((c_out,) + xv.shape[1:], dtype=np.result_type(wv, xv))
+        np.matmul(wv.reshape(c_out, -1), cols.reshape(len(cols), b, -1).transpose(1, 0, 2),
+                  out=out.reshape(c_out, b, -1).transpose(1, 0, 2))
+    out += bv.reshape((c_out,) + (1,) * (xv.ndim - 1))
 
     def pull(g):
         # the input gradient is the 'same' convolution of g with the
-        # spatially flipped kernel, input and output channels swapped
+        # spatially flipped kernel, input and output channels swapped; the
+        # weight gradient correlates the input with the same columns of g,
+        # which gives it flipped, input and output channels swapped
+        gcols = _im2col(g, kh, kw)
         flipped = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-        gx = (flipped @ _im2col(g, kh, kw)).reshape(xv.shape)
-        gw = (g.reshape(c_out, h * w) @ cols.T).reshape(wv.shape)
-        gb = g.sum(axis=(1, 2))
-        return gx, gw, gb
+        gx = (flipped @ gcols).reshape(xv.shape)
+        gw = (xv.reshape(c_in, -1) @ gcols.T).reshape(c_in, c_out, kh, kw)
+        gb = g.reshape(c_out, -1).sum(axis=1)
+        return gx, gw[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), gb
 
     return x.tape.record(out, (x, weight, bias), pull)
 
 
 def avgpool2(x: Var) -> Var:
-    """2x2 average pooling, stride 2. H and W must be even."""
+    """2x2 average pooling, stride 2, over the last two axes of (C, H, W) or
+    (C, B, H, W). H and W must be even."""
     xv = x.value
-    _, h, w = xv.shape
+    h, w = xv.shape[-2:]
     if h % 2 or w % 2:
         raise ShapeError(f"avgpool2 needs even spatial dims, got {xv.shape}")
     # The pairwise order numpy's mean uses on inputs at least 4 px wide, so
     # the bits match it there; 2-px-wide inputs may differ in the last bit.
-    out = ((xv[:, 0::2, 0::2] + xv[:, 0::2, 1::2]) + (xv[:, 1::2, 0::2] + xv[:, 1::2, 1::2])) / 4
+    out = ((xv[..., 0::2, 0::2] + xv[..., 0::2, 1::2])
+           + (xv[..., 1::2, 0::2] + xv[..., 1::2, 1::2])) / 4
 
     def pull(g):
-        return (np.repeat(np.repeat(g * 0.25, 2, axis=1), 2, axis=2),)
+        return (np.repeat(np.repeat(g * 0.25, 2, axis=-2), 2, axis=-1),)
 
     return x.tape.record(out, (x,), pull)
 
 
 def upsample_nearest(x: Var, factor: int = 2) -> Var:
+    """Repeat each pixel of the last two axes `factor` times along both."""
     xv = x.value
+    shape = xv.shape
 
     def pull(g):
-        c, h, w = xv.shape
-        return (g.reshape(c, h, factor, w, factor).sum(axis=(2, 4)),)
+        *lead, h, w = shape
+        return (g.reshape(*lead, h, factor, w, factor).sum(axis=(-3, -1)),)
 
     return x.tape.record(
-        np.repeat(np.repeat(xv, factor, axis=1), factor, axis=2), (x,), pull
+        np.repeat(np.repeat(xv, factor, axis=-2), factor, axis=-1), (x,), pull
     )
 
 
@@ -414,10 +441,11 @@ def _resample_matrix(n_out: int, n_in: int, dtype=np.float64) -> Array:
 
 
 def upsample_bilinear(x: Var, out_hw: tuple[int, int]) -> Var:
-    """Resize (C, h, w) -> (C, H, W) with align-corners bilinear interpolation,
-    as the separable product Ry @ X @ Rx^T per channel."""
+    """Resize (C, h, w) -> (C, H, W), or (C, B, h, w) -> (C, B, H, W), with
+    align-corners bilinear interpolation, as the separable product
+    Ry @ X @ Rx^T per channel and image."""
     xv = x.value
-    _, h, w = xv.shape
+    h, w = xv.shape[-2:]
     H, W = out_hw
     Ry = _resample_matrix(H, h, xv.dtype)
     Rx = _resample_matrix(W, w, xv.dtype)
@@ -432,15 +460,21 @@ BOUNDS_SLACK = 1e-6  # px; convex combinations can overshoot by rounding
 
 
 def bilinear_sample(m: Var, pts: Var) -> Var:
-    """Sample a (C, H, W) map at (N, 2) sub-pixel (u, v) points -> (N, C).
+    """Sample a (C, H, W) map at (N, 2) sub-pixel (u, v) points -> (N, C),
+    or a batch of maps (C, B, H, W), each at its own points (B, N, 2), ->
+    (B, N, C).
 
     Differentiable in both the map and the points; raises OutOfBounds for
     points outside [0, W-1] x [0, H-1] (beyond rounding slack) and for
     non-finite points.
     """
     mv, pv = m.value, pts.value
-    c, h, w = mv.shape
-    u, v = pv[:, 0], pv[:, 1]
+    c, h, w = mv.shape[0], mv.shape[-2], mv.shape[-1]
+    if mv.shape[1:-2] != pv.shape[:-2]:
+        raise ShapeError(f"cannot sample a {mv.shape} map at {pv.shape} points")
+    shape, size, pshape = mv.shape, mv.size, pv.shape  # the pullback keeps no map
+    flat = pv.reshape(-1, 2)
+    u, v = flat[:, 0], flat[:, 1]
     # float32 rounding overshoots by a few units in the last place of the extent
     slack = max(BOUNDS_SLACK, 16 * float(np.finfo(pv.dtype).eps) * max(h, w))
     inside = (
@@ -462,10 +496,12 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
     # in the map's dtype: a float32 point minus an int64 index is float64
     fx = (u - x0).astype(mv.dtype, copy=False)[:, None]
     fy = (v - y0).astype(mv.dtype, copy=False)[:, None]
-    m00 = mv[:, y0, x0].T
-    m01 = mv[:, y0, x1].T
-    m10 = mv[:, y1, x0].T
-    m11 = mv[:, y1, x1].T
+    # in a batch, each point reads its own image
+    at = (slice(None),) if pv.ndim == 2 else (slice(None), np.arange(len(u)) // pshape[-2])
+    m00 = mv[at + (y0, x0)].T
+    m01 = mv[at + (y0, x1)].T
+    m10 = mv[at + (y1, x0)].T
+    m11 = mv[at + (y1, x1)].T
     out = (
         m00 * (1 - fx) * (1 - fy)
         + m01 * fx * (1 - fy)
@@ -474,19 +510,24 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
     )
 
     def pull(g):
-        # one bincount over flat (c, y, x) indices, corners in the order
-        # 00, 01, 10, 11: each cell sums its terms in that fixed order
+        g = g.reshape(-1, c)
+        # one bincount over flat (c, image, y, x) indices, corners in the
+        # order 00, 01, 10, 11: each cell sums its terms in that fixed order
         cells = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
-        idx = np.arange(c)[None, :, None] * (h * w) + cells[:, None, :]
+        if len(at) > 1:
+            cells += at[1] * (h * w)
+        idx = np.arange(c)[None, :, None] * (size // c) + cells[:, None, :]
         terms = np.stack([
             g * (1 - fx) * (1 - fy), g * fx * (1 - fy), g * (1 - fx) * fy, g * fx * fy
         ]).transpose(0, 2, 1)
-        gm = np.bincount(idx.ravel(), terms.ravel(), minlength=c * h * w)
+        gm = np.bincount(idx.ravel(), terms.ravel(), minlength=size)
         du = (m01 - m00) * (1 - fy) + (m11 - m10) * fy
         dv = (m10 - m00) * (1 - fx) + (m11 - m01) * fx
         gp = np.stack([(g * du).sum(axis=1), (g * dv).sum(axis=1)], axis=1)
-        return gm.reshape(mv.shape), gp
+        return gm.reshape(shape), gp.reshape(pshape)
 
+    if pv.ndim > 2:
+        out = out.reshape(pshape[:-1] + (c,))
     return m.tape.record(out, (m, pts), pull)
 
 
@@ -497,18 +538,19 @@ ZNCC_VARIANCE_FLOOR = 1e-12
 
 
 def znorm_rows(x: Array) -> tuple[Array, Array]:
-    """Zero-normalize each row of a plain array so that dot products of rows
-    are ZNCC values.
+    """Zero-normalize each row (the last axis) of a plain array so that dot
+    products of rows are ZNCC values.
 
     Rows with (near-)zero variance map to zero, making constant descriptors
     unmatchable rather than undefined. Also returns each row's centred norm
-    as an (N, 1) column, infinite for the rows mapped to zero.
+    with the last axis kept (an (N, 1) column for (N, D) rows), infinite for
+    the rows mapped to zero.
     """
-    out = x - x.mean(axis=1, keepdims=True)
-    norm = np.sqrt((out * out).sum(axis=1, keepdims=True))
+    out = x - x.mean(axis=-1, keepdims=True)
+    norm = np.sqrt((out * out).sum(axis=-1, keepdims=True))
     ok = norm > ZNCC_VARIANCE_FLOOR
     out /= np.where(ok, norm, 1.0)
-    out[~ok[:, 0]] = 0.0
+    out[~ok[..., 0]] = 0.0
     return out, np.where(ok, norm, np.inf)
 
 
@@ -517,8 +559,8 @@ def row_znorm(x: Var) -> Var:
     out, norm = znorm_rows(x.value)
 
     def pull(g):
-        h = (g - out * (g * out).sum(axis=1, keepdims=True)) / norm
-        return (h - h.mean(axis=1, keepdims=True),)
+        h = (g - out * (g * out).sum(axis=-1, keepdims=True)) / norm
+        return (h - h.mean(axis=-1, keepdims=True),)
 
     return x.tape.record(out, (x,), pull)
 

@@ -5,8 +5,10 @@ whose feature maps, resized back to input resolution, form the dense
 descriptors; after the bottleneck two mirrored decoder branches produce
 keypoint logits and (through a sigmoid) scores. Descriptors and score are
 joined into one feature stack per image, so every point set is sampled
-once. An analytic, non-learned extractor with the same output contract
-supports pipeline runs without training.
+once. The learned extractor also runs over a batch of images (B, H, W) in
+one pass, the batch as the second axis of every map: (D+1, B, H, W). An
+analytic, non-learned extractor with the same output contract supports
+pipeline runs without training.
 """
 
 from __future__ import annotations
@@ -93,8 +95,9 @@ def init_weights(cfg: ExtractorConfig, seed: int | None = None) -> ExtractorWeig
 class DenseFeatureMap:
     """Per-pixel features as one (D+1, H, W) stack, descriptors in rows
     0..D-1 and the score in (0, 1) in row D, plus raw keypoint logits
-    (H, W), all tape variables. A map that is only matched into (a map
-    vertex, a training target) carries no logits."""
+    (H, W), all tape variables; (D+1, B, H, W) and (B, H, W) for a batch.
+    A map that is only matched into (a map vertex, a training target)
+    carries no logits."""
 
     stack: Var
     keypoint_logits: Var | None
@@ -104,9 +107,9 @@ class DenseFeatureMap:
 class KeypointSet:
     """Sub-pixel keypoints with sampled descriptors and scores."""
 
-    coords: Var  # (N, 2) as (u, v)
-    descriptors: Var  # (N, D)
-    scores: Var  # (N,)
+    coords: Var  # (N, 2) as (u, v); (B, N, 2) for a batch
+    descriptors: Var  # (N, D); (B, N, D)
+    scores: Var  # (N,); (B, N)
 
 
 def encode(
@@ -115,18 +118,19 @@ def encode(
     cfg: ExtractorConfig,
     tape: Tape,
 ) -> tuple[list[Var], Var]:
-    """Run the encoder on one intensity image (H, W); returns the encoder
-    maps resized to (C_i, H, W), whose rows are the descriptors, and the
-    bottleneck the decoder branches start from."""
+    """Run the encoder on one intensity image (H, W), or a batch (B, H, W);
+    returns the encoder maps resized to (C_i, H, W) or (C_i, B, H, W), whose
+    rows are the descriptors, and the bottleneck the decoder branches start
+    from."""
     x = image if isinstance(image, Var) else tape.constant(image)
-    if x.value.ndim != 2:
-        raise ShapeError(f"expected (H, W) image, got {x.value.shape}")
-    h, w = x.value.shape
+    if x.value.ndim not in (2, 3):
+        raise ShapeError(f"expected an (H, W) image or a (B, H, W) batch, got {x.value.shape}")
+    h, w = x.value.shape[-2:]
     depth = len(cfg.channels)
     if h % (1 << depth) or w % (1 << depth):
         raise ShapeError(f"image {h}x{w} not divisible by 2^{depth}")
 
-    feat = ad.reshape(x, (1, h, w))
+    feat = ad.reshape(x, (1,) + x.value.shape)
     enc_maps = []
     for i in range(1, depth + 1):
         feat = ad.tanh(ad.conv2d(feat, params[f"enc{i}.weight"], params[f"enc{i}.bias"]))
@@ -143,8 +147,8 @@ def encode(
 def decode(
     bottleneck: Var, branch: str, params: dict[str, Var], cfg: ExtractorConfig
 ) -> Var:
-    """One decoder branch at input resolution (1, H, W): raw keypoint
-    logits for "kp", scores in (0, 1) for "score"."""
+    """One decoder branch at input resolution (1, H, W), or (1, B, H, W):
+    raw keypoint logits for "kp", scores in (0, 1) for "score"."""
     depth = len(cfg.channels)
     d = bottleneck
     for i in range(1, depth + 1):
@@ -161,7 +165,8 @@ def forward(
     cfg: ExtractorConfig,
     tape: Tape,
 ) -> DenseFeatureMap:
-    """Run the encoder-decoder on one intensity image (H, W)."""
+    """Run the encoder-decoder on one intensity image (H, W), or on a batch
+    (B, H, W) in one pass."""
     maps, bottleneck = encode(image, params, cfg, tape)
     logits = decode(bottleneck, "kp", params, cfg)
     stack = ad.concat(maps + [decode(bottleneck, "score", params, cfg)], axis=0)
@@ -183,17 +188,19 @@ def forward_target(
 
 def detect_keypoints(logits: Var, window: int) -> Var:
     """One sub-pixel keypoint per window: the softmax-weighted average of
-    pixel coordinates inside that window. Returns (N, 2) as (u, v)."""
-    h, w = logits.value.shape
+    pixel coordinates inside that window. Returns (N, 2) as (u, v) for
+    (H, W) logits, (B, N, 2) for a batch (B, H, W)."""
+    *lead, h, w = logits.value.shape
     if h % window or w % window:
         raise ShapeError(f"window {window} does not divide {h}x{w}")
     ny, nx = h // window, w // window
     n = ny * nx
 
-    blocks = ad.reshape(logits, (ny, window, nx, window))
-    blocks = ad.transpose(blocks, (0, 2, 1, 3))
-    flat = ad.reshape(blocks, (n, window * window))
-    weights = ad.softmax(flat, axis=1)
+    k = len(lead)
+    blocks = ad.reshape(logits, (*lead, ny, window, nx, window))
+    blocks = ad.transpose(blocks, (*range(k), k, k + 2, k + 1, k + 3))
+    flat = ad.reshape(blocks, (*lead, n, window * window))
+    weights = ad.softmax(flat, axis=-1)
 
     ij = np.arange(window)
     in_window = np.stack(
@@ -213,11 +220,12 @@ def detect_keypoints(logits: Var, window: int) -> Var:
 
 def sample_at(fmap: DenseFeatureMap, coords: Var) -> tuple[Var, Var]:
     """Bilinearly sample descriptors (N, D) and scores (N,) at points, in
-    one pass over the feature stack."""
+    one pass over the feature stack; (B, N, D) and (B, N) for a batch."""
     sampled = ad.bilinear_sample(fmap.stack, coords)
-    n, d = sampled.value.shape[0], sampled.value.shape[1] - 1
-    desc = ad.take(sampled, slice(0, d), axis=1)
-    return desc, ad.reshape(ad.take(sampled, slice(d, None), axis=1), (n,))
+    d = sampled.value.shape[-1] - 1
+    desc = ad.take(sampled, slice(0, d), axis=-1)
+    scores = ad.take(sampled, slice(d, None), axis=-1)
+    return desc, ad.reshape(scores, sampled.value.shape[:-1])
 
 
 def extract_keypoints(fmap: DenseFeatureMap, window: int) -> KeypointSet:

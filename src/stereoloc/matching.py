@@ -5,7 +5,8 @@ pixel coordinates, where the weights come from a temperature-scaled ZNCC
 between the source descriptor and every target pixel descriptor. Matched
 descriptors and scores are then bilinearly sampled at the matched point,
 and per-match weights combine descriptor agreement with the learned
-scores.
+scores. A batch of source keypoint sets (B, N, ...) matches into a batch
+of target maps (D+1, B, H, W), each set into its own map.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ DEFAULT_TEMPERATURE = 50.0
 
 
 def _flatten_target(target: DenseFeatureMap) -> tuple[Var, np.ndarray]:
-    """The target's descriptor rows as (H*W, D), and each pixel's (u, v)."""
-    c, h, w = target.stack.value.shape
+    """The target's descriptor rows as (H*W, D), or (B, H*W, D) for a batch,
+    and each pixel's (u, v)."""
+    c, *lead, h, w = target.stack.value.shape
     desc = ad.take(target.stack, slice(0, c - 1), axis=0)
-    flat = ad.reshape(ad.transpose(desc, (1, 2, 0)), (h * w, c - 1))
+    channels_last = ad.transpose(desc, tuple(range(1, desc.value.ndim)) + (0,))
+    flat = ad.reshape(channels_last, (*lead, h * w, c - 1))
     us, vs = np.meshgrid(np.arange(w), np.arange(h))
     return flat, np.stack([us.ravel(), vs.ravel()], axis=1).astype(float)
 
@@ -33,9 +36,11 @@ def _match_core(src_desc: Var, target: DenseFeatureMap, tau):
     if tau <= 0:
         raise ValueError("temperature must be positive")
     flat, coords = _flatten_target(target)
+    k = flat.value.ndim - 2  # a batch axis, if any, stays first
     # (N, M) of ZNCC values; unnamed, the (M, D) normalized rows die here
-    sim = ad.matmul(ad.row_znorm(src_desc), ad.transpose(ad.row_znorm(flat)))
-    attn = ad.softmax(ad.mul(sim, float(tau)), axis=1)
+    sim = ad.matmul(ad.row_znorm(src_desc),
+                    ad.transpose(ad.row_znorm(flat), (*range(k), k + 1, k)))
+    attn = ad.softmax(ad.mul(sim, float(tau)), axis=-1)
     tape = src_desc.tape
     points = ad.matmul(attn, tape.constant(coords))
     desc, scores = features.sample_at(target, points)
@@ -49,7 +54,7 @@ def match_weights(
     """Per-match weight: 0.5 * (zncc + 1) * s_source * s_target."""
     zn_a = ad.row_znorm(source_descriptors)
     zn_b = ad.row_znorm(target_descriptors)
-    corr = ad.sum_(ad.mul(zn_a, zn_b), axis=1)
+    corr = ad.sum_(ad.mul(zn_a, zn_b), axis=-1)
     half = ad.mul(ad.add(corr, 1.0), 0.5)
     return ad.mul(ad.mul(half, source_scores), target_scores)
 
@@ -61,7 +66,7 @@ def match_all(
 ) -> tuple[Var, Var]:
     """Soft-match every source keypoint against the target feature map.
     Returns the matched target points (N, 2) and the combined match weights
-    (N,), in source keypoint order."""
+    (N,), in source keypoint order; (B, N, 2) and (B, N) for a batch."""
     points, desc, scores, _ = _match_core(source.descriptors, target, tau)
     return points, match_weights(source.descriptors, desc, source.scores, scores)
 

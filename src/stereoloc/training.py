@@ -1,15 +1,18 @@
 """Losses, Adam optimization, and the training loop.
 
-Each sample records one tape: extractor forward on the source frame, its
-descriptors and scores on the target, windowed keypoint detection, dense
-soft matching, stereo 3D lifting, ground-truth outlier gating, then the
-keypoint loss (planar coordinates of gated pairs) plus the pose loss on the
-differentiable weighted-SVD alignment. Early stopping watches the
-validation loss; the best-validation weights win.
+Each training batch records one tape. Over the whole batch at once: one
+extractor forward on the source frames, their descriptors and scores on the
+targets, windowed keypoint detection, dense soft matching and stereo 3D
+lifting. Then per sample: ground-truth outlier gating, the keypoint loss
+(planar coordinates of gated pairs) plus the pose loss on the
+differentiable weighted-SVD alignment. One backward pass runs on the sum.
+Early stopping watches the validation loss; the best-validation weights
+win.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +59,12 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# per-sample tape construction
+# per-batch tape construction
+
+# Samples recorded on one tape: the training batch. Validation hands
+# `total_loss` all its samples, and one tape over them all would hold every
+# image's maps at once.
+TAPE_SAMPLES = 4
 
 
 @dataclass
@@ -69,54 +77,76 @@ class SampleStats:
     est: PlanarPose | None = None
 
 
-def _lift(coords: Var, disp_map: np.ndarray, K: CameraIntrinsics) -> Var:
-    """Backproject (N, 2) tape keypoints through a ground-truth disparity
-    map, keeping everything differentiable in the coordinates."""
+def _lift(coords: Var, disp_maps: np.ndarray, K: CameraIntrinsics) -> Var:
+    """Backproject (B, N, 2) tape keypoints through their images'
+    ground-truth disparity maps (B, H, W), keeping everything
+    differentiable in the coordinates; returns (B, N, 3)."""
     tape = coords.tape
-    n = len(coords.value)
-    h, w = disp_map.shape
-    dmap = tape.constant(disp_map.reshape(1, h, w))
-    d = ad.reshape(ad.bilinear_sample(dmap, coords), (n,))
-    u = ad.reshape(ad.take(coords, [0], axis=1), (n,))
-    v = ad.reshape(ad.take(coords, [1], axis=1), (n,))
+    lead = coords.value.shape[:-1]
+    dmap = tape.constant(disp_maps[None])
+    d = ad.reshape(ad.bilinear_sample(dmap, coords), lead)
+    u = ad.reshape(ad.take(coords, [0], axis=-1), lead)
+    v = ad.reshape(ad.take(coords, [1], axis=-1), lead)
     s = ad.div(tape.constant(K.b), d)
     px = ad.mul(s, ad.sub(u, K.cu))
     py = ad.mul(ad.mul(s, K.fu / K.fv), ad.sub(v, K.cv))
     pz = ad.mul(s, K.fu)
-    cols = [ad.reshape(c, (n, 1)) for c in (px, py, pz)]
-    return ad.concat(cols, axis=1)
+    cols = [ad.reshape(c, lead + (1,)) for c in (px, py, pz)]
+    return ad.concat(cols, axis=-1)
 
 
 def _scalar(x: Var) -> Var:
     return ad.reshape(x, ())
 
 
-def build_sample_loss(
+def _batch_matches(
     tape: Tape,
     params: dict[str, Var],
     cfg: features.ExtractorConfig,
-    sample: Sample,
+    batch: list[Sample],
     K: CameraIntrinsics,
     lcfg: LossConfig,
+) -> tuple[Var, Var, Var]:
+    """Record the batch's shared pipeline, up to the ground-truth gate: one
+    extractor pass over the sources and one over the targets, keypoints,
+    soft matches and both lifts. Returns the lifted source points and
+    matches as rows (B*N, 3) and the match weights as (B*N,), sample b
+    owning rows b*N to (b+1)*N."""
+    sources = np.stack([s.source.left for s in batch])
+    targets = np.stack([s.target.left for s in batch])
+    fmap_s = features.forward(sources, params, cfg, tape)
+    fmap_t = features.forward_target(targets, params, cfg, tape)
+    kps = features.extract_keypoints(fmap_s, cfg.window)
+    target_points, match_w = matching.match_all(kps, fmap_t, tau=lcfg.tau)
+
+    p_s = _lift(kps.coords, np.stack([s.source.disparity for s in batch]), K)
+    p_t = _lift(target_points, np.stack([s.target.disparity for s in batch]), K)
+    rows = match_w.value.size
+    return (ad.reshape(p_s, (rows, 3)), ad.reshape(p_t, (rows, 3)),
+            ad.reshape(match_w, (rows,)))
+
+
+def build_sample_loss(
+    p_s: Var,
+    p_t: Var,
+    match_w: Var,
+    rows: slice,
+    sample: Sample,
+    lcfg: LossConfig,
 ) -> tuple[Var | None, SampleStats]:
-    """Record the full pipeline for one sample; returns (loss, stats).
+    """Record one sample's loss on its batch's tape, from the sample's
+    `rows` of the batch's lifted points, matches and match weights (see
+    `_batch_matches`); returns (loss, stats).
 
     Samples with fewer than 4 gated matches, or whose alignment is too
     degenerate to differentiate, are skipped (loss None).
     """
+    tape = p_s.tape
     stats = SampleStats()
-    fmap_s = features.forward(sample.source.left, params, cfg, tape)
-    fmap_t = features.forward_target(sample.target.left, params, cfg, tape)
-    kps = features.extract_keypoints(fmap_s, cfg.window)
-    target_points, match_w = matching.match_all(kps, fmap_t, tau=lcfg.tau)
-
-    p_s = _lift(kps.coords, sample.source.disparity, K)
-    p_t = _lift(target_points, sample.target.disparity, K)
-
     keep = estimator.gt_outlier_gate(
-        p_s.value, p_t.value, sample.gt, lcfg.gate_threshold
+        p_s.value[rows], p_t.value[rows], sample.gt, lcfg.gate_threshold
     )
-    idx = np.flatnonzero(keep)
+    idx = rows.start + np.flatnonzero(keep)
     stats.n_gated = int(len(keep) - len(idx))
     if len(idx) < 4:
         stats.skipped = True
@@ -166,8 +196,10 @@ def total_loss(
 ) -> tuple[float, dict[str, np.ndarray] | None, list[SampleStats]]:
     """Mean loss over samples, with gradients accumulated in a fixed order.
 
-    Skipped samples contribute nothing; if every sample is skipped the loss
-    is nan and the gradients are zero.
+    Each run of up to TAPE_SAMPLES samples records one tape and, with
+    gradients, one backward pass over the sum of its losses. Skipped samples
+    contribute nothing; if every sample is skipped the loss is nan and the
+    gradients are zero.
     """
     cfg = weights.config
     grad_sum = (
@@ -177,16 +209,23 @@ def total_loss(
     )
     losses = []
     stats_all = []
-    for sample in samples:
+    for start in range(0, len(samples), TAPE_SAMPLES):
+        batch = samples[start : start + TAPE_SAMPLES]
         tape = Tape(grad=compute_grads)
         params = weights.bind(tape)
-        loss, stats = build_sample_loss(tape, params, cfg, sample, K, lcfg)
-        stats_all.append(stats)
-        if loss is None:
-            continue
-        losses.append(float(loss.value))
-        if compute_grads:
-            grads = ad.backward(tape, loss)
+        p_s, p_t, match_w = _batch_matches(tape, params, cfg, batch, K, lcfg)
+        n = len(match_w.value) // len(batch)
+        kept = []
+        for b, sample in enumerate(batch):
+            loss, stats = build_sample_loss(
+                p_s, p_t, match_w, slice(b * n, (b + 1) * n), sample, lcfg
+            )
+            stats_all.append(stats)
+            if loss is not None:
+                kept.append(loss)
+                losses.append(float(loss.value))
+        if compute_grads and kept:
+            grads = ad.backward(tape, functools.reduce(ad.add, kept))
             for name in grad_sum:
                 grad_sum[name] += grads[params[name].index]
     n = len(losses)

@@ -144,6 +144,18 @@ def im2col_reference(x: Array, kh: int, kw: int) -> Array:
     return windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, h * w)
 
 
+def conv2d_weight_grad_reference(x: Array, g: Array, kh: int, kw: int) -> Array:
+    """`ad.conv2d`'s weight gradient by the formula it used before it kept
+    its input instead of the column matrix: the upstream rows against the
+    input's im2col columns, summed over the images of a (C, B, H, W) batch."""
+    images = [x] if x.ndim == 3 else [x[:, b] for b in range(x.shape[1])]
+    upstream = [g] if g.ndim == 3 else [g[:, b] for b in range(g.shape[1])]
+    c_out = g.shape[0]
+    gw = sum(gi.reshape(c_out, -1) @ im2col_reference(xi, kh, kw).T
+             for xi, gi in zip(images, upstream))
+    return gw.reshape(c_out, x.shape[0], kh, kw)
+
+
 def avgpool2_reference(x: Array) -> Array:
     """2x2 average pooling, stride 2, as numpy's mean over the two pooled
     axes of a (C, H/2, 2, W/2, 2) view."""

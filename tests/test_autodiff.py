@@ -19,6 +19,7 @@ from oracles import (
     avgpool2_reference,
     bilinear_sample_reference,
     conv2d_reference,
+    conv2d_weight_grad_reference,
     im2col_reference,
     softmax_reference,
     svd_alignment_gradient,
@@ -160,6 +161,158 @@ def test_primitive_gradients(name):
         check_gradient(
             lambda t, x: build(t, x, np.random.default_rng((key, seed, 1))), x0
         )
+
+
+def _off_grid(rng, shape, hi):
+    """Sample points strictly inside [0, hi] and at least 0.1 from an integer,
+    where bilinear interpolation is smooth."""
+    x = rng.uniform(0.2, hi - 0.2, shape)
+    return np.where(np.abs(x - np.round(x)) < 0.1, x + 0.15, x)
+
+
+# Inputs with a batch axis: the image primitives take (C, B, H, W), sampling
+# takes (B, N, 2) points, and matmul and row_znorm a leading batch axis.
+# name -> (x0 of seed rng, build(tape, x, rng) -> scalar)
+BATCHED_CASES = {
+    "conv2d_x": (lambda r: r.normal(size=(2, 3, 4, 6)), lambda t, x, r: scalarize(ad.conv2d(
+        x, t.constant(_rand(r, 3, 2, 3, 3)), t.constant(_rand(r, 3))), _rand(r, 3, 3, 4, 6))),
+    "conv2d_w": (lambda r: r.normal(size=(3, 2, 3, 3)), lambda t, w, r: scalarize(ad.conv2d(
+        t.constant(_rand(r, 2, 3, 4, 6)), w, t.constant(_rand(r, 3))), _rand(r, 3, 3, 4, 6))),
+    "conv2d_b": (lambda r: r.normal(size=3), lambda t, b, r: scalarize(ad.conv2d(
+        t.constant(_rand(r, 2, 3, 4, 6)), t.constant(_rand(r, 3, 2, 3, 3)), b), _rand(r, 3, 3, 4, 6))),
+    "avgpool2": (lambda r: r.normal(size=(2, 3, 4, 6)),
+                 lambda t, x, r: scalarize(ad.avgpool2(x), _rand(r, 2, 3, 2, 3))),
+    "upsample_nearest": (lambda r: r.normal(size=(2, 3, 2, 3)),
+                         lambda t, x, r: scalarize(ad.upsample_nearest(x, 2), _rand(r, 2, 3, 4, 6))),
+    "upsample_bilinear": (lambda r: r.normal(size=(2, 3, 2, 3)), lambda t, x, r: scalarize(
+        ad.upsample_bilinear(x, (5, 7)), _rand(r, 2, 3, 5, 7))),
+    "bilinear_sample_map": (lambda r: r.normal(size=(2, 3, 5, 6)), lambda t, m, r: scalarize(
+        ad.bilinear_sample(m, t.constant(np.stack([_off_grid(r, (3, 4), 5), _off_grid(r, (3, 4), 4)],
+                                                  axis=-1))), _rand(r, 3, 4, 2))),
+    "bilinear_sample_points": (
+        lambda r: np.stack([_off_grid(r, (3, 4), 5), _off_grid(r, (3, 4), 4)], axis=-1),
+        lambda t, p, r: scalarize(ad.bilinear_sample(t.constant(_rand(r, 2, 3, 5, 6)), p),
+                                  _rand(r, 3, 4, 2))),
+    "matmul_batch_lhs": (lambda r: r.normal(size=(3, 4, 5)), lambda t, x, r: scalarize(
+        ad.matmul(x, t.constant(_rand(r, 5, 2))), _rand(r, 3, 4, 2))),
+    "matmul_shared_rhs": (lambda r: r.normal(size=(5, 2)), lambda t, x, r: scalarize(
+        ad.matmul(t.constant(_rand(r, 3, 4, 5)), x), _rand(r, 3, 4, 2))),
+    "matmul_batched_lhs": (lambda r: r.normal(size=(3, 4, 5)), lambda t, x, r: scalarize(
+        ad.matmul(x, t.constant(_rand(r, 3, 5, 2))), _rand(r, 3, 4, 2))),
+    "matmul_batched_rhs": (lambda r: r.normal(size=(3, 5, 2)), lambda t, x, r: scalarize(
+        ad.matmul(t.constant(_rand(r, 3, 4, 5)), x), _rand(r, 3, 4, 2))),
+    "row_znorm": (lambda r: r.normal(size=(3, 4, 5)),
+                  lambda t, x, r: scalarize(ad.row_znorm(x), _rand(r, 3, 4, 5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_CASES))
+def test_batched_primitive_gradients(name):
+    make_x0, build = BATCHED_CASES[name]
+    key = zlib.crc32(name.encode())
+    for seed in range(10):
+        x0 = make_x0(np.random.default_rng((key, seed)))
+        check_gradient(
+            lambda t, x: build(t, x, np.random.default_rng((key, seed, 1))), x0, tol=1e-6
+        )
+
+
+class TestBatchAxis:
+    """A batch runs each image through the same arithmetic as the image
+    alone, so its forward values are bitwise the per-image ones."""
+
+    @pytest.mark.parametrize("c_in, c_out, hw", [(1, 8, (24, 32)), (32, 32, (3, 4)),
+                                                 (16, 1, (6, 8)), (3, 4, (5, 7))])
+    def test_conv2d_batch_is_per_image(self, c_in, c_out, hw):
+        rng = np.random.default_rng(70)
+        x = rng.normal(size=(c_in, 4, *hw))
+        w, b = rng.normal(size=(c_out, c_in, 3, 3)), rng.normal(size=c_out)
+        t = Tape(grad=False)
+        batch = ad.conv2d(t.constant(x), t.constant(w), t.constant(b)).value
+        for i in range(4):
+            alone = ad.conv2d(t.constant(x[:, i]), t.constant(w), t.constant(b)).value
+            assert batch[:, i].tobytes() == alone.tobytes()
+
+    def test_image_primitives_batch_is_per_image(self):
+        rng = np.random.default_rng(71)
+        x = rng.normal(size=(5, 3, 6, 8))
+        t = Tape(grad=False)
+        for op in (ad.avgpool2, lambda v: ad.upsample_nearest(v, 2),
+                   lambda v: ad.upsample_bilinear(v, (11, 13))):
+            batch = op(t.constant(x)).value
+            for i in range(3):
+                assert batch[:, i].tobytes() == op(t.constant(x[:, i])).value.tobytes()
+
+    def test_bilinear_sample_reads_each_points_own_image(self):
+        rng = np.random.default_rng(72)
+        m = rng.normal(size=(4, 3, 5, 6))
+        pts = np.stack([rng.uniform(0, 5, (3, 7)), rng.uniform(0, 4, (3, 7))], axis=-1)
+        t = Tape(grad=False)
+        batch = ad.bilinear_sample(t.constant(m), t.constant(pts)).value
+        assert batch.shape == (3, 7, 4)
+        for i in range(3):
+            alone = ad.bilinear_sample(t.constant(m[:, i]), t.constant(pts[i])).value
+            assert batch[i].tobytes() == alone.tobytes()
+        with pytest.raises(ShapeError):
+            ad.bilinear_sample(t.constant(m), t.constant(pts[:2]))
+
+    @pytest.mark.parametrize("x_shape, k", [((2, 6, 8), 3), ((8, 3, 4), 3), ((3, 4, 5, 7), 3),
+                                            ((1, 4, 24, 32), 3), ((4, 2, 6, 8), 5),
+                                            ((2, 5, 7), 1)])
+    def test_conv2d_weight_gradient_matches_the_column_formula(self, x_shape, k):
+        rng = np.random.default_rng(73)
+        c_out = 6
+        x0 = rng.normal(size=x_shape)
+        w0 = rng.normal(size=(c_out, x_shape[0], k, k))
+        up = rng.normal(size=(c_out, *x_shape[1:]))
+        t = Tape()
+        w = t.param(w0)
+        out = ad.conv2d(t.constant(x0), w, t.constant(np.zeros(c_out)))
+        gw = backward(t, ad.sum_(ad.mul(out, t.constant(up))))[w.index]
+        assert rel_err(gw, conv2d_weight_grad_reference(x0, up, k, k)) < 1e-12
+
+
+class TestPullbacksKeepShapes:
+    """A pullback that needs only its input's shape does not keep the input
+    alive: with the input and output `Var`s dropped, only the tape is left,
+    and the input array is freed."""
+
+    @pytest.mark.parametrize("op", [
+        lambda x: ad.take(x, slice(1, 3), axis=1),
+        lambda x: ad.take(x, [0, 2, 2], axis=0),
+        lambda x: ad.reshape(x, (-1,)),
+        lambda x: ad.bilinear_sample(x, x.tape.constant([[0.5, 1.5], [2.0, 0.25]])),
+        lambda x: ad.upsample_nearest(x, 2),
+        lambda x: ad.sum_(x, axis=0),
+    ], ids=["take_slice", "take_indices", "reshape", "bilinear_sample",
+            "upsample_nearest", "sum_"])
+    def test_input_freed_once_its_vars_are_dropped(self, op):
+        with _gc_disabled():
+            t = Tape()
+            # a computed input: a parameter's value is held by the tape
+            x = ad.add(t.param(np.zeros((3, 4, 5))), t.constant(np.ones((3, 4, 5))))
+            y = op(x)
+            value = weakref.ref(x.value)
+            del x, y
+            assert len(t) == 3 and value() is None
+
+    def test_conv2d_pullback_keeps_its_input_not_its_columns(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(74)
+        x0 = rng.normal(size=(8, 48, 64))
+        t = Tape()
+        x = t.param(x0)  # the tape holds the input either way
+        w, b = t.param(rng.normal(size=(8, 8, 3, 3))), t.param(np.zeros(8))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.conv2d(x, w, b)
+            del out
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < x0.nbytes  # the columns are 9 times the input
 
 
 class TestTake:

@@ -153,6 +153,40 @@ class TestEncodeDecode:
         assert fmap.keypoint_logits is None
         assert fmap.stack.value.tobytes() == ref.stack.value.tobytes()
 
+class TestBatch:
+    """A batch (B, H, W) runs in one pass, each image through the arithmetic
+    it gets alone: maps (D+1, B, H, W), logits (B, H, W) and keypoints
+    (B, N, ...), bitwise the per-image ones."""
+
+    @pytest.mark.parametrize("hw", [(24, 32), (48, 64)])
+    @pytest.mark.parametrize("cfg", [TINY, ExtractorConfig(window=8, seed=4)])
+    def test_batch_is_per_image(self, hw, cfg):
+        images = np.random.default_rng(hw[1]).uniform(0.0, 1.0, size=(3, *hw))
+        weights = init_weights(cfg)
+        tape = Tape()
+        params = weights.bind(tape)
+        batch = forward(images, params, cfg, tape)
+        target = forward_target(images, params, cfg, tape)
+        kps = extract_keypoints(batch, cfg.window)
+        n = (hw[0] // cfg.window) * (hw[1] // cfg.window)
+        assert batch.stack.value.shape == (cfg.descriptor_dim + 1, 3, *hw)
+        assert kps.coords.value.shape == (3, n, 2) and kps.scores.value.shape == (3, n)
+        for i, image in enumerate(images):
+            alone, _, _, _ = run_forward(image, cfg, weights)
+            alone_kps = extract_keypoints(alone, cfg.window)
+            assert batch.stack.value[:, i].tobytes() == alone.stack.value.tobytes()
+            assert target.stack.value[:, i].tobytes() == alone.stack.value.tobytes()
+            assert batch.keypoint_logits.value[i].tobytes() == alone.keypoint_logits.value.tobytes()
+            for got, want in ((kps.coords, alone_kps.coords),
+                              (kps.descriptors, alone_kps.descriptors),
+                              (kps.scores, alone_kps.scores)):
+                assert got.value[i].tobytes() == want.value.tobytes()
+
+    def test_image_rank_checked(self):
+        with pytest.raises(ShapeError):
+            run_forward(np.zeros((1, 2, 24, 32)))
+
+
 class TestDetectKeypoints:
     def test_uniform_logits_give_window_centers(self):
         t = Tape()

@@ -241,6 +241,26 @@ class TestMatchAll:
         for a, b in zip(*outs):
             assert a.tobytes() == b.tobytes()
 
+    def test_batch_matches_each_set_into_its_own_map(self):
+        rng = np.random.default_rng(15)
+        b, n, d = 3, 9, 8
+        desc = rng.normal(size=(b, d, 24, 32))
+        scores = rng.uniform(0.1, 0.9, size=(b, 24, 32))
+        coords = np.stack([rng.uniform(0.5, 30.5, (b, n)), rng.uniform(0.5, 22.5, (b, n))], axis=-1)
+        src = rng.normal(size=(b, n, d))
+        src_scores = rng.uniform(0.1, 0.9, size=(b, n))
+        t = Tape(grad=False)
+        stack = t.constant(np.concatenate([desc, scores[:, None]], axis=1).transpose(1, 0, 2, 3))
+        kps = KeypointSet(t.constant(coords), t.constant(src), t.constant(src_scores))
+        points, weights = match_all(kps, features.DenseFeatureMap(stack, None), tau=400.0)
+        assert points.value.shape == (b, n, 2) and weights.value.shape == (b, n)
+        for i in range(b):
+            fmap = feature_map(t, desc[i], scores[i])
+            one = KeypointSet(t.constant(coords[i]), t.constant(src[i]), t.constant(src_scores[i]))
+            p_i, w_i = match_all(one, fmap, tau=400.0)
+            assert points.value[i].tobytes() == p_i.value.tobytes()
+            assert weights.value[i].tobytes() == w_i.value.tobytes()
+
     def test_invalid_temperature(self):
         rng = np.random.default_rng(12)
         t = Tape()

@@ -18,6 +18,7 @@ from stereoloc.training import (
     train,
 )
 
+from conftest import rel_err
 from oracles import apply, keypoint_loss, pose_loss
 
 
@@ -175,7 +176,8 @@ class TestSampleLoss:
         monkeypatch.setattr(training, "Tape", recorded)
         mean, grads, stats = total_loss(samples, w, lcfg, K, compute_grads=False)
         assert grads is None
-        assert len(tapes) == len(samples) and not any(t.grad for t in tapes)
+        # one tape per batch of 4 samples
+        assert len(samples) == 8 and len(tapes) == 2 and not any(t.grad for t in tapes)
         assert np.float64(mean).tobytes() == np.float64(with_grads[0]).tobytes()
         assert repr(stats) == repr(with_grads[2])  # repr: exact floats, NaN == NaN
         assert any(not s.skipped for s in stats)
@@ -191,10 +193,12 @@ class TestSampleLoss:
             return conv2d(*args)
 
         monkeypatch.setattr(ad, "conv2d", counted)
-        total_loss(samples[:1], w, LossConfig(), K)
-        # 10 for the source's full forward, 7 for the target's descriptors
-        # and scores (3 encoder, bottleneck, 3 score decoder)
-        assert len(convs) == 17
+        for count in (1, 4):
+            convs.clear()
+            total_loss(samples[:count], w, LossConfig(), K)
+            # per batch: 10 for the sources' full forward, 7 for the targets'
+            # descriptors and scores (3 encoder, bottleneck, 3 score decoder)
+            assert len(convs) == 17, count
 
     def test_sample_makes_four_bilinear_samples(self, small_data, monkeypatch):
         samples, K = small_data
@@ -207,10 +211,43 @@ class TestSampleLoss:
             return bilinear_sample(m, pts)
 
         monkeypatch.setattr(ad, "bilinear_sample", counted)
-        total_loss(samples[:1], w, LossConfig(), K)
-        # the source keypoints and the matched points each sample a feature
-        # stack (descriptors plus score) once; each lift samples a disparity
-        assert calls == [10, 10, 1, 1]
+        for count in (1, 4):
+            calls.clear()
+            total_loss(samples[:count], w, LossConfig(), K)
+            # per batch, the source keypoints and the matched points each
+            # sample a feature stack (descriptors plus score) once; each lift
+            # samples the disparity maps once
+            assert calls == [10, 10, 1, 1], count
+
+    def test_batch_gives_the_mean_of_its_samples(self, small_data):
+        samples, K = small_data
+        w = features.init_weights(features.ExtractorConfig(window=8, seed=1))
+        lcfg = LossConfig()
+        mean, grads, stats = total_loss(samples[:4], w, lcfg, K)
+        singles = [total_loss([s], w, lcfg, K) for s in samples[:4]]
+        assert repr(stats) == repr([single[2][0] for single in singles])
+        kept = [single for single in singles if not single[2][0].skipped]
+        assert 1 < len(kept) < 4  # covers a skipped sample
+        assert mean == np.mean([single[0] for single in kept])
+        for name, g in grads.items():
+            want = sum(single[1][name] for single in kept) / len(kept)
+            assert rel_err(g, want) < 1e-10, name
+
+    def test_validation_memory_does_not_grow_with_its_samples(self, small_data):
+        import tracemalloc
+
+        samples, K = small_data
+        w = features.init_weights(features.ExtractorConfig(window=8, seed=2))
+        peaks = {}
+        for count in (4, 16):
+            tracemalloc.start()
+            try:
+                total_loss((samples * 2)[:count], w, LossConfig(), K, compute_grads=False)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # at most TAPE_SAMPLES samples share a tape
+        assert peaks[16] <= 1.25 * peaks[4]
 
     def test_loss_config_validation(self):
         with pytest.raises(ValueError):
