@@ -18,6 +18,7 @@ are cast to it, and the primitives keep it.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -469,10 +470,10 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
     non-finite points.
     """
     mv, pv = m.value, pts.value
-    c, h, w = mv.shape[0], mv.shape[-2], mv.shape[-1]
-    if mv.shape[1:-2] != pv.shape[:-2]:
-        raise ShapeError(f"cannot sample a {mv.shape} map at {pv.shape} points")
-    shape, size, pshape = mv.shape, mv.size, pv.shape  # the pullback keeps no map
+    shape, pshape = mv.shape, pv.shape  # the pullback keeps no map
+    c, h, w = shape[0], shape[-2], shape[-1]
+    if shape[1:-2] != pshape[:-2]:
+        raise ShapeError(f"cannot sample a {shape} map at {pshape} points")
     flat = pv.reshape(-1, 2)
     u, v = flat[:, 0], flat[:, 1]
     # float32 rounding overshoots by a few units in the last place of the extent
@@ -516,6 +517,7 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
         cells = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
         if len(at) > 1:
             cells += at[1] * (h * w)
+        size = math.prod(shape)
         idx = np.arange(c)[None, :, None] * (size // c) + cells[:, None, :]
         terms = np.stack([
             g * (1 - fx) * (1 - fy), g * fx * (1 - fy), g * (1 - fx) * fy, g * fx * fy

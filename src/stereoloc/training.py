@@ -214,11 +214,11 @@ def total_loss(
         tape = Tape(grad=compute_grads)
         params = weights.bind(tape)
         p_s, p_t, match_w = _batch_matches(tape, params, cfg, batch, K, lcfg)
-        n = len(match_w.value) // len(batch)
+        per = len(match_w.value) // len(batch)  # keypoints per sample
         kept = []
         for b, sample in enumerate(batch):
             loss, stats = build_sample_loss(
-                p_s, p_t, match_w, slice(b * n, (b + 1) * n), sample, lcfg
+                p_s, p_t, match_w, slice(b * per, (b + 1) * per), sample, lcfg
             )
             stats_all.append(stats)
             if loss is not None:
