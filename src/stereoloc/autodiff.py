@@ -211,8 +211,8 @@ def tanh(a: Var) -> Var:
 
 def sigmoid(a: Var) -> Var:
     av = a.value
-    out = np.where(av >= 0, 1.0 / (1.0 + np.exp(-np.abs(av))),
-                   np.exp(-np.abs(av)) / (1.0 + np.exp(-np.abs(av))))
+    e = np.exp(-np.abs(av))
+    out = np.where(av >= 0, 1.0, e) / (1.0 + e)
     return a.tape.record(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -320,9 +320,18 @@ def matmul(a: Var, b: Var) -> Var:
 
 
 def softmax(a: Var, axis: int = -1) -> Var:
+    """Softmax along `axis`. A weight that could come out subnormal is
+    exactly +0.0: the row sum of n entries is at most n, so every shifted
+    entry below log(n * tiny) is left out of the exp. numpy's exp leaves its
+    SIMD path on such entries, and a subnormal weight slows every product
+    that reads it."""
     av = a.value
     out = av - av.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
+    floor = math.log(float(np.finfo(out.dtype).tiny) * av.shape[axis])
+    # the entries left out keep their shifted values, all negative, which
+    # the maximum sets to +0.0; NaN fails the test and stays NaN
+    np.exp(out, out=out, where=out >= floor)
+    np.maximum(out, 0, out=out)
     out /= out.sum(axis=axis, keepdims=True)
 
     def pull(g):
@@ -334,6 +343,21 @@ def softmax(a: Var, axis: int = -1) -> Var:
 
 # ---------------------------------------------------------------------------
 # image-shaped primitives
+
+
+def _sum2x2(x: Array) -> Array:
+    """Sum each 2x2 block of the last two axes, pairwise:
+    (x00 + x01) + (x10 + x11)."""
+    return (x[..., 0::2, 0::2] + x[..., 0::2, 1::2]) + (x[..., 1::2, 0::2] + x[..., 1::2, 1::2])
+
+
+def _repeat2x2(x: Array) -> Array:
+    """Repeat each pixel of the last two axes twice along both."""
+    out = np.empty(x.shape[:-2] + (2 * x.shape[-2], 2 * x.shape[-1]), dtype=x.dtype)
+    for dy in (0, 1):
+        for dx in (0, 1):
+            out[..., dy::2, dx::2] = x
+    return out
 
 
 def _im2col(x: Array, kh: int, kw: int) -> Array:
@@ -398,27 +422,12 @@ def avgpool2(x: Var) -> Var:
         raise ShapeError(f"avgpool2 needs even spatial dims, got {xv.shape}")
     # The pairwise order numpy's mean uses on inputs at least 4 px wide, so
     # the bits match it there; 2-px-wide inputs may differ in the last bit.
-    out = ((xv[..., 0::2, 0::2] + xv[..., 0::2, 1::2])
-           + (xv[..., 1::2, 0::2] + xv[..., 1::2, 1::2])) / 4
-
-    def pull(g):
-        return (np.repeat(np.repeat(g * 0.25, 2, axis=-2), 2, axis=-1),)
-
-    return x.tape.record(out, (x,), pull)
+    return x.tape.record(_sum2x2(xv) / 4, (x,), lambda g: (_repeat2x2(g * 0.25),))
 
 
-def upsample_nearest(x: Var, factor: int = 2) -> Var:
-    """Repeat each pixel of the last two axes `factor` times along both."""
-    xv = x.value
-    shape = xv.shape
-
-    def pull(g):
-        *lead, h, w = shape
-        return (g.reshape(*lead, h, factor, w, factor).sum(axis=(-3, -1)),)
-
-    return x.tape.record(
-        np.repeat(np.repeat(xv, factor, axis=-2), factor, axis=-1), (x,), pull
-    )
+def upsample_nearest(x: Var) -> Var:
+    """Repeat each pixel of the last two axes twice along both."""
+    return x.tape.record(_repeat2x2(x.value), (x,), lambda g: (_sum2x2(g),))
 
 
 @functools.lru_cache(maxsize=64)

@@ -152,7 +152,7 @@ def decode(
     depth = len(cfg.channels)
     d = bottleneck
     for i in range(1, depth + 1):
-        d = ad.upsample_nearest(d, 2)
+        d = ad.upsample_nearest(d)
         d = ad.conv2d(d, params[f"{branch}{i}.weight"], params[f"{branch}{i}.bias"])
         if i < depth:
             d = ad.tanh(d)

@@ -163,6 +163,24 @@ def avgpool2_reference(x: Array) -> Array:
     return x.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
 
 
+def avgpool2_pullback_reference(g: Array) -> Array:
+    """`ad.avgpool2`'s pullback as it was before the shared 2x2 helpers: the
+    scaled upstream gradient repeated twice along each of the last two axes."""
+    return np.repeat(np.repeat(g * 0.25, 2, axis=-2), 2, axis=-1)
+
+
+def upsample_nearest_reference(x: Array) -> Array:
+    """`ad.upsample_nearest`'s forward as two `np.repeat` calls."""
+    return np.repeat(np.repeat(x, 2, axis=-2), 2, axis=-1)
+
+
+def upsample_nearest_pullback_reference(g: Array) -> Array:
+    """`ad.upsample_nearest`'s pullback as numpy's sum over the two
+    repeated axes of a (..., h, 2, w, 2) view."""
+    *lead, h, w = g.shape
+    return g.reshape(*lead, h // 2, 2, w // 2, 2).sum(axis=(-3, -1))
+
+
 def conv2d_reference(x: Array, weight: Array, bias: Array) -> Array:
     """`ad.conv2d`'s forward with the bias added out of place."""
     c_out, _, kh, kw = weight.shape
@@ -173,10 +191,20 @@ def conv2d_reference(x: Array, weight: Array, bias: Array) -> Array:
 
 
 def softmax_reference(x: Array, axis: int = -1) -> Array:
-    """`ad.softmax`'s forward with fresh arrays for each step."""
+    """`ad.softmax`'s forward with fresh arrays for each step. An entry whose
+    shifted value lies below log(n * tiny), for n entries along `axis`, is
+    +0.0: its weight could come out subnormal."""
     shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
+    floor = math.log(float(np.finfo(x.dtype).tiny) * x.shape[axis])
+    with np.errstate(under="ignore"):
+        e = np.where(shifted < floor, 0.0, np.exp(shifted))
     return e / e.sum(axis=axis, keepdims=True)
+
+
+def sigmoid_reference(x: Array) -> Array:
+    """`ad.sigmoid`'s forward as it was before it computed its exp once."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
 def znorm_rows_reference(x: Array) -> tuple[Array, Array]:

@@ -16,13 +16,17 @@ from stereoloc.geometry import rot_z
 
 from conftest import rel_err
 from oracles import (
+    avgpool2_pullback_reference,
     avgpool2_reference,
     bilinear_sample_reference,
     conv2d_reference,
     conv2d_weight_grad_reference,
     im2col_reference,
+    sigmoid_reference,
     softmax_reference,
     svd_alignment_gradient,
+    upsample_nearest_pullback_reference,
+    upsample_nearest_reference,
     znorm_rows_reference,
 )
 
@@ -183,7 +187,7 @@ BATCHED_CASES = {
     "avgpool2": (lambda r: r.normal(size=(2, 3, 4, 6)),
                  lambda t, x, r: scalarize(ad.avgpool2(x), _rand(r, 2, 3, 2, 3))),
     "upsample_nearest": (lambda r: r.normal(size=(2, 3, 2, 3)),
-                         lambda t, x, r: scalarize(ad.upsample_nearest(x, 2), _rand(r, 2, 3, 4, 6))),
+                         lambda t, x, r: scalarize(ad.upsample_nearest(x), _rand(r, 2, 3, 4, 6))),
     "upsample_bilinear": (lambda r: r.normal(size=(2, 3, 2, 3)), lambda t, x, r: scalarize(
         ad.upsample_bilinear(x, (5, 7)), _rand(r, 2, 3, 5, 7))),
     "bilinear_sample_map": (lambda r: r.normal(size=(2, 3, 5, 6)), lambda t, m, r: scalarize(
@@ -237,7 +241,7 @@ class TestBatchAxis:
         rng = np.random.default_rng(71)
         x = rng.normal(size=(5, 3, 6, 8))
         t = Tape(grad=False)
-        for op in (ad.avgpool2, lambda v: ad.upsample_nearest(v, 2),
+        for op in (ad.avgpool2, ad.upsample_nearest,
                    lambda v: ad.upsample_bilinear(v, (11, 13))):
             batch = op(t.constant(x)).value
             for i in range(3):
@@ -282,7 +286,7 @@ class TestPullbacksKeepShapes:
         lambda x: ad.take(x, [0, 2, 2], axis=0),
         lambda x: ad.reshape(x, (-1,)),
         lambda x: ad.bilinear_sample(x, x.tape.constant([[0.5, 1.5], [2.0, 0.25]])),
-        lambda x: ad.upsample_nearest(x, 2),
+        ad.upsample_nearest,
         lambda x: ad.sum_(x, axis=0),
     ], ids=["take_slice", "take_indices", "reshape", "bilinear_sample",
             "upsample_nearest", "sum_"])
@@ -390,7 +394,7 @@ class TestImagePrimitives:
         rng = np.random.default_rng(22)
         x0 = rng.normal(size=(2, 3, 4))
         up = rng.normal(size=(2, 6, 8))
-        check_gradient(lambda t, x: scalarize(ad.upsample_nearest(x, 2), up), x0, tol=1e-7)
+        check_gradient(lambda t, x: scalarize(ad.upsample_nearest(x), up), x0, tol=1e-7)
 
     def test_upsample_bilinear_gradient(self):
         rng = np.random.default_rng(23)
@@ -588,8 +592,49 @@ class TestImageKernelsMatchOracles:
         t = Tape()
         x = t.param(rng.normal(size=chw))
         g = backward(t, ad.sum_(ad.mul(ad.avgpool2(x), t.constant(up))))[x.index]
-        want = np.repeat(np.repeat(up, 2, axis=1), 2, axis=2) * 0.25
-        assert g.tobytes() == want.tobytes()
+        assert g.tobytes() == avgpool2_pullback_reference(up).tobytes()
+
+    @staticmethod
+    def _block_input(rng, shape):
+        """Values spanning 1e-8 to 1e8 whose 2x2 blocks hold NaN, +inf, -inf
+        and an (inf, -inf) pair, each in a block of its own: where an input
+        NaN meets inf - inf in one block, the sign of the NaN their sum gives
+        depends on the order of the adds."""
+        x = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+        hb, wb = shape[-2] // 2, shape[-1] // 2
+        blocks = x.reshape(-1, hb, 2, wb, 2)  # a view
+        picks = rng.choice(len(blocks) * hb * wb, size=4, replace=False)
+        for pick, vals in zip(picks, ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf])):
+            i, rest = divmod(int(pick), hb * wb)
+            by, bx = divmod(rest, wb)
+            for (dy, dx), v in zip(((0, 1), (1, 0)), vals):
+                blocks[i, by, dy, bx, dx] = v
+        return x
+
+    # the decoder's upsampling shapes of 32x24 and 64x48 images, alone and
+    # in a batch, then others; the coarse map is at least 2 px wide
+    @pytest.mark.parametrize("shape", [(32, 6, 8), (16, 12, 16), (8, 24, 32), (32, 12, 16),
+                                       (32, 4, 6, 8), (8, 4, 24, 32), (3, 2, 4), (3, 4, 6, 4)])
+    def test_2x2_kernels_match_references(self, shape):
+        """`upsample_nearest`'s forward and pullback and `avgpool2`'s
+        pullback, on the shared 2x2 helpers, against the bodies they
+        replaced."""
+        rng = np.random.default_rng(68)
+        coarse_shape = shape[:-2] + (shape[-2] // 2, shape[-1] // 2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for dtype in (np.float64, np.float32):
+                coarse = _with_specials(rng.normal(size=coarse_shape), rng).astype(dtype)
+                out = ad.upsample_nearest(Tape(dtype=dtype).constant(coarse)).value
+                assert _same_bits(out, upsample_nearest_reference(coarse)), dtype
+            fine = self._block_input(rng, shape)
+            up = _with_specials(rng.normal(size=coarse_shape), rng)
+            t = Tape()
+            x = t.param(rng.normal(size=coarse_shape))
+            g = backward(t, ad.sum_(ad.mul(ad.upsample_nearest(x), t.constant(fine))))[x.index]
+            assert _same_bits(g, upsample_nearest_pullback_reference(fine))
+            x = t.param(rng.normal(size=shape))
+            g = backward(t, ad.sum_(ad.mul(ad.avgpool2(x), t.constant(up))))[x.index]
+            assert _same_bits(g, avgpool2_pullback_reference(up))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bilinear_sample_matches_reference(self, seed):
@@ -733,8 +778,9 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class TestInPlaceKernelsMatchOracles:
-    """softmax, znorm_rows and conv2d's bias add work in place; the values
-    are bitwise those of the out-of-place bodies in tests/oracles.py."""
+    """softmax, znorm_rows and conv2d's bias add work in place, and sigmoid
+    computes its exp once; the values are bitwise those of the bodies in
+    tests/oracles.py."""
 
     def _rows(self, rng, n, d):
         x = rng.normal(size=(n, d))
@@ -757,6 +803,46 @@ class TestInPlaceKernelsMatchOracles:
                 out = ad.softmax(t.constant(x), axis=axis).value
                 ref = softmax_reference(x, axis=axis)
             assert _same_bits(out, ref), axis
+        # float32 rows whose shifted values span [-120, 0], across the floor
+        # below which a weight could come out subnormal
+        rng = np.random.default_rng(65)
+        y = rng.uniform(-120.0, 0.0, size=(n, d)).astype(np.float32)
+        y[:, 0] = 0.0
+        y[2, 1] = np.nan
+        tiny = np.finfo(np.float32).tiny
+        flushed = 0
+        for axis in (1, 0, -1):
+            t = Tape(dtype=np.float32)
+            with np.errstate(invalid="ignore"):
+                out = ad.softmax(t.constant(y), axis=axis).value
+                ref = softmax_reference(y, axis=axis)
+            assert _same_bits(out, ref), axis
+            nan_line = out[:, 1] if axis == 0 else out[2]
+            assert np.isnan(nan_line).all() and np.isnan(out).sum() == nan_line.size
+            rest = out[~np.isnan(out)]
+            assert not ((rest > 0) & (rest < tiny)).any()
+            assert not np.signbit(rest).any()  # no -0.0
+            flushed += int((rest == 0).sum())
+        assert flushed
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n, d", [(8, 2), (12, 56), (48, 3072), (4, 768)])
+    def test_softmax_without_underflow_is_exp_over_sum(self, dtype, n, d):
+        x = (np.random.default_rng(66).normal(size=(n, d)) * 5.0).astype(dtype)
+        for axis in (1, 0):
+            out = ad.softmax(Tape(dtype=dtype).constant(x), axis=axis).value
+            e = np.exp(x - x.max(axis=axis, keepdims=True))
+            assert _same_bits(out, e / e.sum(axis=axis, keepdims=True)), axis
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid(self, dtype):
+        rng = np.random.default_rng(67)
+        x = _with_specials(rng.normal(size=(6, 40)), rng).astype(dtype)
+        x[0, :4] = (0.0, -0.0, 800.0, -800.0)
+        with np.errstate(over="ignore"):
+            out = ad.sigmoid(Tape(dtype=dtype).constant(x)).value
+            ref = sigmoid_reference(x)
+        assert _same_bits(out, ref)
 
     @pytest.mark.parametrize("n, d", [(8, 2), (12, 56), (3072, 56)])
     def test_znorm_rows(self, n, d):

@@ -453,6 +453,38 @@ class TestInferenceDtype:
         assert teach_map.vertices[0].points3d.dtype == np.float64
 
 
+class TestNoSubnormals:
+    CHECKPOINT = TestInferenceDtype.CHECKPOINT
+
+    @pytest.mark.parametrize("learned", [True, False], ids=["learned", "analytic"])
+    def test_dense_repeat_records_no_subnormal_float32_value(
+        self, rig, K_default, monkeypatch, learned
+    ):
+        """A subnormal operand sends numpy's kernels off their fast paths,
+        and so every product that reads it."""
+        frames, analytic, rig_map = rig
+        if learned:
+            extractor = LearnedExtractor(features.load_checkpoint(self.CHECKPOINT)[0])
+            teach_map = teach(frames[:4], extractor, K_default)
+        else:
+            extractor, teach_map = analytic, rig_map
+        tiny = np.finfo(np.float32).tiny
+        subnormal = []
+        record = Tape.record
+
+        def checked_record(tape, value, parents, pullback):
+            var = record(tape, value, parents, pullback)
+            if var.value.dtype == np.float32:
+                size = np.abs(var.value)
+                subnormal.append(int(((size > 0) & (size < tiny)).sum()))
+            return var
+
+        monkeypatch.setattr(Tape, "record", checked_record)
+        report = repeat(frames[:4], teach_map, extractor, LocalizeParams(), K_default)
+        assert report.failure_count == 0
+        assert subnormal and not any(subnormal)
+
+
 class TestLearnedExtractorPath:
     def test_learned_extractor_teaches_and_localizes(self, scene, K_default):
         from stereoloc import features
