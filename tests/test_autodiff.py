@@ -611,8 +611,9 @@ class TestImageKernelsMatchOracles:
                 blocks[i, by, dy, bx, dx] = v
         return x
 
-    # the decoder's upsampling shapes of 32x24 and 64x48 images, alone and
-    # in a batch, then others; the coarse map is at least 2 px wide
+    # the decoder's upsampled shapes for a 32x24 image, alone and in a
+    # batch of 4, the first one for a 64x48 image, then small ones; the
+    # coarse map is at least 2 px wide
     @pytest.mark.parametrize("shape", [(32, 6, 8), (16, 12, 16), (8, 24, 32), (32, 12, 16),
                                        (32, 4, 6, 8), (8, 4, 24, 32), (3, 2, 4), (3, 4, 6, 4)])
     def test_2x2_kernels_match_references(self, shape):

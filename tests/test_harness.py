@@ -454,17 +454,16 @@ class TestInferenceDtype:
 
 
 class TestNoSubnormals:
-    CHECKPOINT = TestInferenceDtype.CHECKPOINT
-
     @pytest.mark.parametrize("learned", [True, False], ids=["learned", "analytic"])
     def test_dense_repeat_records_no_subnormal_float32_value(
         self, rig, K_default, monkeypatch, learned
     ):
-        """A subnormal operand sends numpy's kernels off their fast paths,
-        and so every product that reads it."""
+        """A subnormal value sends numpy's kernels off their fast paths, in
+        the operation that makes it and in every product that reads it."""
         frames, analytic, rig_map = rig
         if learned:
-            extractor = LearnedExtractor(features.load_checkpoint(self.CHECKPOINT)[0])
+            checkpoint = features.load_checkpoint(TestInferenceDtype.CHECKPOINT)[0]
+            extractor = LearnedExtractor(checkpoint)
             teach_map = teach(frames[:4], extractor, K_default)
         else:
             extractor, teach_map = analytic, rig_map
