@@ -4,7 +4,7 @@ such digests.
 
     python3 scripts/outcome_digest.py write --out change.jsonl
     python3 scripts/outcome_digest.py write --src ../parent/src --out parent.jsonl
-    python3 scripts/outcome_digest.py train --out change-train.jsonl
+    python3 scripts/outcome_digest.py train --seeds 1 2 --out change-train.jsonl
     python3 scripts/outcome_digest.py diff parent.jsonl change.jsonl
 
 `write` runs the repeat flow of the benchmark over a grid: per seed,
@@ -17,11 +17,12 @@ failure flag and the pose (`C` row-major then `r`, or null). `--src`
 imports `stereoloc` from another checkout's `src`, so two versions of the
 code run the same grid with the same weights.
 
-`train` runs the train-desk batches of the benchmark: the committed
-checkpoint's gradients on the first batches of 4 of the training split of
-80 pairs at 32x24. It writes one JSON line per batch: the seed, the batch,
-its loss, each sample's loss, gated count and skipped flag, and the SHA-256
-and L2 norm of the flattened gradient (tensors in name order, float64).
+`train` runs the train-desk batches of the benchmark: per seed, the
+committed checkpoint's gradients on the first batches of 4 of the training
+split of 80 pairs at 32x24. It writes one JSON line per batch: the seed,
+the batch, its loss, each sample's loss, gated count and skipped flag, and
+the SHA-256 and L2 norm of the flattened gradient (tensors in name order,
+float64).
 
 `diff` matches the rows of two digests by their keys. Over localization
 rows it reports rows missing from either side, inlier and failure
@@ -96,27 +97,28 @@ def digest_rows(seeds: list[int], frames: int, work: Path):
                                    "inliers": r.inliers, "failure": r.failure, "pose": pose}
 
 
-def train_rows(seed: int, batches: int, work: Path):
-    """Yield one row per training batch."""
+def train_rows(seeds: list[int], batches: int, work: Path):
+    """Yield one row per training batch, per seed."""
     import numpy as np
 
     from stereoloc import features, synth, training
 
     weights, _ = features.load_checkpoint(CHECKPOINT)
-    data = synth.make_dataset(work / "pairs", synth.generate_scene(SCENE_SEED),
-                              count=TRAIN_PAIRS, seed=seed, size=TRAIN_SIZE)
-    samples, manifest = synth.load_dataset(data)
-    train, _ = training.split_dataset(samples, 0.2)
-    K = synth.camera_from_dict(manifest["camera"])
-    for b in range(batches):
-        batch = train[b * TRAIN_BATCH:(b + 1) * TRAIN_BATCH]
-        loss, grads, stats = training.total_loss(batch, weights, training.LossConfig(), K)
-        flat = np.concatenate([grads[name].ravel() for name in sorted(grads)])
-        yield {"seed": seed, "batch": b, "loss": loss,
-               "sample_losses": [s.total for s in stats],
-               "gated": [s.n_gated for s in stats], "skipped": [s.skipped for s in stats],
-               "grad_sha256": hashlib.sha256(flat.tobytes()).hexdigest(),
-               "grad_norm": float(np.linalg.norm(flat))}
+    for seed in seeds:
+        data = synth.make_dataset(work / f"pairs_{seed}", synth.generate_scene(SCENE_SEED),
+                                  count=TRAIN_PAIRS, seed=seed, size=TRAIN_SIZE)
+        samples, manifest = synth.load_dataset(data)
+        train, _ = training.split_dataset(samples, 0.2)
+        K = synth.camera_from_dict(manifest["camera"])
+        for b in range(batches):
+            batch = train[b * TRAIN_BATCH:(b + 1) * TRAIN_BATCH]
+            loss, grads, stats = training.total_loss(batch, weights, training.LossConfig(), K)
+            flat = np.concatenate([grads[name].ravel() for name in sorted(grads)])
+            yield {"seed": seed, "batch": b, "loss": loss,
+                   "sample_losses": [s.total for s in stats],
+                   "gated": [s.n_gated for s in stats], "skipped": [s.skipped for s in stats],
+                   "grad_sha256": hashlib.sha256(flat.tobytes()).hexdigest(),
+                   "grad_norm": float(np.linalg.norm(flat))}
 
 
 def read_digest(path: Path) -> dict[tuple, dict]:
@@ -185,7 +187,7 @@ def main(argv=None) -> int:
     t.add_argument("--out", type=Path, required=True)
     t.add_argument("--src", type=Path, default=ROOT / "src",
                    help="directory to import stereoloc from (default: this checkout's src)")
-    t.add_argument("--seed", type=int, default=1)
+    t.add_argument("--seeds", type=int, nargs="+", default=[1])
     t.add_argument("--batches", type=int, default=TRAIN_BATCHES,
                    help=f"batches of the training split to run, at most {TRAIN_BATCHES}")
     d = sub.add_parser("diff", help="compare two digests")
@@ -207,7 +209,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     with tempfile.TemporaryDirectory(prefix="outcome-digest-") as tmp:
         rows = (digest_rows(args.seeds, args.frames, Path(tmp)) if args.command == "write"
-                else train_rows(args.seed, args.batches, Path(tmp)))
+                else train_rows(args.seeds, args.batches, Path(tmp)))
         lines = [json.dumps(row) for row in rows]
     args.out.write_text("\n".join(lines) + "\n")
     what = "localizations" if args.command == "write" else "training batches"

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import estimator as _estimator
+from . import geometry as _geometry
 from .errors import DegenerateGradient, OutOfBounds, ShapeError
 
 Array = np.ndarray
@@ -184,19 +185,6 @@ def mul(a, b) -> Var:
         return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
 
     return tape.record(av * bv, (a, b), pull)
-
-
-def div(a, b) -> Var:
-    tape, a, b = _pair(a, b)
-    av, bv = a.value, b.value
-
-    def pull(g):
-        return (
-            _unbroadcast(g / bv, av.shape),
-            _unbroadcast(-g * av / (bv * bv), bv.shape),
-        )
-
-    return tape.record(av / bv, (a, b), pull)
 
 
 def cos(a: Var) -> Var:
@@ -574,6 +562,27 @@ def row_znorm(x: Var) -> Var:
         return (h - h.mean(axis=-1, keepdims=True),)
 
     return x.tape.record(out, (x,), pull)
+
+
+def backproject(uv: Var, d: Var, K: _geometry.CameraIntrinsics, valid: Array) -> Var:
+    """Stereo lift of (..., 2) points (u, v) at (...) disparities -> (...,
+    3) camera-frame points, by `geometry.backproject_points`, on the rows
+    the boolean mask `valid` marks; the rest are NaN with zero gradient."""
+    uvv, dv = uv.value, d.value
+    u, v, dd = uvv[valid, 0], uvv[valid, 1], dv[valid]
+    out = np.full(valid.shape + (3,), np.nan, dtype=np.result_type(uvv, dv))
+    out[valid] = _geometry.backproject_points(np.stack([u, v, dd], axis=1), K)
+
+    def pull(g):
+        gx, gy, gz = g[valid].T
+        s = K.b / dd
+        gs = (gz * K.fu + (gy * (v - K.cv)) * (K.fu / K.fv)) + gx * (u - K.cu)
+        guv, gd = np.zeros_like(uvv), np.zeros_like(dv)
+        guv[valid] = np.stack([gx * s, gy * (s * (K.fu / K.fv))], axis=1)
+        gd[valid] = -gs * K.b / (dd * dd)
+        return guv, gd
+
+    return uv.tape.record(out, (uv, d), pull)
 
 
 def rigid_align(p_s: Var, p_t: Var, w: Var) -> Var:

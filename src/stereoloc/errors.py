@@ -6,7 +6,8 @@ class StereolocError(Exception):
 
 
 class InvalidDisparity(StereolocError):
-    """Disparity too small (or negative) to backproject to a finite point."""
+    """Disparity non-finite, or too small (or negative), to backproject to a
+    finite point."""
 
 
 class ShapeError(StereolocError):

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InvalidDisparity
 
 # Disparities at or below this are treated as invalid rather than producing
-# astronomically deep points.
+# astronomically deep points; so is a non-finite one.
 MIN_DISPARITY = 1e-6
 
 ORTHONORMALITY_TOL = 1e-9
@@ -101,13 +101,19 @@ def se3_to_planar(T: SE3Pose) -> PlanarPose:
     return PlanarPose(T.r[0], T.r[1], math.atan2(T.C[1, 0], T.C[0, 0]))
 
 
+def valid_disparity(d: np.ndarray) -> np.ndarray:
+    """Mask of the disparities that backproject: finite and above
+    MIN_DISPARITY."""
+    return np.isfinite(d) & (d > MIN_DISPARITY)
+
+
 def backproject_points(Y: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
     """Inverse stereo model: (N, 3) observations (u_l, v_l, d) -> (N, 3)
     camera-frame points."""
     Y = np.asarray(Y, dtype=float)
     d = Y[:, 2]
-    if np.any(d <= MIN_DISPARITY):
-        raise InvalidDisparity("all disparities must exceed the validity floor")
+    if not valid_disparity(d).all():
+        raise InvalidDisparity("all disparities must be finite and exceed the validity floor")
     s = K.b / d
     return np.stack(
         [s * (Y[:, 0] - K.cu), s * (K.fu / K.fv) * (Y[:, 1] - K.cv), s * K.fu],

@@ -33,12 +33,12 @@ from .errors import (
     TeachFailure,
 )
 from .geometry import (
-    MIN_DISPARITY,
     CameraIntrinsics,
     PlanarPose,
     SE3Pose,
     backproject_points,
     se3_to_planar,
+    valid_disparity,
     wrap_angle,
 )
 from .synth import StereoFrame
@@ -152,8 +152,8 @@ def _lift(
     """Lift (N, 2) (u, v) points at the nearest pixel, clamped into the
     image, through the frame's disparity from `source`: the ground truth
     ("gt") or block matching at those pixels ("block"). Returns the mask of
-    points whose disparity is valid and above MIN_DISPARITY, and their 3D
-    points."""
+    points with a valid disparity (block matching found one and
+    `geometry.valid_disparity` holds), and their 3D points."""
     h, w = frame.left.shape
     nearest = np.rint(pts).astype(int)
     u = np.clip(nearest[:, 0], 0, w - 1)
@@ -166,7 +166,7 @@ def _lift(
         d, valid = synth.block_match_disparity(frame.left, frame.right, u, v)
     else:
         raise ValueError(f"unknown disparity source {source!r}")
-    ok = valid & (d > MIN_DISPARITY)
+    ok = valid & valid_disparity(d)
     return ok, backproject_points(np.concatenate([pts[ok], d[ok, None]], axis=1), K)
 
 

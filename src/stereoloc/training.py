@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import estimator, features, matching, storage
 from .autodiff import Tape, Var
 from .errors import ConfigError, DegenerateGeometry, DegenerateGradient
-from .geometry import CameraIntrinsics, PlanarPose, planar_to_se3
+from .geometry import CameraIntrinsics, PlanarPose, planar_to_se3, valid_disparity
 from .synth import Sample
 
 
@@ -79,20 +79,17 @@ class SampleStats:
 
 def _lift(coords: Var, disp_maps: np.ndarray, K: CameraIntrinsics) -> Var:
     """Backproject (B, N, 2) tape keypoints through their images'
-    ground-truth disparity maps (B, H, W), keeping everything
-    differentiable in the coordinates; returns (B, N, 3)."""
+    ground-truth disparity maps (B, H, W); returns (B, N, 3). A keypoint
+    whose bilinear footprint weights an invalid pixel lifts to NaN, which the
+    gate drops; such pixels are sampled as 0 plus a mask channel, so no
+    non-finite value reaches the tape."""
     tape = coords.tape
-    lead = coords.value.shape[:-1]
-    dmap = tape.constant(disp_maps[None])
-    d = ad.reshape(ad.bilinear_sample(dmap, coords), lead)
-    u = ad.reshape(ad.take(coords, [0], axis=-1), lead)
-    v = ad.reshape(ad.take(coords, [1], axis=-1), lead)
-    s = ad.div(tape.constant(K.b), d)
-    px = ad.mul(s, ad.sub(u, K.cu))
-    py = ad.mul(ad.mul(s, K.fu / K.fv), ad.sub(v, K.cv))
-    pz = ad.mul(s, K.fu)
-    cols = [ad.reshape(c, lead + (1,)) for c in (px, py, pz)]
-    return ad.concat(cols, axis=-1)
+    valid = valid_disparity(disp_maps)
+    maps = tape.constant(np.stack([np.where(valid, disp_maps, 0.0), ~valid]))
+    sampled = ad.bilinear_sample(maps, coords)
+    d = ad.reshape(ad.take(sampled, slice(0, 1), axis=-1), coords.shape[:-1])
+    ok = (sampled.value[..., 1] == 0) & valid_disparity(d.value)
+    return ad.backproject(coords, d, K, ok)
 
 
 def _scalar(x: Var) -> Var:

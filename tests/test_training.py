@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stereoloc import autodiff as ad
 from stereoloc import features, synth, training
+from stereoloc.autodiff import Tape
 from stereoloc.errors import ConfigError
 from stereoloc.geometry import PlanarPose, planar_to_se3
 from stereoloc.training import (
@@ -216,8 +218,18 @@ class TestSampleLoss:
             total_loss(samples[:count], w, LossConfig(), K)
             # per batch, the source keypoints and the matched points each
             # sample a feature stack (descriptors plus score) once; each lift
-            # samples the disparity maps once
-            assert calls == [10, 10, 1, 1], count
+            # samples the disparity maps and their invalid-pixel mask once
+            assert calls == [10, 10, 2, 2], count
+
+    def test_lift_records_four_nodes(self, small_data):
+        # the disparity sample, its first channel (a take and a reshape)
+        # and the backprojection
+        samples, K = small_data
+        tape = Tape()
+        coords = tape.param(np.array([[[3.2, 4.7], [10.0, 20.5]]]))
+        before = len(tape)
+        lifted = training._lift(coords, samples[0].source.disparity[None], K)
+        assert len(tape) - before == 4 and lifted.shape == (1, 2, 3)
 
     def test_batch_gives_the_mean_of_its_samples(self, small_data):
         samples, K = small_data
@@ -256,6 +268,50 @@ class TestSampleLoss:
             LossConfig(keypoint_weight=-0.1)
         with pytest.raises(ValueError):
             LossConfig(tau=0.0)
+
+
+class TestInvalidDisparity:
+    """A non-finite, zero or negative disparity lifts no keypoint: the
+    keypoints whose bilinear footprint reads one are gated, and they add no
+    loss and no gradient."""
+
+    KEYPOINTS = 12  # one per 8x8 window of a 32x24 image
+
+    @pytest.fixture(scope="class")
+    def clean(self, small_data):
+        samples, K = small_data
+        w = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=1))
+        loss, grads, stats = total_loss(samples[:4], w, LossConfig(), K)
+        # sample 0 is the one kept: a patch on it moves the loss
+        assert [s.skipped for s in stats] == [False, True, True, True]
+        return w, loss, grads, stats
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize("region", ["all", "left half"])
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_patch_is_gated_and_gradients_stay_finite(
+        self, small_data, clean, b, region, side, value
+    ):
+        samples, K = small_data
+        w, loss0, grads0, stats0 = clean
+        frame = getattr(samples[b], side)
+        disparity = frame.disparity.copy()
+        disparity[:, : None if region == "all" else 16] = value
+        batch = list(samples[:4])
+        batch[b] = dataclasses.replace(
+            samples[b], **{side: dataclasses.replace(frame, disparity=disparity)})
+        loss, grads, stats = total_loss(batch, w, LossConfig(), K)
+
+        assert all(np.isfinite(g).all() for g in grads.values())
+        assert repr(stats[:b] + stats[b + 1:]) == repr(stats0[:b] + stats0[b + 1:])
+        # a +inf disparity once lifted to the camera origin and passed the gate
+        assert stats[b].n_gated >= stats0[b].n_gated
+        if region == "all":
+            assert stats[b].n_gated == self.KEYPOINTS and stats[b].skipped
+        if stats0[b].skipped:
+            assert loss == loss0
+            assert all(np.array_equal(grads[k], grads0[k]) for k in grads)
 
 
 class TestTrainingDtype:
