@@ -69,7 +69,7 @@ class TestTeach:
             teach([bad], extractor, K_default)
 
     def test_infinite_disparity_everywhere_names_the_frame(self, rig, K_default):
-        # +inf once lifted every keypoint to the camera origin
+        # +inf must not lift the keypoints to the camera origin
         frames, extractor, _ = rig
         bad = StereoFrame(frames[1].left, frames[1].right,
                           np.full_like(frames[1].disparity, np.inf), frames[1].pose)

@@ -305,7 +305,7 @@ class TestInvalidDisparity:
 
         assert all(np.isfinite(g).all() for g in grads.values())
         assert repr(stats[:b] + stats[b + 1:]) == repr(stats0[:b] + stats0[b + 1:])
-        # a +inf disparity once lifted to the camera origin and passed the gate
+        # a +inf disparity must not lift to the camera origin, which can pass the gate
         assert stats[b].n_gated >= stats0[b].n_gated
         if region == "all":
             assert stats[b].n_gated == self.KEYPOINTS and stats[b].skipped
