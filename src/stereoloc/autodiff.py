@@ -25,7 +25,7 @@ import numpy as np
 
 from . import estimator as _estimator
 from . import geometry as _geometry
-from .errors import DegenerateGradient, OutOfBounds, ShapeError
+from .errors import OutOfBounds, ShapeError
 
 Array = np.ndarray
 
@@ -462,12 +462,13 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
     or a batch of maps (C, B, H, W), each at its own points (B, N, 2), ->
     (B, N, C).
 
-    Differentiable in both the map and the points; raises OutOfBounds for
-    points outside [0, W-1] x [0, H-1] (beyond rounding slack) and for
-    non-finite points.
+    Differentiable in both the map and the points, but builds no map
+    gradient for a tape constant; raises OutOfBounds for points outside
+    [0, W-1] x [0, H-1] (beyond rounding slack) and for non-finite points.
     """
     mv, pv = m.value, pts.value
     shape, pshape = mv.shape, pv.shape  # the pullback keeps no map
+    map_grad = m.index is not None
     c, h, w = shape[0], shape[-2], shape[-1]
     if shape[1:-2] != pshape[:-2]:
         raise ShapeError(f"cannot sample a {shape} map at {pshape} points")
@@ -509,6 +510,11 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
 
     def pull(g):
         g = g.reshape(-1, c)
+        du = (m01 - m00) * (1 - fy) + (m11 - m10) * fy
+        dv = (m10 - m00) * (1 - fx) + (m11 - m01) * fx
+        gp = np.stack([(g * du).sum(axis=1), (g * dv).sum(axis=1)], axis=1).reshape(pshape)
+        if not map_grad:
+            return None, gp
         # one bincount over flat (c, image, y, x) indices, corners in the
         # order 00, 01, 10, 11: each cell sums its terms in that fixed order
         cells = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
@@ -520,10 +526,7 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
             g * (1 - fx) * (1 - fy), g * fx * (1 - fy), g * (1 - fx) * fy, g * fx * fy
         ]).transpose(0, 2, 1)
         gm = np.bincount(idx.ravel(), terms.ravel(), minlength=size)
-        du = (m01 - m00) * (1 - fy) + (m11 - m10) * fy
-        dv = (m10 - m00) * (1 - fx) + (m11 - m01) * fx
-        gp = np.stack([(g * du).sum(axis=1), (g * dv).sum(axis=1)], axis=1)
-        return gm.reshape(shape), gp.reshape(pshape)
+        return gm.reshape(shape), gp
 
     if pv.ndim > 2:
         out = out.reshape(pshape[:-1] + (c,))
@@ -586,62 +589,72 @@ def backproject(uv: Var, d: Var, K: _geometry.CameraIntrinsics, valid: Array) ->
 
 
 def rigid_align(p_s: Var, p_t: Var, w: Var) -> Var:
-    """Weighted rigid alignment of (N, 3) point sets; returns a flat
-    12-vector [C.ravel(), r] with C @ p_s + r ~ p_t.
+    """Weighted rigid alignment of a batch of (B, N, 3) point sets under (B,
+    N) weights -> (B, 12) rows [C.ravel(), r] with C @ p_s + r ~ p_t, by
+    `estimator`'s closed form; pairs of zero weight take no part.
 
-    Differentiates the closed-form SVD solution; raises DegenerateGradient
-    when singular values tie within tolerance (the adjoint would blow up).
+    Differentiates the SVD solution with the batched adjoint of Ionescu et
+    al. (ICCV 2015). A set with fewer than 3 positively weighted pairs, a
+    non-finite weighted pair, nearly collinear points or a near-tied
+    spectrum (where the adjoint would blow up) gives a NaN row with zero
+    gradient.
     """
     ps, pt, wv = p_s.value, p_t.value, w.value
-    C, r, aux = _estimator.align_core(ps, pt, wv)
-    U, s, Vt, D = aux
-    gaps = np.array([s[0] - s[1], s[1] - s[2], s[0] - s[2]])
-    if gaps.min() < 1e-8 * max(1.0, s[0]):
-        raise DegenerateGradient(f"near-tied singular spectrum {s}")
+    active = wv > 0
+    finite = np.isfinite(ps).all(axis=-1) & np.isfinite(pt).all(axis=-1) & np.isfinite(wv)
+    ok = (active.sum(axis=1) >= 3) & (finite | ~active).all(axis=1)
+    use = active & ok[:, None]
+    wz = np.where(use, wv, 0.0)
+    wsum = np.where(ok, wz.sum(axis=1), 1.0)[:, None]  # a set left out weighs 0
+    wn = wz / wsum
+    ps0 = np.where(use[..., None], ps, 0.0)
+    pt0 = np.where(use[..., None], pt, 0.0)
+    mu_s = (wn[:, None] @ ps0)[:, 0]
+    mu_t = (wn[:, None] @ pt0)[:, 0]
+    a = ps0 - mu_s[:, None]
+    b = pt0 - mu_t[:, None]
+    W = np.swapaxes(b * wn[..., None], 1, 2) @ a
+    ok &= np.isfinite(W).all(axis=(1, 2))
+    W[~ok] = np.eye(3)  # a stand-in the SVD accepts; its row is NaN
+    C, (U, s, Vt, D), collinear = _estimator.rotation_from_covariance(W)
+    gap = -np.diff(s, axis=1).max(axis=1)
+    ok &= ~collinear & (gap >= 1e-8 * np.maximum(1.0, s[:, 0]))
+    r = mu_t - (C @ mu_s[..., None])[..., 0]
+    out = np.concatenate([C.reshape(-1, 9), r], axis=1)
+    out[~ok] = np.nan
 
-    wsum = wv.sum()
-    wn = wv / wsum
-    mu_s = wn @ ps
-    mu_t = wn @ pt
-    a = ps - mu_s
-    b = pt - mu_t
-
-    # F[i, j] = 1 / (s_j^2 - s_i^2) off the diagonal
+    # F[b, i, j] = 1 / (s_j^2 - s_i^2) off the diagonal
     s2 = s * s
-    denom = s2[None, :] - s2[:, None]
-    F = np.zeros((3, 3))
-    off = ~np.eye(3, dtype=bool)
-    F[off] = 1.0 / denom[off]
+    denom = s2[:, None, :] - s2[:, :, None]
+    F = np.divide(1.0, denom, out=np.zeros_like(denom),
+                  where=~np.eye(3, dtype=bool) & ok[:, None, None])
+    Ct, V, Ut = np.swapaxes(C, 1, 2), np.swapaxes(Vt, 1, 2), np.swapaxes(U, 1, 2)
 
     def pull(g):
-        gC = g[:9].reshape(3, 3)
-        gr = g[9:]
+        g = np.where(ok[:, None], g, 0.0)
+        gr = g[:, 9:]
         # r = mu_t - C @ mu_s
-        gC = gC - np.outer(gr, mu_s)
-        gmu_t = gr.copy()
-        gmu_s = -C.T @ gr
+        gC = g[:, :9].reshape(-1, 3, 3) - gr[:, :, None] * mu_s[:, None, :]
+        gmu_s = -(Ct @ gr[..., None])[..., 0]
         # C = U @ D @ Vt: adjoints of the SVD factors
-        gU = gC @ Vt.T @ D
-        gV = gC.T @ U @ D
-        A = U.T @ gU
-        B = Vt @ gV
-        P = F * ((A - A.T) * s[None, :] + s[:, None] * (B - B.T))
+        A = Ut @ (gC @ V @ D)
+        B = Vt @ (np.swapaxes(gC, 1, 2) @ U @ D)
+        P = F * ((A - np.swapaxes(A, 1, 2)) * s[:, None, :]
+                 + s[:, :, None] * (B - np.swapaxes(B, 1, 2)))
         gW = U @ P @ Vt
         # W = sum_i wn_i * outer(b_i, a_i)
-        gb = wn[:, None] * (a @ gW.T)
-        ga = wn[:, None] * (b @ gW)
-        gwn = np.einsum("ij,ni,nj->n", gW, b, a)
-        # centering
-        gp_t = gb.copy()
-        gmu_t = gmu_t - gb.sum(axis=0)
-        gp_s = ga.copy()
-        gmu_s = gmu_s - ga.sum(axis=0)
-        # weighted centroids
-        gp_s += np.outer(wn, gmu_s)
-        gp_t += np.outer(wn, gmu_t)
-        gwn += ps @ gmu_s + pt @ gmu_t
+        bgW = b @ gW
+        gb = wn[..., None] * (a @ np.swapaxes(gW, 1, 2))
+        ga = wn[..., None] * bgW
+        gwn = (bgW * a).sum(axis=-1)
+        # centering, then the weighted centroids
+        gmu_t = gr - gb.sum(axis=1)
+        gmu_s = gmu_s - ga.sum(axis=1)
+        gp_s = ga + wn[..., None] * gmu_s[:, None]
+        gp_t = gb + wn[..., None] * gmu_t[:, None]
+        gwn += (ps0 @ gmu_s[..., None])[..., 0] + (pt0 @ gmu_t[..., None])[..., 0]
         # weight normalization
-        gw = (gwn - gwn @ wn) / wsum
-        return gp_s, gp_t, gw
+        gw = (gwn - (gwn * wn).sum(axis=1, keepdims=True)) / wsum
+        return gp_s, gp_t, np.where(use & ok[:, None], gw, 0.0)
 
-    return p_s.tape.record(np.concatenate([C.ravel(), r]), (p_s, p_t, w), pull)
+    return p_s.tape.record(out, (p_s, p_t, w), pull)

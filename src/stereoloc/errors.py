@@ -22,10 +22,6 @@ class DegenerateGeometry(StereolocError):
     """Point configuration too degenerate (e.g. collinear) for alignment."""
 
 
-class DegenerateGradient(StereolocError):
-    """Alignment spectrum too close to tied; gradients would be meaningless."""
-
-
 class LocalizationFailure(StereolocError):
     """RANSAC consensus fell below the minimum inlier count."""
 

@@ -38,7 +38,7 @@ class RansacParams:
         operator.index(self.seed)  # an int: the memoized minimal sets key on it
 
 
-def _rotation_from_covariance(W: np.ndarray):
+def rotation_from_covariance(W: np.ndarray):
     """Closed-form rotations for a (..., 3, 3) stack of cross-covariances.
 
     Returns (C, aux, collinear): C = U D Vt is the rotation maximizing
@@ -75,7 +75,7 @@ def align_core(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
     a = p_s - mu_s
     b = p_t - mu_t
     W = (b * wn[:, None]).T @ a
-    C, aux, collinear = _rotation_from_covariance(W)
+    C, aux, collinear = rotation_from_covariance(W)
     if collinear:
         raise DegenerateGeometry(f"weighted points nearly collinear (spectrum {aux[1]})")
     r = mu_t - C @ mu_s
@@ -127,7 +127,7 @@ def ransac_pose(
         # hypotheses on a stand-in and discard them.
         finite = np.isfinite(W).all(axis=(1, 2))
         W[~finite] = np.eye(3)
-        C, _, collinear = _rotation_from_covariance(W)
+        C, _, collinear = rotation_from_covariance(W)
         r = mu_t - (C @ mu_s[:, :, None])[:, :, 0]
         res = np.linalg.norm(p_s @ C.transpose(0, 2, 1) + r[:, None] - p_t, axis=2)
     masks = res < params.inlier_threshold  # never true for a NaN residual

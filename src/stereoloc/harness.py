@@ -176,7 +176,9 @@ def _keypoints_numpy(
     """Keypoints with a valid disparity as plain arrays: coordinates,
     descriptors, scores and 3D lifts."""
     tape = Tape(grad=False, dtype=INFERENCE_DTYPE)
-    kps = features.extract_keypoints(extractor.features_on(tape, frame.left), extractor.window)
+    with np.errstate(invalid="ignore"):  # non-finite pixels are a recorded failure
+        fmap = extractor.features_on(tape, frame.left)
+    kps = features.extract_keypoints(fmap, extractor.window)
     coords, desc, scores = kps.coords.value, kps.descriptors.value, kps.scores.value
     ok, p3d = _lift(frame, disparity_source, coords, K)
     return coords[ok], desc[ok], scores[ok], p3d
@@ -255,7 +257,8 @@ def _dense_pairs(vertex, extractor, coords, desc, scores, p_live, params, K):
     computed here on the matching tape and freed with it, then lifted
     through the vertex's disparity."""
     tape = Tape(grad=False, dtype=INFERENCE_DTYPE)
-    fmap = extractor.target_on(tape, vertex.frame.left)
+    with np.errstate(invalid="ignore"):  # as in _keypoints_numpy
+        fmap = extractor.target_on(tape, vertex.frame.left)
     kps = features.KeypointSet(
         tape.constant(coords), tape.constant(desc), tape.constant(scores)
     )

@@ -2,17 +2,16 @@
 
 Each training batch records one tape. Over the whole batch at once: one
 extractor forward on the source frames, their descriptors and scores on the
-targets, windowed keypoint detection, dense soft matching and stereo 3D
-lifting. Then per sample: ground-truth outlier gating, the keypoint loss
-(planar coordinates of gated pairs) plus the pose loss on the
-differentiable weighted-SVD alignment. One backward pass runs on the sum.
+targets, windowed keypoint detection, dense soft matching, stereo 3D
+lifting, ground-truth outlier gating, the keypoint loss (planar coordinates
+of gated pairs) and the pose loss on the differentiable weighted-SVD
+alignment. One backward pass runs on the sum of the kept samples' losses.
 Early stopping watches the validation loss; the best-validation weights
 win.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import estimator, features, matching, storage
 from .autodiff import Tape, Var
-from .errors import ConfigError, DegenerateGeometry, DegenerateGradient
+from .errors import ConfigError
 from .geometry import CameraIntrinsics, PlanarPose, planar_to_se3, valid_disparity
 from .synth import Sample
 
@@ -92,96 +91,73 @@ def _lift(coords: Var, disp_maps: np.ndarray, K: CameraIntrinsics) -> Var:
     return ad.backproject(coords, d, K, ok)
 
 
-def _scalar(x: Var) -> Var:
-    return ad.reshape(x, ())
-
-
-def _batch_matches(
+def batch_loss(
     tape: Tape,
     params: dict[str, Var],
     cfg: features.ExtractorConfig,
     batch: list[Sample],
     K: CameraIntrinsics,
     lcfg: LossConfig,
-) -> tuple[Var, Var, Var]:
-    """Record the batch's shared pipeline, up to the ground-truth gate: one
-    extractor pass over the sources and one over the targets, keypoints,
-    soft matches and both lifts. Returns the lifted source points and
-    matches as rows (B*N, 3) and the match weights as (B*N,), sample b
-    owning rows b*N to (b+1)*N."""
+) -> tuple[Var | None, list[SampleStats]]:
+    """Record a batch's loss on one tape: one extractor pass over the sources
+    and one over the targets, keypoints, soft matches and both lifts; then
+    the ground-truth gate, the keypoint and pose losses and the weighted
+    alignment over the batch at once. Returns the sum of the kept samples'
+    losses (None if none is kept) and each sample's stats.
+
+    A sample is skipped when fewer than 4 of its matches pass the gate, or
+    when its alignment is too degenerate to differentiate (a NaN row).
+    """
     sources = np.stack([s.source.left for s in batch])
     targets = np.stack([s.target.left for s in batch])
     fmap_s = features.forward(sources, params, cfg, tape)
     fmap_t = features.forward_target(targets, params, cfg, tape)
     kps = features.extract_keypoints(fmap_s, cfg.window)
     target_points, match_w = matching.match_all(kps, fmap_t, tau=lcfg.tau)
-
     p_s = _lift(kps.coords, np.stack([s.source.disparity for s in batch]), K)
     p_t = _lift(target_points, np.stack([s.target.disparity for s in batch]), K)
-    rows = match_w.value.size
-    return (ad.reshape(p_s, (rows, 3)), ad.reshape(p_t, (rows, 3)),
-            ad.reshape(match_w, (rows,)))
 
-
-def build_sample_loss(
-    p_s: Var,
-    p_t: Var,
-    match_w: Var,
-    rows: slice,
-    sample: Sample,
-    lcfg: LossConfig,
-) -> tuple[Var | None, SampleStats]:
-    """Record one sample's loss on its batch's tape, from the sample's
-    `rows` of the batch's lifted points, matches and match weights (see
-    `_batch_matches`); returns (loss, stats).
-
-    Samples with fewer than 4 gated matches, or whose alignment is too
-    degenerate to differentiate, are skipped (loss None).
-    """
-    tape = p_s.tape
-    stats = SampleStats()
-    keep = estimator.gt_outlier_gate(
-        p_s.value[rows], p_t.value[rows], sample.gt, lcfg.gate_threshold
-    )
-    idx = rows.start + np.flatnonzero(keep)
-    stats.n_gated = int(len(keep) - len(idx))
-    if len(idx) < 4:
-        stats.skipped = True
-        return None, stats
-
-    p_s_g = ad.take(p_s, idx, axis=0)
-    p_t_g = ad.take(p_t, idx, axis=0)
-    w_g = ad.take(match_w, idx, axis=0)
+    # Gated-out pairs read an appended zero row, at zero weight: an invalid
+    # lift is NaN, and a NaN must never meet a multiply.
+    keep = np.stack([
+        estimator.gt_outlier_gate(ps, pt, s.gt, lcfg.gate_threshold)
+        for ps, pt, s in zip(p_s.value, p_t.value, batch)
+    ])
+    b, n = keep.shape
+    flat = ad.reshape(ad.concat([p_s, p_t, ad.reshape(match_w, (b, n, 1))], axis=2), (b * n, 7))
+    pairs = ad.take(ad.concat([flat, tape.constant(np.zeros((1, 7)))]),
+                    np.where(keep, np.arange(b * n).reshape(b, n), b * n))
+    p_s, p_t, w = (ad.take(pairs, i, axis=2) for i in (slice(0, 3), slice(3, 6), 6))
 
     # keypoint loss: planar residual against the ground-truth transform
-    T_gt = planar_to_se3(sample.gt)
-    pred = ad.add(ad.matmul(p_s_g, tape.constant(T_gt.C.T)), tape.constant(T_gt.r))
-    diff = ad.sub(ad.take(pred, [0, 1], axis=1), ad.take(p_t_g, [0, 1], axis=1))
-    l_kp = ad.sum_(ad.mul(diff, diff))
+    T_gt = [planar_to_se3(s.gt) for s in batch]
+    pred = ad.add(ad.matmul(p_s, tape.constant(np.stack([T.C.T[:, :2] for T in T_gt]))),
+                  tape.constant(np.stack([T.r[:2] for T in T_gt])[:, None]))
+    diff = ad.mul(ad.sub(pred, ad.take(p_t, slice(0, 2), axis=2)), tape.constant(keep[..., None]))
+    l_kp = ad.sum_(ad.mul(diff, diff), axis=(1, 2))
 
     # pose loss: differentiable weighted alignment, planar-extracted
-    try:
-        aligned = ad.rigid_align(p_s_g, p_t_g, w_g)
-    except (DegenerateGeometry, DegenerateGradient):
-        stats.skipped = True
-        return None, stats
-    c00 = _scalar(ad.take(aligned, [0]))
-    c10 = _scalar(ad.take(aligned, [3]))
-    rx = _scalar(ad.take(aligned, [9]))
-    ry = _scalar(ad.take(aligned, [10]))
-    yaw = ad.atan2(c10, c00)
+    aligned = ad.rigid_align(p_s, p_t, w)
+    gt = np.array([[s.gt.alpha, s.gt.beta, s.gt.gamma] for s in batch])
+    yaw = ad.atan2(ad.take(aligned, 3, axis=1), ad.take(aligned, 0, axis=1))
+    dt = ad.sub(ad.take(aligned, slice(9, 11), axis=1), gt[:, :2])
     # For z-axis rotations the Frobenius term reduces to 4 * (1 - cos dyaw).
-    dt_x = ad.sub(rx, sample.gt.alpha)
-    dt_y = ad.sub(ry, sample.gt.beta)
-    rot = ad.mul(ad.sub(1.0, ad.cos(ad.sub(yaw, sample.gt.gamma))), 4.0 * lcfg.lam)
-    l_pose = ad.add(ad.add(ad.mul(dt_x, dt_x), ad.mul(dt_y, dt_y)), rot)
-
+    rot = ad.mul(ad.sub(1.0, ad.cos(ad.sub(yaw, gt[:, 2]))), 4.0 * lcfg.lam)
+    l_pose = ad.add(ad.sum_(ad.mul(dt, dt), axis=1), rot)
     total = ad.add(ad.mul(l_kp, lcfg.keypoint_weight), l_pose)
-    stats.total = float(total.value)
-    stats.keypoint = float(l_kp.value)
-    stats.pose = float(l_pose.value)
-    stats.est = PlanarPose(float(rx.value), float(ry.value), float(yaw.value))
-    return total, stats
+
+    n_kept = keep.sum(axis=1)
+    kept = (n_kept >= 4) & ~np.isnan(aligned.value[:, 0])
+    stats = []
+    for i, ok in enumerate(kept):
+        st = SampleStats(n_gated=int(n - n_kept[i]), skipped=not ok)
+        if ok:
+            st.total, st.keypoint, st.pose = (float(x.value[i]) for x in (total, l_kp, l_pose))
+            rx, ry = aligned.value[i, 9:11]
+            st.est = PlanarPose(float(rx), float(ry), float(yaw.value[i]))
+        stats.append(st)
+    loss = ad.sum_(ad.take(total, np.flatnonzero(kept))) if kept.any() else None
+    return loss, stats
 
 
 def total_loss(
@@ -207,22 +183,15 @@ def total_loss(
     losses = []
     stats_all = []
     for start in range(0, len(samples), TAPE_SAMPLES):
-        batch = samples[start : start + TAPE_SAMPLES]
         tape = Tape(grad=compute_grads)
         params = weights.bind(tape)
-        p_s, p_t, match_w = _batch_matches(tape, params, cfg, batch, K, lcfg)
-        per = len(match_w.value) // len(batch)  # keypoints per sample
-        kept = []
-        for b, sample in enumerate(batch):
-            loss, stats = build_sample_loss(
-                p_s, p_t, match_w, slice(b * per, (b + 1) * per), sample, lcfg
-            )
-            stats_all.append(stats)
-            if loss is not None:
-                kept.append(loss)
-                losses.append(float(loss.value))
-        if compute_grads and kept:
-            grads = ad.backward(tape, functools.reduce(ad.add, kept))
+        loss, stats = batch_loss(
+            tape, params, cfg, samples[start : start + TAPE_SAMPLES], K, lcfg
+        )
+        stats_all += stats
+        losses += [s.total for s in stats if not s.skipped]
+        if compute_grads and loss is not None:
+            grads = ad.backward(tape, loss)
             for name in grad_sum:
                 grad_sum[name] += grads[params[name].index]
     n = len(losses)

@@ -290,10 +290,10 @@ def weighted_alignment(prob: AlignmentProblem) -> SE3Pose:
 def svd_alignment_gradient(
     points_s: Array, points_t: Array, weights: Array, upstream: Array
 ) -> tuple[Array, Array, Array]:
-    """Gradients of the weighted alignment w.r.t. its inputs.
+    """Gradients of the batched weighted alignment w.r.t. its inputs.
 
-    `upstream` is the 12-vector [dL/dC.ravel(), dL/dr]; returns gradients
-    for the source points, target points, and weights.
+    `upstream` is (B, 12), rows [dL/dC.ravel(), dL/dr]; returns gradients
+    for the (B, N, 3) source points, target points and (B, N) weights.
     """
     tape = Tape()
     ps = tape.param(points_s)
@@ -357,7 +357,7 @@ def ransac_pose_reference(
 
 
 # ---------------------------------------------------------------------------
-# losses (array forms; the tape path is built in build_sample_loss)
+# losses (array forms; the tape path is built in training.batch_loss)
 
 
 def keypoint_loss(p_s: np.ndarray, p_t_hat: np.ndarray, gt: PlanarPose) -> float:

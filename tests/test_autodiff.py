@@ -3,15 +3,18 @@ the structural contracts of backward()."""
 
 import contextlib
 import gc
+import warnings
 import weakref
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stereoloc import autodiff as ad
 from stereoloc.autodiff import Tape, backward, finite_diff
-from stereoloc.errors import DegenerateGradient, OutOfBounds, ShapeError
+from stereoloc.errors import OutOfBounds, ShapeError
+from stereoloc.estimator import align_core
 from stereoloc.geometry import CameraIntrinsics, backproject_points, rot_z, valid_disparity
 
 from conftest import rel_err
@@ -489,6 +492,37 @@ class TestImagePrimitives:
             pts0, tol=1e-6,
         )
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
+    def test_bilinear_sample_on_a_constant_map_builds_no_map_gradient(
+        self, batched, monkeypatch
+    ):
+        # the point gradient is bitwise the one taken with the map as a
+        # parameter, and the map's (which backward would drop) is never built
+        rng = np.random.default_rng(29)
+        m0 = rng.normal(size=(2, 3, 5, 6) if batched else (2, 5, 6))
+        pts0 = np.stack([rng.uniform(0, 5, 7), rng.uniform(0, 4, 7)], axis=1)
+        pts0 = np.stack([pts0, pts0[::-1], 0.5 * pts0]) if batched else pts0
+        up = rng.normal(size=pts0.shape[:-1] + (2,))
+        pullbacks = []
+        record = Tape.record
+
+        def kept(tape, value, parents, pullback):
+            pullbacks.append(pullback)
+            return record(tape, value, parents, pullback)
+
+        monkeypatch.setattr(Tape, "record", kept)
+        point_grads = []
+        for as_param in (True, False):
+            t = Tape()
+            m = t.param(m0) if as_param else t.constant(m0)
+            x = t.param(pts0)
+            pullbacks.clear()
+            out = ad.bilinear_sample(m, x)
+            gm, gp = pullbacks[0](up)
+            assert (gm is None) == (not as_param)
+            point_grads.append(backward(t, scalarize(out, up))[x.index])
+        assert _same_bits(*point_grads)
+
     @pytest.mark.parametrize("shape", [(2, 1, 5), (2, 5, 1), (2, 1, 1)])
     def test_bilinear_sample_gradients_on_degenerate_maps(self, shape):
         c, h, w = shape
@@ -781,57 +815,122 @@ class TestRigidAlignGradient:
         w = rng.uniform(0.2, 1.0, size=n)
         return ps, pt, w
 
+    @classmethod
+    def batch(cls, seeds, n=6):
+        """(B, N, 3) source and target points and (B, N) weights."""
+        return tuple(np.stack(x) for x in zip(*(cls.instance(s, n) for s in seeds)))
+
     def test_matches_finite_differences(self):
-        for seed in range(10):
-            ps, pt, w = self.instance(seed)
-            up = np.random.default_rng((seed, 9)).normal(size=12)
-            gps, gpt, gw = svd_alignment_gradient(ps, pt, w, up)
+        inputs = self.batch(range(10))
+        up = np.random.default_rng(9).normal(size=(10, 12))
+        grads = svd_alignment_gradient(*inputs, up)
 
-            def f_of(which):
-                def f(v):
-                    t = Tape()
-                    args = {"ps": ps, "pt": pt, "w": w}
-                    args[which] = v.reshape(args[which].shape)
-                    out = ad.rigid_align(
-                        t.param(args["ps"]), t.constant(args["pt"]), t.constant(args["w"])
-                    ) if which == "ps" else ad.rigid_align(
-                        t.constant(args["ps"]),
-                        t.param(args["pt"]) if which == "pt" else t.constant(args["pt"]),
-                        t.param(args["w"]) if which == "w" else t.constant(args["w"]),
-                    )
-                    return float(ad.sum_(ad.mul(out, t.constant(up))).value)
+        def f_of(which):
+            def f(v):
+                t = Tape()
+                args = [t.constant(x) for x in inputs]
+                args[which] = t.constant(v)
+                return float(ad.sum_(ad.mul(ad.rigid_align(*args), t.constant(up))).value)
 
-                return f
+            return f
 
-            for which, analytic, x0 in (("ps", gps, ps), ("pt", gpt, pt), ("w", gw, w)):
-                numeric = finite_diff(f_of(which), x0.ravel()).reshape(x0.shape)
-                assert rel_err(analytic, numeric) < 1e-4, which
+        for which, (analytic, x0) in enumerate(zip(grads, inputs)):
+            numeric = finite_diff(f_of(which), x0)
+            assert rel_err(analytic, numeric) < 1e-4, which
 
     def test_zero_upstream_gives_zero_gradients(self):
-        ps, pt, w = self.instance(3)
-        gps, gpt, gw = svd_alignment_gradient(ps, pt, w, np.zeros(12))
-        assert not gps.any() and not gpt.any() and not gw.any()
+        grads = svd_alignment_gradient(*self.batch([3, 4]), np.zeros((2, 12)))
+        assert not any(g.any() for g in grads)
 
-    def test_zero_weight_point_has_zero_point_gradient(self):
-        ps, pt, w = self.instance(4)
-        w = w.copy()
-        w[2] = 0.0
-        up = np.random.default_rng(40).normal(size=12)
-        gps, gpt, _ = svd_alignment_gradient(ps, pt, w, up)
-        assert np.array_equal(gps[2], np.zeros(3))
-        assert np.array_equal(gpt[2], np.zeros(3))
+    def test_zero_weight_pair_has_zero_gradient(self):
+        ps, pt, w = self.batch([4, 5])
+        w[1, 2] = 0.0
+        up = np.random.default_rng(40).normal(size=(2, 12))
+        gps, gpt, gw = svd_alignment_gradient(ps, pt, w, up)
+        assert not gps[1, 2].any() and not gpt[1, 2].any() and gw[1, 2] == 0.0
+        assert gps[0].all() and gpt[0].all() and gw[0].all()
 
-    def test_tied_spectrum_raises(self):
+    def test_tied_spectrum_gives_a_nan_row_and_zero_gradient(self):
         # a symmetric cube of points aligned with itself has an isotropic
-        # cross-covariance: all singular values tie
-        corners = np.array(
-            [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=float
-        )
+        # cross-covariance: all singular values tie, so the adjoint would
+        # blow up
+        ps, pt, w = self.batch([6, 6], n=8)
+        ps[1] = pt[1] = CUBE
+        w[1] = 1.0
         t = Tape()
-        with pytest.raises(DegenerateGradient):
-            ad.rigid_align(
-                t.param(corners), t.constant(corners), t.constant(np.ones(8))
-            )
+        out = ad.rigid_align(t.constant(ps), t.constant(pt), t.constant(w)).value
+        assert np.isnan(out[1]).all() and np.isfinite(out[0]).all()
+        up = np.random.default_rng(41).normal(size=(2, 12))
+        grads = svd_alignment_gradient(ps, pt, w, up)
+        alone = svd_alignment_gradient(ps[:1], pt[:1], w[:1], up[:1])
+        for g, g_alone in zip(grads, alone):
+            assert not g[1].any()
+            assert _same_bits(g[:1], g_alone)
+
+
+CUBE = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=float)
+SET_KINDS = ("good", "duplicated", "collinear", "few weighted", "tied spectrum", "non-finite")
+
+
+def _alignment_set(kind: str, rng, n: int = 8):
+    """(N, 3) source and target points and (N,) weights of one kind; every
+    kind but "good" is degenerate. A good set's zero-weight pairs may hold
+    non-finite points: they take no part."""
+    C, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    C *= np.sign(np.linalg.det(C))
+    r = rng.uniform(-5, 5, size=3)
+    w = rng.uniform(0.1, 1.0, size=n)
+    if kind == "duplicated":  # one or two distinct points, repeated
+        distinct = rng.normal(size=(rng.integers(1, 3), 3))
+        ps = distinct[rng.integers(0, len(distinct), size=n)]
+    elif kind == "collinear":
+        ps = rng.normal(size=3) + rng.normal(size=(n, 1)) * rng.normal(size=3)
+    elif kind == "tied spectrum":
+        ps, w = CUBE * rng.uniform(0.5, 2.0), np.full(n, rng.uniform(0.1, 1.0))
+    else:
+        ps = rng.normal(size=(n, 3)) * rng.uniform(0.5, 3.0)
+    pt = ps @ C.T + r + rng.uniform(0, 0.05) * rng.normal(size=(n, 3)) * (kind == "good")
+    if kind == "few weighted":
+        w[rng.permutation(n)[rng.integers(0, 3):]] = 0.0
+    elif kind == "non-finite":  # at a weighted pair
+        (ps, pt)[rng.integers(2)][rng.integers(n), rng.integers(3)] = rng.choice(
+            [np.nan, np.inf, -np.inf])
+    elif kind == "good":
+        dropped = rng.permutation(n)[: rng.integers(0, 4)]
+        w[dropped] = 0.0
+        ps[dropped[:1]] = rng.choice([np.nan, np.inf, -np.inf, 1e300])
+        pt[dropped[1:2]] = rng.choice([np.nan, np.inf, -np.inf, 1e300])
+    return ps, pt, w
+
+
+class TestRigidAlignBatch:
+    """Property: in a batch mixing good and degenerate sets, a degenerate
+    set's row is NaN with zero gradient to all three inputs, and a good
+    set's row is bitwise the same aligned alone and agrees with
+    `align_core`."""
+
+    @settings(max_examples=150)
+    @given(st.lists(st.sampled_from(SET_KINDS), min_size=1, max_size=6),
+           st.integers(0, 2**32 - 1))
+    def test_degenerate_rows_are_nan_and_the_rest_stand_alone(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        ps, pt, w = (np.stack(x) for x in zip(*(_alignment_set(k, rng) for k in kinds)))
+        up = rng.normal(size=(len(kinds), 12))
+        t = Tape()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = ad.rigid_align(t.constant(ps), t.constant(pt), t.constant(w)).value
+            grads = svd_alignment_gradient(ps, pt, w, up)
+        for i, kind in enumerate(kinds):
+            if kind != "good":
+                assert np.isnan(out[i]).all(), kind
+                assert not any(g[i].any() for g in grads), kind
+                continue
+            alone = ad.rigid_align(*(t.constant(x[i:i + 1]) for x in (ps, pt, w))).value
+            assert _same_bits(out[i:i + 1], alone)
+            C, r, _ = align_core(ps[i], pt[i], w[i])
+            assert np.abs(out[i] - np.concatenate([C.ravel(), r])).max() <= 1e-12
+            assert all(np.isfinite(g[i]).all() for g in grads)
 
 
 def _with_specials(x: np.ndarray, rng) -> np.ndarray:

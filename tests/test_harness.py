@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,38 @@ class TestLocalize:
         res = localize(patched, teach_map.vertices[0], extractor, params, K_default)
         assert not res.failure
         assert 0 < res.inliers < clean.inliers
+
+class TestNonFiniteFramesWarnNothing:
+    """A live frame with an infinite patch is a recorded failure, and numpy
+    prints no RuntimeWarning on the way: the extractors meet inf - inf and
+    0 * inf there, which the harness expects."""
+
+    @pytest.fixture(scope="class")
+    def maps(self, rig, K_default):
+        frames, analytic, analytic_map = rig
+        learned = LearnedExtractor(
+            features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=9))
+        )
+        return frames, {
+            "analytic": (analytic, analytic_map),
+            "learned": (learned, teach(frames[:3], learned, K_default)),
+        }
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    @pytest.mark.parametrize("extractor", ["analytic", "learned"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_patch_is_a_recorded_failure(self, maps, K_default, value, extractor, mode):
+        frames, by_name = maps
+        ex, teach_map = by_name[extractor]
+        left = frames[1].left.copy()
+        left[10:20, 20:30] = value
+        patched = StereoFrame(left, frames[1].right, frames[1].disparity, frames[1].pose)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = localize(patched, teach_map.vertices[1], ex, LocalizeParams(mode=mode),
+                           K_default)
+        assert res.failure and res.pose is None and res.inliers == 0
+
 
 class TestRepeat:
     def test_self_repeat_sparse_is_clean(self, rig, K_default):

@@ -231,6 +231,27 @@ class TestSampleLoss:
         lifted = training._lift(coords, samples[0].source.disparity[None], K)
         assert len(tape) - before == 4 and lifted.shape == (1, 2, 3)
 
+    def test_batch_records_as_many_nodes_as_one_sample(self, small_data, monkeypatch):
+        # gate, losses and alignment run over the batch at once, so the tape
+        # does not grow with the samples it holds
+        samples, K = small_data
+        w = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=3))
+        nodes = []
+        record = ad.Tape.record
+
+        def counted(tape, value, parents, pullback):
+            nodes.append(1)
+            return record(tape, value, parents, pullback)
+
+        monkeypatch.setattr(ad.Tape, "record", counted)
+        counts = {}
+        for count in (1, 4):
+            nodes.clear()
+            _, _, stats = total_loss(samples[:count], w, LossConfig(), K)
+            assert not any(s.skipped for s in stats)
+            counts[count] = len(nodes)
+        assert counts[1] == counts[4] <= 134
+
     def test_batch_gives_the_mean_of_its_samples(self, small_data):
         samples, K = small_data
         w = features.init_weights(features.ExtractorConfig(window=8, seed=1))
