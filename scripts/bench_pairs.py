@@ -3,18 +3,23 @@
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --label pr5 \\
         --pairs repeat-day:1501-1510 --pairs train-desk:1521-1525 \\
-        --trace repeat-day:1530 --note "what the change does"
+        --trace repeat-day:1530 --anchor ../anchor --note "what the change does"
 
 Each seed runs `python3 perfbench/run.py --workload W --seed S --seconds T`
 once in each checkout, T being the change checkout's BENCHMARK.json
 `run_seconds`; the side that runs first alternates from seed to seed.
-Each `--trace` seed runs once per side with `--trace 1`. The record
-holds the label, both commits, the command, the protocol, the machine, a
-per-workload summary of every end-to-end metric in the change checkout's
-BENCHMARK.json (median, inclusive quartiles, pairs the change wins or ties,
-the parent's IQR over its median, the metric's bound), the traced runs'
-per-layer metrics, and every raw result line. The file is rewritten after
-every run, so an interrupted session keeps what it measured.
+`--anchor` names a third checkout, a fixed older commit, that runs on every
+seed too: its slot rotates through first, second and third, so over six
+seeds it takes every place among the other two, whose order still
+alternates. Each `--trace` seed runs once per side with `--trace 1`. The
+record holds the label, the commits, the command, the protocol, the
+machine, a per-workload summary of every end-to-end metric in the change
+checkout's BENCHMARK.json (median, inclusive quartiles, pairs the change
+wins or ties, the parent's IQR over its median, the metric's bound, and,
+with an anchor, its median and quartiles and the change's median over
+it), the traced runs' per-layer metrics, and every raw result line. The
+file is rewritten after every run, so an interrupted session keeps what it
+measured.
 
 Standard library only.
 """
@@ -29,6 +34,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+ANCHOR = "anchor"
 
 
 def seed_range(spec: str) -> tuple[str, list[int]]:
@@ -64,8 +70,9 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(runs: list[dict], spec: list[dict]) -> dict:
     """Per workload and end-to-end metric, over the untraced runs: each
-    side's median and quartiles, and the pairs (same seed) the change wins
-    or ties in the metric's better direction."""
+    side's median and quartiles, the pairs (same seed) the change wins or
+    ties against the parent in the metric's better direction, and, where
+    an anchor ran, the change's median over the anchor's."""
     summary: dict = {}
     untraced = [r for r in runs if not r["trace"] and r["result"]["metrics"]]
     for workload in dict.fromkeys(r["workload"] for r in untraced):
@@ -80,7 +87,7 @@ def summarize(runs: list[dict], spec: list[dict]) -> dict:
             if not all(values.values()):
                 continue
             paired = [(v["parent"][name]["value"], v["change"][name]["value"])
-                      for v in by_seed.values() if len(v) == 2]
+                      for v in by_seed.values() if all(side in v for side in SIDES)]
             parent, change = quartiles(values["parent"]), quartiles(values["change"])
             per_metric[name] = {
                 "parent": parent,
@@ -94,6 +101,11 @@ def summarize(runs: list[dict], spec: list[dict]) -> dict:
                                            if parent["median"] else None),
                 "bound": m["bound"],
             }
+            anchor = [v[ANCHOR][name]["value"] for v in by_seed.values() if ANCHOR in v]
+            if anchor:
+                per_metric[name]["anchor"] = quartiles(anchor)
+                a = per_metric[name]["anchor"]["median"]
+                per_metric[name]["change_over_anchor"] = change["median"] / a if a else None
         summary[workload] = per_metric
     return summary
 
@@ -118,6 +130,7 @@ def build_record(label: str, note: str, commits: dict, protocol: str, seconds: f
         "change": note,
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
+        **({"anchor_commit": commits[ANCHOR]} if ANCHOR in commits else {}),
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds:g}"
                    " [--trace 1]",
         "protocol": protocol,
@@ -134,15 +147,27 @@ def write_record(path: Path, record: dict) -> None:
     tmp.replace(path)
 
 
-def protocol_text(pairs: list[tuple[str, list[int]]], traces: list[tuple[str, list[int]]]) -> str:
+def protocol_text(pairs: list[tuple[str, list[int]]], traces: list[tuple[str, list[int]]],
+                  anchor: bool = False) -> str:
     def seeds(s):
         return f"{s[0]}-{s[-1]}" if len(s) > 1 else str(s[0])
 
     parts = [f"{len(s)} pairs on {w} (seeds {seeds(s)})" for w, s in pairs]
     parts += [f"one traced {w} run per side (seed {seeds(s)})" for w, s in traces]
+    third = ("; the anchor runs on every seed as a third side, its slot rotating through "
+             "first, second and third" if anchor else "")
     return ("each side run from its own checkout; pairs of parent and change on the same "
-            "seed, alternating which side runs first; " + ", ".join(parts)
+            "seed, alternating which side runs first" + third + "; " + ", ".join(parts)
             + "; times are the benchmark's speed-probe-scaled values")
+
+
+def run_order(i: int, anchor: bool) -> tuple[str, ...]:
+    """The sides of the i-th seed in running order: parent and change
+    alternate, and the anchor, if any, takes slot i % 3."""
+    order = list(SIDES if i % 2 == 0 else SIDES[::-1])
+    if anchor:
+        order.insert(i % 3, ANCHOR)
+    return tuple(order)
 
 
 def main(argv=None) -> int:
@@ -155,24 +180,28 @@ def main(argv=None) -> int:
                     metavar="WORKLOAD:SEEDS")
     ap.add_argument("--trace", type=seed_range, action="append", default=[],
                     metavar="WORKLOAD:SEEDS")
+    ap.add_argument("--anchor", type=Path, metavar="CHECKOUT",
+                    help="a fixed older checkout run on every seed as a third side")
     ap.add_argument("--out", type=Path, help="default: BENCH_<label>.json in the change checkout")
     args = ap.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.anchor:
+        checkouts[ANCHOR] = args.anchor.resolve()
     commits = {s: subprocess.run(["git", "rev-parse", "HEAD"], cwd=c, capture_output=True,
                                  text=True, check=True).stdout.strip()
                for s, c in checkouts.items()}
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     spec, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     out = args.out or checkouts["change"] / f"BENCH_{args.label}.json"
-    protocol = protocol_text(args.pairs, args.trace)
+    protocol = protocol_text(args.pairs, args.trace, anchor=bool(args.anchor))
 
     jobs = []
     for trace, groups in ((0, args.pairs), (1, args.trace)):
         for workload, seeds in groups:
             for i, seed in enumerate(seeds):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                jobs += [(side, workload, seed, trace) for side in order]
+                jobs += [(side, workload, seed, trace)
+                         for side in run_order(i, bool(args.anchor))]
     runs: list[dict] = []
     for side, workload, seed, trace in jobs:
         run = run_one(checkouts[side], workload, seed, seconds, trace)

@@ -178,11 +178,14 @@ def sub(a, b) -> Var:
 
 
 def mul(a, b) -> Var:
+    """Elementwise product; builds no gradient for a tape constant."""
     tape, a, b = _pair(a, b)
     av, bv = a.value, b.value
+    a_grad, b_grad = a.index is not None, b.index is not None
 
     def pull(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
+        return (_unbroadcast(g * bv, av.shape) if a_grad else None,
+                _unbroadcast(g * av, bv.shape) if b_grad else None)
 
     return tape.record(av * bv, (a, b), pull)
 
@@ -292,14 +295,19 @@ def take(a: Var, indices, axis: int = 0) -> Var:
 
 def matmul(a: Var, b: Var) -> Var:
     """Matrix product; `a` may carry a leading batch axis, and `b` with it
-    or without (one matrix for every batch entry)."""
+    or without (one matrix for every batch entry). Builds no gradient for a
+    tape constant."""
     tape, a, b = _pair(a, b)
     av, bv = a.value, b.value
+    a_grad, b_grad = a.index is not None, b.index is not None
 
     def pull(g):
         if bv.ndim == 1:
-            return np.outer(g, bv), av.T @ g
-        ga = g @ np.swapaxes(bv, -1, -2)
+            ga = np.outer(g, bv) if a_grad else None
+            return ga, av.T @ g if b_grad else None
+        ga = g @ np.swapaxes(bv, -1, -2) if a_grad else None
+        if not b_grad:
+            return ga, None
         if av.ndim > bv.ndim:  # one `b` for the batch: summed in one product
             return ga, av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         return ga, np.swapaxes(av, -1, -2) @ g

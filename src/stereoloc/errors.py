@@ -31,7 +31,8 @@ class InsufficientMatches(StereolocError):
 
 
 class TeachFailure(StereolocError):
-    """A taught frame produced too few usable keypoints to map."""
+    """A taught frame produced too few usable keypoints to map, or only
+    duplicated or collinear ones."""
 
 
 class InvalidViewpoint(StereolocError):

@@ -190,7 +190,8 @@ def teach(
     K: CameraIntrinsics,
     disparity_source: str = "gt",
 ) -> TeachMap:
-    """Build one map vertex per taught frame."""
+    """Build one map vertex per taught frame; a frame whose valid lifted
+    points are fewer than 3, duplicated or collinear is a TeachFailure."""
     if not frames:
         raise TeachFailure("empty teach sequence")
     vertices = []
@@ -201,6 +202,11 @@ def teach(
             raise TeachFailure(f"frame {i}: {e}") from e
         if len(coords) < 3:
             raise TeachFailure(f"frame {i}: only {len(coords)} usable keypoints")
+        # align_core's rule, on the points aligned to themselves: no pose can
+        # be found against a vertex whose points are duplicated or collinear
+        centered = p3d - p3d.mean(axis=0)
+        if estimator.rotation_from_covariance(centered.T @ centered)[2]:
+            raise TeachFailure(f"frame {i}: {len(p3d)} lifted points, all duplicated or collinear")
         vertices.append(
             MapVertex(i, np.asarray(frame.pose, float), coords, desc, scores, p3d, frame)
         )

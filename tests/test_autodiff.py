@@ -293,6 +293,48 @@ class TestBatchAxis:
         assert rel_err(gw, conv2d_weight_grad_reference(x0, up, k, k)) < 1e-12
 
 
+class TestConstantOperands:
+    """mul and matmul build no gradient for an operand that is a tape
+    constant; the other operand's gradient is bitwise the one taken with
+    both operands as parameters."""
+
+    @pytest.mark.parametrize("op, shapes", [
+        (ad.mul, ((4, 3, 5), ())),  # a temperature times similarities
+        (ad.mul, ((3, 5), (3, 1))),
+        (ad.matmul, ((2, 4, 6), (6, 2))),  # attention times pixel coordinates
+        (ad.matmul, ((2, 4, 6), (2, 6, 3))),
+        (ad.matmul, ((4, 6), (6, 3))),
+        (ad.matmul, ((4, 6), (6,))),
+    ], ids=["mul_scalar", "mul_broadcast", "matmul_shared", "matmul_batch", "matmul",
+            "matmul_vector"])
+    @pytest.mark.parametrize("constant", [0, 1], ids=["constant_a", "constant_b"])
+    def test_constant_operand_gets_no_gradient(self, op, shapes, constant, monkeypatch):
+        rng = np.random.default_rng(31)
+        values = [rng.normal(size=shape) for shape in shapes]
+        pullbacks = []
+        record = Tape.record
+
+        def kept(tape, value, parents, pullback):
+            pullbacks.append(pullback)
+            return record(tape, value, parents, pullback)
+
+        monkeypatch.setattr(Tape, "record", kept)
+        grads = []
+        for as_param in (True, False):
+            t = Tape()
+            operands = [t.param(v) if as_param or k != constant else t.constant(v)
+                        for k, v in enumerate(values)]
+            pullbacks.clear()
+            out = op(*operands)
+            if as_param:  # the first pass draws the upstream both passes use
+                up = rng.normal(size=out.shape)
+            pulled = pullbacks[0](up)
+            assert (pulled[constant] is None) == (not as_param)
+            assert pulled[1 - constant] is not None
+            grads.append(backward(t, scalarize(out, up))[operands[1 - constant].index])
+        assert _same_bits(*grads)
+
+
 class TestPullbacksKeepShapes:
     """A pullback that needs only its input's shape does not keep the input
     alive: with the input and output `Var`s dropped, only the tape is left,

@@ -102,3 +102,35 @@ def test_seed_ranges_and_protocol():
     text = bench_pairs.protocol_text([("repeat-day", [1, 2])], [("repeat-day", [9])])
     assert "2 pairs on repeat-day (seeds 1-2)" in text
     assert "one traced repeat-day run per side (seed 9)" in text
+
+
+def test_anchor_slot_rotates_and_parent_change_alternate():
+    orders = [bench_pairs.run_order(i, anchor=True) for i in range(6)]
+    assert len(set(orders)) == 6  # every place among the other two
+    for i, order in enumerate(orders):
+        assert order.index("anchor") == i % 3
+        pair = [s for s in order if s != "anchor"]
+        assert pair == (["parent", "change"] if i % 2 == 0 else ["change", "parent"])
+    assert [bench_pairs.run_order(i, anchor=False) for i in range(2)] == [
+        ("parent", "change"), ("change", "parent")]
+
+
+def test_anchor_side_gains_change_over_anchor():
+    runs = canned_runs()
+    for seed, (step, items) in zip(range(1, 5), [(30.0, 8.0), (32.0, 9.0), (34.0, 10.0),
+                                                  (36.0, 11.0)]):
+        runs.append(line("anchor", "repeat-day", seed, step_ms_p50=step, items_per_s=items))
+    record = bench_pairs.build_record("t", "note", {"parent": "p1", "change": "c1",
+                                                    "anchor": "a1"}, "proto", 25, runs, SPEC)
+    assert record["anchor_commit"] == "a1"
+    assert list(record)[:5] == ["label", "change", "parent_commit", "change_commit",
+                                "anchor_commit"]
+    step = record["summary"]["repeat-day"]["step_ms_p50"]
+    assert step["anchor"] == {"median": 33.0, "q1": 31.5, "q3": 34.5, "n": 4}
+    assert step["change_over_anchor"] == pytest.approx(22.5 / 33.0)
+    # the pair counts stay parent against change
+    assert (step["change_better_pairs"], step["tied_pairs"], step["pairs"]) == (2, 1, 4)
+    assert "change_over_anchor" not in bench_pairs.summarize(
+        canned_runs(), SPEC)["repeat-day"]["step_ms_p50"]
+    text = bench_pairs.protocol_text([("repeat-day", [1, 2])], [], anchor=True)
+    assert "the anchor runs on every seed as a third side" in text

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from stereoloc.errors import (
 )
 from stereoloc.estimator import (
     RansacParams,
+    _minimal_set_poses,
     _minimal_sets,
     align_core,
     gt_outlier_gate,
     ransac_pose,
+    rotation_from_covariance,
 )
 from stereoloc.geometry import PlanarPose, SE3Pose, planar_to_se3, rot_z, se3_to_planar
 
@@ -339,6 +342,73 @@ class TestRansacNonFinite:
         ps = np.full((10, 3), np.nan)
         with pytest.raises(LocalizationFailure):
             ransac_pose(ps, ps.copy(), np.ones(10), RansacParams(iterations=20))
+
+
+TRIANGLE_KINDS = ("random", "rigid", "mirror", "near-collinear", "duplicated", "non-finite")
+
+
+def _triangle_pair(kind: str, rng):
+    """(3, 3) source and target minimal sets, one point per row, at a
+    random scale and offset."""
+    scale = 10.0 ** rng.uniform(-2, 2)
+    A = rng.normal(size=(3, 3))
+    if kind == "near-collinear":  # points within 10^k of a line
+        A = rng.normal(size=(3, 1)) * rng.normal(size=3) + 10.0 ** rng.uniform(-17, -2) * A
+    C, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    C *= np.sign(np.linalg.det(C))
+    B = A @ C.T + 0.1 * rng.uniform() * rng.normal(size=(3, 3))
+    if kind == "random":
+        B = rng.normal(size=(3, 3))
+    elif kind == "mirror":
+        B = B * [1.0, 1.0, -1.0]
+    elif kind == "near-collinear" and rng.integers(2):  # only the source is thin
+        B = rng.normal(size=(3, 3))
+    elif kind == "duplicated":
+        X = (A, B)[rng.integers(2)]
+        X[rng.integers(3)] = X[rng.integers(3)]  # may pick the same row: not degenerate
+    A = scale * A + 10.0 ** rng.uniform(-2, 3) * rng.normal(size=3)
+    B = scale * B + 10.0 ** rng.uniform(-2, 3) * rng.normal(size=3)
+    if kind == "non-finite":
+        (A, B)[rng.integers(2)][rng.integers(3), rng.integers(3)] = rng.choice(
+            [np.nan, np.inf, -np.inf])
+    return A, B
+
+
+class TestMinimalSetPoses:
+    """Property: the closed-form hypotheses of ransac_pose agree with
+    rotation_from_covariance on each set's equal-weight cross-covariance
+    (the stacked SVD they replace): the same collinear flag, and on every
+    other set a proper rotation within 1e-12, or 1e-14 s0 / s1 on a set
+    whose spectrum ratio s0 / s1 exceeds 100 (both solutions are then only
+    that accurate). A set with a non-finite point has a non-finite C, so
+    ransac_pose never counts it."""
+
+    @settings(max_examples=200)
+    @given(st.lists(st.sampled_from(TRIANGLE_KINDS), min_size=1, max_size=12),
+           st.integers(0, 2**32 - 1))
+    def test_agrees_with_the_svd_solution(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        A, B = (np.stack(x) for x in zip(*(_triangle_pair(k, rng) for k in kinds)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            C, r, collinear = _minimal_set_poses(A, B)
+        finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
+        assert not np.isfinite(C[~finite]).all(axis=(1, 2)).any()
+        A, B, C, r, collinear = A[finite], B[finite], C[finite], r[finite], collinear[finite]
+        mu_s, mu_t = A.mean(axis=1), B.mean(axis=1)
+        W = (B - mu_t[:, None]).transpose(0, 2, 1) @ (A - mu_s[:, None]) / 3.0
+        C_ref, (_, s, _, _), collinear_ref = rotation_from_covariance(W)
+        r_ref = mu_t - (C_ref @ mu_s[:, :, None])[:, :, 0]
+        assert np.array_equal(collinear, collinear_ref)
+        ok = ~collinear
+        C, r, C_ref, r_ref, s = C[ok], r[ok], C_ref[ok], r_ref[ok], s[ok]
+        assert np.isfinite(C).all() and np.isfinite(r).all()
+        assert np.abs(np.linalg.det(C) - 1.0).max(initial=0.0) <= 1e-12
+        assert np.abs(C @ C.transpose(0, 2, 1) - np.eye(3)).max(initial=0.0) <= 1e-12
+        tol = 1e-14 * np.maximum(100.0, s[:, 0] / s[:, 1])
+        assert (np.abs(C - C_ref).max(axis=(1, 2)) <= tol).all()
+        extent = np.abs(A[ok]).max(axis=(1, 2)) + np.abs(B[ok]).max(axis=(1, 2))
+        assert (np.abs(r - r_ref).max(axis=1) <= tol * extent).all()
 
 
 class TestGroundTruthGate:

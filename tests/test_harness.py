@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,47 @@ class TestTeach:
         patched = StereoFrame(left, frames[1].right, frames[1].disparity, frames[1].pose)
         with pytest.raises(TeachFailure, match="frame 1"):
             teach([frames[0], patched, frames[2]], extractor, K_default)
+
+
+@dataclass
+class GridExtractor:
+    """Analytic features whose keypoints sit on whole pixels: two rows and
+    three columns into each window."""
+
+    window: int = 8
+    ident = "grid"
+
+    def features_on(self, tape, image):
+        fmap = features.analytic_features(image, tape)
+        logits = np.zeros(image.shape)
+        logits[2::self.window, 3::self.window] = 1e3
+        return features.DenseFeatureMap(fmap.stack, tape.constant(logits))
+
+
+class TestTeachRefusesDegenerateVertices:
+    """A frame whose valid lifted points are collinear is a TeachFailure
+    that names it: only the keypoints on pixel rows with a valid disparity
+    lift, and one row of them at one depth lies on one 3D line."""
+
+    @staticmethod
+    def frame_valid_on_rows(frame, rows):
+        disparity = np.full_like(frame.disparity, np.nan)
+        disparity[rows] = 4.0
+        return StereoFrame(frame.left, frame.right, disparity, frame.pose)
+
+    def test_collinear_lifts_name_the_frame(self, rig, K_default):
+        frames, _, _ = rig
+        line = self.frame_valid_on_rows(frames[1], [2])
+        good = [self.frame_valid_on_rows(f, [2, 10]) for f in (frames[0], frames[2])]
+        with pytest.raises(TeachFailure, match="frame 1: 8 lifted points"):
+            teach([good[0], line, good[1]], GridExtractor(), K_default)
+
+    def test_two_rows_of_lifts_teach(self, rig, K_default):
+        frames, _, _ = rig
+        vertex = teach([self.frame_valid_on_rows(frames[0], [2, 10])], GridExtractor(),
+                       K_default).vertices[0]
+        assert len(vertex.points3d) == 16
+        assert np.array_equal(np.unique(vertex.coords[:, 1]), [2.0, 10.0])
 
 
 class TestLocalize:
