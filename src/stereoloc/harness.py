@@ -202,10 +202,11 @@ def teach(
             raise TeachFailure(f"frame {i}: {e}") from e
         if len(coords) < 3:
             raise TeachFailure(f"frame {i}: only {len(coords)} usable keypoints")
-        # align_core's rule, on the points aligned to themselves: no pose can
-        # be found against a vertex whose points are duplicated or collinear
-        centered = p3d - p3d.mean(axis=0)
-        if estimator.rotation_from_covariance(centered.T @ centered)[2]:
+        # rotation_from_covariance's collinearity rule, on the spectrum of the
+        # centered points: no pose can be found against a vertex whose
+        # points are duplicated or collinear
+        s = np.linalg.svd(p3d - p3d.mean(axis=0), compute_uv=False)
+        if s[1] <= estimator.COLLINEARITY_TOL * s[0]:
             raise TeachFailure(f"frame {i}: {len(p3d)} lifted points, all duplicated or collinear")
         vertices.append(
             MapVertex(i, np.asarray(frame.pose, float), coords, desc, scores, p3d, frame)
