@@ -359,7 +359,7 @@ def _triangle_pair(kind: str, rng):
     B = A @ C.T + 0.1 * rng.uniform() * rng.normal(size=(3, 3))
     if kind == "random":
         B = rng.normal(size=(3, 3))
-    elif kind == "mirror":
+    elif kind == "mirror":  # three points are planar: a mirror image is also a rotated copy
         B = B * [1.0, 1.0, -1.0]
     elif kind == "near-collinear" and rng.integers(2):  # only the source is thin
         B = rng.normal(size=(3, 3))
