@@ -13,25 +13,28 @@ and disparity source (`gt`, `block`), it teaches a 64x48 noon path, saves
 and reloads the map, then localizes the offset live frames of every
 `DAY_SCHEDULE` condition in dense and in sparse mode. It writes one JSON
 line per localization: the grid keys, the frame, the inlier count, the
-failure flag and the pose (`C` row-major then `r`, or null). `--src`
+failure flag, the pose (`C` row-major then `r`, or null) and the SHA-256 of
+the live and of the vertex frame blobs it used. `--src`
 imports `stereoloc` from another checkout's `src`, so two versions of the
 code run the same grid with the same weights.
 
 `train` runs the train-desk batches of the benchmark: per seed, the
 committed checkpoint's gradients on the first batches of 4 of the training
 split of 80 pairs at 32x24. It writes one JSON line per batch: the seed,
-the batch, its loss, each sample's loss, gated count and skipped flag, and
-the SHA-256 and L2 norm of the flattened gradient (tensors in name order,
-float64).
+the batch, its loss, each sample's loss, gated count and skipped flag, the
+SHA-256 and L2 norm of the flattened gradient (tensors in name order,
+float64), and the SHA-256 of the batch's pair blobs.
 
 `diff` matches the rows of two digests by their keys. Over localization
 rows it reports rows missing from either side, inlier and failure
 mismatches, and the largest absolute pose difference over rows where both
 sides have a pose. Over training rows it reports rows whose loss, sample
 losses or gradient differ in any bit, gated and skipped mismatches, and the
-largest relative deltas of the losses and of the gradient norm. It exits 1
-when any row is missing, or any inlier count, failure flag, gated count or
-skipped flag differs.
+largest relative deltas of the losses and of the gradient norm. Over all
+rows it reports `frame_mismatches`, rows whose frame hashes differ, so a
+change to the renderer shows directly. It exits 1 when any row is missing,
+or any inlier count, failure flag, gated count, skipped flag or frame hash
+differs.
 """
 
 from __future__ import annotations
@@ -60,6 +63,16 @@ TRAIN_PAIRS = 80  # 16 validation pairs and a 64-pair training split
 TRAIN_BATCH = 4
 TRAIN_BATCHES = 16
 TRAIN_SIZE = (24, 32)
+FRAME_HASHES = ("live_sha256", "vertex_sha256", "pairs_sha256")
+
+
+def frames_sha256(frames) -> str:
+    """SHA-256 of the frames' stacked float64 blobs."""
+    import numpy as np
+
+    from stereoloc import synth
+
+    return hashlib.sha256(np.stack([synth.frame_blob(f) for f in frames]).tobytes()).hexdigest()
 
 
 def digest_rows(seeds: list[int], frames: int, work: Path):
@@ -94,7 +107,9 @@ def digest_rows(seeds: list[int], frames: int, work: Path):
                                     else [*r.pose.C.ravel().tolist(), *r.pose.r.tolist()])
                             yield {"seed": seed, "extractor": name, "disparity": disparity,
                                    "mode": mode, "condition": cond, "frame": i,
-                                   "inliers": r.inliers, "failure": r.failure, "pose": pose}
+                                   "inliers": r.inliers, "failure": r.failure, "pose": pose,
+                                   "live_sha256": frames_sha256([frame]),
+                                   "vertex_sha256": frames_sha256([vertex.frame])}
 
 
 def train_rows(seeds: list[int], batches: int, work: Path):
@@ -118,7 +133,8 @@ def train_rows(seeds: list[int], batches: int, work: Path):
                    "sample_losses": [s.total for s in stats],
                    "gated": [s.n_gated for s in stats], "skipped": [s.skipped for s in stats],
                    "grad_sha256": hashlib.sha256(flat.tobytes()).hexdigest(),
-                   "grad_norm": float(np.linalg.norm(flat))}
+                   "grad_norm": float(np.linalg.norm(flat)),
+                   "pairs_sha256": frames_sha256([f for s in batch for f in (s.source, s.target)])}
 
 
 def read_digest(path: Path) -> dict[tuple, dict]:
@@ -169,6 +185,8 @@ def diff(a: dict[tuple, dict], b: dict[tuple, dict]) -> dict:
         "pose_presence_mismatches": sum((a[k]["pose"] is None) != (b[k]["pose"] is None)
                                         for k in shared),
         "max_pose_delta": max(deltas, default=0.0),
+        "frame_mismatches": sum(any(a[k].get(f) != b[k].get(f) for f in FRAME_HASHES)
+                                for k in shared_all),
         **diff_train(a, b, trained),
     }
 
@@ -199,7 +217,7 @@ def main(argv=None) -> int:
         report = diff(read_digest(args.first), read_digest(args.second))
         print(json.dumps(report))
         bad = ("only_in_first", "only_in_second", "inlier_mismatches", "failure_mismatches",
-               "gated_mismatches", "skipped_mismatches")
+               "gated_mismatches", "skipped_mismatches", "frame_mismatches")
         return int(any(report[k] for k in bad))
 
     if args.command == "write" and not 1 <= args.frames <= TEACH_FRAMES:

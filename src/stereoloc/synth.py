@@ -100,45 +100,53 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> Scene:
     return Scene(int(seed), params, np.array(blocks).reshape(params.n_blocks, 6))
 
 
-def _hash01(ix: np.ndarray, iy: np.ndarray, salt: int) -> np.ndarray:
-    """Deterministic lattice noise in [0, 1) from integer coordinates."""
-    salt_mix = (int(salt) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    h = (
-        ix.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        ^ iy.astype(np.uint64) * np.uint64(0xBF58476D1CE4E5B9)
-        ^ np.uint64(salt_mix)
-    )
-    h ^= h >> np.uint64(31)
-    h *= np.uint64(0xD6E8FEB86659FD93)
-    h ^= h >> np.uint64(32)
-    return (h >> np.uint64(11)).astype(float) / float(1 << 53)
+_HASH_X = np.uint64(0x9E3779B97F4A7C15)
+_HASH_Y = np.uint64(0xBF58476D1CE4E5B9)
+_HASH_MIX = np.uint64(0xD6E8FEB86659FD93)
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
+def _value_noise(fx: np.ndarray, fy: np.ndarray, salt: int) -> np.ndarray:
+    """Value noise at lattice coordinates (fx, fy), in units of 2**-53.
+
+    The corners (ix + i, iy + j) of each lattice cell hash to integers in
+    [0, 2**53) in one (2, 2, ...) uint64 pass; each axis takes one multiply,
+    since (ix + 1) * M is ix * M + M modulo 2**64. Perlin's quintic fade
+    blends them.
+    """
+    ix = np.floor(fx).astype(np.int64)
+    iy = np.floor(fy).astype(np.int64)
+    tx = _smoothstep(fx - ix)
+    ty = _smoothstep(fy - iy)
+    hx = ix.astype(np.uint64) * _HASH_X
+    hy = iy.astype(np.uint64) * _HASH_Y
+    h = np.stack([hy, hy + _HASH_Y])[:, None] ^ np.stack([hx, hx + _HASH_X])
+    h ^= np.uint64((int(salt) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF)
+    h ^= h >> np.uint64(31)
+    h *= _HASH_MIX
+    h ^= h >> np.uint64(32)
+    h >>= np.uint64(11)
+    rows = h[:, 0] * (1 - tx) + h[:, 1] * tx
+    return rows[0] * (1 - ty) + rows[1] * ty
+
+
 def texture(scene: Scene, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Procedural albedo in (0, 1), defined on the whole plane."""
     p = scene.params
-    total = np.zeros_like(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    total = np.zeros_like(x)
     amp_sum = 0.0
     for o in range(p.texture_octaves):
         freq = p.texture_base_freq * (2.0**o)
         amp = 0.5**o
-        fx = np.asarray(x, dtype=float) * freq
-        fy = np.asarray(y, dtype=float) * freq
-        ix = np.floor(fx).astype(np.int64)
-        iy = np.floor(fy).astype(np.int64)
-        tx = _smoothstep(fx - ix)
-        ty = _smoothstep(fy - iy)
-        salt = scene.seed * 1000003 + o * 7919
-        v00 = _hash01(ix, iy, salt)
-        v10 = _hash01(ix + 1, iy, salt)
-        v01 = _hash01(ix, iy + 1, salt)
-        v11 = _hash01(ix + 1, iy + 1, salt)
-        total += amp * ((v00 * (1 - tx) + v10 * tx) * (1 - ty)
-                        + (v01 * (1 - tx) + v11 * tx) * ty)
+        noise = _value_noise(x * freq, y * freq, scene.seed * 1000003 + o * 7919)
+        # 2**-53 and amp are powers of two: scaling after the blend rounds
+        # exactly as scaling each corner value before it
+        total += noise * (amp * 2.0**-53)
         amp_sum += amp
     norm = total / amp_sum
     return np.clip(0.5 + p.texture_contrast * (norm - 0.5), 0.02, 0.98)
@@ -205,55 +213,63 @@ class StereoFrame:
     pose: np.ndarray | None = None  # world (x, y, yaw)
 
 
+def _nearest_hits(scene: Scene, ox, oy, dx, dy) -> tuple[np.ndarray, np.ndarray]:
+    """Depth and albedo of the nearest surface along downward rays from
+    (ox, oy, camera height) with direction (dx, dy, -1): the ground plane
+    z = 0, or a block top found by the slab test."""
+    h_cam = scene.params.camera_height
+    t_best = np.full(np.broadcast_shapes(np.shape(ox), np.shape(dx)), h_cam)
+    albedo = np.ones_like(t_best)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for x0, x1, y0, y1, bh, alb in scene.blocks:
+            tx1 = (x0 - ox) / dx
+            tx2 = (x1 - ox) / dx
+            ty1 = (y0 - oy) / dy
+            ty2 = (y1 - oy) / dy
+            # the top plane is at h_cam - bh > 0, and a t_near past the
+            # ground fails t_near < t_best
+            t_near = np.maximum(np.minimum(tx1, tx2), np.minimum(ty1, ty2))
+            t_near = np.maximum(t_near, h_cam - bh)
+            t_far = np.minimum(np.maximum(tx1, tx2), np.maximum(ty1, ty2))
+            hit = (t_near <= t_far) & (t_near < t_best)
+            np.copyto(t_best, t_near, where=hit)
+            np.copyto(albedo, alb, where=hit)
+    return t_best, albedo
+
+
 def cast_rays(
     scene: Scene,
     pose,
     K: CameraIntrinsics,
     uv: np.ndarray,
-    right: bool = False,
+    right: bool | np.ndarray = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Intersect pixel rays with the scene.
 
-    Returns (intensity, depth, hit_points). `uv` is (M, 2) sub-pixel image
+    Returns (intensity, depth, hit_points). `uv` is (..., 2) sub-pixel image
     coordinates; depth is camera-frame z. The right camera sits one baseline
-    along the camera x-axis.
+    along the camera x-axis. `right` broadcasts against uv's leading axes,
+    so one call casts the rays of both cameras.
     """
     x, y, yaw = float(pose[0]), float(pose[1]), float(pose[2])
     h_cam = scene.params.camera_height
     if scene.blocks.size and h_cam <= scene.blocks[:, 4].max():
         raise InvalidViewpoint("camera at or below the tallest block")
-    x_c, y_c, z_c = _cam_axes(yaw)
-    origin = np.array([x, y, h_cam])
-    if right:
-        origin = origin + K.b * x_c
-
+    c, s = math.cos(yaw), math.sin(yaw)  # x_c = (c, s, 0), y_c = (s, -c, 0)
     uv = np.asarray(uv, dtype=float)
-    du = (uv[:, 0] - K.cu) / K.fu
-    dv = (uv[:, 1] - K.cv) / K.fv
-    dirs = du[:, None] * x_c + dv[:, None] * y_c + z_c  # camera z-component is 1
-
-    # ground plane z=0: depth equals camera height for every ray
-    t_best = np.full(len(uv), h_cam)
-    albedo = np.ones(len(uv))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for x0, x1, y0, y1, bh, alb in scene.blocks:
-            tx1 = (x0 - origin[0]) / dirs[:, 0]
-            tx2 = (x1 - origin[0]) / dirs[:, 0]
-            ty1 = (y0 - origin[1]) / dirs[:, 1]
-            ty2 = (y1 - origin[1]) / dirs[:, 1]
-            tz_near = h_cam - bh  # top plane (dirs z = -1)
-            t_near = np.maximum(np.minimum(tx1, tx2), np.minimum(ty1, ty2))
-            t_near = np.maximum(t_near, tz_near)
-            t_far = np.minimum(np.maximum(tx1, tx2), np.maximum(ty1, ty2))
-            t_far = np.minimum(t_far, h_cam)
-            hit = (t_near <= t_far) & (t_near > 0) & (t_near < t_best)
-            t_best = np.where(hit, t_near, t_best)
-            albedo = np.where(hit, alb, albedo)
-
-    hits = origin + t_best[:, None] * dirs
-    intensity = texture(scene, hits[:, 0], hits[:, 1]) * albedo
-    return intensity, t_best, hits
+    du = (uv[..., 0] - K.cu) / K.fu
+    dv = (uv[..., 1] - K.cv) / K.fv
+    # direction du x_c + dv y_c + z_c; adding 0.0 makes a zero component
+    # +0.0, as the sum over the three axes does
+    dx = du * c + dv * s + 0.0
+    dy = du * s + dv * -c + 0.0
+    ox = np.where(right, x + K.b * c, x)
+    oy = np.where(right, y + K.b * s, y)
+    t_best, albedo = _nearest_hits(scene, ox, oy, dx, dy)
+    hx = ox + t_best * dx
+    hy = oy + t_best * dy
+    intensity = texture(scene, hx, hy) * albedo
+    return intensity, t_best, np.stack([hx, hy, h_cam - t_best], axis=-1)
 
 
 def apply_photometrics(
@@ -264,8 +280,9 @@ def apply_photometrics(
     h, w = img.shape
     out = np.power(np.clip(img, 0.0, None), photo.gamma)
     if photo.vignette > 0.0:
-        vu = (np.arange(w) - (w - 1) / 2) / ((w - 1) / 2)
-        vv = (np.arange(h) - (h - 1) / 2) / ((h - 1) / 2)
+        # normalized coordinates in [-1, 1]; a 1-px axis sits at 0
+        vu = (np.arange(w) - (w - 1) / 2) / ((w - 1) / 2 or 1.0)
+        vv = (np.arange(h) - (h - 1) / 2) / ((h - 1) / 2 or 1.0)
         rho2 = (vu[None, :] ** 2 + vv[:, None] ** 2) / 2.0
         out = out * (1.0 - photo.vignette * rho2)
     out = photo.gain * out + photo.bias
@@ -290,13 +307,13 @@ def render_stereo(
     """
     h, w = size
     us, vs = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-    uv = np.stack([us.ravel(), vs.ravel()], axis=1)
-    left_i, depth, _ = cast_rays(scene, pose, K, uv, right=False)
-    right_i, _, _ = cast_rays(scene, pose, K, uv, right=True)
-    disparity = (K.fu * K.b / depth).reshape(h, w)
+    uv = np.stack([us, vs], axis=-1)
+    sides = np.array([False, True])[:, None, None]  # left, then right
+    intensity, depth, _ = cast_rays(scene, pose, K, uv, right=sides)
+    disparity = K.fu * K.b / depth[0]
     rng = np.random.default_rng([int(noise_seed), 2])
-    left = apply_photometrics(left_i.reshape(h, w), photo, rng)
-    right = apply_photometrics(right_i.reshape(h, w), photo, rng)
+    left = apply_photometrics(intensity[0], photo, rng)
+    right = apply_photometrics(intensity[1], photo, rng)
     return StereoFrame(left, right, disparity, np.asarray(pose, float))
 
 

@@ -19,6 +19,7 @@ from stereoloc.autodiff import Tape, Var
 from stereoloc.errors import (
     DegenerateGeometry,
     InsufficientMatches,
+    InvalidViewpoint,
     LocalizationFailure,
     StereolocError,
 )
@@ -527,3 +528,104 @@ def block_match_everywhere(left, right, **kwargs) -> tuple[np.ndarray, np.ndarra
     v, u = np.divmod(np.arange(h * w), w)
     d, valid = synth.block_match_disparity(left, right, u, v, **kwargs)
     return d.reshape(h, w), valid.reshape(h, w)
+
+
+# ---------------------------------------------------------------------------
+# rendering
+
+
+# The renderer `synth.render_stereo` replaced: one scalar-salted hash per
+# lattice corner, and one ray cast per camera.
+def _hash01(ix: np.ndarray, iy: np.ndarray, salt: int) -> np.ndarray:
+    """Deterministic lattice noise in [0, 1) from integer coordinates."""
+    salt_mix = (int(salt) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    h = (
+        ix.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        ^ iy.astype(np.uint64) * np.uint64(0xBF58476D1CE4E5B9)
+        ^ np.uint64(salt_mix)
+    )
+    h ^= h >> np.uint64(31)
+    h *= np.uint64(0xD6E8FEB86659FD93)
+    h ^= h >> np.uint64(32)
+    return (h >> np.uint64(11)).astype(float) / float(1 << 53)
+
+
+def _smoothstep(t: np.ndarray) -> np.ndarray:
+    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+
+
+def texture(scene: synth.Scene, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Procedural albedo in (0, 1), defined on the whole plane."""
+    p = scene.params
+    total = np.zeros_like(np.asarray(x, dtype=float))
+    amp_sum = 0.0
+    for o in range(p.texture_octaves):
+        freq = p.texture_base_freq * (2.0**o)
+        amp = 0.5**o
+        fx = np.asarray(x, dtype=float) * freq
+        fy = np.asarray(y, dtype=float) * freq
+        ix = np.floor(fx).astype(np.int64)
+        iy = np.floor(fy).astype(np.int64)
+        tx = _smoothstep(fx - ix)
+        ty = _smoothstep(fy - iy)
+        salt = scene.seed * 1000003 + o * 7919
+        v00 = _hash01(ix, iy, salt)
+        v10 = _hash01(ix + 1, iy, salt)
+        v01 = _hash01(ix, iy + 1, salt)
+        v11 = _hash01(ix + 1, iy + 1, salt)
+        total += amp * ((v00 * (1 - tx) + v10 * tx) * (1 - ty)
+                        + (v01 * (1 - tx) + v11 * tx) * ty)
+        amp_sum += amp
+    norm = total / amp_sum
+    return np.clip(0.5 + p.texture_contrast * (norm - 0.5), 0.02, 0.98)
+
+
+def cast_rays(
+    scene: synth.Scene,
+    pose,
+    K: CameraIntrinsics,
+    uv: np.ndarray,
+    right: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intersect pixel rays with the scene.
+
+    Returns (intensity, depth, hit_points). `uv` is (M, 2) sub-pixel image
+    coordinates; depth is camera-frame z. The right camera sits one baseline
+    along the camera x-axis.
+    """
+    x, y, yaw = float(pose[0]), float(pose[1]), float(pose[2])
+    h_cam = scene.params.camera_height
+    if scene.blocks.size and h_cam <= scene.blocks[:, 4].max():
+        raise InvalidViewpoint("camera at or below the tallest block")
+    x_c, y_c, z_c = synth._cam_axes(yaw)
+    origin = np.array([x, y, h_cam])
+    if right:
+        origin = origin + K.b * x_c
+
+    uv = np.asarray(uv, dtype=float)
+    du = (uv[:, 0] - K.cu) / K.fu
+    dv = (uv[:, 1] - K.cv) / K.fv
+    dirs = du[:, None] * x_c + dv[:, None] * y_c + z_c  # camera z-component is 1
+
+    # ground plane z=0: depth equals camera height for every ray
+    t_best = np.full(len(uv), h_cam)
+    albedo = np.ones(len(uv))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for x0, x1, y0, y1, bh, alb in scene.blocks:
+            tx1 = (x0 - origin[0]) / dirs[:, 0]
+            tx2 = (x1 - origin[0]) / dirs[:, 0]
+            ty1 = (y0 - origin[1]) / dirs[:, 1]
+            ty2 = (y1 - origin[1]) / dirs[:, 1]
+            tz_near = h_cam - bh  # top plane (dirs z = -1)
+            t_near = np.maximum(np.minimum(tx1, tx2), np.minimum(ty1, ty2))
+            t_near = np.maximum(t_near, tz_near)
+            t_far = np.minimum(np.maximum(tx1, tx2), np.maximum(ty1, ty2))
+            t_far = np.minimum(t_far, h_cam)
+            hit = (t_near <= t_far) & (t_near > 0) & (t_near < t_best)
+            t_best = np.where(hit, t_near, t_best)
+            albedo = np.where(hit, alb, albedo)
+
+    hits = origin + t_best[:, None] * dirs
+    intensity = texture(scene, hits[:, 0], hits[:, 1]) * albedo
+    return intensity, t_best, hits

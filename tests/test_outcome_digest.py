@@ -26,11 +26,16 @@ def test_write_covers_the_grid_and_diff_counts_mismatches(tmp_path):
         for m in ("dense", "sparse")
     }
     assert all(r["pose"] is None or len(r["pose"]) == 12 for r in rows)
+    assert all(len(r["live_sha256"]) == len(r["vertex_sha256"]) == 64 for r in rows)
+    # each condition renders its own live frame; the map is one noon vertex
+    assert len({r["live_sha256"] for r in rows}) == 8
+    assert len({r["vertex_sha256"] for r in rows if r["disparity"] == "gt"}) == 1
 
     proc = run("diff", digest, digest)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["rows"] == 64 and report["max_pose_delta"] == 0.0
+    assert report["frame_mismatches"] == 0
 
     changed = [dict(rows[0], inliers=rows[0]["inliers"] + 1), *rows[2:]]
     other = tmp_path / "b.jsonl"
@@ -39,6 +44,14 @@ def test_write_covers_the_grid_and_diff_counts_mismatches(tmp_path):
     assert proc.returncode == 1
     report = json.loads(proc.stdout)
     assert (report["inlier_mismatches"], report["only_in_first"]) == (1, 1)
+    assert report["frame_mismatches"] == 0
+
+    rerendered = [rows[0], dict(rows[1], vertex_sha256="0" * 64), *rows[2:]]
+    other.write_text("".join(json.dumps(r) + "\n" for r in rerendered))
+    proc = run("diff", digest, other)
+    assert proc.returncode == 1  # a frame that changed is fatal, whatever the outcome
+    report = json.loads(proc.stdout)
+    assert report["frame_mismatches"] == 1 and report["inlier_mismatches"] == 0
 
 
 def test_train_writes_one_row_per_batch_and_diff_flags_gating(tmp_path):
@@ -51,6 +64,7 @@ def test_train_writes_one_row_per_batch_and_diff_flags_gating(tmp_path):
     for r in rows:
         assert len(r["sample_losses"]) == len(r["gated"]) == len(r["skipped"]) == 4
         assert len(r["grad_sha256"]) == 64 and r["grad_norm"] > 0.0
+    assert len({r["pairs_sha256"] for r in rows}) == 4
 
     proc = run("diff", digest, digest)
     assert proc.returncode == 0, proc.stderr
@@ -65,6 +79,14 @@ def test_train_writes_one_row_per_batch_and_diff_flags_gating(tmp_path):
     assert proc.returncode == 0  # a last-bit gradient change is reported, not fatal
     report = json.loads(proc.stdout)
     assert report["bitwise_mismatches"] == 1 and report["max_grad_norm_rel_delta"] > 0.0
+    assert report["frame_mismatches"] == 0
+
+    rerendered = dict(rows[2], pairs_sha256="0" * 64)
+    other.write_text("".join(json.dumps(r) + "\n" for r in (*rows[:2], rerendered, rows[3])))
+    proc = run("diff", digest, other)
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert (report["frame_mismatches"], report["bitwise_mismatches"]) == (1, 0)
 
     skipped = dict(rows[1], skipped=[True, *rows[1]["skipped"][1:]])
     other.write_text("".join(json.dumps(r) + "\n" for r in (rows[0], skipped, *rows[2:])))

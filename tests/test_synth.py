@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stereoloc import synth
 from stereoloc.errors import InvalidViewpoint
@@ -30,6 +31,7 @@ from stereoloc.synth import (
     texture,
 )
 
+import oracles
 from oracles import block_match_everywhere, block_match_reference, project_points, zncc
 
 
@@ -162,6 +164,80 @@ class TestRendering:
         # ground plane disparity: fu * b / camera_height
         assert abs(d.min() - K_default.fu * K_default.b / 2.0) < 1e-9
         assert d.max() < K_default.fu * K_default.b / 1.0  # blocks below half height
+
+
+YAWS = st.one_of(st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi]),
+                 st.floats(-4.0, 4.0))
+
+
+def _same_bits(*pairs) -> bool:
+    return all(a.tobytes() == b.tobytes() for a, b in pairs)
+
+
+class TestRendererMatchesOracle:
+    """The one-cast renderer and the one-pass corner hash are the per-camera
+    renderer and per-corner hash they replaced, bit for bit. With the yaws
+    drawn here, an odd size puts a ray with a zero x or y direction
+    component on the centre row or column, so the slab test divides by
+    zero."""
+
+    @settings(max_examples=120)
+    @given(st.integers(0, 2**31 - 1), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), YAWS,
+           st.integers(1, 9), st.integers(1, 11), st.sampled_from(sorted(CONDITIONS)),
+           st.integers(0, 1000))
+    # the centre ray's direction is (-0.0, -0.0) before the +0.0 of the axis sum
+    @example(3, -0.0, -0.0, -2.0, 3, 3, "identity", 0)
+    def test_frames_are_the_reference_frames(self, seed, x, y, yaw, h, w, cond, noise_seed):
+        scene = generate_scene(seed)
+        K = synth.default_intrinsics(w, h)
+        pose = (x, y, yaw)
+        frame = render_stereo(scene, pose, K, CONDITIONS[cond], (h, w), noise_seed)
+        us, vs = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
+        uv = np.stack([us.ravel(), vs.ravel()], axis=1)
+        left, depth, hits = oracles.cast_rays(scene, pose, K, uv)
+        right, _, right_hits = oracles.cast_rays(scene, pose, K, uv, right=True)
+        rng = np.random.default_rng([noise_seed, 2])
+        assert _same_bits(
+            (frame.left, synth.apply_photometrics(left.reshape(h, w), CONDITIONS[cond], rng)),
+            (frame.right, synth.apply_photometrics(right.reshape(h, w), CONDITIONS[cond], rng)),
+            (frame.disparity, (K.fu * K.b / depth).reshape(h, w)),
+        )
+        assert _same_bits(*zip(cast_rays(scene, pose, K, uv), (left, depth, hits)))
+        assert _same_bits(*zip(cast_rays(scene, pose, K, uv, right=True),
+                               oracles.cast_rays(scene, pose, K, uv, right=True)))
+
+    @settings(max_examples=60)
+    @given(st.integers(-2**31, 2**31 - 1),
+           st.lists(st.tuples(st.floats(-1e15, 1e15), st.floats(-1e15, 1e15)),
+                    min_size=1, max_size=40),
+           st.integers(-2**40, 2**40))
+    def test_texture_is_the_reference_texture(self, seed, points, lattice):
+        """Negative and large lattice indices wrap around in uint64."""
+        x, y = np.array(points).T
+        scene = Scene(seed, SceneParams(), np.zeros((0, 6)))  # a negative seed too
+        for xs, ys in ((x, y), (x / 1e14, y / 1e14), (x / 1e14 + lattice, y / 1e14 - lattice)):
+            assert texture(scene, xs, ys).tobytes() == oracles.texture(scene, xs, ys).tobytes()
+
+    def test_texture_on_a_dense_patch_is_the_reference_texture(self):
+        rng = np.random.default_rng(11)
+        x, y = rng.uniform(-50, 50, (2, 20000))
+        for seed in (0, 3, 7):
+            scene = generate_scene(seed)
+            assert texture(scene, x, y).tobytes() == oracles.texture(scene, x, y).tobytes()
+
+
+class TestOnePixelFrames:
+    @pytest.mark.parametrize("size", [(1, 64), (48, 1), (1, 1)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("condition", sorted(CONDITIONS))
+    def test_every_condition_renders_finite_frames(self, scene, condition, size):
+        h, w = size
+        K = synth.default_intrinsics(w, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            frame = render_stereo(scene, (0.1, 0.0, 0.2), K, CONDITIONS[condition], size)
+        for img in (frame.left, frame.right, frame.disparity):
+            assert img.shape == size and np.isfinite(img).all()
 
 
 class TestBlockMatching:
