@@ -13,10 +13,11 @@ and disparity source (`gt`, `block`), it teaches a 64x48 noon path, saves
 and reloads the map, then localizes the offset live frames of every
 `DAY_SCHEDULE` condition in dense and in sparse mode. It writes one JSON
 line per localization: the grid keys, the frame, the inlier count, the
-failure flag, the pose (`C` row-major then `r`, or null) and the SHA-256 of
-the live and of the vertex frame blobs it used. `--src`
-imports `stereoloc` from another checkout's `src`, so two versions of the
-code run the same grid with the same weights.
+failure flag, the failure reason (null on success, and null from a
+`stereoloc` whose results carry no reason), the pose (`C` row-major then
+`r`, or null) and the SHA-256 of the live and of the vertex frame blobs it
+used. `--src` imports `stereoloc` from another checkout's `src`, so two
+versions of the code run the same grid with the same weights.
 
 `train` runs the train-desk batches of the benchmark: per seed, the
 committed checkpoint's gradients on the first batches of 4 of the training
@@ -27,14 +28,15 @@ float64), and the SHA-256 of the batch's pair blobs.
 
 `diff` matches the rows of two digests by their keys. Over localization
 rows it reports rows missing from either side, inlier and failure
-mismatches, and the largest absolute pose difference over rows where both
-sides have a pose. Over training rows it reports rows whose loss, sample
+mismatches, reason mismatches over rows where both sides have a reason, and
+the largest absolute pose difference over rows where both sides have a
+pose. Over training rows it reports rows whose loss, sample
 losses or gradient differ in any bit, gated and skipped mismatches, and the
 largest relative deltas of the losses and of the gradient norm. Over all
 rows it reports `frame_mismatches`, rows whose frame hashes differ, so a
 change to the renderer shows directly. It exits 1 when any row is missing,
-or any inlier count, failure flag, gated count, skipped flag or frame hash
-differs.
+or any inlier count, failure flag, reason, gated count, skipped flag or
+frame hash differs.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ def digest_rows(seeds: list[int], frames: int, work: Path):
                                     else [*r.pose.C.ravel().tolist(), *r.pose.r.tolist()])
                             yield {"seed": seed, "extractor": name, "disparity": disparity,
                                    "mode": mode, "condition": cond, "frame": i,
-                                   "inliers": r.inliers, "failure": r.failure, "pose": pose,
+                                   "inliers": r.inliers, "failure": r.failure,
+                                   "reason": getattr(r, "reason", None), "pose": pose,
                                    "live_sha256": frames_sha256([frame]),
                                    "vertex_sha256": frames_sha256([vertex.frame])}
 
@@ -182,6 +185,8 @@ def diff(a: dict[tuple, dict], b: dict[tuple, dict]) -> dict:
         "only_in_second": len(b.keys() - shared_all),
         "inlier_mismatches": sum(a[k]["inliers"] != b[k]["inliers"] for k in shared),
         "failure_mismatches": sum(a[k]["failure"] != b[k]["failure"] for k in shared),
+        "reason_mismatches": sum(a[k]["reason"] != b[k]["reason"] for k in shared
+                                 if a[k].get("reason") and b[k].get("reason")),
         "pose_presence_mismatches": sum((a[k]["pose"] is None) != (b[k]["pose"] is None)
                                         for k in shared),
         "max_pose_delta": max(deltas, default=0.0),
@@ -217,7 +222,8 @@ def main(argv=None) -> int:
         report = diff(read_digest(args.first), read_digest(args.second))
         print(json.dumps(report))
         bad = ("only_in_first", "only_in_second", "inlier_mismatches", "failure_mismatches",
-               "gated_mismatches", "skipped_mismatches", "frame_mismatches")
+               "reason_mismatches", "gated_mismatches", "skipped_mismatches",
+               "frame_mismatches")
         return int(any(report[k] for k in bad))
 
     if args.command == "write" and not 1 <= args.frames <= TEACH_FRAMES:

@@ -318,16 +318,17 @@ def matmul(a: Var, b: Var) -> Var:
 def softmax(a: Var, axis: int = -1) -> Var:
     """Softmax along `axis`. A weight that could come out subnormal is
     exactly +0.0: the row sum of n entries is at most n, so every shifted
-    entry below log(n * tiny) is left out of the exp. numpy's exp leaves its
-    SIMD path on such entries, and a subnormal weight slows every product
-    that reads it."""
+    entry below log(n * tiny) is left out. numpy's exp leaves its SIMD path
+    on such entries, and a subnormal weight slows every product that reads
+    it."""
     av = a.value
     out = av - av.max(axis=axis, keepdims=True)
     floor = math.log(float(np.finfo(out.dtype).tiny) * av.shape[axis])
-    # the entries left out keep their shifted values, all negative, which
-    # the maximum sets to +0.0; NaN fails the test and stays NaN
-    np.exp(out, out=out, where=out >= floor)
-    np.maximum(out, 0, out=out)
+    # an entry left out moves to about -max (or stays -inf), whose exp is
+    # +0.0; every other entry loses exactly 0, and NaN fails the test and
+    # stays NaN, so one unmasked exp stays on the SIMD path
+    out -= (out < floor) * np.finfo(out.dtype).max
+    np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
 
     def pull(g):

@@ -14,6 +14,10 @@ class ShapeError(StereolocError):
     """Array shapes inconsistent with the requested operation."""
 
 
+class ImageSizeError(ShapeError):
+    """Image height or width not divisible as the extractor needs."""
+
+
 class OutOfBounds(StereolocError):
     """Sample point outside the valid image domain."""
 

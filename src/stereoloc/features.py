@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import storage
 from .autodiff import Tape, Var
-from .errors import ShapeError
+from .errors import ImageSizeError, ShapeError
 
 @dataclass(frozen=True)
 class ExtractorConfig:
@@ -128,7 +128,7 @@ def encode(
     h, w = x.value.shape[-2:]
     depth = len(cfg.channels)
     if h % (1 << depth) or w % (1 << depth):
-        raise ShapeError(f"image {h}x{w} not divisible by 2^{depth}")
+        raise ImageSizeError(f"image {h}x{w} not divisible by 2^{depth}")
 
     feat = ad.reshape(x, (1,) + x.value.shape)
     enc_maps = []
@@ -192,7 +192,7 @@ def detect_keypoints(logits: Var, window: int) -> Var:
     (H, W) logits, (B, N, 2) for a batch (B, H, W)."""
     *lead, h, w = logits.value.shape
     if h % window or w % window:
-        raise ShapeError(f"window {window} does not divide {h}x{w}")
+        raise ImageSizeError(f"window {window} does not divide {h}x{w}")
     ny, nx = h // window, w // window
     n = ny * nx
 
@@ -261,6 +261,7 @@ def analytic_features(image: np.ndarray, tape: Tape) -> DenseFeatureMap:
     tape as constants (nothing to train).
     """
     img = np.asarray(image, dtype=float)
+    h, w = img.shape
     channels = []
     for s in ANALYTIC_SCALES:
         mu = _box_mean(img, s)
@@ -273,10 +274,11 @@ def analytic_features(image: np.ndarray, tape: Tape) -> DenseFeatureMap:
         bandpass = (mu - wide) / denom
         gx = (np.roll(mu, -1, axis=1) - np.roll(mu, 1, axis=1)) / denom
         gy = (np.roll(mu, -1, axis=0) - np.roll(mu, 1, axis=0)) / denom
-        gx[:, 0] = gx[:, 1]
-        gx[:, -1] = gx[:, -2]
-        gy[0] = gy[1]
-        gy[-1] = gy[-2]
+        # each edge copies its neighbour; a 1-px axis copies onto itself
+        gx[:, 0] = gx[:, 1 % w]
+        gx[:, -1] = gx[:, -2 % w]
+        gy[0] = gy[1 % h]
+        gy[-1] = gy[-2 % h]
         channels.extend([bandpass, gx, gy])
     gx = channels[1]
     gy = channels[2]

@@ -26,6 +26,7 @@ from .autodiff import Tape
 from .errors import (
     ConfigError,
     DegenerateGeometry,
+    ImageSizeError,
     InsufficientMatches,
     LocalizationFailure,
     OutOfBounds,
@@ -126,6 +127,15 @@ class LocalizeParams:
     disparity: str = "gt"  # or "block"
 
 
+# The one reason localize records for each failure it catches.
+FAILURE_REASONS = {
+    InsufficientMatches: "insufficient_matches",
+    LocalizationFailure: "ransac_consensus",
+    DegenerateGeometry: "degenerate",
+    OutOfBounds: "non_finite",  # non-finite pixels push keypoints off the image
+}
+
+
 @dataclass
 class LocalizationResult:
     pose: SE3Pose | None
@@ -133,6 +143,8 @@ class LocalizationResult:
     inliers: int
     failure: bool
     timing: float
+    # None on success, else a FAILURE_REASONS value or "below_inlier_threshold"
+    reason: str | None = None
 
 
 @dataclass
@@ -174,11 +186,15 @@ def _keypoints_numpy(
     extractor, frame: StereoFrame, disparity_source: str, K: CameraIntrinsics
 ):
     """Keypoints with a valid disparity as plain arrays: coordinates,
-    descriptors, scores and 3D lifts."""
+    descriptors, scores and 3D lifts. A frame whose size the extractor
+    cannot take (a 1-px axis, say) has no keypoints: InsufficientMatches."""
     tape = Tape(grad=False, dtype=INFERENCE_DTYPE)
-    with np.errstate(invalid="ignore"):  # non-finite pixels are a recorded failure
-        fmap = extractor.features_on(tape, frame.left)
-    kps = features.extract_keypoints(fmap, extractor.window)
+    try:
+        with np.errstate(invalid="ignore"):  # non-finite pixels are a recorded failure
+            fmap = extractor.features_on(tape, frame.left)
+        kps = features.extract_keypoints(fmap, extractor.window)
+    except ImageSizeError as e:
+        raise InsufficientMatches(f"no keypoints: {e}") from e
     coords, desc, scores = kps.coords.value, kps.descriptors.value, kps.scores.value
     ok, p3d = _lift(frame, disparity_source, coords, K)
     return coords[ok], desc[ok], scores[ok], p3d
@@ -198,7 +214,7 @@ def teach(
     for i, frame in enumerate(frames):
         try:
             coords, desc, scores, p3d = _keypoints_numpy(extractor, frame, disparity_source, K)
-        except OutOfBounds as e:  # non-finite pixels push keypoints off the image
+        except (OutOfBounds, InsufficientMatches) as e:  # non-finite pixels, or a bad size
             raise TeachFailure(f"frame {i}: {e}") from e
         if len(coords) < 3:
             raise TeachFailure(f"frame {i}: only {len(coords)} usable keypoints")
@@ -226,11 +242,13 @@ def localize(
     Dense mode soft-matches live keypoints into the vertex's dense feature
     map; sparse mode uses mutual-best ZNCC between the two keypoint sets.
     Estimation failures, and live keypoints that leave the image (as NaN
-    pixels make them), surface as the failure flag, not exceptions.
+    pixels make them), surface as the failure flag and its reason, not
+    exceptions.
     """
     start = time.perf_counter()
     inliers = 0
     pose = None
+    reason = None
     try:
         coords, desc, scores, p_live = _keypoints_numpy(extractor, frame, params.disparity, K)
         if len(coords) < 3:
@@ -243,19 +261,20 @@ def localize(
             p_s, p_t, w = _sparse_pairs(vertex, desc, scores, p_live)
         else:
             raise ValueError(f"unknown mode {params.mode!r}")
-        se3, mask = estimator.ransac_pose(p_s, p_t, w, params.ransac)
+        pose, mask = estimator.ransac_pose(p_s, p_t, w, params.ransac)
         inliers = int(mask.sum())
-        pose = se3
-    except (InsufficientMatches, LocalizationFailure, DegenerateGeometry, OutOfBounds):
-        pose = None
+        if inliers < params.failure_inliers:
+            reason = "below_inlier_threshold"
+    except tuple(FAILURE_REASONS) as e:
+        reason = FAILURE_REASONS[type(e)]
 
-    failure = pose is None or inliers < params.failure_inliers
     return LocalizationResult(
         pose=pose,
         planar=se3_to_planar(pose) if pose is not None else None,
         inliers=inliers,
-        failure=failure,
+        failure=reason is not None,
         timing=time.perf_counter() - start,
+        reason=reason,
     )
 
 

@@ -12,7 +12,7 @@ applied after geometry, emulating a day's lighting sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +79,8 @@ class Scene:
     seed: int
     params: SceneParams
     blocks: np.ndarray  # (k, 6): x0, x1, y0, y1, height, albedo
+    # render_sequence's slot: the key and casts of the last sequence it rendered
+    _casts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.blocks, dtype=float)
@@ -291,6 +293,27 @@ def apply_photometrics(
     return out
 
 
+def _cast(scene: Scene, pose, K: CameraIntrinsics, size: tuple[int, int]):
+    """The clean (2, H, W) intensities of the left and right cameras, and
+    the (H, W) true disparity: everything of a frame but its photometrics."""
+    h, w = size
+    us, vs = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
+    uv = np.stack([us, vs], axis=-1)
+    sides = np.array([False, True])[:, None, None]  # left, then right
+    intensity, depth, _ = cast_rays(scene, pose, K, uv, right=sides)
+    return intensity, K.fu * K.b / depth[0]
+
+
+def _photograph(cast, pose, photo: PhotometricParams, noise_seed: int) -> StereoFrame:
+    """A frame from a cast, under `photo`, noise seeded by `noise_seed`. The
+    frame shares no memory with the cast or the pose."""
+    intensity, disparity = cast
+    rng = np.random.default_rng([int(noise_seed), 2])
+    left = apply_photometrics(intensity[0], photo, rng)
+    right = apply_photometrics(intensity[1], photo, rng)
+    return StereoFrame(left, right, disparity.copy(), np.array(pose, float))
+
+
 def render_stereo(
     scene: Scene,
     pose,
@@ -305,16 +328,7 @@ def render_stereo(
     conditions. Noise is seeded, so identical arguments render identical
     frames.
     """
-    h, w = size
-    us, vs = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-    uv = np.stack([us, vs], axis=-1)
-    sides = np.array([False, True])[:, None, None]  # left, then right
-    intensity, depth, _ = cast_rays(scene, pose, K, uv, right=sides)
-    disparity = K.fu * K.b / depth[0]
-    rng = np.random.default_rng([int(noise_seed), 2])
-    left = apply_photometrics(intensity[0], photo, rng)
-    right = apply_photometrics(intensity[1], photo, rng)
-    return StereoFrame(left, right, disparity, np.asarray(pose, float))
+    return _photograph(_cast(scene, pose, K, size), pose, photo, noise_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +426,21 @@ def render_sequence(
     size: tuple[int, int],
     seed: int,
 ) -> list[StereoFrame]:
+    """Frame i is render_stereo(..., noise_seed=seed * 100003 + i).
+
+    The scene keeps the casts of the last sequence rendered on it, keyed by
+    the poses' float64 bytes and shape, K and size, so the same path under
+    another condition or seed is only photographed again. The casts hold 3
+    (H, W) float64 planes per pose and die with the scene.
+    """
     photo = CONDITIONS[condition]
-    frames = []
-    for i, pose in enumerate(poses):
-        frames.append(
-            render_stereo(scene, pose, K, photo, size, noise_seed=seed * 100003 + i)
-        )
-    return frames
+    poses = np.asarray(poses, dtype=float)
+    key = (poses.shape, poses.tobytes(), np.array(astuple(K), float).tobytes(), tuple(size))
+    if scene._casts is None or scene._casts[0] != key:
+        object.__setattr__(scene, "_casts", (key, [_cast(scene, p, K, size) for p in poses]))
+    casts = scene._casts[1]
+    return [_photograph(cast, pose, photo, seed * 100003 + i)
+            for i, (cast, pose) in enumerate(zip(casts, poses))]
 
 
 # ---------------------------------------------------------------------------

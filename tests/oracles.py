@@ -202,6 +202,17 @@ def softmax_reference(x: Array, axis: int = -1) -> Array:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+# The in-place softmax `ad.softmax` replaced: the exp masked to the entries
+# at or above the floor, then a maximum that zeroes the rest.
+def softmax_masked_exp(x: Array, axis: int = -1) -> Array:
+    out = x - x.max(axis=axis, keepdims=True)
+    floor = math.log(float(np.finfo(out.dtype).tiny) * x.shape[axis])
+    np.exp(out, out=out, where=out >= floor)
+    np.maximum(out, 0, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
 def sigmoid_reference(x: Array) -> Array:
     """`ad.sigmoid`'s forward as it was before it computed its exp once."""
     return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),

@@ -3,6 +3,7 @@ the structural contracts of backward()."""
 
 import contextlib
 import gc
+import math
 import warnings
 import weakref
 import zlib
@@ -27,6 +28,7 @@ from oracles import (
     conv2d_weight_grad_reference,
     im2col_reference,
     sigmoid_reference,
+    softmax_masked_exp,
     softmax_reference,
     svd_alignment_gradient,
     upsample_nearest_pullback_reference,
@@ -1044,6 +1046,37 @@ class TestInPlaceKernelsMatchOracles:
             out = ad.softmax(Tape(dtype=dtype).constant(x), axis=axis).value
             e = np.exp(x - x.max(axis=axis, keepdims=True))
             assert _same_bits(out, e / e.sum(axis=axis, keepdims=True)), axis
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n, d", [(8, 2), (12, 56), (48, 3072), (8, 768)])
+    def test_softmax_is_the_masked_exp_softmax(self, dtype, n, d):
+        """The unmasked exp of entries shifted to about -max is the masked
+        exp, bit for bit, in every row class around the floor. A NaN stays
+        NaN, but float32's SIMD exp returns the positive quiet NaN for any
+        NaN, where the masked exp kept inf - inf's negative one."""
+        rng = np.random.default_rng(68)
+        floor = np.asarray(math.log(float(np.finfo(dtype).tiny) * d), dtype)
+        x = rng.uniform(-5.0, 5.0, size=(n, d)).astype(dtype)  # nothing below the floor
+        x[:7, 0] = 0.0  # the row maximum of the special rows
+        x[0, -1] = np.nan
+        x[1, -1] = np.inf
+        x[2, 1:] = -np.inf
+        x[3, 1:] = floor  # exactly at the floor
+        x[3, 1::2] = np.nextafter(floor, dtype(-np.inf))  # just below it
+        x[4, 1:] = rng.uniform(3.0, 9.0, d - 1).astype(dtype) * floor  # all but one below
+        x[5, 1:] = np.linspace(2.0 * floor, 0.0, d - 1).astype(dtype)  # across it
+        x[6, 1:] = -np.finfo(dtype).max
+        for axis, y in ((1, x), (-1, x), (0, x.T.copy())):
+            with np.errstate(invalid="ignore", over="ignore"):
+                out = ad.softmax(Tape(dtype=dtype).constant(y), axis=axis).value
+                ref = softmax_masked_exp(y, axis=axis)
+            nan = np.isnan(ref)
+            assert _same_bits(np.isnan(out), nan), axis
+            assert _same_bits(out[~nan], ref[~nan]), axis
+            if dtype == np.float64:
+                assert _same_bits(out, ref), axis
+        finite = out[~np.isnan(out)]
+        assert (finite == 0.0).any() and not np.signbit(finite).any() and finite.size < out.size
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_sigmoid(self, dtype):

@@ -9,7 +9,8 @@ import pytest
 from stereoloc import autodiff as ad
 from stereoloc import features, harness, synth
 from stereoloc.autodiff import Tape
-from stereoloc.errors import ConfigError, TeachFailure
+from stereoloc.errors import ConfigError, ImageSizeError, ShapeError, TeachFailure
+from stereoloc.estimator import RansacParams
 from stereoloc.harness import (
     AnalyticExtractor,
     LearnedExtractor,
@@ -259,6 +260,130 @@ class TestNonFiniteFramesWarnNothing:
             res = localize(patched, teach_map.vertices[1], ex, LocalizeParams(mode=mode),
                            K_default)
         assert res.failure and res.pose is None and res.inliers == 0
+
+
+class OneRowScores(GridExtractor):
+    """GridExtractor whose scores are zero off pixel row 2, so only the
+    keypoints on that row weigh in a sparse pose fit."""
+
+    def features_on(self, tape, image):
+        fmap = super().features_on(tape, image)
+        stack = fmap.stack.value.copy()
+        stack[-1] = 0.0
+        stack[-1, 2] = 1.0
+        return features.DenseFeatureMap(tape.constant(stack), fmap.keypoint_logits)
+
+
+class TestFailureReasons:
+    """Each failure localize records carries exactly one reason."""
+
+    def test_success_has_no_reason(self, rig, K_default):
+        frames, extractor, teach_map = rig
+        res = localize(frames[0], teach_map.vertices[0], extractor,
+                       LocalizeParams(mode="sparse"), K_default)
+        assert not res.failure and res.reason is None
+
+    def test_insufficient_matches(self, rig, K_default):
+        frames, extractor, teach_map = rig
+        f = frames[0]
+        blind = StereoFrame(f.left, f.right, np.full_like(f.disparity, np.nan), f.pose)
+        res = localize(blind, teach_map.vertices[0], extractor, LocalizeParams(), K_default)
+        assert (res.failure, res.reason, res.pose, res.inliers) == (
+            True, "insufficient_matches", None, 0)
+
+    def test_ransac_consensus(self, rig, K_default):
+        frames, extractor, teach_map = rig
+        n = len(teach_map.vertices[0].coords)
+        params = LocalizeParams(mode="sparse", ransac=RansacParams(min_inliers=n + 1))
+        res = localize(frames[0], teach_map.vertices[0], extractor, params, K_default)
+        assert (res.failure, res.reason, res.pose) == (True, "ransac_consensus", None)
+
+    def test_degenerate(self, rig, K_default):
+        """Every pair is an inlier, but the refit weighs only the 8 on one
+        pixel row at one depth, which lie on one 3D line."""
+        frames, _, _ = rig
+        f = frames[0]
+        flat = StereoFrame(f.left, f.right, np.full_like(f.disparity, 4.0), f.pose)
+        extractor = OneRowScores()
+        vertex = teach([flat], extractor, K_default).vertices[0]
+        res = localize(flat, vertex, extractor, LocalizeParams(mode="sparse"), K_default)
+        assert (res.failure, res.reason, res.pose) == (True, "degenerate", None)
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    def test_non_finite(self, rig, K_default, mode):
+        frames, extractor, teach_map = rig
+        left = frames[1].left.copy()
+        left[10:20, 20:30] = np.inf
+        patched = StereoFrame(left, frames[1].right, frames[1].disparity, frames[1].pose)
+        res = localize(patched, teach_map.vertices[1], extractor, LocalizeParams(mode=mode),
+                       K_default)
+        assert (res.failure, res.reason, res.pose) == (True, "non_finite", None)
+
+    def test_below_inlier_threshold(self, rig, K_default):
+        frames, extractor, teach_map = rig
+        n = len(teach_map.vertices[0].coords)
+        params = LocalizeParams(mode="sparse", failure_inliers=n + 1)
+        res = localize(frames[0], teach_map.vertices[0], extractor, params, K_default)
+        assert (res.failure, res.reason, res.inliers) == (True, "below_inlier_threshold", n)
+        assert res.pose is not None
+
+
+class TestOnePixelFrames:
+    """A live frame 1 px wide or high is a recorded failure, a taught one a
+    TeachFailure that names it, and numpy warns nothing on the way."""
+
+    @pytest.fixture(scope="class")
+    def maps(self, rig, K_default):
+        frames, analytic, analytic_map = rig
+        learned = LearnedExtractor(
+            features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=9))
+        )
+        return frames, {
+            "analytic": (analytic, analytic_map),
+            "learned": (learned, teach(frames[:2], learned, K_default)),
+        }
+
+    @staticmethod
+    def thin_frame(scene, size):
+        K = synth.default_intrinsics(size[1], size[0])
+        return synth.render_stereo(scene, (0.1, 0.0, 0.2), K, synth.CONDITIONS["dusk"], size)
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    @pytest.mark.parametrize("extractor", ["analytic", "learned"])
+    @pytest.mark.parametrize("size", [(1, 64), (48, 1), (1, 1)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_localize_records_a_failure(self, scene, maps, K_default, size, extractor, mode):
+        frames, by_name = maps
+        ex, teach_map = by_name[extractor]
+        frame = self.thin_frame(scene, size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = localize(frame, teach_map.vertices[0], ex, LocalizeParams(mode=mode),
+                           K_default)
+        assert (res.failure, res.reason, res.pose, res.inliers) == (
+            True, "insufficient_matches", None, 0)
+
+    @pytest.mark.parametrize("extractor", ["analytic", "learned"])
+    @pytest.mark.parametrize("size", [(1, 64), (48, 1), (1, 1)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_teach_names_the_frame(self, scene, maps, K_default, size, extractor):
+        frames, by_name = maps
+        ex, _ = by_name[extractor]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TeachFailure, match="frame 1: no keypoints"):
+                teach([frames[0], self.thin_frame(scene, size)], ex, K_default)
+
+    def test_a_shape_error_elsewhere_still_raises(self, scene, maps, K_default):
+        frames, by_name = maps
+        ex, teach_map = by_name["learned"]
+        f = frames[0]
+        with pytest.raises(ShapeError):  # not an image at all
+            localize(StereoFrame(f.left[0], f.right[0], f.disparity[0], f.pose),
+                     teach_map.vertices[0], ex, LocalizeParams(), K_default)
+        thin = teach_map.vertices[0]
+        thin = harness.MapVertex(thin.frame_id, thin.world_pose, thin.coords, thin.descriptors,
+                                 thin.scores, thin.points3d, self.thin_frame(scene, (1, 64)))
+        with pytest.raises(ImageSizeError):  # a dense vertex is not a live frame
+            localize(f, thin, ex, LocalizeParams(mode="dense"), K_default)
 
 
 class TestRepeat:

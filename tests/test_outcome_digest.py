@@ -1,10 +1,15 @@
 """Smoke tests of scripts/outcome_digest.py: one seed, one frame per
 condition; two training batches on each of two seeds."""
 
+import importlib.util
+import itertools
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+from stereoloc import harness
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "outcome_digest.py"
 
@@ -26,6 +31,9 @@ def test_write_covers_the_grid_and_diff_counts_mismatches(tmp_path):
         for m in ("dense", "sparse")
     }
     assert all(r["pose"] is None or len(r["pose"]) == 12 for r in rows)
+    assert all((r["reason"] is None) != r["failure"] for r in rows)
+    assert {r["reason"] for r in rows} <= {None, *harness.FAILURE_REASONS.values(),
+                                           "below_inlier_threshold"}
     assert all(len(r["live_sha256"]) == len(r["vertex_sha256"]) == 64 for r in rows)
     # each condition renders its own live frame; the map is one noon vertex
     assert len({r["live_sha256"] for r in rows}) == 8
@@ -46,12 +54,43 @@ def test_write_covers_the_grid_and_diff_counts_mismatches(tmp_path):
     assert (report["inlier_mismatches"], report["only_in_first"]) == (1, 1)
     assert report["frame_mismatches"] == 0
 
+    failed = [dict(r, failure=True, pose=None, reason="ransac_consensus") for r in rows[:2]]
+    first, second = tmp_path / "c.jsonl", tmp_path / "d.jsonl"
+    first.write_text("".join(json.dumps(r) + "\n" for r in (*failed, *rows[2:])))
+    # an older checkout's digest holds a null reason: only both-sided reasons compare
+    older = [dict(failed[0], reason=None), dict(failed[1], reason="degenerate")]
+    second.write_text("".join(json.dumps(r) + "\n" for r in (*older, *rows[2:])))
+    proc = run("diff", first, second)
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["reason_mismatches"] == 1 and report["failure_mismatches"] == 0
+    second.write_text("".join(json.dumps(r) + "\n" for r in (older[0], *failed[1:], *rows[2:])))
+    proc = run("diff", first, second)
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["reason_mismatches"] == 0
+
     rerendered = [rows[0], dict(rows[1], vertex_sha256="0" * 64), *rows[2:]]
     other.write_text("".join(json.dumps(r) + "\n" for r in rerendered))
     proc = run("diff", digest, other)
     assert proc.returncode == 1  # a frame that changed is fatal, whatever the outcome
     report = json.loads(proc.stdout)
     assert report["frame_mismatches"] == 1 and report["inlier_mismatches"] == 0
+
+
+def test_write_records_a_null_reason_from_results_without_one(tmp_path, monkeypatch):
+    """As `--src` on a checkout whose LocalizationResult has no reason."""
+    spec = importlib.util.spec_from_file_location("outcome_digest", SCRIPT)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    localize = harness.localize
+
+    def reasonless(*args, **kwargs):
+        r = localize(*args, **kwargs)
+        return types.SimpleNamespace(pose=r.pose, inliers=r.inliers, failure=r.failure)
+
+    monkeypatch.setattr(harness, "localize", reasonless)
+    rows = list(itertools.islice(digest.digest_rows([1], 1, tmp_path), 8))
+    assert len(rows) == 8 and all("reason" in r and r["reason"] is None for r in rows)
 
 
 def test_train_writes_one_row_per_batch_and_diff_flags_gating(tmp_path):

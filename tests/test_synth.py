@@ -404,6 +404,96 @@ class TestDatasets:
         with pytest.raises(ValueError):
             make_dataset(tmp_path / "x", scene, count=0, seed=1)
 
+class TestSequenceCasts:
+    """render_sequence casts a pose sequence once per scene and photographs
+    it under each condition; every frame is render_stereo's, bit for bit."""
+
+    size = (12, 16)
+
+    @pytest.fixture
+    def casts(self, monkeypatch):
+        """The poses of every cast render_sequence makes, in order."""
+        cast, seen = synth._cast, []
+
+        def counted(scene, pose, K, size):
+            seen.append(np.array(pose, float))
+            return cast(scene, pose, K, size)
+
+        monkeypatch.setattr(synth, "_cast", counted)
+        return seen
+
+    def assert_per_frame(self, frames, scene, poses, condition, K, size, seed):
+        assert len(frames) == len(poses)
+        for i, (frame, pose) in enumerate(zip(frames, poses)):
+            ref = render_stereo(scene, pose, K, CONDITIONS[condition], size, seed * 100003 + i)
+            assert _same_bits((frame.left, ref.left), (frame.right, ref.right),
+                              (frame.disparity, ref.disparity), (frame.pose, ref.pose))
+
+    def test_day_schedule_is_render_stereo_per_frame(self, casts):
+        scene = generate_scene(5)
+        K = synth.default_intrinsics(64, 48)
+        poses = offset_poses(path_poses(3), seed=2)[0]
+        day = [render_sequence(scene, poses, cond, K, (48, 64), seed=40 + i)
+               for i, cond in enumerate(DAY_SCHEDULE)]
+        assert len(casts) == 3  # one per pose, for the whole day
+        for i, (cond, frames) in enumerate(zip(DAY_SCHEDULE, day)):
+            self.assert_per_frame(frames, scene, poses, cond, K, (48, 64), 40 + i)
+
+    def test_same_key_only_photographs(self, casts):
+        scene = generate_scene(5)
+        K = synth.default_intrinsics(16, 12)
+        poses = path_poses(3)
+        render_sequence(scene, poses, "noon", K, self.size, seed=1)
+        # an equal copy, as a list, is the same key; seed and condition are not in it
+        frames = render_sequence(scene, poses.tolist(), "dusk", K, list(self.size), seed=2)
+        assert len(casts) == 3
+        self.assert_per_frame(frames, scene, poses, "dusk", K, self.size, 2)
+
+    @pytest.mark.parametrize("change", ["pose value", "mutated in place", "K", "size", "scene"])
+    def test_a_changed_key_casts_again(self, casts, change):
+        scene = generate_scene(5)
+        K = synth.default_intrinsics(16, 12)
+        poses = path_poses(3)
+        size = self.size
+        render_sequence(scene, poses, "noon", K, size, seed=1)
+        if change == "pose value":
+            poses = poses.copy()
+            poses[1, 2] += 1e-3
+        elif change == "mutated in place":
+            poses[1, 0] = np.nextafter(poses[1, 0], 1.0)
+        elif change == "K":
+            K = synth.default_intrinsics(16, 13)
+        elif change == "size":
+            size = (12, 15)
+        else:
+            scene = generate_scene(5)
+        frames = render_sequence(scene, poses, "noon", K, size, seed=1)
+        assert len(casts) == 6
+        self.assert_per_frame(frames, scene, poses, "noon", K, size, 1)
+
+    def test_frames_share_no_memory(self):
+        scene = generate_scene(5)
+        K = synth.default_intrinsics(16, 12)
+        poses = path_poses(2)
+        first = render_sequence(scene, poses, "identity", K, self.size, seed=1)
+        second = render_sequence(scene, poses, "identity", K, self.size, seed=1)
+        slot = [a for cast in scene._casts[1] for a in (*cast[0], cast[1])]
+        arrays = [a for f in first + second for a in (f.left, f.right, f.disparity, f.pose)]
+        assert not any(np.shares_memory(a, b) for a in arrays for b in slot + [poses])
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+    def test_mutating_a_frame_leaves_later_renders_unchanged(self):
+        scene = generate_scene(5)
+        K = synth.default_intrinsics(16, 12)
+        poses = path_poses(2)
+        before = render_sequence(scene, poses, "noon", K, self.size, seed=1)
+        for frame in before:
+            for a in (frame.left, frame.right, frame.disparity, frame.pose):
+                a[...] = np.nan
+        after = render_sequence(scene, poses, "noon", K, self.size, seed=1)
+        self.assert_per_frame(after, scene, poses, "noon", K, self.size, 1)
+
 
 class TestSequences:
     def test_sequence_roundtrip(self, scene, K_default, tmp_path):
