@@ -37,17 +37,22 @@ def run(argv=None) -> int:
     live_poses, _ = synth.offset_poses(poses, seed=args.seed)
     params = harness.LocalizeParams()
 
+    # the live frames of a condition are the same under every teach
+    # condition: render them once, one pose sequence in a row
+    live = [
+        synth.render_sequence(
+            scene, live_poses, rep_cond, K, (48, 64), seed=args.seed * 100 + 50 + j
+        )
+        for j, rep_cond in enumerate(args.conditions)
+    ]
     records = []
     for i, teach_cond in enumerate(args.conditions):
         teach_frames = synth.render_sequence(
             scene, poses, teach_cond, K, (48, 64), seed=args.seed * 100 + i
         )
         teach_map = harness.teach(teach_frames, extractor, K)
-        for j, rep_cond in enumerate(args.conditions):
-            live = synth.render_sequence(
-                scene, live_poses, rep_cond, K, (48, 64), seed=args.seed * 100 + 50 + j
-            )
-            report = harness.repeat(live, teach_map, extractor, params, K)
+        for rep_cond, live_frames in zip(args.conditions, live):
+            report = harness.repeat(live_frames, teach_map, extractor, params, K)
             records.append(
                 harness.RunRecord(f"{teach_cond}_vs_{rep_cond}", teach_cond, rep_cond, report)
             )

@@ -2,10 +2,11 @@
 
 The tape records coarse array-level primitives (whole softmax, whole ZNCC
 normalization, whole SVD alignment) rather than scalar operations; each
-primitive carries a hand-derived pullback. One tape per training batch: the
-image primitives take a batch as a second axis, (C, B, H, W), and the
-matching primitives a leading one. `backward` walks the record once in
-reverse index order, which makes gradient accumulation deterministic.
+primitive carries a hand-derived pullback. Images come in one layout, a
+batch: the image primitives take it as the second axis, (C, B, H, W), and
+sampling a leading one, (B, N, 2); inference runs one frame as a batch of
+one. `backward` walks the record once in reverse index order, which makes
+gradient accumulation deterministic.
 Pullbacks close over the shapes they need, not over their inputs, unless
 the gradient reads an input's values. Every `Var` owns its value, and the
 tape holds only each node's parent indices and pullback, so a value dies
@@ -294,17 +295,14 @@ def take(a: Var, indices, axis: int = 0) -> Var:
 
 
 def matmul(a: Var, b: Var) -> Var:
-    """Matrix product; `a` may carry a leading batch axis, and `b` with it
-    or without (one matrix for every batch entry). Builds no gradient for a
-    tape constant."""
+    """Matrix product of matrices; `a` may carry a leading batch axis, and
+    `b` with it or without (one matrix for every batch entry). Builds no
+    gradient for a tape constant."""
     tape, a, b = _pair(a, b)
     av, bv = a.value, b.value
     a_grad, b_grad = a.index is not None, b.index is not None
 
     def pull(g):
-        if bv.ndim == 1:
-            ga = np.outer(g, bv) if a_grad else None
-            return ga, av.T @ g if b_grad else None
         ga = g @ np.swapaxes(bv, -1, -2) if a_grad else None
         if not b_grad:
             return ga, None
@@ -358,8 +356,8 @@ def _repeat2x2(x: Array) -> Array:
 
 
 def _im2col(x: Array, kh: int, kw: int) -> Array:
-    """(C, H, W) zero-padded 'same' -> (C*kh*kw, H*W); a batch (C, B, H, W)
-    gives (C*kh*kw, B*H*W), each image padded on its own."""
+    """(C, B, H, W) zero-padded 'same' -> (C*kh*kw, B*H*W), each image
+    padded on its own."""
     h, w = x.shape[-2:]
     ph, pw = kh // 2, kw // 2
     xp = np.zeros(x.shape[:-2] + (h + 2 * ph, w + 2 * pw), dtype=x.dtype)
@@ -374,26 +372,22 @@ def _im2col(x: Array, kh: int, kw: int) -> Array:
 def conv2d(x: Var, weight: Var, bias: Var) -> Var:
     """'Same' 2D convolution (zero padding, stride 1, odd kernel sizes).
 
-    x: (C_in, H, W), or a batch (C_in, B, H, W); weight: (C_out, C_in, kh,
-    kw); bias: (C_out,).
+    x: (C_in, B, H, W); weight: (C_out, C_in, kh, kw); bias: (C_out,).
     """
     xv, wv, bv = x.value, weight.value, bias.value
     c_out, c_in, kh, kw = wv.shape
-    if xv.ndim not in (3, 4) or xv.shape[0] != c_in:
+    if xv.ndim != 4 or xv.shape[0] != c_in:
         raise ShapeError(f"conv2d input {xv.shape} incompatible with kernel {wv.shape}")
     cols = _im2col(xv, kh, kw)
-    if xv.ndim == 3:
-        out = (wv.reshape(c_out, -1) @ cols).reshape(c_out, *xv.shape[1:])
-    else:
-        # One product per image, in one matmul call and without copies: the
-        # BLAS rounds an output column by its place in the product's column
-        # blocks, so a single product over the batch would round an image
-        # differently from the same image alone.
-        b = xv.shape[1]
-        out = np.empty((c_out,) + xv.shape[1:], dtype=np.result_type(wv, xv))
-        np.matmul(wv.reshape(c_out, -1), cols.reshape(len(cols), b, -1).transpose(1, 0, 2),
-                  out=out.reshape(c_out, b, -1).transpose(1, 0, 2))
-    out += bv.reshape((c_out,) + (1,) * (xv.ndim - 1))
+    # One product per image, in one matmul call and without copies: the
+    # BLAS rounds an output column by its place in the product's column
+    # blocks, so a single product over the batch would round an image
+    # differently from the same image alone.
+    b = xv.shape[1]
+    out = np.empty((c_out,) + xv.shape[1:], dtype=np.result_type(wv, xv))
+    np.matmul(wv.reshape(c_out, -1), cols.reshape(len(cols), b, -1).transpose(1, 0, 2),
+              out=out.reshape(c_out, b, -1).transpose(1, 0, 2))
+    out += bv.reshape(c_out, 1, 1, 1)
 
     def pull(g):
         # the input gradient is the 'same' convolution of g with the
@@ -411,8 +405,8 @@ def conv2d(x: Var, weight: Var, bias: Var) -> Var:
 
 
 def avgpool2(x: Var) -> Var:
-    """2x2 average pooling, stride 2, over the last two axes of (C, H, W) or
-    (C, B, H, W). H and W must be even."""
+    """2x2 average pooling, stride 2, over the last two axes of (C, B, H,
+    W). H and W must be even."""
     xv = x.value
     h, w = xv.shape[-2:]
     if h % 2 or w % 2:
@@ -448,9 +442,9 @@ def _resample_matrix(n_out: int, n_in: int, dtype=np.float64) -> Array:
 
 
 def upsample_bilinear(x: Var, out_hw: tuple[int, int]) -> Var:
-    """Resize (C, h, w) -> (C, H, W), or (C, B, h, w) -> (C, B, H, W), with
-    align-corners bilinear interpolation, as the separable product
-    Ry @ X @ Rx^T per channel and image."""
+    """Resize (C, B, h, w) -> (C, B, H, W) with align-corners bilinear
+    interpolation, as the separable product Ry @ X @ Rx^T per channel and
+    image."""
     xv = x.value
     h, w = xv.shape[-2:]
     H, W = out_hw
@@ -467,9 +461,8 @@ BOUNDS_SLACK = 1e-6  # px; convex combinations can overshoot by rounding
 
 
 def bilinear_sample(m: Var, pts: Var) -> Var:
-    """Sample a (C, H, W) map at (N, 2) sub-pixel (u, v) points -> (N, C),
-    or a batch of maps (C, B, H, W), each at its own points (B, N, 2), ->
-    (B, N, C).
+    """Sample a batch of maps (C, B, H, W), each at its own (B, N, 2)
+    sub-pixel (u, v) points, -> (B, N, C).
 
     Differentiable in both the map and the points, but builds no map
     gradient for a tape constant; raises OutOfBounds for points outside
@@ -478,9 +471,9 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
     mv, pv = m.value, pts.value
     shape, pshape = mv.shape, pv.shape  # the pullback keeps no map
     map_grad = m.index is not None
-    c, h, w = shape[0], shape[-2], shape[-1]
-    if shape[1:-2] != pshape[:-2]:
+    if mv.ndim != 4 or shape[1:2] != pshape[:-2]:
         raise ShapeError(f"cannot sample a {shape} map at {pshape} points")
+    c, _, h, w = shape
     flat = pv.reshape(-1, 2)
     u, v = flat[:, 0], flat[:, 1]
     # float32 rounding overshoots by a few units in the last place of the extent
@@ -504,12 +497,11 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
     # in the map's dtype: a float32 point minus an int64 index is float64
     fx = (u - x0).astype(mv.dtype, copy=False)[:, None]
     fy = (v - y0).astype(mv.dtype, copy=False)[:, None]
-    # in a batch, each point reads its own image
-    at = (slice(None),) if pv.ndim == 2 else (slice(None), np.arange(len(u)) // pshape[-2])
-    m00 = mv[at + (y0, x0)].T
-    m01 = mv[at + (y0, x1)].T
-    m10 = mv[at + (y1, x0)].T
-    m11 = mv[at + (y1, x1)].T
+    image = np.arange(len(u)) // pshape[-2]  # each point reads its own image
+    m00 = mv[:, image, y0, x0].T
+    m01 = mv[:, image, y0, x1].T
+    m10 = mv[:, image, y1, x0].T
+    m11 = mv[:, image, y1, x1].T
     out = (
         m00 * (1 - fx) * (1 - fy)
         + m01 * fx * (1 - fy)
@@ -527,8 +519,7 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
         # one bincount over flat (c, image, y, x) indices, corners in the
         # order 00, 01, 10, 11: each cell sums its terms in that fixed order
         cells = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
-        if len(at) > 1:
-            cells += at[1] * (h * w)
+        cells += image * (h * w)
         size = math.prod(shape)
         idx = np.arange(c)[None, :, None] * (size // c) + cells[:, None, :]
         terms = np.stack([
@@ -537,9 +528,7 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
         gm = np.bincount(idx.ravel(), terms.ravel(), minlength=size)
         return gm.reshape(shape), gp
 
-    if pv.ndim > 2:
-        out = out.reshape(pshape[:-1] + (c,))
-    return m.tape.record(out, (m, pts), pull)
+    return m.tape.record(out.reshape(pshape[:-1] + (c,)), (m, pts), pull)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator, features, harness, storage, synth, training
-from .errors import ConfigError, StereolocError
+from .errors import ConfigError, ImageSizeError, StereolocError
 
 RUN_DIR_ENV = "STEREOLOC_RUN_DIR"
 
@@ -396,7 +396,8 @@ def main(argv: list[str] | None = None) -> int:
             subparser.set_defaults(**_config_defaults(args, subparser))
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as e:
+    # an image size the configured extractor cannot take is a data error
+    except (ConfigError, FileNotFoundError, ValueError, ImageSizeError) as e:
         print(f"error: data: {e}", file=sys.stderr)
         return 3
     except StereolocError as e:

@@ -5,10 +5,11 @@ whose feature maps, resized back to input resolution, form the dense
 descriptors; after the bottleneck two mirrored decoder branches produce
 keypoint logits and (through a sigmoid) scores. Descriptors and score are
 joined into one feature stack per image, so every point set is sampled
-once. The learned extractor also runs over a batch of images (B, H, W) in
-one pass, the batch as the second axis of every map: (D+1, B, H, W). An
-analytic, non-learned extractor with the same output contract supports
-pipeline runs without training.
+once. Both extractors take a batch of images (B, H, W) and run it in one
+pass, the batch as the second axis of every map, (D+1, B, H, W), and the
+first of every point set, (B, N, ...); one image is a batch of one. The
+analytic, non-learned extractor has the learned one's output contract and
+supports pipeline runs without training.
 """
 
 from __future__ import annotations
@@ -93,11 +94,10 @@ def init_weights(cfg: ExtractorConfig, seed: int | None = None) -> ExtractorWeig
 
 @dataclass
 class DenseFeatureMap:
-    """Per-pixel features as one (D+1, H, W) stack, descriptors in rows
-    0..D-1 and the score in (0, 1) in row D, plus raw keypoint logits
-    (H, W), all tape variables; (D+1, B, H, W) and (B, H, W) for a batch.
-    A map that is only matched into (a map vertex, a training target)
-    carries no logits."""
+    """Per-pixel features of a batch as one (D+1, B, H, W) stack,
+    descriptors in rows 0..D-1 and the score in (0, 1) in row D, plus raw
+    keypoint logits (B, H, W), all tape variables. A map that is only
+    matched into (a map vertex, a training target) carries no logits."""
 
     stack: Var
     keypoint_logits: Var | None
@@ -107,24 +107,23 @@ class DenseFeatureMap:
 class KeypointSet:
     """Sub-pixel keypoints with sampled descriptors and scores."""
 
-    coords: Var  # (N, 2) as (u, v); (B, N, 2) for a batch
-    descriptors: Var  # (N, D); (B, N, D)
-    scores: Var  # (N,); (B, N)
+    coords: Var  # (B, N, 2) as (u, v)
+    descriptors: Var  # (B, N, D)
+    scores: Var  # (B, N)
 
 
 def encode(
-    image: np.ndarray | Var,
+    images: np.ndarray | Var,
     params: dict[str, Var],
     cfg: ExtractorConfig,
     tape: Tape,
 ) -> tuple[list[Var], Var]:
-    """Run the encoder on one intensity image (H, W), or a batch (B, H, W);
-    returns the encoder maps resized to (C_i, H, W) or (C_i, B, H, W), whose
-    rows are the descriptors, and the bottleneck the decoder branches start
-    from."""
-    x = image if isinstance(image, Var) else tape.constant(image)
-    if x.value.ndim not in (2, 3):
-        raise ShapeError(f"expected an (H, W) image or a (B, H, W) batch, got {x.value.shape}")
+    """Run the encoder on a batch of intensity images (B, H, W); returns the
+    encoder maps resized to (C_i, B, H, W), whose rows are the descriptors,
+    and the bottleneck the decoder branches start from."""
+    x = images if isinstance(images, Var) else tape.constant(images)
+    if x.value.ndim != 3:
+        raise ShapeError(f"expected a (B, H, W) batch of images, got {x.value.shape}")
     h, w = x.value.shape[-2:]
     depth = len(cfg.channels)
     if h % (1 << depth) or w % (1 << depth):
@@ -147,8 +146,8 @@ def encode(
 def decode(
     bottleneck: Var, branch: str, params: dict[str, Var], cfg: ExtractorConfig
 ) -> Var:
-    """One decoder branch at input resolution (1, H, W), or (1, B, H, W):
-    raw keypoint logits for "kp", scores in (0, 1) for "score"."""
+    """One decoder branch at input resolution (1, B, H, W): raw keypoint
+    logits for "kp", scores in (0, 1) for "score"."""
     depth = len(cfg.channels)
     d = bottleneck
     for i in range(1, depth + 1):
@@ -160,46 +159,44 @@ def decode(
 
 
 def forward(
-    image: np.ndarray | Var,
+    images: np.ndarray | Var,
     params: dict[str, Var],
     cfg: ExtractorConfig,
     tape: Tape,
 ) -> DenseFeatureMap:
-    """Run the encoder-decoder on one intensity image (H, W), or on a batch
-    (B, H, W) in one pass."""
-    maps, bottleneck = encode(image, params, cfg, tape)
+    """Run the encoder-decoder on a batch of intensity images (B, H, W) in
+    one pass."""
+    maps, bottleneck = encode(images, params, cfg, tape)
     logits = decode(bottleneck, "kp", params, cfg)
     stack = ad.concat(maps + [decode(bottleneck, "score", params, cfg)], axis=0)
     return DenseFeatureMap(stack, ad.reshape(logits, logits.value.shape[1:]))
 
 
 def forward_target(
-    image: np.ndarray | Var,
+    images: np.ndarray | Var,
     params: dict[str, Var],
     cfg: ExtractorConfig,
     tape: Tape,
 ) -> DenseFeatureMap:
     """The feature stack only, no keypoint logits: what matching into the
     image reads."""
-    maps, bottleneck = encode(image, params, cfg, tape)
+    maps, bottleneck = encode(images, params, cfg, tape)
     stack = ad.concat(maps + [decode(bottleneck, "score", params, cfg)], axis=0)
     return DenseFeatureMap(stack, None)
 
 
 def detect_keypoints(logits: Var, window: int) -> Var:
     """One sub-pixel keypoint per window: the softmax-weighted average of
-    pixel coordinates inside that window. Returns (N, 2) as (u, v) for
-    (H, W) logits, (B, N, 2) for a batch (B, H, W)."""
-    *lead, h, w = logits.value.shape
+    pixel coordinates inside that window. Returns (B, N, 2) as (u, v) for
+    (B, H, W) logits."""
+    b, h, w = logits.value.shape
     if h % window or w % window:
         raise ImageSizeError(f"window {window} does not divide {h}x{w}")
     ny, nx = h // window, w // window
-    n = ny * nx
 
-    k = len(lead)
-    blocks = ad.reshape(logits, (*lead, ny, window, nx, window))
-    blocks = ad.transpose(blocks, (*range(k), k, k + 2, k + 1, k + 3))
-    flat = ad.reshape(blocks, (*lead, n, window * window))
+    blocks = ad.reshape(logits, (b, ny, window, nx, window))
+    blocks = ad.transpose(blocks, (0, 1, 3, 2, 4))
+    flat = ad.reshape(blocks, (b, ny * nx, window * window))
     weights = ad.softmax(flat, axis=-1)
 
     ij = np.arange(window)
@@ -219,8 +216,8 @@ def detect_keypoints(logits: Var, window: int) -> Var:
 
 
 def sample_at(fmap: DenseFeatureMap, coords: Var) -> tuple[Var, Var]:
-    """Bilinearly sample descriptors (N, D) and scores (N,) at points, in
-    one pass over the feature stack; (B, N, D) and (B, N) for a batch."""
+    """Bilinearly sample descriptors (B, N, D) and scores (B, N) at (B, N,
+    2) points, in one pass over the feature stack."""
     sampled = ad.bilinear_sample(fmap.stack, coords)
     d = sampled.value.shape[-1] - 1
     desc = ad.take(sampled, slice(0, d), axis=-1)
@@ -241,27 +238,29 @@ ANALYTIC_SCALES = (1, 2, 4)
 
 
 def _box_mean(img: np.ndarray, radius: int) -> np.ndarray:
-    """Box filter with edge replication, via padded cumulative sums."""
+    """Box filter over each image of a (B, H, W) batch with edge
+    replication, via padded cumulative sums."""
     k = 2 * radius + 1
-    padded = np.pad(img, radius, mode="edge")
-    c = np.cumsum(np.cumsum(padded, axis=0), axis=1)
-    c = np.pad(c, ((1, 0), (1, 0)))
-    h, w = img.shape
-    total = c[k:, k:] - c[:-k, k:] - c[k:, :-k] + c[:-k, :-k]
-    return total[:h, :w] / (k * k)
+    padded = np.pad(img, ((0, 0), (radius, radius), (radius, radius)), mode="edge")
+    c = np.cumsum(np.cumsum(padded, axis=1), axis=2)
+    c = np.pad(c, ((0, 0), (1, 0), (1, 0)))
+    return (c[:, k:, k:] - c[:, :-k, k:] - c[:, k:, :-k] + c[:, :-k, :-k]) / (k * k)
 
 
-def analytic_features(image: np.ndarray, tape: Tape) -> DenseFeatureMap:
-    """Hand-built fallback: zero-normalized multi-scale patch statistics as
-    descriptors, gradient magnitude as scores, a corner response as logits.
+def analytic_features(images: np.ndarray, tape: Tape) -> DenseFeatureMap:
+    """Hand-built fallback on a batch of images (B, H, W): zero-normalized
+    multi-scale patch statistics as descriptors, gradient magnitude as
+    scores, a corner response as logits, each image on its own.
 
     Every channel is pre-smoothed so descriptors vary on at least the
     smallest patch scale (sub-pixel sampling stays meaningful). Descriptors
     are invariant to global gain/bias changes of the image; recorded on the
     tape as constants (nothing to train).
     """
-    img = np.asarray(image, dtype=float)
-    h, w = img.shape
+    img = np.asarray(images, dtype=float)
+    if img.ndim != 3:
+        raise ShapeError(f"expected a (B, H, W) batch of images, got {img.shape}")
+    _, h, w = img.shape
     channels = []
     for s in ANALYTIC_SCALES:
         mu = _box_mean(img, s)
@@ -269,28 +268,30 @@ def analytic_features(image: np.ndarray, tape: Tape) -> DenseFeatureMap:
         var = np.maximum(_box_mean(img * img, 2 * s + 1) - wide * wide, 0.0)
         sigma = np.sqrt(var)
         # the stabilizer scales with the image so descriptors stay exactly
-        # gain/bias invariant
-        denom = sigma + (1e-9 * float(sigma.max()) or 1.0)
+        # gain/bias invariant; 1 where it is 0
+        eps = 1e-9 * sigma.max(axis=(1, 2), keepdims=True)
+        denom = sigma + np.where(eps == 0, 1.0, eps)
         bandpass = (mu - wide) / denom
-        gx = (np.roll(mu, -1, axis=1) - np.roll(mu, 1, axis=1)) / denom
-        gy = (np.roll(mu, -1, axis=0) - np.roll(mu, 1, axis=0)) / denom
+        gx = (np.roll(mu, -1, axis=2) - np.roll(mu, 1, axis=2)) / denom
+        gy = (np.roll(mu, -1, axis=1) - np.roll(mu, 1, axis=1)) / denom
         # each edge copies its neighbour; a 1-px axis copies onto itself
-        gx[:, 0] = gx[:, 1 % w]
-        gx[:, -1] = gx[:, -2 % w]
-        gy[0] = gy[1 % h]
-        gy[-1] = gy[-2 % h]
+        gx[:, :, 0] = gx[:, :, 1 % w]
+        gx[:, :, -1] = gx[:, :, -2 % w]
+        gy[:, 0] = gy[:, 1 % h]
+        gy[:, -1] = gy[:, -2 % h]
         channels.extend([bandpass, gx, gy])
     gx = channels[1]
     gy = channels[2]
     grad_mag = np.sqrt(gx * gx + gy * gy)
-    scores = grad_mag / max(float(grad_mag.max()), 1e-12)
+    scores = grad_mag / np.maximum(grad_mag.max(axis=(1, 2), keepdims=True), 1e-12)
 
     # Harris-style response on the normalized mid-scale gradients
     gx2 = _box_mean(channels[4] * channels[4], 2)
     gy2 = _box_mean(channels[5] * channels[5], 2)
     gxy = _box_mean(channels[4] * channels[5], 2)
     response = gx2 * gy2 - gxy * gxy - 0.05 * (gx2 + gy2) ** 2
-    logits = 4.0 * response / max(float(np.abs(response).max()), 1e-12)
+    top = np.abs(response).max(axis=(1, 2), keepdims=True)
+    logits = 4.0 * response / np.maximum(top, 1e-12)
 
     return DenseFeatureMap(
         tape.constant(np.stack(channels + [scores], axis=0)), tape.constant(logits)
@@ -348,7 +349,7 @@ def load_checkpoint(directory: str | Path) -> tuple[ExtractorWeights, dict]:
         shape = tuple(entry["shape"])
         if name not in expected or expected[name] != shape:
             raise ValueError(f"layer {name} with shape {shape} does not fit config")
-        tensors[name] = storage.read_blob(directory / entry["file"], shape)
+        tensors[name] = storage.read_blob(storage.member(directory, entry["file"]), shape)
         if not np.isfinite(tensors[name]).all():
             raise ValueError(f"layer {name} has non-finite values")
     missing = set(expected) - set(tensors)

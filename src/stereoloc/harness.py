@@ -5,9 +5,11 @@ vertex per frame (keypoints, descriptors, scores, 3D lifts, and the frame
 itself so dense maps can be rebuilt). Repeating localizes each live frame
 against its nearest-by-ground-truth vertex, with the standard failure
 rule: a frame fails when RANSAC errors out or the inlier count drops below
-the threshold (default 20). Localization keeps no state: dense mode
-recomputes the vertex's feature stack from its frame on every call and
-frees it on return, so memory does not grow with the vertices a run visits.
+the threshold (default 20). The extractor and matching take batches, so
+each frame runs through them as a batch of one. Localization keeps no
+state: dense mode recomputes the vertex's feature stack from its frame on
+every call and frees it on return, so memory does not grow with the
+vertices a run visits.
 """
 
 from __future__ import annotations
@@ -62,13 +64,13 @@ class LearnedExtractor:
             digest.update(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
         return f"learned-{digest.hexdigest()[:12]}"
 
-    def features_on(self, tape: Tape, image: np.ndarray) -> features.DenseFeatureMap:
+    def features_on(self, tape: Tape, images: np.ndarray) -> features.DenseFeatureMap:
         params = self.weights.bind(tape)
-        return features.forward(image, params, self.weights.config, tape)
+        return features.forward(images, params, self.weights.config, tape)
 
-    def target_on(self, tape: Tape, image: np.ndarray) -> features.DenseFeatureMap:
+    def target_on(self, tape: Tape, images: np.ndarray) -> features.DenseFeatureMap:
         params = self.weights.bind(tape)
-        return features.forward_target(image, params, self.weights.config, tape)
+        return features.forward_target(images, params, self.weights.config, tape)
 
 
 @dataclass
@@ -83,8 +85,8 @@ class AnalyticExtractor:
     def ident(self) -> str:
         return "analytic"
 
-    def features_on(self, tape: Tape, image: np.ndarray) -> features.DenseFeatureMap:
-        return features.analytic_features(image, tape)
+    def features_on(self, tape: Tape, images: np.ndarray) -> features.DenseFeatureMap:
+        return features.analytic_features(images, tape)
 
     target_on = features_on
 
@@ -186,16 +188,17 @@ def _keypoints_numpy(
     extractor, frame: StereoFrame, disparity_source: str, K: CameraIntrinsics
 ):
     """Keypoints with a valid disparity as plain arrays: coordinates,
-    descriptors, scores and 3D lifts. A frame whose size the extractor
-    cannot take (a 1-px axis, say) has no keypoints: InsufficientMatches."""
+    descriptors, scores and 3D lifts. The extractor runs on the frame as a
+    batch of one. A frame whose size the extractor cannot take (a 1-px axis,
+    say) has no keypoints: InsufficientMatches."""
     tape = Tape(grad=False, dtype=INFERENCE_DTYPE)
     try:
         with np.errstate(invalid="ignore"):  # non-finite pixels are a recorded failure
-            fmap = extractor.features_on(tape, frame.left)
+            fmap = extractor.features_on(tape, frame.left[None])
         kps = features.extract_keypoints(fmap, extractor.window)
     except ImageSizeError as e:
         raise InsufficientMatches(f"no keypoints: {e}") from e
-    coords, desc, scores = kps.coords.value, kps.descriptors.value, kps.scores.value
+    coords, desc, scores = (v.value[0] for v in (kps.coords, kps.descriptors, kps.scores))
     ok, p3d = _lift(frame, disparity_source, coords, K)
     return coords[ok], desc[ok], scores[ok], p3d
 
@@ -281,18 +284,16 @@ def localize(
 def _dense_pairs(vertex, extractor, coords, desc, scores, p_live, params, K):
     """Live keypoints soft-matched into the vertex's dense map, which is
     computed here on the matching tape and freed with it, then lifted
-    through the vertex's disparity."""
+    through the vertex's disparity. Both run as a batch of one."""
     tape = Tape(grad=False, dtype=INFERENCE_DTYPE)
     with np.errstate(invalid="ignore"):  # as in _keypoints_numpy
-        fmap = extractor.target_on(tape, vertex.frame.left)
-    kps = features.KeypointSet(
-        tape.constant(coords), tape.constant(desc), tape.constant(scores)
-    )
+        fmap = extractor.target_on(tape, vertex.frame.left[None])
+    kps = features.KeypointSet(*(tape.constant(v[None]) for v in (coords, desc, scores)))
     points, w = matching.match_all(kps, fmap, tau=params.tau)
-    ok, p_t = _lift(vertex.frame, params.disparity, points.value, K)
+    ok, p_t = _lift(vertex.frame, params.disparity, points.value[0], K)
     if int(ok.sum()) < 3:
         raise InsufficientMatches("too few matches with valid disparity")
-    return p_live[ok], p_t, w.value[ok]
+    return p_live[ok], p_t, w.value[0][ok]
 
 
 def _sparse_pairs(vertex, desc, scores, p_live):
@@ -456,12 +457,13 @@ def load_map(directory: str | Path) -> TeachMap:
     K = synth.camera_from_dict(manifest["camera"])
     vertices = []
     for e in manifest["vertices"]:
-        blob = storage.read_blob(directory / e["frame_file"], (3, h, w))
+        blob = storage.read_blob(storage.member(directory, e["frame_file"]), (3, h, w))
         frame = StereoFrame(*blob, np.asarray(e["world_pose"], float))
         n, dd = e["n"], e["d"]
         # in the dtype teach made them in; the 3D points promote below
         shape = (n * (2 + dd + 1 + 3),)
-        feats = storage.read_blob(directory / e["feats_file"], shape, INFERENCE_DTYPE)
+        feats = storage.read_blob(storage.member(directory, e["feats_file"]), shape,
+                                  INFERENCE_DTYPE)
         coords, desc, scores, p3d = np.split(feats, np.cumsum([2 * n, n * dd, n]))
         vertices.append(
             MapVertex(e["id"], np.asarray(e["world_pose"], float), coords.reshape(n, 2),

@@ -5,8 +5,8 @@ pixel coordinates, where the weights come from a temperature-scaled ZNCC
 between the source descriptor and every target pixel descriptor. Matched
 descriptors and scores are then bilinearly sampled at the matched point,
 and per-match weights combine descriptor agreement with the learned
-scores. A batch of source keypoint sets (B, N, ...) matches into a batch
-of target maps (D+1, B, H, W), each set into its own map.
+scores. Matching takes batches: source keypoint sets (B, N, ...) match
+into target maps (D+1, B, H, W), each set into its own map.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ DEFAULT_TEMPERATURE = 50.0
 
 
 def _flatten_target(target: DenseFeatureMap) -> tuple[Var, np.ndarray]:
-    """The target's descriptor rows as (H*W, D), or (B, H*W, D) for a batch,
-    and each pixel's (u, v)."""
-    c, *lead, h, w = target.stack.value.shape
+    """The target's descriptor rows as (B, H*W, D), and each pixel's (u, v)."""
+    c, b, h, w = target.stack.value.shape
     desc = ad.take(target.stack, slice(0, c - 1), axis=0)
-    channels_last = ad.transpose(desc, tuple(range(1, desc.value.ndim)) + (0,))
-    flat = ad.reshape(channels_last, (*lead, h * w, c - 1))
+    flat = ad.reshape(ad.transpose(desc, (1, 2, 3, 0)), (b, h * w, c - 1))
     us, vs = np.meshgrid(np.arange(w), np.arange(h))
     return flat, np.stack([us.ravel(), vs.ravel()], axis=1).astype(float)
 
@@ -36,10 +34,8 @@ def _match_core(src_desc: Var, target: DenseFeatureMap, tau):
     if tau <= 0:
         raise ValueError("temperature must be positive")
     flat, coords = _flatten_target(target)
-    k = flat.value.ndim - 2  # a batch axis, if any, stays first
-    # (N, M) of ZNCC values; unnamed, the (M, D) normalized rows die here
-    sim = ad.matmul(ad.row_znorm(src_desc),
-                    ad.transpose(ad.row_znorm(flat), (*range(k), k + 1, k)))
+    # (B, N, M) of ZNCC values; unnamed, the (B, M, D) normalized rows die here
+    sim = ad.matmul(ad.row_znorm(src_desc), ad.transpose(ad.row_znorm(flat), (0, 2, 1)))
     attn = ad.softmax(ad.mul(sim, float(tau)), axis=-1)
     tape = src_desc.tape
     points = ad.matmul(attn, tape.constant(coords))
@@ -65,8 +61,8 @@ def match_all(
     tau: float = DEFAULT_TEMPERATURE,
 ) -> tuple[Var, Var]:
     """Soft-match every source keypoint against the target feature map.
-    Returns the matched target points (N, 2) and the combined match weights
-    (N,), in source keypoint order; (B, N, 2) and (B, N) for a batch."""
+    Returns the matched target points (B, N, 2) and the combined match
+    weights (B, N), in source keypoint order."""
     points, desc, scores, _ = _match_core(source.descriptors, target, tau)
     return points, match_weights(source.descriptors, desc, source.scores, scores)
 

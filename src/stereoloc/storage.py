@@ -9,7 +9,7 @@ renamed over the target, so a reader, or a run killed mid-write, finds the
 old file or the new one and never a partial one (nothing is fsynced, so
 this does not extend to a machine crash). Writers put the manifest last,
 so a directory with a manifest is complete. All paths in manifests are
-relative to the directory.
+relative to the directory, and a reader refuses one that is not (`member`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import os
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -70,6 +70,15 @@ def write_csv(path: Path, header: list, rows) -> None:
     text = io.StringIO()
     csv.writer(text).writerows([header, *rows])
     _write_atomic(path, text.getvalue().encode())
+
+
+def member(directory: Path, name) -> Path:
+    """The file a manifest names in its directory; a name that is absolute,
+    empty or has a `..` part is a data error, raised before any read."""
+    rel = PurePath(name if isinstance(name, str) else "")
+    if not rel.parts or rel.is_absolute() or ".." in rel.parts:
+        raise ValueError(f"{directory}: file name {name!r} is not inside the directory")
+    return Path(directory) / rel
 
 
 def write_manifest(directory: Path, manifest: dict) -> None:

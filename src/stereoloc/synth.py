@@ -533,7 +533,7 @@ def load_dataset(directory: str | Path) -> tuple[list[Sample], dict]:
     h, w = manifest["image_size"]
     samples = []
     for entry in manifest["samples"]:
-        src, tgt = storage.read_blob(directory / entry["file"], (2, 3, h, w))
+        src, tgt = storage.read_blob(storage.member(directory, entry["file"]), (2, 3, h, w))
         samples.append(Sample(StereoFrame(*src, np.asarray(entry["src_pose"], float)),
                               StereoFrame(*tgt, np.asarray(entry["tgt_pose"], float)),
                               PlanarPose(*entry["pose"])))
@@ -573,6 +573,6 @@ def load_sequence(directory: str | Path) -> tuple[list[StereoFrame], dict]:
     h, w = manifest["image_size"]
     frames = []
     for entry in manifest["frames"]:
-        blob = storage.read_blob(directory / entry["file"], (3, h, w))
+        blob = storage.read_blob(storage.member(directory, entry["file"]), (3, h, w))
         frames.append(StereoFrame(*blob, np.asarray(entry["pose"], float)))
     return frames, manifest

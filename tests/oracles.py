@@ -86,13 +86,13 @@ def match_all_reference(
 def soft_match(
     source_descriptor: Var, target: DenseFeatureMap, tau: float
 ) -> tuple[Var, Var, Var]:
-    """Match one descriptor against every target pixel.
+    """Match one descriptor against every target pixel of a batch of one.
 
     Returns (point (2,), descriptor (D,), score ()) at the softmax-weighted
     coordinate.
     """
     d = source_descriptor.value.shape[0]
-    one = ad.reshape(source_descriptor, (1, d))
+    one = ad.reshape(source_descriptor, (1, 1, d))
     pts, desc, scores, _ = matching._match_core(one, target, tau)
     return (
         ad.reshape(pts, (2,)),
@@ -113,21 +113,70 @@ def matchset_weights(source: KeypointSet, target: DenseFeatureMap, tau: float) -
 
 
 def feature_map(tape: Tape, descriptors, scores, logits=None) -> DenseFeatureMap:
-    """A feature map from (D, H, W) descriptors, (H, W) scores and optional
-    (H, W) logits, each a plain array or a variable on `tape`."""
+    """The feature map of a batch of one image, (D+1, 1, H, W) with (1, H,
+    W) logits, from (D, H, W) descriptors, (H, W) scores and optional (H, W)
+    logits, each a plain array or a variable on `tape`."""
     desc, sc = (x if isinstance(x, Var) else tape.constant(x) for x in (descriptors, scores))
-    _, h, w = desc.shape
-    stack = ad.concat([desc, ad.reshape(sc, (1, h, w))], axis=0)
-    if logits is not None and not isinstance(logits, Var):
-        logits = tape.constant(logits)
+    d, h, w = desc.shape
+    stack = ad.concat([ad.reshape(desc, (d, 1, h, w)), ad.reshape(sc, (1, 1, h, w))], axis=0)
+    if logits is not None:
+        logits = ad.reshape(logits if isinstance(logits, Var) else tape.constant(logits),
+                            (1, h, w))
     return DenseFeatureMap(stack, logits)
 
 
 def split_stack(stack) -> tuple[Array, Array]:
-    """A (D+1, H, W) feature stack, plain or on a tape, as plain
-    descriptors (D, H, W) and scores (H, W)."""
+    """The (D+1, 1, H, W) feature stack of a batch of one, plain or on a
+    tape, as plain descriptors (D, H, W) and scores (H, W)."""
     value = stack.value if isinstance(stack, Var) else stack
-    return value[:-1], value[-1]
+    if value.shape[1] != 1:
+        raise ValueError(f"a stack of {value.shape[1]} images, not one")
+    return value[:-1, 0], value[-1, 0]
+
+
+def _box_mean_reference(img: Array, radius: int) -> Array:
+    """`features._box_mean` on one (H, W) image, as it was before the
+    extractor took only batches."""
+    k = 2 * radius + 1
+    padded = np.pad(img, radius, mode="edge")
+    c = np.cumsum(np.cumsum(padded, axis=0), axis=1)
+    c = np.pad(c, ((1, 0), (1, 0)))
+    h, w = img.shape
+    total = c[k:, k:] - c[:-k, k:] - c[k:, :-k] + c[:-k, :-k]
+    return total[:h, :w] / (k * k)
+
+
+def analytic_features_reference(image: Array) -> tuple[Array, Array]:
+    """`features.analytic_features` on one (H, W) image, as it was before
+    the extractor took only batches: the (D+1, H, W) stack and the (H, W)
+    logits, as plain arrays."""
+    img = np.asarray(image, dtype=float)
+    h, w = img.shape
+    channels = []
+    for s in (1, 2, 4):
+        mu = _box_mean_reference(img, s)
+        wide = _box_mean_reference(img, 2 * s + 1)
+        var = np.maximum(_box_mean_reference(img * img, 2 * s + 1) - wide * wide, 0.0)
+        sigma = np.sqrt(var)
+        denom = sigma + (1e-9 * float(sigma.max()) or 1.0)
+        bandpass = (mu - wide) / denom
+        gx = (np.roll(mu, -1, axis=1) - np.roll(mu, 1, axis=1)) / denom
+        gy = (np.roll(mu, -1, axis=0) - np.roll(mu, 1, axis=0)) / denom
+        gx[:, 0] = gx[:, 1 % w]
+        gx[:, -1] = gx[:, -2 % w]
+        gy[0] = gy[1 % h]
+        gy[-1] = gy[-2 % h]
+        channels.extend([bandpass, gx, gy])
+    gx = channels[1]
+    gy = channels[2]
+    grad_mag = np.sqrt(gx * gx + gy * gy)
+    scores = grad_mag / max(float(grad_mag.max()), 1e-12)
+    gx2 = _box_mean_reference(channels[4] * channels[4], 2)
+    gy2 = _box_mean_reference(channels[5] * channels[5], 2)
+    gxy = _box_mean_reference(channels[4] * channels[5], 2)
+    response = gx2 * gy2 - gxy * gxy - 0.05 * (gx2 + gy2) ** 2
+    logits = 4.0 * response / max(float(np.abs(response).max()), 1e-12)
+    return np.stack(channels + [scores], axis=0), logits
 
 
 # ---------------------------------------------------------------------------

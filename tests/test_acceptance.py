@@ -183,15 +183,15 @@ def test_criterion_4_matching_oracle():
             tape, desc, rng.uniform(0.2, 0.8, size=(12, 16)), np.zeros((12, 16))
         )
         src = rng.normal(size=(4, 6))
-        kps = KeypointSet(
-            tape.constant(np.ones((4, 2))), tape.constant(src),
-            tape.constant(np.full(4, 0.5)),
+        kps = KeypointSet(  # a batch of one
+            tape.constant(np.ones((1, 4, 2))), tape.constant(src[None]),
+            tape.constant(np.full((1, 4), 0.5)),
         )
         points, _ = matching.match_all(kps, fmap, tau=15.0)
         ref = match_all_reference(src, desc, tau=15.0)
-        worst = max(worst, float(np.abs(points.value - ref).max()))
+        worst = max(worst, float(np.abs(points.value[0] - ref).max()))
         _, _, _, attn = matching._match_core(kps.descriptors, fmap, 15.0)
-        worst_rows = max(worst_rows, float(np.abs(attn.value.sum(axis=1) - 1).max()))
+        worst_rows = max(worst_rows, float(np.abs(attn.value.sum(axis=-1) - 1).max()))
     check(
         4,
         worst < 1e-10 and worst_rows < 1e-9,

@@ -252,9 +252,9 @@ class TestBatchAxis:
         w, b = rng.normal(size=(c_out, c_in, 3, 3)), rng.normal(size=c_out)
         t = Tape(grad=False)
         batch = ad.conv2d(t.constant(x), t.constant(w), t.constant(b)).value
-        for i in range(4):
-            alone = ad.conv2d(t.constant(x[:, i]), t.constant(w), t.constant(b)).value
-            assert batch[:, i].tobytes() == alone.tobytes()
+        for i in range(4):  # each image as a batch of one
+            alone = ad.conv2d(t.constant(x[:, i:i + 1]), t.constant(w), t.constant(b)).value
+            assert batch[:, i:i + 1].tobytes() == alone.tobytes()
 
     def test_image_primitives_batch_is_per_image(self):
         rng = np.random.default_rng(71)
@@ -273,15 +273,15 @@ class TestBatchAxis:
         t = Tape(grad=False)
         batch = ad.bilinear_sample(t.constant(m), t.constant(pts)).value
         assert batch.shape == (3, 7, 4)
-        for i in range(3):
-            alone = ad.bilinear_sample(t.constant(m[:, i]), t.constant(pts[i])).value
-            assert batch[i].tobytes() == alone.tobytes()
+        for i in range(3):  # each image as a batch of one
+            alone = ad.bilinear_sample(t.constant(m[:, i:i + 1]), t.constant(pts[i:i + 1])).value
+            assert batch[i:i + 1].tobytes() == alone.tobytes()
         with pytest.raises(ShapeError):
             ad.bilinear_sample(t.constant(m), t.constant(pts[:2]))
 
-    @pytest.mark.parametrize("x_shape, k", [((2, 6, 8), 3), ((8, 3, 4), 3), ((3, 4, 5, 7), 3),
-                                            ((1, 4, 24, 32), 3), ((4, 2, 6, 8), 5),
-                                            ((2, 5, 7), 1)])
+    @pytest.mark.parametrize("x_shape, k", [((2, 1, 6, 8), 3), ((8, 1, 3, 4), 3),
+                                            ((3, 4, 5, 7), 3), ((1, 4, 24, 32), 3),
+                                            ((4, 2, 6, 8), 5), ((2, 1, 5, 7), 1)])
     def test_conv2d_weight_gradient_matches_the_column_formula(self, x_shape, k):
         rng = np.random.default_rng(73)
         c_out = 6
@@ -306,9 +306,7 @@ class TestConstantOperands:
         (ad.matmul, ((2, 4, 6), (6, 2))),  # attention times pixel coordinates
         (ad.matmul, ((2, 4, 6), (2, 6, 3))),
         (ad.matmul, ((4, 6), (6, 3))),
-        (ad.matmul, ((4, 6), (6,))),
-    ], ids=["mul_scalar", "mul_broadcast", "matmul_shared", "matmul_batch", "matmul",
-            "matmul_vector"])
+    ], ids=["mul_scalar", "mul_broadcast", "matmul_shared", "matmul_batch", "matmul"])
     @pytest.mark.parametrize("constant", [0, 1], ids=["constant_a", "constant_b"])
     def test_constant_operand_gets_no_gradient(self, op, shapes, constant, monkeypatch):
         rng = np.random.default_rng(31)
@@ -346,7 +344,8 @@ class TestPullbacksKeepShapes:
         lambda x: ad.take(x, slice(1, 3), axis=1),
         lambda x: ad.take(x, [0, 2, 2], axis=0),
         lambda x: ad.reshape(x, (-1,)),
-        lambda x: ad.bilinear_sample(x, x.tape.constant([[0.5, 1.5], [2.0, 0.25]])),
+        lambda x: ad.bilinear_sample(
+            x, x.tape.constant(np.tile([[0.5, 1.5], [2.0, 0.25]], (4, 1, 1)))),
         ad.upsample_nearest,
         lambda x: ad.sum_(x, axis=0),
     ], ids=["take_slice", "take_indices", "reshape", "bilinear_sample",
@@ -355,7 +354,7 @@ class TestPullbacksKeepShapes:
         with _gc_disabled():
             t = Tape()
             # a computed input: a parameter's value is held by the tape
-            x = ad.add(t.param(np.zeros((3, 4, 5))), t.constant(np.ones((3, 4, 5))))
+            x = ad.add(t.param(np.zeros((3, 4, 4, 5))), t.constant(np.ones((3, 4, 4, 5))))
             y = op(x)
             value = weakref.ref(x.value)
             del x, y
@@ -365,7 +364,7 @@ class TestPullbacksKeepShapes:
         import tracemalloc
 
         rng = np.random.default_rng(74)
-        x0 = rng.normal(size=(8, 48, 64))
+        x0 = rng.normal(size=(8, 1, 48, 64))
         t = Tape()
         x = t.param(x0)  # the tape holds the input either way
         w, b = t.param(rng.normal(size=(8, 8, 3, 3))), t.param(np.zeros(8))
@@ -409,10 +408,10 @@ class TestTake:
 class TestImagePrimitives:
     def test_conv2d_gradients_all_inputs(self):
         rng = np.random.default_rng(20)
-        x0 = rng.normal(size=(2, 6, 8))
+        x0 = rng.normal(size=(2, 1, 6, 8))
         w0 = rng.normal(size=(3, 2, 3, 3))
         b0 = rng.normal(size=3)
-        up = rng.normal(size=(3, 6, 8))
+        up = rng.normal(size=(3, 1, 6, 8))
 
         def make(which):
             def f(v):
@@ -440,7 +439,7 @@ class TestImagePrimitives:
     def test_conv2d_shape_check(self):
         t = Tape()
         with pytest.raises(ShapeError):
-            ad.conv2d(t.constant(np.zeros((2, 4, 4))),
+            ad.conv2d(t.constant(np.zeros((2, 1, 4, 4))),
                       t.constant(np.zeros((3, 1, 3, 3))), t.constant(np.zeros(3)))
 
     def test_avgpool_gradient_and_shape(self):
@@ -477,25 +476,25 @@ class TestImagePrimitives:
         rng = np.random.default_rng(25)
         m = rng.normal(size=(3, 5, 7))
         t = Tape()
-        mv = t.constant(m)
+        mv = t.constant(m[:, None])  # a batch of one
         # integer points return exact pixel values
-        pts = t.constant(np.array([[2.0, 3.0], [6.0, 4.0]]))
-        out = ad.bilinear_sample(mv, pts).value
+        pts = t.constant(np.array([[[2.0, 3.0], [6.0, 4.0]]]))
+        out = ad.bilinear_sample(mv, pts).value[0]
         assert np.array_equal(out[0], m[:, 3, 2])
         assert np.array_equal(out[1], m[:, 4, 6])
         # midway between horizontal neighbours is their average
-        mid = ad.bilinear_sample(mv, t.constant(np.array([[2.5, 3.0]]))).value
+        mid = ad.bilinear_sample(mv, t.constant(np.array([[[2.5, 3.0]]]))).value[0]
         assert np.allclose(mid[0], 0.5 * (m[:, 3, 2] + m[:, 3, 3]), atol=1e-15)
         with pytest.raises(OutOfBounds):
-            ad.bilinear_sample(mv, t.constant(np.array([[7.0, 0.0]])))
+            ad.bilinear_sample(mv, t.constant(np.array([[[7.0, 0.0]]])))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("axis", [0, 1])
     def test_bilinear_sample_rejects_non_finite_points(self, bad, axis):
         t = Tape()
-        mv = t.constant(np.random.default_rng(27).normal(size=(2, 5, 7)))
-        pts = np.array([[2.0, 3.0], [1.5, 2.5]])
-        pts[1, axis] = bad
+        mv = t.constant(np.random.default_rng(27).normal(size=(2, 1, 5, 7)))
+        pts = np.array([[[2.0, 3.0], [1.5, 2.5]]])
+        pts[0, 1, axis] = bad
         with pytest.raises(OutOfBounds):
             ad.bilinear_sample(mv, t.constant(pts))
 
@@ -506,7 +505,7 @@ class TestImagePrimitives:
             [rng.uniform(0, 8, 50), rng.uniform(0, 5, 50)], axis=1
         )
         t = Tape()
-        out = ad.bilinear_sample(t.constant(m), t.constant(pts)).value
+        out = ad.bilinear_sample(t.constant(m[:, None]), t.constant(pts[None])).value[0]
         for k, (u, v) in enumerate(pts):
             x0, y0 = int(np.floor(u)), int(np.floor(v))
             x0, y0 = min(x0, 7), min(y0, 4)
@@ -521,12 +520,12 @@ class TestImagePrimitives:
 
     def test_bilinear_sample_gradients(self):
         rng = np.random.default_rng(27)
-        m0 = rng.normal(size=(2, 5, 6))
+        m0 = rng.normal(size=(2, 1, 5, 6))  # a batch of one
         pts0 = np.stack(
-            [rng.uniform(0.2, 4.8, 7), rng.uniform(0.2, 3.8, 7)], axis=1
+            [rng.uniform(0.2, 4.8, (1, 7)), rng.uniform(0.2, 3.8, (1, 7))], axis=-1
         )
         pts0 = np.where(np.abs(pts0 - np.round(pts0)) < 0.1, pts0 + 0.15, pts0)
-        up = rng.normal(size=(7, 2))
+        up = rng.normal(size=(1, 7, 2))
         check_gradient(
             lambda t, x: scalarize(ad.bilinear_sample(x, t.constant(pts0)), up),
             m0, tol=1e-6,
@@ -543,9 +542,9 @@ class TestImagePrimitives:
         # the point gradient is bitwise the one taken with the map as a
         # parameter, and the map's (which backward would drop) is never built
         rng = np.random.default_rng(29)
-        m0 = rng.normal(size=(2, 3, 5, 6) if batched else (2, 5, 6))
+        m0 = rng.normal(size=(2, 3, 5, 6) if batched else (2, 1, 5, 6))  # or a batch of one
         pts0 = np.stack([rng.uniform(0, 5, 7), rng.uniform(0, 4, 7)], axis=1)
-        pts0 = np.stack([pts0, pts0[::-1], 0.5 * pts0]) if batched else pts0
+        pts0 = np.stack([pts0, pts0[::-1], 0.5 * pts0]) if batched else pts0[None]
         up = rng.normal(size=pts0.shape[:-1] + (2,))
         pullbacks = []
         record = Tape.record
@@ -571,7 +570,7 @@ class TestImagePrimitives:
     def test_bilinear_sample_gradients_on_degenerate_maps(self, shape):
         c, h, w = shape
         rng = np.random.default_rng(28)
-        m0 = rng.normal(size=shape)
+        m0 = rng.normal(size=(c, 1, h, w))  # a batch of one
         n = 6
 
         def coord(size):
@@ -580,8 +579,8 @@ class TestImagePrimitives:
             x = rng.uniform(0.2, size - 1.2, n)
             return np.where(np.abs(x - np.round(x)) < 0.1, x + 0.15, x)
 
-        pts0 = np.stack([coord(w), coord(h)], axis=1)
-        up = rng.normal(size=(n, c))
+        pts0 = np.stack([coord(w), coord(h)], axis=1)[None]
+        up = rng.normal(size=(1, n, c))
         check_gradient(
             lambda t, x: scalarize(ad.bilinear_sample(x, t.constant(pts0)), up),
             m0, tol=1e-7,
@@ -602,7 +601,7 @@ class TestImageKernelsMatchOracles:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_im2col_matches_reference(self, c, hw, k):
         x = np.random.default_rng(40).normal(size=(c, *hw))
-        cols = ad._im2col(x, k, k)
+        cols = ad._im2col(x[:, None], k, k)  # a batch of one
         ref = im2col_reference(x, k, k)
         assert cols.shape == ref.shape
         assert cols.tobytes() == ref.tobytes()
@@ -613,10 +612,10 @@ class TestImageKernelsMatchOracles:
     )
     def test_conv2d_matches_conv_on_reference_im2col(self, monkeypatch, c_in, c_out, hw, k):
         rng = np.random.default_rng(41)
-        x0 = rng.normal(size=(c_in, *hw))
+        x0 = rng.normal(size=(c_in, 1, *hw))  # a batch of one
         w0 = rng.normal(size=(c_out, c_in, k, k))
         b0 = rng.normal(size=c_out)
-        up = rng.normal(size=(c_out, *hw))
+        up = rng.normal(size=(c_out, 1, *hw))
 
         def run():
             t = Tape()
@@ -626,7 +625,7 @@ class TestImageKernelsMatchOracles:
             return [out.value] + [grads[v.index] for v in (x, w, b)]
 
         got = run()
-        monkeypatch.setattr(ad, "_im2col", im2col_reference)
+        monkeypatch.setattr(ad, "_im2col", lambda x, kh, kw: im2col_reference(x[:, 0], kh, kw))
         want = run()
         for name, a, b in zip(("out", "gx", "gw", "gb"), got, want):
             assert a.tobytes() == b.tobytes(), name
@@ -744,15 +743,17 @@ class TestImageKernelsMatchOracles:
         pts[26:28, 1] = h - 1
         up = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
 
-        def run(sample):
+        def run(sample, m0, pts, up):
             t = Tape()
             m, p = t.param(m0), t.param(pts)
             out = sample(m, p)
             grads = backward(t, ad.sum_(ad.mul(out, t.constant(up))))
             return out.value, grads[m.index], grads[p.index]
 
-        for name, a, b in zip(("out", "gm", "gp"), run(ad.bilinear_sample),
-                              run(bilinear_sample_reference)):
+        # the reference samples one map, production a batch of one
+        for name, a, b in zip(("out", "gm", "gp"),
+                              run(ad.bilinear_sample, m0[:, None], pts[None], up[None]),
+                              run(bilinear_sample_reference, m0, pts, up)):
             assert a.tobytes() == b.tobytes(), name
 
 
@@ -1116,9 +1117,10 @@ class TestInPlaceKernelsMatchOracles:
         b = _with_specials(rng.normal(size=c_out), rng) if c_out > 6 else rng.normal(size=c_out)
         t = Tape(grad=False)
         with np.errstate(invalid="ignore", over="ignore"):
-            out = ad.conv2d(t.constant(x), t.constant(w), t.constant(b)).value
+            # the reference convolves one image, production a batch of one
+            out = ad.conv2d(t.constant(x[:, None]), t.constant(w), t.constant(b)).value
             ref = conv2d_reference(x, w, b)
-        assert _same_bits(out, ref)
+        assert _same_bits(out[:, 0], ref)
 
 
 class TestNoGradTape:
@@ -1160,9 +1162,9 @@ class TestNoGradTape:
 class TestFloat32Tape:
     def test_constants_params_and_primitives_keep_the_tape_dtype(self):
         rng = np.random.default_rng(66)
-        x0 = rng.normal(size=(2, 6, 8))
+        x0 = rng.normal(size=(2, 1, 6, 8))
         w0 = rng.normal(size=(3, 2, 3, 3))
-        pts0 = np.array([[0.25, 0.5], [6.75, 4.5], [7.0, 5.0]])
+        pts0 = np.array([[[0.25, 0.5], [6.75, 4.5], [7.0, 5.0]]])
         outs = {}
         for dtype in (np.float64, np.float32):
             t = Tape(grad=False, dtype=dtype)
@@ -1170,7 +1172,7 @@ class TestFloat32Tape:
             y = ad.tanh(ad.conv2d(x, t.param(w0), t.param(np.zeros(3))))
             y = ad.upsample_bilinear(ad.avgpool2(y), (6, 8))
             s = ad.bilinear_sample(y, t.constant(pts0))
-            z = ad.softmax(ad.mul(ad.row_znorm(s), 4.0), axis=1)
+            z = ad.softmax(ad.mul(ad.row_znorm(s), 4.0), axis=-1)
             outs[dtype] = [v.value for v in (x, y, s, z)]
         assert all(v.dtype == np.float32 for v in outs[np.float32])
         assert all(v.dtype == np.float64 for v in outs[np.float64])
@@ -1186,13 +1188,13 @@ class TestFloat32Tape:
 
     def test_sample_admits_float32_rounding_at_the_edge(self):
         t = Tape(grad=False, dtype=np.float32)
-        m = t.constant(np.arange(48.0).reshape(1, 6, 8))
+        m = t.constant(np.arange(48.0).reshape(1, 1, 6, 8))
         edge = np.float32(7.0)
         over = np.nextafter(np.nextafter(edge, np.float32(8)), np.float32(8))
-        out = ad.bilinear_sample(m, t.constant([[over, 5.0]])).value
-        assert out.dtype == np.float32 and out[0, 0] == 47.0
+        out = ad.bilinear_sample(m, t.constant([[[over, 5.0]]])).value
+        assert out.dtype == np.float32 and out[0, 0, 0] == 47.0
         with pytest.raises(OutOfBounds):
-            ad.bilinear_sample(m, t.constant([[7.01, 5.0]]))
+            ad.bilinear_sample(m, t.constant([[[7.01, 5.0]]]))
 
 
 class TestTapeOwnership:

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +57,16 @@ class TestStorage:
         assert [p.name for p in tmp_path.iterdir()] == (["target"] if existed else [])
         if existed:
             assert target.read_bytes() == b"old bytes"
+
+    @pytest.mark.parametrize("name", ["a.f32", "sub/a.f32", "./a.f32"])
+    def test_member_joins_a_name_inside_the_directory(self, tmp_path, name):
+        assert storage.member(tmp_path, name) == tmp_path / name
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../a.f32", "sub/../../a.f32",
+                                      "/etc/passwd", 5, None])
+    def test_member_refuses_a_name_outside_the_directory(self, tmp_path, name):
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path}: file name {name!r} is not")):
+            storage.member(tmp_path, name)
 
     def test_blob_byte_layouts(self, tmp_path):
         """Raw file bytes, little-endian float32: a sequence frame is left |
@@ -420,6 +432,63 @@ class TestExitCodes:
         assert "error: data: " in err and "analytic" in err and ident in err
         # dense mode re-extracts each vertex with the live extractor
         assert main([*repeat, "--mode", "dense", "--out", str(tmp_path / "rep")]) == 0
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--window", "7"], "window 7 does not divide 24x32"),
+        (["--channels", "2,3,4,5"], "image 24x32 not divisible by 2^4"),
+    ], ids=["window", "channels"])
+    def test_training_config_that_does_not_fit_the_pairs_is_3(self, tmp_path, capsys, flags,
+                                                               message):
+        data = tmp_path / "data"
+        assert main(["synth", "--kind", "pairs", "--count", "4", "--size", "32x24",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--channels", "2,3,4", "--epochs", "1",
+                     *flags, "--out", str(tmp_path / "run")]) == 3
+        assert f"error: data: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("outside", ["relative", "absolute"])
+    @pytest.mark.parametrize("artifact", ["map", "sequence"])
+    def test_manifest_file_outside_its_directory_is_3_and_unread(
+        self, tmp_path, capsys, monkeypatch, artifact, outside
+    ):
+        # the named file is a valid blob of the right size in a sibling copy
+        seq = tmp_path / "seq"
+        assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(seq)]) == 0
+        teach = ["teach", "--features", "analytic", "--out", str(tmp_path / "taught")]
+        assert main([*teach, "--frames", str(seq)]) == 0
+        assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(tmp_path / "copy")]) == 0
+        directory, kind, key = {"map": (tmp_path / "taught", "map", "vertices"),
+                                "sequence": (tmp_path / "copy", "sequence", "frames")}[artifact]
+        manifest = storage.read_manifest(directory, kind)
+        entry = manifest[key][0]
+        field = "frame_file" if artifact == "map" else "file"
+        target = directory.parent / "outside" / entry[field]
+        target.parent.mkdir()
+        target.write_bytes((directory / entry[field]).read_bytes())
+        entry[field] = f"../outside/{entry[field]}" if outside == "relative" else str(target)
+        storage.write_manifest(directory, manifest)
+
+        read = []
+        read_blob = storage.read_blob
+
+        def recorded(path, *args):
+            read.append(Path(path).resolve())
+            return read_blob(path, *args)
+
+        monkeypatch.setattr(storage, "read_blob", recorded)
+        capsys.readouterr()
+        if artifact == "map":
+            command = ["repeat", "--map", str(directory), "--frames", str(seq),
+                       "--features", "analytic", "--out", str(tmp_path / "rep")]
+        else:
+            command = [*teach, "--frames", str(directory)]
+        assert main(command) == 3
+        err = capsys.readouterr().err
+        assert f"error: data: {directory}: file name {entry[field]!r} is not inside" in err
+        assert target.resolve() not in read
 
     def test_teach_on_non_finite_frame_is_4(self, tmp_path, capsys):
         seq = tmp_path / "seq"

@@ -20,12 +20,13 @@ from stereoloc.features import (
 )
 
 from conftest import rel_err
-from oracles import feature_map, split_stack
+from oracles import analytic_features_reference, feature_map, split_stack
 
 TINY = ExtractorConfig(channels=(2, 3, 4), window=8, seed=1)
 
 
 def run_forward(image, cfg=TINY, weights=None):
+    """`forward` on a batch of images (B, H, W)."""
     tape = Tape()
     weights = weights or init_weights(cfg)
     params = weights.bind(tape)
@@ -35,9 +36,9 @@ def run_forward(image, cfg=TINY, weights=None):
 class TestForward:
     def test_descriptor_dim_is_channel_sum(self):
         cfg = ExtractorConfig(channels=(8, 16, 32), window=16)
-        img = np.random.default_rng(0).uniform(size=(48, 64))
+        img = np.random.default_rng(0).uniform(size=(1, 48, 64))
         fmap, _, _, _ = run_forward(img, cfg, init_weights(cfg))
-        assert fmap.stack.value.shape == (57, 48, 64)
+        assert fmap.stack.value.shape == (57, 1, 48, 64)
         assert cfg.descriptor_dim == 56
 
     def test_zero_weights_give_half_scores(self):
@@ -45,25 +46,25 @@ class TestForward:
         weights = ExtractorWeights(
             cfg, {k: np.zeros(s) for k, s in cfg.layer_shapes().items()}
         )
-        img = np.random.default_rng(1).uniform(size=(24, 32))
+        img = np.random.default_rng(1).uniform(size=(1, 24, 32))
         fmap, _, _, _ = run_forward(img, cfg, weights)
         assert np.array_equal(split_stack(fmap.stack)[1], np.full((24, 32), 0.5))
 
     def test_seeded_determinism_bitwise(self):
-        img = np.random.default_rng(2).uniform(size=(24, 32))
+        img = np.random.default_rng(2).uniform(size=(1, 24, 32))
         a, _, _, _ = run_forward(img, TINY, init_weights(TINY))
         b, _, _, _ = run_forward(img, TINY, init_weights(TINY))
         assert a.stack.value.tobytes() == b.stack.value.tobytes()
         assert a.keypoint_logits.value.tobytes() == b.keypoint_logits.value.tobytes()
 
     def test_scores_strictly_inside_unit_interval(self):
-        img = np.random.default_rng(3).uniform(size=(24, 32))
+        img = np.random.default_rng(3).uniform(size=(1, 24, 32))
         fmap, _, _, _ = run_forward(img)
         s = split_stack(fmap.stack)[1]
         assert np.all(s > 0.0) and np.all(s < 1.0)
 
     def test_indivisible_shape_rejected(self):
-        img = np.zeros((20, 32))  # 20 not divisible by 8
+        img = np.zeros((1, 20, 32))  # 20 not divisible by 8
         with pytest.raises(ShapeError):
             run_forward(img)
 
@@ -77,13 +78,13 @@ class TestForward:
                 assert np.abs(tensor).max() <= bound
 
     def test_forward_gradients_match_finite_differences(self):
-        img = np.random.default_rng(4).uniform(size=(24, 32))
+        img = np.random.default_rng(4).uniform(size=(1, 24, 32))
         up = {
             "ds": np.concatenate([
-                np.random.default_rng(5).normal(size=(9, 24, 32)),
-                np.random.default_rng(6).normal(size=(1, 24, 32)),
+                np.random.default_rng(5).normal(size=(9, 1, 24, 32)),
+                np.random.default_rng(6).normal(size=(1, 1, 24, 32)),
             ]),
-            "k": np.random.default_rng(7).normal(size=(24, 32)),
+            "k": np.random.default_rng(7).normal(size=(1, 24, 32)),
         }
         base = init_weights(TINY)
         names = sorted(base.tensors)
@@ -127,7 +128,7 @@ class TestEncodeDecode:
     @pytest.mark.parametrize("hw", [(24, 32), (48, 64)])
     @pytest.mark.parametrize("cfg", [TINY, ExtractorConfig(seed=4)])
     def test_composition_is_bitwise_forward(self, hw, cfg):
-        image = np.random.default_rng(hw[0]).uniform(0.0, 1.0, size=hw)
+        image = np.random.default_rng(hw[0]).uniform(0.0, 1.0, size=(1, *hw))
         weights = init_weights(cfg)
         ref, _, _, _ = run_forward(image, cfg, weights)
         for grad in (True, False):
@@ -139,13 +140,13 @@ class TestEncodeDecode:
             stack = np.concatenate([m.value for m in maps] + [scores.value])
             assert stack.tobytes() == ref.stack.value.tobytes()
             assert logits.value.tobytes() == ref.keypoint_logits.value.tobytes()
-            assert scores.value.shape == logits.value.shape == (1, *hw)
-            assert ref.keypoint_logits.value.shape == hw
+            assert scores.value.shape == logits.value.shape == (1, 1, *hw)
+            assert ref.keypoint_logits.value.shape == (1, *hw)
 
 
     @pytest.mark.parametrize("grad", [True, False])
     def test_forward_target_is_forward_without_logits(self, grad):
-        image = np.random.default_rng(7).uniform(0.0, 1.0, size=(24, 32))
+        image = np.random.default_rng(7).uniform(0.0, 1.0, size=(1, 24, 32))
         weights = init_weights(TINY)
         ref, _, _, _ = run_forward(image, TINY, weights)
         tape = Tape(grad=grad)
@@ -171,8 +172,8 @@ class TestBatch:
         n = (hw[0] // cfg.window) * (hw[1] // cfg.window)
         assert batch.stack.value.shape == (cfg.descriptor_dim + 1, 3, *hw)
         assert kps.coords.value.shape == (3, n, 2) and kps.scores.value.shape == (3, n)
-        for i, image in enumerate(images):
-            alone, _, _, _ = run_forward(image, cfg, weights)
+        for i in range(len(images)):
+            alone, _, _, _ = run_forward(images[i:i + 1], cfg, weights)  # a batch of one
             alone_kps = extract_keypoints(alone, cfg.window)
             assert batch.stack.value[:, i].tobytes() == alone.stack.value.tobytes()
             assert target.stack.value[:, i].tobytes() == alone.stack.value.tobytes()
@@ -190,29 +191,29 @@ class TestBatch:
 class TestDetectKeypoints:
     def test_uniform_logits_give_window_centers(self):
         t = Tape()
-        coords = detect_keypoints(t.constant(np.zeros((32, 32))), 16).value
+        coords = detect_keypoints(t.constant(np.zeros((1, 32, 32))), 16).value[0]
         assert coords.shape == (4, 2)
         assert np.allclose(coords[0], [7.5, 7.5], atol=1e-12)
         expected = {(7.5, 7.5), (23.5, 7.5), (7.5, 23.5), (23.5, 23.5)}
         assert {tuple(c) for c in coords} == expected
 
     def test_saturated_logit_pins_keypoint(self):
-        logits = np.zeros((16, 16))
-        logits[4, 3] = 50.0  # (u=3, v=4)
+        logits = np.zeros((1, 16, 16))
+        logits[0, 4, 3] = 50.0  # (u=3, v=4)
         t = Tape()
-        coords = detect_keypoints(t.constant(logits), 16).value
+        coords = detect_keypoints(t.constant(logits), 16).value[0]
         assert np.abs(coords[0] - [3.0, 4.0]).max() < 1e-3
 
     def test_window_16_on_64x48_gives_12_keypoints(self):
         t = Tape()
-        logits = t.constant(np.random.default_rng(8).normal(size=(48, 64)))
+        logits = t.constant(np.random.default_rng(8).normal(size=(1, 48, 64)))
         coords = detect_keypoints(logits, 16).value
-        assert coords.shape == (12, 2)
+        assert coords.shape == (1, 12, 2)
 
     def test_keypoints_stay_inside_their_windows(self):
         rng = np.random.default_rng(9)
         t = Tape()
-        coords = detect_keypoints(t.constant(rng.normal(size=(24, 40)) * 5), 8).value
+        coords = detect_keypoints(t.constant(rng.normal(size=(1, 24, 40)) * 5), 8).value
         ny, nx = 3, 5
         grid = coords.reshape(ny, nx, 2)
         for iy in range(ny):
@@ -223,27 +224,27 @@ class TestDetectKeypoints:
 
     def test_translation_consistency(self):
         rng = np.random.default_rng(10)
-        logits = rng.normal(size=(24, 32)) * 3
+        logits = rng.normal(size=(1, 24, 32)) * 3
         w = 8
         t = Tape()
         base = detect_keypoints(t.constant(logits), w).value.reshape(3, 4, 2)
-        rolled = np.roll(logits, w, axis=1)
+        rolled = np.roll(logits, w, axis=2)
         shifted = detect_keypoints(Tape().constant(rolled), w).value.reshape(3, 4, 2)
         assert np.array_equal(shifted[:, 1:], base[:, :-1] + np.array([w, 0.0]))
 
     def test_window_must_divide_shape(self):
         with pytest.raises(ShapeError):
-            detect_keypoints(Tape().constant(np.zeros((24, 30))), 8)
+            detect_keypoints(Tape().constant(np.zeros((1, 24, 30))), 8)
 
     def test_keypoint_count_invariant(self):
         t = Tape()
-        coords = detect_keypoints(t.constant(np.zeros((40, 64))), 8).value
-        assert len(coords) == (40 // 8) * (64 // 8)
+        coords = detect_keypoints(t.constant(np.zeros((1, 40, 64))), 8).value
+        assert coords.shape[1] == (40 // 8) * (64 // 8)
 
     def test_detection_is_differentiable(self):
         rng = np.random.default_rng(11)
-        logits0 = rng.normal(size=(16, 16))
-        up = rng.normal(size=(4, 2))
+        logits0 = rng.normal(size=(1, 16, 16))
+        up = rng.normal(size=(1, 4, 2))
 
         def build(t, x):
             return ad.sum_(ad.mul(detect_keypoints(x, 8), t.constant(up)))
@@ -264,25 +265,71 @@ class TestDetectKeypoints:
 
 class TestAnalyticFeatures:
     def test_deterministic(self, noon_frame):
-        a = analytic_features(noon_frame.left, Tape())
-        b = analytic_features(noon_frame.left, Tape())
+        a = analytic_features(noon_frame.left[None], Tape())
+        b = analytic_features(noon_frame.left[None], Tape())
         assert a.stack.value.tobytes() == b.stack.value.tobytes()
 
     def test_gain_bias_invariant_descriptors(self, noon_frame):
-        base, _ = split_stack(analytic_features(noon_frame.left, Tape()).stack)
-        scaled, _ = split_stack(analytic_features(2.0 * noon_frame.left + 5.0, Tape()).stack)
+        base, _ = split_stack(analytic_features(noon_frame.left[None], Tape()).stack)
+        scaled, _ = split_stack(analytic_features(2.0 * noon_frame.left[None] + 5.0, Tape()).stack)
         assert np.abs(base - scaled).max() < 1e-9
 
     def test_satisfies_feature_map_contract(self, noon_frame):
-        fmap = analytic_features(noon_frame.left, Tape())
+        fmap = analytic_features(noon_frame.left[None], Tape())
         desc, scores = split_stack(fmap.stack)
         d, h, w = desc.shape
         assert (h, w) == noon_frame.left.shape
         assert scores.shape == (h, w)
-        assert fmap.keypoint_logits.value.shape == (h, w)
+        assert fmap.keypoint_logits.value.shape == (1, h, w)
         assert scores.min() >= 0.0
         assert scores.max() <= 1.0
         assert np.isfinite(desc).all()
+
+
+    @pytest.mark.parametrize("hw", [(48, 64), (24, 32), (1, 64), (48, 1), (1, 1), (2, 3)],
+                             ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    def test_batch_is_the_single_image_arithmetic(self, hw):
+        """Each image gets the stack and logits of the single-image
+        reference: bitwise as a batch of one, and in a batch up to the sign
+        of a NaN. The images: texture, a gain/bias change of it, a constant
+        and a zero image (no variance), and NaN, +-inf and 1e30-scaled
+        pixels."""
+        rng = np.random.default_rng(hw[0] * 100 + hw[1])
+        base = rng.uniform(size=hw)
+        special = rng.uniform(size=hw)
+        special.flat[rng.choice(special.size, size=min(3, special.size), replace=False)] = (
+            [np.nan, np.inf, -np.inf][: min(3, special.size)])
+        images = np.stack([base, 2.0 * base + 5.0, np.full(hw, 0.5), np.zeros(hw), special,
+                           1e30 * rng.uniform(size=hw)])
+        with np.errstate(all="ignore"):
+            batch = analytic_features(images, Tape())
+            for i, image in enumerate(images):
+                want = analytic_features_reference(image)
+                alone = analytic_features(images[i:i + 1], Tape())
+                in_batch = (batch.stack.value[:, i], batch.keypoint_logits.value[i])
+                for a, b, w in zip((alone.stack, alone.keypoint_logits), in_batch, want):
+                    assert a.value.tobytes() == w.tobytes(), i
+                    nan = np.isnan(w)
+                    assert (np.isnan(b) == nan).all() and b[~nan].tobytes() == w[~nan].tobytes(), i
+
+
+class TestSingleImageLayoutsRefused:
+    """Images come in one layout, a batch: a single image's map, points or
+    image is a ShapeError."""
+
+    @pytest.mark.parametrize("call", [
+        lambda t: ad.conv2d(t.constant(np.zeros((2, 8, 8))), t.constant(np.zeros((3, 2, 3, 3))),
+                            t.constant(np.zeros(3))),
+        lambda t: ad.bilinear_sample(t.constant(np.zeros((2, 8, 8))), t.constant(np.ones((3, 2)))),
+        lambda t: ad.bilinear_sample(t.constant(np.zeros((2, 1, 8, 8))),
+                                     t.constant(np.ones((3, 2)))),
+        lambda t: forward(np.zeros((8, 8)), init_weights(TINY).bind(t), TINY, t),
+        lambda t: analytic_features(np.zeros((8, 8)), t),
+    ], ids=["conv2d_image", "bilinear_sample_map", "bilinear_sample_points", "forward_image",
+            "analytic_features_image"])
+    def test_is_a_shape_error(self, call):
+        with pytest.raises(ShapeError):
+            call(Tape())
 
 
 class TestCheckpoint:
@@ -347,16 +394,16 @@ class TestCheckpoint:
 
 class TestExtractKeypoints:
     def test_sampled_fields_shapes(self, noon_frame):
-        fmap = analytic_features(noon_frame.left, Tape())
+        fmap = analytic_features(noon_frame.left[None], Tape())
         kps = extract_keypoints(fmap, 8)
         n = (48 // 8) * (64 // 8)
         d = fmap.stack.value.shape[0] - 1
-        assert kps.coords.value.shape == (n, 2)
-        assert kps.descriptors.value.shape == (n, d)
-        assert kps.scores.value.shape == (n,)
+        assert kps.coords.value.shape == (1, n, 2)
+        assert kps.descriptors.value.shape == (1, n, d)
+        assert kps.scores.value.shape == (1, n)
 
     def test_samples_the_stack_once(self, noon_frame, monkeypatch):
-        fmap = analytic_features(noon_frame.left, Tape())
+        fmap = analytic_features(noon_frame.left[None], Tape())
         calls = []
         bilinear_sample = ad.bilinear_sample
 
@@ -367,7 +414,7 @@ class TestExtractKeypoints:
         monkeypatch.setattr(ad, "bilinear_sample", counted)
         kps = extract_keypoints(fmap, 8)
         assert calls == [fmap.stack.value.shape]
-        assert kps.descriptors.value.shape[1] == fmap.stack.value.shape[0] - 1
+        assert kps.descriptors.value.shape[2] == fmap.stack.value.shape[0] - 1
 
     def test_descriptor_sampling_matches_map_at_integer_points(self):
         rng = np.random.default_rng(12)
@@ -377,5 +424,5 @@ class TestExtractKeypoints:
         logits[4, 3] = 1000.0  # saturate onto integer pixel (3, 4)
         fmap = feature_map(t, desc, np.full((16, 16), 0.25), logits)
         kps = extract_keypoints(fmap, 16)
-        assert np.allclose(kps.descriptors.value[0], desc[:, 4, 3], atol=1e-9)
-        assert np.allclose(kps.scores.value[0], 0.25, atol=1e-12)
+        assert np.allclose(kps.descriptors.value[0, 0], desc[:, 4, 3], atol=1e-9)
+        assert np.allclose(kps.scores.value[0, 0], 0.25, atol=1e-12)

@@ -105,10 +105,10 @@ class GridExtractor:
     window: int = 8
     ident = "grid"
 
-    def features_on(self, tape, image):
-        fmap = features.analytic_features(image, tape)
-        logits = np.zeros(image.shape)
-        logits[2::self.window, 3::self.window] = 1e3
+    def features_on(self, tape, images):
+        fmap = features.analytic_features(images, tape)
+        logits = np.zeros(images.shape)
+        logits[:, 2::self.window, 3::self.window] = 1e3
         return features.DenseFeatureMap(fmap.stack, tape.constant(logits))
 
 
@@ -266,11 +266,11 @@ class OneRowScores(GridExtractor):
     """GridExtractor whose scores are zero off pixel row 2, so only the
     keypoints on that row weigh in a sparse pose fit."""
 
-    def features_on(self, tape, image):
-        fmap = super().features_on(tape, image)
+    def features_on(self, tape, images):
+        fmap = super().features_on(tape, images)
         stack = fmap.stack.value.copy()
         stack[-1] = 0.0
-        stack[-1, 2] = 1.0
+        stack[-1, :, 2] = 1.0
         return features.DenseFeatureMap(tape.constant(stack), fmap.keypoint_logits)
 
 
@@ -529,8 +529,8 @@ class TestStatelessLocalize:
         res_used = localize(frames[0], used, b, params, K_default)
         res_fresh = localize(frames[0], fresh, b, params, K_default)
         f32 = harness.INFERENCE_DTYPE
-        expected = b.target_on(Tape(grad=False, dtype=f32), used.frame.left).stack.value
-        other = a.target_on(Tape(grad=False, dtype=f32), used.frame.left).stack.value
+        expected = b.target_on(Tape(grad=False, dtype=f32), used.frame.left[None]).stack.value
+        other = a.target_on(Tape(grad=False, dtype=f32), used.frame.left[None]).stack.value
         assert expected.tobytes() != other.tobytes()
         assert res_used.inliers == res_fresh.inliers
         assert res_used.failure == res_fresh.failure
@@ -603,7 +603,7 @@ class TestStatelessLocalize:
         repeat(frames, used_map, extractor, params, K_default)  # fills memoized tables
         teach_map = teach(frames, extractor, K_default)  # the rig's map, untouched
         f32 = harness.INFERENCE_DTYPE
-        stack = extractor.target_on(Tape(grad=False, dtype=f32), frames[0].left).stack.value
+        stack = extractor.target_on(Tape(grad=False, dtype=f32), frames[0].left[None]).stack.value
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

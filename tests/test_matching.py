@@ -35,11 +35,12 @@ def random_feature_map(tape, rng, d=8, h=12, w=16, smooth=False):
 
 
 def keypoints_from(tape, fmap, rng, n=5):
-    _, h, w = fmap.stack.value.shape
+    """n random keypoints on the map's image, a batch of one."""
+    _, _, h, w = fmap.stack.value.shape
     coords = np.stack(
         [rng.uniform(0.5, w - 1.5, n), rng.uniform(0.5, h - 1.5, n)], axis=1
     )
-    cvar = tape.constant(coords)
+    cvar = tape.constant(coords[None])
     return KeypointSet(cvar, *features.sample_at(fmap, cvar))
 
 
@@ -119,8 +120,8 @@ class TestSoftMatch:
         t = Tape()
         fmap = random_feature_map(t, rng, smooth=True)
         q, desc, score = soft_match(t.constant(rng.normal(size=8)), fmap, tau=10.0)
-        desc_map = t.constant(split_stack(fmap.stack)[0])
-        ref = ad.bilinear_sample(desc_map, ad.reshape(q, (1, 2))).value[0]
+        desc_map = t.constant(fmap.stack.value[:-1])
+        ref = ad.bilinear_sample(desc_map, ad.reshape(q, (1, 1, 2))).value[0, 0]
         assert np.allclose(desc.value, ref, atol=1e-12)
         assert 0.0 < score.value < 1.0
 
@@ -132,11 +133,11 @@ class TestMatchAll:
         fmap = random_feature_map(t, rng)
         kps = keypoints_from(t, fmap, rng, n=7)
         points, weights = match_all(kps, fmap, tau=20.0)
-        assert points.value.shape == (7, 2)
-        assert weights.value.shape == (7,)
+        assert points.value.shape == (1, 7, 2)
+        assert weights.value.shape == (1, 7)
         _, desc, scores, _ = matching._match_core(kps.descriptors, fmap, 20.0)
-        assert desc.value.shape == (7, 8)
-        assert scores.value.shape == (7,)
+        assert desc.value.shape == (1, 7, 8)
+        assert scores.value.shape == (1, 7)
 
     def test_matches_naive_reference(self):
         for seed in range(5):
@@ -146,9 +147,9 @@ class TestMatchAll:
             kps = keypoints_from(t, fmap, rng, n=4)
             points, _ = match_all(kps, fmap, tau=15.0)
             ref = match_all_reference(
-                kps.descriptors.value, split_stack(fmap.stack)[0], tau=15.0
+                kps.descriptors.value[0], split_stack(fmap.stack)[0], tau=15.0
             )
-            assert np.abs(points.value - ref).max() < 1e-10
+            assert np.abs(points.value[0] - ref).max() < 1e-10
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
@@ -156,14 +157,14 @@ class TestMatchAll:
         fmap = random_feature_map(t, rng)
         kps = keypoints_from(t, fmap, rng, n=6)
         _, _, _, attn = matching._match_core(kps.descriptors, fmap, 25.0)
-        assert np.abs(attn.value.sum(axis=1) - 1.0).max() < 1e-9
+        assert np.abs(attn.value.sum(axis=-1) - 1.0).max() < 1e-9
 
     def test_matched_points_inside_image(self):
         rng = np.random.default_rng(8)
         t = Tape()
         fmap = random_feature_map(t, rng, h=10, w=14)
         kps = keypoints_from(t, fmap, rng, n=6)
-        pts = match_all(kps, fmap, tau=5.0)[0].value
+        pts = match_all(kps, fmap, tau=5.0)[0].value[0]
         assert (pts[:, 0] >= 0).all() and (pts[:, 0] <= 13).all()
         assert (pts[:, 1] >= 0).all() and (pts[:, 1] <= 9).all()
 
@@ -183,13 +184,13 @@ class TestMatchAll:
                 continue
             instances += 1
             kps = KeypointSet(
-                t.constant(np.zeros((1, 2))),
-                t.constant(src[None].copy()),
-                t.constant(np.array([0.5])),
+                t.constant(np.zeros((1, 1, 2))),
+                t.constant(src[None, None].copy()),
+                t.constant(np.array([[0.5]])),
             )
             points, _ = match_all(kps, fmap, tau=1e3)
             hard = np.array([j % 12, j // 12], dtype=float)
-            assert np.abs(points.value[0] - hard).max() < 1e-6
+            assert np.abs(points.value[0, 0] - hard).max() < 1e-6
 
     def test_self_matching_recovers_keypoints(self):
         # keypoints detected from the map's own logits (sharp peaks) must
@@ -208,7 +209,7 @@ class TestMatchAll:
         fmap = feature_map(t, desc, np.full((h, w), 0.5), logits)
         kps = extract_keypoints(fmap, 8)
         points, _ = match_all(kps, fmap, tau=1e3)
-        err = np.linalg.norm(points.value - kps.coords.value, axis=1)
+        err = np.linalg.norm(points.value - kps.coords.value, axis=-1)
         assert err.max() < 0.5
 
     def test_self_matching_subpixel_keypoints_stay_local(self):
@@ -219,7 +220,7 @@ class TestMatchAll:
         fmap = random_feature_map(t, rng, d=8, h=24, w=32, smooth=True)
         kps = keypoints_from(t, fmap, rng, n=10)
         points, _ = match_all(kps, fmap, tau=160.0)
-        err = np.linalg.norm(points.value - kps.coords.value, axis=1)
+        err = np.linalg.norm(points.value - kps.coords.value, axis=-1)
         assert err.mean() < 0.6
         assert err.max() < 1.0
 
@@ -234,7 +235,8 @@ class TestMatchAll:
         for grad in (True, False):
             t = Tape(grad=grad)
             fmap = feature_map(t, desc, scores)
-            kps = KeypointSet(t.constant(coords), t.constant(src), t.constant(src_scores))
+            kps = KeypointSet(t.constant(coords[None]), t.constant(src[None]),
+                              t.constant(src_scores[None]))
             points, weights = match_all(kps, fmap, tau=400.0)
             _, target_desc, target_scores, _ = matching._match_core(kps.descriptors, fmap, 400.0)
             outs.append([points.value, target_desc.value, target_scores.value, weights.value])
@@ -256,7 +258,8 @@ class TestMatchAll:
         assert points.value.shape == (b, n, 2) and weights.value.shape == (b, n)
         for i in range(b):
             fmap = feature_map(t, desc[i], scores[i])
-            one = KeypointSet(t.constant(coords[i]), t.constant(src[i]), t.constant(src_scores[i]))
+            one = KeypointSet(t.constant(coords[i:i + 1]), t.constant(src[i:i + 1]),
+                              t.constant(src_scores[i:i + 1]))
             p_i, w_i = match_all(one, fmap, tau=400.0)
             assert points.value[i].tobytes() == p_i.value.tobytes()
             assert weights.value[i].tobytes() == w_i.value.tobytes()
@@ -273,13 +276,13 @@ class TestMatchAll:
         rng = np.random.default_rng(13)
         d, h, w, n = 4, 6, 8, 2
         target0 = rng.normal(size=(d, h, w))
-        src0 = rng.normal(size=(n, d))
-        up = rng.normal(size=(n, 2))
+        src0 = rng.normal(size=(1, n, d))  # a batch of one
+        up = rng.normal(size=(1, n, 2))
 
         def build(t, src_var, tgt_var):
             fmap = feature_map(t, tgt_var, np.full((h, w), 0.5), np.zeros((h, w)))
             kps = KeypointSet(
-                t.constant(np.ones((n, 2))), src_var, t.constant(np.full(n, 0.5))
+                t.constant(np.ones((1, n, 2))), src_var, t.constant(np.full((1, n), 0.5))
             )
             points, _ = match_all(kps, fmap, tau=8.0)
             return ad.sum_(ad.mul(points, t.constant(up)))
@@ -291,13 +294,13 @@ class TestMatchAll:
 
         def f_src(v):
             t2 = Tape()
-            return float(build(t2, t2.param(v.reshape(n, d)), t2.constant(target0)).value)
+            return float(build(t2, t2.param(v.reshape(1, n, d)), t2.constant(target0)).value)
 
         def f_tgt(v):
             t2 = Tape()
             return float(build(t2, t2.constant(src0), t2.param(v.reshape(d, h, w))).value)
 
-        assert rel_err(grads[src.index], finite_diff(f_src, src0.ravel()).reshape(n, d)) < 1e-4
+        assert rel_err(grads[src.index], finite_diff(f_src, src0.ravel()).reshape(1, n, d)) < 1e-4
         assert rel_err(grads[tgt.index], finite_diff(f_tgt, target0.ravel()).reshape(d, h, w)) < 1e-4
 
     def test_throughput_budget(self):
