@@ -21,6 +21,11 @@ it), the traced runs' per-layer metrics, and every raw result line. The
 file is rewritten after every run, so an interrupted session keeps what it
 measured.
 
+Each side must be the top of a git work tree (a `git clone`, checked out at
+the commit to measure), since the record names every side's commit. A plain
+copy, such as a `git archive` export, is refused with a usage error (exit
+2) before any run.
+
 Standard library only.
 """
 
@@ -45,6 +50,16 @@ def seed_range(spec: str) -> tuple[str, list[int]]:
     if not workload or not lo.isdigit() or (hi and not hi.isdigit()):
         raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEED[-SEED], got {spec!r}")
     return workload, list(range(int(lo), int(hi or lo) + 1))
+
+
+def work_tree(path: Path) -> bool:
+    """Whether `path` is the top directory of a git work tree; a plain copy
+    inside another work tree is not."""
+    if not path.is_dir():
+        return False
+    top = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=path,
+                         capture_output=True, text=True)
+    return top.returncode == 0 and Path(top.stdout.strip()).resolve() == path.resolve()
 
 
 def run_one(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -188,6 +203,9 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if args.anchor:
         checkouts[ANCHOR] = args.anchor.resolve()
+    for side, checkout in checkouts.items():
+        if not work_tree(checkout):
+            ap.error(f"--{side} {checkout} is not the top of a git work tree")
     commits = {s: subprocess.run(["git", "rev-parse", "HEAD"], cwd=c, capture_output=True,
                                  text=True, check=True).stdout.strip()
                for s, c in checkouts.items()}

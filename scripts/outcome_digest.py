@@ -37,6 +37,14 @@ rows it reports `frame_mismatches`, rows whose frame hashes differ, so a
 change to the renderer shows directly. It exits 1 when any row is missing,
 or any inlier count, failure flag, reason, gated count, skipped flag or
 frame hash differs.
+
+A bitwise change reads `bitwise_mismatches` 0 and `max_pose_delta` 0.0. A
+change that rounds differently (training on float32 tapes) is read from
+the training rows: gated and skipped counts must match exactly, which the
+exit code enforces, and the two relative deltas are reported with the
+change. There is no mode yet that compares each side's pose error against
+the ground truth, so a localization change is still held to equal inliers
+and failures.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ tape holds only each node's parent indices and pullback, so a value dies
 with its last `Var`. Inference runs the same primitives on a no-grad tape
 (`Tape(grad=False)`), which records nothing: its `Var`s carry no index.
 A tape has one dtype, float64 unless given: its constants and parameters
-are cast to it, and the primitives keep it.
+are cast to it, the primitives keep it (but `rigid_align`, whose 3x3 tail
+promotes to float64), and `backward` holds every adjoint in it. Training
+records on float32 tapes; the gradient checks record on float64 ones.
 """
 
 from __future__ import annotations
@@ -120,7 +122,9 @@ def backward(tape: Tape, output: Var) -> dict[int, Array]:
     if output.value.shape != ():
         raise ShapeError(f"backward needs a scalar output, got shape {output.value.shape}")
 
-    adjoints: dict[int | None, Array] = {output.index: np.ones(())}
+    # every adjoint in the tape's dtype, so a pullback that promotes (the
+    # float64 tail of `rigid_align`) promotes no pullback upstream of it
+    adjoints: dict[int | None, Array] = {output.index: np.ones((), tape.dtype)}
     for i in range(len(tape) - 1, -1, -1):
         parents, pullback = tape._nodes[i]
         if pullback is None or i not in adjoints:
@@ -129,9 +133,8 @@ def backward(tape: Tape, output: Var) -> dict[int, Array]:
             if g is None or p is None:
                 continue
             if p in adjoints:
-                adjoints[p] = adjoints[p] + g
-            else:
-                adjoints[p] = np.asarray(g, dtype=float)
+                g = adjoints[p] + g
+            adjoints[p] = np.asarray(g, dtype=tape.dtype)
 
     return {i: adjoints.get(i, np.zeros_like(value)) for i, value in tape.params}
 
@@ -469,7 +472,7 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
     [0, W-1] x [0, H-1] (beyond rounding slack) and for non-finite points.
     """
     mv, pv = m.value, pts.value
-    shape, pshape = mv.shape, pv.shape  # the pullback keeps no map
+    shape, pshape, dtype = mv.shape, pv.shape, mv.dtype  # the pullback keeps no map
     map_grad = m.index is not None
     if mv.ndim != 4 or shape[1:2] != pshape[:-2]:
         raise ShapeError(f"cannot sample a {shape} map at {pshape} points")
@@ -495,8 +498,8 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     # in the map's dtype: a float32 point minus an int64 index is float64
-    fx = (u - x0).astype(mv.dtype, copy=False)[:, None]
-    fy = (v - y0).astype(mv.dtype, copy=False)[:, None]
+    fx = (u - x0).astype(dtype, copy=False)[:, None]
+    fy = (v - y0).astype(dtype, copy=False)[:, None]
     image = np.arange(len(u)) // pshape[-2]  # each point reads its own image
     m00 = mv[:, image, y0, x0].T
     m01 = mv[:, image, y0, x1].T
@@ -525,8 +528,8 @@ def bilinear_sample(m: Var, pts: Var) -> Var:
         terms = np.stack([
             g * (1 - fx) * (1 - fy), g * fx * (1 - fy), g * (1 - fx) * fy, g * fx * fy
         ]).transpose(0, 2, 1)
-        gm = np.bincount(idx.ravel(), terms.ravel(), minlength=size)
-        return gm.reshape(shape), gp
+        gm = np.bincount(idx.ravel(), terms.ravel(), minlength=size)  # always float64
+        return gm.astype(dtype, copy=False).reshape(shape), gp
 
     return m.tape.record(out.reshape(pshape[:-1] + (c,)), (m, pts), pull)
 

@@ -193,7 +193,8 @@ def cmd_eval_grad(args) -> int:
 
 def gradient_cross_check(samples, weights, lcfg, K) -> float:
     """Norm-relative disagreement between backward() and finite differences
-    over every extractor weight."""
+    over every extractor weight, both on float64 tapes: central differences
+    need float64's precision."""
     from . import autodiff as ad
 
     names = sorted(weights.tensors)
@@ -210,12 +211,13 @@ def gradient_cross_check(samples, weights, lcfg, K) -> float:
             i += sizes[n]
         return out
 
-    _, grads, _ = training.total_loss(samples, weights, lcfg, K)
+    _, grads, _ = training.total_loss(samples, weights, lcfg, K, dtype=np.float64)
     analytic = flatten(grads)
 
     def f(x):
         w = features.ExtractorWeights(weights.config, unflatten(x))
-        mean, _, _ = training.total_loss(samples, w, lcfg, K, compute_grads=False)
+        mean, _, _ = training.total_loss(samples, w, lcfg, K, compute_grads=False,
+                                         dtype=np.float64)
         return mean
 
     numeric = ad.finite_diff(f, flatten(weights.tensors))

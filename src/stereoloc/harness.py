@@ -111,7 +111,7 @@ class TeachMap:
 
 # The no-grad tapes of teach and localize (extractor passes and soft
 # matching) compute in float32; the lifts, RANSAC and the pose promote to
-# float64. Training, validation and gradient checks stay float64.
+# float64. Training has its own, `training.TRAINING_DTYPE`.
 INFERENCE_DTYPE = np.float32
 
 # Inference wants a much sharper softmax than training: the training

@@ -30,19 +30,6 @@ def _flatten_target(target: DenseFeatureMap) -> tuple[Var, np.ndarray]:
     return flat, np.stack([us.ravel(), vs.ravel()], axis=1).astype(float)
 
 
-def _match_core(src_desc: Var, target: DenseFeatureMap, tau):
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    flat, coords = _flatten_target(target)
-    # (B, N, M) of ZNCC values; unnamed, the (B, M, D) normalized rows die here
-    sim = ad.matmul(ad.row_znorm(src_desc), ad.transpose(ad.row_znorm(flat), (0, 2, 1)))
-    attn = ad.softmax(ad.mul(sim, float(tau)), axis=-1)
-    tape = src_desc.tape
-    points = ad.matmul(attn, tape.constant(coords))
-    desc, scores = features.sample_at(target, points)
-    return points, desc, scores, attn
-
-
 def match_weights(
     source_descriptors: Var, target_descriptors: Var,
     source_scores: Var, target_scores: Var,
@@ -63,7 +50,16 @@ def match_all(
     """Soft-match every source keypoint against the target feature map.
     Returns the matched target points (B, N, 2) and the combined match
     weights (B, N), in source keypoint order."""
-    points, desc, scores, _ = _match_core(source.descriptors, target, tau)
+    if tau <= 0:
+        raise ValueError("temperature must be positive")
+    flat, coords = _flatten_target(target)
+    # (B, N, M) of ZNCC values; unnamed, the (B, M, D) normalized rows die here
+    sim = ad.matmul(ad.row_znorm(source.descriptors),
+                    ad.transpose(ad.row_znorm(flat), (0, 2, 1)))
+    attn = ad.softmax(ad.mul(sim, float(tau)), axis=-1)
+    points = ad.matmul(attn, source.descriptors.tape.constant(coords))
+    desc, scores = features.sample_at(target, points)
+    del flat, coords, sim  # the (B, N, M) similarity is not held while the weights run
     return points, match_weights(source.descriptors, desc, source.scores, scores)
 
 

@@ -6,6 +6,7 @@ targets, windowed keypoint detection, dense soft matching, stereo 3D
 lifting, ground-truth outlier gating, the keypoint loss (planar coordinates
 of gated pairs) and the pose loss on the differentiable weighted-SVD
 alignment. One backward pass runs on the sum of the kept samples' losses.
+The tapes are float32 (`TRAINING_DTYPE`); the gradient checks pass float64.
 Early stopping watches the validation loss; the best-validation weights
 win.
 """
@@ -59,6 +60,13 @@ class TrainConfig:
 
 # ---------------------------------------------------------------------------
 # per-batch tape construction
+
+# The dtype of the training and validation tapes: the extractor, matching,
+# lifts and keypoint loss compute in float32, the alignment's 3x3 tail
+# (`autodiff.rigid_align`) and the pose loss that reads it in float64, and
+# the gradients accumulate into float64 for Adam and the float64 weights.
+# The gradient checks pass float64.
+TRAINING_DTYPE = np.float32
 
 # Samples recorded on one tape: the training batch. Validation hands
 # `total_loss` all its samples, and one tape over them all would hold every
@@ -166,11 +174,13 @@ def total_loss(
     lcfg: LossConfig,
     K: CameraIntrinsics,
     compute_grads: bool = True,
+    dtype=TRAINING_DTYPE,
 ) -> tuple[float, dict[str, np.ndarray] | None, list[SampleStats]]:
     """Mean loss over samples, with gradients accumulated in a fixed order.
 
-    Each run of up to TAPE_SAMPLES samples records one tape and, with
-    gradients, one backward pass over the sum of its losses. Skipped samples
+    Each run of up to TAPE_SAMPLES samples records one tape of `dtype` and,
+    with gradients, one backward pass over the sum of its losses; the
+    returned gradients are float64, as the weights are. Skipped samples
     contribute nothing; if every sample is skipped the loss is nan and the
     gradients are zero.
     """
@@ -183,7 +193,7 @@ def total_loss(
     losses = []
     stats_all = []
     for start in range(0, len(samples), TAPE_SAMPLES):
-        tape = Tape(grad=compute_grads)
+        tape = Tape(grad=compute_grads, dtype=dtype)
         params = weights.bind(tape)
         loss, stats = batch_loss(
             tape, params, cfg, samples[start : start + TAPE_SAMPLES], K, lcfg

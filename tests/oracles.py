@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from stereoloc import autodiff as ad
-from stereoloc import matching, synth
+from stereoloc import features, matching, synth
 from stereoloc.autodiff import Tape, Var
 from stereoloc.errors import (
     DegenerateGeometry,
@@ -92,8 +92,11 @@ def soft_match(
     coordinate.
     """
     d = source_descriptor.value.shape[0]
-    one = ad.reshape(source_descriptor, (1, 1, d))
-    pts, desc, scores, _ = matching._match_core(one, target, tau)
+    tape = source_descriptor.tape
+    one = KeypointSet(None, ad.reshape(source_descriptor, (1, 1, d)),
+                      tape.constant(np.ones((1, 1))))
+    pts, _ = matching.match_all(one, target, tau)
+    desc, scores = features.sample_at(target, pts)
     return (
         ad.reshape(pts, (2,)),
         ad.reshape(desc, (d,)),
@@ -101,11 +104,37 @@ def soft_match(
     )
 
 
+def matched_samples(source: KeypointSet, target: DenseFeatureMap, tau: float) -> tuple[Var, Var]:
+    """The descriptors (B, N, D) and scores (B, N) of the target at the
+    points `match_all` matches the keypoints to."""
+    points, _ = matching.match_all(source, target, tau)
+    return features.sample_at(target, points)
+
+
 def matchset_weights(source: KeypointSet, target: DenseFeatureMap, tau: float) -> Var:
     """`match_all`'s weights, recomputed from the keypoints and the
-    descriptors and scores `_match_core` samples at the matched points."""
-    _, desc, scores, _ = matching._match_core(source.descriptors, target, tau)
+    descriptors and scores sampled at the matched points."""
+    desc, scores = matched_samples(source, target, tau)
     return matching.match_weights(source.descriptors, desc, source.scores, scores)
+
+
+def match_attention(source: KeypointSet, target: DenseFeatureMap, tau: float) -> Var:
+    """The (B, N, M) softmax rows `match_all` weighs the target pixels by,
+    captured from its one `ad.softmax` call."""
+    rows = []
+    softmax = ad.softmax
+
+    def captured(*args, **kwargs):
+        rows.append(softmax(*args, **kwargs))
+        return rows[-1]
+
+    ad.softmax = captured
+    try:
+        matching.match_all(source, target, tau)
+    finally:
+        ad.softmax = softmax
+    (attn,) = rows
+    return attn
 
 
 # ---------------------------------------------------------------------------

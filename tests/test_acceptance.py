@@ -28,6 +28,7 @@ from oracles import (
     feature_map,
     keypoint_loss,
     match_all_reference,
+    match_attention,
     pose_loss,
     project_points,
     weighted_alignment,
@@ -190,7 +191,7 @@ def test_criterion_4_matching_oracle():
         points, _ = matching.match_all(kps, fmap, tau=15.0)
         ref = match_all_reference(src, desc, tau=15.0)
         worst = max(worst, float(np.abs(points.value[0] - ref).max()))
-        _, _, _, attn = matching._match_core(kps.descriptors, fmap, 15.0)
+        attn = match_attention(kps, fmap, 15.0)
         worst_rows = max(worst_rows, float(np.abs(attn.value.sum(axis=-1) - 1).max()))
     check(
         4,

@@ -1180,6 +1180,62 @@ class TestFloat32Tape:
         for a, b in zip(outs[np.float32], outs[np.float64]):
             assert np.allclose(a, b, rtol=tol, atol=tol)
 
+    @pytest.mark.parametrize("cases, name", [("plain", n) for n in sorted(PRIMITIVE_CASES)]
+                             + [("batched", n) for n in sorted(BATCHED_CASES)])
+    def test_pullbacks_keep_float32(self, cases, name, monkeypatch):
+        # every gradient case, each node's pullback called on a float32
+        # adjoint; rigid_align is not among them, as its 3x3 tail promotes
+        # to float64 by design
+        nodes = []
+        record = ad.Tape.record
+
+        def kept(tape, value, parents, pullback):
+            var = record(tape, value, parents, pullback)
+            nodes.append((var.value, pullback))
+            return var
+
+        monkeypatch.setattr(ad.Tape, "record", kept)
+        if cases == "batched":
+            make_x0, build = BATCHED_CASES[name]
+        else:
+            make_x0, build = (lambda r: r.normal(size=(4, 5))), PRIMITIVE_CASES[name]
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        t = Tape(dtype=np.float32)
+        build(t, t.param(make_x0(rng)), rng)
+        assert nodes
+        for value, pullback in nodes:
+            assert value.dtype == np.float32
+            grads = [g for g in pullback(np.ones_like(value)) if g is not None]
+            assert grads and all(g.dtype == np.float32 for g in grads)
+
+    def test_backward_holds_adjoints_in_the_tape_dtype(self):
+        # rigid_align's float64 rows and pullback reach no other pullback
+        # in float64: backward casts each adjoint to the tape's dtype
+        rng = np.random.default_rng(67)
+        t = Tape(dtype=np.float32)
+        pts = t.param(rng.normal(size=(1, 5, 3)))
+        moved = ad.add(pts, t.constant([0.5, -0.25, 1.0]))
+        aligned = ad.rigid_align(pts, moved, t.constant(np.ones((1, 5))))
+        # `pts` gets a float32 adjoint first, then adds rigid_align's float64 one
+        out = ad.add(ad.sum_(ad.mul(aligned, aligned)), ad.sum_(ad.mul(pts, pts)))
+        assert aligned.value.dtype == out.value.dtype == np.float64
+        seen = {}
+
+        def watched(var):
+            parents, pullback = t._nodes[var.index]
+
+            def pull(g):
+                seen[var.index] = g.dtype
+                return pullback(g)
+
+            t._nodes[var.index] = (parents, pull)
+
+        watched(out)  # the seed
+        watched(moved)
+        grads = backward(t, out)
+        assert seen == {out.index: np.float32, moved.index: np.float32}
+        assert grads[pts.index].dtype == np.float32
+
     def test_resample_matrix_per_dtype(self):
         R32 = ad._resample_matrix(7, 3, np.float32)
         assert R32.dtype == np.float32 and not R32.flags.writeable

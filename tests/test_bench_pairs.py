@@ -134,3 +134,28 @@ def test_anchor_side_gains_change_over_anchor():
         canned_runs(), SPEC)["repeat-day"]["step_ms_p50"]
     text = bench_pairs.protocol_text([("repeat-day", [1, 2])], [], anchor=True)
     assert "the anchor runs on every seed as a third side" in text
+
+
+def test_a_side_that_is_not_a_work_tree_is_refused_before_any_run(tmp_path, capsys,
+                                                                   monkeypatch):
+    import subprocess
+
+    repo, copy = tmp_path / "repo", tmp_path / "copy"
+    repo.mkdir()
+    copy.mkdir()
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    (repo / "nested").mkdir()
+    monkeypatch.setattr(bench_pairs, "run_one", lambda *a: pytest.fail("a run started"))
+    for argv, side, path in [
+        (["--parent", copy, "--change", repo], "parent", copy),  # a plain copy
+        (["--parent", repo, "--change", repo / "nested"], "change", repo / "nested"),
+        (["--parent", repo, "--change", repo, "--anchor", tmp_path / "gone"], "anchor",
+         tmp_path / "gone"),
+    ]:
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main([str(a) for a in argv] + ["--label", "t",
+                                                       "--pairs", "train-desk:1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert f"--{side} {path.resolve()} is not the top of a git work tree" in err
+    assert not list(tmp_path.glob("**/BENCH_*"))

@@ -15,6 +15,8 @@ from conftest import rel_err
 from oracles import (
     feature_map,
     match_all_reference,
+    match_attention,
+    matched_samples,
     matchset_weights,
     soft_match,
     split_stack,
@@ -135,7 +137,7 @@ class TestMatchAll:
         points, weights = match_all(kps, fmap, tau=20.0)
         assert points.value.shape == (1, 7, 2)
         assert weights.value.shape == (1, 7)
-        _, desc, scores, _ = matching._match_core(kps.descriptors, fmap, 20.0)
+        desc, scores = matched_samples(kps, fmap, 20.0)
         assert desc.value.shape == (1, 7, 8)
         assert scores.value.shape == (1, 7)
 
@@ -156,7 +158,7 @@ class TestMatchAll:
         t = Tape()
         fmap = random_feature_map(t, rng)
         kps = keypoints_from(t, fmap, rng, n=6)
-        _, _, _, attn = matching._match_core(kps.descriptors, fmap, 25.0)
+        attn = match_attention(kps, fmap, 25.0)
         assert np.abs(attn.value.sum(axis=-1) - 1.0).max() < 1e-9
 
     def test_matched_points_inside_image(self):
@@ -238,7 +240,7 @@ class TestMatchAll:
             kps = KeypointSet(t.constant(coords[None]), t.constant(src[None]),
                               t.constant(src_scores[None]))
             points, weights = match_all(kps, fmap, tau=400.0)
-            _, target_desc, target_scores, _ = matching._match_core(kps.descriptors, fmap, 400.0)
+            target_desc, target_scores = features.sample_at(fmap, points)
             outs.append([points.value, target_desc.value, target_scores.value, weights.value])
         for a, b in zip(*outs):
             assert a.tobytes() == b.tobytes()

@@ -127,7 +127,7 @@ class TestSampleLoss:
         samples, K = small_data
         w = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=2))
         lcfg = LossConfig(keypoint_weight=2.5)
-        mean, grads, stats = total_loss(samples[:2], w, lcfg, K)
+        mean, grads, stats = total_loss(samples[:2], w, lcfg, K, dtype=np.float64)
         for s in stats:
             if not s.skipped:
                 assert s.total == pytest.approx(2.5 * s.keypoint + s.pose, rel=1e-12)
@@ -136,7 +136,7 @@ class TestSampleLoss:
         samples, K = small_data
         w = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=3))
         lcfg = LossConfig()
-        _, _, stats = total_loss(samples[:3], w, lcfg, K, compute_grads=False)
+        _, _, stats = total_loss(samples[:3], w, lcfg, K, compute_grads=False, dtype=np.float64)
         checked = 0
         for s, sample in zip(stats, samples[:3]):
             if s.skipped:
@@ -167,16 +167,17 @@ class TestSampleLoss:
         samples, K = small_data
         w = features.init_weights(features.ExtractorConfig(window=8, seed=6))
         lcfg = LossConfig()
-        with_grads = total_loss(samples, w, lcfg, K)
+        with_grads = total_loss(samples, w, lcfg, K, dtype=np.float64)
         tapes = []
         tape_cls = training.Tape
 
-        def recorded(grad=True):
-            tapes.append(tape_cls(grad))
+        def recorded(grad=True, dtype=np.float64):
+            tapes.append(tape_cls(grad, dtype))
             return tapes[-1]
 
         monkeypatch.setattr(training, "Tape", recorded)
-        mean, grads, stats = total_loss(samples, w, lcfg, K, compute_grads=False)
+        mean, grads, stats = total_loss(samples, w, lcfg, K, compute_grads=False,
+                                        dtype=np.float64)
         assert grads is None
         # one tape per batch of 4 samples
         assert len(samples) == 8 and len(tapes) == 2 and not any(t.grad for t in tapes)
@@ -256,8 +257,8 @@ class TestSampleLoss:
         samples, K = small_data
         w = features.init_weights(features.ExtractorConfig(window=8, seed=1))
         lcfg = LossConfig()
-        mean, grads, stats = total_loss(samples[:4], w, lcfg, K)
-        singles = [total_loss([s], w, lcfg, K) for s in samples[:4]]
+        mean, grads, stats = total_loss(samples[:4], w, lcfg, K, dtype=np.float64)
+        singles = [total_loss([s], w, lcfg, K, dtype=np.float64) for s in samples[:4]]
         assert repr(stats) == repr([single[2][0] for single in singles])
         kept = [single for single in singles if not single[2][0].skipped]
         assert 1 < len(kept) < 4  # covers a skipped sample
@@ -336,28 +337,92 @@ class TestInvalidDisparity:
 
 
 class TestTrainingDtype:
+    """Training and validation record float32 tapes, and the gradient
+    check float64 ones; the gradients come back in float64 either way."""
+
     @pytest.mark.parametrize("compute_grads", [True, False], ids=["train", "validate"])
-    def test_total_loss_tape_and_gradients_stay_float64(
+    def test_total_loss_records_float32_up_to_the_alignment(
         self, small_data, monkeypatch, compute_grads
     ):
         samples, K = small_data
         weights = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8))
-        dtypes = []
-        record = ad.Tape.record
+        records = []
+        aligned_at = []
+        record, rigid_align = ad.Tape.record, ad.rigid_align
 
         def dtype_record(tape, value, parents, pullback):
             var = record(tape, value, parents, pullback)
-            dtypes.append((tape.grad, tape.dtype, var.value.dtype))
+            records.append((tape.grad, tape.dtype, var.value.dtype))
             return var
 
+        def noted_align(*args):
+            aligned_at.append(len(records))
+            return rigid_align(*args)
+
         monkeypatch.setattr(ad.Tape, "record", dtype_record)
+        monkeypatch.setattr(ad, "rigid_align", noted_align)
         loss, grads, _ = total_loss(samples[:2], weights, LossConfig(), K,
                                     compute_grads=compute_grads)
         assert math.isfinite(loss)
-        f64 = np.dtype(np.float64)
-        assert dtypes and set(dtypes) == {(compute_grads, f64, f64)}
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        assert {r[:2] for r in records} == {(compute_grads, f32)}
+        # the alignment's 3x3 tail, and what reads the alignment, is float64
+        (at,) = aligned_at
+        assert {r[2] for r in records[:at]} == {f32}
+        assert records[at][2] == f64
         if compute_grads:
             assert all(g.dtype == np.float64 for g in grads.values())
+
+    def test_gradient_cross_check_records_float64(self, small_data, monkeypatch):
+        from stereoloc import cli
+
+        samples, K = small_data
+        weights = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8))
+        dtypes = []
+        tape_cls = training.Tape
+
+        def recorded(grad=True, dtype=np.float64):
+            dtypes.append((grad, np.dtype(dtype)))
+            return tape_cls(grad, dtype)
+
+        def one_evaluation(f, x):  # the finite differences' tape, without their cost
+            f(x)
+            return np.zeros_like(x)
+
+        monkeypatch.setattr(training, "Tape", recorded)
+        monkeypatch.setattr(ad, "finite_diff", one_evaluation)
+        cli.gradient_cross_check(samples[:1], weights, LossConfig(), K)
+        f64 = np.dtype(np.float64)
+        assert dtypes == [(True, f64), (False, f64)]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_float32_keeps_the_stats_and_bounds_the_deltas(self, small_data, seed):
+        samples, K = small_data
+        w = features.init_weights(features.ExtractorConfig(window=8, seed=seed))
+        lcfg = LossConfig()
+        loss64, grads64, stats64 = total_loss(samples, w, lcfg, K, dtype=np.float64)
+        loss32, grads32, stats32 = total_loss(samples, w, lcfg, K)
+        assert [(s.skipped, s.n_gated) for s in stats32] == [
+            (s.skipped, s.n_gated) for s in stats64]
+        assert any(not s.skipped for s in stats64)
+        # A float32 rounding moves a value by at most eps/2 relative. A
+        # batch's loss ends a chain of at most 134 recorded nodes (see
+        # test_batch_records_as_many_nodes_as_one_sample), and its longest
+        # reductions sum the 768 pixels of a 32x24 target, which a pairwise
+        # or blocked sum rounds about log2(768) ~ 10 times. To first order,
+        # with errors adding along the chain and no step amplifying them,
+        # the loss is off by at most 134 * 10 * eps/2 ~ 8e-5 relative; the
+        # backward pass walks the chain once more, so the gradient gets
+        # twice that. Measured deltas read about 1e-5 and below.
+        eps = float(np.finfo(np.float32).eps)
+        loss_tol = 134 * 10 * eps / 2
+        for a, b in zip(stats64, stats32):
+            if not a.skipped:
+                for name in ("total", "keypoint", "pose"):
+                    assert getattr(b, name) == pytest.approx(getattr(a, name), rel=loss_tol)
+        assert loss32 == pytest.approx(loss64, rel=loss_tol)
+        flat = [np.concatenate([g[k].ravel() for k in sorted(g)]) for g in (grads64, grads32)]
+        assert rel_err(flat[1], flat[0]) < 2 * loss_tol
 
 
 class TestAdam:
