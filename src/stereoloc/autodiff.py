@@ -13,9 +13,9 @@ tape holds only each node's parent indices and pullback, so a value dies
 with its last `Var`. Inference runs the same primitives on a no-grad tape
 (`Tape(grad=False)`), which records nothing: its `Var`s carry no index.
 A tape has one dtype, float64 unless given: its constants and parameters
-are cast to it, the primitives keep it (but `rigid_align`, whose 3x3 tail
-promotes to float64), and `backward` holds every adjoint in it. Training
-records on float32 tapes; the gradient checks record on float64 ones.
+are cast to it, the primitives keep it (but `rigid_align`, which computes
+in float64), and `backward` holds every adjoint in it. Training records on
+float32 tapes; the gradient checks record on float64 ones.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def backward(tape: Tape, output: Var) -> dict[int, Array]:
     if output.value.shape != ():
         raise ShapeError(f"backward needs a scalar output, got shape {output.value.shape}")
 
-    # every adjoint in the tape's dtype, so a pullback that promotes (the
-    # float64 tail of `rigid_align`) promotes no pullback upstream of it
+    # every adjoint in the tape's dtype, so a pullback that promotes
+    # (`rigid_align`'s) promotes no pullback upstream of it
     adjoints: dict[int | None, Array] = {output.index: np.ones((), tape.dtype)}
     for i in range(len(tape) - 1, -1, -1):
         parents, pullback = tape._nodes[i]
@@ -599,8 +599,12 @@ def rigid_align(p_s: Var, p_t: Var, w: Var) -> Var:
     non-finite weighted pair, nearly collinear points or a near-tied
     spectrum (where the adjoint would blow up) gives a NaN row with zero
     gradient.
+
+    Computes in float64 on any tape, and its rows and input gradients are
+    float64: near a tied spectrum the adjoint's 1 / (s_j^2 - s_i^2) would
+    amplify a float32 SVD's rounding into the gradient.
     """
-    ps, pt, wv = p_s.value, p_t.value, w.value
+    ps, pt, wv = (np.asarray(x.value, dtype=np.float64) for x in (p_s, p_t, w))
     active = wv > 0
     finite = np.isfinite(ps).all(axis=-1) & np.isfinite(pt).all(axis=-1) & np.isfinite(wv)
     ok = (active.sum(axis=1) >= 3) & (finite | ~active).all(axis=1)

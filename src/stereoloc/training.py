@@ -61,11 +61,8 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # per-batch tape construction
 
-# The dtype of the training and validation tapes: the extractor, matching,
-# lifts and keypoint loss compute in float32, the alignment's 3x3 tail
-# (`autodiff.rigid_align`) and the pose loss that reads it in float64, and
-# the gradients accumulate into float64 for Adam and the float64 weights.
-# The gradient checks pass float64.
+# Training and validation tapes: float32, but for the alignment and the pose
+# loss that reads it; the gradient checks pass float64.
 TRAINING_DTYPE = np.float32
 
 # Samples recorded on one tape: the training batch. Validation hands

@@ -104,17 +104,11 @@ def soft_match(
     )
 
 
-def matched_samples(source: KeypointSet, target: DenseFeatureMap, tau: float) -> tuple[Var, Var]:
-    """The descriptors (B, N, D) and scores (B, N) of the target at the
-    points `match_all` matches the keypoints to."""
-    points, _ = matching.match_all(source, target, tau)
-    return features.sample_at(target, points)
-
-
 def matchset_weights(source: KeypointSet, target: DenseFeatureMap, tau: float) -> Var:
     """`match_all`'s weights, recomputed from the keypoints and the
     descriptors and scores sampled at the matched points."""
-    desc, scores = matched_samples(source, target, tau)
+    points, _ = matching.match_all(source, target, tau)
+    desc, scores = features.sample_at(target, points)
     return matching.match_weights(source.descriptors, desc, source.scores, scores)
 
 

@@ -1184,8 +1184,8 @@ class TestFloat32Tape:
                              + [("batched", n) for n in sorted(BATCHED_CASES)])
     def test_pullbacks_keep_float32(self, cases, name, monkeypatch):
         # every gradient case, each node's pullback called on a float32
-        # adjoint; rigid_align is not among them, as its 3x3 tail promotes
-        # to float64 by design
+        # adjoint; rigid_align is not among them, as it computes in float64
+        # by design
         nodes = []
         record = ad.Tape.record
 
@@ -1235,6 +1235,26 @@ class TestFloat32Tape:
         grads = backward(t, out)
         assert seen == {out.index: np.float32, moved.index: np.float32}
         assert grads[pts.index].dtype == np.float32
+
+    @pytest.mark.parametrize("k", [23, 20, 16])
+    def test_rigid_align_gradient_near_a_tie_matches_float64(self, k):
+        # a planar square whose two in-plane singular values differ by about
+        # 2^-k relative, every input exact in float32; a float32 SVD's
+        # rounding, amplified by the adjoint's 1 / (s_j^2 - s_i^2), put the
+        # gradient 50% (k = 23) to 0.2% (k = 16) off
+        ps = np.array([[1, 1, 0.0], [1, -1, 0], [-1, 1, 0], [-1, -1, 0], [0, 0, 0.5]])
+        ps[:, 0] *= 1 + 2.0 ** -k
+        pt = (ps @ rot_z(0.25).T + [0.25, -0.125, 0.0625]).astype(np.float32)
+        grads = {}
+        for dtype in (np.float64, np.float32):
+            t = Tape(dtype=dtype)
+            a, b = t.param(ps[None]), t.param(pt[None])
+            row = ad.rigid_align(a, b, t.constant(np.ones((1, 5))))
+            assert row.value.dtype == np.float64 and np.isfinite(row.value).all()
+            g = backward(t, ad.sum_(ad.mul(row, row)))
+            grads[dtype] = np.concatenate([g[a.index].ravel(), g[b.index].ravel()])
+        assert grads[np.float32].dtype == np.float32
+        assert rel_err(grads[np.float32], grads[np.float64]) < 4 * np.finfo(np.float32).eps
 
     def test_resample_matrix_per_dtype(self):
         R32 = ad._resample_matrix(7, 3, np.float32)

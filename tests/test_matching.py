@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stereoloc import autodiff as ad
-from stereoloc import features, matching
+from stereoloc import features
 from stereoloc.autodiff import Tape, backward, finite_diff
 from stereoloc.features import KeypointSet
 from stereoloc.matching import match_all, match_weights, mutual_best_matches
@@ -16,7 +16,6 @@ from oracles import (
     feature_map,
     match_all_reference,
     match_attention,
-    matched_samples,
     matchset_weights,
     soft_match,
     split_stack,
@@ -137,7 +136,7 @@ class TestMatchAll:
         points, weights = match_all(kps, fmap, tau=20.0)
         assert points.value.shape == (1, 7, 2)
         assert weights.value.shape == (1, 7)
-        desc, scores = matched_samples(kps, fmap, 20.0)
+        desc, scores = features.sample_at(fmap, points)
         assert desc.value.shape == (1, 7, 8)
         assert scores.value.shape == (1, 7)
 

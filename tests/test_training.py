@@ -366,7 +366,7 @@ class TestTrainingDtype:
         assert math.isfinite(loss)
         f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
         assert {r[:2] for r in records} == {(compute_grads, f32)}
-        # the alignment's 3x3 tail, and what reads the alignment, is float64
+        # the alignment, and what reads it, is float64
         (at,) = aligned_at
         assert {r[2] for r in records[:at]} == {f32}
         assert records[at][2] == f64
