@@ -16,7 +16,8 @@ line per localization: the grid keys, the frame, the inlier count, the
 failure flag, the failure reason (null on success, and null from a
 `stereoloc` whose results carry no reason), the pose (`C` row-major then
 `r`, or null) and the SHA-256 of the live and of the vertex frame blobs it
-used. `--src` imports `stereoloc` from another checkout's `src`, so two
+used, cast to float64, so a frame hashes by its values whatever dtype it
+was loaded in. `--src` imports `stereoloc` from another checkout's `src`, so two
 versions of the code run the same grid with the same weights.
 
 `train` runs the train-desk batches of the benchmark: per seed, the
@@ -30,7 +31,7 @@ float64), and the SHA-256 of the batch's pair blobs.
 rows it reports rows missing from either side, inlier and failure
 mismatches, reason mismatches over rows where both sides have a reason, and
 the largest absolute pose difference over rows where both sides have a
-pose. Over training rows it reports rows whose loss, sample
+pose, over all of them and per extractor. Over training rows it reports rows whose loss, sample
 losses or gradient differ in any bit, gated and skipped mismatches, and the
 largest relative deltas of the losses and of the gradient norm. Over all
 rows it reports `frame_mismatches`, rows whose frame hashes differ, so a
@@ -82,7 +83,8 @@ def frames_sha256(frames) -> str:
 
     from stereoloc import synth
 
-    return hashlib.sha256(np.stack([synth.frame_blob(f) for f in frames]).tobytes()).hexdigest()
+    blobs = np.stack([synth.frame_blob(f) for f in frames]).astype(np.float64, copy=False)
+    return hashlib.sha256(blobs.tobytes()).hexdigest()
 
 
 def digest_rows(seeds: list[int], frames: int, work: Path):
@@ -185,8 +187,12 @@ def diff(a: dict[tuple, dict], b: dict[tuple, dict]) -> dict:
     shared_all = a.keys() & b.keys()
     trained = {k for k in shared_all if k[0] == "train"}
     shared = shared_all - trained
-    deltas = [max(abs(x - y) for x, y in zip(a[k]["pose"], b[k]["pose"]))
-              for k in shared if a[k]["pose"] is not None and b[k]["pose"] is not None]
+    deltas = {k: max(abs(x - y) for x, y in zip(a[k]["pose"], b[k]["pose"]))
+              for k in shared if a[k]["pose"] is not None and b[k]["pose"] is not None}
+    by_extractor: dict[str, float] = {}
+    for k, delta in deltas.items():
+        name = a[k]["extractor"]
+        by_extractor[name] = max(by_extractor.get(name, 0.0), delta)
     return {
         "rows": len(shared),
         "only_in_first": len(a.keys() - shared_all),
@@ -197,7 +203,8 @@ def diff(a: dict[tuple, dict], b: dict[tuple, dict]) -> dict:
                                  if a[k].get("reason") and b[k].get("reason")),
         "pose_presence_mismatches": sum((a[k]["pose"] is None) != (b[k]["pose"] is None)
                                         for k in shared),
-        "max_pose_delta": max(deltas, default=0.0),
+        "max_pose_delta": max(deltas.values(), default=0.0),
+        "max_pose_delta_by_extractor": dict(sorted(by_extractor.items())),
         "frame_mismatches": sum(any(a[k].get(f) != b[k].get(f) for f in FRAME_HASHES)
                                 for k in shared_all),
         **diff_train(a, b, trained),

@@ -97,10 +97,17 @@ class DenseFeatureMap:
     """Per-pixel features of a batch as one (D+1, B, H, W) stack,
     descriptors in rows 0..D-1 and the score in (0, 1) in row D, plus raw
     keypoint logits (B, H, W), all tape variables. A map that is only
-    matched into (a map vertex, a training target) carries no logits."""
+    matched into (a map vertex, a training target) carries no logits.
+    `parts` are what `stack_parts` joined into the stack, each (C_i, B,
+    h_i, w_i) at its own resolution; a stack given alone is its one part."""
 
     stack: Var
     keypoint_logits: Var | None
+    parts: list[Var] | None = None
+
+    def __post_init__(self):
+        if self.parts is None:
+            self.parts = [self.stack]
 
 
 @dataclass
@@ -119,8 +126,9 @@ def encode(
     tape: Tape,
 ) -> tuple[list[Var], Var]:
     """Run the encoder on a batch of intensity images (B, H, W); returns the
-    encoder maps resized to (C_i, B, H, W), whose rows are the descriptors,
-    and the bottleneck the decoder branches start from."""
+    pooled encoder maps at their own resolutions, (C_i, B, H/2^i, W/2^i),
+    whose rows resized to (H, W) are the descriptors, and the bottleneck the
+    decoder branches start from."""
     x = images if isinstance(images, Var) else tape.constant(images)
     if x.value.ndim != 3:
         raise ShapeError(f"expected a (B, H, W) batch of images, got {x.value.shape}")
@@ -136,11 +144,10 @@ def encode(
         feat = ad.avgpool2(feat)
         enc_maps.append(feat)
 
-    upsampled = [ad.upsample_bilinear(m, (h, w)) for m in enc_maps]
     bottleneck = ad.tanh(
         ad.conv2d(feat, params["bottleneck.weight"], params["bottleneck.bias"])
     )
-    return upsampled, bottleneck
+    return enc_maps, bottleneck
 
 
 def decode(
@@ -168,8 +175,9 @@ def forward(
     one pass."""
     maps, bottleneck = encode(images, params, cfg, tape)
     logits = decode(bottleneck, "kp", params, cfg)
-    stack = ad.concat(maps + [decode(bottleneck, "score", params, cfg)], axis=0)
-    return DenseFeatureMap(stack, ad.reshape(logits, logits.value.shape[1:]))
+    parts = maps + [decode(bottleneck, "score", params, cfg)]
+    stack = stack_parts(parts, parts[-1].value.shape[-2:])
+    return DenseFeatureMap(stack, ad.reshape(logits, logits.value.shape[1:]), parts)
 
 
 def forward_target(
@@ -181,8 +189,21 @@ def forward_target(
     """The feature stack only, no keypoint logits: what matching into the
     image reads."""
     maps, bottleneck = encode(images, params, cfg, tape)
-    stack = ad.concat(maps + [decode(bottleneck, "score", params, cfg)], axis=0)
-    return DenseFeatureMap(stack, None)
+    parts = maps + [decode(bottleneck, "score", params, cfg)]
+    return DenseFeatureMap(stack_parts(parts, parts[-1].value.shape[-2:]), None, parts)
+
+
+def stack_parts(parts: list[Var], size: tuple[int, int]) -> Var:
+    """The (D+1, B, H, W) feature stack joined from its parts: each part not
+    at `size` (H, W) is resized to it by bilinear upsampling, then all are
+    concatenated along the channel axis. `forward` joins its encoder maps
+    and score this way, and a map vertex rebuilds its stack from the parts
+    it keeps."""
+    size = tuple(size)
+    return ad.concat(
+        [p if p.value.shape[-2:] == size else ad.upsample_bilinear(p, size) for p in parts],
+        axis=0,
+    )
 
 
 def detect_keypoints(logits: Var, window: int) -> Var:

@@ -1,15 +1,16 @@
 """Desk-scale teach-and-repeat evaluation.
 
 Teaching runs the extractor over a driven sequence and stores one map
-vertex per frame (keypoints, descriptors, scores, 3D lifts, and the frame
-itself so dense maps can be rebuilt). Repeating localizes each live frame
-against its nearest-by-ground-truth vertex, with the standard failure
-rule: a frame fails when RANSAC errors out or the inlier count drops below
-the threshold (default 20). The extractor and matching take batches, so
-each frame runs through them as a batch of one. Localization keeps no
-state: dense mode recomputes the vertex's feature stack from its frame on
-every call and frees it on return, so memory does not grow with the
-vertices a run visits.
+vertex per frame: keypoints, descriptors, scores, 3D lifts, the frame
+itself, and the parts of its dense feature stack, taken from the same
+extractor pass. Repeating localizes each live frame against its
+nearest-by-ground-truth vertex, with the standard failure rule: a frame
+fails when RANSAC errors out or the inlier count drops below the threshold
+(default 20). The extractor and matching take batches, so each frame runs
+through them as a batch of one. Localization keeps no state: dense mode
+rebuilds the vertex's feature stack from its stored parts on every call
+(no extractor pass) and frees it on return, so memory does not grow with
+the vertices a run visits.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ class LearnedExtractor:
         params = self.weights.bind(tape)
         return features.forward(images, params, self.weights.config, tape)
 
-    def target_on(self, tape: Tape, images: np.ndarray) -> features.DenseFeatureMap:
-        params = self.weights.bind(tape)
-        return features.forward_target(images, params, self.weights.config, tape)
-
 
 @dataclass
 class AnalyticExtractor:
@@ -88,8 +85,6 @@ class AnalyticExtractor:
     def features_on(self, tape: Tape, images: np.ndarray) -> features.DenseFeatureMap:
         return features.analytic_features(images, tape)
 
-    target_on = features_on
-
 
 @dataclass
 class MapVertex:
@@ -100,6 +95,7 @@ class MapVertex:
     scores: np.ndarray  # (N,)
     points3d: np.ndarray  # (N, 3) camera-frame lifts
     frame: StereoFrame
+    parts: list[np.ndarray]  # (C_i, h_i, w_i) parts of the dense stack, features.stack_parts
 
 
 @dataclass
@@ -188,9 +184,10 @@ def _keypoints_numpy(
     extractor, frame: StereoFrame, disparity_source: str, K: CameraIntrinsics
 ):
     """Keypoints with a valid disparity as plain arrays: coordinates,
-    descriptors, scores and 3D lifts. The extractor runs on the frame as a
-    batch of one. A frame whose size the extractor cannot take (a 1-px axis,
-    say) has no keypoints: InsufficientMatches."""
+    descriptors, scores and 3D lifts, and the parts of the frame's dense
+    stack. The extractor runs on the frame as a batch of one. A frame whose
+    size the extractor cannot take (a 1-px axis, say) has no keypoints:
+    InsufficientMatches."""
     tape = Tape(grad=False, dtype=INFERENCE_DTYPE)
     try:
         with np.errstate(invalid="ignore"):  # non-finite pixels are a recorded failure
@@ -200,7 +197,7 @@ def _keypoints_numpy(
         raise InsufficientMatches(f"no keypoints: {e}") from e
     coords, desc, scores = (v.value[0] for v in (kps.coords, kps.descriptors, kps.scores))
     ok, p3d = _lift(frame, disparity_source, coords, K)
-    return coords[ok], desc[ok], scores[ok], p3d
+    return coords[ok], desc[ok], scores[ok], p3d, [p.value[:, 0] for p in fmap.parts]
 
 
 def teach(
@@ -216,7 +213,8 @@ def teach(
     vertices = []
     for i, frame in enumerate(frames):
         try:
-            coords, desc, scores, p3d = _keypoints_numpy(extractor, frame, disparity_source, K)
+            coords, desc, scores, p3d, parts = _keypoints_numpy(
+                extractor, frame, disparity_source, K)
         except (OutOfBounds, InsufficientMatches) as e:  # non-finite pixels, or a bad size
             raise TeachFailure(f"frame {i}: {e}") from e
         if len(coords) < 3:
@@ -228,7 +226,7 @@ def teach(
         if s[1] <= estimator.COLLINEARITY_TOL * s[0]:
             raise TeachFailure(f"frame {i}: {len(p3d)} lifted points, all duplicated or collinear")
         vertices.append(
-            MapVertex(i, np.asarray(frame.pose, float), coords, desc, scores, p3d, frame)
+            MapVertex(i, np.asarray(frame.pose, float), coords, desc, scores, p3d, frame, parts)
         )
     return TeachMap(vertices, K, extractor.ident)
 
@@ -253,13 +251,12 @@ def localize(
     pose = None
     reason = None
     try:
-        coords, desc, scores, p_live = _keypoints_numpy(extractor, frame, params.disparity, K)
+        coords, desc, scores, p_live, _ = _keypoints_numpy(
+            extractor, frame, params.disparity, K)
         if len(coords) < 3:
             raise InsufficientMatches(f"only {len(coords)} usable live keypoints")
         if params.mode == "dense":
-            p_s, p_t, w = _dense_pairs(
-                vertex, extractor, coords, desc, scores, p_live, params, K
-            )
+            p_s, p_t, w = _dense_pairs(vertex, coords, desc, scores, p_live, params, K)
         elif params.mode == "sparse":
             p_s, p_t, w = _sparse_pairs(vertex, desc, scores, p_live)
         else:
@@ -281,13 +278,15 @@ def localize(
     )
 
 
-def _dense_pairs(vertex, extractor, coords, desc, scores, p_live, params, K):
+def _dense_pairs(vertex, coords, desc, scores, p_live, params, K):
     """Live keypoints soft-matched into the vertex's dense map, which is
-    computed here on the matching tape and freed with it, then lifted
-    through the vertex's disparity. Both run as a batch of one."""
+    rebuilt here from its stored parts on the matching tape and freed with
+    it, then lifted through the vertex's disparity. Both run as a batch of
+    one."""
     tape = Tape(grad=False, dtype=INFERENCE_DTYPE)
-    with np.errstate(invalid="ignore"):  # as in _keypoints_numpy
-        fmap = extractor.target_on(tape, vertex.frame.left[None])
+    parts = [tape.constant(p[:, None]) for p in vertex.parts]
+    fmap = features.DenseFeatureMap(
+        features.stack_parts(parts, vertex.frame.left.shape), None, parts)
     kps = features.KeypointSet(*(tape.constant(v[None]) for v in (coords, desc, scores)))
     points, w = matching.match_all(kps, fmap, tau=params.tau)
     ok, p_t = _lift(vertex.frame, params.disparity, points.value[0], K)
@@ -322,10 +321,10 @@ def repeat(
     """Localize every live frame against its nearest vertex and aggregate."""
     if not frames:
         raise ValueError("empty repeat sequence")
-    if params.mode == "sparse" and teach_map.extractor_ident != extractor.ident:
+    if teach_map.extractor_ident != extractor.ident:
         raise ConfigError(
-            f"map was taught by extractor {teach_map.extractor_ident}; sparse repeat "
-            f"cannot match its stored descriptors with extractor {extractor.ident}"
+            f"map was taught by extractor {teach_map.extractor_ident}; repeat cannot "
+            f"match its stored features with extractor {extractor.ident}"
         )
     results = []
     offsets = []
@@ -421,52 +420,73 @@ def emit_report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
 
 
 def save_map(directory: str | Path, teach_map: TeachMap) -> None:
+    """One blob per vertex: its frame planes, its sparse features (coords,
+    descriptors, scores, points3d), then the parts of its dense stack. The
+    manifest lists the part shapes once."""
     directory = Path(directory)
     entries = []
     for v in teach_map.vertices:
-        frame_file = f"vertex_{v.frame_id:05d}_frame.f32"
-        feats_file = f"vertex_{v.frame_id:05d}_feats.f32"
-        storage.write_blob(directory / frame_file, synth.frame_blob(v.frame))
-        feats = np.concatenate(
-            [v.coords.ravel(), v.descriptors.ravel(), v.scores.ravel(), v.points3d.ravel()]
-        )
-        storage.write_blob(directory / feats_file, feats)
+        file = f"vertex_{v.frame_id:05d}.f32"
+        arrays = (synth.frame_blob(v.frame), v.coords, v.descriptors, v.scores, v.points3d,
+                  *v.parts)
+        storage.write_blob(directory / file,
+                           np.concatenate([a.ravel() for a in arrays], dtype="<f4"))
         n, dd = v.descriptors.shape
-        entries.append({
-            "id": v.frame_id,
-            "world_pose": v.world_pose.tolist(),
-            "frame_file": frame_file,
-            "feats_file": feats_file,
-            "n": n,
-            "d": dd,
-        })
-    h, w = teach_map.vertices[0].frame.left.shape
+        entries.append({"id": v.frame_id, "world_pose": v.world_pose.tolist(), "file": file,
+                        "n": n, "d": dd})
+    first = teach_map.vertices[0]
     storage.write_manifest(directory, {
         "kind": "map",
         "extractor": teach_map.extractor_ident,
-        "image_size": [h, w],
+        "image_size": list(first.frame.left.shape),
         "camera": synth.camera_dict(teach_map.K),
+        "part_shapes": [list(p.shape) for p in first.parts],
         "vertices": entries,
     })
 
 
+def _counts(value, length: int, least: int) -> bool:
+    """Whether a manifest value is a list of `length` ints, each >= least."""
+    return (isinstance(value, list) and len(value) == length
+            and all(type(x) is int and x >= least for x in value))
+
+
 def load_map(directory: str | Path) -> TeachMap:
+    """The map save_map wrote. Each vertex's blob is read as one float32
+    array, and every array of the vertex is a view into it, frames
+    included, except the 3D points, which promote to float64. A manifest
+    value of the wrong type or size is a ValueError naming its key."""
     directory = Path(directory)
     manifest = storage.read_manifest(directory, "map")
-    h, w = manifest["image_size"]
+
+    def check(ok, key, value, what):
+        if not ok:
+            raise ValueError(f"{directory}: map manifest {key} {value!r} is not {what}")
+
+    size, shapes, entries = manifest["image_size"], manifest["part_shapes"], manifest["vertices"]
+    check(_counts(size, 2, 1), "image_size", size, "2 positive ints")
+    check(isinstance(shapes, list) and shapes and all(_counts(s, 3, 1) for s in shapes),
+          "part_shapes", shapes, "a non-empty list of shapes of 3 positive ints")
+    check(isinstance(entries, list) and entries, "vertices", entries, "a non-empty list")
+    h, w = size
     K = synth.camera_from_dict(manifest["camera"])
     vertices = []
-    for e in manifest["vertices"]:
-        blob = storage.read_blob(storage.member(directory, e["frame_file"]), (3, h, w))
-        frame = StereoFrame(*blob, np.asarray(e["world_pose"], float))
-        n, dd = e["n"], e["d"]
-        # in the dtype teach made them in; the 3D points promote below
-        shape = (n * (2 + dd + 1 + 3),)
-        feats = storage.read_blob(storage.member(directory, e["feats_file"]), shape,
-                                  INFERENCE_DTYPE)
+    for e in entries:
+        for key in ("n", "d"):
+            check(_counts([e[key]], 1, 0), key, e[key], "an int >= 0")
+        n, dd, pose = e["n"], e["d"], e["world_pose"]
+        check(isinstance(pose, list) and len(pose) == 3
+              and all(type(x) in (int, float) and math.isfinite(x) for x in pose),
+              "world_pose", pose, "3 finite numbers")
+        sizes = [3 * h * w, n * (2 + dd + 1 + 3), *(math.prod(s) for s in shapes)]
+        blob = storage.read_blob(storage.member(directory, e["file"]), (sum(sizes),),
+                                 INFERENCE_DTYPE)
+        planes, feats, *parts = np.split(blob, np.cumsum(sizes)[:-1])
         coords, desc, scores, p3d = np.split(feats, np.cumsum([2 * n, n * dd, n]))
-        vertices.append(
-            MapVertex(e["id"], np.asarray(e["world_pose"], float), coords.reshape(n, 2),
-                      desc.reshape(n, dd), scores, p3d.reshape(n, 3).astype(float), frame)
-        )
+        world_pose = np.asarray(pose, float)
+        vertices.append(MapVertex(
+            e["id"], world_pose, coords.reshape(n, 2), desc.reshape(n, dd), scores,
+            p3d.reshape(n, 3).astype(float), StereoFrame(*planes.reshape(3, h, w), world_pose),
+            [p.reshape(s) for p, s in zip(parts, shapes)],
+        ))
     return TeachMap(vertices, K, manifest["extractor"])

@@ -53,13 +53,14 @@ def match_all(
     if tau <= 0:
         raise ValueError("temperature must be positive")
     flat, coords = _flatten_target(target)
-    # (B, N, M) of ZNCC values; unnamed, the (B, M, D) normalized rows die here
-    sim = ad.matmul(ad.row_znorm(source.descriptors),
-                    ad.transpose(ad.row_znorm(flat), (0, 2, 1)))
-    attn = ad.softmax(ad.mul(sim, float(tau)), axis=-1)
+    # the softmax of the (B, N, M) ZNCC values; unnamed, the (B, M, D)
+    # normalized rows and the similarity die as soon as they are read
+    attn = ad.softmax(ad.mul(ad.matmul(ad.row_znorm(source.descriptors),
+                                       ad.transpose(ad.row_znorm(flat), (0, 2, 1))),
+                             float(tau)), axis=-1)
     points = ad.matmul(attn, source.descriptors.tape.constant(coords))
+    del flat, coords, attn  # nothing (B, N, M) is held while the weights run
     desc, scores = features.sample_at(target, points)
-    del flat, coords, sim  # the (B, N, M) similarity is not held while the weights run
     return points, match_weights(source.descriptors, desc, source.scores, scores)
 
 

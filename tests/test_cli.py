@@ -71,8 +71,8 @@ class TestStorage:
     def test_blob_byte_layouts(self, tmp_path):
         """Raw file bytes, little-endian float32: a sequence frame is left |
         right | disparity, a pairs sample is its source frame then its
-        target frame, and a map vertex's features blob is coords |
-        descriptors | scores | points3d."""
+        target frame, and a map vertex's blob is its frame | coords |
+        descriptors | scores | points3d | the parts of its dense stack."""
 
         def f32(*arrays):
             return np.concatenate([np.ravel(a) for a in arrays]).astype("<f4").tobytes()
@@ -105,10 +105,9 @@ class TestStorage:
         harness.save_map(tmp_path / "map", teach_map)
         entries = manifest(tmp_path / "map")["vertices"]
         for v, entry in zip(teach_map.vertices, entries):
-            raw = (tmp_path / "map" / entry["feats_file"]).read_bytes()
-            assert raw == f32(v.coords, v.descriptors, v.scores, v.points3d)
-            raw = (tmp_path / "map" / entry["frame_file"]).read_bytes()
-            assert raw == f32(v.frame.left, v.frame.right, v.frame.disparity)
+            raw = (tmp_path / "map" / entry["file"]).read_bytes()
+            assert raw == f32(v.frame.left, v.frame.right, v.frame.disparity, v.coords,
+                              v.descriptors, v.scores, v.points3d, *v.parts)
 
 
 class TestConfigFile:
@@ -412,7 +411,7 @@ class TestExitCodes:
                      "--features", "analytic", "--out", str(tmp_path / "rep")]) == 3
         assert "error: data: empty repeat sequence" in capsys.readouterr().err
 
-    def test_sparse_repeat_with_another_extractor_is_3(self, tmp_path, capsys):
+    def test_repeat_with_another_extractor_is_3(self, tmp_path, capsys):
         from stereoloc import features
 
         seq = tmp_path / "seq"
@@ -425,13 +424,12 @@ class TestExitCodes:
         features.save_checkpoint(tmp_path / "ckpt", weights)
         repeat = ["repeat", "--map", str(map_dir), "--frames", str(seq),
                   "--ckpt", str(tmp_path / "ckpt")]
-        capsys.readouterr()
-        assert main([*repeat, "--mode", "sparse", "--out", str(tmp_path / "rep")]) == 3
-        err = capsys.readouterr().err
         ident = harness.LearnedExtractor(weights).ident
-        assert "error: data: " in err and "analytic" in err and ident in err
-        # dense mode re-extracts each vertex with the live extractor
-        assert main([*repeat, "--mode", "dense", "--out", str(tmp_path / "rep")]) == 0
+        for mode in ("sparse", "dense"):  # the map keeps the teaching extractor's features
+            capsys.readouterr()
+            assert main([*repeat, "--mode", mode, "--out", str(tmp_path / "rep")]) == 3
+            err = capsys.readouterr().err
+            assert "error: data: " in err and "analytic" in err and ident in err
 
     @pytest.mark.parametrize("flags, message", [
         (["--window", "7"], "window 7 does not divide 24x32"),
@@ -464,11 +462,10 @@ class TestExitCodes:
                                 "sequence": (tmp_path / "copy", "sequence", "frames")}[artifact]
         manifest = storage.read_manifest(directory, kind)
         entry = manifest[key][0]
-        field = "frame_file" if artifact == "map" else "file"
-        target = directory.parent / "outside" / entry[field]
+        target = directory.parent / "outside" / entry["file"]
         target.parent.mkdir()
-        target.write_bytes((directory / entry[field]).read_bytes())
-        entry[field] = f"../outside/{entry[field]}" if outside == "relative" else str(target)
+        target.write_bytes((directory / entry["file"]).read_bytes())
+        entry["file"] = f"../outside/{entry['file']}" if outside == "relative" else str(target)
         storage.write_manifest(directory, manifest)
 
         read = []
@@ -487,8 +484,57 @@ class TestExitCodes:
             command = [*teach, "--frames", str(directory)]
         assert main(command) == 3
         err = capsys.readouterr().err
-        assert f"error: data: {directory}: file name {entry[field]!r} is not inside" in err
+        assert f"error: data: {directory}: file name {entry['file']!r} is not inside" in err
         assert target.resolve() not in read
+
+    @pytest.fixture(scope="class")
+    def taught(self, tmp_path_factory):
+        """A 2-frame analytic map and its sequence, taught through the CLI."""
+        root = tmp_path_factory.mktemp("taught")
+        assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(root / "seq")]) == 0
+        assert main(["teach", "--frames", str(root / "seq"), "--features", "analytic",
+                     "--out", str(root / "map")]) == 0
+        return root
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.pop("part_shapes"), "lacks key 'part_shapes'"),
+        (lambda m: m.update(part_shapes=[[9, 48, 0], [1, 48, 64]]), "part_shapes "),
+        (lambda m: m.update(part_shapes="10x48x64"), "part_shapes "),
+        (lambda m: m.update(part_shapes=[]), "part_shapes "),
+        (lambda m: m.update(image_size="48x64"), "image_size "),
+        (lambda m: m.update(vertices=4), "vertices 4 "),
+        (lambda m: m.update(vertices=[]), "vertices [] "),
+        (lambda m: m["vertices"][1].update(n="48"), "n '48' "),
+        (lambda m: m["vertices"][0].update(n=-1), "n -1 "),
+        (lambda m: m["vertices"][0].update(d="9"), "d '9' "),
+        (lambda m: m["vertices"][1].update(d=-9), "d -9 "),
+        (lambda m: m["vertices"][0].update(world_pose=[0.0, 0.0]), "world_pose "),
+        (lambda m: m["vertices"][0].update(world_pose=[0.0, "0", 0.0]), "world_pose "),
+        (lambda m: m["vertices"][0].update(world_pose=[0.0, 0.0, float("nan")]), "world_pose "),
+        (lambda m: m["vertices"][0].update(n=m["vertices"][0]["n"] - 1), "float32 values"),
+        (lambda m: m.update(part_shapes=[[9, 48, 64]]), "float32 values"),
+    ], ids=["no-part-shapes", "zero-part-size", "part-shapes-string", "no-parts",
+            "image-size-string", "vertices-int", "vertices-empty", "n-string", "n-negative",
+            "d-string", "d-negative", "pose-two", "pose-string", "pose-nan", "n-off-by-one",
+            "parts-too-small"])
+    def test_malformed_map_manifest_is_3_and_names_the_key(self, taught, tmp_path, capsys,
+                                                            edit, message):
+        """A map manifest whose values have the wrong type or size, or
+        disagree with the blob sizes, is a data error; a map saved before
+        the manifest listed its part shapes is one too."""
+        map_dir = tmp_path / "map"
+        map_dir.mkdir()
+        for path in (taught / "map").iterdir():
+            (map_dir / path.name).write_bytes(path.read_bytes())
+        manifest = storage.read_manifest(map_dir, "map")
+        edit(manifest)
+        storage.write_manifest(map_dir, manifest)
+        capsys.readouterr()
+        assert main(["repeat", "--map", str(map_dir), "--frames", str(taught / "seq"),
+                     "--features", "analytic", "--out", str(tmp_path / "rep")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and message in err
 
     def test_teach_on_non_finite_frame_is_4(self, tmp_path, capsys):
         seq = tmp_path / "seq"

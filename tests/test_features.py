@@ -17,6 +17,7 @@ from stereoloc.features import (
     init_weights,
     load_checkpoint,
     save_checkpoint,
+    stack_parts,
 )
 
 from conftest import rel_err
@@ -122,8 +123,9 @@ class TestForward:
 
 
 class TestEncodeDecode:
-    """`forward` is `encode` plus both `decode` branches, the score joined
-    to the encoder maps; a no-grad tape gives the same values."""
+    """`forward` is `encode` plus both `decode` branches, the pooled encoder
+    maps and the score joined by `stack_parts`, which the map keeps as its
+    parts; a no-grad tape gives the same values."""
 
     @pytest.mark.parametrize("hw", [(24, 32), (48, 64)])
     @pytest.mark.parametrize("cfg", [TINY, ExtractorConfig(seed=4)])
@@ -137,8 +139,12 @@ class TestEncodeDecode:
             maps, bottleneck = encode(image, params, cfg, tape)
             logits = decode(bottleneck, "kp", params, cfg)
             scores = decode(bottleneck, "score", params, cfg)
-            stack = np.concatenate([m.value for m in maps] + [scores.value])
+            assert [m.value.shape for m in maps] == [
+                (c, 1, hw[0] >> i, hw[1] >> i) for i, c in enumerate(cfg.channels, start=1)]
+            stack = stack_parts(maps + [scores], hw).value
             assert stack.tobytes() == ref.stack.value.tobytes()
+            assert [p.value.tobytes() for p in ref.parts] == [
+                p.value.tobytes() for p in maps + [scores]]
             assert logits.value.tobytes() == ref.keypoint_logits.value.tobytes()
             assert scores.value.shape == logits.value.shape == (1, 1, *hw)
             assert ref.keypoint_logits.value.shape == (1, *hw)
@@ -153,6 +159,15 @@ class TestEncodeDecode:
         fmap = forward_target(image, weights.bind(tape), TINY, tape)
         assert fmap.keypoint_logits is None
         assert fmap.stack.value.tobytes() == ref.stack.value.tobytes()
+        assert [p.value.tobytes() for p in fmap.parts] == [
+            p.value.tobytes() for p in ref.parts]
+
+    def test_a_stack_given_alone_is_its_one_part(self):
+        tape = Tape(grad=False)
+        fmap = analytic_features(np.random.default_rng(8).uniform(size=(1, 24, 32)), tape)
+        assert len(fmap.parts) == 1 and fmap.parts[0] is fmap.stack
+        again = stack_parts(fmap.parts, (24, 32))
+        assert again.value.tobytes() == fmap.stack.value.tobytes()
 
 class TestBatch:
     """A batch (B, H, W) runs in one pass, each image through the arithmetic

@@ -74,6 +74,17 @@ class TestCameraModel:
         d = np.array([np.nan, np.inf, -np.inf, -1.0, 0.0, MIN_DISPARITY, 2e-6, 40.0])
         assert valid_disparity(d).tolist() == [False] * 6 + [True] * 2
 
+    def test_valid_disparity_masks_float32_as_its_float64_promotion(self):
+        """A map's frames load in float32: the float32 values around the
+        floor, which the comparison rounds to float32, mask as they do
+        promoted."""
+        floor = np.float32(MIN_DISPARITY)
+        d = np.array([np.nextafter(floor, np.float32(0)), floor,
+                      np.nextafter(floor, np.float32(1)), 0.0, np.nan, np.inf, 40.0],
+                     dtype=np.float32)
+        assert valid_disparity(d).tolist() == valid_disparity(d.astype(np.float64)).tolist()
+        assert valid_disparity(d).tolist() == [False, False, True, False, False, False, True]
+
     def test_roundtrip_1000_random_points(self):
         rng = np.random.default_rng(0)
         K = CameraIntrinsics(fu=210.0, fv=190.0, cu=31.5, cv=23.5, b=0.24)

@@ -9,7 +9,7 @@ import pytest
 from stereoloc import autodiff as ad
 from stereoloc import features, harness, synth
 from stereoloc.autodiff import Tape
-from stereoloc.errors import ConfigError, ImageSizeError, ShapeError, TeachFailure
+from stereoloc.errors import ConfigError, ShapeError, TeachFailure
 from stereoloc.estimator import RansacParams
 from stereoloc.harness import (
     AnalyticExtractor,
@@ -379,11 +379,11 @@ class TestOnePixelFrames:
         with pytest.raises(ShapeError):  # not an image at all
             localize(StereoFrame(f.left[0], f.right[0], f.disparity[0], f.pose),
                      teach_map.vertices[0], ex, LocalizeParams(), K_default)
-        thin = teach_map.vertices[0]
-        thin = harness.MapVertex(thin.frame_id, thin.world_pose, thin.coords, thin.descriptors,
-                                 thin.scores, thin.points3d, self.thin_frame(scene, (1, 64)))
-        with pytest.raises(ImageSizeError):  # a dense vertex is not a live frame
-            localize(f, thin, ex, LocalizeParams(mode="dense"), K_default)
+        v = teach_map.vertices[0]
+        short = harness.MapVertex(v.frame_id, v.world_pose, v.coords, v.descriptors, v.scores,
+                                  v.points3d, v.frame, v.parts[1:])
+        with pytest.raises(ValueError):  # dense parts of another descriptor length
+            localize(f, short, ex, LocalizeParams(mode="dense"), K_default)
 
 
 class TestRepeat:
@@ -489,9 +489,12 @@ class TestMapPersistence:
         assert a.pose_rmse == b.pose_rmse
 
     @pytest.mark.parametrize("learned", [True, False], ids=["learned", "analytic"])
-    def test_reloaded_vertex_arrays_keep_their_taught_dtypes(
+    def test_reloaded_vertex_arrays_view_one_float32_blob(
         self, rig, K_default, tmp_path, learned
     ):
+        """Every reloaded array but the 3D points and the pose is a float32
+        view into the vertex's one blob, in the dtype and shape teach made
+        it, frames as stored; the 3D points promote to float64."""
         frames, analytic, _ = rig
         extractor = (LearnedExtractor(features.init_weights(TestStatelessLocalize.CFG))
                      if learned else analytic)
@@ -499,12 +502,18 @@ class TestMapPersistence:
         save_map(tmp_path / "m", teach_map)
         loaded = load_map(tmp_path / "m")
         for a, b in zip(teach_map.vertices, loaded.vertices):
-            for name in ("world_pose", "coords", "descriptors", "scores", "points3d"):
+            viewed = [b.coords, b.descriptors, b.scores, b.frame.left, b.frame.right,
+                      b.frame.disparity, *b.parts]
+            base = b.frame.left.base
+            assert base is not None and base.dtype == np.float32
+            assert all(x.base is base and x.dtype == np.float32 for x in viewed)
+            for name in ("coords", "descriptors", "scores"):
                 assert getattr(a, name).dtype == getattr(b, name).dtype, name
-            for name in ("left", "right", "disparity"):
-                assert getattr(a.frame, name).dtype == getattr(b.frame, name).dtype, name
-            assert b.descriptors.dtype == np.float32
-            assert b.points3d.dtype == b.frame.left.dtype == np.float64
+            assert [p.dtype for p in a.parts] == [np.float32] * len(a.parts)
+            assert [p.shape for p in a.parts] == [p.shape for p in b.parts]
+            assert all(np.array_equal(p, q) for p, q in zip(a.parts, b.parts))
+            assert b.points3d.dtype == b.world_pose.dtype == np.float64
+            assert np.array_equal(b.points3d, a.points3d.astype(np.float32))
 
     def test_rejects_non_map(self, tmp_path):
         from stereoloc import storage
@@ -517,25 +526,42 @@ class TestMapPersistence:
 class TestStatelessLocalize:
     CFG = features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=9)
 
-    def test_another_extractor_sees_a_fresh_vertex(self, rig, K_default):
+    def test_dense_repeat_refuses_another_extractors_map(self, rig, K_default):
+        """A vertex's stored dense parts are the teaching extractor's, so a
+        map taught by another is refused, as in sparse mode."""
         frames, _, _ = rig
         a = LearnedExtractor(features.init_weights(self.CFG))
         b = LearnedExtractor(features.init_weights(self.CFG, seed=10))
         teach_map = teach(frames[:2], a, K_default)
-        params = LocalizeParams(mode="dense")
-        used = teach_map.vertices[0]
-        fresh = teach(frames[:1], a, K_default).vertices[0]
-        localize(frames[0], used, a, params, K_default)
-        res_used = localize(frames[0], used, b, params, K_default)
-        res_fresh = localize(frames[0], fresh, b, params, K_default)
-        f32 = harness.INFERENCE_DTYPE
-        expected = b.target_on(Tape(grad=False, dtype=f32), used.frame.left[None]).stack.value
-        other = a.target_on(Tape(grad=False, dtype=f32), used.frame.left[None]).stack.value
-        assert expected.tobytes() != other.tobytes()
-        assert res_used.inliers == res_fresh.inliers
-        assert res_used.failure == res_fresh.failure
+        with pytest.raises(ConfigError, match=f"{a.ident}.*{b.ident}"):
+            repeat(frames[:1], teach_map, b, LocalizeParams(mode="dense"), K_default)
 
-    def test_every_dense_localize_runs_17_convs_on_two_no_grad_tapes(
+    @pytest.mark.parametrize("learned", [True, False], ids=["learned", "analytic"])
+    def test_rebuilt_stack_is_the_vertex_frames_stack(self, rig, K_default, tmp_path,
+                                                       learned):
+        """The stack rebuilt from a vertex's parts, as taught and as
+        reloaded, is byte-equal to a fresh pass over the vertex's frame:
+        `forward_target` for the learned extractor, the `features_on` stack
+        for the analytic one."""
+        frames, analytic, _ = rig
+        extractor = LearnedExtractor(features.init_weights(self.CFG)) if learned else analytic
+        teach_map = teach(frames[:2], extractor, K_default)
+        save_map(tmp_path / "m", teach_map)
+        for taught, loaded in zip(teach_map.vertices, load_map(tmp_path / "m").vertices):
+            tape = Tape(grad=False, dtype=harness.INFERENCE_DTYPE)
+            image = taught.frame.left[None]
+            if learned:
+                weights = extractor.weights
+                fresh = features.forward_target(image, weights.bind(tape), weights.config, tape)
+            else:
+                fresh = extractor.features_on(tape, image)
+            for v in (taught, loaded):
+                rebuilt = features.stack_parts([tape.constant(p[:, None]) for p in v.parts],
+                                               v.frame.left.shape)
+                assert rebuilt.value.dtype == fresh.stack.value.dtype == np.float32
+                assert rebuilt.value.tobytes() == fresh.stack.value.tobytes()
+
+    def test_every_dense_localize_runs_10_convs_on_two_no_grad_tapes(
         self, rig, K_default, monkeypatch
     ):
         frames, _, _ = rig
@@ -563,11 +589,11 @@ class TestStatelessLocalize:
             return record(*args)
 
         passes = []
-        target_on = extractor.target_on
+        encode = features.encode
 
-        def vertex_pass(*args):
-            passes.append(target_on(*args))
-            return passes[-1]
+        def counted_encode(*args):
+            passes.append(1)
+            return encode(*args)
 
         samples = []
         bilinear_sample = ad.bilinear_sample
@@ -580,20 +606,22 @@ class TestStatelessLocalize:
         monkeypatch.setattr(ad, "bilinear_sample", counted_sample)
         monkeypatch.setattr(harness, "Tape", recorded)
         monkeypatch.setattr(Tape, "record", counted_record)
-        monkeypatch.setattr(extractor, "target_on", vertex_pass)
+        monkeypatch.setattr(features, "encode", counted_encode)
         for _ in range(2):  # a vertex localized before costs the same again
             for counts in (convs, tapes, records, passes, samples):
                 counts.clear()
             localize(frames[0], vertex, extractor, LocalizeParams(mode="dense"), K_default)
-            # 10 for the live frame's full forward, 7 for the vertex's
-            # descriptors and scores (3 encoder, bottleneck, 3 score decoder)
-            assert len(convs) == 17
-            assert len(records) == 91  # one per primitive; constants are not records
-            assert len(tapes) == 2  # live frame; vertex pass and matching
+            # all 10 for the live frame's full forward; the vertex's stack
+            # is rebuilt from its stored parts, with no extractor pass
+            assert len(convs) == 10
+            # one per primitive (constants are not records): the vertex's 25
+            # extractor records give way to 3 upsamples and a concat
+            assert len(records) == 70
+            assert len(tapes) == 2  # live frame; vertex stack and matching
             assert not any(t.grad for t in tapes)
             assert all(t.dtype == np.float32 for t in tapes)
             assert all(len(t) == 0 for t in tapes)
-            assert len(passes) == 1
+            assert len(passes) == 1  # the live frame's
             # the live keypoints and the matched points each sample a stack once
             assert len(samples) == 2
 
@@ -603,7 +631,7 @@ class TestStatelessLocalize:
         repeat(frames, used_map, extractor, params, K_default)  # fills memoized tables
         teach_map = teach(frames, extractor, K_default)  # the rig's map, untouched
         f32 = harness.INFERENCE_DTYPE
-        stack = extractor.target_on(Tape(grad=False, dtype=f32), frames[0].left[None]).stack.value
+        stack = extractor.features_on(Tape(grad=False, dtype=f32), frames[0].left[None]).stack.value
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -637,8 +665,6 @@ class TestExtractorIdent:
         learned = LearnedExtractor(features.init_weights(self.CFG))
         with pytest.raises(ConfigError, match=f"analytic.*{learned.ident}"):
             repeat(frames[:1], teach_map, learned, LocalizeParams(mode="sparse"), K_default)
-        report = repeat(frames[:1], teach_map, learned, LocalizeParams(mode="dense"), K_default)
-        assert len(report.results) == 1
 
 
 class TestInferenceDtype:

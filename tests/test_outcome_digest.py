@@ -9,7 +9,9 @@ import sys
 import types
 from pathlib import Path
 
-from stereoloc import harness
+import numpy as np
+
+from stereoloc import harness, synth
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "outcome_digest.py"
 
@@ -43,10 +45,21 @@ def test_write_covers_the_grid_and_diff_counts_mismatches(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["rows"] == 64 and report["max_pose_delta"] == 0.0
+    assert report["max_pose_delta_by_extractor"] == {"analytic": 0.0, "learned": 0.0}
     assert report["frame_mismatches"] == 0
 
-    changed = [dict(rows[0], inliers=rows[0]["inliers"] + 1), *rows[2:]]
+    posed = next(i for i, r in enumerate(rows) if r["pose"] and r["extractor"] == "learned")
+    moved = dict(rows[posed], pose=[x + 1e-6 * (j == 9) for j, x in enumerate(rows[posed]["pose"])])
     other = tmp_path / "b.jsonl"
+    other.write_text("".join(json.dumps(moved if i == posed else r) + "\n"
+                             for i, r in enumerate(rows)))
+    proc = run("diff", digest, other)
+    assert proc.returncode == 0  # a pose that moved is reported, not fatal
+    report = json.loads(proc.stdout)
+    assert 0.0 < report["max_pose_delta"] == report["max_pose_delta_by_extractor"]["learned"]
+    assert report["max_pose_delta_by_extractor"]["analytic"] == 0.0
+
+    changed = [dict(rows[0], inliers=rows[0]["inliers"] + 1), *rows[2:]]
     other.write_text("".join(json.dumps(r) + "\n" for r in changed))
     proc = run("diff", digest, other)
     assert proc.returncode == 1
@@ -77,11 +90,30 @@ def test_write_covers_the_grid_and_diff_counts_mismatches(tmp_path):
     assert report["frame_mismatches"] == 1 and report["inlier_mismatches"] == 0
 
 
-def test_write_records_a_null_reason_from_results_without_one(tmp_path, monkeypatch):
-    """As `--src` on a checkout whose LocalizationResult has no reason."""
+def load_script():
     spec = importlib.util.spec_from_file_location("outcome_digest", SCRIPT)
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
+    return digest
+
+
+def test_a_frame_hashes_by_its_values_in_any_float_dtype(scene, K_default):
+    """A frame loaded from a map holds float32 planes; it hashes as its
+    float64 promotion, as a frame loaded in float64 did."""
+    digest = load_script()
+    frame = synth.render_stereo(scene, (0.1, 0.0, 0.2), K_default, synth.CONDITIONS["noon"],
+                                (48, 64))
+    f32 = synth.StereoFrame(*(np.float32(x) for x in (frame.left, frame.right,
+                                                      frame.disparity)), frame.pose)
+    f64 = synth.StereoFrame(*(x.astype(np.float64) for x in (f32.left, f32.right,
+                                                            f32.disparity)), frame.pose)
+    assert digest.frames_sha256([f32]) == digest.frames_sha256([f64])
+    assert digest.frames_sha256([f32]) != digest.frames_sha256([frame])
+
+
+def test_write_records_a_null_reason_from_results_without_one(tmp_path, monkeypatch):
+    """As `--src` on a checkout whose LocalizationResult has no reason."""
+    digest = load_script()
     localize = harness.localize
 
     def reasonless(*args, **kwargs):
