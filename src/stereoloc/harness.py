@@ -251,8 +251,8 @@ def localize(
     pose = None
     reason = None
     try:
-        coords, desc, scores, p_live, _ = _keypoints_numpy(
-            extractor, frame, params.disparity, K)
+        # the live frame's dense parts die here
+        coords, desc, scores, p_live = _keypoints_numpy(extractor, frame, params.disparity, K)[:4]
         if len(coords) < 3:
             raise InsufficientMatches(f"only {len(coords)} usable live keypoints")
         if params.mode == "dense":
@@ -478,15 +478,13 @@ def load_map(directory: str | Path) -> TeachMap:
         check(isinstance(pose, list) and len(pose) == 3
               and all(type(x) in (int, float) and math.isfinite(x) for x in pose),
               "world_pose", pose, "3 finite numbers")
-        sizes = [3 * h * w, n * (2 + dd + 1 + 3), *(math.prod(s) for s in shapes)]
+        layout = [(3, h, w), (n, 2), (n, dd), (n,), (n, 3), *shapes]
+        sizes = [math.prod(s) for s in layout]
         blob = storage.read_blob(storage.member(directory, e["file"]), (sum(sizes),),
                                  INFERENCE_DTYPE)
-        planes, feats, *parts = np.split(blob, np.cumsum(sizes)[:-1])
-        coords, desc, scores, p3d = np.split(feats, np.cumsum([2 * n, n * dd, n]))
+        planes, coords, desc, scores, p3d, *parts = (
+            a.reshape(s) for a, s in zip(np.split(blob, np.cumsum(sizes)[:-1]), layout))
         world_pose = np.asarray(pose, float)
-        vertices.append(MapVertex(
-            e["id"], world_pose, coords.reshape(n, 2), desc.reshape(n, dd), scores,
-            p3d.reshape(n, 3).astype(float), StereoFrame(*planes.reshape(3, h, w), world_pose),
-            [p.reshape(s) for p, s in zip(parts, shapes)],
-        ))
+        vertices.append(MapVertex(e["id"], world_pose, coords, desc, scores, p3d.astype(float),
+                                  StereoFrame(*planes, world_pose), parts))
     return TeachMap(vertices, K, manifest["extractor"])
