@@ -465,10 +465,12 @@ def load_map(directory: str | Path) -> TeachMap:
 
     size, shapes, entries = manifest["image_size"], manifest["part_shapes"], manifest["vertices"]
     check(_counts(size, 2, 1), "image_size", size, "2 positive ints")
-    check(isinstance(shapes, list) and shapes and all(_counts(s, 3, 1) for s in shapes),
-          "part_shapes", shapes, "a non-empty list of shapes of 3 positive ints")
-    check(isinstance(entries, list) and entries, "vertices", entries, "a non-empty list")
     h, w = size
+    # a part is the image's grid divided by one integer factor on both axes
+    check(isinstance(shapes, list) and shapes and all(
+        _counts(s, 3, 1) and h % s[1] == w % s[2] == 0 and h // s[1] == w // s[2]
+        for s in shapes), "part_shapes", shapes, f"a non-empty list of [C, h, w] grids of {h}x{w}")
+    check(isinstance(entries, list) and entries, "vertices", entries, "a non-empty list")
     K = synth.camera_from_dict(manifest["camera"])
     vertices = []
     for e in entries:

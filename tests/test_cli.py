@@ -502,6 +502,8 @@ class TestExitCodes:
         (lambda m: m.update(part_shapes=[[9, 48, 0], [1, 48, 64]]), "part_shapes "),
         (lambda m: m.update(part_shapes="10x48x64"), "part_shapes "),
         (lambda m: m.update(part_shapes=[]), "part_shapes "),
+        (lambda m: m.update(part_shapes=[[10, 64, 48]]), "part_shapes "),
+        (lambda m: m.update(part_shapes=[[10, 24, 64]]), "part_shapes "),
         (lambda m: m.update(image_size="48x64"), "image_size "),
         (lambda m: m.update(vertices=4), "vertices 4 "),
         (lambda m: m.update(vertices=[]), "vertices [] "),
@@ -515,14 +517,16 @@ class TestExitCodes:
         (lambda m: m["vertices"][0].update(n=m["vertices"][0]["n"] - 1), "float32 values"),
         (lambda m: m.update(part_shapes=[[9, 48, 64]]), "float32 values"),
     ], ids=["no-part-shapes", "zero-part-size", "part-shapes-string", "no-parts",
+            "part-transposed", "part-scaled-on-one-axis",
             "image-size-string", "vertices-int", "vertices-empty", "n-string", "n-negative",
             "d-string", "d-negative", "pose-two", "pose-string", "pose-nan", "n-off-by-one",
             "parts-too-small"])
     def test_malformed_map_manifest_is_3_and_names_the_key(self, taught, tmp_path, capsys,
                                                             edit, message):
         """A map manifest whose values have the wrong type or size, or
-        disagree with the blob sizes, is a data error; a map saved before
-        the manifest listed its part shapes is one too."""
+        disagree with the blob sizes or the image grid, is a data error; a
+        map saved before the manifest listed its part shapes is one too.
+        The transposed part holds as many values as the stored one."""
         map_dir = tmp_path / "map"
         map_dir.mkdir()
         for path in (taught / "map").iterdir():
