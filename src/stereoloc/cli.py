@@ -239,6 +239,13 @@ def cmd_teach(args) -> int:
     return 0
 
 
+# The run files of a repeat's output directory that `report` reads: its run
+# manifest and summary.json, the RunReport fields named here.
+RUN_MANIFEST_SCHEMA = {"command": "repeat", "config": {}}
+SUMMARY_SCHEMA = {key: storage.number for key in (
+    "mean_inliers", "failure_count", "failure_fraction", "pose_rmse", "heading_rmse")}
+
+
 def cmd_repeat(args) -> int:
     out = Path(args.out) if args.out else _default_out("repeat")
     frames, manifest = synth.load_sequence(args.frames)
@@ -258,20 +265,13 @@ def cmd_repeat(args) -> int:
     )
     report = harness.repeat(frames, teach_map, extractor, params, teach_map.K)
     record = harness.RunRecord(
-        name=args.name or manifest.get("condition", "run"),
-        teach_condition=str(manifest.get("extra", {}).get("teach_condition", "teach")),
-        repeat_condition=str(manifest.get("condition", "unknown")),
+        name=args.name or manifest["condition"],
+        teach_condition=manifest.get("extra", {}).get("teach_condition", "teach"),
+        repeat_condition=manifest["condition"],
         report=report,
     )
     harness.emit_report([record], out)
-    summary = {
-        "mean_inliers": report.mean_inliers,
-        "failure_count": report.failure_count,
-        "failure_fraction": report.failure_fraction,
-        "pose_rmse": report.pose_rmse,
-        "heading_rmse": report.heading_rmse,
-    }
-    storage.write_json(out / "summary.json", summary)
+    storage.write_json(out / "summary.json", {k: getattr(report, k) for k in SUMMARY_SCHEMA})
     _write_run_manifest(out, args)
     print(
         f"repeat {record.name}: mean inliers {report.mean_inliers:.1f}, "
@@ -285,11 +285,8 @@ def cmd_report(args) -> int:
     rows = []
     for run_dir in args.runs:
         run_dir = Path(run_dir)
-        summary_path = run_dir / "summary.json"
-        if not summary_path.is_file():
-            raise ConfigError(f"{run_dir} has no summary.json (not a repeat output?)")
-        summary = storage.read_json(summary_path)
-        manifest = storage.read_json(run_dir / "run_manifest.json")
+        manifest = storage.read_json(run_dir / "run_manifest.json", RUN_MANIFEST_SCHEMA)
+        summary = storage.read_json(run_dir / "summary.json", SUMMARY_SCHEMA)
         rows.append({"run": run_dir.name, **summary,
                      "condition": manifest["config"].get("name") or "unknown"})
     table = out / "aggregate.csv"

@@ -354,26 +354,25 @@ def save_checkpoint(
     storage.write_manifest(directory, manifest)
 
 
+# The layers rule is built from the channels, in load_checkpoint.
+CHECKPOINT_SCHEMA = {
+    "kind": "checkpoint", "format": CHECKPOINT_FORMAT, "channels": [storage.size],
+    "window": storage.size, "activation": ACTIVATION, "seed": storage.count, "layers": {},
+    "extra?": {},  # free-form metadata
+}
+
+
 def load_checkpoint(directory: str | Path) -> tuple[ExtractorWeights, dict]:
     directory = Path(directory)
-    manifest = storage.read_manifest(directory, "checkpoint")
-    if manifest["activation"] != ACTIVATION:
-        raise ValueError(f"unsupported activation {manifest['activation']!r}")
-    cfg = ExtractorConfig(
-        channels=tuple(manifest["channels"]),
-        window=int(manifest["window"]),
-        seed=int(manifest["seed"]),
-    )
-    expected = cfg.layer_shapes()
+    manifest = storage.read_manifest(directory, CHECKPOINT_SCHEMA)
+    cfg = ExtractorConfig(tuple(manifest["channels"]), manifest["window"], manifest["seed"])
+    shapes = cfg.layer_shapes()
+    storage.check(manifest["layers"], {name: {"shape": shape, "file": storage.file_name}
+                                       for name, shape in shapes.items()},
+                  directory / storage.MANIFEST_NAME, "layers")
     tensors = {}
-    for name, entry in manifest["layers"].items():
-        shape = tuple(entry["shape"])
-        if name not in expected or expected[name] != shape:
-            raise ValueError(f"layer {name} with shape {shape} does not fit config")
-        tensors[name] = storage.read_blob(storage.member(directory, entry["file"]), shape)
+    for name, shape in sorted(shapes.items()):
+        tensors[name] = storage.read_blob(directory / manifest["layers"][name]["file"], shape)
         if not np.isfinite(tensors[name]).all():
             raise ValueError(f"layer {name} has non-finite values")
-    missing = set(expected) - set(tensors)
-    if missing:
-        raise ValueError(f"checkpoint missing layers: {sorted(missing)}")
     return ExtractorWeights(cfg, tensors), manifest.get("extra", {})

@@ -19,7 +19,7 @@ import functools
 import hashlib
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -137,12 +137,18 @@ FAILURE_REASONS = {
 @dataclass
 class LocalizationResult:
     pose: SE3Pose | None
-    planar: PlanarPose | None
     inliers: int
-    failure: bool
     timing: float
     # None on success, else a FAILURE_REASONS value or "below_inlier_threshold"
-    reason: str | None = None
+    reason: str | None
+
+    @property
+    def failure(self) -> bool:
+        return self.reason is not None
+
+    @property
+    def planar(self) -> PlanarPose | None:
+        return None if self.pose is None else se3_to_planar(self.pose)
 
 
 @dataclass
@@ -268,14 +274,7 @@ def localize(
     except tuple(FAILURE_REASONS) as e:
         reason = FAILURE_REASONS[type(e)]
 
-    return LocalizationResult(
-        pose=pose,
-        planar=se3_to_planar(pose) if pose is not None else None,
-        inliers=inliers,
-        failure=reason is not None,
-        timing=time.perf_counter() - start,
-        reason=reason,
-    )
+    return LocalizationResult(pose, inliers, time.perf_counter() - start, reason)
 
 
 def _dense_pairs(vertex, coords, desc, scores, p_live, params, K):
@@ -369,12 +368,13 @@ def write_run_csv(report: RunReport, path: str | Path) -> None:
     these columns."""
     rows = []
     for i, (r, gt) in enumerate(zip(report.results, report.gt_offsets)):
-        if r.failure or r.planar is None:
+        if r.failure:  # a success always has a pose
             pose_err = math.nan
             head_err = math.nan
         else:
-            pose_err = math.hypot(r.planar.alpha - gt.alpha, r.planar.beta - gt.beta)
-            head_err = abs(wrap_angle(r.planar.gamma - gt.gamma))
+            p = r.planar
+            pose_err = math.hypot(p.alpha - gt.alpha, p.beta - gt.beta)
+            head_err = abs(wrap_angle(p.gamma - gt.gamma))
         rows.append([i, r.inliers, int(r.failure), repr(pose_err), repr(head_err)])
     storage.write_csv(path, RUN_CSV_FIELDS, rows)
 
@@ -439,54 +439,41 @@ def save_map(directory: str | Path, teach_map: TeachMap) -> None:
         "kind": "map",
         "extractor": teach_map.extractor_ident,
         "image_size": list(first.frame.left.shape),
-        "camera": synth.camera_dict(teach_map.K),
+        "camera": asdict(teach_map.K),
         "part_shapes": [list(p.shape) for p in first.parts],
         "vertices": entries,
     })
 
 
-def _counts(value, length: int, least: int) -> bool:
-    """Whether a manifest value is a list of `length` ints, each >= least."""
-    return (isinstance(value, list) and len(value) == length
-            and all(type(x) is int and x >= least for x in value))
+# load_map also checks that each part shape divides the image grid.
+MAP_SCHEMA = {
+    "kind": "map", "extractor": storage.text, "image_size": [storage.size, 2],
+    "camera": synth.CAMERA_SCHEMA, "part_shapes": [[storage.size, 3]],
+    "vertices": [{"id": storage.count, "world_pose": synth.POSE_SCHEMA,
+                  "file": storage.file_name, "n": storage.count, "d": storage.count}],
+}
 
 
 def load_map(directory: str | Path) -> TeachMap:
     """The map save_map wrote. Each vertex's blob is read as one float32
     array, and every array of the vertex is a view into it, frames
-    included, except the 3D points, which promote to float64. A manifest
-    value of the wrong type or size is a ValueError naming its key."""
+    included, except the 3D points, which promote to float64."""
     directory = Path(directory)
-    manifest = storage.read_manifest(directory, "map")
-
-    def check(ok, key, value, what):
-        if not ok:
-            raise ValueError(f"{directory}: map manifest {key} {value!r} is not {what}")
-
-    size, shapes, entries = manifest["image_size"], manifest["part_shapes"], manifest["vertices"]
-    check(_counts(size, 2, 1), "image_size", size, "2 positive ints")
-    h, w = size
+    manifest = storage.read_manifest(directory, MAP_SCHEMA)
+    (h, w), shapes = manifest["image_size"], manifest["part_shapes"]
     # a part is the image's grid divided by one integer factor on both axes
-    check(isinstance(shapes, list) and shapes and all(
-        _counts(s, 3, 1) and h % s[1] == w % s[2] == 0 and h // s[1] == w // s[2]
-        for s in shapes), "part_shapes", shapes, f"a non-empty list of [C, h, w] grids of {h}x{w}")
-    check(isinstance(entries, list) and entries, "vertices", entries, "a non-empty list")
-    K = synth.camera_from_dict(manifest["camera"])
+    if not all(h % s[1] == w % s[2] == 0 and h // s[1] == w // s[2] for s in shapes):
+        raise ValueError(f"{directory}: map manifest part_shapes {shapes!r} are not "
+                         f"[C, h, w] grids of {h}x{w}")
     vertices = []
-    for e in entries:
-        for key in ("n", "d"):
-            check(_counts([e[key]], 1, 0), key, e[key], "an int >= 0")
-        n, dd, pose = e["n"], e["d"], e["world_pose"]
-        check(isinstance(pose, list) and len(pose) == 3
-              and all(type(x) in (int, float) and math.isfinite(x) for x in pose),
-              "world_pose", pose, "3 finite numbers")
-        layout = [(3, h, w), (n, 2), (n, dd), (n,), (n, 3), *shapes]
+    for e in manifest["vertices"]:
+        n = e["n"]
+        layout = [(3, h, w), (n, 2), (n, e["d"]), (n,), (n, 3), *shapes]
         sizes = [math.prod(s) for s in layout]
-        blob = storage.read_blob(storage.member(directory, e["file"]), (sum(sizes),),
-                                 INFERENCE_DTYPE)
+        blob = storage.read_blob(directory / e["file"], (sum(sizes),), INFERENCE_DTYPE)
         planes, coords, desc, scores, p3d, *parts = (
             a.reshape(s) for a, s in zip(np.split(blob, np.cumsum(sizes)[:-1]), layout))
-        world_pose = np.asarray(pose, float)
+        world_pose = np.asarray(e["world_pose"], float)
         vertices.append(MapVertex(e["id"], world_pose, coords, desc, scores, p3d.astype(float),
                                   StereoFrame(*planes, world_pose), parts))
-    return TeachMap(vertices, K, manifest["extractor"])
+    return TeachMap(vertices, synth.camera_from_dict(manifest["camera"]), manifest["extractor"])

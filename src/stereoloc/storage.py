@@ -8,8 +8,10 @@ Each write goes to a temporary file beside its target, which is then
 renamed over the target, so a reader, or a run killed mid-write, finds the
 old file or the new one and never a partial one (nothing is fsynced, so
 this does not extend to a machine crash). Writers put the manifest last,
-so a directory with a manifest is complete. All paths in manifests are
-relative to the directory, and a reader refuses one that is not (`member`).
+so a directory with a manifest is complete. Every JSON file read is checked
+against its kind's schema (`check`) before any value of it is used, so a
+malformed one is a ValueError naming the file and the key; a file name in
+a manifest must stay inside its directory.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import csv
 import io
 import json
 import os
+import sys
 from pathlib import Path, PurePath
 
 import numpy as np
@@ -55,43 +58,77 @@ def write_json(path: Path, obj) -> None:
     _write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
-class _Manifest(dict):
-    """A JSON object read from disk: a missing key is a data error."""
-
-    def __missing__(self, key):
-        raise ValueError(f"manifest entry lacks key {key!r}")
-
-
-def read_json(path: Path) -> dict:
-    return json.loads(Path(path).read_text(), object_hook=_Manifest)
+def read_json(path: Path, schema) -> dict:
+    """The JSON file at `path`, checked against `schema`."""
+    value = json.loads(Path(path).read_text())
+    check(value, schema, path)
+    return value
 
 
 def write_csv(path: Path, header: list, rows) -> None:
-    text = io.StringIO()
-    csv.writer(text).writerows([header, *rows])
-    _write_atomic(path, text.getvalue().encode())
-
-
-def member(directory: Path, name) -> Path:
-    """The file a manifest names in its directory; a name that is absolute,
-    empty or has a `..` part is a data error, raised before any read."""
-    rel = PurePath(name if isinstance(name, str) else "")
-    if not rel.parts or rel.is_absolute() or ".." in rel.parts:
-        raise ValueError(f"{directory}: file name {name!r} is not inside the directory")
-    return Path(directory) / rel
+    out = io.StringIO()
+    csv.writer(out).writerows([header, *rows])
+    _write_atomic(path, out.getvalue().encode())
 
 
 def write_manifest(directory: Path, manifest: dict) -> None:
     write_json(Path(directory) / MANIFEST_NAME, manifest)
 
 
-def read_manifest(directory: Path, kind: str) -> dict:
-    """The directory's manifest, which must be of the given kind."""
-    path = Path(directory) / MANIFEST_NAME
-    if not path.is_file():
-        raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
-    manifest = read_json(path)
-    found = manifest.get("kind")
-    if found != kind:
-        raise ValueError(f"{directory} holds a {found!r} manifest, not {kind!r}")
-    return manifest
+def read_manifest(directory: Path, schema: dict) -> dict:
+    """The directory's manifest; its kind's schema holds the `kind` as a literal."""
+    return read_json(Path(directory) / MANIFEST_NAME, schema)
+
+
+def check(value, rule, where, at: str = "") -> None:
+    """Check a JSON value read from the file `where` against a schema rule,
+    or raise a ValueError naming the file and the key path (`vertices[0].n`)
+    of the first violation. A rule is a dict (an object holding each of its
+    keys, whose values pass the keys' rules; a key ending in `?` may be
+    absent, and other keys pass unchecked), `[rule]` (a non-empty list of
+    items that pass `rule`), `[rule, n]` (exactly n such items), a predicate
+    (its docstring says what it accepts), or a literal the value must equal
+    as JSON (a tuple is a list)."""
+    head = f"{where}: {at} " if at else f"{where}: "
+    if isinstance(rule, dict):
+        ok, what = isinstance(value, dict), "an object"
+    elif isinstance(rule, list):
+        n = rule[1] if len(rule) == 2 else None
+        ok = isinstance(value, list) and (len(value) == n if n else bool(value))
+        what = f"a list of {n or 'one or more'} items"
+    elif callable(rule):
+        ok, what = rule(value), rule.__doc__
+    else:
+        ok, what = json.dumps(value) == json.dumps(rule), repr(rule)
+    if not ok:
+        raise ValueError(f"{head}{value!r} is not {what}")
+    if isinstance(rule, dict):
+        for key, sub in rule.items():
+            name = key.removesuffix("?")
+            if name in value:
+                check(value[name], sub, where, f"{at}.{name}" if at else name)
+            elif name == key:
+                raise ValueError(f"{head}lacks key {name!r}")
+    elif isinstance(rule, list):
+        for i, item in enumerate(value):
+            check(item, rule[0], where, f"{at}[{i}]")
+
+
+def _predicate(doc: str, test):
+    test.__doc__ = doc
+    return test
+
+
+number = _predicate("a number", lambda x: type(x) in (int, float))
+# an int too large for a float is not finite: math.isfinite would raise on it
+finite = _predicate("a finite number", lambda x: number(x) and abs(x) <= sys.float_info.max)
+positive = _predicate("a finite number > 0", lambda x: finite(x) and x > 0)
+count = _predicate("an int >= 0", lambda x: type(x) is int and x >= 0)
+size = _predicate("an int >= 1", lambda x: count(x) and x > 0)
+text = _predicate("a non-empty string", lambda x: isinstance(x, str) and x != "")
+
+
+def file_name(x) -> bool:
+    """a file name inside its directory: relative, non-empty, no `..` part"""
+    rel = PurePath(x if isinstance(x, str) else "")
+    return bool(rel.parts) and not rel.is_absolute() and ".." not in rel.parts

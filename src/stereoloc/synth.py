@@ -459,8 +459,9 @@ def frame_blob(frame: StereoFrame) -> np.ndarray:
     return np.stack([frame.left, frame.right, frame.disparity])
 
 
-def camera_dict(K: CameraIntrinsics) -> dict:
-    return {"fu": K.fu, "fv": K.fv, "cu": K.cu, "cv": K.cv, "b": K.b}
+# A camera is stored as `dataclasses.asdict(K)`.
+CAMERA_SCHEMA = {"fu": storage.positive, "fv": storage.positive, "cu": storage.finite,
+                 "cv": storage.finite, "b": storage.positive}
 
 
 def camera_from_dict(d: dict) -> CameraIntrinsics:
@@ -519,7 +520,7 @@ def make_dataset(
         "seed": int(seed),
         "scene_seed": scene.seed,
         "image_size": [h, w],
-        "camera": camera_dict(K),
+        "camera": asdict(K),
         "motion_bounds": asdict(motion),
         "schedule": list(schedule),
         "samples": samples,
@@ -527,13 +528,25 @@ def make_dataset(
     return out_dir
 
 
+POSE_SCHEMA = [storage.finite, 3]
+PAIRS_SCHEMA = {
+    "kind": "pairs", "seed": storage.count, "scene_seed": storage.count,
+    "image_size": [storage.size, 2], "camera": CAMERA_SCHEMA,
+    "motion_bounds": {"alpha": storage.finite, "beta": storage.finite, "gamma": storage.finite},
+    "schedule": [storage.text],
+    "samples": [{"file": storage.file_name, "pose": POSE_SCHEMA, "src_pose": POSE_SCHEMA,
+                 "tgt_pose": POSE_SCHEMA, "src_condition": storage.text,
+                 "tgt_condition": storage.text}],
+}
+
+
 def load_dataset(directory: str | Path) -> tuple[list[Sample], dict]:
     directory = Path(directory)
-    manifest = storage.read_manifest(directory, "pairs")
+    manifest = storage.read_manifest(directory, PAIRS_SCHEMA)
     h, w = manifest["image_size"]
     samples = []
     for entry in manifest["samples"]:
-        src, tgt = storage.read_blob(storage.member(directory, entry["file"]), (2, 3, h, w))
+        src, tgt = storage.read_blob(directory / entry["file"], (2, 3, h, w))
         samples.append(Sample(StereoFrame(*src, np.asarray(entry["src_pose"], float)),
                               StereoFrame(*tgt, np.asarray(entry["tgt_pose"], float)),
                               PlanarPose(*entry["pose"])))
@@ -558,7 +571,7 @@ def save_sequence(
         "condition": condition,
         "seed": int(seed),
         "image_size": [h, w],
-        "camera": camera_dict(K),
+        "camera": asdict(K),
         "frames": entries,
     }
     if extra:
@@ -567,12 +580,21 @@ def save_sequence(
     return out_dir
 
 
+SEQUENCE_SCHEMA = {
+    "kind": "sequence", "condition": storage.text, "seed": storage.count,
+    "image_size": [storage.size, 2], "camera": CAMERA_SCHEMA,
+    "frames": [{"file": storage.file_name, "pose": POSE_SCHEMA}],
+    # a repeat sequence's; the CLI's run record reads `teach_condition`
+    "extra?": {"repeat_of": storage.text, "teach_condition": storage.text},
+}
+
+
 def load_sequence(directory: str | Path) -> tuple[list[StereoFrame], dict]:
     directory = Path(directory)
-    manifest = storage.read_manifest(directory, "sequence")
+    manifest = storage.read_manifest(directory, SEQUENCE_SCHEMA)
     h, w = manifest["image_size"]
     frames = []
     for entry in manifest["frames"]:
-        blob = storage.read_blob(storage.member(directory, entry["file"]), (3, h, w))
+        blob = storage.read_blob(directory / entry["file"], (3, h, w))
         frames.append(StereoFrame(*blob, np.asarray(entry["pose"], float)))
     return frames, manifest

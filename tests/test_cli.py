@@ -29,11 +29,17 @@ class TestStorage:
 
     def test_manifest_roundtrip(self, tmp_path):
         storage.write_manifest(tmp_path, {"kind": "test", "value": 3})
-        assert storage.read_manifest(tmp_path, "test") == {"kind": "test", "value": 3}
+        schema = {"kind": "test", "value": storage.count}
+        assert storage.read_manifest(tmp_path, schema) == {"kind": "test", "value": 3}
+
+    def test_manifest_of_another_kind_is_refused(self, tmp_path):
+        storage.write_manifest(tmp_path, {"kind": "pairs"})
+        with pytest.raises(ValueError, match="kind 'pairs' is not 'map'"):
+            storage.read_manifest(tmp_path, harness.MAP_SCHEMA)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            storage.read_manifest(tmp_path / "nope", "pairs")
+            storage.read_manifest(tmp_path / "nope", synth.PAIRS_SCHEMA)
 
     @pytest.mark.parametrize("write", [
         lambda path: storage.write_blob(path, np.ones(3)),
@@ -59,14 +65,20 @@ class TestStorage:
             assert target.read_bytes() == b"old bytes"
 
     @pytest.mark.parametrize("name", ["a.f32", "sub/a.f32", "./a.f32"])
-    def test_member_joins_a_name_inside_the_directory(self, tmp_path, name):
-        assert storage.member(tmp_path, name) == tmp_path / name
+    def test_file_name_accepts_a_name_inside_the_directory(self, tmp_path, name):
+        assert storage.file_name(name)
+        storage.write_manifest(tmp_path, {"kind": "test", "file": name})
+        assert storage.read_manifest(tmp_path, {"kind": "test", "file": storage.file_name})
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../a.f32", "sub/../../a.f32",
                                       "/etc/passwd", 5, None])
-    def test_member_refuses_a_name_outside_the_directory(self, tmp_path, name):
-        with pytest.raises(ValueError, match=re.escape(f"{tmp_path}: file name {name!r} is not")):
-            storage.member(tmp_path, name)
+    def test_file_name_refuses_a_name_outside_the_directory(self, tmp_path, name):
+        assert not storage.file_name(name)
+        storage.write_manifest(tmp_path, {"kind": "test", "files": [{"file": name}]})
+        manifest = tmp_path / storage.MANIFEST_NAME
+        with pytest.raises(ValueError, match=re.escape(
+                f"{manifest}: files[0].file {name!r} is not a file name inside its directory")):
+            storage.read_manifest(tmp_path, {"kind": "test", "files": [{"file": storage.file_name}]})
 
     def test_blob_byte_layouts(self, tmp_path):
         """Raw file bytes, little-endian float32: a sequence frame is left |
@@ -136,7 +148,7 @@ class TestSubcommands:
         out = workdir / "data"
         assert main(["synth", "--kind", "pairs", "--count", "4", "--size", "32x24",
                      "--seed", "7", "--scene-seed", "3", "--out", str(out)]) == 0
-        manifest = storage.read_manifest(out, "pairs")
+        manifest = storage.read_manifest(out, synth.PAIRS_SCHEMA)
         assert manifest["kind"] == "pairs"
         assert len(manifest["samples"]) == 4
         assert (out / "run_manifest.json").is_file()
@@ -162,7 +174,7 @@ class TestSubcommands:
 
         assert main(["teach", "--frames", str(teach_seq), "--ckpt",
                      str(run / "checkpoint"), "--out", str(map_dir)]) == 0
-        assert storage.read_manifest(map_dir, "map")["kind"] == "map"
+        assert storage.read_manifest(map_dir, harness.MAP_SCHEMA)["kind"] == "map"
 
         # localization failures are data, not errors: exit 0 regardless
         assert main(["repeat", "--map", str(map_dir), "--frames", str(night_seq),
@@ -198,7 +210,7 @@ class TestSubcommands:
         assert main(["repeat", "--map", str(map_dir), "--frames", str(seq),
                      "--ckpt", str(ckpt), "--out", str(rep)]) == 0
         for out in (map_dir, rep):
-            assert storage.read_json(out / "run_manifest.json")["config"]["window"] == 16
+            assert json.loads((out / "run_manifest.json").read_text())["config"]["window"] == 16
 
     def test_nan_validation_says_how_many_samples_were_skipped(self, tmp_path, capsys):
         data, run = tmp_path / "data", tmp_path / "run"
@@ -223,7 +235,7 @@ class TestSubcommands:
         cfg.write_text("synth.count = 2\nsynth.size = 32x24\n")
         assert main(["synth", "--config", str(cfg), "--scene-seed", "3",
                      "--out", str(out)]) == 0
-        manifest = storage.read_manifest(out, "pairs")
+        manifest = storage.read_manifest(out, synth.PAIRS_SCHEMA)
         assert len(manifest["samples"]) == 2  # file value applied
 
     def test_flag_overrides_config_file(self, workdir, tmp_path):
@@ -232,7 +244,7 @@ class TestSubcommands:
         cfg.write_text("synth.count = 2\nsynth.size = 32x24\n")
         assert main(["synth", "--config", str(cfg), "--count", "3", "--scene-seed", "3",
                      "--out", str(out)]) == 0
-        assert len(storage.read_manifest(out, "pairs")["samples"]) == 3
+        assert len(storage.read_manifest(out, synth.PAIRS_SCHEMA)["samples"]) == 3
 
     @pytest.mark.parametrize("flag", [["--count=3"], ["--coun", "3"], ["--coun=3"]],
                              ids=["equals", "prefix", "prefix-equals"])
@@ -356,7 +368,8 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["teach", "--frames", str(seq), "--ckpt", str(ckpt),
                      "--out", str(tmp_path / "map")]) == 3
-        assert "error: data: unsupported activation 'relu'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and "activation 'relu' is not 'tanh'" in err
 
     def test_checkpoint_without_activation_is_3(self, tmp_path, capsys):
         from stereoloc import features
@@ -368,7 +381,7 @@ class TestExitCodes:
         features.save_checkpoint(
             ckpt, features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8))
         )
-        manifest = storage.read_manifest(ckpt, "checkpoint")
+        manifest = storage.read_manifest(ckpt, features.CHECKPOINT_SCHEMA)
         del manifest["activation"]
         storage.write_manifest(ckpt, manifest)
         capsys.readouterr()
@@ -381,7 +394,7 @@ class TestExitCodes:
         seq = tmp_path / "seq"
         assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
                      "--seed", "7", "--scene-seed", "3", "--out", str(seq)]) == 0
-        manifest = storage.read_manifest(seq, "sequence")
+        manifest = storage.read_manifest(seq, synth.SEQUENCE_SCHEMA)
         del manifest["camera"]
         storage.write_manifest(seq, manifest)
         capsys.readouterr()
@@ -403,13 +416,14 @@ class TestExitCodes:
         map_dir = tmp_path / "map"
         assert main(["teach", "--frames", str(seq), "--features", "analytic",
                      "--out", str(map_dir)]) == 0
-        manifest = storage.read_manifest(seq, "sequence")
+        manifest = storage.read_manifest(seq, synth.SEQUENCE_SCHEMA)
         manifest["frames"] = []
         storage.write_manifest(seq, manifest)
         capsys.readouterr()
         assert main(["repeat", "--map", str(map_dir), "--frames", str(seq),
                      "--features", "analytic", "--out", str(tmp_path / "rep")]) == 3
-        assert "error: data: empty repeat sequence" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and "frames [] is not a list of one or more" in err
 
     def test_repeat_with_another_extractor_is_3(self, tmp_path, capsys):
         from stereoloc import features
@@ -446,23 +460,40 @@ class TestExitCodes:
         assert f"error: data: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("outside", ["relative", "absolute"])
-    @pytest.mark.parametrize("artifact", ["map", "sequence"])
+    @pytest.mark.parametrize("artifact", ["map", "sequence", "checkpoint", "pairs"])
     def test_manifest_file_outside_its_directory_is_3_and_unread(
         self, tmp_path, capsys, monkeypatch, artifact, outside
     ):
-        # the named file is a valid blob of the right size in a sibling copy
+        # the named file is a valid blob of the right size, copied out of the directory
+        from stereoloc import features
+
         seq = tmp_path / "seq"
         assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
                      "--seed", "7", "--scene-seed", "3", "--out", str(seq)]) == 0
-        teach = ["teach", "--features", "analytic", "--out", str(tmp_path / "taught")]
-        assert main([*teach, "--frames", str(seq)]) == 0
-        assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
-                     "--seed", "7", "--scene-seed", "3", "--out", str(tmp_path / "copy")]) == 0
-        directory, kind, key = {"map": (tmp_path / "taught", "map", "vertices"),
-                                "sequence": (tmp_path / "copy", "sequence", "frames")}[artifact]
-        manifest = storage.read_manifest(directory, kind)
-        entry = manifest[key][0]
-        target = directory.parent / "outside" / entry["file"]
+        directory = tmp_path / "artifact"
+        ckpt = ["--features", "analytic"]
+        if artifact == "map":
+            assert main(["teach", *ckpt, "--frames", str(seq), "--out", str(directory)]) == 0
+            command = ["repeat", "--map", str(directory), "--frames", str(seq), *ckpt]
+            schema, path = harness.MAP_SCHEMA, ("vertices", 0)
+        elif artifact == "sequence":
+            assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
+                         "--seed", "7", "--scene-seed", "3", "--out", str(directory)]) == 0
+            command = ["teach", "--frames", str(directory), *ckpt]
+            schema, path = synth.SEQUENCE_SCHEMA, ("frames", 0)
+        elif artifact == "checkpoint":
+            cfg = features.ExtractorConfig(channels=(2, 3, 4), window=8)
+            features.save_checkpoint(directory, features.init_weights(cfg))
+            command = ["teach", "--frames", str(seq), "--ckpt", str(directory)]
+            schema, path = features.CHECKPOINT_SCHEMA, ("layers", "enc1.weight")
+        else:
+            assert main(["synth", "--kind", "pairs", "--count", "2", "--size", "32x24",
+                         "--seed", "7", "--scene-seed", "3", "--out", str(directory)]) == 0
+            command = ["train", "--data", str(directory), "--channels", "2,3,4"]
+            schema, path = synth.PAIRS_SCHEMA, ("samples", 0)
+        manifest = storage.read_manifest(directory, schema)
+        entry = manifest[path[0]][path[1]]
+        target = tmp_path / "outside" / entry["file"]
         target.parent.mkdir()
         target.write_bytes((directory / entry["file"]).read_bytes())
         entry["file"] = f"../outside/{entry['file']}" if outside == "relative" else str(target)
@@ -477,14 +508,11 @@ class TestExitCodes:
 
         monkeypatch.setattr(storage, "read_blob", recorded)
         capsys.readouterr()
-        if artifact == "map":
-            command = ["repeat", "--map", str(directory), "--frames", str(seq),
-                       "--features", "analytic", "--out", str(tmp_path / "rep")]
-        else:
-            command = [*teach, "--frames", str(directory)]
-        assert main(command) == 3
-        err = capsys.readouterr().err
-        assert f"error: data: {directory}: file name {entry['file']!r} is not inside" in err
+        assert main([*command, "--out", str(tmp_path / "out")]) == 3
+        key = f"{path[0]}.{path[1]}" if isinstance(path[1], str) else f"{path[0]}[{path[1]}]"
+        assert capsys.readouterr().err == (
+            f"error: data: {directory / storage.MANIFEST_NAME}: {key}.file {entry['file']!r} "
+            "is not a file name inside its directory: relative, non-empty, no `..` part\n")
         assert target.resolve() not in read
 
     @pytest.fixture(scope="class")
@@ -499,7 +527,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.pop("part_shapes"), "lacks key 'part_shapes'"),
-        (lambda m: m.update(part_shapes=[[9, 48, 0], [1, 48, 64]]), "part_shapes "),
+        (lambda m: m.update(part_shapes=[[9, 48, 0], [1, 48, 64]]), "part_shapes[0][2] 0 "),
         (lambda m: m.update(part_shapes="10x48x64"), "part_shapes "),
         (lambda m: m.update(part_shapes=[]), "part_shapes "),
         (lambda m: m.update(part_shapes=[[10, 64, 48]]), "part_shapes "),
@@ -512,8 +540,9 @@ class TestExitCodes:
         (lambda m: m["vertices"][0].update(d="9"), "d '9' "),
         (lambda m: m["vertices"][1].update(d=-9), "d -9 "),
         (lambda m: m["vertices"][0].update(world_pose=[0.0, 0.0]), "world_pose "),
-        (lambda m: m["vertices"][0].update(world_pose=[0.0, "0", 0.0]), "world_pose "),
-        (lambda m: m["vertices"][0].update(world_pose=[0.0, 0.0, float("nan")]), "world_pose "),
+        (lambda m: m["vertices"][0].update(world_pose=[0.0, "0", 0.0]), "world_pose[1] '0' "),
+        (lambda m: m["vertices"][0].update(world_pose=[0.0, 0.0, float("nan")]),
+         "world_pose[2] nan "),
         (lambda m: m["vertices"][0].update(n=m["vertices"][0]["n"] - 1), "float32 values"),
         (lambda m: m.update(part_shapes=[[9, 48, 64]]), "float32 values"),
     ], ids=["no-part-shapes", "zero-part-size", "part-shapes-string", "no-parts",
@@ -531,7 +560,7 @@ class TestExitCodes:
         map_dir.mkdir()
         for path in (taught / "map").iterdir():
             (map_dir / path.name).write_bytes(path.read_bytes())
-        manifest = storage.read_manifest(map_dir, "map")
+        manifest = storage.read_manifest(map_dir, harness.MAP_SCHEMA)
         edit(manifest)
         storage.write_manifest(map_dir, manifest)
         capsys.readouterr()

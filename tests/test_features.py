@@ -403,7 +403,7 @@ class TestCheckpoint:
         assert manifest["activation"] == "tanh"
         manifest["activation"] = "relu"
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="unsupported activation 'relu'"):
+        with pytest.raises(ValueError, match="activation 'relu' is not 'tanh'"):
             load_checkpoint(tmp_path / "ck")
 
 

@@ -25,6 +25,7 @@ from stereoloc.harness import (
     teach,
     write_run_csv,
 )
+from stereoloc.geometry import se3_to_planar
 from stereoloc.synth import StereoFrame
 
 from oracles import project_points, read_run_csv
@@ -326,6 +327,18 @@ class TestFailureReasons:
         res = localize(frames[0], teach_map.vertices[0], extractor, params, K_default)
         assert (res.failure, res.reason, res.inliers) == (True, "below_inlier_threshold", n)
         assert res.pose is not None
+
+    def test_failure_and_planar_derive_from_reason_and_pose(self, rig, K_default):
+        """A result stores its reason and pose; `failure` and `planar` are
+        read from them."""
+        frames, extractor, teach_map = rig
+        for failure_inliers in (1, len(teach_map.vertices[0].coords) + 1):
+            params = LocalizeParams(mode="sparse", failure_inliers=failure_inliers)
+            res = localize(frames[0], teach_map.vertices[0], extractor, params, K_default)
+            assert res.failure == (res.reason is not None)
+            assert res.planar == se3_to_planar(res.pose)
+        res.pose = None
+        assert res.planar is None
 
 
 class TestOnePixelFrames:

@@ -1,7 +1,7 @@
 """Layout guards: every top-level function and class in the package is used
 by the program itself (a name that only tests use is a test helper and
 belongs in tests/oracles.py, not in src/), no module reads another
-module's private names, and only `storage` writes files."""
+module's private names, and only `storage` writes files or reads JSON."""
 
 import ast
 import re
@@ -107,3 +107,20 @@ def test_only_storage_writes_files():
                 if node.module.split(".")[0] in SERIALISERS:
                     offences.append(f"{path.stem}:{node.lineno}: imports {node.module}")
     assert not offences, "file writes outside storage:\n" + "\n".join(offences)
+
+
+def test_only_storage_reads_json():
+    """`storage` is the one module that parses JSON, so every manifest and
+    run file the package reads passes through its schema walk."""
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "storage":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                offences += [f"{path.stem}:{node.lineno}: imports json.{alias.name}"
+                             for alias in node.names if alias.name in ("load", "loads")]
+            elif (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                  and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                offences.append(f"{path.stem}:{node.lineno}: calls json.{node.attr}")
+    assert not offences, "JSON read outside storage:\n" + "\n".join(offences)
