@@ -463,7 +463,7 @@ def load_map(directory: str | Path) -> TeachMap:
     (h, w), shapes = manifest["image_size"], manifest["part_shapes"]
     # a part is the image's grid divided by one integer factor on both axes
     if not all(h % s[1] == w % s[2] == 0 and h // s[1] == w // s[2] for s in shapes):
-        raise ValueError(f"{directory}: map manifest part_shapes {shapes!r} are not "
+        raise ValueError(f"{directory / storage.MANIFEST_NAME}: part_shapes {shapes!r} are not "
                          f"[C, h, w] grids of {h}x{w}")
     vertices = []
     for e in manifest["vertices"]:

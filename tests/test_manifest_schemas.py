@@ -132,6 +132,8 @@ class TestEveryKey:
                      "--out", str(root / "pairs")]) == 0
         cfg = features.ExtractorConfig(channels=(2, 3, 4), window=8)
         features.save_checkpoint(root / "checkpoint", features.init_weights(cfg))
+        assert main(["repeat", "--map", str(root / "map"), "--frames", str(root / "sequence"),
+                     "--features", "analytic", "--out", str(root / "run")]) == 0
         out = ["--out", str(root / "out")]
         return root, {
             "map": ["repeat", "--map", str(root / "map"), "--frames", str(root / "seq"),
@@ -210,3 +212,29 @@ class TestEveryKey:
             assert capsys.readouterr().err.startswith(f"error: data: {manifest_path}: {head}")
         finally:
             manifest_path.write_bytes(pristine)
+
+    @pytest.mark.parametrize("name, edit, head", [
+        ("summary.json", lambda m: m.pop("pose_rmse"), "lacks key 'pose_rmse'"),
+        ("summary.json", lambda m: m.update(mean_inliers="x"), "mean_inliers 'x' "),
+        ("summary.json", lambda m: m.update(failure_count=[1]), "failure_count [1] "),
+        ("summary.json", lambda m: m.update(pose_rmse=math.nan), None),  # every frame failed
+        ("run_manifest.json", lambda m: m.update(command="train"), "command 'train' "),
+        ("run_manifest.json", lambda m: m.update(config=3), "config 3 "),
+        ("run_manifest.json", lambda m: m.pop("config"), "lacks key 'config'"),
+    ])
+    def test_report_checks_its_run_files(self, artifacts, tmp_path, capsys, name, edit, head):
+        root, _ = artifacts
+        run = tmp_path / "run"
+        run.mkdir()
+        for path in (root / "run").iterdir():
+            (run / path.name).write_bytes(path.read_bytes())
+        value = storage.read_json(run / name, {})
+        edit(value)
+        storage.write_json(run / name, value)
+        capsys.readouterr()
+        code = main(["report", "--runs", str(run), "--out", str(tmp_path / "report")])
+        if head is None:
+            assert code == 0
+        else:
+            assert code == 3
+            assert capsys.readouterr().err.startswith(f"error: data: {run / name}: {head}")
