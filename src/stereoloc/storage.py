@@ -60,7 +60,10 @@ def write_json(path: Path, obj) -> None:
 
 def read_json(path: Path, schema) -> dict:
     """The JSON file at `path`, checked against `schema`."""
-    value = json.loads(Path(path).read_text())
+    path = Path(path)
+    if not path.is_file():  # a directory too, which read_text would raise an OSError on
+        raise FileNotFoundError(f"no file {path}")
+    value = json.loads(path.read_text())
     check(value, schema, path)
     return value
 

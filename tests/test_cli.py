@@ -41,6 +41,14 @@ class TestStorage:
         with pytest.raises(FileNotFoundError):
             storage.read_manifest(tmp_path / "nope", synth.PAIRS_SCHEMA)
 
+    def test_a_directory_named_as_the_manifest_is_3(self, tmp_path, capsys):
+        (tmp_path / "seq" / storage.MANIFEST_NAME).mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["teach", "--frames", str(tmp_path / "seq"), "--features", "analytic",
+                     "--out", str(tmp_path / "map")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: data: no file {tmp_path / 'seq' / storage.MANIFEST_NAME}\n"
+
     @pytest.mark.parametrize("write", [
         lambda path: storage.write_blob(path, np.ones(3)),
         lambda path: storage.write_json(path, {"a": 1}),

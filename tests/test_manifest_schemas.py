@@ -116,7 +116,8 @@ def _mutate(manifest, path, mutation, draw):
 
 
 class TestEveryKey:
-    """One test per kind; the artifacts are built once for the class."""
+    """The artifacts, and a `repeat` output for `report`, are built once for
+    the class."""
 
     @pytest.fixture(scope="class")
     def artifacts(self, tmp_path_factory):
