@@ -2,12 +2,13 @@
 error through the CLI: exit 3, a message naming the key, and no traceback.
 
 For each key of a valid map, sequence, pairs set and checkpoint (every
-object key but the second and later layers, and the first item of every
-list), the key is deleted, given
+object key, and the first item of every list), the key is deleted, given
 a value of another JSON type, made NaN, made negative (a number that may
 not be), made empty (a string, list or object) or, for a file name,
-pointed outside the artifact's directory. Hypothesis draws the replacement
-values; every case runs in each example."""
+pointed outside the artifact's directory. A checkpoint's layers are alike:
+the first takes every mutation, the others the first that applies to each
+key. Hypothesis draws the replacement values; every case runs in each
+example."""
 
 import copy
 import math
@@ -47,10 +48,9 @@ def _json_type(value) -> str:
 
 def _keys(value, path=()):
     """Every key path of a JSON value: each object key, and the first item
-    of each list. A checkpoint's layers are alike, and the first stands for
-    them all."""
+    of each list."""
     if isinstance(value, dict):
-        for key, item in list(value.items())[: 1 if path == ("layers",) else None]:
+        for key, item in value.items():
             yield path + (key,)
             yield from _keys(item, path + (key,))
     elif isinstance(value, list) and value:
@@ -66,23 +66,31 @@ def _name(path) -> str:
     return name
 
 
+def _mutations(path, value) -> list[str]:
+    """The mutations a key's value can take."""
+    keyed = [k for k in path if isinstance(k, str)]
+    return [mutation for mutation, applies in [
+        ("delete", isinstance(path[-1], str) and path[-1] not in OPTIONAL),
+        ("type", True),
+        ("nan", True),
+        ("negative", _json_type(value) == "number" and keyed[-1] not in SIGNED),
+        ("empty", isinstance(value, (str, list, dict))),
+        ("outside", path[-1] == "file"),
+    ] if applies]
+
+
 def _cases(manifest):
-    """(path, mutation) for every key: the mutations its value can take."""
+    """(path, mutation) for every key."""
+    first_layer = next(iter(manifest.get("layers", {})), None)
     for path in _keys(manifest):
         value = manifest
         for key in path:
             value = value[key]
-        keyed = [k for k in path if isinstance(k, str)]
-        if isinstance(path[-1], str) and path[-1] not in OPTIONAL:
-            yield path, "delete"
-        yield path, "type"
-        yield path, "nan"
-        if _json_type(value) == "number" and keyed[-1] not in SIGNED:
-            yield path, "negative"
-        if isinstance(value, (str, list, dict)):
-            yield path, "empty"
-        if path[-1] == "file":
-            yield path, "outside"
+        mutations = _mutations(path, value)
+        if path[0] == "layers" and len(path) > 1 and path[1] != first_layer:
+            mutations = mutations[:1]
+        for mutation in mutations:
+            yield path, mutation
 
 
 def _mutate(manifest, path, mutation, draw):
@@ -170,7 +178,7 @@ class TestEveryKey:
             manifest_path.write_bytes(pristine)
 
     # an example runs every case, so there is nothing to shrink
-    @settings(max_examples=3, phases=[Phase.generate],
+    @settings(max_examples=2, phases=[Phase.generate],
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     @pytest.mark.parametrize("kind", ["map", "sequence", "pairs", "checkpoint"])
