@@ -125,10 +125,14 @@ def _predicate(doc: str, test):
 number = _predicate("a number", lambda x: type(x) in (int, float))
 # an int too large for a float is not finite: math.isfinite would raise on it
 finite = _predicate("a finite number", lambda x: number(x) and abs(x) <= sys.float_info.max)
-positive = _predicate("a finite number > 0", lambda x: finite(x) and x > 0)
 count = _predicate("an int >= 0", lambda x: type(x) is int and x >= 0)
 size = _predicate("an int >= 1", lambda x: count(x) and x > 0)
 text = _predicate("a non-empty string", lambda x: isinstance(x, str) and x != "")
+
+
+def within(lo: float, hi: float):
+    """The predicate that accepts the numbers in [lo, hi]."""
+    return _predicate(f"a number in [{lo:g}, {hi:g}]", lambda x: number(x) and lo <= x <= hi)
 
 
 def file_name(x) -> bool:

@@ -6,7 +6,11 @@ planar pose (x, y, yaw) ray-casts both views, which yields per-pixel true
 disparity for free. Relative motions are exactly planar, so every sample's
 ground-truth pose is representable as (alpha, beta, gamma) in the camera
 frame. Photometric conditions (gain, bias, gamma, vignette, noise) are
-applied after geometry, emulating a day's lighting sweep.
+applied after geometry, emulating a day's lighting sweep. A render is a
+cast (the clean intensities of both cameras and the disparity) and then a
+photograph; a stack of poses is cast in passes of up to `RAY_BUDGET` rays,
+several poses per pass, and every frame is bit for bit the one its pose
+renders alone.
 """
 
 from __future__ import annotations
@@ -250,14 +254,19 @@ def cast_rays(
 
     Returns (intensity, depth, hit_points). `uv` is (..., 2) sub-pixel image
     coordinates; depth is camera-frame z. The right camera sits one baseline
-    along the camera x-axis. `right` broadcasts against uv's leading axes,
-    so one call casts the rays of both cameras.
+    along the camera x-axis. `pose` is one world pose (x, y, yaw) or a
+    (..., 3) stack of them; its leading axes, like `right`, broadcast
+    against uv's, so one call casts the rays of both cameras of several
+    poses. Each ray's arithmetic is the same whatever it is cast with.
     """
-    x, y, yaw = float(pose[0]), float(pose[1]), float(pose[2])
+    pose = np.asarray(pose, dtype=float)
+    x, y, yaw = pose[..., 0], pose[..., 1], pose[..., 2]
     h_cam = scene.params.camera_height
     if scene.blocks.size and h_cam <= scene.blocks[:, 4].max():
         raise InvalidViewpoint("camera at or below the tallest block")
-    c, s = math.cos(yaw), math.sin(yaw)  # x_c = (c, s, 0), y_c = (s, -c, 0)
+    # x_c = (c, s, 0), y_c = (s, -c, 0), with math's cos and sin per pose
+    c = np.reshape([math.cos(t) for t in yaw.flat], yaw.shape)
+    s = np.reshape([math.sin(t) for t in yaw.flat], yaw.shape)
     uv = np.asarray(uv, dtype=float)
     du = (uv[..., 0] - K.cu) / K.fu
     dv = (uv[..., 1] - K.cv) / K.fv
@@ -277,9 +286,10 @@ def cast_rays(
 def apply_photometrics(
     img: np.ndarray, photo: PhotometricParams, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sensor model applied after geometry: response curve, gain, vignette,
-    bias, then additive noise."""
-    h, w = img.shape
+    """Sensor model applied after geometry to an (..., H, W) stack of
+    images: response curve, gain, vignette, bias, then additive noise, one
+    standard-normal draw of the stack's shape."""
+    h, w = img.shape[-2:]
     out = np.power(np.clip(img, 0.0, None), photo.gamma)
     if photo.vignette > 0.0:
         # normalized coordinates in [-1, 1]; a 1-px axis sits at 0
@@ -289,19 +299,32 @@ def apply_photometrics(
         out = out * (1.0 - photo.vignette * rho2)
     out = photo.gain * out + photo.bias
     if photo.sigma > 0.0:
-        out = out + photo.sigma * rng.standard_normal((h, w))
+        out = out + photo.sigma * rng.standard_normal(img.shape)
     return out
 
 
-def _cast(scene: Scene, pose, K: CameraIntrinsics, size: tuple[int, int]):
-    """The clean (2, H, W) intensities of the left and right cameras, and
-    the (H, W) true disparity: everything of a frame but its photometrics."""
+# A cast pass holds at most this many rays, those of one 64x48 frame's two
+# cameras, and one pose at least.
+RAY_BUDGET = 2 * 64 * 48
+
+
+def _cast(scene: Scene, poses: np.ndarray, K: CameraIntrinsics, size: tuple[int, int]):
+    """A (P, 3) pose stack's casts, one (intensities, disparity) tuple per
+    pose: the clean (2, H, W) intensities of the left and right cameras
+    and the (H, W) true disparity, everything of a frame but its
+    photometrics. Poses are cast in passes of at most RAY_BUDGET rays."""
     h, w = size
     us, vs = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
     uv = np.stack([us, vs], axis=-1)
     sides = np.array([False, True])[:, None, None]  # left, then right
-    intensity, depth, _ = cast_rays(scene, pose, K, uv, right=sides)
-    return intensity, K.fu * K.b / depth[0]
+    step = max(1, RAY_BUDGET // (2 * h * w))
+    casts = []
+    for i in range(0, len(poses), step):
+        # (p, 1, 1, 1, 3) poses against (2, H, W) rays: (p, 2, H, W) casts
+        intensity, depth, _ = cast_rays(scene, poses[i : i + step, None, None, None], K, uv,
+                                        right=sides)
+        casts += zip(intensity, K.fu * K.b / depth[:, 0])
+    return casts
 
 
 def _photograph(cast, pose, photo: PhotometricParams, noise_seed: int) -> StereoFrame:
@@ -309,8 +332,7 @@ def _photograph(cast, pose, photo: PhotometricParams, noise_seed: int) -> Stereo
     frame shares no memory with the cast or the pose."""
     intensity, disparity = cast
     rng = np.random.default_rng([int(noise_seed), 2])
-    left = apply_photometrics(intensity[0], photo, rng)
-    right = apply_photometrics(intensity[1], photo, rng)
+    left, right = apply_photometrics(intensity, photo, rng)
     return StereoFrame(left, right, disparity.copy(), np.array(pose, float))
 
 
@@ -318,17 +340,25 @@ def render_stereo(
     scene: Scene,
     pose,
     K: CameraIntrinsics,
-    photo: PhotometricParams = CONDITIONS["identity"],
+    photo: PhotometricParams | list[PhotometricParams] = CONDITIONS["identity"],
     size: tuple[int, int] = (48, 64),
-    noise_seed: int = 0,
-) -> StereoFrame:
+    noise_seed: int | list[int] = 0,
+) -> StereoFrame | list[StereoFrame]:
     """Render a rectified pair with per-pixel true disparity.
 
     Photometrics never touch geometry: the disparity map is identical across
     conditions. Noise is seeded, so identical arguments render identical
-    frames.
+    frames. A (P, 3) pose stack, with P conditions in `photo` and P seeds in
+    `noise_seed`, renders the list of P frames that rendering each pose
+    alone gives, bit for bit, casting the poses in passes (`_cast`).
     """
-    return _photograph(_cast(scene, pose, K, size), pose, photo, noise_seed)
+    poses = np.asarray(pose, dtype=float)
+    if poses.ndim == 1:
+        return _photograph(_cast(scene, poses[None], K, size)[0], poses, photo, noise_seed)
+    if not len(poses) == len(photo) == len(noise_seed):
+        raise ValueError("need one condition and one noise seed per pose")
+    return [_photograph(cast, p, ph, seed)
+            for cast, p, ph, seed in zip(_cast(scene, poses, K, size), poses, photo, noise_seed)]
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +460,15 @@ def render_sequence(
 
     The scene keeps the casts of the last sequence rendered on it, keyed by
     the poses' float64 bytes and shape, K and size, so the same path under
-    another condition or seed is only photographed again. The casts hold 3
-    (H, W) float64 planes per pose and die with the scene.
+    another condition or seed is only photographed again. One `_cast` call
+    fills the slot, in passes of `RAY_BUDGET` rays. The casts hold 3 (H, W)
+    float64 planes per pose and die with the scene.
     """
     photo = CONDITIONS[condition]
     poses = np.asarray(poses, dtype=float)
     key = (poses.shape, poses.tobytes(), np.array(astuple(K), float).tobytes(), tuple(size))
     if scene._casts is None or scene._casts[0] != key:
-        object.__setattr__(scene, "_casts", (key, [_cast(scene, p, K, size) for p in poses]))
+        object.__setattr__(scene, "_casts", (key, _cast(scene, poses, K, size)))
     casts = scene._casts[1]
     return [_photograph(cast, pose, photo, seed * 100003 + i)
             for i, (cast, pose) in enumerate(zip(casts, poses))]
@@ -459,9 +490,10 @@ def frame_blob(frame: StereoFrame) -> np.ndarray:
     return np.stack([frame.left, frame.right, frame.disparity])
 
 
-# A camera is stored as `dataclasses.asdict(K)`.
-CAMERA_SCHEMA = {"fu": storage.positive, "fv": storage.positive, "cu": storage.finite,
-                 "cv": storage.finite, "b": storage.positive}
+# A camera is stored as `dataclasses.asdict(K)`, each value in a physical
+# range: focal lengths and principal point in pixels, baseline in metres.
+_SCALE, _OFFSET = storage.within(1e-3, 1e6), storage.within(-1e6, 1e6)
+CAMERA_SCHEMA = {"fu": _SCALE, "fv": _SCALE, "cu": _OFFSET, "cv": _OFFSET, "b": _SCALE}
 
 
 def camera_from_dict(d: dict) -> CameraIntrinsics:
@@ -479,14 +511,19 @@ def make_dataset(
     source_extent: tuple[float, float] = (0.5, 0.35),
 ) -> Path:
     """Write `count` training pairs: random source placements, bounded planar
-    relative motions, and source/target conditions drawn from the schedule."""
+    relative motions, and source/target conditions drawn from the schedule.
+
+    Every pose and condition is drawn first; the pairs are then rendered in
+    blocks of one cast pass (one pair at least), one `render_stereo` call
+    per block. Pose j of the 2 * count (pair i's source is 2i, its target
+    2i + 1) takes noise seed `seed * 1000003 + j`."""
     if count < 1:
         raise ValueError("count must be >= 1")
     out_dir = Path(out_dir)
     h, w = size
     K = default_intrinsics(w, h)
     rng = np.random.default_rng([int(seed), 4])
-    samples = []
+    poses, conditions, samples = [], [], []
     for i in range(count):
         src_pose = np.array([
             rng.uniform(-source_extent[0], source_extent[0]),
@@ -501,20 +538,24 @@ def make_dataset(
         tgt_pose = solve_target_pose(src_pose, pp)
         src_cond = schedule[int(rng.integers(len(schedule)))]
         tgt_cond = schedule[int(rng.integers(len(schedule)))]
-        src = render_stereo(scene, src_pose, K, CONDITIONS[src_cond], size,
-                            noise_seed=seed * 1000003 + 2 * i)
-        tgt = render_stereo(scene, tgt_pose, K, CONDITIONS[tgt_cond], size,
-                            noise_seed=seed * 1000003 + 2 * i + 1)
-        fname = f"sample_{i:05d}.f32"
-        storage.write_blob(out_dir / fname, np.stack([frame_blob(src), frame_blob(tgt)]))
+        poses += [src_pose, tgt_pose]
+        conditions += [CONDITIONS[src_cond], CONDITIONS[tgt_cond]]
         samples.append({
-            "file": fname,
+            "file": f"sample_{i:05d}.f32",
             "pose": [pp.alpha, pp.beta, pp.gamma],
             "src_pose": src_pose.tolist(),
             "tgt_pose": tgt_pose.tolist(),
             "src_condition": src_cond,
             "tgt_condition": tgt_cond,
         })
+    block = 2 * max(1, RAY_BUDGET // (4 * h * w))  # poses
+    for j in range(0, 2 * count, block):
+        stop = min(j + block, 2 * count)
+        frames = render_stereo(scene, np.stack(poses[j:stop]), K, conditions[j:stop], size,
+                               [seed * 1000003 + k for k in range(j, stop)])
+        for sample, src, tgt in zip(samples[j // 2 :], frames[::2], frames[1::2]):
+            storage.write_blob(out_dir / sample["file"],
+                               np.stack([frame_blob(src), frame_blob(tgt)]))
     storage.write_manifest(out_dir, {
         "kind": "pairs",
         "seed": int(seed),

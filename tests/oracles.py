@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from stereoloc import autodiff as ad
-from stereoloc import features, matching, synth
+from stereoloc import features, matching, storage, synth
 from stereoloc.autodiff import Tape, Var
 from stereoloc.errors import (
     DegenerateGeometry,
@@ -712,3 +712,62 @@ def cast_rays(
     hits = origin + t_best[:, None] * dirs
     intensity = texture(scene, hits[:, 0], hits[:, 1]) * albedo
     return intensity, t_best, hits
+
+
+# The dataset writer `synth.make_dataset` replaced: draw, render and write
+# one pair at a time, one `render_stereo` call per frame.
+def make_dataset(
+    out_dir: str | Path,
+    scene: synth.Scene,
+    count: int,
+    seed: int,
+    size: tuple[int, int] = (48, 64),
+    motion: synth.MotionBounds = synth.MotionBounds(),
+    schedule: tuple[str, ...] = synth.DAY_SCHEDULE,
+    source_extent: tuple[float, float] = (0.5, 0.35),
+) -> Path:
+    out_dir = Path(out_dir)
+    h, w = size
+    K = synth.default_intrinsics(w, h)
+    rng = np.random.default_rng([int(seed), 4])
+    samples = []
+    for i in range(count):
+        src_pose = np.array([
+            rng.uniform(-source_extent[0], source_extent[0]),
+            rng.uniform(-source_extent[1], source_extent[1]),
+            rng.uniform(-math.pi, math.pi),
+        ])
+        pp = PlanarPose(
+            rng.uniform(-motion.alpha, motion.alpha),
+            rng.uniform(-motion.beta, motion.beta),
+            rng.uniform(-motion.gamma, motion.gamma),
+        )
+        tgt_pose = synth.solve_target_pose(src_pose, pp)
+        src_cond = schedule[int(rng.integers(len(schedule)))]
+        tgt_cond = schedule[int(rng.integers(len(schedule)))]
+        src = synth.render_stereo(scene, src_pose, K, synth.CONDITIONS[src_cond], size,
+                                  noise_seed=seed * 1000003 + 2 * i)
+        tgt = synth.render_stereo(scene, tgt_pose, K, synth.CONDITIONS[tgt_cond], size,
+                                  noise_seed=seed * 1000003 + 2 * i + 1)
+        fname = f"sample_{i:05d}.f32"
+        storage.write_blob(out_dir / fname,
+                           np.stack([synth.frame_blob(src), synth.frame_blob(tgt)]))
+        samples.append({
+            "file": fname,
+            "pose": [pp.alpha, pp.beta, pp.gamma],
+            "src_pose": src_pose.tolist(),
+            "tgt_pose": tgt_pose.tolist(),
+            "src_condition": src_cond,
+            "tgt_condition": tgt_cond,
+        })
+    storage.write_manifest(out_dir, {
+        "kind": "pairs",
+        "seed": int(seed),
+        "scene_seed": scene.seed,
+        "image_size": [h, w],
+        "camera": asdict(K),
+        "motion_bounds": asdict(motion),
+        "schedule": list(schedule),
+        "samples": samples,
+    })
+    return out_dir

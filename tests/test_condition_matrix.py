@@ -16,9 +16,9 @@ def test_renders_each_sequence_once_and_writes_a_square_matrix(tmp_path, monkeyp
     spec.loader.exec_module(script)
     cast, casts = synth._cast, []
 
-    def counted(*args):
-        casts.append(1)
-        return cast(*args)
+    def counted(scene, poses, K, size):  # each pose of the stack is a cast
+        casts.extend(poses)
+        return cast(scene, poses, K, size)
 
     monkeypatch.setattr(synth, "_cast", counted)
     frames, conditions = 2, ["noon", "dusk"]

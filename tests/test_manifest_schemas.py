@@ -11,6 +11,7 @@ key. Hypothesis draws the replacement values; every case runs in each
 example."""
 
 import copy
+import dataclasses
 import math
 
 import pytest
@@ -204,6 +205,12 @@ class TestEveryKey:
         ("map", lambda m: m["vertices"][0].update(world_pose=[10**400, 0.0, 0.0]),
          "vertices[0].world_pose[0] 1000"),
         ("map", lambda m: m["camera"].update(fu=-10**400), "camera.fu -1000"),
+        # finite but absurd: these once ran to exit 0 with every frame failed
+        ("map", lambda m: m["camera"].update(b=1e308), "camera.b 1e+308 "),
+        ("map", lambda m: m["camera"].update(cu=1e308), "camera.cu 1e+308 "),
+        ("map", lambda m: m["camera"].update(fu=1e-320), "camera.fu 1e-320 "),
+        ("sequence", lambda m: m["camera"].update(cv=-2e6), "camera.cv -2000000.0 "),
+        ("pairs", lambda m: m["camera"].update(fv=2e6), "camera.fv 2000000.0 "),
     ])
     def test_malformed_manifest_is_3_and_names_the_key(self, artifacts, capsys, kind, edit,
                                                        head):
@@ -247,3 +254,11 @@ class TestEveryKey:
         else:
             assert code == 3
             assert capsys.readouterr().err.startswith(f"error: data: {run / name}: {head}")
+
+
+@pytest.mark.parametrize("width, height", [(1, 1), (32, 24), (64, 48), (1, 10**6), (10**6, 1)])
+def test_every_default_camera_is_in_range(width, height):
+    """The camera ranges hold every camera `default_intrinsics` writes, up
+    to a million pixels a side."""
+    K = synth.default_intrinsics(width, height)
+    storage.check(dataclasses.asdict(K), synth.CAMERA_SCHEMA, "camera")

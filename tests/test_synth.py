@@ -224,6 +224,76 @@ class TestRendererMatchesOracle:
             assert texture(scene, x, y).tobytes() == oracles.texture(scene, x, y).tobytes()
 
 
+class TestMultiPoseCasts:
+    """A pose stack renders, in passes of at most `RAY_BUDGET` rays, the
+    frames its poses render one at a time, bit for bit; `make_dataset`
+    writes the bytes of the per-frame loop it replaced."""
+
+    SIZES = [(24, 32), (48, 64), (1, 64), (48, 1)]
+
+    @staticmethod
+    def per_pass(size) -> int:
+        return max(1, synth.RAY_BUDGET // (2 * size[0] * size[1]))
+
+    @pytest.mark.parametrize("stack", ["one", "one pass", "past a pass"])
+    @pytest.mark.parametrize("size", SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_a_stack_renders_the_per_pose_frames(self, size, stack):
+        h, w = size
+        n = {"one": 1, "one pass": self.per_pass(size),
+             "past a pass": self.per_pass(size) + 1}[stack]
+        rng = np.random.default_rng([h, w, n])
+        # an odd axis puts rays with a zero direction component in the stack
+        poses = np.column_stack([rng.uniform(-0.5, 0.5, n), rng.uniform(-0.35, 0.35, n),
+                                 rng.choice([-2.0, -0.0, 0.3, math.pi], n)])
+        conditions = [CONDITIONS[c] for c in rng.choice(sorted(CONDITIONS), n)]
+        seeds = rng.integers(0, 2**31, n).tolist()
+        scene = generate_scene(4)
+        K = synth.default_intrinsics(w, h)
+        frames = render_stereo(scene, poses, K, conditions, size, seeds)
+        assert len(frames) == n
+        for frame, pose, photo, seed in zip(frames, poses, conditions, seeds):
+            ref = render_stereo(scene, pose, K, photo, size, seed)
+            assert _same_bits((frame.left, ref.left), (frame.right, ref.right),
+                              (frame.disparity, ref.disparity), (frame.pose, ref.pose))
+
+    def test_a_stack_needs_a_condition_and_a_seed_per_pose(self, scene, K_default):
+        poses = path_poses(3)
+        with pytest.raises(ValueError, match="one condition and one noise seed per pose"):
+            render_stereo(scene, poses, K_default, [CONDITIONS["noon"]] * 2, (48, 64), [1, 2, 3])
+
+    @pytest.mark.parametrize("size", SIZES + [(96, 128)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_no_pass_casts_more_rays_than_the_budget(self, monkeypatch, tmp_path, size):
+        """Counted at `_nearest_hits`, every ray once; a frame larger than
+        the budget is a pass of its own."""
+        hits, passes = synth._nearest_hits, []
+
+        def counted(scene, ox, oy, dx, dy):
+            passes.append(math.prod(np.broadcast_shapes(np.shape(ox), np.shape(dx))))
+            return hits(scene, ox, oy, dx, dy)
+
+        monkeypatch.setattr(synth, "_nearest_hits", counted)
+        h, w = size
+        rays = 2 * h * w
+        scene = generate_scene(4)
+        K = synth.default_intrinsics(w, h)
+        n = 2 * self.per_pass(size) + 1
+        render_stereo(scene, path_poses(n), K, [CONDITIONS["noon"]] * n, size, list(range(n)))
+        make_dataset(tmp_path / "ds", scene, count=n, seed=3, size=size)
+        assert sum(passes) == 3 * n * rays
+        assert max(passes) == max(rays, synth.RAY_BUDGET // rays * rays)
+        assert all(p <= max(rays, synth.RAY_BUDGET) for p in passes)
+
+    @pytest.mark.parametrize("size, count", [((24, 32), 5), ((48, 64), 3), ((1, 64), 30)],
+                             ids=["24x32", "48x64", "1x64"])
+    def test_make_dataset_is_the_per_frame_oracle(self, tmp_path, size, count):
+        scene = generate_scene(4)
+        made = make_dataset(tmp_path / "made", scene, count=count, seed=12, size=size)
+        ref = oracles.make_dataset(tmp_path / "ref", scene, count=count, seed=12, size=size)
+        assert sorted(p.name for p in made.iterdir()) == sorted(p.name for p in ref.iterdir())
+        for f in ref.iterdir():
+            assert (made / f.name).read_bytes() == f.read_bytes(), f.name
+
+
 class TestOnePixelFrames:
     @pytest.mark.parametrize("size", [(1, 64), (48, 1), (1, 1)],
                              ids=lambda s: f"{s[0]}x{s[1]}")
@@ -412,12 +482,13 @@ class TestSequenceCasts:
 
     @pytest.fixture
     def casts(self, monkeypatch):
-        """The poses of every cast render_sequence makes, in order."""
+        """The poses of every cast render_sequence makes, in order: each
+        pose of a stack counts as one cast."""
         cast, seen = synth._cast, []
 
-        def counted(scene, pose, K, size):
-            seen.append(np.array(pose, float))
-            return cast(scene, pose, K, size)
+        def counted(scene, poses, K, size):
+            seen.extend(np.array(poses, float))
+            return cast(scene, poses, K, size)
 
         monkeypatch.setattr(synth, "_cast", counted)
         return seen
