@@ -290,16 +290,20 @@ def apply_photometrics(
     images: response curve, gain, vignette, bias, then additive noise, one
     standard-normal draw of the stack's shape."""
     h, w = img.shape[-2:]
-    out = np.power(np.clip(img, 0.0, None), photo.gamma)
+    out = np.clip(img, 0.0, None)
+    np.power(out, photo.gamma, out=out)
     if photo.vignette > 0.0:
         # normalized coordinates in [-1, 1]; a 1-px axis sits at 0
         vu = (np.arange(w) - (w - 1) / 2) / ((w - 1) / 2 or 1.0)
         vv = (np.arange(h) - (h - 1) / 2) / ((h - 1) / 2 or 1.0)
         rho2 = (vu[None, :] ** 2 + vv[:, None] ** 2) / 2.0
-        out = out * (1.0 - photo.vignette * rho2)
-    out = photo.gain * out + photo.bias
+        out *= 1.0 - photo.vignette * rho2
+    out *= photo.gain
+    out += photo.bias
     if photo.sigma > 0.0:
-        out = out + photo.sigma * rng.standard_normal(img.shape)
+        noise = rng.standard_normal(img.shape)
+        noise *= photo.sigma
+        out += noise
     return out
 
 
