@@ -25,7 +25,8 @@ committed checkpoint's gradients on the first batches of 4 of the training
 split of 80 pairs at 32x24. It writes one JSON line per batch: the seed,
 the batch, its loss, each sample's loss, gated count and skipped flag, the
 SHA-256 and L2 norm of the flattened gradient (tensors in name order,
-float64), and the SHA-256 of the batch's pair blobs.
+float64; the norm from an exactly rounded sum of squares, so it reads the
+same at any BLAS thread count), and the SHA-256 of the batch's pair blobs.
 
 `diff` matches the rows of two digests by their keys. Over localization
 rows it reports rows missing from either side, inlier and failure
@@ -146,7 +147,9 @@ def train_rows(seeds: list[int], batches: int, work: Path):
                    "sample_losses": [s.total for s in stats],
                    "gated": [s.n_gated for s in stats], "skipped": [s.skipped for s in stats],
                    "grad_sha256": hashlib.sha256(flat.tobytes()).hexdigest(),
-                   "grad_norm": float(np.linalg.norm(flat)),
+                   # an exactly rounded sum: no BLAS reduction, whose order
+                   # follows the thread count
+                   "grad_norm": math.sqrt(math.fsum((flat * flat).tolist())),
                    "pairs_sha256": frames_sha256([f for s in batch for f in (s.source, s.target)])}
 
 

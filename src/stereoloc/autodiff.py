@@ -250,14 +250,9 @@ def reshape(a: Var, shape) -> Var:
     return a.tape.record(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def transpose(a: Var, axes=None) -> Var:
-    av = a.value
-    if axes is None:
-        axes = tuple(reversed(range(av.ndim)))
+def transpose(a: Var, axes) -> Var:
     inv = np.argsort(axes)
-    return a.tape.record(
-        np.transpose(av, axes), (a,), lambda g: (np.transpose(g, inv),)
-    )
+    return a.tape.record(np.transpose(a.value, axes), (a,), lambda g: (np.transpose(g, inv),))
 
 
 def concat(parts: Sequence[Var], axis: int = 0) -> Var:

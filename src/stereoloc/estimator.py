@@ -33,8 +33,8 @@ class RansacParams:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier_threshold must be positive")
+        if not 0 < self.inlier_threshold < np.inf:  # NaN fails too
+            raise ValueError("inlier_threshold must be positive and finite")
         operator.index(self.seed)  # an int: the memoized minimal sets key on it
 
 

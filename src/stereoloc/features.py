@@ -39,10 +39,6 @@ class ExtractorConfig:
         if not self.channels or min(self.channels) < 1:
             raise ValueError("channels must be a nonempty list of positive counts")
 
-    @property
-    def descriptor_dim(self) -> int:
-        return sum(self.channels)
-
     def layer_shapes(self) -> dict[str, tuple[int, ...]]:
         shapes: dict[str, tuple[int, ...]] = {}
         c_prev = 1
@@ -78,9 +74,9 @@ class ExtractorWeights:
         return {k: tape.param(v) for k, v in self.tensors.items()}
 
 
-def init_weights(cfg: ExtractorConfig, seed: int | None = None) -> ExtractorWeights:
-    """Uniform init in +-sqrt(1/fan_in), seeded."""
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+def init_weights(cfg: ExtractorConfig) -> ExtractorWeights:
+    """Uniform init in +-sqrt(1/fan_in), seeded by the config."""
+    rng = np.random.default_rng(cfg.seed)
     tensors = {}
     for name, shape in cfg.layer_shapes().items():
         if name.endswith(".bias"):

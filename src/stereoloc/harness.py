@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -124,6 +123,12 @@ class LocalizeParams:
     failure_inliers: int = 20
     disparity: str = "gt"  # or "block"
 
+    def __post_init__(self):
+        if not 0 < self.tau < math.inf:  # NaN fails too
+            raise ValueError("tau must be positive and finite")
+        if self.failure_inliers < 0:
+            raise ValueError("failure_inliers must be >= 0")
+
 
 # The one reason localize records for each failure it catches.
 FAILURE_REASONS = {
@@ -138,7 +143,6 @@ FAILURE_REASONS = {
 class LocalizationResult:
     pose: SE3Pose | None
     inliers: int
-    timing: float
     # None on success, else a FAILURE_REASONS value or "below_inlier_threshold"
     reason: str | None
 
@@ -252,7 +256,6 @@ def localize(
     pixels make them), surface as the failure flag and its reason, not
     exceptions.
     """
-    start = time.perf_counter()
     inliers = 0
     pose = None
     reason = None
@@ -274,7 +277,7 @@ def localize(
     except tuple(FAILURE_REASONS) as e:
         reason = FAILURE_REASONS[type(e)]
 
-    return LocalizationResult(pose, inliers, time.perf_counter() - start, reason)
+    return LocalizationResult(pose, inliers, reason)
 
 
 def _dense_pairs(vertex, coords, desc, scores, p_live, params, K):

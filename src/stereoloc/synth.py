@@ -66,22 +66,15 @@ DAY_SCHEDULE = (
 # scene
 
 
-@dataclass(frozen=True)
-class SceneParams:
-    n_blocks: int = 5
-    block_extent: float = 0.8  # blocks centered within +-extent in x, scaled in y
-    block_size: tuple[float, float] = (0.15, 0.45)
-    block_height: tuple[float, float] = (0.1, 0.4)
-    camera_height: float = 2.0
-    texture_octaves: int = 4
-    texture_base_freq: float = 3.0
-    texture_contrast: float = 1.6
+# The rig flies at CAMERA_HEIGHT above the ground plane, whose albedo is
+# value noise of TEXTURE_OCTAVES octaves, the first at TEXTURE_FREQ.
+CAMERA_HEIGHT = 2.0
+TEXTURE_OCTAVES, TEXTURE_FREQ, TEXTURE_CONTRAST = 4, 3.0, 1.6
 
 
 @dataclass(frozen=True)
 class Scene:
     seed: int
-    params: SceneParams
     blocks: np.ndarray  # (k, 6): x0, x1, y0, y1, height, albedo
     # render_sequence's slot: the key and casts of the last sequence it rendered
     _casts: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -92,18 +85,20 @@ class Scene:
         object.__setattr__(self, "blocks", b)
 
 
-def generate_scene(seed: int, params: SceneParams = SceneParams()) -> Scene:
+def generate_scene(seed: int) -> Scene:
+    """Five blocks, centered within +-0.8 in x and +-0.7 * 0.8 in y, with
+    sides in [0.15, 0.45] and heights in [0.1, 0.4], below the camera."""
     rng = np.random.default_rng([int(seed), 1])
     blocks = []
-    for _ in range(params.n_blocks):
-        cx = rng.uniform(-params.block_extent, params.block_extent)
-        cy = rng.uniform(-0.7 * params.block_extent, 0.7 * params.block_extent)
-        sx = rng.uniform(*params.block_size)
-        sy = rng.uniform(*params.block_size)
-        h = rng.uniform(*params.block_height)
+    for _ in range(5):
+        cx = rng.uniform(-0.8, 0.8)
+        cy = rng.uniform(-0.7 * 0.8, 0.7 * 0.8)
+        sx = rng.uniform(0.15, 0.45)
+        sy = rng.uniform(0.15, 0.45)
+        h = rng.uniform(0.1, 0.4)
         albedo = rng.uniform(0.6, 1.3)
         blocks.append([cx - sx / 2, cx + sx / 2, cy - sy / 2, cy + sy / 2, h, albedo])
-    return Scene(int(seed), params, np.array(blocks).reshape(params.n_blocks, 6))
+    return Scene(int(seed), np.array(blocks))
 
 
 _HASH_X = np.uint64(0x9E3779B97F4A7C15)
@@ -141,13 +136,12 @@ def _value_noise(fx: np.ndarray, fy: np.ndarray, salt: int) -> np.ndarray:
 
 def texture(scene: Scene, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Procedural albedo in (0, 1), defined on the whole plane."""
-    p = scene.params
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     total = np.zeros_like(x)
     amp_sum = 0.0
-    for o in range(p.texture_octaves):
-        freq = p.texture_base_freq * (2.0**o)
+    for o in range(TEXTURE_OCTAVES):
+        freq = TEXTURE_FREQ * (2.0**o)
         amp = 0.5**o
         noise = _value_noise(x * freq, y * freq, scene.seed * 1000003 + o * 7919)
         # 2**-53 and amp are powers of two: scaling after the blend rounds
@@ -155,7 +149,7 @@ def texture(scene: Scene, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         total += noise * (amp * 2.0**-53)
         amp_sum += amp
     norm = total / amp_sum
-    return np.clip(0.5 + p.texture_contrast * (norm - 0.5), 0.02, 0.98)
+    return np.clip(0.5 + TEXTURE_CONTRAST * (norm - 0.5), 0.02, 0.98)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +215,9 @@ class StereoFrame:
 
 def _nearest_hits(scene: Scene, ox, oy, dx, dy) -> tuple[np.ndarray, np.ndarray]:
     """Depth and albedo of the nearest surface along downward rays from
-    (ox, oy, camera height) with direction (dx, dy, -1): the ground plane
+    (ox, oy, CAMERA_HEIGHT) with direction (dx, dy, -1): the ground plane
     z = 0, or a block top found by the slab test."""
-    h_cam = scene.params.camera_height
-    t_best = np.full(np.broadcast_shapes(np.shape(ox), np.shape(dx)), h_cam)
+    t_best = np.full(np.broadcast_shapes(np.shape(ox), np.shape(dx)), CAMERA_HEIGHT)
     albedo = np.ones_like(t_best)
     with np.errstate(divide="ignore", invalid="ignore"):
         for x0, x1, y0, y1, bh, alb in scene.blocks:
@@ -232,10 +225,10 @@ def _nearest_hits(scene: Scene, ox, oy, dx, dy) -> tuple[np.ndarray, np.ndarray]
             tx2 = (x1 - ox) / dx
             ty1 = (y0 - oy) / dy
             ty2 = (y1 - oy) / dy
-            # the top plane is at h_cam - bh > 0, and a t_near past the
+            # the top plane is at CAMERA_HEIGHT - bh > 0, and a t_near past the
             # ground fails t_near < t_best
             t_near = np.maximum(np.minimum(tx1, tx2), np.minimum(ty1, ty2))
-            t_near = np.maximum(t_near, h_cam - bh)
+            t_near = np.maximum(t_near, CAMERA_HEIGHT - bh)
             t_far = np.minimum(np.maximum(tx1, tx2), np.maximum(ty1, ty2))
             hit = (t_near <= t_far) & (t_near < t_best)
             np.copyto(t_best, t_near, where=hit)
@@ -261,8 +254,7 @@ def cast_rays(
     """
     pose = np.asarray(pose, dtype=float)
     x, y, yaw = pose[..., 0], pose[..., 1], pose[..., 2]
-    h_cam = scene.params.camera_height
-    if scene.blocks.size and h_cam <= scene.blocks[:, 4].max():
+    if scene.blocks.size and CAMERA_HEIGHT <= scene.blocks[:, 4].max():
         raise InvalidViewpoint("camera at or below the tallest block")
     # x_c = (c, s, 0), y_c = (s, -c, 0), with math's cos and sin per pose
     c = np.reshape([math.cos(t) for t in yaw.flat], yaw.shape)
@@ -280,7 +272,7 @@ def cast_rays(
     hx = ox + t_best * dx
     hy = oy + t_best * dy
     intensity = texture(scene, hx, hy) * albedo
-    return intensity, t_best, np.stack([hx, hy, h_cam - t_best], axis=-1)
+    return intensity, t_best, np.stack([hx, hy, CAMERA_HEIGHT - t_best], axis=-1)
 
 
 def apply_photometrics(
@@ -416,40 +408,32 @@ def block_match_disparity(
 # paths and sequences
 
 
-@dataclass(frozen=True)
-class MotionBounds:
-    alpha: float = 0.5
-    beta: float = 0.2
-    gamma: float = math.radians(10.0)
+# Bounds of the uniform draws, as (alpha, beta, gamma) in the camera frame:
+# a training pair's relative motion (written to its manifest), and a live
+# pose's offset from its vertex.
+MOTION_BOUNDS = {"alpha": 0.5, "beta": 0.2, "gamma": math.radians(10.0)}
+OFFSET_BOUNDS = (0.05, 0.05, math.radians(2.0))
+# Training sources are placed uniformly within +-these in world x and y.
+SOURCE_EXTENT = (0.5, 0.35)
 
 
-def path_poses(n: int, span: float = 0.55, sway: float = 0.25) -> np.ndarray:
-    """A gentle deterministic S-curve across the scene: (n, 3) world poses."""
+def path_poses(n: int) -> np.ndarray:
+    """A gentle deterministic S-curve across the scene: (n, 3) world poses,
+    x across +-0.55 and y swaying within +-0.125."""
     t = np.linspace(-1.0, 1.0, n)
-    x = span * t
-    y = 0.5 * sway * np.sin(1.5 * np.pi * t)
+    x = 0.55 * t
+    y = 0.125 * np.sin(1.5 * np.pi * t)
     yaw = 0.25 * np.sin(2.0 * t)
     return np.stack([x, y, yaw], axis=1)
 
 
-def offset_poses(
-    poses: np.ndarray, seed: int, alpha: float = 0.05, beta: float = 0.05,
-    gamma: float = math.radians(2.0),
-) -> tuple[np.ndarray, list[PlanarPose]]:
+def offset_poses(poses: np.ndarray, seed: int) -> tuple[np.ndarray, list[PlanarPose]]:
     """Perturb a taught path the way a tracking robot would: each live pose
-    sits at a small camera-frame offset from its vertex."""
+    sits at a small camera-frame offset, within OFFSET_BOUNDS, from its
+    vertex."""
     rng = np.random.default_rng([int(seed), 3])
-    out = []
-    offs = []
-    for pose in poses:
-        pp = PlanarPose(
-            rng.uniform(-alpha, alpha),
-            rng.uniform(-beta, beta),
-            rng.uniform(-gamma, gamma),
-        )
-        out.append(solve_source_pose(pose, pp))
-        offs.append(pp)
-    return np.stack(out), offs
+    offs = [PlanarPose(*(rng.uniform(-b, b) for b in OFFSET_BOUNDS)) for _ in poses]
+    return np.stack([solve_source_pose(p, pp) for p, pp in zip(poses, offs)]), offs
 
 
 def render_sequence(
@@ -510,12 +494,10 @@ def make_dataset(
     count: int,
     seed: int,
     size: tuple[int, int] = (48, 64),
-    motion: MotionBounds = MotionBounds(),
-    schedule: tuple[str, ...] = DAY_SCHEDULE,
-    source_extent: tuple[float, float] = (0.5, 0.35),
 ) -> Path:
-    """Write `count` training pairs: random source placements, bounded planar
-    relative motions, and source/target conditions drawn from the schedule.
+    """Write `count` training pairs: random source placements within
+    SOURCE_EXTENT, relative motions within MOTION_BOUNDS, and source and
+    target conditions drawn from DAY_SCHEDULE.
 
     Every pose and condition is drawn first; the pairs are then rendered in
     blocks of one cast pass (one pair at least), one `render_stereo` call
@@ -529,19 +511,12 @@ def make_dataset(
     rng = np.random.default_rng([int(seed), 4])
     poses, conditions, samples = [], [], []
     for i in range(count):
-        src_pose = np.array([
-            rng.uniform(-source_extent[0], source_extent[0]),
-            rng.uniform(-source_extent[1], source_extent[1]),
-            rng.uniform(-math.pi, math.pi),
-        ])
-        pp = PlanarPose(
-            rng.uniform(-motion.alpha, motion.alpha),
-            rng.uniform(-motion.beta, motion.beta),
-            rng.uniform(-motion.gamma, motion.gamma),
-        )
+        src_pose = np.array([*(rng.uniform(-e, e) for e in SOURCE_EXTENT),
+                             rng.uniform(-math.pi, math.pi)])
+        pp = PlanarPose(*(rng.uniform(-b, b) for b in MOTION_BOUNDS.values()))
         tgt_pose = solve_target_pose(src_pose, pp)
-        src_cond = schedule[int(rng.integers(len(schedule)))]
-        tgt_cond = schedule[int(rng.integers(len(schedule)))]
+        src_cond, tgt_cond = (DAY_SCHEDULE[int(rng.integers(len(DAY_SCHEDULE)))]
+                              for _ in range(2))
         poses += [src_pose, tgt_pose]
         conditions += [CONDITIONS[src_cond], CONDITIONS[tgt_cond]]
         samples.append({
@@ -566,8 +541,8 @@ def make_dataset(
         "scene_seed": scene.seed,
         "image_size": [h, w],
         "camera": asdict(K),
-        "motion_bounds": asdict(motion),
-        "schedule": list(schedule),
+        "motion_bounds": MOTION_BOUNDS,
+        "schedule": list(DAY_SCHEDULE),
         "samples": samples,
     })
     return out_dir
@@ -577,7 +552,7 @@ POSE_SCHEMA = [storage.finite, 3]
 PAIRS_SCHEMA = {
     "kind": "pairs", "seed": storage.count, "scene_seed": storage.count,
     "image_size": [storage.size, 2], "camera": CAMERA_SCHEMA,
-    "motion_bounds": {"alpha": storage.finite, "beta": storage.finite, "gamma": storage.finite},
+    "motion_bounds": dict.fromkeys(MOTION_BOUNDS, storage.finite),
     "schedule": [storage.text],
     "samples": [{"file": storage.file_name, "pose": POSE_SCHEMA, "src_pose": POSE_SCHEMA,
                  "tgt_pose": POSE_SCHEMA, "src_condition": storage.text,

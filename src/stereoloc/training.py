@@ -35,10 +35,11 @@ class LossConfig:
     tau: float = matching.DEFAULT_TEMPERATURE
 
     def __post_init__(self):
-        if min(self.lam, self.gate_threshold, self.tau) <= 0:
-            raise ValueError("lam, gate_threshold, and tau must be positive")
-        if self.keypoint_weight < 0:  # 0 is the pose-loss-only limit case
-            raise ValueError("keypoint_weight must be nonnegative")
+        for name in ("lam", "gate_threshold", "tau"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.keypoint_weight < math.inf:  # 0 is the pose-loss-only limit case
+            raise ValueError("keypoint_weight must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.early_stop_patience < 1:
@@ -74,7 +77,6 @@ TAPE_SAMPLES = 4
 @dataclass
 class SampleStats:
     total: float = math.nan
-    keypoint: float = math.nan
     pose: float = math.nan
     n_gated: int = 0
     skipped: bool = False
@@ -157,7 +159,7 @@ def batch_loss(
     for i, ok in enumerate(kept):
         st = SampleStats(n_gated=int(n - n_kept[i]), skipped=not ok)
         if ok:
-            st.total, st.keypoint, st.pose = (float(x.value[i]) for x in (total, l_kp, l_pose))
+            st.total, st.pose = float(total.value[i]), float(l_pose.value[i])
             rx, ry = aligned.value[i, 9:11]
             st.est = PlanarPose(float(rx), float(ry), float(yaw.value[i]))
         stats.append(st)
@@ -213,14 +215,15 @@ def total_loss(
 # Adam
 
 
+# Adam's moment decay rates and denominator floor, Kingma and Ba's defaults.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def for_params(params: dict[str, np.ndarray]) -> "AdamState":
@@ -238,7 +241,7 @@ def adam_step(
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One bias-corrected Adam update, in place."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
     for k, p in params.items():
@@ -247,7 +250,7 @@ def adam_step(
         state.v[k] = b2 * state.v[k] + (1.0 - b2) * (g * g)
         m_hat = state.m[k] / bc1
         v_hat = state.v[k] / bc2
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -260,7 +263,6 @@ class TrainResult:
     weights: features.ExtractorWeights
     curves: list[dict]
     best_epoch: int
-    stopped_epoch: int
 
 
 def validate(
@@ -305,7 +307,6 @@ def train(
     best_epoch = 0
     best_weights = weights.copy()
     patience_left = tcfg.early_stop_patience
-    stopped = 0
 
     for epoch in range(1, tcfg.max_epochs + 1):
         order = np.random.default_rng([tcfg.seed, epoch]).permutation(len(train_samples))
@@ -327,7 +328,6 @@ def train(
             note = f" ({skipped} of {len(val_samples)} validation samples skipped)"
             log(f"epoch {epoch}: train {train_mean:.5f} val {val_loss:.5f} "
                 f"pose {val_pose:.5f}{note if skipped else ''}")
-        stopped = epoch
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
@@ -348,7 +348,7 @@ def train(
         storage.write_csv(out_dir / "loss_curves.csv", list(curves[0]), [
             [repr(v) if isinstance(v, float) else v for v in row.values()] for row in curves
         ])
-    return TrainResult(best_weights, curves, best_epoch, stopped)
+    return TrainResult(best_weights, curves, best_epoch)
 
 
 def split_dataset(

@@ -639,11 +639,10 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 
 def texture(scene: synth.Scene, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Procedural albedo in (0, 1), defined on the whole plane."""
-    p = scene.params
     total = np.zeros_like(np.asarray(x, dtype=float))
     amp_sum = 0.0
-    for o in range(p.texture_octaves):
-        freq = p.texture_base_freq * (2.0**o)
+    for o in range(synth.TEXTURE_OCTAVES):
+        freq = synth.TEXTURE_FREQ * (2.0**o)
         amp = 0.5**o
         fx = np.asarray(x, dtype=float) * freq
         fy = np.asarray(y, dtype=float) * freq
@@ -660,7 +659,7 @@ def texture(scene: synth.Scene, x: np.ndarray, y: np.ndarray) -> np.ndarray:
                         + (v01 * (1 - tx) + v11 * tx) * ty)
         amp_sum += amp
     norm = total / amp_sum
-    return np.clip(0.5 + p.texture_contrast * (norm - 0.5), 0.02, 0.98)
+    return np.clip(0.5 + synth.TEXTURE_CONTRAST * (norm - 0.5), 0.02, 0.98)
 
 
 def cast_rays(
@@ -677,7 +676,7 @@ def cast_rays(
     along the camera x-axis.
     """
     x, y, yaw = float(pose[0]), float(pose[1]), float(pose[2])
-    h_cam = scene.params.camera_height
+    h_cam = synth.CAMERA_HEIGHT
     if scene.blocks.size and h_cam <= scene.blocks[:, 4].max():
         raise InvalidViewpoint("camera at or below the tallest block")
     x_c, y_c, z_c = synth._cam_axes(yaw)
@@ -722,10 +721,8 @@ def make_dataset(
     count: int,
     seed: int,
     size: tuple[int, int] = (48, 64),
-    motion: synth.MotionBounds = synth.MotionBounds(),
-    schedule: tuple[str, ...] = synth.DAY_SCHEDULE,
-    source_extent: tuple[float, float] = (0.5, 0.35),
 ) -> Path:
+    extent, motion, schedule = synth.SOURCE_EXTENT, synth.MOTION_BOUNDS, synth.DAY_SCHEDULE
     out_dir = Path(out_dir)
     h, w = size
     K = synth.default_intrinsics(w, h)
@@ -733,14 +730,14 @@ def make_dataset(
     samples = []
     for i in range(count):
         src_pose = np.array([
-            rng.uniform(-source_extent[0], source_extent[0]),
-            rng.uniform(-source_extent[1], source_extent[1]),
+            rng.uniform(-extent[0], extent[0]),
+            rng.uniform(-extent[1], extent[1]),
             rng.uniform(-math.pi, math.pi),
         ])
         pp = PlanarPose(
-            rng.uniform(-motion.alpha, motion.alpha),
-            rng.uniform(-motion.beta, motion.beta),
-            rng.uniform(-motion.gamma, motion.gamma),
+            rng.uniform(-motion["alpha"], motion["alpha"]),
+            rng.uniform(-motion["beta"], motion["beta"]),
+            rng.uniform(-motion["gamma"], motion["gamma"]),
         )
         tgt_pose = synth.solve_target_pose(src_pose, pp)
         src_cond = schedule[int(rng.integers(len(schedule)))]
@@ -766,7 +763,7 @@ def make_dataset(
         "scene_seed": scene.seed,
         "image_size": [h, w],
         "camera": asdict(K),
-        "motion_bounds": asdict(motion),
+        "motion_bounds": motion,
         "schedule": list(schedule),
         "samples": samples,
     })

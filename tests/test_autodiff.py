@@ -162,7 +162,7 @@ PRIMITIVE_CASES = {
     "softmax": lambda t, x, rng: scalarize(ad.softmax(x, axis=1), _rand(rng, *x.shape)),
     "matmul": lambda t, x, rng: scalarize(ad.matmul(x, t.constant(_rand(rng, x.shape[1], 3))), _rand(rng, x.shape[0], 3)),
     "reshape": lambda t, x, rng: scalarize(ad.reshape(x, (x.value.size,)), _rand(rng, x.value.size)),
-    "transpose": lambda t, x, rng: scalarize(ad.transpose(x), _rand(rng, x.shape[1], x.shape[0])),
+    "transpose": lambda t, x, rng: scalarize(ad.transpose(x, (1, 0)), _rand(rng, x.shape[1], x.shape[0])),
     "concat": lambda t, x, rng: scalarize(ad.concat([x, t.constant(_rand(rng, *x.shape))], axis=0), _rand(rng, 2 * x.shape[0], x.shape[1])),
     "take": lambda t, x, rng: scalarize(ad.take(x, [0, 2, 2], axis=0), _rand(rng, 3, x.shape[1])),
     "take_slice": lambda t, x, rng: scalarize(ad.take(x, slice(1, 4), axis=1), _rand(rng, x.shape[0], 3)),
@@ -840,7 +840,7 @@ class TestMatchSubgraph:
         up = rng.normal(size=(n, 2))
 
         def build(t, src):
-            sim = ad.matmul(ad.row_znorm(src), ad.transpose(ad.row_znorm(t.constant(tgt))))
+            sim = ad.matmul(ad.row_znorm(src), ad.transpose(ad.row_znorm(t.constant(tgt)), (1, 0)))
             attn = ad.softmax(ad.mul(sim, 12.0), axis=1)
             q = ad.matmul(attn, t.constant(coords))
             return ad.sum_(ad.mul(q, t.constant(up)))

@@ -110,13 +110,14 @@ class TestStorage:
             raw = (seq / entry["file"]).read_bytes()
             assert raw == f32(frame.left, frame.right, frame.disparity)
 
-        # the noiseless "identity" condition lets a fresh render stand in
-        pairs = synth.make_dataset(tmp_path / "pairs", scene, count=2, seed=5, size=size,
-                                   schedule=("identity",))
-        identity = synth.CONDITIONS["identity"]
-        for entry in manifest(pairs)["samples"]:
-            src, tgt = (synth.render_stereo(scene, entry[key], K, identity, size)
-                        for key in ("src_pose", "tgt_pose"))
+        # frame j of the pairs is a fresh render at its recorded pose and
+        # condition, with noise seed `seed * 1000003 + j`
+        pairs = synth.make_dataset(tmp_path / "pairs", scene, count=2, seed=5, size=size)
+        for i, entry in enumerate(manifest(pairs)["samples"]):
+            src, tgt = (synth.render_stereo(scene, entry[f"{side}_pose"], K,
+                                            synth.CONDITIONS[entry[f"{side}_condition"]], size,
+                                            noise_seed=5 * 1000003 + 2 * i + j)
+                        for j, side in enumerate(("src", "tgt")))
             assert (pairs / entry["file"]).read_bytes() == f32(
                 src.left, src.right, src.disparity, tgt.left, tgt.right, tgt.disparity
             )
@@ -313,6 +314,14 @@ class TestExitCodes:
         (["--window", "0"], "window"),
         (["--channels", "0"], "channels"),
         (["--batch-size", "0"], "batch_size"),
+        # a NaN or inf setting is refused before any epoch runs
+        (["--lr", "nan"], "learning_rate"),
+        (["--lr", "inf"], "learning_rate"),
+        (["--epochs", "-1"], "max_epochs"),
+        (["--tau", "nan"], "tau"),
+        (["--lam", "inf"], "lam"),
+        (["--gate-threshold", "nan"], "gate_threshold"),
+        (["--keypoint-weight", "nan"], "keypoint_weight"),
     ])
     def test_bad_training_setting_is_3(self, tmp_path, capsys, flags, setting):
         data = tmp_path / "data"
@@ -323,6 +332,7 @@ class TestExitCodes:
                      *flags, "--out", str(tmp_path / "run")]) == 3
         err = capsys.readouterr().err
         assert "error: data: " in err and setting in err
+        assert not (tmp_path / "run").exists()
 
     def test_analytic_window_of_zero_is_3(self, tmp_path, capsys):
         seq = tmp_path / "seq"
@@ -532,6 +542,23 @@ class TestExitCodes:
         assert main(["teach", "--frames", str(root / "seq"), "--features", "analytic",
                      "--out", str(root / "map")]) == 0
         return root
+
+    @pytest.mark.parametrize("flags, setting", [
+        (["--tau", "nan"], "tau"),
+        (["--tau", "inf"], "tau"),
+        (["--tau", "0"], "tau"),
+        (["--inlier-threshold", "nan"], "inlier_threshold"),
+        (["--inlier-threshold", "inf"], "inlier_threshold"),
+        (["--failure-inliers", "-1"], "failure_inliers"),
+    ])
+    def test_bad_localize_setting_is_3(self, taught, tmp_path, capsys, flags, setting):
+        """Refused before any frame is localized, not a run of failed frames."""
+        capsys.readouterr()
+        assert main(["repeat", "--map", str(taught / "map"), "--frames", str(taught / "seq"),
+                     "--features", "analytic", *flags, "--out", str(tmp_path / "rep")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and setting in err
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.pop("part_shapes"), "lacks key 'part_shapes'"),

@@ -40,7 +40,6 @@ class TestForward:
         img = np.random.default_rng(0).uniform(size=(1, 48, 64))
         fmap, _, _, _ = run_forward(img, cfg, init_weights(cfg))
         assert fmap.stack.value.shape == (57, 1, 48, 64)
-        assert cfg.descriptor_dim == 56
 
     def test_zero_weights_give_half_scores(self):
         cfg = TINY
@@ -185,7 +184,7 @@ class TestBatch:
         target = forward_target(images, params, cfg, tape)
         kps = extract_keypoints(batch, cfg.window)
         n = (hw[0] // cfg.window) * (hw[1] // cfg.window)
-        assert batch.stack.value.shape == (cfg.descriptor_dim + 1, 3, *hw)
+        assert batch.stack.value.shape == (sum(cfg.channels) + 1, 3, *hw)
         assert kps.coords.value.shape == (3, n, 2) and kps.scores.value.shape == (3, n)
         for i in range(len(images)):
             alone, _, _, _ = run_forward(images[i:i + 1], cfg, weights)  # a batch of one

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -544,7 +545,7 @@ class TestStatelessLocalize:
         map taught by another is refused, as in sparse mode."""
         frames, _, _ = rig
         a = LearnedExtractor(features.init_weights(self.CFG))
-        b = LearnedExtractor(features.init_weights(self.CFG, seed=10))
+        b = LearnedExtractor(features.init_weights(dataclasses.replace(self.CFG, seed=10)))
         teach_map = teach(frames[:2], a, K_default)
         with pytest.raises(ConfigError, match=f"{a.ident}.*{b.ident}"):
             repeat(frames[:1], teach_map, b, LocalizeParams(mode="dense"), K_default)
@@ -665,7 +666,8 @@ class TestExtractorIdent:
         a = LearnedExtractor(weights)
         assert a.ident.startswith("learned-") and len(a.ident) == len("learned-") + 12
         assert LearnedExtractor(weights.copy()).ident == a.ident
-        assert LearnedExtractor(features.init_weights(self.CFG, seed=10)).ident != a.ident
+        other = features.init_weights(dataclasses.replace(self.CFG, seed=10))
+        assert LearnedExtractor(other).ident != a.ident
 
     def test_a_saved_checkpoint_keeps_the_ident(self, tmp_path):
         weights = features.init_weights(self.CFG)

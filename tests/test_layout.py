@@ -1,7 +1,8 @@
 """Layout guards: every top-level function and class in the package is used
 by the program itself (a name that only tests use is a test helper and
-belongs in tests/oracles.py, not in src/), no module reads another
-module's private names, and only `storage` writes files or reads JSON."""
+belongs in tests/oracles.py, not in src/), every dataclass field is read
+by it, no module reads another module's private names, and only `storage`
+writes files or reads JSON."""
 
 import ast
 import re
@@ -45,6 +46,40 @@ def test_every_top_level_name_is_used_by_the_program():
     assert not unused, "defined in src/ but used only by tests (or nowhere):\n" + "\n".join(
         unused
     )
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    """A field that is written but never read does nothing. A field counts
+    as read where the program, outside the field's own class, loads an
+    attribute of its name or holds a string of its name (as `getattr` and
+    the CLI's SUMMARY_SCHEMA keys read fields)."""
+    trees = {path: ast.parse("\n".join(lines)) for path, lines in _program_sources().items()}
+    reads: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.setdefault(node.value, []).append((path, node.lineno))
+    unread = []
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for stmt in cls.body:
+                if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                    continue
+                name = stmt.target.id
+                if not any(where != path or not cls.lineno <= line <= cls.end_lineno
+                           for where, line in reads.get(name, [])):
+                    unread.append(f"{path.relative_to(ROOT)}: {cls.name}.{name}")
+    assert not unread, "dataclass fields the program never reads:\n" + "\n".join(unread)
 
 
 def _private(name: str) -> bool:

@@ -1,9 +1,11 @@
 """Smoke tests of scripts/outcome_digest.py: one seed, one frame per
-condition; two training batches on each of two seeds."""
+condition; two training batches on each of two seeds; and the same digests
+from processes on one and on two BLAS threads."""
 
 import importlib.util
 import itertools
 import json
+import os
 import subprocess
 import sys
 import types
@@ -165,3 +167,25 @@ def test_train_writes_one_row_per_batch_and_diff_flags_gating(tmp_path):
     assert proc.returncode == 1
     report = json.loads(proc.stdout)
     assert (report["skipped_mismatches"], report["gated_mismatches"]) == (1, 0)
+
+
+def test_digests_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    """Identical seeds give byte-identical digests in separate processes,
+    one on one BLAS thread and one on two: the learned and the analytic
+    localizations of seed 1 (one live frame per condition), and two
+    training batches with their gradients."""
+    for command, flags in (("write", ["--frames", 1]), ("train", ["--batches", 2])):
+        procs = {}
+        for threads in (1, 2):
+            env = {**os.environ, **dict.fromkeys(
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), str(threads))}
+            out = tmp_path / f"{command}-{threads}.jsonl"
+            procs[out] = subprocess.Popen(
+                [sys.executable, str(SCRIPT), command, "--seeds", "1", *map(str, flags),
+                 "--out", str(out)], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True)
+        for out, proc in procs.items():
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        one, two = (out.read_bytes() for out in procs)
+        assert one == two, command

@@ -11,10 +11,8 @@ from stereoloc.geometry import PlanarPose, wrap_angle
 from stereoloc.synth import (
     CONDITIONS,
     DAY_SCHEDULE,
-    MotionBounds,
     PhotometricParams,
     Scene,
-    SceneParams,
     cast_rays,
     generate_scene,
     load_dataset,
@@ -109,7 +107,7 @@ class TestRendering:
         _, depth, hits = cast_rays(scene, pose, K_default, uv)
         x_c, y_c, z_c = synth._cam_axes(pose[2])
         R = np.stack([x_c, y_c, z_c])
-        origin = np.array([pose[0], pose[1], scene.params.camera_height])
+        origin = np.array([pose[0], pose[1], synth.CAMERA_HEIGHT])
         for k in range(len(uv)):
             p_cam = R @ (hits[k] - origin)
             u_l, v_l, _ = project_points(p_cam[None], K_default)[0]
@@ -152,9 +150,8 @@ class TestRendering:
         assert len(set(disps)) == 1
 
     def test_camera_below_block_rejected(self, K_default):
-        params = SceneParams(camera_height=0.2)
-        blocks = np.array([[(-0.2, 0.2, -0.2, 0.2, 0.3, 1.0)[i] for i in range(6)]])
-        scene = Scene(0, params, blocks)
+        # a block taller than the camera's height
+        scene = Scene(0, np.array([[-0.2, 0.2, -0.2, 0.2, synth.CAMERA_HEIGHT + 0.1, 1.0]]))
         with pytest.raises(InvalidViewpoint):
             render_stereo(scene, (0.0, 0.0, 0.0), K_default, size=(24, 32))
 
@@ -212,7 +209,7 @@ class TestRendererMatchesOracle:
     def test_texture_is_the_reference_texture(self, seed, points, lattice):
         """Negative and large lattice indices wrap around in uint64."""
         x, y = np.array(points).T
-        scene = Scene(seed, SceneParams(), np.zeros((0, 6)))  # a negative seed too
+        scene = Scene(seed, np.zeros((0, 6)))  # a negative seed too
         for xs, ys in ((x, y), (x / 1e14, y / 1e14), (x / 1e14 + lattice, y / 1e14 - lattice)):
             assert texture(scene, xs, ys).tobytes() == oracles.texture(scene, xs, ys).tobytes()
 
@@ -445,14 +442,14 @@ class TestDatasets:
             assert blob.astype("<f4").tobytes() == (made / entry["file"]).read_bytes()
 
     def test_poses_respect_motion_bounds(self, scene, tmp_path):
-        bounds = MotionBounds()
-        made = make_dataset(tmp_path / "ds", scene, count=20, seed=7, size=(24, 32),
-                            motion=bounds)
-        samples, _ = load_dataset(made)
+        bounds = synth.MOTION_BOUNDS
+        made = make_dataset(tmp_path / "ds", scene, count=20, seed=7, size=(24, 32))
+        samples, manifest = load_dataset(made)
+        assert manifest["motion_bounds"] == bounds
         for s in samples:
-            assert abs(s.gt.alpha) <= bounds.alpha
-            assert abs(s.gt.beta) <= bounds.beta
-            assert abs(s.gt.gamma) <= bounds.gamma
+            assert abs(s.gt.alpha) <= bounds["alpha"]
+            assert abs(s.gt.beta) <= bounds["beta"]
+            assert abs(s.gt.gamma) <= bounds["gamma"]
 
     def test_relative_pose_consistent_with_world_poses(self, scene, tmp_path):
         made = make_dataset(tmp_path / "ds", scene, count=5, seed=8, size=(24, 32))
@@ -580,13 +577,13 @@ class TestSequences:
 
     def test_offset_poses_within_bounds(self):
         poses = path_poses(10)
-        live, offs = offset_poses(poses, seed=3, alpha=0.05, beta=0.04,
-                                  gamma=math.radians(2))
+        live, offs = offset_poses(poses, seed=3)
+        alpha, beta, gamma = synth.OFFSET_BOUNDS
         assert live.shape == poses.shape
         for pose, off, vert in zip(live, offs, poses):
-            assert abs(off.alpha) <= 0.05
-            assert abs(off.beta) <= 0.04
-            assert abs(off.gamma) <= math.radians(2)
+            assert abs(off.alpha) <= alpha
+            assert abs(off.beta) <= beta
+            assert abs(off.gamma) <= gamma
             back = relative_planar(pose, vert)
             assert abs(back.alpha - off.alpha) < 1e-9
             assert abs(back.beta - off.beta) < 1e-9

@@ -124,13 +124,22 @@ class TestPoseLoss:
 
 class TestSampleLoss:
     def test_total_combines_components(self, small_data):
+        """total = keypoint_weight * keypoint + pose: the pose part does not
+        move with the weight, and the keypoint part, total - pose, scales
+        with it."""
         samples, K = small_data
         w = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=2))
-        lcfg = LossConfig(keypoint_weight=2.5)
-        mean, grads, stats = total_loss(samples[:2], w, lcfg, K, dtype=np.float64)
-        for s in stats:
-            if not s.skipped:
-                assert s.total == pytest.approx(2.5 * s.keypoint + s.pose, rel=1e-12)
+        stats = {weight: total_loss(samples[:2], w, LossConfig(keypoint_weight=weight), K,
+                                    dtype=np.float64)[2] for weight in (1.0, 2.5)}
+        kept = 0
+        for one, heavy in zip(stats[1.0], stats[2.5]):
+            assert one.skipped == heavy.skipped
+            if not one.skipped:
+                kept += 1
+                assert heavy.pose == one.pose
+                assert heavy.total - heavy.pose == pytest.approx(
+                    2.5 * (one.total - one.pose), rel=1e-12, abs=1e-12 * heavy.total)
+        assert kept
 
     def test_tape_pose_component_matches_matrix_loss(self, small_data):
         samples, K = small_data
@@ -418,8 +427,9 @@ class TestTrainingDtype:
         loss_tol = 134 * 10 * eps / 2
         for a, b in zip(stats64, stats32):
             if not a.skipped:
-                for name in ("total", "keypoint", "pose"):
-                    assert getattr(b, name) == pytest.approx(getattr(a, name), rel=loss_tol)
+                # total - pose is the keypoint part
+                for part in (lambda s: s.total, lambda s: s.total - s.pose, lambda s: s.pose):
+                    assert part(b) == pytest.approx(part(a), rel=loss_tol)
         assert loss32 == pytest.approx(loss64, rel=loss_tol)
         flat = [np.concatenate([g[k].ravel() for k in sorted(g)]) for g in (grads64, grads32)]
         assert rel_err(flat[1], flat[0]) < 2 * loss_tol
@@ -491,7 +501,6 @@ class TestTrainLoop:
         tcfg = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=50,
                            early_stop_patience=3, seed=0)
         result = train(tr, va, w, tcfg, LossConfig(), K)
-        assert result.stopped_epoch == 3
         assert result.best_epoch == 0
         assert [c["epoch"] for c in result.curves] == [0, 1, 2, 3]
 
