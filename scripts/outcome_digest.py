@@ -15,9 +15,11 @@ and reloads the map, then localizes the offset live frames of every
 line per localization: the grid keys, the frame, the inlier count, the
 failure flag, the failure reason (null on success, and null from a
 `stereoloc` whose results carry no reason), the pose (`C` row-major then
-`r`, or null) and the SHA-256 of the live and of the vertex frame blobs it
-used, cast to float64, so a frame hashes by its values whatever dtype it
-was loaded in. `--src` imports `stereoloc` from another checkout's `src`, so two
+`r`, or null), the ground-truth planar offset of the live frame from its
+vertex (`gt_offset`, `[alpha, beta, gamma]` as `harness.repeat` computes
+it) and the SHA-256 of the live and of the vertex frame blobs it used, cast
+to float64, so a frame hashes by its values whatever dtype it was loaded
+in. `--src` imports `stereoloc` from another checkout's `src`, so two
 versions of the code run the same grid with the same weights.
 
 `train` runs the train-desk batches of the benchmark: per seed, the
@@ -32,7 +34,8 @@ same at any BLAS thread count), and the SHA-256 of the batch's pair blobs.
 rows it reports rows missing from either side, inlier and failure
 mismatches, reason mismatches over rows where both sides have a reason, and
 the largest absolute pose difference over rows where both sides have a
-pose, over all of them and per extractor. Over training rows it reports rows whose loss, sample
+pose, over all of them and per extractor. It does not read `gt_offset`
+yet. Over training rows it reports rows whose loss, sample
 losses or gradient differ in any bit, gated and skipped mismatches, and the
 largest relative deltas of the losses and of the gradient norm. Over all
 rows it reports `frame_mismatches`, rows whose frame hashes differ, so a
@@ -118,10 +121,12 @@ def digest_rows(seeds: list[int], frames: int, work: Path):
                             r = harness.localize(frame, vertex, extractor, params, loaded.K)
                             pose = (None if r.pose is None
                                     else [*r.pose.C.ravel().tolist(), *r.pose.r.tolist()])
+                            gt = synth.relative_planar(frame.pose, vertex.world_pose)
                             yield {"seed": seed, "extractor": name, "disparity": disparity,
                                    "mode": mode, "condition": cond, "frame": i,
                                    "inliers": r.inliers, "failure": r.failure,
                                    "reason": getattr(r, "reason", None), "pose": pose,
+                                   "gt_offset": [gt.alpha, gt.beta, gt.gamma],
                                    "live_sha256": frames_sha256([frame]),
                                    "vertex_sha256": frames_sha256([vertex.frame])}
 

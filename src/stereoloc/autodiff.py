@@ -229,17 +229,14 @@ def atan2(y, x) -> Var:
 # reductions and structure
 
 
-def sum_(a: Var, axis=None, keepdims: bool = False) -> Var:
-    out = a.value.sum(axis=axis, keepdims=keepdims)
+def sum_(a: Var, axis=None) -> Var:
+    out = a.value.sum(axis=axis)
     shape = a.value.shape
 
     def pull(g):
         g = np.asarray(g)
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, ax)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape).copy(),)
 
     return a.tape.record(out, (a,), pull)

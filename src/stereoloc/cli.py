@@ -194,33 +194,22 @@ def cmd_eval_grad(args) -> int:
 def gradient_cross_check(samples, weights, lcfg, K) -> float:
     """Norm-relative disagreement between backward() and finite differences
     over every extractor weight, both on float64 tapes: central differences
-    need float64's precision."""
+    need float64's precision. Each tensor is differenced in turn, in name
+    order, with the others held."""
     from . import autodiff as ad
 
     names = sorted(weights.tensors)
-    sizes = {n: weights.tensors[n].size for n in names}
-
-    def flatten(tensors):
-        return np.concatenate([np.ravel(tensors[n]) for n in names])
-
-    def unflatten(x):
-        out = {}
-        i = 0
-        for n in names:
-            out[n] = x[i : i + sizes[n]].reshape(weights.tensors[n].shape)
-            i += sizes[n]
-        return out
-
     _, grads, _ = training.total_loss(samples, weights, lcfg, K, dtype=np.float64)
-    analytic = flatten(grads)
+    analytic = np.concatenate([np.ravel(grads[n]) for n in names])
 
-    def f(x):
-        w = features.ExtractorWeights(weights.config, unflatten(x))
+    def loss_with(name, t):
+        w = features.ExtractorWeights(weights.config, {**weights.tensors, name: t})
         mean, _, _ = training.total_loss(samples, w, lcfg, K, compute_grads=False,
                                          dtype=np.float64)
         return mean
 
-    numeric = ad.finite_diff(f, flatten(weights.tensors))
+    numeric = np.concatenate([
+        np.ravel(ad.finite_diff(lambda t: loss_with(n, t), weights.tensors[n])) for n in names])
     return float(
         np.linalg.norm(analytic - numeric)
         / max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-300)
@@ -356,7 +345,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--ckpt")
     p.add_argument("--features", choices=["learned", "analytic"], default="learned")
     p.add_argument("--window", type=int, default=8, help=analytic_window)
-    p.add_argument("--disparity", choices=["gt", "block"], default="gt")
+    p.add_argument("--disparity", choices=harness.DISPARITY_SOURCES, default="gt")
     p.set_defaults(func=cmd_teach)
 
     loc = harness.LocalizeParams()
@@ -367,13 +356,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--ckpt")
     p.add_argument("--features", choices=["learned", "analytic"], default="learned")
     p.add_argument("--window", type=int, default=8, help=analytic_window)
-    p.add_argument("--mode", choices=["dense", "sparse"], default=loc.mode)
+    p.add_argument("--mode", choices=harness.MODES, default=loc.mode)
     p.add_argument("--tau", type=float, default=loc.tau)
     p.add_argument("--iterations", type=int, default=loc.ransac.iterations)
     p.add_argument("--inlier-threshold", type=float, default=loc.ransac.inlier_threshold)
     p.add_argument("--min-inliers", type=int, default=loc.ransac.min_inliers)
     p.add_argument("--failure-inliers", type=int, default=loc.failure_inliers)
-    p.add_argument("--disparity", choices=["gt", "block"], default=loc.disparity)
+    p.add_argument("--disparity", choices=harness.DISPARITY_SOURCES, default=loc.disparity)
     p.add_argument("--name", help="run name for reports")
     p.set_defaults(func=cmd_repeat)
 

@@ -3,13 +3,14 @@
 The learnable extractor is a small encoder-decoder: stride-2 encoder blocks
 whose feature maps, resized back to input resolution, form the dense
 descriptors; after the bottleneck two mirrored decoder branches produce
-keypoint logits and (through a sigmoid) scores. Descriptors and score are
-joined into one feature stack per image, so every point set is sampled
-once. Both extractors take a batch of images (B, H, W) and run it in one
-pass, the batch as the second axis of every map, (D+1, B, H, W), and the
-first of every point set, (B, N, ...); one image is a batch of one. The
-analytic, non-learned extractor has the learned one's output contract and
-supports pipeline runs without training.
+keypoint logits and (through a sigmoid) scores. An extractor returns the
+parts of its feature stack and the logits; where a point set is sampled,
+the parts are joined into one stack of descriptors and score. Both
+extractors take a batch of images (B, H, W) and run it in one pass, the
+batch as the second axis of every map, (D+1, B, H, W), and the first of
+every point set, (B, N, ...); one image is a batch of one. The analytic,
+non-learned extractor has the learned one's output contract and supports
+pipeline runs without training.
 """
 
 from __future__ import annotations
@@ -89,24 +90,6 @@ def init_weights(cfg: ExtractorConfig) -> ExtractorWeights:
 
 
 @dataclass
-class DenseFeatureMap:
-    """Per-pixel features of a batch as one (D+1, B, H, W) stack,
-    descriptors in rows 0..D-1 and the score in (0, 1) in row D, plus raw
-    keypoint logits (B, H, W), all tape variables. A map that is only
-    matched into (a map vertex, a training target) carries no logits.
-    `parts` are what `stack_parts` joined into the stack, each (C_i, B,
-    h_i, w_i) at its own resolution; a stack given alone is its one part."""
-
-    stack: Var
-    keypoint_logits: Var | None
-    parts: list[Var] | None = None
-
-    def __post_init__(self):
-        if self.parts is None:
-            self.parts = [self.stack]
-
-
-@dataclass
 class KeypointSet:
     """Sub-pixel keypoints with sampled descriptors and scores."""
 
@@ -121,10 +104,9 @@ def encode(
     cfg: ExtractorConfig,
     tape: Tape,
 ) -> tuple[list[Var], Var]:
-    """Run the encoder on a batch of intensity images (B, H, W); returns the
-    pooled encoder maps at their own resolutions, (C_i, B, H/2^i, W/2^i),
-    whose rows resized to (H, W) are the descriptors, and the bottleneck the
-    decoder branches start from."""
+    """Run the encoder and the score branch on a batch of images (B, H, W):
+    the stack's parts, the pooled encoder maps (C_i, B, H/2^i, W/2^i) then
+    the (1, B, H, W) score map, and the bottleneck for the keypoint branch."""
     x = images if isinstance(images, Var) else tape.constant(images)
     if x.value.ndim != 3:
         raise ShapeError(f"expected a (B, H, W) batch of images, got {x.value.shape}")
@@ -134,16 +116,16 @@ def encode(
         raise ImageSizeError(f"image {h}x{w} not divisible by 2^{depth}")
 
     feat = ad.reshape(x, (1,) + x.value.shape)
-    enc_maps = []
+    parts = []
     for i in range(1, depth + 1):
         feat = ad.tanh(ad.conv2d(feat, params[f"enc{i}.weight"], params[f"enc{i}.bias"]))
         feat = ad.avgpool2(feat)
-        enc_maps.append(feat)
+        parts.append(feat)
 
     bottleneck = ad.tanh(
         ad.conv2d(feat, params["bottleneck.weight"], params["bottleneck.bias"])
     )
-    return enc_maps, bottleneck
+    return parts + [decode(bottleneck, "score", params, cfg)], bottleneck
 
 
 def decode(
@@ -166,36 +148,21 @@ def forward(
     params: dict[str, Var],
     cfg: ExtractorConfig,
     tape: Tape,
-) -> DenseFeatureMap:
-    """Run the encoder-decoder on a batch of intensity images (B, H, W) in
-    one pass."""
-    maps, bottleneck = encode(images, params, cfg, tape)
+) -> tuple[list[Var], Var]:
+    """`encode`'s parts and the raw keypoint logits (B, H, W) of a batch of
+    intensity images (B, H, W), in one pass."""
+    parts, bottleneck = encode(images, params, cfg, tape)
     logits = decode(bottleneck, "kp", params, cfg)
-    parts = maps + [decode(bottleneck, "score", params, cfg)]
-    stack = stack_parts(parts, parts[-1].value.shape[-2:])
-    return DenseFeatureMap(stack, ad.reshape(logits, logits.value.shape[1:]), parts)
+    return parts, ad.reshape(logits, logits.value.shape[1:])
 
 
-def forward_target(
-    images: np.ndarray | Var,
-    params: dict[str, Var],
-    cfg: ExtractorConfig,
-    tape: Tape,
-) -> DenseFeatureMap:
-    """The feature stack only, no keypoint logits: what matching into the
-    image reads."""
-    maps, bottleneck = encode(images, params, cfg, tape)
-    parts = maps + [decode(bottleneck, "score", params, cfg)]
-    return DenseFeatureMap(stack_parts(parts, parts[-1].value.shape[-2:]), None, parts)
-
-
-def stack_parts(parts: list[Var], size: tuple[int, int]) -> Var:
-    """The (D+1, B, H, W) feature stack joined from its parts: each part not
-    at `size` (H, W) is resized to it by bilinear upsampling, then all are
-    concatenated along the channel axis. `forward` joins its encoder maps
-    and score this way, and a map vertex rebuilds its stack from the parts
-    it keeps."""
-    size = tuple(size)
+def stack_parts(parts: list[Var]) -> Var:
+    """The (D+1, B, H, W) stack, descriptors then score, joined from its
+    parts: each part not at the last part's full (H, W) is resized to it by
+    bilinear upsampling, then all are concatenated. One part is the stack."""
+    if len(parts) == 1:
+        return parts[0]
+    size = parts[-1].value.shape[-2:]
     return ad.concat(
         [p if p.value.shape[-2:] == size else ad.upsample_bilinear(p, size) for p in parts],
         axis=0,
@@ -232,19 +199,21 @@ def detect_keypoints(logits: Var, window: int) -> Var:
     return ad.add(rel, logits.tape.constant(origins))
 
 
-def sample_at(fmap: DenseFeatureMap, coords: Var) -> tuple[Var, Var]:
+def sample_at(stack: Var, coords: Var) -> tuple[Var, Var]:
     """Bilinearly sample descriptors (B, N, D) and scores (B, N) at (B, N,
-    2) points, in one pass over the feature stack."""
-    sampled = ad.bilinear_sample(fmap.stack, coords)
+    2) points, in one pass over a (D+1, B, H, W) feature stack."""
+    sampled = ad.bilinear_sample(stack, coords)
     d = sampled.value.shape[-1] - 1
     desc = ad.take(sampled, slice(0, d), axis=-1)
     scores = ad.take(sampled, slice(d, None), axis=-1)
     return desc, ad.reshape(scores, sampled.value.shape[:-1])
 
 
-def extract_keypoints(fmap: DenseFeatureMap, window: int) -> KeypointSet:
-    coords = detect_keypoints(fmap.keypoint_logits, window)
-    desc, scores = sample_at(fmap, coords)
+def extract_keypoints(parts: list[Var], logits: Var, window: int) -> KeypointSet:
+    """Keypoints of the logits, sampled from the stack the parts join into."""
+    stack = stack_parts(parts)
+    coords = detect_keypoints(logits, window)
+    desc, scores = sample_at(stack, coords)
     return KeypointSet(coords, desc, scores)
 
 
@@ -264,10 +233,11 @@ def _box_mean(img: np.ndarray, radius: int) -> np.ndarray:
     return (c[:, k:, k:] - c[:, :-k, k:] - c[:, k:, :-k] + c[:, :-k, :-k]) / (k * k)
 
 
-def analytic_features(images: np.ndarray, tape: Tape) -> DenseFeatureMap:
+def analytic_features(images: np.ndarray, tape: Tape) -> tuple[list[Var], Var]:
     """Hand-built fallback on a batch of images (B, H, W): zero-normalized
     multi-scale patch statistics as descriptors, gradient magnitude as
-    scores, a corner response as logits, each image on its own.
+    scores, a corner response as logits, each image on its own. The stack
+    is its one part.
 
     Every channel is pre-smoothed so descriptors vary on at least the
     smallest patch scale (sub-pixel sampling stays meaningful). Descriptors
@@ -310,9 +280,7 @@ def analytic_features(images: np.ndarray, tape: Tape) -> DenseFeatureMap:
     top = np.abs(response).max(axis=(1, 2), keepdims=True)
     logits = 4.0 * response / np.maximum(top, 1e-12)
 
-    return DenseFeatureMap(
-        tape.constant(np.stack(channels + [scores], axis=0)), tape.constant(logits)
-    )
+    return [tape.constant(np.stack(channels + [scores], axis=0))], tape.constant(logits)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator, features, matching, storage, synth
-from .autodiff import Tape
+from .autodiff import Tape, Var
 from .errors import (
     ConfigError,
     DegenerateGeometry,
@@ -64,7 +64,7 @@ class LearnedExtractor:
             digest.update(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
         return f"learned-{digest.hexdigest()[:12]}"
 
-    def features_on(self, tape: Tape, images: np.ndarray) -> features.DenseFeatureMap:
+    def features_on(self, tape: Tape, images: np.ndarray) -> tuple[list[Var], Var]:
         params = self.weights.bind(tape)
         return features.forward(images, params, self.weights.config, tape)
 
@@ -81,7 +81,7 @@ class AnalyticExtractor:
     def ident(self) -> str:
         return "analytic"
 
-    def features_on(self, tape: Tape, images: np.ndarray) -> features.DenseFeatureMap:
+    def features_on(self, tape: Tape, images: np.ndarray) -> tuple[list[Var], Var]:
         return features.analytic_features(images, tape)
 
 
@@ -114,16 +114,22 @@ INFERENCE_DTYPE = np.float32
 # localization only cares about the peak.
 DEFAULT_LOCALIZE_TAU = 400.0
 
+MODES = ("dense", "sparse")  # soft matching into the vertex's stack, or mutual-best
+DISPARITY_SOURCES = ("gt", "block")  # the frame's ground truth, or block matching
+
 
 @dataclass(frozen=True)
 class LocalizeParams:
     ransac: estimator.RansacParams = estimator.RansacParams()
     tau: float = DEFAULT_LOCALIZE_TAU
-    mode: str = "dense"  # or "sparse"
+    mode: str = "dense"  # one of MODES
     failure_inliers: int = 20
-    disparity: str = "gt"  # or "block"
+    disparity: str = "gt"  # one of DISPARITY_SOURCES
 
     def __post_init__(self):
+        for name, allowed in (("mode", MODES), ("disparity", DISPARITY_SOURCES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, not {getattr(self, name)!r}")
         if not 0 < self.tau < math.inf:  # NaN fails too
             raise ValueError("tau must be positive and finite")
         if self.failure_inliers < 0:
@@ -182,10 +188,8 @@ def _lift(
         if frame.disparity is None:
             raise StereolocError("frame carries no ground-truth disparity")
         d, valid = frame.disparity[v, u], True
-    elif source == "block":
-        d, valid = synth.block_match_disparity(frame.left, frame.right, u, v)
     else:
-        raise ValueError(f"unknown disparity source {source!r}")
+        d, valid = synth.block_match_disparity(frame.left, frame.right, u, v)
     ok = valid & valid_disparity(d)
     return ok, backproject_points(np.concatenate([pts[ok], d[ok, None]], axis=1), K)
 
@@ -201,13 +205,13 @@ def _keypoints_numpy(
     tape = Tape(grad=False, dtype=INFERENCE_DTYPE)
     try:
         with np.errstate(invalid="ignore"):  # non-finite pixels are a recorded failure
-            fmap = extractor.features_on(tape, frame.left[None])
-        kps = features.extract_keypoints(fmap, extractor.window)
+            parts, logits = extractor.features_on(tape, frame.left[None])
+        kps = features.extract_keypoints(parts, logits, extractor.window)
     except ImageSizeError as e:
         raise InsufficientMatches(f"no keypoints: {e}") from e
     coords, desc, scores = (v.value[0] for v in (kps.coords, kps.descriptors, kps.scores))
     ok, p3d = _lift(frame, disparity_source, coords, K)
-    return coords[ok], desc[ok], scores[ok], p3d, [p.value[:, 0] for p in fmap.parts]
+    return coords[ok], desc[ok], scores[ok], p3d, [p.value[:, 0] for p in parts]
 
 
 def teach(
@@ -218,6 +222,8 @@ def teach(
 ) -> TeachMap:
     """Build one map vertex per taught frame; a frame whose valid lifted
     points are fewer than 3, duplicated or collinear is a TeachFailure."""
+    if disparity_source not in DISPARITY_SOURCES:
+        raise ValueError(f"disparity must be one of {DISPARITY_SOURCES}, not {disparity_source!r}")
     if not frames:
         raise TeachFailure("empty teach sequence")
     vertices = []
@@ -266,10 +272,8 @@ def localize(
             raise InsufficientMatches(f"only {len(coords)} usable live keypoints")
         if params.mode == "dense":
             p_s, p_t, w = _dense_pairs(vertex, coords, desc, scores, p_live, params, K)
-        elif params.mode == "sparse":
-            p_s, p_t, w = _sparse_pairs(vertex, desc, scores, p_live)
         else:
-            raise ValueError(f"unknown mode {params.mode!r}")
+            p_s, p_t, w = _sparse_pairs(vertex, desc, scores, p_live)
         pose, mask = estimator.ransac_pose(p_s, p_t, w, params.ransac)
         inliers = int(mask.sum())
         if inliers < params.failure_inliers:
@@ -281,16 +285,14 @@ def localize(
 
 
 def _dense_pairs(vertex, coords, desc, scores, p_live, params, K):
-    """Live keypoints soft-matched into the vertex's dense map, which is
-    rebuilt here from its stored parts on the matching tape and freed with
-    it, then lifted through the vertex's disparity. Both run as a batch of
-    one."""
+    """Live keypoints soft-matched into the vertex's dense stack, which
+    matching rebuilds from its stored parts on the matching tape and frees
+    with it, then lifted through the vertex's disparity. Both run as a batch
+    of one."""
     tape = Tape(grad=False, dtype=INFERENCE_DTYPE)
     parts = [tape.constant(p[:, None]) for p in vertex.parts]
-    fmap = features.DenseFeatureMap(
-        features.stack_parts(parts, vertex.frame.left.shape), None, parts)
     kps = features.KeypointSet(*(tape.constant(v[None]) for v in (coords, desc, scores)))
-    points, w = matching.match_all(kps, fmap, tau=params.tau)
+    points, w = matching.match_all(kps, parts, tau=params.tau)
     ok, p_t = _lift(vertex.frame, params.disparity, points.value[0], K)
     if int(ok.sum()) < 3:
         raise InsufficientMatches("too few matches with valid disparity")
@@ -448,7 +450,7 @@ def save_map(directory: str | Path, teach_map: TeachMap) -> None:
     })
 
 
-# load_map also checks that each part shape divides the image grid.
+# load_map also checks the part shapes against the image grid.
 MAP_SCHEMA = {
     "kind": "map", "extractor": storage.text, "image_size": [storage.size, 2],
     "camera": synth.CAMERA_SCHEMA, "part_shapes": [[storage.size, 3]],
@@ -464,10 +466,12 @@ def load_map(directory: str | Path) -> TeachMap:
     directory = Path(directory)
     manifest = storage.read_manifest(directory, MAP_SCHEMA)
     (h, w), shapes = manifest["image_size"], manifest["part_shapes"]
-    # a part is the image's grid divided by one integer factor on both axes
-    if not all(h % s[1] == w % s[2] == 0 and h // s[1] == w // s[2] for s in shapes):
+    # a part is the image's grid divided by one integer factor on both axes;
+    # the last, which stack_parts resizes the others to, by 1
+    if shapes[-1][1:] != [h, w] or not all(
+            h % s[1] == w % s[2] == 0 and h // s[1] == w // s[2] for s in shapes):
         raise ValueError(f"{directory / storage.MANIFEST_NAME}: part_shapes {shapes!r} are not "
-                         f"[C, h, w] grids of {h}x{w}")
+                         f"[C, h, w] grids of {h}x{w}, the last at full size")
     vertices = []
     for e in manifest["vertices"]:
         n = e["n"]

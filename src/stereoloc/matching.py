@@ -6,7 +6,7 @@ between the source descriptor and every target pixel descriptor. Matched
 descriptors and scores are then bilinearly sampled at the matched point,
 and per-match weights combine descriptor agreement with the learned
 scores. Matching takes batches: source keypoint sets (B, N, ...) match
-into target maps (D+1, B, H, W), each set into its own map.
+into the target stack (D+1, B, H, W), each set into its own image.
 """
 
 from __future__ import annotations
@@ -16,15 +16,15 @@ import numpy as np
 from . import autodiff as ad
 from . import features
 from .autodiff import Var
-from .features import DenseFeatureMap, KeypointSet
+from .features import KeypointSet
 
 DEFAULT_TEMPERATURE = 50.0
 
 
-def _flatten_target(target: DenseFeatureMap) -> tuple[Var, np.ndarray]:
-    """The target's descriptor rows as (B, H*W, D), and each pixel's (u, v)."""
-    c, b, h, w = target.stack.value.shape
-    desc = ad.take(target.stack, slice(0, c - 1), axis=0)
+def _flatten_target(stack: Var) -> tuple[Var, np.ndarray]:
+    """The stack's descriptor rows as (B, H*W, D), and each pixel's (u, v)."""
+    c, b, h, w = stack.value.shape
+    desc = ad.take(stack, slice(0, c - 1), axis=0)
     flat = ad.reshape(ad.transpose(desc, (1, 2, 3, 0)), (b, h * w, c - 1))
     us, vs = np.meshgrid(np.arange(w), np.arange(h))
     return flat, np.stack([us.ravel(), vs.ravel()], axis=1).astype(float)
@@ -44,15 +44,16 @@ def match_weights(
 
 def match_all(
     source: KeypointSet,
-    target: DenseFeatureMap,
+    target_parts: list[Var],
     tau: float = DEFAULT_TEMPERATURE,
 ) -> tuple[Var, Var]:
-    """Soft-match every source keypoint against the target feature map.
-    Returns the matched target points (B, N, 2) and the combined match
-    weights (B, N), in source keypoint order."""
+    """Soft-match every source keypoint against the stack the target's parts
+    join into. Returns the matched target points (B, N, 2) and the combined
+    match weights (B, N), in source keypoint order."""
     if tau <= 0:
         raise ValueError("temperature must be positive")
-    flat, coords = _flatten_target(target)
+    stack = features.stack_parts(target_parts)
+    flat, coords = _flatten_target(stack)
     # the softmax of the (B, N, M) ZNCC values; unnamed, the (B, M, D)
     # normalized rows and the similarity die as soon as they are read
     attn = ad.softmax(ad.mul(ad.matmul(ad.row_znorm(source.descriptors),
@@ -60,7 +61,7 @@ def match_all(
                              float(tau)), axis=-1)
     points = ad.matmul(attn, source.descriptors.tape.constant(coords))
     del flat, coords, attn  # nothing (B, N, M) is held while the weights run
-    desc, scores = features.sample_at(target, points)
+    desc, scores = features.sample_at(stack, points)
     return points, match_weights(source.descriptors, desc, source.scores, scores)
 
 

@@ -107,20 +107,20 @@ def batch_loss(
     lcfg: LossConfig,
 ) -> tuple[Var | None, list[SampleStats]]:
     """Record a batch's loss on one tape: one extractor pass over the sources
-    and one over the targets, keypoints, soft matches and both lifts; then
-    the ground-truth gate, the keypoint and pose losses and the weighted
-    alignment over the batch at once. Returns the sum of the kept samples'
-    losses (None if none is kept) and each sample's stats.
+    and one without the keypoint branch (`encode`) over the targets,
+    keypoints, soft matches and both lifts; then the ground-truth gate, the
+    keypoint and pose losses and the weighted alignment over the batch at
+    once. Returns the sum of the kept samples' losses (None if none is kept)
+    and each sample's stats.
 
     A sample is skipped when fewer than 4 of its matches pass the gate, or
     when its alignment is too degenerate to differentiate (a NaN row).
     """
     sources = np.stack([s.source.left for s in batch])
     targets = np.stack([s.target.left for s in batch])
-    fmap_s = features.forward(sources, params, cfg, tape)
-    fmap_t = features.forward_target(targets, params, cfg, tape)
-    kps = features.extract_keypoints(fmap_s, cfg.window)
-    target_points, match_w = matching.match_all(kps, fmap_t, tau=lcfg.tau)
+    kps = features.extract_keypoints(*features.forward(sources, params, cfg, tape), cfg.window)
+    target_parts, _ = features.encode(targets, params, cfg, tape)
+    target_points, match_w = matching.match_all(kps, target_parts, tau=lcfg.tau)
     p_s = _lift(kps.coords, np.stack([s.source.disparity for s in batch]), K)
     p_t = _lift(target_points, np.stack([s.target.disparity for s in batch]), K)
 

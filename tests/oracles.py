@@ -24,7 +24,7 @@ from stereoloc.errors import (
     StereolocError,
 )
 from stereoloc.estimator import RansacParams, align_core
-from stereoloc.features import DenseFeatureMap, KeypointSet
+from stereoloc.features import KeypointSet
 from stereoloc.geometry import (
     CameraIntrinsics,
     PlanarPose,
@@ -84,9 +84,10 @@ def match_all_reference(
 
 
 def soft_match(
-    source_descriptor: Var, target: DenseFeatureMap, tau: float
+    source_descriptor: Var, target: Var, tau: float
 ) -> tuple[Var, Var, Var]:
-    """Match one descriptor against every target pixel of a batch of one.
+    """Match one descriptor against every pixel of a target stack of a batch
+    of one.
 
     Returns (point (2,), descriptor (D,), score ()) at the softmax-weighted
     coordinate.
@@ -95,7 +96,7 @@ def soft_match(
     tape = source_descriptor.tape
     one = KeypointSet(None, ad.reshape(source_descriptor, (1, 1, d)),
                       tape.constant(np.ones((1, 1))))
-    pts, _ = matching.match_all(one, target, tau)
+    pts, _ = matching.match_all(one, [target], tau)
     desc, scores = features.sample_at(target, pts)
     return (
         ad.reshape(pts, (2,)),
@@ -104,17 +105,18 @@ def soft_match(
     )
 
 
-def matchset_weights(source: KeypointSet, target: DenseFeatureMap, tau: float) -> Var:
-    """`match_all`'s weights, recomputed from the keypoints and the
-    descriptors and scores sampled at the matched points."""
-    points, _ = matching.match_all(source, target, tau)
+def matchset_weights(source: KeypointSet, target: Var, tau: float) -> Var:
+    """`match_all`'s weights into a target stack, recomputed from the
+    keypoints and the descriptors and scores sampled at the matched
+    points."""
+    points, _ = matching.match_all(source, [target], tau)
     desc, scores = features.sample_at(target, points)
     return matching.match_weights(source.descriptors, desc, source.scores, scores)
 
 
-def match_attention(source: KeypointSet, target: DenseFeatureMap, tau: float) -> Var:
-    """The (B, N, M) softmax rows `match_all` weighs the target pixels by,
-    captured from its one `ad.softmax` call."""
+def match_attention(source: KeypointSet, target: Var, tau: float) -> Var:
+    """The (B, N, M) softmax rows `match_all` weighs the pixels of a target
+    stack by, captured from its one `ad.softmax` call."""
     rows = []
     softmax = ad.softmax
 
@@ -124,7 +126,7 @@ def match_attention(source: KeypointSet, target: DenseFeatureMap, tau: float) ->
 
     ad.softmax = captured
     try:
-        matching.match_all(source, target, tau)
+        matching.match_all(source, [target], tau)
     finally:
         ad.softmax = softmax
     (attn,) = rows
@@ -135,17 +137,18 @@ def match_attention(source: KeypointSet, target: DenseFeatureMap, tau: float) ->
 # feature maps
 
 
-def feature_map(tape: Tape, descriptors, scores, logits=None) -> DenseFeatureMap:
-    """The feature map of a batch of one image, (D+1, 1, H, W) with (1, H,
-    W) logits, from (D, H, W) descriptors, (H, W) scores and optional (H, W)
-    logits, each a plain array or a variable on `tape`."""
+def feature_map(tape: Tape, descriptors, scores, logits=None) -> tuple[Var, Var | None]:
+    """The feature stack of a batch of one image, (D+1, 1, H, W), and its
+    (1, H, W) logits, from (D, H, W) descriptors, (H, W) scores and optional
+    (H, W) logits, each a plain array or a variable on `tape`. The stack is
+    its own one part."""
     desc, sc = (x if isinstance(x, Var) else tape.constant(x) for x in (descriptors, scores))
     d, h, w = desc.shape
     stack = ad.concat([ad.reshape(desc, (d, 1, h, w)), ad.reshape(sc, (1, 1, h, w))], axis=0)
     if logits is not None:
         logits = ad.reshape(logits if isinstance(logits, Var) else tape.constant(logits),
                             (1, h, w))
-    return DenseFeatureMap(stack, logits)
+    return stack, logits
 
 
 def split_stack(stack) -> tuple[Array, Array]:

@@ -180,7 +180,7 @@ def test_criterion_4_matching_oracle():
         rng = np.random.default_rng(seed)
         tape = Tape()
         desc = rng.normal(size=(6, 12, 16))
-        fmap = feature_map(
+        stack, _ = feature_map(
             tape, desc, rng.uniform(0.2, 0.8, size=(12, 16)), np.zeros((12, 16))
         )
         src = rng.normal(size=(4, 6))
@@ -188,10 +188,10 @@ def test_criterion_4_matching_oracle():
             tape.constant(np.ones((1, 4, 2))), tape.constant(src[None]),
             tape.constant(np.full((1, 4), 0.5)),
         )
-        points, _ = matching.match_all(kps, fmap, tau=15.0)
+        points, _ = matching.match_all(kps, [stack], tau=15.0)
         ref = match_all_reference(src, desc, tau=15.0)
         worst = max(worst, float(np.abs(points.value[0] - ref).max()))
-        attn = match_attention(kps, fmap, 15.0)
+        attn = match_attention(kps, stack, 15.0)
         worst_rows = max(worst_rows, float(np.abs(attn.value.sum(axis=-1) - 1).max()))
     check(
         4,

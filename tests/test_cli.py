@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stereoloc import harness, storage, synth
-from stereoloc.cli import main, read_config_file
+from stereoloc.cli import build_parser, main, read_config_file
 
 
 @pytest.fixture(scope="module")
@@ -560,6 +560,16 @@ class TestExitCodes:
         assert err.startswith("error: data: ") and setting in err
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("command, option, values", [
+        ("teach", "disparity", harness.DISPARITY_SOURCES),
+        ("repeat", "disparity", harness.DISPARITY_SOURCES),
+        ("repeat", "mode", harness.MODES),
+    ])
+    def test_choices_are_the_harness_constants(self, command, option, values):
+        _, commands = build_parser()
+        (action,) = [a for a in commands[command]._actions if a.dest == option]
+        assert action.choices is values
+
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.pop("part_shapes"), "lacks key 'part_shapes'"),
         (lambda m: m.update(part_shapes=[[9, 48, 0], [1, 48, 64]]), "part_shapes[0][2] 0 "),
@@ -567,6 +577,7 @@ class TestExitCodes:
         (lambda m: m.update(part_shapes=[]), "part_shapes "),
         (lambda m: m.update(part_shapes=[[10, 64, 48]]), "part_shapes "),
         (lambda m: m.update(part_shapes=[[10, 24, 64]]), "part_shapes "),
+        (lambda m: m.update(part_shapes=[[40, 24, 32]]), "part_shapes "),
         (lambda m: m.update(image_size="48x64"), "image_size "),
         (lambda m: m.update(vertices=4), "vertices 4 "),
         (lambda m: m.update(vertices=[]), "vertices [] "),
@@ -581,7 +592,7 @@ class TestExitCodes:
         (lambda m: m["vertices"][0].update(n=m["vertices"][0]["n"] - 1), "float32 values"),
         (lambda m: m.update(part_shapes=[[9, 48, 64]]), "float32 values"),
     ], ids=["no-part-shapes", "zero-part-size", "part-shapes-string", "no-parts",
-            "part-transposed", "part-scaled-on-one-axis",
+            "part-transposed", "part-scaled-on-one-axis", "last-part-below-image-size",
             "image-size-string", "vertices-int", "vertices-empty", "n-string", "n-negative",
             "d-string", "d-negative", "pose-two", "pose-string", "pose-nan", "n-off-by-one",
             "parts-too-small"])
@@ -590,7 +601,8 @@ class TestExitCodes:
         """A map manifest whose values have the wrong type or size, or
         disagree with the blob sizes or the image grid, is a data error; a
         map saved before the manifest listed its part shapes is one too.
-        The transposed part holds as many values as the stored one."""
+        The transposed part, and the last part below image size, hold as
+        many values as the stored one."""
         map_dir = tmp_path / "map"
         map_dir.mkdir()
         for path in (taught / "map").iterdir():

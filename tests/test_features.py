@@ -13,7 +13,6 @@ from stereoloc.features import (
     encode,
     extract_keypoints,
     forward,
-    forward_target,
     init_weights,
     load_checkpoint,
     save_checkpoint,
@@ -27,19 +26,19 @@ TINY = ExtractorConfig(channels=(2, 3, 4), window=8, seed=1)
 
 
 def run_forward(image, cfg=TINY, weights=None):
-    """`forward` on a batch of images (B, H, W)."""
+    """`forward` on a batch of images (B, H, W): its parts, the stack they
+    join into, and its logits."""
     tape = Tape()
-    weights = weights or init_weights(cfg)
-    params = weights.bind(tape)
-    return forward(image, params, cfg, tape), tape, params, weights
+    parts, logits = forward(image, (weights or init_weights(cfg)).bind(tape), cfg, tape)
+    return parts, stack_parts(parts), logits
 
 
 class TestForward:
     def test_descriptor_dim_is_channel_sum(self):
         cfg = ExtractorConfig(channels=(8, 16, 32), window=16)
         img = np.random.default_rng(0).uniform(size=(1, 48, 64))
-        fmap, _, _, _ = run_forward(img, cfg, init_weights(cfg))
-        assert fmap.stack.value.shape == (57, 1, 48, 64)
+        _, stack, _ = run_forward(img, cfg, init_weights(cfg))
+        assert stack.value.shape == (57, 1, 48, 64)
 
     def test_zero_weights_give_half_scores(self):
         cfg = TINY
@@ -47,20 +46,20 @@ class TestForward:
             cfg, {k: np.zeros(s) for k, s in cfg.layer_shapes().items()}
         )
         img = np.random.default_rng(1).uniform(size=(1, 24, 32))
-        fmap, _, _, _ = run_forward(img, cfg, weights)
-        assert np.array_equal(split_stack(fmap.stack)[1], np.full((24, 32), 0.5))
+        _, stack, _ = run_forward(img, cfg, weights)
+        assert np.array_equal(split_stack(stack)[1], np.full((24, 32), 0.5))
 
     def test_seeded_determinism_bitwise(self):
         img = np.random.default_rng(2).uniform(size=(1, 24, 32))
-        a, _, _, _ = run_forward(img, TINY, init_weights(TINY))
-        b, _, _, _ = run_forward(img, TINY, init_weights(TINY))
-        assert a.stack.value.tobytes() == b.stack.value.tobytes()
-        assert a.keypoint_logits.value.tobytes() == b.keypoint_logits.value.tobytes()
+        _, a, a_logits = run_forward(img, TINY, init_weights(TINY))
+        _, b, b_logits = run_forward(img, TINY, init_weights(TINY))
+        assert a.value.tobytes() == b.value.tobytes()
+        assert a_logits.value.tobytes() == b_logits.value.tobytes()
 
     def test_scores_strictly_inside_unit_interval(self):
         img = np.random.default_rng(3).uniform(size=(1, 24, 32))
-        fmap, _, _, _ = run_forward(img)
-        s = split_stack(fmap.stack)[1]
+        _, stack, _ = run_forward(img)
+        s = split_stack(stack)[1]
         assert np.all(s > 0.0) and np.all(s < 1.0)
 
     def test_indivisible_shape_rejected(self):
@@ -92,10 +91,10 @@ class TestForward:
         def loss_from(weights, grad):
             tape = Tape(grad=grad)
             params = weights.bind(tape)
-            fmap = forward(img, params, TINY, tape)
+            parts, logits = forward(img, params, TINY, tape)
             total = ad.add(
-                ad.sum_(ad.mul(fmap.stack, tape.constant(up["ds"]))),
-                ad.sum_(ad.mul(fmap.keypoint_logits, tape.constant(up["k"]))),
+                ad.sum_(ad.mul(stack_parts(parts), tape.constant(up["ds"]))),
+                ad.sum_(ad.mul(logits, tape.constant(up["k"]))),
             )
             return total, tape, params
 
@@ -122,51 +121,52 @@ class TestForward:
 
 
 class TestEncodeDecode:
-    """`forward` is `encode` plus both `decode` branches, the pooled encoder
-    maps and the score joined by `stack_parts`, which the map keeps as its
-    parts; a no-grad tape gives the same values."""
+    """`forward` is `encode`, whose parts are the pooled encoder maps and the
+    score `decode` branch, plus the keypoint `decode` branch; `stack_parts`
+    joins the parts into the stack. A no-grad tape gives the same values."""
 
     @pytest.mark.parametrize("hw", [(24, 32), (48, 64)])
     @pytest.mark.parametrize("cfg", [TINY, ExtractorConfig(seed=4)])
     def test_composition_is_bitwise_forward(self, hw, cfg):
         image = np.random.default_rng(hw[0]).uniform(0.0, 1.0, size=(1, *hw))
         weights = init_weights(cfg)
-        ref, _, _, _ = run_forward(image, cfg, weights)
+        ref_parts, ref_stack, ref_logits = run_forward(image, cfg, weights)
         for grad in (True, False):
             tape = Tape(grad=grad)
             params = weights.bind(tape)
-            maps, bottleneck = encode(image, params, cfg, tape)
+            parts, bottleneck = encode(image, params, cfg, tape)
+            *maps, scores = parts
             logits = decode(bottleneck, "kp", params, cfg)
-            scores = decode(bottleneck, "score", params, cfg)
             assert [m.value.shape for m in maps] == [
                 (c, 1, hw[0] >> i, hw[1] >> i) for i, c in enumerate(cfg.channels, start=1)]
-            stack = stack_parts(maps + [scores], hw).value
-            assert stack.tobytes() == ref.stack.value.tobytes()
-            assert [p.value.tobytes() for p in ref.parts] == [
-                p.value.tobytes() for p in maps + [scores]]
-            assert logits.value.tobytes() == ref.keypoint_logits.value.tobytes()
+            again = decode(bottleneck, "score", params, cfg)
+            assert scores.value.tobytes() == again.value.tobytes()
+            stack = stack_parts(parts).value
+            assert stack.tobytes() == ref_stack.value.tobytes()
+            assert [p.value.tobytes() for p in ref_parts] == [p.value.tobytes() for p in parts]
+            assert logits.value.tobytes() == ref_logits.value.tobytes()
             assert scores.value.shape == logits.value.shape == (1, 1, *hw)
-            assert ref.keypoint_logits.value.shape == (1, *hw)
+            assert ref_logits.value.shape == (1, *hw)
 
 
     @pytest.mark.parametrize("grad", [True, False])
-    def test_forward_target_is_forward_without_logits(self, grad):
+    def test_encode_parts_are_forwards(self, grad):
+        """`encode`, which a training target runs, gives `forward`'s parts
+        bit for bit, without the keypoint branch."""
         image = np.random.default_rng(7).uniform(0.0, 1.0, size=(1, 24, 32))
         weights = init_weights(TINY)
-        ref, _, _, _ = run_forward(image, TINY, weights)
+        ref_parts, ref_stack, _ = run_forward(image, TINY, weights)
         tape = Tape(grad=grad)
-        fmap = forward_target(image, weights.bind(tape), TINY, tape)
-        assert fmap.keypoint_logits is None
-        assert fmap.stack.value.tobytes() == ref.stack.value.tobytes()
-        assert [p.value.tobytes() for p in fmap.parts] == [
-            p.value.tobytes() for p in ref.parts]
+        parts, _ = encode(image, weights.bind(tape), TINY, tape)
+        assert len(parts) == len(TINY.channels) + 1
+        assert [p.value.tobytes() for p in parts] == [p.value.tobytes() for p in ref_parts]
+        assert stack_parts(parts).value.tobytes() == ref_stack.value.tobytes()
 
-    def test_a_stack_given_alone_is_its_one_part(self):
+    def test_the_analytic_stack_is_its_one_part(self):
         tape = Tape(grad=False)
-        fmap = analytic_features(np.random.default_rng(8).uniform(size=(1, 24, 32)), tape)
-        assert len(fmap.parts) == 1 and fmap.parts[0] is fmap.stack
-        again = stack_parts(fmap.parts, (24, 32))
-        assert again.value.tobytes() == fmap.stack.value.tobytes()
+        parts, _ = analytic_features(np.random.default_rng(8).uniform(size=(1, 24, 32)), tape)
+        assert len(parts) == 1 and parts[0].value.shape == (10, 1, 24, 32)
+        assert stack_parts(parts) is parts[0]
 
 class TestBatch:
     """A batch (B, H, W) runs in one pass, each image through the arithmetic
@@ -180,18 +180,20 @@ class TestBatch:
         weights = init_weights(cfg)
         tape = Tape()
         params = weights.bind(tape)
-        batch = forward(images, params, cfg, tape)
-        target = forward_target(images, params, cfg, tape)
-        kps = extract_keypoints(batch, cfg.window)
+        parts, logits = forward(images, params, cfg, tape)
+        batch = stack_parts(parts)
+        target = stack_parts(encode(images, params, cfg, tape)[0])
+        kps = extract_keypoints(parts, logits, cfg.window)
         n = (hw[0] // cfg.window) * (hw[1] // cfg.window)
-        assert batch.stack.value.shape == (sum(cfg.channels) + 1, 3, *hw)
+        assert batch.value.shape == (sum(cfg.channels) + 1, 3, *hw)
         assert kps.coords.value.shape == (3, n, 2) and kps.scores.value.shape == (3, n)
         for i in range(len(images)):
-            alone, _, _, _ = run_forward(images[i:i + 1], cfg, weights)  # a batch of one
-            alone_kps = extract_keypoints(alone, cfg.window)
-            assert batch.stack.value[:, i].tobytes() == alone.stack.value.tobytes()
-            assert target.stack.value[:, i].tobytes() == alone.stack.value.tobytes()
-            assert batch.keypoint_logits.value[i].tobytes() == alone.keypoint_logits.value.tobytes()
+            # a batch of one
+            alone_parts, alone, alone_logits = run_forward(images[i:i + 1], cfg, weights)
+            alone_kps = extract_keypoints(alone_parts, alone_logits, cfg.window)
+            assert batch.value[:, i].tobytes() == alone.value.tobytes()
+            assert target.value[:, i].tobytes() == alone.value.tobytes()
+            assert logits.value[i].tobytes() == alone_logits.value.tobytes()
             for got, want in ((kps.coords, alone_kps.coords),
                               (kps.descriptors, alone_kps.descriptors),
                               (kps.scores, alone_kps.scores)):
@@ -279,22 +281,22 @@ class TestDetectKeypoints:
 
 class TestAnalyticFeatures:
     def test_deterministic(self, noon_frame):
-        a = analytic_features(noon_frame.left[None], Tape())
-        b = analytic_features(noon_frame.left[None], Tape())
-        assert a.stack.value.tobytes() == b.stack.value.tobytes()
+        (a,), _ = analytic_features(noon_frame.left[None], Tape())
+        (b,), _ = analytic_features(noon_frame.left[None], Tape())
+        assert a.value.tobytes() == b.value.tobytes()
 
     def test_gain_bias_invariant_descriptors(self, noon_frame):
-        base, _ = split_stack(analytic_features(noon_frame.left[None], Tape()).stack)
-        scaled, _ = split_stack(analytic_features(2.0 * noon_frame.left[None] + 5.0, Tape()).stack)
+        base, _ = split_stack(analytic_features(noon_frame.left[None], Tape())[0][0])
+        scaled, _ = split_stack(analytic_features(2.0 * noon_frame.left[None] + 5.0, Tape())[0][0])
         assert np.abs(base - scaled).max() < 1e-9
 
     def test_satisfies_feature_map_contract(self, noon_frame):
-        fmap = analytic_features(noon_frame.left[None], Tape())
-        desc, scores = split_stack(fmap.stack)
+        (stack,), logits = analytic_features(noon_frame.left[None], Tape())
+        desc, scores = split_stack(stack)
         d, h, w = desc.shape
         assert (h, w) == noon_frame.left.shape
         assert scores.shape == (h, w)
-        assert fmap.keypoint_logits.value.shape == (1, h, w)
+        assert logits.value.shape == (1, h, w)
         assert scores.min() >= 0.0
         assert scores.max() <= 1.0
         assert np.isfinite(desc).all()
@@ -316,12 +318,12 @@ class TestAnalyticFeatures:
         images = np.stack([base, 2.0 * base + 5.0, np.full(hw, 0.5), np.zeros(hw), special,
                            1e30 * rng.uniform(size=hw)])
         with np.errstate(all="ignore"):
-            batch = analytic_features(images, Tape())
+            (batch,), batch_logits = analytic_features(images, Tape())
             for i, image in enumerate(images):
                 want = analytic_features_reference(image)
-                alone = analytic_features(images[i:i + 1], Tape())
-                in_batch = (batch.stack.value[:, i], batch.keypoint_logits.value[i])
-                for a, b, w in zip((alone.stack, alone.keypoint_logits), in_batch, want):
+                (alone,), alone_logits = analytic_features(images[i:i + 1], Tape())
+                in_batch = (batch.value[:, i], batch_logits.value[i])
+                for a, b, w in zip((alone, alone_logits), in_batch, want):
                     assert a.value.tobytes() == w.tobytes(), i
                     nan = np.isnan(w)
                     assert (np.isnan(b) == nan).all() and b[~nan].tobytes() == w[~nan].tobytes(), i
@@ -408,16 +410,21 @@ class TestCheckpoint:
 
 class TestExtractKeypoints:
     def test_sampled_fields_shapes(self, noon_frame):
-        fmap = analytic_features(noon_frame.left[None], Tape())
-        kps = extract_keypoints(fmap, 8)
+        parts, logits = analytic_features(noon_frame.left[None], Tape())
+        kps = extract_keypoints(parts, logits, 8)
         n = (48 // 8) * (64 // 8)
-        d = fmap.stack.value.shape[0] - 1
+        d = parts[0].value.shape[0] - 1
         assert kps.coords.value.shape == (1, n, 2)
         assert kps.descriptors.value.shape == (1, n, d)
         assert kps.scores.value.shape == (1, n)
 
-    def test_samples_the_stack_once(self, noon_frame, monkeypatch):
-        fmap = analytic_features(noon_frame.left[None], Tape())
+    @pytest.mark.parametrize("learned", [False, True], ids=["analytic", "learned"])
+    def test_samples_the_stack_once(self, noon_frame, monkeypatch, learned):
+        """The parts are joined into one stack, which is sampled once."""
+        tape, image = Tape(), noon_frame.left[None]
+        parts, logits = (forward(image, init_weights(TINY).bind(tape), TINY, tape) if learned
+                         else analytic_features(image, tape))
+        channels = sum(p.value.shape[0] for p in parts)
         calls = []
         bilinear_sample = ad.bilinear_sample
 
@@ -426,9 +433,9 @@ class TestExtractKeypoints:
             return bilinear_sample(m, pts)
 
         monkeypatch.setattr(ad, "bilinear_sample", counted)
-        kps = extract_keypoints(fmap, 8)
-        assert calls == [fmap.stack.value.shape]
-        assert kps.descriptors.value.shape[2] == fmap.stack.value.shape[0] - 1
+        kps = extract_keypoints(parts, logits, 8)
+        assert calls == [(channels, *image.shape)]
+        assert kps.descriptors.value.shape[2] == channels - 1
 
     def test_descriptor_sampling_matches_map_at_integer_points(self):
         rng = np.random.default_rng(12)
@@ -436,7 +443,7 @@ class TestExtractKeypoints:
         desc = rng.normal(size=(5, 16, 16))
         logits = np.zeros((16, 16))
         logits[4, 3] = 1000.0  # saturate onto integer pixel (3, 4)
-        fmap = feature_map(t, desc, np.full((16, 16), 0.25), logits)
-        kps = extract_keypoints(fmap, 16)
+        stack, logits = feature_map(t, desc, np.full((16, 16), 0.25), logits)
+        kps = extract_keypoints([stack], logits, 16)
         assert np.allclose(kps.descriptors.value[0, 0], desc[:, 4, 3], atol=1e-9)
         assert np.allclose(kps.scores.value[0, 0], 0.25, atol=1e-12)

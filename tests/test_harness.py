@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stereoloc import autodiff as ad
-from stereoloc import features, harness, synth
+from stereoloc import features, harness, matching, synth
 from stereoloc.autodiff import Tape
 from stereoloc.errors import ConfigError, ShapeError, TeachFailure
 from stereoloc.estimator import RansacParams
@@ -46,6 +46,11 @@ class TestTeach:
         frames, _, teach_map = rig
         assert len(teach_map.vertices) == len(frames)
         assert [v.frame_id for v in teach_map.vertices] == list(range(len(frames)))
+
+    def test_an_unknown_disparity_source_is_refused_before_any_frame(self, rig, K_default):
+        frames, _, _ = rig
+        with pytest.raises(ValueError, match="^disparity must be one of"):  # no extractor runs
+            teach(frames, object(), K_default, disparity_source="blocks")
 
     def test_deterministic(self, rig, K_default):
         frames, extractor, teach_map = rig
@@ -108,10 +113,10 @@ class GridExtractor:
     ident = "grid"
 
     def features_on(self, tape, images):
-        fmap = features.analytic_features(images, tape)
+        parts, _ = features.analytic_features(images, tape)
         logits = np.zeros(images.shape)
         logits[:, 2::self.window, 3::self.window] = 1e3
-        return features.DenseFeatureMap(fmap.stack, tape.constant(logits))
+        return parts, tape.constant(logits)
 
 
 class TestTeachRefusesDegenerateVertices:
@@ -188,6 +193,12 @@ class TestLocalize:
         assert teach_map.vertices[0].points3d.tobytes() == before
         assert a.inliers == b.inliers
         assert a.pose.C.tobytes() == b.pose.C.tobytes()
+
+    @pytest.mark.parametrize("setting, value", [("mode", "Dense"), ("disparity", "stereo")])
+    def test_an_unknown_mode_or_disparity_source_is_refused_at_construction(self, setting,
+                                                                           value):
+        with pytest.raises(ValueError, match=f"^{setting} must be one of"):
+            LocalizeParams(**{setting: value})
 
     def test_block_disparity_mode_runs(self, rig, K_default):
         frames, extractor, teach_map = rig
@@ -269,11 +280,11 @@ class OneRowScores(GridExtractor):
     keypoints on that row weigh in a sparse pose fit."""
 
     def features_on(self, tape, images):
-        fmap = super().features_on(tape, images)
-        stack = fmap.stack.value.copy()
+        (stack,), logits = super().features_on(tape, images)
+        stack = stack.value.copy()
         stack[-1] = 0.0
         stack[-1, :, 2] = 1.0
-        return features.DenseFeatureMap(tape.constant(stack), fmap.keypoint_logits)
+        return [tape.constant(stack)], logits
 
 
 class TestFailureReasons:
@@ -554,9 +565,9 @@ class TestStatelessLocalize:
     def test_rebuilt_stack_is_the_vertex_frames_stack(self, rig, K_default, tmp_path,
                                                        learned):
         """The stack rebuilt from a vertex's parts, as taught and as
-        reloaded, is byte-equal to a fresh pass over the vertex's frame:
-        `forward_target` for the learned extractor, the `features_on` stack
-        for the analytic one."""
+        reloaded, is byte-equal to the stack of a fresh pass over the
+        vertex's frame: `encode`'s parts for the learned extractor,
+        `features_on`'s for the analytic one."""
         frames, analytic, _ = rig
         extractor = LearnedExtractor(features.init_weights(self.CFG)) if learned else analytic
         teach_map = teach(frames[:2], extractor, K_default)
@@ -566,14 +577,31 @@ class TestStatelessLocalize:
             image = taught.frame.left[None]
             if learned:
                 weights = extractor.weights
-                fresh = features.forward_target(image, weights.bind(tape), weights.config, tape)
+                parts, _ = features.encode(image, weights.bind(tape), weights.config, tape)
             else:
-                fresh = extractor.features_on(tape, image)
+                parts, _ = extractor.features_on(tape, image)
+            fresh = features.stack_parts(parts)
             for v in (taught, loaded):
-                rebuilt = features.stack_parts([tape.constant(p[:, None]) for p in v.parts],
-                                               v.frame.left.shape)
-                assert rebuilt.value.dtype == fresh.stack.value.dtype == np.float32
-                assert rebuilt.value.tobytes() == fresh.stack.value.tobytes()
+                rebuilt = features.stack_parts([tape.constant(p[:, None]) for p in v.parts])
+                assert rebuilt.value.dtype == fresh.value.dtype == np.float32
+                assert rebuilt.value.tobytes() == fresh.value.tobytes()
+
+    def test_matching_into_kept_parts_is_matching_into_their_stack(self, rig, K_default):
+        """`match_all` joins the target stack from a vertex's kept parts as
+        `stack_parts` does: the same points and weights, bit for bit."""
+        frames, _, _ = rig
+        vertex = teach(frames[:1], LearnedExtractor(features.init_weights(self.CFG)),
+                       K_default).vertices[0]
+        tape = Tape(grad=False, dtype=harness.INFERENCE_DTYPE)
+        parts = [tape.constant(p[:, None]) for p in vertex.parts]
+        assert len(parts) == len(self.CFG.channels) + 1
+        kps = features.KeypointSet(*(tape.constant(v[None]) for v in (
+            vertex.coords, vertex.descriptors, vertex.scores)))
+        by_parts = matching.match_all(kps, parts, tau=harness.DEFAULT_LOCALIZE_TAU)
+        by_stack = matching.match_all(kps, [features.stack_parts(parts)],
+                                      tau=harness.DEFAULT_LOCALIZE_TAU)
+        for a, b in zip(by_parts, by_stack):
+            assert a.value.dtype == np.float32 and a.value.tobytes() == b.value.tobytes()
 
     def test_every_dense_localize_runs_10_convs_on_two_no_grad_tapes(
         self, rig, K_default, monkeypatch
@@ -645,7 +673,8 @@ class TestStatelessLocalize:
         repeat(frames, used_map, extractor, params, K_default)  # fills memoized tables
         teach_map = teach(frames, extractor, K_default)  # the rig's map, untouched
         f32 = harness.INFERENCE_DTYPE
-        stack = extractor.features_on(Tape(grad=False, dtype=f32), frames[0].left[None]).stack.value
+        parts, _ = extractor.features_on(Tape(grad=False, dtype=f32), frames[0].left[None])
+        stack = features.stack_parts(parts).value
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

@@ -1,8 +1,9 @@
 """Layout guards: every top-level function and class in the package is used
 by the program itself (a name that only tests use is a test helper and
 belongs in tests/oracles.py, not in src/), every dataclass field is read
-by it, no module reads another module's private names, and only `storage`
-writes files or reads JSON."""
+by it, every defaulted parameter is passed by some call, no module reads
+another module's private names, and only `storage` writes files or reads
+JSON."""
 
 import ast
 import re
@@ -80,6 +81,40 @@ def test_every_dataclass_field_is_read_by_the_program():
                            for where, line in reads.get(name, [])):
                     unread.append(f"{path.relative_to(ROOT)}: {cls.name}.{name}")
     assert not unread, "dataclass fields the program never reads:\n" + "\n".join(unread)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A parameter whose default no call overrides is a constant. A defaulted
+    parameter of a top-level function in the package counts as passed where
+    a call of that function's name in the program or the tests passes it by
+    keyword or by position; a call with `*args` or `**kwargs` passes every
+    parameter."""
+    calls: dict[str, list[ast.Call]] = {}
+    for d in PROGRAM_DIRS + ("tests",):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+
+    def passes(call: ast.Call, param: str, position: int | None) -> bool:
+        return (position is not None and len(call.args) > position
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg in (param, None) for k in call.keywords))
+
+    never = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            defaulted = [(p.arg, i) for i, p in enumerate(positional)
+                         if i >= len(positional) - len(a.defaults)]
+            defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            never += [f"{path.stem}.{fn.name}: {param}" for param, i in defaulted
+                      if not any(passes(c, param, i) for c in calls.get(fn.name, []))]
+    assert not never, "defaulted parameters no call passes:\n" + "\n".join(never)
 
 
 def _private(name: str) -> bool:

@@ -23,7 +23,9 @@ from oracles import (
 )
 
 
-def random_feature_map(tape, rng, d=8, h=12, w=16, smooth=False):
+def random_stack(tape, rng, d=8, h=12, w=16, smooth=False):
+    """The stack of a random feature map of a batch of one; its logits are
+    drawn and dropped."""
     if smooth:
         coarse = rng.normal(size=(d, max(h // 4, 2), max(w // 4, 2)))
         desc = ad.upsample_bilinear(tape.constant(coarse), (h, w)).value
@@ -32,17 +34,17 @@ def random_feature_map(tape, rng, d=8, h=12, w=16, smooth=False):
         desc = rng.normal(size=(d, h, w))
     scores = rng.uniform(0.1, 0.9, size=(h, w))
     logits = rng.normal(size=(h, w))
-    return feature_map(tape, desc, scores, logits)
+    return feature_map(tape, desc, scores, logits)[0]
 
 
-def keypoints_from(tape, fmap, rng, n=5):
-    """n random keypoints on the map's image, a batch of one."""
-    _, _, h, w = fmap.stack.value.shape
+def keypoints_from(tape, stack, rng, n=5):
+    """n random keypoints on the stack's image, a batch of one."""
+    _, _, h, w = stack.value.shape
     coords = np.stack(
         [rng.uniform(0.5, w - 1.5, n), rng.uniform(0.5, h - 1.5, n)], axis=1
     )
     cvar = tape.constant(coords[None])
-    return KeypointSet(cvar, *features.sample_at(fmap, cvar))
+    return KeypointSet(cvar, *features.sample_at(stack, cvar))
 
 
 def zncc_matrix(A, B):
@@ -102,8 +104,8 @@ class TestSoftMatch:
         h, w, d = 6, 9, 5
         one = rng.normal(size=d)
         desc = np.tile(one[:, None, None], (1, h, w))
-        fmap = feature_map(t, desc, np.full((h, w), 0.5), np.zeros((h, w)))
-        q, _, _ = soft_match(t.constant(rng.normal(size=d)), fmap, tau=3.0)
+        stack, _ = feature_map(t, desc, np.full((h, w), 0.5), np.zeros((h, w)))
+        q, _, _ = soft_match(t.constant(rng.normal(size=d)), stack, tau=3.0)
         assert np.allclose(q.value, [(w - 1) / 2, (h - 1) / 2], atol=1e-9)
 
     def test_two_pixel_saturation(self):
@@ -112,16 +114,16 @@ class TestSoftMatch:
         d = rng.normal(size=6)
         t = Tape()
         desc = np.stack([d, -d], axis=1)[:, None, :]  # (6, 1, 2)
-        fmap = feature_map(t, desc, np.full((1, 2), 0.5), np.zeros((1, 2)))
-        q, _, _ = soft_match(t.constant(d.copy()), fmap, tau=20.0)
+        stack, _ = feature_map(t, desc, np.full((1, 2), 0.5), np.zeros((1, 2)))
+        q, _, _ = soft_match(t.constant(d.copy()), stack, tau=20.0)
         assert np.abs(q.value - [0.0, 0.0]).max() < 1e-8
 
     def test_matched_descriptor_and_score_are_sampled_at_match(self):
         rng = np.random.default_rng(5)
         t = Tape()
-        fmap = random_feature_map(t, rng, smooth=True)
-        q, desc, score = soft_match(t.constant(rng.normal(size=8)), fmap, tau=10.0)
-        desc_map = t.constant(fmap.stack.value[:-1])
+        stack = random_stack(t, rng, smooth=True)
+        q, desc, score = soft_match(t.constant(rng.normal(size=8)), stack, tau=10.0)
+        desc_map = t.constant(stack.value[:-1])
         ref = ad.bilinear_sample(desc_map, ad.reshape(q, (1, 1, 2))).value[0, 0]
         assert np.allclose(desc.value, ref, atol=1e-12)
         assert 0.0 < score.value < 1.0
@@ -131,12 +133,12 @@ class TestMatchAll:
     def test_cardinality_preserved(self):
         rng = np.random.default_rng(6)
         t = Tape()
-        fmap = random_feature_map(t, rng)
-        kps = keypoints_from(t, fmap, rng, n=7)
-        points, weights = match_all(kps, fmap, tau=20.0)
+        stack = random_stack(t, rng)
+        kps = keypoints_from(t, stack, rng, n=7)
+        points, weights = match_all(kps, [stack], tau=20.0)
         assert points.value.shape == (1, 7, 2)
         assert weights.value.shape == (1, 7)
-        desc, scores = features.sample_at(fmap, points)
+        desc, scores = features.sample_at(stack, points)
         assert desc.value.shape == (1, 7, 8)
         assert scores.value.shape == (1, 7)
 
@@ -144,28 +146,28 @@ class TestMatchAll:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             t = Tape()
-            fmap = random_feature_map(t, rng, d=6, h=12, w=16)
-            kps = keypoints_from(t, fmap, rng, n=4)
-            points, _ = match_all(kps, fmap, tau=15.0)
+            stack = random_stack(t, rng, d=6, h=12, w=16)
+            kps = keypoints_from(t, stack, rng, n=4)
+            points, _ = match_all(kps, [stack], tau=15.0)
             ref = match_all_reference(
-                kps.descriptors.value[0], split_stack(fmap.stack)[0], tau=15.0
+                kps.descriptors.value[0], split_stack(stack)[0], tau=15.0
             )
             assert np.abs(points.value[0] - ref).max() < 1e-10
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         t = Tape()
-        fmap = random_feature_map(t, rng)
-        kps = keypoints_from(t, fmap, rng, n=6)
-        attn = match_attention(kps, fmap, 25.0)
+        stack = random_stack(t, rng)
+        kps = keypoints_from(t, stack, rng, n=6)
+        attn = match_attention(kps, stack, 25.0)
         assert np.abs(attn.value.sum(axis=-1) - 1.0).max() < 1e-9
 
     def test_matched_points_inside_image(self):
         rng = np.random.default_rng(8)
         t = Tape()
-        fmap = random_feature_map(t, rng, h=10, w=14)
-        kps = keypoints_from(t, fmap, rng, n=6)
-        pts = match_all(kps, fmap, tau=5.0)[0].value[0]
+        stack = random_stack(t, rng, h=10, w=14)
+        kps = keypoints_from(t, stack, rng, n=6)
+        pts = match_all(kps, [stack], tau=5.0)[0].value[0]
         assert (pts[:, 0] >= 0).all() and (pts[:, 0] <= 13).all()
         assert (pts[:, 1] >= 0).all() and (pts[:, 1] <= 9).all()
 
@@ -174,8 +176,8 @@ class TestMatchAll:
         instances = 0
         while instances < 5:
             t = Tape()
-            fmap = random_feature_map(t, rng, d=6, h=10, w=12)
-            desc_flat = split_stack(fmap.stack)[0].reshape(6, -1).T
+            stack = random_stack(t, rng, d=6, h=10, w=12)
+            desc_flat = split_stack(stack)[0].reshape(6, -1).T
             # source descriptor taken from one integer pixel: zncc peak 1 there
             j = int(rng.integers(desc_flat.shape[0]))
             src = desc_flat[j]
@@ -189,7 +191,7 @@ class TestMatchAll:
                 t.constant(src[None, None].copy()),
                 t.constant(np.array([[0.5]])),
             )
-            points, _ = match_all(kps, fmap, tau=1e3)
+            points, _ = match_all(kps, [stack], tau=1e3)
             hard = np.array([j % 12, j // 12], dtype=float)
             assert np.abs(points.value[0, 0] - hard).max() < 1e-6
 
@@ -207,9 +209,9 @@ class TestMatchAll:
         for iy in range(3):
             for ix in range(4):
                 logits[iy * 8 + peaks[iy, ix, 1], ix * 8 + peaks[iy, ix, 0]] = 60.0
-        fmap = feature_map(t, desc, np.full((h, w), 0.5), logits)
-        kps = extract_keypoints(fmap, 8)
-        points, _ = match_all(kps, fmap, tau=1e3)
+        stack, logits = feature_map(t, desc, np.full((h, w), 0.5), logits)
+        kps = extract_keypoints([stack], logits, 8)
+        points, _ = match_all(kps, [stack], tau=1e3)
         err = np.linalg.norm(points.value - kps.coords.value, axis=-1)
         assert err.max() < 0.5
 
@@ -218,9 +220,9 @@ class TestMatchAll:
         # grid-limited: it recovers the source to within about a pixel
         rng = np.random.default_rng(10)
         t = Tape()
-        fmap = random_feature_map(t, rng, d=8, h=24, w=32, smooth=True)
-        kps = keypoints_from(t, fmap, rng, n=10)
-        points, _ = match_all(kps, fmap, tau=160.0)
+        stack = random_stack(t, rng, d=8, h=24, w=32, smooth=True)
+        kps = keypoints_from(t, stack, rng, n=10)
+        points, _ = match_all(kps, [stack], tau=160.0)
         err = np.linalg.norm(points.value - kps.coords.value, axis=-1)
         assert err.mean() < 0.6
         assert err.max() < 1.0
@@ -235,11 +237,11 @@ class TestMatchAll:
         outs = []
         for grad in (True, False):
             t = Tape(grad=grad)
-            fmap = feature_map(t, desc, scores)
+            stack, _ = feature_map(t, desc, scores)
             kps = KeypointSet(t.constant(coords[None]), t.constant(src[None]),
                               t.constant(src_scores[None]))
-            points, weights = match_all(kps, fmap, tau=400.0)
-            target_desc, target_scores = features.sample_at(fmap, points)
+            points, weights = match_all(kps, [stack], tau=400.0)
+            target_desc, target_scores = features.sample_at(stack, points)
             outs.append([points.value, target_desc.value, target_scores.value, weights.value])
         for a, b in zip(*outs):
             assert a.tobytes() == b.tobytes()
@@ -255,23 +257,23 @@ class TestMatchAll:
         t = Tape(grad=False)
         stack = t.constant(np.concatenate([desc, scores[:, None]], axis=1).transpose(1, 0, 2, 3))
         kps = KeypointSet(t.constant(coords), t.constant(src), t.constant(src_scores))
-        points, weights = match_all(kps, features.DenseFeatureMap(stack, None), tau=400.0)
+        points, weights = match_all(kps, [stack], tau=400.0)
         assert points.value.shape == (b, n, 2) and weights.value.shape == (b, n)
         for i in range(b):
-            fmap = feature_map(t, desc[i], scores[i])
+            stack_i, _ = feature_map(t, desc[i], scores[i])
             one = KeypointSet(t.constant(coords[i:i + 1]), t.constant(src[i:i + 1]),
                               t.constant(src_scores[i:i + 1]))
-            p_i, w_i = match_all(one, fmap, tau=400.0)
+            p_i, w_i = match_all(one, [stack_i], tau=400.0)
             assert points.value[i].tobytes() == p_i.value.tobytes()
             assert weights.value[i].tobytes() == w_i.value.tobytes()
 
     def test_invalid_temperature(self):
         rng = np.random.default_rng(12)
         t = Tape()
-        fmap = random_feature_map(t, rng)
-        kps = keypoints_from(t, fmap, rng, n=2)
+        stack = random_stack(t, rng)
+        kps = keypoints_from(t, stack, rng, n=2)
         with pytest.raises(ValueError):
-            match_all(kps, fmap, tau=0.0)
+            match_all(kps, [stack], tau=0.0)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -281,11 +283,11 @@ class TestMatchAll:
         up = rng.normal(size=(1, n, 2))
 
         def build(t, src_var, tgt_var):
-            fmap = feature_map(t, tgt_var, np.full((h, w), 0.5), np.zeros((h, w)))
+            stack, _ = feature_map(t, tgt_var, np.full((h, w), 0.5), np.zeros((h, w)))
             kps = KeypointSet(
                 t.constant(np.ones((1, n, 2))), src_var, t.constant(np.full((1, n), 0.5))
             )
-            points, _ = match_all(kps, fmap, tau=8.0)
+            points, _ = match_all(kps, [stack], tau=8.0)
             return ad.sum_(ad.mul(points, t.constant(up)))
 
         t = Tape()
@@ -308,11 +310,11 @@ class TestMatchAll:
         # 12 keypoints x 64x48 pixels x D=56 under 50 ms single-threaded
         rng = np.random.default_rng(14)
         t = Tape()
-        fmap = random_feature_map(t, rng, d=56, h=48, w=64)
-        kps = keypoints_from(t, fmap, rng, n=12)
-        match_all(kps, fmap, tau=50.0)  # warm up
+        stack = random_stack(t, rng, d=56, h=48, w=64)
+        kps = keypoints_from(t, stack, rng, n=12)
+        match_all(kps, [stack], tau=50.0)  # warm up
         start = time.perf_counter()
-        match_all(kps, fmap, tau=50.0)
+        match_all(kps, [stack], tau=50.0)
         elapsed = time.perf_counter() - start
         assert elapsed < 0.050, f"match_all took {elapsed * 1e3:.1f} ms"
 
@@ -351,11 +353,11 @@ class TestMatchWeights:
     def test_weights_in_unit_interval(self):
         rng = np.random.default_rng(18)
         t = Tape()
-        fmap = random_feature_map(t, rng)
-        kps = keypoints_from(t, fmap, rng, n=6)
-        _, weights = match_all(kps, fmap, tau=10.0)
+        stack = random_stack(t, rng)
+        kps = keypoints_from(t, stack, rng, n=6)
+        _, weights = match_all(kps, [stack], tau=10.0)
         assert (weights.value >= 0).all() and (weights.value <= 1).all()
-        again = matchset_weights(kps, fmap, tau=10.0).value
+        again = matchset_weights(kps, stack, tau=10.0).value
         assert np.abs(again - weights.value).max() < 1e-12
 
 

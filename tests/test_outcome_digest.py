@@ -35,6 +35,7 @@ def test_write_covers_the_grid_and_diff_counts_mismatches(tmp_path):
         for m in ("dense", "sparse")
     }
     assert all(r["pose"] is None or len(r["pose"]) == 12 for r in rows)
+    assert all(len(r["gt_offset"]) == 3 for r in rows)
     assert all((r["reason"] is None) != r["failure"] for r in rows)
     assert {r["reason"] for r in rows} <= {None, *harness.FAILURE_REASONS.values(),
                                            "below_inlier_threshold"}
@@ -125,6 +126,31 @@ def test_write_records_a_null_reason_from_results_without_one(tmp_path, monkeypa
     monkeypatch.setattr(harness, "localize", reasonless)
     rows = list(itertools.islice(digest.digest_rows([1], 1, tmp_path), 8))
     assert len(rows) == 8 and all("reason" in r and r["reason"] is None for r in rows)
+
+
+def test_write_records_the_ground_truth_offset_that_repeat_computes(tmp_path, monkeypatch):
+    """Each row's `gt_offset` is its live frame's planar offset from its
+    vertex, as `harness.repeat` computes it for the same frames and map."""
+    digest = load_script()
+    maps, calls = [], []
+    nearest_vertex, localize = harness.nearest_vertex, harness.localize
+
+    def seen_map(teach_map, world_pose):
+        maps.append(teach_map)
+        return nearest_vertex(teach_map, world_pose)
+
+    def seen_call(frame, *args):
+        calls.append((frame, args))
+        return localize(frame, *args)
+
+    monkeypatch.setattr(harness, "nearest_vertex", seen_map)
+    monkeypatch.setattr(harness, "localize", seen_call)
+    rows = list(itertools.islice(digest.digest_rows([1], 1, tmp_path), 8))
+    monkeypatch.undo()
+    _, extractor, params, K = calls[0][1]
+    report = harness.repeat([frame for frame, _ in calls], maps[0], extractor, params, K)
+    assert [r["gt_offset"] for r in rows] == [
+        [o.alpha, o.beta, o.gamma] for o in report.gt_offsets]
 
 
 def test_train_writes_one_row_per_batch_and_diff_flags_gating(tmp_path):

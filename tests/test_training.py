@@ -402,7 +402,7 @@ class TestTrainingDtype:
         monkeypatch.setattr(ad, "finite_diff", one_evaluation)
         cli.gradient_cross_check(samples[:1], weights, LossConfig(), K)
         f64 = np.dtype(np.float64)
-        assert dtypes == [(True, f64), (False, f64)]
+        assert dtypes == [(True, f64)] + [(False, f64)] * len(weights.tensors)  # one per tensor
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_float32_keeps_the_stats_and_bounds_the_deltas(self, small_data, seed):
