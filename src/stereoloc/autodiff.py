@@ -563,10 +563,10 @@ def row_znorm(x: Var) -> Var:
 def backproject(uv: Var, d: Var, K: _geometry.CameraIntrinsics, valid: Array) -> Var:
     """Stereo lift of (..., 2) points (u, v) at (...) disparities -> (...,
     3) camera-frame points, by `geometry.backproject_points`, on the rows
-    the boolean mask `valid` marks; the rest are NaN with zero gradient."""
+    the boolean mask `valid` marks; the rest are zero with zero gradient."""
     uvv, dv = uv.value, d.value
     u, v, dd = uvv[valid, 0], uvv[valid, 1], dv[valid]
-    out = np.full(valid.shape + (3,), np.nan, dtype=np.result_type(uvv, dv))
+    out = np.zeros(valid.shape + (3,), dtype=np.result_type(uvv, dv))
     out[valid] = _geometry.backproject_points(np.stack([u, v, dd], axis=1), K)
 
     def pull(g):

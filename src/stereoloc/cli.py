@@ -85,11 +85,14 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise ConfigError(f"bad --size {text!r}, expected WxH") from e
 
 
-def _parse_channels(text: str) -> tuple[int, ...]:
+def _init_weights(args) -> features.ExtractorWeights:
+    """Fresh extractor weights from the --channels, --window and --seed flags."""
     try:
-        return tuple(int(p) for p in text.split(","))
+        channels = tuple(int(p) for p in args.channels.split(","))
     except ValueError as e:
-        raise ConfigError(f"bad --channels {text!r}") from e
+        raise ConfigError(f"bad --channels {args.channels!r}") from e
+    return features.init_weights(
+        features.ExtractorConfig(channels=channels, window=args.window, seed=args.seed))
 
 
 def _load_extractor(args) -> harness.LearnedExtractor | harness.AnalyticExtractor:
@@ -140,12 +143,7 @@ def cmd_train(args) -> int:
     samples, manifest = synth.load_dataset(args.data)
     K = synth.camera_from_dict(manifest["camera"])
     train_samples, val_samples = training.split_dataset(samples, args.val_fraction)
-    cfg = features.ExtractorConfig(
-        channels=_parse_channels(args.channels),
-        window=args.window,
-        seed=args.seed,
-    )
-    weights = features.init_weights(cfg)
+    weights = _init_weights(args)
     tcfg = training.TrainConfig(
         learning_rate=args.lr,
         batch_size=args.batch_size,
@@ -178,10 +176,7 @@ def cmd_eval_grad(args) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         synth.make_dataset(tmp, scene, count=1, seed=args.seed, size=size)
         samples, _ = synth.load_dataset(tmp)
-    cfg = features.ExtractorConfig(
-        channels=_parse_channels(args.channels), window=args.window, seed=args.seed
-    )
-    weights = features.init_weights(cfg)
+    weights = _init_weights(args)
     lcfg = training.LossConfig()
     rel = gradient_cross_check(samples, weights, lcfg, K)
     print(f"gradient relative error: {rel:.3e} (tolerance {args.tolerance:.1e})")
@@ -296,12 +291,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         description="Differentiable stereo localization toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    analytic_window = "keypoint window of --features analytic; a checkpoint brings its own"
+    loc = harness.LocalizeParams()
 
     def common(p):
         p.add_argument("--config", help="flat dotted-key config file")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
+
+    def extractor(p):  # teach and repeat
+        p.add_argument("--ckpt")
+        p.add_argument("--features", choices=["learned", "analytic"], default="learned")
+        p.add_argument("--window", type=int, default=8,
+                       help="keypoint window of --features analytic; a checkpoint brings its own")
+        p.add_argument("--disparity", choices=harness.DISPARITY_SOURCES, default=loc.disparity)
 
     p = sub.add_parser("synth", help="generate synthetic data")
     common(p)
@@ -342,27 +344,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("teach", help="build a map from a taught sequence")
     common(p)
     p.add_argument("--frames", required=True)
-    p.add_argument("--ckpt")
-    p.add_argument("--features", choices=["learned", "analytic"], default="learned")
-    p.add_argument("--window", type=int, default=8, help=analytic_window)
-    p.add_argument("--disparity", choices=harness.DISPARITY_SOURCES, default="gt")
+    extractor(p)
     p.set_defaults(func=cmd_teach)
 
-    loc = harness.LocalizeParams()
     p = sub.add_parser("repeat", help="localize a sequence against a map")
     common(p)
     p.add_argument("--map", required=True)
     p.add_argument("--frames", required=True)
-    p.add_argument("--ckpt")
-    p.add_argument("--features", choices=["learned", "analytic"], default="learned")
-    p.add_argument("--window", type=int, default=8, help=analytic_window)
+    extractor(p)
     p.add_argument("--mode", choices=harness.MODES, default=loc.mode)
     p.add_argument("--tau", type=float, default=loc.tau)
     p.add_argument("--iterations", type=int, default=loc.ransac.iterations)
     p.add_argument("--inlier-threshold", type=float, default=loc.ransac.inlier_threshold)
     p.add_argument("--min-inliers", type=int, default=loc.ransac.min_inliers)
     p.add_argument("--failure-inliers", type=int, default=loc.failure_inliers)
-    p.add_argument("--disparity", choices=harness.DISPARITY_SOURCES, default=loc.disparity)
     p.add_argument("--name", help="run name for reports")
     p.set_defaults(func=cmd_repeat)
 

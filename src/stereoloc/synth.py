@@ -242,10 +242,10 @@ def cast_rays(
     K: CameraIntrinsics,
     uv: np.ndarray,
     right: bool | np.ndarray = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Intersect pixel rays with the scene.
 
-    Returns (intensity, depth, hit_points). `uv` is (..., 2) sub-pixel image
+    Returns (intensity, depth). `uv` is (..., 2) sub-pixel image
     coordinates; depth is camera-frame z. The right camera sits one baseline
     along the camera x-axis. `pose` is one world pose (x, y, yaw) or a
     (..., 3) stack of them; its leading axes, like `right`, broadcast
@@ -269,10 +269,7 @@ def cast_rays(
     ox = np.where(right, x + K.b * c, x)
     oy = np.where(right, y + K.b * s, y)
     t_best, albedo = _nearest_hits(scene, ox, oy, dx, dy)
-    hx = ox + t_best * dx
-    hy = oy + t_best * dy
-    intensity = texture(scene, hx, hy) * albedo
-    return intensity, t_best, np.stack([hx, hy, CAMERA_HEIGHT - t_best], axis=-1)
+    return texture(scene, ox + t_best * dx, oy + t_best * dy) * albedo, t_best
 
 
 def apply_photometrics(
@@ -317,8 +314,8 @@ def _cast(scene: Scene, poses: np.ndarray, K: CameraIntrinsics, size: tuple[int,
     casts = []
     for i in range(0, len(poses), step):
         # (p, 1, 1, 1, 3) poses against (2, H, W) rays: (p, 2, H, W) casts
-        intensity, depth, _ = cast_rays(scene, poses[i : i + step, None, None, None], K, uv,
-                                        right=sides)
+        intensity, depth = cast_rays(scene, poses[i : i + step, None, None, None], K, uv,
+                                     right=sides)
         casts += zip(intensity, K.fu * K.b / depth[:, 0])
     return casts
 

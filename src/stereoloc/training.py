@@ -3,9 +3,10 @@
 Each training batch records one tape. Over the whole batch at once: one
 extractor forward on the source frames, their descriptors and scores on the
 targets, windowed keypoint detection, dense soft matching, stereo 3D
-lifting, ground-truth outlier gating, the keypoint loss (planar coordinates
-of gated pairs) and the pose loss on the differentiable weighted-SVD
-alignment. One backward pass runs on the sum of the kept samples' losses.
+lifting, gating (a pair either of whose points did not lift, or that the
+ground truth calls an outlier, weighs zero), the keypoint loss (planar
+coordinates of the kept pairs) and the pose loss on the differentiable
+weighted-SVD alignment. One backward pass runs on the sum of the kept samples' losses.
 The tapes are float32 (`TRAINING_DTYPE`); the gradient checks pass float64.
 Early stopping watches the validation loss; the best-validation weights
 win.
@@ -83,11 +84,12 @@ class SampleStats:
     est: PlanarPose | None = None
 
 
-def _lift(coords: Var, disp_maps: np.ndarray, K: CameraIntrinsics) -> Var:
+def _lift(coords: Var, disp_maps: np.ndarray, K: CameraIntrinsics) -> tuple[Var, np.ndarray]:
     """Backproject (B, N, 2) tape keypoints through their images'
-    ground-truth disparity maps (B, H, W); returns (B, N, 3). A keypoint
-    whose bilinear footprint weights an invalid pixel lifts to NaN, which the
-    gate drops; such pixels are sampled as 0 plus a mask channel, so no
+    ground-truth disparity maps (B, H, W); returns the (B, N, 3) points and
+    the (B, N) mask of the lifted ones. A keypoint whose bilinear footprint
+    weights an invalid pixel lifts to zero with zero gradient, and the mask
+    gates it; such pixels are sampled as 0 plus a mask channel, so no
     non-finite value reaches the tape."""
     tape = coords.tape
     valid = valid_disparity(disp_maps)
@@ -95,7 +97,7 @@ def _lift(coords: Var, disp_maps: np.ndarray, K: CameraIntrinsics) -> Var:
     sampled = ad.bilinear_sample(maps, coords)
     d = ad.reshape(ad.take(sampled, slice(0, 1), axis=-1), coords.shape[:-1])
     ok = (sampled.value[..., 1] == 0) & valid_disparity(d.value)
-    return ad.backproject(coords, d, K, ok)
+    return ad.backproject(coords, d, K, ok), ok
 
 
 def batch_loss(
@@ -121,20 +123,15 @@ def batch_loss(
     kps = features.extract_keypoints(*features.forward(sources, params, cfg, tape), cfg.window)
     target_parts, _ = features.encode(targets, params, cfg, tape)
     target_points, match_w = matching.match_all(kps, target_parts, tau=lcfg.tau)
-    p_s = _lift(kps.coords, np.stack([s.source.disparity for s in batch]), K)
-    p_t = _lift(target_points, np.stack([s.target.disparity for s in batch]), K)
+    p_s, ok_s = _lift(kps.coords, np.stack([s.source.disparity for s in batch]), K)
+    p_t, ok_t = _lift(target_points, np.stack([s.target.disparity for s in batch]), K)
 
-    # Gated-out pairs read an appended zero row, at zero weight: an invalid
-    # lift is NaN, and a NaN must never meet a multiply.
-    keep = np.stack([
+    # An unlifted point sits at the camera origin, which can pass the gate.
+    keep = ok_s & ok_t & np.stack([
         estimator.gt_outlier_gate(ps, pt, s.gt, lcfg.gate_threshold)
         for ps, pt, s in zip(p_s.value, p_t.value, batch)
     ])
-    b, n = keep.shape
-    flat = ad.reshape(ad.concat([p_s, p_t, ad.reshape(match_w, (b, n, 1))], axis=2), (b * n, 7))
-    pairs = ad.take(ad.concat([flat, tape.constant(np.zeros((1, 7)))]),
-                    np.where(keep, np.arange(b * n).reshape(b, n), b * n))
-    p_s, p_t, w = (ad.take(pairs, i, axis=2) for i in (slice(0, 3), slice(3, 6), 6))
+    w = ad.mul(match_w, tape.constant(keep))  # gated pairs weigh zero
 
     # keypoint loss: planar residual against the ground-truth transform
     T_gt = [planar_to_se3(s.gt) for s in batch]
@@ -157,7 +154,7 @@ def batch_loss(
     kept = (n_kept >= 4) & ~np.isnan(aligned.value[:, 0])
     stats = []
     for i, ok in enumerate(kept):
-        st = SampleStats(n_gated=int(n - n_kept[i]), skipped=not ok)
+        st = SampleStats(n_gated=int(keep.shape[1] - n_kept[i]), skipped=not ok)
         if ok:
             st.total, st.pose = float(total.value[i]), float(l_pose.value[i])
             rx, ry = aligned.value[i, 9:11]

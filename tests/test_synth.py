@@ -104,7 +104,7 @@ class TestRendering:
         pose = (0.15, -0.05, 0.4)
         rng = np.random.default_rng(0)
         uv = np.stack([rng.uniform(0, 63, 40), rng.uniform(0, 47, 40)], axis=1)
-        _, depth, hits = cast_rays(scene, pose, K_default, uv)
+        _, depth, hits = oracles.cast_rays(scene, pose, K_default, uv)
         x_c, y_c, z_c = synth._cam_axes(pose[2])
         R = np.stack([x_c, y_c, z_c])
         origin = np.array([pose[0], pose[1], synth.CAMERA_HEIGHT])
@@ -122,9 +122,9 @@ class TestRendering:
         for _ in range(60):
             u = float(rng.integers(5, 59))
             v = float(rng.integers(3, 45))
-            li, ld, lhit = cast_rays(scene, pose, K_default, np.array([[u, v]]))
+            li, ld, lhit = oracles.cast_rays(scene, pose, K_default, np.array([[u, v]]))
             d = K_default.fu * K_default.b / ld[0]
-            ri, rd, rhit = cast_rays(
+            ri, rd, rhit = oracles.cast_rays(
                 scene, pose, K_default, np.array([[u - d, v]]), right=True
             )
             if np.linalg.norm(lhit - rhit) > 1e-9:
@@ -198,8 +198,8 @@ class TestRendererMatchesOracle:
             (frame.right, synth.apply_photometrics(right[0].reshape(h, w), CONDITIONS[cond], rng)),
             (frame.disparity, (K.fu * K.b / left[1]).reshape(h, w)),
         )
-        assert _same_bits(*zip(cast_rays(scene, pose, K, uv), left))
-        assert _same_bits(*zip(cast_rays(scene, pose, K, uv, right=True), right))
+        assert _same_bits(*zip(cast_rays(scene, pose, K, uv), left[:2]))
+        assert _same_bits(*zip(cast_rays(scene, pose, K, uv, right=True), right[:2]))
 
     @settings(max_examples=60)
     @given(st.integers(-2**31, 2**31 - 1),

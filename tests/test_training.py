@@ -238,8 +238,9 @@ class TestSampleLoss:
         tape = Tape()
         coords = tape.param(np.array([[[3.2, 4.7], [10.0, 20.5]]]))
         before = len(tape)
-        lifted = training._lift(coords, samples[0].source.disparity[None], K)
+        lifted, ok = training._lift(coords, samples[0].source.disparity[None], K)
         assert len(tape) - before == 4 and lifted.shape == (1, 2, 3)
+        assert ok.shape == (1, 2) and ok.dtype == bool
 
     def test_batch_records_as_many_nodes_as_one_sample(self, small_data, monkeypatch):
         # gate, losses and alignment run over the batch at once, so the tape
@@ -302,9 +303,9 @@ class TestSampleLoss:
 
 
 class TestInvalidDisparity:
-    """A non-finite, zero or negative disparity lifts no keypoint: the
-    keypoints whose bilinear footprint reads one are gated, and they add no
-    loss and no gradient."""
+    """A non-finite disparity, or one at or below MIN_DISPARITY, lifts no
+    keypoint: the keypoints whose bilinear footprint reads one are gated,
+    and they add no loss and no gradient."""
 
     KEYPOINTS = 12  # one per 8x8 window of a 32x24 image
 
@@ -317,7 +318,8 @@ class TestInvalidDisparity:
         assert [s.skipped for s in stats] == [False, True, True, True]
         return w, loss, grads, stats
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    # 1e-300 is positive but below geometry.MIN_DISPARITY
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-300])
     @pytest.mark.parametrize("side", ["source", "target"])
     @pytest.mark.parametrize("region", ["all", "left half"])
     @pytest.mark.parametrize("b", [0, 1])
@@ -336,13 +338,48 @@ class TestInvalidDisparity:
 
         assert all(np.isfinite(g).all() for g in grads.values())
         assert repr(stats[:b] + stats[b + 1:]) == repr(stats0[:b] + stats0[b + 1:])
-        # a +inf disparity must not lift to the camera origin, which can pass the gate
+        # an unlifted keypoint sits at the camera origin, which can pass the
+        # ground-truth gate: the lift's mask must gate it
         assert stats[b].n_gated >= stats0[b].n_gated
         if region == "all":
             assert stats[b].n_gated == self.KEYPOINTS and stats[b].skipped
         if stats0[b].skipped:
             assert loss == loss0
             assert all(np.array_equal(grads[k], grads0[k]) for k in grads)
+
+
+    def test_no_tape_value_before_the_alignment_is_non_finite(
+        self, small_data, clean, monkeypatch
+    ):
+        # an unlifted keypoint is a zero row at zero weight, not a NaN that
+        # every later multiply would have to be kept from
+        samples, K = small_data
+        w, _, _, stats0 = clean
+        batch = list(samples[:4])
+        for b, side, value in ((0, "source", np.nan), (1, "target", np.inf)):
+            frame = getattr(batch[b], side)
+            disparity = frame.disparity.copy()
+            disparity[:, :16] = value
+            batch[b] = dataclasses.replace(
+                batch[b], **{side: dataclasses.replace(frame, disparity=disparity)})
+        finite, aligned_at = [], []
+        record, rigid_align = ad.Tape.record, ad.rigid_align
+
+        def checked_record(tape, value, parents, pullback):
+            finite.append(bool(np.isfinite(value).all()))
+            return record(tape, value, parents, pullback)
+
+        def noted_align(*args):
+            aligned_at.append(len(finite))
+            return rigid_align(*args)
+
+        monkeypatch.setattr(ad.Tape, "record", checked_record)
+        monkeypatch.setattr(ad, "rigid_align", noted_align)
+        _, grads, stats = total_loss(batch, w, LossConfig(), K)
+        (at,) = aligned_at
+        assert all(finite[:at])
+        assert stats[0].n_gated > stats0[0].n_gated  # the patch lifted no keypoint
+        assert all(np.isfinite(g).all() for g in grads.values())
 
 
 class TestTrainingDtype:
