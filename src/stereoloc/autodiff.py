@@ -264,29 +264,24 @@ def concat(parts: Sequence[Var], axis: int = 0) -> Var:
     return tape.record(np.concatenate(vals, axis=axis), tuple(parts), pull)
 
 
-def take(a: Var, indices, axis: int = 0) -> Var:
-    """Gather along an axis by an index array or a slice. The adjoint
-    scatter-adds back; a slice gathers each element at most once, so its
-    adjoint is a plain store."""
+def take(a: Var, index, axis: int = 0) -> Var:
+    """Gather along an axis by an int (which drops the axis), a slice or a
+    boolean mask. None of them reads an element twice, so the adjoint is a
+    store; an integer index array, whose repeats a store would drop, raises
+    TypeError."""
+    if not (isinstance(index, (int, np.integer, slice))
+            or isinstance(index, np.ndarray) and index.dtype == bool):
+        raise TypeError(f"take gathers by an int, a slice or a boolean mask, not {index!r}")
     av = a.value
     shape, dtype = av.shape, av.dtype
-    sliced = isinstance(indices, slice)
-    idx = indices if sliced else np.asarray(indices)
-    sl: list = [slice(None)] * av.ndim
-    sl[axis] = idx
-    sl = tuple(sl)
+    sl = (slice(None),) * (axis % av.ndim) + (index,)
 
     def pull(g):
         out = np.zeros(shape, dtype)
-        if sliced:
-            out[sl] = g
-        else:
-            np.add.at(out, sl, g)
+        out[sl] = g
         return (out,)
 
-    # np.take, not fancy indexing: its C-ordered result keeps the sums
-    # downstream adding in the same order
-    return a.tape.record(av[sl] if sliced else np.take(av, idx, axis=axis), (a,), pull)
+    return a.tape.record(av[sl], (a,), pull)
 
 
 def matmul(a: Var, b: Var) -> Var:

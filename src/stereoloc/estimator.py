@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, InsufficientMatches, LocalizationFailure
-from .geometry import PlanarPose, SE3Pose, planar_to_se3
+from .geometry import SE3Pose
 
 # Second singular value of the cross-covariance below this fraction of the
 # first means the points are effectively collinear.
@@ -207,14 +207,17 @@ def ransac_pose(
 def gt_outlier_gate(
     p_s: np.ndarray,
     p_t_hat: np.ndarray,
-    T_gt: PlanarPose,
+    C_gt: np.ndarray,
+    r_gt: np.ndarray,
     threshold: float,
 ) -> np.ndarray:
-    """Boolean mask keeping pairs whose planar (x, y) error under the
-    ground-truth transform stays within the threshold."""
+    """(B, N) boolean mask keeping the pairs of a (B, N, 3) batch whose
+    planar (x, y) error under each sample's ground-truth transform, (B, 3,
+    3) rotations and (B, 2) planar translations, stays within the
+    threshold."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    T = planar_to_se3(T_gt)
-    pred = np.asarray(p_s, dtype=float) @ T.C.T + T.r
-    err = np.linalg.norm(pred[:, :2] - np.asarray(p_t_hat, dtype=float)[:, :2], axis=1)
+    pred = np.asarray(p_s, dtype=float) @ np.swapaxes(C_gt, 1, 2)
+    err = np.linalg.norm(pred[..., :2] + r_gt[:, None] - np.asarray(p_t_hat, dtype=float)[..., :2],
+                         axis=-1)
     return err <= threshold

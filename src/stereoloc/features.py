@@ -204,9 +204,7 @@ def sample_at(stack: Var, coords: Var) -> tuple[Var, Var]:
     2) points, in one pass over a (D+1, B, H, W) feature stack."""
     sampled = ad.bilinear_sample(stack, coords)
     d = sampled.value.shape[-1] - 1
-    desc = ad.take(sampled, slice(0, d), axis=-1)
-    scores = ad.take(sampled, slice(d, None), axis=-1)
-    return desc, ad.reshape(scores, sampled.value.shape[:-1])
+    return ad.take(sampled, slice(0, d), axis=-1), ad.take(sampled, d, axis=-1)
 
 
 def extract_keypoints(parts: list[Var], logits: Var, window: int) -> KeypointSet:

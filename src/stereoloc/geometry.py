@@ -91,11 +91,6 @@ def rot_z(gamma: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def planar_to_se3(pp: PlanarPose) -> SE3Pose:
-    """Embed a planar pose as a z-axis rotation plus in-plane translation."""
-    return SE3Pose(rot_z(pp.gamma), np.array([pp.alpha, pp.beta, 0.0]))
-
-
 def se3_to_planar(T: SE3Pose) -> PlanarPose:
     """Extract (x, y, yaw) from a transform; drops any out-of-plane motion."""
     return PlanarPose(T.r[0], T.r[1], math.atan2(T.C[1, 0], T.C[0, 0]))

@@ -221,7 +221,8 @@ def teach(
     disparity_source: str = "gt",
 ) -> TeachMap:
     """Build one map vertex per taught frame; a frame whose valid lifted
-    points are fewer than 3, duplicated or collinear is a TeachFailure."""
+    points `estimator.align_core` refuses to align with themselves (fewer
+    than 3, duplicated or collinear) is a TeachFailure."""
     if disparity_source not in DISPARITY_SOURCES:
         raise ValueError(f"disparity must be one of {DISPARITY_SOURCES}, not {disparity_source!r}")
     if not frames:
@@ -233,14 +234,10 @@ def teach(
                 extractor, frame, disparity_source, K)
         except (OutOfBounds, InsufficientMatches) as e:  # non-finite pixels, or a bad size
             raise TeachFailure(f"frame {i}: {e}") from e
-        if len(coords) < 3:
-            raise TeachFailure(f"frame {i}: only {len(coords)} usable keypoints")
-        # rotation_from_covariance's collinearity rule, on the spectrum of the
-        # centered points: no pose can be found against a vertex whose
-        # points are duplicated or collinear
-        s = np.linalg.svd(p3d - p3d.mean(axis=0), compute_uv=False)
-        if s[1] <= estimator.COLLINEARITY_TOL * s[0]:
-            raise TeachFailure(f"frame {i}: {len(p3d)} lifted points, all duplicated or collinear")
+        try:  # no pose can be found against a vertex the alignment refuses
+            estimator.align_core(p3d, p3d, np.ones(len(p3d)))
+        except DegenerateGeometry as e:
+            raise TeachFailure(f"frame {i}: {len(p3d)} lifted points: {e}") from e
         vertices.append(
             MapVertex(i, np.asarray(frame.pose, float), coords, desc, scores, p3d, frame, parts)
         )

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from . import estimator, features, matching, storage
 from .autodiff import Tape, Var
 from .errors import ConfigError
-from .geometry import CameraIntrinsics, PlanarPose, planar_to_se3, valid_disparity
+from .geometry import CameraIntrinsics, PlanarPose, rot_z, valid_disparity
 from .synth import Sample
 
 
@@ -95,7 +95,7 @@ def _lift(coords: Var, disp_maps: np.ndarray, K: CameraIntrinsics) -> tuple[Var,
     valid = valid_disparity(disp_maps)
     maps = tape.constant(np.stack([np.where(valid, disp_maps, 0.0), ~valid]))
     sampled = ad.bilinear_sample(maps, coords)
-    d = ad.reshape(ad.take(sampled, slice(0, 1), axis=-1), coords.shape[:-1])
+    d = ad.take(sampled, 0, axis=-1)
     ok = (sampled.value[..., 1] == 0) & valid_disparity(d.value)
     return ad.backproject(coords, d, K, ok), ok
 
@@ -126,23 +126,22 @@ def batch_loss(
     p_s, ok_s = _lift(kps.coords, np.stack([s.source.disparity for s in batch]), K)
     p_t, ok_t = _lift(target_points, np.stack([s.target.disparity for s in batch]), K)
 
+    # the ground truth: planar (alpha, beta, gamma) rows and their rotations
+    gt = np.array([[s.gt.alpha, s.gt.beta, s.gt.gamma] for s in batch])
+    C_gt = np.stack([rot_z(g) for g in gt[:, 2]])
     # An unlifted point sits at the camera origin, which can pass the gate.
-    keep = ok_s & ok_t & np.stack([
-        estimator.gt_outlier_gate(ps, pt, s.gt, lcfg.gate_threshold)
-        for ps, pt, s in zip(p_s.value, p_t.value, batch)
-    ])
+    keep = ok_s & ok_t & estimator.gt_outlier_gate(
+        p_s.value, p_t.value, C_gt, gt[:, :2], lcfg.gate_threshold)
     w = ad.mul(match_w, tape.constant(keep))  # gated pairs weigh zero
 
     # keypoint loss: planar residual against the ground-truth transform
-    T_gt = [planar_to_se3(s.gt) for s in batch]
-    pred = ad.add(ad.matmul(p_s, tape.constant(np.stack([T.C.T[:, :2] for T in T_gt]))),
-                  tape.constant(np.stack([T.r[:2] for T in T_gt])[:, None]))
+    pred = ad.add(ad.matmul(p_s, tape.constant(np.swapaxes(C_gt, 1, 2)[..., :2])),
+                  tape.constant(gt[:, None, :2]))
     diff = ad.mul(ad.sub(pred, ad.take(p_t, slice(0, 2), axis=2)), tape.constant(keep[..., None]))
     l_kp = ad.sum_(ad.mul(diff, diff), axis=(1, 2))
 
     # pose loss: differentiable weighted alignment, planar-extracted
     aligned = ad.rigid_align(p_s, p_t, w)
-    gt = np.array([[s.gt.alpha, s.gt.beta, s.gt.gamma] for s in batch])
     yaw = ad.atan2(ad.take(aligned, 3, axis=1), ad.take(aligned, 0, axis=1))
     dt = ad.sub(ad.take(aligned, slice(9, 11), axis=1), gt[:, :2])
     # For z-axis rotations the Frobenius term reduces to 4 * (1 - cos dyaw).
@@ -160,7 +159,7 @@ def batch_loss(
             rx, ry = aligned.value[i, 9:11]
             st.est = PlanarPose(float(rx), float(ry), float(yaw.value[i]))
         stats.append(st)
-    loss = ad.sum_(ad.take(total, np.flatnonzero(kept))) if kept.any() else None
+    loss = ad.sum_(ad.take(total, kept)) if kept.any() else None
     return loss, stats
 
 

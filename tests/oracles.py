@@ -30,7 +30,7 @@ from stereoloc.geometry import (
     PlanarPose,
     SE3Pose,
     backproject_points,
-    planar_to_se3,
+    rot_z,
 )
 
 Array = np.ndarray
@@ -443,6 +443,24 @@ def ransac_pose_reference(
     return pose, best_mask
 
 
+def gt_outlier_gate_reference(
+    p_s: np.ndarray,
+    p_t_hat: np.ndarray,
+    T_gt: PlanarPose,
+    threshold: float,
+) -> np.ndarray:
+    """One sample's gate, from its planar pose: the mask of the (N, 3)
+    pairs whose planar (x, y) error under the ground-truth transform stays
+    within the threshold. The batched `estimator.gt_outlier_gate` must
+    match it bitwise, sample by sample."""
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    T = planar_to_se3(T_gt)
+    pred = np.asarray(p_s, dtype=float) @ T.C.T + T.r
+    err = np.linalg.norm(pred[:, :2] - np.asarray(p_t_hat, dtype=float)[:, :2], axis=1)
+    return err <= threshold
+
+
 # ---------------------------------------------------------------------------
 # losses (array forms; the tape path is built in training.batch_loss)
 
@@ -485,6 +503,11 @@ def project_points(P: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
         [K.fu * P[:, 0] / z + K.cu, K.fv * P[:, 1] / z + K.cv, K.fu * K.b / z],
         axis=1,
     )
+
+
+def planar_to_se3(pp: PlanarPose) -> SE3Pose:
+    """Embed a planar pose as a z-axis rotation plus in-plane translation."""
+    return SE3Pose(rot_z(pp.gamma), np.array([pp.alpha, pp.beta, 0.0]))
 
 
 def matrix(T: SE3Pose) -> np.ndarray:

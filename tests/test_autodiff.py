@@ -4,6 +4,7 @@ the structural contracts of backward()."""
 import contextlib
 import gc
 import math
+import sys
 import warnings
 import weakref
 import zlib
@@ -164,7 +165,9 @@ PRIMITIVE_CASES = {
     "reshape": lambda t, x, rng: scalarize(ad.reshape(x, (x.value.size,)), _rand(rng, x.value.size)),
     "transpose": lambda t, x, rng: scalarize(ad.transpose(x, (1, 0)), _rand(rng, x.shape[1], x.shape[0])),
     "concat": lambda t, x, rng: scalarize(ad.concat([x, t.constant(_rand(rng, *x.shape))], axis=0), _rand(rng, 2 * x.shape[0], x.shape[1])),
-    "take": lambda t, x, rng: scalarize(ad.take(x, [0, 2, 2], axis=0), _rand(rng, 3, x.shape[1])),
+    "take_int": lambda t, x, rng: scalarize(ad.take(x, 2, axis=1), _rand(rng, x.shape[0])),
+    "take_mask": lambda t, x, rng: scalarize(ad.take(x, np.array([True, False, True, True]), axis=0),
+                                             _rand(rng, 3, x.shape[1])),
     "take_slice": lambda t, x, rng: scalarize(ad.take(x, slice(1, 4), axis=1), _rand(rng, x.shape[0], 3)),
     "row_znorm": lambda t, x, rng: scalarize(ad.row_znorm(x), _rand(rng, *x.shape)),
     "backproject": lambda t, x, rng: scalarize(_backproject_rows(x), _rand(rng, x.shape[0], 3)),
@@ -342,13 +345,14 @@ class TestPullbacksKeepShapes:
 
     @pytest.mark.parametrize("op", [
         lambda x: ad.take(x, slice(1, 3), axis=1),
-        lambda x: ad.take(x, [0, 2, 2], axis=0),
+        lambda x: ad.take(x, 2, axis=1),
+        lambda x: ad.take(x, np.array([True, False, True]), axis=0),
         lambda x: ad.reshape(x, (-1,)),
         lambda x: ad.bilinear_sample(
             x, x.tape.constant(np.tile([[0.5, 1.5], [2.0, 0.25]], (4, 1, 1)))),
         ad.upsample_nearest,
         lambda x: ad.sum_(x, axis=0),
-    ], ids=["take_slice", "take_indices", "reshape", "bilinear_sample",
+    ], ids=["take_slice", "take_int", "take_mask", "reshape", "bilinear_sample",
             "upsample_nearest", "sum_"])
     def test_input_freed_once_its_vars_are_dropped(self, op):
         with _gc_disabled():
@@ -380,7 +384,12 @@ class TestPullbacksKeepShapes:
 
 
 class TestTake:
-    def test_slice_pullback_stores_without_add_at(self, monkeypatch):
+    """`take` gathers by an int, a slice or a boolean mask, none of which
+    reads an element twice, so every pullback is a store: no `np.add.at`
+    scatter runs, in `take` or anywhere in a training batch's backward."""
+
+    @staticmethod
+    def count_scatters(monkeypatch) -> list:
         scattered = []
 
         class Add:
@@ -394,15 +403,45 @@ class TestTake:
             def __getattr__(self, name):
                 return getattr(np, name)
 
-        monkeypatch.setattr(ad, "np", Numpy())
-        up = np.arange(6.0).reshape(3, 2)
-        for indices, adds in ((slice(1, 3), 0), ([1, 2], 1)):
-            t = Tape()
-            x = t.param(np.ones((3, 4)))
-            out = ad.sum_(ad.mul(ad.take(x, indices, axis=1), t.constant(up)))
-            grad = backward(t, out)[x.index]
-            assert len(scattered) == adds
-            assert np.array_equal(grad[:, 1:3], up) and not grad[:, [0, 3]].any()
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("stereoloc.") and getattr(module, "np", None) is np:
+                monkeypatch.setattr(module, "np", Numpy())
+        return scattered
+
+    @pytest.mark.parametrize("index, kept", [
+        (slice(1, 3), [1, 2]),
+        (np.array([False, True, True, False]), [1, 2]),
+        (2, [2]),
+    ], ids=["slice", "mask", "int"])
+    def test_pullback_stores_without_add_at(self, monkeypatch, index, kept):
+        scattered = self.count_scatters(monkeypatch)
+        t = Tape()
+        x = t.param(np.ones((3, 4)))
+        y = ad.take(x, index, axis=1)
+        up = np.arange(float(y.value.size)).reshape(y.shape)
+        grad = backward(t, ad.sum_(ad.mul(y, t.constant(up))))[x.index]
+        assert not scattered
+        assert np.array_equal(grad[:, kept], up.reshape(3, -1))
+        assert not np.delete(grad, kept, axis=1).any()
+
+    @pytest.mark.parametrize("index", [[1, 2], np.array([0, 2, 2]), np.array([1.0]), None],
+                             ids=["list", "int_array", "float_array", "none"])
+    def test_index_arrays_are_refused(self, index):
+        # a store would keep one of a repeated index's adjoints and drop the rest
+        with pytest.raises(TypeError, match="int, a slice or a boolean mask"):
+            ad.take(Tape().param(np.ones((3, 4))), index, axis=1)
+
+    def test_training_backward_scatters_nothing(self, monkeypatch, scene, tmp_path):
+        from stereoloc import features, synth, training
+
+        synth.make_dataset(tmp_path, scene, count=4, seed=11, size=(24, 32))
+        samples, manifest = synth.load_dataset(tmp_path)
+        w = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=3))
+        scattered = self.count_scatters(monkeypatch)
+        _, grads, stats = training.total_loss(
+            samples, w, training.LossConfig(), synth.camera_from_dict(manifest["camera"]))
+        assert not any(s.skipped for s in stats) and any(g.any() for g in grads.values())
+        assert not scattered
 
 
 class TestImagePrimitives:
@@ -804,7 +843,7 @@ class TestBackproject:
         t = Tape()
         uv_v, d_v = t.param(uv), t.param(d)
         out = ad.reshape(ad.backproject(uv_v, d_v, K_BP, valid), (12, 3))
-        kept = ad.take(out, np.flatnonzero(valid), axis=0)
+        kept = ad.take(out, valid.ravel(), axis=0)
         grads = backward(t, ad.sum_(ad.mul(kept, kept)))
         g_uv, g_d = grads[uv_v.index], grads[d_v.index]
         assert np.isfinite(g_uv).all() and np.isfinite(g_d).all()

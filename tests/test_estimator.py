@@ -19,12 +19,14 @@ from stereoloc.estimator import (
     ransac_pose,
     rotation_from_covariance,
 )
-from stereoloc.geometry import PlanarPose, SE3Pose, planar_to_se3, rot_z, se3_to_planar
+from stereoloc.geometry import PlanarPose, SE3Pose, rot_z, se3_to_planar
 
 from oracles import (
     AlignmentProblem,
     alignment_cost,
     apply,
+    gt_outlier_gate_reference,
+    planar_to_se3,
     ransac_pose_reference,
     weighted_alignment,
 )
@@ -411,17 +413,23 @@ class TestMinimalSetPoses:
         assert (np.abs(r - r_ref).max(axis=1) <= tol * extent).all()
 
 
+def batched_gate(ps, pt, pp: PlanarPose, threshold):
+    """The batched gate on one (N, 3) sample: a batch of one."""
+    C_gt, r_gt = rot_z(pp.gamma)[None], np.array([[pp.alpha, pp.beta]])
+    return gt_outlier_gate(ps[None], pt[None], C_gt, r_gt, threshold)[0]
+
+
 class TestGroundTruthGate:
     def test_perfect_matches_survive(self):
         ps, pt, _, pp, _ = planar_instance(50)
-        keep = gt_outlier_gate(ps, pt, pp, threshold=0.1)
+        keep = batched_gate(ps, pt, pp, threshold=0.1)
         assert keep.all()
 
     def test_planted_outlier_removed(self):
         ps, pt, _, pp, _ = planar_instance(51)
         pt = pt.copy()
         pt[2, :2] += 2 * 0.25  # double the threshold, in-plane
-        keep = gt_outlier_gate(ps, pt, pp, threshold=0.25)
+        keep = batched_gate(ps, pt, pp, threshold=0.25)
         assert not keep[2]
         assert keep.sum() == len(keep) - 1
 
@@ -429,18 +437,43 @@ class TestGroundTruthGate:
         ps, pt, _, pp, _ = planar_instance(52)
         pt = pt.copy()
         pt[:, 2] += 10.0
-        assert gt_outlier_gate(ps, pt, pp, threshold=0.05).all()
+        assert batched_gate(ps, pt, pp, threshold=0.05).all()
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.01, 0.5), st.floats(0.01, 0.5))
     def test_monotone_in_threshold(self, t1, t2):
         lo, hi = sorted((t1, t2))
         ps, pt, _, pp, _ = planar_instance(53, noise=0.2)
-        keep_lo = gt_outlier_gate(ps, pt, pp, lo)
-        keep_hi = gt_outlier_gate(ps, pt, pp, hi)
+        keep_lo = batched_gate(ps, pt, pp, lo)
+        keep_hi = batched_gate(ps, pt, pp, hi)
         assert np.all(keep_hi | ~keep_lo)  # keep_lo subset of keep_hi
 
     def test_threshold_must_be_positive(self):
         ps, pt, _, pp, _ = planar_instance(54)
         with pytest.raises(ValueError):
-            gt_outlier_gate(ps, pt, pp, 0.0)
+            batched_gate(ps, pt, pp, 0.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_batch_is_the_per_sample_gate_bitwise(self, seed):
+        # float32 points as the training tapes hold them, some rows zero as
+        # unlifted points are; each threshold sits at one of the reference's
+        # planar errors or one step below it, so the masks agree only where
+        # the errors agree in every bit
+        rng = np.random.default_rng(seed)
+        b, n = rng.integers(1, 6), rng.integers(1, 30)
+        ps = rng.normal(scale=3.0, size=(b, n, 3)).astype(np.float32)
+        ps[rng.random((b, n)) < 0.2] = 0.0
+        poses = [PlanarPose(*rng.uniform(-1, 1, 2), rng.uniform(-np.pi, np.pi)) for _ in range(b)]
+        T = [planar_to_se3(pp) for pp in poses]
+        pt = np.stack([apply(t, p) for t, p in zip(T, ps)]) + rng.normal(scale=0.4, size=(b, n, 3))
+        pt = pt.astype(np.float32)
+        pt[rng.random((b, n)) < 0.2] = 0.0
+        gt = np.array([[pp.alpha, pp.beta, pp.gamma] for pp in poses])
+        C_gt = np.stack([rot_z(g) for g in gt[:, 2]])
+        err = np.linalg.norm(np.stack([apply(t, p)[:, :2] for t, p in zip(T, ps)])
+                             - pt[..., :2], axis=-1)
+        for threshold in np.concatenate([err.ravel(), np.nextafter(err.ravel(), 0)]):
+            keep = gt_outlier_gate(ps, pt, C_gt, gt[:, :2], threshold)
+            want = np.stack([gt_outlier_gate_reference(p, q, pp, threshold)
+                             for p, q, pp in zip(ps, pt, poses)])
+            assert keep.shape == (b, n) and np.array_equal(keep, want)

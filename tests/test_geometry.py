@@ -11,7 +11,6 @@ from stereoloc.geometry import (
     PlanarPose,
     SE3Pose,
     backproject_points,
-    planar_to_se3,
     rot_z,
     se3_to_planar,
     valid_disparity,
@@ -25,6 +24,7 @@ from oracles import (
     compose,
     inverse,
     matrix,
+    planar_to_se3,
     project_points,
 )
 

@@ -137,6 +137,30 @@ class TestTeachRefusesDegenerateVertices:
         with pytest.raises(TeachFailure, match="frame 1: 8 lifted points"):
             teach([good[0], line, good[1]], GridExtractor(), K_default)
 
+    @staticmethod
+    def row_at_two_depths(frame, eps):
+        """Valid on row 2 only, at disparity 4 and 4 (1 + eps) on alternate
+        keypoints: the points span a plane, whose width is of order eps."""
+        disparity = np.full_like(frame.disparity, np.nan)
+        disparity[2] = 4.0
+        disparity[2, 11::16] = 4.0 * (1 + eps)
+        return StereoFrame(frame.left, frame.right, disparity, frame.pose)
+
+    def test_a_nearly_collinear_vertex_is_refused(self, rig, K_default):
+        # the centered points' second singular value is 1.7e-6 of the
+        # first, the cross-covariance's its square: no pose can be found
+        # against such a vertex, so it is not taught
+        frames, _, _ = rig
+        with pytest.raises(TeachFailure, match="frame 0: 8 lifted points: .*collinear"):
+            teach([self.row_at_two_depths(frames[0], 1e-6)], GridExtractor(), K_default)
+
+    def test_a_thin_plane_of_lifts_teaches_and_localizes(self, rig, K_default):
+        frames, _, _ = rig
+        frame = self.row_at_two_depths(frames[0], 1e-3)
+        vertex = teach([frame], GridExtractor(), K_default).vertices[0]
+        res = localize(frame, vertex, GridExtractor(), LocalizeParams(mode="sparse"), K_default)
+        assert res.pose is not None and res.inliers == len(vertex.points3d) == 8
+
     def test_two_rows_of_lifts_teach(self, rig, K_default):
         frames, _, _ = rig
         vertex = teach([self.frame_valid_on_rows(frames[0], [2, 10])], GridExtractor(),
@@ -657,8 +681,9 @@ class TestStatelessLocalize:
             # is rebuilt from its stored parts, with no extractor pass
             assert len(convs) == 10
             # one per primitive (constants are not records): the vertex's 25
-            # extractor records give way to 3 upsamples and a concat
-            assert len(records) == 70
+            # extractor records give way to 3 upsamples and a concat, and
+            # each stack sample takes its score channel by one int take
+            assert len(records) == 68
             assert len(tapes) == 2  # live frame; vertex stack and matching
             assert not any(t.grad for t in tapes)
             assert all(t.dtype == np.float32 for t in tapes)

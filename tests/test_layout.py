@@ -2,8 +2,8 @@
 by the program itself (a name that only tests use is a test helper and
 belongs in tests/oracles.py, not in src/), every dataclass field is read
 by it, every defaulted parameter is passed by some call, no module reads
-another module's private names, and only `storage` writes files or reads
-JSON."""
+another module's private names, only `storage` writes files or reads
+JSON, and no module scatters with a ufunc's `at`."""
 
 import ast
 import re
@@ -194,3 +194,19 @@ def test_only_storage_reads_json():
                   and isinstance(node.value, ast.Name) and node.value.id == "json"):
                 offences.append(f"{path.stem}:{node.lineno}: calls json.{node.attr}")
     assert not offences, "JSON read outside storage:\n" + "\n".join(offences)
+
+
+def test_no_module_scatters_with_ufunc_at():
+    """Matrix forms, not scatter loops: no package module calls a numpy
+    ufunc's unbuffered `at` (`np.add.at` and the like). A gather that reads
+    each element once pulls back by a store, and sums over repeated indices
+    run as one `np.bincount` or one product."""
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr == "at"
+                    and isinstance(func.value, ast.Attribute)
+                    and isinstance(func.value.value, ast.Name) and func.value.value.id == "np"):
+                offences.append(f"{path.stem}:{node.lineno}: calls np.{func.value.attr}.at")
+    assert not offences, "ufunc scatters in the package:\n" + "\n".join(offences)

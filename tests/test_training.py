@@ -9,7 +9,7 @@ from stereoloc import autodiff as ad
 from stereoloc import features, synth, training
 from stereoloc.autodiff import Tape
 from stereoloc.errors import ConfigError
-from stereoloc.geometry import PlanarPose, planar_to_se3
+from stereoloc.geometry import PlanarPose
 from stereoloc.training import (
     AdamState,
     LossConfig,
@@ -21,7 +21,7 @@ from stereoloc.training import (
 )
 
 from conftest import rel_err
-from oracles import apply, keypoint_loss, pose_loss
+from oracles import apply, keypoint_loss, planar_to_se3, pose_loss
 
 
 def tiny_dataset(scene, count=8, seed=11):
@@ -231,15 +231,15 @@ class TestSampleLoss:
             # samples the disparity maps and their invalid-pixel mask once
             assert calls == [10, 10, 2, 2], count
 
-    def test_lift_records_four_nodes(self, small_data):
-        # the disparity sample, its first channel (a take and a reshape)
-        # and the backprojection
+    def test_lift_records_three_nodes(self, small_data):
+        # the disparity sample, its first channel (an int take, which drops
+        # the channel axis) and the backprojection
         samples, K = small_data
         tape = Tape()
         coords = tape.param(np.array([[[3.2, 4.7], [10.0, 20.5]]]))
         before = len(tape)
         lifted, ok = training._lift(coords, samples[0].source.disparity[None], K)
-        assert len(tape) - before == 4 and lifted.shape == (1, 2, 3)
+        assert len(tape) - before == 3 and lifted.shape == (1, 2, 3)
         assert ok.shape == (1, 2) and ok.dtype == bool
 
     def test_batch_records_as_many_nodes_as_one_sample(self, small_data, monkeypatch):
@@ -261,7 +261,7 @@ class TestSampleLoss:
             _, _, stats = total_loss(samples[:count], w, LossConfig(), K)
             assert not any(s.skipped for s in stats)
             counts[count] = len(nodes)
-        assert counts[1] == counts[4] <= 134
+        assert counts[1] == counts[4] <= 120
 
     def test_batch_gives_the_mean_of_its_samples(self, small_data):
         samples, K = small_data
