@@ -218,6 +218,5 @@ def gt_outlier_gate(
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     pred = np.asarray(p_s, dtype=float) @ np.swapaxes(C_gt, 1, 2)
-    err = np.linalg.norm(pred[..., :2] + r_gt[:, None] - np.asarray(p_t_hat, dtype=float)[..., :2],
-                         axis=-1)
-    return err <= threshold
+    err = pred[..., :2] + r_gt[:, None] - np.asarray(p_t_hat, dtype=float)[..., :2]
+    return np.linalg.norm(err, axis=-1) <= threshold
