@@ -293,11 +293,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
     loc = harness.LocalizeParams()
 
-    def common(p):
-        p.add_argument("--config", help="flat dotted-key config file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-
     def extractor(p):  # teach and repeat
         p.add_argument("--ckpt")
         p.add_argument("--features", choices=["learned", "analytic"], default="learned")
@@ -306,7 +301,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--disparity", choices=harness.DISPARITY_SOURCES, default=loc.disparity)
 
     p = sub.add_parser("synth", help="generate synthetic data")
-    common(p)
     p.add_argument("--kind", choices=["pairs", "path", "repeat"], default="pairs")
     p.add_argument("--count", type=int, default=250)
     p.add_argument("--size", default="64x48")
@@ -317,7 +311,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     tcfg, lcfg = training.TrainConfig(), training.LossConfig()
     p = sub.add_parser("train", help="train the extractor")
-    common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--lr", type=float, default=tcfg.learning_rate)
     p.add_argument("--batch-size", type=int, default=tcfg.batch_size)
@@ -333,7 +326,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval-grad", help="finite-difference gradient cross-check")
-    common(p)
     p.add_argument("--size", default="32x24")
     p.add_argument("--channels", default="2,3,4")
     p.add_argument("--window", type=int, default=8)
@@ -342,13 +334,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_eval_grad)
 
     p = sub.add_parser("teach", help="build a map from a taught sequence")
-    common(p)
     p.add_argument("--frames", required=True)
     extractor(p)
     p.set_defaults(func=cmd_teach)
 
     p = sub.add_parser("repeat", help="localize a sequence against a map")
-    common(p)
     p.add_argument("--map", required=True)
     p.add_argument("--frames", required=True)
     extractor(p)
@@ -362,10 +352,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_repeat)
 
     p = sub.add_parser("report", help="aggregate repeat runs")
-    common(p)
     p.add_argument("--runs", nargs="+", required=True)
     p.set_defaults(func=cmd_report)
 
+    # the flags several subcommands share, each on the subcommands that read it
+    for name, p in sub.choices.items():
+        p.add_argument("--config", help="flat dotted-key config file")
+        if name in ("synth", "train", "teach", "repeat", "report"):
+            p.add_argument("--out", help="output directory")
+        if name in ("synth", "train", "eval-grad", "repeat"):
+            p.add_argument("--seed", type=int, default=0)
     return parser, sub.choices
 
 

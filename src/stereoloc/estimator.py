@@ -204,19 +204,9 @@ def ransac_pose(
     return SE3Pose(C, r), best_mask
 
 
-def gt_outlier_gate(
-    p_s: np.ndarray,
-    p_t_hat: np.ndarray,
-    C_gt: np.ndarray,
-    r_gt: np.ndarray,
-    threshold: float,
-) -> np.ndarray:
-    """(B, N) boolean mask keeping the pairs of a (B, N, 3) batch whose
-    planar (x, y) error under each sample's ground-truth transform, (B, 3,
-    3) rotations and (B, 2) planar translations, stays within the
-    threshold."""
+def gt_outlier_gate(residuals: np.ndarray, threshold: float) -> np.ndarray:
+    """The mask of the pairs whose planar (x, y) residual under the ground
+    truth, (..., 2), stays within the threshold."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    pred = np.asarray(p_s, dtype=float) @ np.swapaxes(C_gt, 1, 2)
-    err = pred[..., :2] + r_gt[:, None] - np.asarray(p_t_hat, dtype=float)[..., :2]
-    return np.linalg.norm(err, axis=-1) <= threshold
+    return np.linalg.norm(residuals, axis=-1) <= threshold

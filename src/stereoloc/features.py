@@ -99,7 +99,7 @@ class KeypointSet:
 
 
 def encode(
-    images: np.ndarray | Var,
+    images: np.ndarray,
     params: dict[str, Var],
     cfg: ExtractorConfig,
     tape: Tape,
@@ -107,7 +107,7 @@ def encode(
     """Run the encoder and the score branch on a batch of images (B, H, W):
     the stack's parts, the pooled encoder maps (C_i, B, H/2^i, W/2^i) then
     the (1, B, H, W) score map, and the bottleneck for the keypoint branch."""
-    x = images if isinstance(images, Var) else tape.constant(images)
+    x = tape.constant(images)
     if x.value.ndim != 3:
         raise ShapeError(f"expected a (B, H, W) batch of images, got {x.value.shape}")
     h, w = x.value.shape[-2:]
@@ -144,7 +144,7 @@ def decode(
 
 
 def forward(
-    images: np.ndarray | Var,
+    images: np.ndarray,
     params: dict[str, Var],
     cfg: ExtractorConfig,
     tape: Tape,

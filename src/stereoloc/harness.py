@@ -32,7 +32,6 @@ from .errors import (
     InsufficientMatches,
     LocalizationFailure,
     OutOfBounds,
-    StereolocError,
     TeachFailure,
 )
 from .geometry import (
@@ -185,8 +184,6 @@ def _lift(
     u = np.clip(nearest[:, 0], 0, w - 1)
     v = np.clip(nearest[:, 1], 0, h - 1)
     if source == "gt":
-        if frame.disparity is None:
-            raise StereolocError("frame carries no ground-truth disparity")
         d, valid = frame.disparity[v, u], True
     else:
         d, valid = synth.block_match_disparity(frame.left, frame.right, u, v)
@@ -204,7 +201,7 @@ def _keypoints_numpy(
     InsufficientMatches."""
     tape = Tape(grad=False, dtype=INFERENCE_DTYPE)
     try:
-        with np.errstate(invalid="ignore"):  # non-finite pixels are a recorded failure
+        with np.errstate(invalid="ignore", over="ignore"):  # bad pixels fail as data
             parts, logits = extractor.features_on(tape, frame.left[None])
         kps = features.extract_keypoints(parts, logits, extractor.window)
     except ImageSizeError as e:
@@ -327,6 +324,12 @@ def repeat(
             f"map was taught by extractor {teach_map.extractor_ident}; repeat cannot "
             f"match its stored features with extractor {extractor.ident}"
         )
+    h, w = teach_map.vertices[0].frame.left.shape
+    for frame in frames:
+        if frame.left.shape != (h, w):
+            fh, fw = frame.left.shape
+            raise ConfigError(f"map was taught on {w}x{h} frames; repeat cannot localize "
+                              f"{fw}x{fh} frames against it")
     results = []
     offsets = []
     for frame in frames:

@@ -205,12 +205,12 @@ def default_intrinsics(width: int, height: int) -> CameraIntrinsics:
 
 @dataclass
 class StereoFrame:
-    """Rectified pair plus ground-truth disparity and (optional) world pose."""
+    """Rectified pair plus ground-truth disparity and world pose."""
 
     left: np.ndarray
     right: np.ndarray
-    disparity: np.ndarray | None = None
-    pose: np.ndarray | None = None  # world (x, y, yaw)
+    disparity: np.ndarray
+    pose: np.ndarray  # world (x, y, yaw)
 
 
 def _nearest_hits(scene: Scene, ox, oy, dx, dy) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +219,8 @@ def _nearest_hits(scene: Scene, ox, oy, dx, dy) -> tuple[np.ndarray, np.ndarray]
     z = 0, or a block top found by the slab test."""
     t_best = np.full(np.broadcast_shapes(np.shape(ox), np.shape(dx)), CAMERA_HEIGHT)
     albedo = np.ones_like(t_best)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero or subnormal direction component divides to an infinite slab
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for x0, x1, y0, y1, bh, alb in scene.blocks:
             tx1 = (x0 - ox) / dx
             tx2 = (x1 - ox) / dx
@@ -331,41 +332,40 @@ def _photograph(cast, pose, photo: PhotometricParams, noise_seed: int) -> Stereo
 
 def render_stereo(
     scene: Scene,
-    pose,
+    poses: np.ndarray,
     K: CameraIntrinsics,
-    photo: PhotometricParams | list[PhotometricParams] = CONDITIONS["identity"],
-    size: tuple[int, int] = (48, 64),
-    noise_seed: int | list[int] = 0,
-) -> StereoFrame | list[StereoFrame]:
-    """Render a rectified pair with per-pixel true disparity.
+    photos: list[PhotometricParams],
+    size: tuple[int, int],
+    noise_seeds: list[int],
+) -> list[StereoFrame]:
+    """Render a (P, 3) pose stack as P rectified pairs with per-pixel true
+    disparity, pose i under condition `photos[i]` with noise seed
+    `noise_seeds[i]`; the poses are cast in passes (`_cast`), and each frame
+    is bit for bit the frame a stack of its pose alone renders.
 
     Photometrics never touch geometry: the disparity map is identical across
     conditions. Noise is seeded, so identical arguments render identical
-    frames. A (P, 3) pose stack, with P conditions in `photo` and P seeds in
-    `noise_seed`, renders the list of P frames that rendering each pose
-    alone gives, bit for bit, casting the poses in passes (`_cast`).
+    frames.
     """
-    poses = np.asarray(pose, dtype=float)
-    if poses.ndim == 1:
-        return _photograph(_cast(scene, poses[None], K, size)[0], poses, photo, noise_seed)
-    if not len(poses) == len(photo) == len(noise_seed):
+    poses = np.asarray(poses, dtype=float)
+    if not len(poses) == len(photos) == len(noise_seeds):
         raise ValueError("need one condition and one noise seed per pose")
     return [_photograph(cast, p, ph, seed)
-            for cast, p, ph, seed in zip(_cast(scene, poses, K, size), poses, photo, noise_seed)]
+            for cast, p, ph, seed in zip(_cast(scene, poses, K, size), poses, photos, noise_seeds)]
 
 
 # ---------------------------------------------------------------------------
 # block-matching fallback for disparity
 
 
+# SAD over a BLOCK_WINDOW-square window, disparities 0..BLOCK_MAX_DISPARITY,
+# and a window whose texture variance is at or below BLOCK_VARIANCE_FLOOR is
+# no match.
+BLOCK_WINDOW, BLOCK_MAX_DISPARITY, BLOCK_VARIANCE_FLOOR = 5, 16, 1e-4
+
+
 def block_match_disparity(
-    left: np.ndarray,
-    right: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    window: int = 5,
-    max_disparity: int = 16,
-    variance_floor: float = 1e-4,
+    left: np.ndarray, right: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integer-disparity SAD block matching on a rectified pair, evaluated
     only at the integer pixels (u[i], v[i]), which must lie in the image.
@@ -376,7 +376,7 @@ def block_match_disparity(
     window leaves the image or holds a non-finite value never wins; ties go
     to the smallest disparity.
     """
-    k, dmax = window, max_disparity
+    k, dmax = BLOCK_WINDOW, BLOCK_MAX_DISPARITY
     half = k // 2
 
     def padded(img):  # a NaN border: off-image reads like a bad pixel
@@ -397,7 +397,8 @@ def block_match_disparity(
         var = (patch * patch).sum(axis=(1, 2)) / (k * k) - mu * mu
     cost[np.isnan(cost)] = np.inf
     disparity = np.argmin(cost, axis=1)
-    valid = np.isfinite(cost[np.arange(len(disparity)), disparity]) & (var > variance_floor)
+    valid = (np.isfinite(cost[np.arange(len(disparity)), disparity])
+             & (var > BLOCK_VARIANCE_FLOOR))
     return disparity.astype(float), valid
 
 
@@ -441,7 +442,8 @@ def render_sequence(
     size: tuple[int, int],
     seed: int,
 ) -> list[StereoFrame]:
-    """Frame i is render_stereo(..., noise_seed=seed * 100003 + i).
+    """Frame i is pose i's frame under `condition` with noise seed
+    seed * 100003 + i, as render_stereo renders it.
 
     The scene keeps the casts of the last sequence rendered on it, keyed by
     the poses' float64 bytes and shape, K and size, so the same path under

@@ -126,18 +126,17 @@ def batch_loss(
     p_s, ok_s = _lift(kps.coords, np.stack([s.source.disparity for s in batch]), K)
     p_t, ok_t = _lift(target_points, np.stack([s.target.disparity for s in batch]), K)
 
-    # the ground truth: planar (alpha, beta, gamma) rows and their rotations
+    # the planar residual under the ground-truth transform, (alpha, beta,
+    # gamma) rows, which both gates the pairs and is the keypoint loss
     gt = np.array([[s.gt.alpha, s.gt.beta, s.gt.gamma] for s in batch])
     C_gt = np.stack([rot_z(g) for g in gt[:, 2]])
-    # An unlifted point sits at the camera origin, which can pass the gate.
-    keep = ok_s & ok_t & estimator.gt_outlier_gate(
-        p_s.value, p_t.value, C_gt, gt[:, :2], lcfg.gate_threshold)
-    w = ad.mul(match_w, tape.constant(keep))  # gated pairs weigh zero
-
-    # keypoint loss: planar residual against the ground-truth transform
     pred = ad.add(ad.matmul(p_s, tape.constant(np.swapaxes(C_gt, 1, 2)[..., :2])),
                   tape.constant(gt[:, None, :2]))
-    diff = ad.mul(ad.sub(pred, ad.take(p_t, slice(0, 2), axis=2)), tape.constant(keep[..., None]))
+    res = ad.sub(pred, ad.take(p_t, slice(0, 2), axis=2))
+    # An unlifted point sits at the camera origin, which can pass the gate.
+    keep = ok_s & ok_t & estimator.gt_outlier_gate(res.value, lcfg.gate_threshold)
+    w = ad.mul(match_w, tape.constant(keep))  # gated pairs weigh zero
+    diff = ad.mul(res, tape.constant(keep[..., None]))
     l_kp = ad.sum_(ad.mul(diff, diff), axis=(1, 2))
 
     # pose loss: differentiable weighted alignment, planar-extracted
@@ -177,7 +176,8 @@ def total_loss(
     with gradients, one backward pass over the sum of its losses; the
     returned gradients are float64, as the weights are. Skipped samples
     contribute nothing; if every sample is skipped the loss is nan and the
-    gradients are zero.
+    gradients are zero. A pair with a non-finite pixel in either image the
+    extractor reads (the left views) stays off the tapes, skipped.
     """
     cfg = weights.config
     grad_sum = (
@@ -185,14 +185,15 @@ def total_loss(
         if compute_grads
         else None
     )
+    finite = [np.isfinite(s.source.left).all() and np.isfinite(s.target.left).all()
+              for s in samples]
+    taped = [s for s, ok in zip(samples, finite) if ok]
     losses = []
     stats_all = []
-    for start in range(0, len(samples), TAPE_SAMPLES):
+    for start in range(0, len(taped), TAPE_SAMPLES):
         tape = Tape(grad=compute_grads, dtype=dtype)
         params = weights.bind(tape)
-        loss, stats = batch_loss(
-            tape, params, cfg, samples[start : start + TAPE_SAMPLES], K, lcfg
-        )
+        loss, stats = batch_loss(tape, params, cfg, taped[start : start + TAPE_SAMPLES], K, lcfg)
         stats_all += stats
         losses += [s.total for s in stats if not s.skipped]
         if compute_grads and loss is not None:
@@ -204,7 +205,9 @@ def total_loss(
     if compute_grads and n:
         for name in grad_sum:
             grad_sum[name] /= n
-    return mean, grad_sum, stats_all
+    taped_stats = iter(stats_all)
+    return mean, grad_sum, [next(taped_stats) if ok else SampleStats(skipped=True)
+                            for ok in finite]
 
 
 # ---------------------------------------------------------------------------

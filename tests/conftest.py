@@ -5,6 +5,8 @@ from hypothesis import settings
 from stereoloc import synth
 from stereoloc.geometry import CameraIntrinsics
 
+from oracles import render_one
+
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
 
@@ -21,9 +23,7 @@ def scene() -> synth.Scene:
 
 @pytest.fixture(scope="session")
 def noon_frame(scene, K_default):
-    return synth.render_stereo(
-        scene, (0.1, 0.0, 0.2), K_default, synth.CONDITIONS["identity"], (48, 64)
-    )
+    return render_one(scene, (0.1, 0.0, 0.2), K_default, synth.CONDITIONS["identity"], (48, 64))
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:

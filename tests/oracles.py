@@ -578,19 +578,15 @@ def read_run_csv(path: str | Path) -> dict:
 
 # The dense matcher `synth.block_match_disparity` replaced: cumulative sums
 # over every pixel, one pass per disparity.
-def block_match_reference(
-    left: np.ndarray,
-    right: np.ndarray,
-    window: int = 5,
-    max_disparity: int = 16,
-    variance_floor: float = 1e-4,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integer-disparity SAD block matching on a rectified pair.
+def block_match_reference(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer-disparity SAD block matching on a rectified pair: a 5x5
+    window, disparities 0..16 and a variance floor of 1e-4.
 
     Returns (disparity, valid). Pixels are invalid at the borders, where the
     window's texture variance is below the floor, or where the search range
     is cut off by the image edge.
     """
+    window, max_disparity, variance_floor = 5, 16, 1e-4
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
     h, w = left.shape
@@ -630,17 +626,30 @@ def block_match_reference(
     return disparity, valid
 
 
-def block_match_everywhere(left, right, **kwargs) -> tuple[np.ndarray, np.ndarray]:
+def block_match_everywhere(left, right) -> tuple[np.ndarray, np.ndarray]:
     """`synth.block_match_disparity` queried at every pixel, as (H, W)
     (disparity, valid) maps."""
     h, w = np.shape(left)
     v, u = np.divmod(np.arange(h * w), w)
-    d, valid = synth.block_match_disparity(left, right, u, v, **kwargs)
+    d, valid = synth.block_match_disparity(left, right, u, v)
     return d.reshape(h, w), valid.reshape(h, w)
 
 
 # ---------------------------------------------------------------------------
 # rendering
+
+
+def render_one(
+    scene: synth.Scene,
+    pose,
+    K: CameraIntrinsics,
+    photo: synth.PhotometricParams = synth.CONDITIONS["identity"],
+    size: tuple[int, int] = (48, 64),
+    noise_seed: int = 0,
+) -> synth.StereoFrame:
+    """One pose's frame: `synth.render_stereo` on a stack of one."""
+    return synth.render_stereo(scene, np.asarray(pose, dtype=float)[None], K, [photo], size,
+                               [noise_seed])[0]
 
 
 # The renderer `synth.render_stereo` replaced: one scalar-salted hash per
@@ -719,7 +728,7 @@ def cast_rays(
     t_best = np.full(len(uv), h_cam)
     albedo = np.ones(len(uv))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for x0, x1, y0, y1, bh, alb in scene.blocks:
             tx1 = (x0 - origin[0]) / dirs[:, 0]
             tx2 = (x1 - origin[0]) / dirs[:, 0]
@@ -740,7 +749,7 @@ def cast_rays(
 
 
 # The dataset writer `synth.make_dataset` replaced: draw, render and write
-# one pair at a time, one `render_stereo` call per frame.
+# one pair at a time, one render per frame.
 def make_dataset(
     out_dir: str | Path,
     scene: synth.Scene,
@@ -768,10 +777,10 @@ def make_dataset(
         tgt_pose = synth.solve_target_pose(src_pose, pp)
         src_cond = schedule[int(rng.integers(len(schedule)))]
         tgt_cond = schedule[int(rng.integers(len(schedule)))]
-        src = synth.render_stereo(scene, src_pose, K, synth.CONDITIONS[src_cond], size,
-                                  noise_seed=seed * 1000003 + 2 * i)
-        tgt = synth.render_stereo(scene, tgt_pose, K, synth.CONDITIONS[tgt_cond], size,
-                                  noise_seed=seed * 1000003 + 2 * i + 1)
+        src = render_one(scene, src_pose, K, synth.CONDITIONS[src_cond], size,
+                         noise_seed=seed * 1000003 + 2 * i)
+        tgt = render_one(scene, tgt_pose, K, synth.CONDITIONS[tgt_cond], size,
+                         noise_seed=seed * 1000003 + 2 * i + 1)
         fname = f"sample_{i:05d}.f32"
         storage.write_blob(out_dir / fname,
                            np.stack([synth.frame_blob(src), synth.frame_blob(tgt)]))

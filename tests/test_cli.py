@@ -9,6 +9,8 @@ import pytest
 from stereoloc import harness, storage, synth
 from stereoloc.cli import build_parser, main, read_config_file
 
+from oracles import render_one
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -114,9 +116,9 @@ class TestStorage:
         # condition, with noise seed `seed * 1000003 + j`
         pairs = synth.make_dataset(tmp_path / "pairs", scene, count=2, seed=5, size=size)
         for i, entry in enumerate(manifest(pairs)["samples"]):
-            src, tgt = (synth.render_stereo(scene, entry[f"{side}_pose"], K,
-                                            synth.CONDITIONS[entry[f"{side}_condition"]], size,
-                                            noise_seed=5 * 1000003 + 2 * i + j)
+            src, tgt = (render_one(scene, entry[f"{side}_pose"], K,
+                                   synth.CONDITIONS[entry[f"{side}_condition"]], size,
+                                   noise_seed=5 * 1000003 + 2 * i + j)
                         for j, side in enumerate(("src", "tgt")))
             assert (pairs / entry["file"]).read_bytes() == f32(
                 src.left, src.right, src.disparity, tgt.left, tgt.right, tgt.disparity
@@ -463,6 +465,37 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "error: data: " in err and "analytic" in err and ident in err
 
+    def test_repeat_of_frames_of_another_size_is_3(self, tmp_path, capsys):
+        teach_seq, live_seq, map_dir = tmp_path / "teach", tmp_path / "live", tmp_path / "map"
+        scene = ["--condition", "noon", "--scene-seed", "3"]
+        assert main(["synth", "--kind", "path", "--count", "2", *scene, "--seed", "7",
+                     "--out", str(teach_seq)]) == 0
+        assert main(["synth", "--kind", "repeat", "--of", str(teach_seq), "--size", "32x24",
+                     *scene, "--seed", "8", "--out", str(live_seq)]) == 0
+        assert main(["teach", "--frames", str(teach_seq), "--features", "analytic",
+                     "--out", str(map_dir)]) == 0
+        for mode in ("dense", "sparse"):
+            capsys.readouterr()
+            assert main(["repeat", "--map", str(map_dir), "--frames", str(live_seq),
+                         "--features", "analytic", "--mode", mode,
+                         "--out", str(tmp_path / "rep")]) == 3
+            err = capsys.readouterr().err
+            assert err == ("error: data: map was taught on 64x48 frames; repeat cannot "
+                           "localize 32x24 frames against it\n")
+        assert not (tmp_path / "rep").exists()
+
+    def test_a_pair_with_a_nan_patch_trains(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--kind", "pairs", "--count", "10", "--size", "32x24",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(data)]) == 0
+        blob = data / "sample_00002.f32"
+        pair = storage.read_blob(blob, (2, 3, 24, 32))
+        pair[0, 0, 4:12, 8:16] = np.nan  # the source's left image
+        storage.write_blob(blob, pair)
+        assert main(["train", "--data", str(data), "--epochs", "1", "--channels", "2,3,4",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "checkpoint" / storage.MANIFEST_NAME).is_file()
+
     @pytest.mark.parametrize("flags, message", [
         (["--window", "7"], "window 7 does not divide 24x32"),
         (["--channels", "2,3,4,5"], "image 24x32 not divisible by 2^4"),
@@ -637,6 +670,5 @@ class TestExitCodes:
 
 
 class TestEvalGrad:
-    def test_gradient_check_passes(self, tmp_path):
-        assert main(["eval-grad", "--size", "32x24", "--channels", "1,2,2",
-                     "--out", str(tmp_path / "g")]) == 0
+    def test_gradient_check_passes(self):
+        assert main(["eval-grad", "--size", "32x24", "--channels", "1,2,2"]) == 0

@@ -29,7 +29,7 @@ from stereoloc.harness import (
 from stereoloc.geometry import se3_to_planar
 from stereoloc.synth import StereoFrame
 
-from oracles import project_points, read_run_csv
+from oracles import project_points, read_run_csv, render_one
 
 
 @pytest.fixture(scope="module")
@@ -395,7 +395,7 @@ class TestOnePixelFrames:
     @staticmethod
     def thin_frame(scene, size):
         K = synth.default_intrinsics(size[1], size[0])
-        return synth.render_stereo(scene, (0.1, 0.0, 0.2), K, synth.CONDITIONS["dusk"], size)
+        return render_one(scene, (0.1, 0.0, 0.2), K, synth.CONDITIONS["dusk"], size)
 
     @pytest.mark.parametrize("mode", ["dense", "sparse"])
     @pytest.mark.parametrize("extractor", ["analytic", "learned"])

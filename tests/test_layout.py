@@ -3,11 +3,15 @@ by the program itself (a name that only tests use is a test helper and
 belongs in tests/oracles.py, not in src/), every dataclass field is read
 by it, every defaulted parameter is passed by some call, no module reads
 another module's private names, only `storage` writes files or reads
-JSON, and no module scatters with a ufunc's `at`."""
+JSON, no module scatters with a ufunc's `at`, and every CLI flag is read by
+its subcommand."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
+
+from stereoloc import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "stereoloc"
@@ -210,3 +214,39 @@ def test_no_module_scatters_with_ufunc_at():
                     and isinstance(func.value.value, ast.Name) and func.value.value.id == "np"):
                 offences.append(f"{path.stem}:{node.lineno}: calls np.{func.value.attr}.at")
     assert not offences, "ufunc scatters in the package:\n" + "\n".join(offences)
+
+
+def _args_reads(fn: ast.FunctionDef, functions: dict[str, ast.FunctionDef],
+                param: str = "args") -> set[str]:
+    """The `<param>.<name>` attributes `fn` loads, and those of every `cli`
+    function it passes `param` to, but the run manifest's writer, which
+    records every flag whether or not anything reads it."""
+    reads = set()
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id == param):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in functions and node.func.id != "_write_run_manifest"):
+            callee = functions[node.func.id]
+            for arg, callee_param in zip(node.args, callee.args.args):
+                if isinstance(arg, ast.Name) and arg.id == param:
+                    reads |= _args_reads(callee, functions, callee_param.arg)
+    return reads
+
+
+def test_every_cli_flag_is_read_by_its_subcommand():
+    """A flag nothing reads does nothing but reach the run manifest. Each
+    subcommand's flags, but `--config` (which `main` reads) and `help`, are
+    read as `args.<dest>` by its `cmd_*` function or by a `cli` helper that
+    function passes `args` to."""
+    tree = ast.parse(inspect.getsource(cli))
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    _, subcommands = cli.build_parser()
+    unread = []
+    for name, parser in sorted(subcommands.items()):
+        func = parser.get_default("func")
+        reads = _args_reads(functions[func.__name__], functions)
+        unread += [f"{name} {action.option_strings[0]}" for action in parser._actions
+                   if action.dest not in ("config", "help") and action.dest not in reads]
+    assert not unread, "flags their subcommand never reads:\n" + "\n".join(unread)

@@ -15,6 +15,8 @@ import numpy as np
 
 from stereoloc import harness, synth
 
+from oracles import render_one
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "outcome_digest.py"
 
 
@@ -104,8 +106,7 @@ def test_a_frame_hashes_by_its_values_in_any_float_dtype(scene, K_default):
     """A frame loaded from a map holds float32 planes; it hashes as its
     float64 promotion, as a frame loaded in float64 did."""
     digest = load_script()
-    frame = synth.render_stereo(scene, (0.1, 0.0, 0.2), K_default, synth.CONDITIONS["noon"],
-                                (48, 64))
+    frame = render_one(scene, (0.1, 0.0, 0.2), K_default, synth.CONDITIONS["noon"], (48, 64))
     f32 = synth.StereoFrame(*(np.float32(x) for x in (frame.left, frame.right,
                                                       frame.disparity)), frame.pose)
     f64 = synth.StereoFrame(*(x.astype(np.float64) for x in (f32.left, f32.right,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stereoloc import autodiff as ad
-from stereoloc import features, synth, training
+from stereoloc import estimator, features, synth, training
 from stereoloc.autodiff import Tape
 from stereoloc.errors import ConfigError
 from stereoloc.geometry import PlanarPose
@@ -21,7 +21,7 @@ from stereoloc.training import (
 )
 
 from conftest import rel_err
-from oracles import apply, keypoint_loss, planar_to_se3, pose_loss
+from oracles import apply, gt_outlier_gate_reference, keypoint_loss, planar_to_se3, pose_loss
 
 
 def tiny_dataset(scene, count=8, seed=11):
@@ -380,6 +380,65 @@ class TestInvalidDisparity:
         assert all(finite[:at])
         assert stats[0].n_gated > stats0[0].n_gated  # the patch lifted no keypoint
         assert all(np.isfinite(g).all() for g in grads.values())
+
+
+class TestNonFinitePixels:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_a_pair_with_a_bad_pixel_is_skipped_off_the_tape(self, small_data, side, value):
+        """[a, bad, c, d] trains as [a, c, d], bit for bit, and records the
+        bad pair as skipped."""
+        samples, K = small_data
+        w = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=1))
+        frame = getattr(samples[1], side)
+        left = frame.left.copy()
+        left[4:8, 10:14] = value
+        bad = dataclasses.replace(samples[1], **{side: dataclasses.replace(frame, left=left)})
+        loss, grads, stats = total_loss([samples[0], bad, *samples[2:4]], w, LossConfig(), K)
+        want_loss, want_grads, want_stats = total_loss(
+            [samples[0], *samples[2:4]], w, LossConfig(), K)
+        assert math.isfinite(loss) and np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert all(grads[k].tobytes() == want_grads[k].tobytes() for k in want_grads)
+        assert repr(stats) == repr([want_stats[0], training.SampleStats(skipped=True),
+                                    *want_stats[1:]])
+
+
+class TestGroundTruthGate:
+    def test_the_gate_is_the_reference_gate_on_a_float64_tape(self, small_data, monkeypatch):
+        """The gate reads the keypoint residual on the tape. On a float64
+        tape it keeps exactly the pairs the per-sample reference keeps from
+        the lifted points, at thresholds on the reference's own planar
+        errors and one step below them."""
+        samples, K = small_data
+        batch = samples[:4]
+        w = features.init_weights(features.ExtractorConfig(channels=(2, 3, 4), window=8, seed=1))
+        lifts, masks = [], []
+        lift, gate = training._lift, estimator.gt_outlier_gate
+        monkeypatch.setattr(training, "_lift", lambda *a: lifts.append(lift(*a)) or lifts[-1])
+        monkeypatch.setattr(estimator, "gt_outlier_gate",
+                            lambda *a: masks.append(gate(*a)) or masks[-1])
+
+        def gated(threshold):
+            lifts.clear()
+            masks.clear()
+            total_loss(batch, w, LossConfig(gate_threshold=threshold), K, compute_grads=False,
+                       dtype=np.float64)
+            (p_s, _), (p_t, _) = lifts
+            return masks[0], p_s.value, p_t.value
+
+        _, p_s, p_t = gated(0.5)
+        errors = []
+        for ps, pt, sample in zip(p_s, p_t, batch):
+            T = planar_to_se3(sample.gt)
+            errors.append(np.linalg.norm(apply(T, ps)[:, :2] - pt[:, :2], axis=1))
+        errors = np.sort(np.concatenate(errors))
+        picks = errors[np.linspace(0, len(errors) - 1, 6).astype(int)[1:-1]]
+        for threshold in np.concatenate([picks, np.nextafter(picks, 0)]):
+            keep, p_s, p_t = gated(float(threshold))
+            want = np.stack([gt_outlier_gate_reference(ps, pt, sample.gt, threshold)
+                             for ps, pt, sample in zip(p_s, p_t, batch)])
+            assert want.any() and not want.all()
+            assert keep.tobytes() == want.tobytes(), threshold
 
 
 class TestTrainingDtype:
