@@ -7,7 +7,6 @@ JSON, no module scatters with a ufunc's `at`, and every CLI flag is read by
 its subcommand."""
 
 import ast
-import inspect
 import re
 from pathlib import Path
 
@@ -240,7 +239,7 @@ def test_every_cli_flag_is_read_by_its_subcommand():
     subcommand's flags, but `--config` (which `main` reads) and `help`, are
     read as `args.<dest>` by its `cmd_*` function or by a `cli` helper that
     function passes `args` to."""
-    tree = ast.parse(inspect.getsource(cli))
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
     functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
     _, subcommands = cli.build_parser()
     unread = []
