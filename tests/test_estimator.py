@@ -25,6 +25,7 @@ from oracles import (
     AlignmentProblem,
     alignment_cost,
     apply,
+    gt_outlier_gate_reference,
     planar_to_se3,
     ransac_pose_reference,
     weighted_alignment,
@@ -450,3 +451,30 @@ class TestGroundTruthGate:
         ps, pt, _, pp, _ = planar_instance(54)
         with pytest.raises(ValueError):
             gate(ps, pt, pp, 0.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_batch_is_the_per_sample_gate_bitwise(self, seed):
+        # float32 points as the training tapes hold them, some rows zero as
+        # unlifted points are, and the (B, N, 2) residual in the form
+        # training.batch_loss records it; each threshold sits at one of the
+        # reference's planar errors or one step below it, so the masks agree
+        # only where the errors agree in every bit
+        rng = np.random.default_rng(seed)
+        b, n = rng.integers(1, 6), rng.integers(1, 30)
+        ps = rng.normal(scale=3.0, size=(b, n, 3)).astype(np.float32)
+        ps[rng.random((b, n)) < 0.2] = 0.0
+        poses = [PlanarPose(*rng.uniform(-1, 1, 2), rng.uniform(-np.pi, np.pi)) for _ in range(b)]
+        T = [planar_to_se3(pp) for pp in poses]
+        pt = np.stack([apply(t, p) for t, p in zip(T, ps)]) + rng.normal(scale=0.4, size=(b, n, 3))
+        pt = pt.astype(np.float32)
+        pt[rng.random((b, n)) < 0.2] = 0.0
+        gt = np.array([[pp.alpha, pp.beta, pp.gamma] for pp in poses])
+        C_gt = np.stack([rot_z(g) for g in gt[:, 2]])
+        res = ps.astype(float) @ np.swapaxes(C_gt, 1, 2)[..., :2] + gt[:, None, :2] - pt[..., :2]
+        err = np.linalg.norm(np.stack([apply(t, p)[:, :2] for t, p in zip(T, ps)])
+                             - pt[..., :2], axis=-1)
+        for threshold in np.concatenate([err.ravel(), np.nextafter(err.ravel(), 0)]):
+            keep = gt_outlier_gate(res, threshold)
+            want = np.stack([gt_outlier_gate_reference(p, q, pp, threshold)
+                             for p, q, pp in zip(ps, pt, poses)])
+            assert keep.shape == (b, n) and np.array_equal(keep, want)
