@@ -1,9 +1,16 @@
 #!/usr/bin/env python3
 """Teach-vs-repeat condition sweep: teach one map per lighting condition,
-repeat every condition against it, and emit the square mean-inlier matrix
-(rows = teach condition, columns = repeat condition).
+repeat every condition against it, and report the mean-inlier condition
+matrix (rows = teach condition, columns = repeat condition).
+
+Thin wrapper over the CLI subcommands, as scripts/run_experiment.py is:
 
     python scripts/condition_matrix.py --out runs/matrix --ckpt runs/exp0/train/checkpoint
+
+Without `--ckpt` the maps are taught with analytic features. Each repeat
+condition's live sequence is rendered once per teach sequence from one
+seed, so its frames are the same under every teach condition. The matrix
+and the per-run table land in `<out>/report`.
 """
 
 import argparse
@@ -12,7 +19,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from stereoloc import features, harness, synth
+from stereoloc.cli import main as cli
+from stereoloc.synth import DAY_SCHEDULE
 
 
 def run(argv=None) -> int:
@@ -22,46 +30,37 @@ def run(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--scene-seed", type=int, default=3)
     ap.add_argument("--frames", type=int, default=12)
-    ap.add_argument("--conditions", nargs="+", default=list(synth.DAY_SCHEDULE))
+    ap.add_argument("--conditions", nargs="+", default=list(DAY_SCHEDULE))
     args = ap.parse_args(argv)
 
-    if args.ckpt:
-        weights, _ = features.load_checkpoint(args.ckpt)
-        extractor = harness.LearnedExtractor(weights)
-    else:
-        extractor = harness.AnalyticExtractor(window=8)
-
-    scene = synth.generate_scene(args.scene_seed)
-    K = synth.default_intrinsics(64, 48)
-    poses = synth.path_poses(args.frames)
-    live_poses, _ = synth.offset_poses(poses, seed=args.seed)
-    params = harness.LocalizeParams()
-
-    # the live frames of a condition are the same under every teach
-    # condition: render them once, one pose sequence in a row
-    live = [
-        synth.render_sequence(
-            scene, live_poses, rep_cond, K, (48, 64), seed=args.seed * 100 + 50 + j
-        )
-        for j, rep_cond in enumerate(args.conditions)
-    ]
-    records = []
+    out = Path(args.out)
+    scene = ["--scene-seed", str(args.scene_seed)]
+    extractor = ["--ckpt", args.ckpt] if args.ckpt else ["--features", "analytic"]
+    steps, repeat_dirs = [], []
     for i, teach_cond in enumerate(args.conditions):
-        teach_frames = synth.render_sequence(
-            scene, poses, teach_cond, K, (48, 64), seed=args.seed * 100 + i
-        )
-        teach_map = harness.teach(teach_frames, extractor, K)
-        for rep_cond, live_frames in zip(args.conditions, live):
-            report = harness.repeat(live_frames, teach_map, extractor, params, K)
-            records.append(
-                harness.RunRecord(f"{teach_cond}_vs_{rep_cond}", teach_cond, rep_cond, report)
-            )
-            print(f"teach {teach_cond:10s} repeat {rep_cond:10s} "
-                  f"mean inliers {report.mean_inliers:6.1f} "
-                  f"failures {report.failure_count}/{args.frames}")
+        teach_seq, map_dir = out / f"teach_{teach_cond}", out / f"map_{teach_cond}"
+        steps.append(["synth", "--kind", "path", "--count", str(args.frames),
+                      "--condition", teach_cond, "--seed", str(args.seed * 100 + i), *scene,
+                      "--out", str(teach_seq)])
+        steps.append(["teach", "--frames", str(teach_seq), *extractor, "--out", str(map_dir)])
+        for j, rep_cond in enumerate(args.conditions):
+            name = f"{teach_cond}_vs_{rep_cond}"
+            seq, rep = out / f"seq_{name}", out / f"repeat_{name}"
+            repeat_dirs.append(rep)
+            steps.append(["synth", "--kind", "repeat", "--of", str(teach_seq),
+                          "--condition", rep_cond, "--seed", str(args.seed * 100 + 50 + j),
+                          *scene, "--out", str(seq)])
+            steps.append(["repeat", "--map", str(map_dir), "--frames", str(seq), *extractor,
+                          "--name", name, "--seed", str(args.seed), "--out", str(rep)])
+    steps.append(["report", "--runs", *[str(d) for d in repeat_dirs],
+                  "--out", str(out / "report")])
 
-    written = harness.emit_report(records, args.out)
-    print(f"\nwrote {len(written)} files under {args.out}")
+    for step in steps:
+        print(f"\n== stereoloc {' '.join(step[:4])} ...")
+        code = cli(step)
+        if code != 0:
+            print(f"step failed with exit code {code}", file=sys.stderr)
+            return code
     return 0
 
 

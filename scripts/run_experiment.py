@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end desk-scale experiment: generate data, train the extractor,
-teach a path at noon, repeat it across the lighting schedule, and report.
+teach a path at noon, repeat it across the lighting schedule, and report:
+`report` names the per-run table and the condition matrix it writes under
+`<out>/report`.
 
 Thin wrapper over the CLI subcommands, so the whole chain is reproducible
 from one root seed:
@@ -9,7 +11,6 @@ from one root seed:
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -71,14 +72,6 @@ def run(argv=None) -> int:
             print(f"step failed with exit code {code}", file=sys.stderr)
             return code
 
-    summary = {
-        d.name.removeprefix("repeat_"): json.loads((d / "summary.json").read_text())
-        for d in repeat_dirs
-    }
-    print("\ncondition, mean_inliers, failure_fraction, pose_rmse")
-    for cond, s in summary.items():
-        print(f"{cond}: {s['mean_inliers']:.1f}, {s['failure_fraction']:.3f}, "
-              f"{s['pose_rmse']:.4f}")
     return 0
 
 

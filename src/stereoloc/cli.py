@@ -223,9 +223,10 @@ def cmd_teach(args) -> int:
     return 0
 
 
-# The run files of a repeat's output directory that `report` reads: its run
-# manifest and summary.json, the RunReport fields named here.
-RUN_MANIFEST_SCHEMA = {"command": "repeat", "config": {}}
+# The run files `report` reads from a repeat's output directory: its run manifest, whose
+# config holds the run's two condition labels, and summary.json, the RunReport fields named here.
+RUN_MANIFEST_SCHEMA = {"command": "repeat", "config": {
+    "teach_condition": storage.text, "repeat_condition": storage.text}}
 SUMMARY_SCHEMA = {key: storage.number for key in (
     "mean_inliers", "failure_count", "failure_fraction", "pose_rmse", "heading_rmse")}
 
@@ -248,36 +249,41 @@ def cmd_repeat(args) -> int:
         disparity=args.disparity,
     )
     report = harness.repeat(frames, teach_map, extractor, params, teach_map.K)
-    record = harness.RunRecord(
-        name=args.name or manifest["condition"],
-        teach_condition=manifest.get("extra", {}).get("teach_condition", "teach"),
-        repeat_condition=manifest["condition"],
-        report=report,
-    )
-    harness.emit_report([record], out)
+    # the run manifest records both labels of the run's condition matrix cell
+    args.teach_condition = manifest.get("extra", {}).get("teach_condition", "teach")
+    args.repeat_condition = manifest["condition"]
+    name = args.name or args.repeat_condition
+    harness.write_run_csv(report, out / f"run_{name}.csv")
+    harness.write_condition_matrix(
+        {(args.teach_condition, args.repeat_condition): report.mean_inliers},
+        out / "condition_matrix.csv")
     storage.write_json(out / "summary.json", {k: getattr(report, k) for k in SUMMARY_SCHEMA})
     _write_run_manifest(out, args)
-    print(
-        f"repeat {record.name}: mean inliers {report.mean_inliers:.1f}, "
-        f"failures {report.failure_count}/{len(frames)}"
-    )
+    print(f"repeat {name}: mean inliers {report.mean_inliers:.1f}, "
+          f"failures {report.failure_count}/{len(frames)}")
     return 0
 
 
 def cmd_report(args) -> int:
+    """aggregate.csv, one row per run, and the condition matrix over the
+    runs, which must each fill a different (teach, repeat) cell."""
     out = Path(args.out) if args.out else _default_out("report")
-    rows = []
-    for run_dir in args.runs:
-        run_dir = Path(run_dir)
-        manifest = storage.read_json(run_dir / "run_manifest.json", RUN_MANIFEST_SCHEMA)
+    rows, cells, cell_runs = [], {}, {}
+    for run_dir in map(Path, args.runs):
+        config = storage.read_json(run_dir / "run_manifest.json", RUN_MANIFEST_SCHEMA)["config"]
         summary = storage.read_json(run_dir / "summary.json", SUMMARY_SCHEMA)
-        rows.append({"run": run_dir.name, **summary,
-                     "condition": manifest["config"].get("name") or "unknown"})
-    table = out / "aggregate.csv"
+        cell = (config["teach_condition"], config["repeat_condition"])
+        if cell in cell_runs:
+            raise ConfigError(f"runs {cell_runs[cell]} and {run_dir} both fill the condition "
+                              f"matrix cell teach {cell[0]!r}, repeat {cell[1]!r}")
+        cell_runs[cell], cells[cell] = run_dir, summary["mean_inliers"]
+        rows.append({"run": run_dir.name, **summary, "condition": config.get("name") or "unknown"})
+    table, matrix = out / "aggregate.csv", out / "condition_matrix.csv"
     header = list(rows[0])
     storage.write_csv(table, header, [[row.get(k, "") for k in header] for row in rows])
+    harness.write_condition_matrix(cells, matrix)
     _write_run_manifest(out, args)
-    print(f"aggregated {len(rows)} runs into {table}")
+    print(f"aggregated {len(rows)} runs into {table} and {matrix}")
     return 0
 
 

@@ -38,20 +38,54 @@ class RansacParams:
         operator.index(self.seed)  # an int: the memoized minimal sets key on it
 
 
-def rotation_from_covariance(W: np.ndarray):
-    """Closed-form rotations for a (..., 3, 3) stack of cross-covariances.
-
-    Returns (C, aux, collinear): C = U D Vt is the rotation maximizing
-    tr(C^T W), with D = diag(1, 1, sign det(U Vt)) forcing a proper
-    rotation; aux is the tuple (U, s, Vt, D); collinear flags the entries
-    whose points are nearly collinear (second singular value near zero).
-    """
+def _spectrum(W: np.ndarray):
+    """The SVD (U, s, Vt) of a (..., 3, 3) stack of cross-covariances, and the
+    flag of the nearly collinear entries (second singular value near zero)."""
     U, s, Vt = np.linalg.svd(W)
-    D = np.broadcast_to(np.eye(3), W.shape).copy()
+    return U, s, Vt, s[..., 1] <= COLLINEARITY_TOL * np.maximum(s[..., 0], 1e-300)
+
+
+def _proper_rotation(U: np.ndarray, Vt: np.ndarray):
+    """C = U D Vt, a proper rotation by D = diag(1, 1, sign det(U Vt)), and D."""
+    D = np.broadcast_to(np.eye(3), U.shape).copy()
     D[..., 2, 2] = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
-    C = U @ D @ Vt
-    collinear = s[..., 1] <= COLLINEARITY_TOL * np.maximum(s[..., 0], 1e-300)
+    return U @ D @ Vt, D
+
+
+def rotation_from_covariance(W: np.ndarray):
+    """Closed-form rotations for a (..., 3, 3) stack of cross-covariances:
+    (C, (U, s, Vt, D), collinear), C the proper rotation maximizing
+    tr(C^T W) and collinear the flag of `_spectrum`."""
+    U, s, Vt, collinear = _spectrum(W)
+    C, D = _proper_rotation(U, Vt)
     return C, (U, s, Vt, D), collinear
+
+
+def _centred_spectrum(p_s, p_t, w):
+    """align_core up to its refusals: drop zero-weight pairs, refuse fewer
+    than 3 positively weighted pairs, centre on the weighted centroids and
+    refuse a nearly collinear cross-covariance. Returns the centroids and
+    the cross-covariance's SVD."""
+    p_s, p_t, w = (np.asarray(a, dtype=float) for a in (p_s, p_t, w))
+    active = w > 0
+    if not active.all():
+        p_s, p_t, w = p_s[active], p_t[active], w[active]
+    if len(w) < 3 or w.sum() <= 0:
+        raise DegenerateGeometry("fewer than 3 positively weighted pairs")
+    wn = w / w.sum()
+    mu_s = wn @ p_s
+    mu_t = wn @ p_t
+    W = ((p_t - mu_t) * wn[:, None]).T @ (p_s - mu_s)
+    U, s, Vt, collinear = _spectrum(W)
+    if collinear:
+        raise DegenerateGeometry(f"weighted points nearly collinear (spectrum {s})")
+    return mu_s, mu_t, U, s, Vt
+
+
+def check_alignable(points: np.ndarray) -> None:
+    """Raise the DegenerateGeometry of `align_core(points, points, ones)`: fewer
+    than 3 points, or duplicated or collinear ones. The pose is not solved."""
+    _centred_spectrum(points, points, np.ones(len(points)))
 
 
 def align_core(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
@@ -61,25 +95,9 @@ def align_core(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
     uniform rescaling of w. Zero-weight pairs are dropped up front, which
     makes the solution bitwise independent of their presence.
     """
-    p_s = np.asarray(p_s, dtype=float)
-    p_t = np.asarray(p_t, dtype=float)
-    w = np.asarray(w, dtype=float)
-    active = w > 0
-    if not active.all():
-        p_s, p_t, w = p_s[active], p_t[active], w[active]
-    if len(w) < 3 or w.sum() <= 0:
-        raise DegenerateGeometry("fewer than 3 positively weighted pairs")
-    wn = w / w.sum()
-    mu_s = wn @ p_s
-    mu_t = wn @ p_t
-    a = p_s - mu_s
-    b = p_t - mu_t
-    W = (b * wn[:, None]).T @ a
-    C, aux, collinear = rotation_from_covariance(W)
-    if collinear:
-        raise DegenerateGeometry(f"weighted points nearly collinear (spectrum {aux[1]})")
-    r = mu_t - C @ mu_s
-    return C, r, aux
+    mu_s, mu_t, U, s, Vt = _centred_spectrum(p_s, p_t, w)
+    C, D = _proper_rotation(U, Vt)
+    return C, mu_t - C @ mu_s, (U, s, Vt, D)
 
 
 @functools.lru_cache(maxsize=64)

@@ -218,8 +218,8 @@ def teach(
     disparity_source: str = "gt",
 ) -> TeachMap:
     """Build one map vertex per taught frame; a frame whose valid lifted
-    points `estimator.align_core` refuses to align with themselves (fewer
-    than 3, duplicated or collinear) is a TeachFailure."""
+    points `estimator.align_core` would refuse to align with themselves
+    (fewer than 3, duplicated or collinear) is a TeachFailure."""
     if disparity_source not in DISPARITY_SOURCES:
         raise ValueError(f"disparity must be one of {DISPARITY_SOURCES}, not {disparity_source!r}")
     if not frames:
@@ -232,7 +232,7 @@ def teach(
         except (OutOfBounds, InsufficientMatches) as e:  # non-finite pixels, or a bad size
             raise TeachFailure(f"frame {i}: {e}") from e
         try:  # no pose can be found against a vertex the alignment refuses
-            estimator.align_core(p3d, p3d, np.ones(len(p3d)))
+            estimator.check_alignable(p3d)
         except DegenerateGeometry as e:
             raise TeachFailure(f"frame {i}: {len(p3d)} lifted points: {e}") from e
         vertices.append(
@@ -384,40 +384,15 @@ def write_run_csv(report: RunReport, path: str | Path) -> None:
     storage.write_csv(path, RUN_CSV_FIELDS, rows)
 
 
-@dataclass
-class RunRecord:
-    name: str
-    teach_condition: str
-    repeat_condition: str
-    report: RunReport
-
-
-def emit_report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
-    """Write one per-run CSV per record plus a square condition matrix
-    (teach conditions as rows, repeat conditions as columns, mean inliers
-    as entries)."""
-    if not records:
+def write_condition_matrix(cells: dict[tuple[str, str], float], path: str | Path) -> None:
+    """The condition matrix of mean inliers by (teach, repeat) condition
+    pair: teach conditions as rows, repeat conditions as columns, each
+    sorted, cells as `repr`, and `nan` for a pair with no run."""
+    if not cells:
         raise ValueError("no runs to report")
-    out_dir = Path(out_dir)
-    written = []
-    for rec in records:
-        path = out_dir / f"run_{rec.name}.csv"
-        write_run_csv(rec.report, path)
-        written.append(path)
-
-    teach_conds = sorted({r.teach_condition for r in records})
-    repeat_conds = sorted({r.repeat_condition for r in records})
-    by_pair = {
-        (r.teach_condition, r.repeat_condition): r.report.mean_inliers
-        for r in records
-    }
-    matrix_path = out_dir / "condition_matrix.csv"
-    storage.write_csv(matrix_path, ["teach\\repeat"] + repeat_conds, [
-        [tc] + [repr(by_pair.get((tc, rc), math.nan)) for rc in repeat_conds]
-        for tc in teach_conds
-    ])
-    written.append(matrix_path)
-    return written
+    teach_conds, repeat_conds = (sorted(set(labels)) for labels in zip(*cells))
+    storage.write_csv(path, ["teach\\repeat"] + repeat_conds, [
+        [tc] + [repr(cells.get((tc, rc), math.nan)) for rc in repeat_conds] for tc in teach_conds])
 
 
 # ---------------------------------------------------------------------------

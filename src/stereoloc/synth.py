@@ -603,7 +603,7 @@ SEQUENCE_SCHEMA = {
     "kind": "sequence", "condition": storage.text, "seed": storage.count,
     "image_size": [storage.size, 2], "camera": CAMERA_SCHEMA,
     "frames": [{"file": storage.file_name, "pose": POSE_SCHEMA}],
-    # a repeat sequence's; the CLI's run record reads `teach_condition`
+    # a repeat sequence's; `repeat` records `teach_condition` as its run's teach label
     "extra?": {"repeat_of": storage.text, "teach_condition": storage.text},
 }
 

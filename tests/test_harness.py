@@ -8,22 +8,21 @@ import numpy as np
 import pytest
 
 from stereoloc import autodiff as ad
-from stereoloc import features, harness, matching, synth
+from stereoloc import estimator, features, harness, matching, synth
 from stereoloc.autodiff import Tape
-from stereoloc.errors import ConfigError, ShapeError, TeachFailure
-from stereoloc.estimator import RansacParams
+from stereoloc.errors import ConfigError, DegenerateGeometry, ShapeError, TeachFailure
+from stereoloc.estimator import RansacParams, align_core
 from stereoloc.harness import (
     AnalyticExtractor,
     LearnedExtractor,
     LocalizeParams,
-    RunRecord,
-    emit_report,
     load_map,
     localize,
     nearest_vertex,
     repeat,
     save_map,
     teach,
+    write_condition_matrix,
     write_run_csv,
 )
 from stereoloc.geometry import se3_to_planar
@@ -167,6 +166,57 @@ class TestTeachRefusesDegenerateVertices:
                        K_default).vertices[0]
         assert len(vertex.points3d) == 16
         assert np.array_equal(np.unique(vertex.coords[:, 1]), [2.0, 10.0])
+
+    @staticmethod
+    def refusal(check, *args) -> str | None:
+        try:
+            check(*args)
+        except DegenerateGeometry as e:
+            return str(e)
+        return None
+
+    def test_teach_refuses_exactly_the_sets_align_core_refuses(self, rig, K_default,
+                                                               monkeypatch):
+        """The lifts of the fixed frames above, as teach checks them, and a
+        seeded draw of generic, duplicated, collinear, nearly collinear
+        (width 1e-7 to 1e-3) and too small point sets: teach's check refuses
+        a set, with the same message, exactly when align_core refuses to
+        align it with itself."""
+        frames, _, _ = rig
+        check, lifts = estimator.check_alignable, []
+        monkeypatch.setattr(estimator, "check_alignable", lambda p: (lifts.append(p), check(p)))
+        fixed = [self.frame_valid_on_rows(frames[1], [2]), self.row_at_two_depths(frames[0], 1e-6),
+                 self.row_at_two_depths(frames[0], 1e-3),
+                 self.frame_valid_on_rows(frames[0], [2, 10])]
+        taught = []
+        for frame in fixed:
+            try:
+                taught.append(len(teach([frame], GridExtractor(), K_default).vertices))
+            except TeachFailure:
+                taught.append(0)
+        assert taught == [0, 0, 1, 1] and len(lifts) == len(fixed)
+
+        rng = np.random.default_rng(29)
+        sets = list(lifts)
+        for _ in range(50):
+            n = int(rng.integers(3, 13))
+            generic = rng.normal(size=(n, 3)) + [0.0, 0.0, 5.0]
+            along = rng.normal(size=(n, 1))
+            direction = rng.normal(size=3)
+            line = generic[0] + along * direction
+            across = np.cross(direction, rng.normal(size=3))
+            width = 10.0 ** rng.uniform(-7, -3)
+            sets += [generic, line, line + width * rng.normal(size=(n, 1)) * across,
+                     np.repeat(generic[:1], n, axis=0), generic[rng.integers(0, 2, n)],
+                     generic[: int(rng.integers(0, 3))]]
+        refused = []
+        for p in sets:
+            expected = self.refusal(align_core, p, p, np.ones(len(p)))
+            assert self.refusal(check, p) == expected, p
+            refused.append(expected is not None)
+        # both outcomes occur among the nearly collinear sets
+        near = refused[len(lifts) + 2::6]
+        assert any(near) and not all(near)
 
 
 class TestLocalize:
@@ -493,28 +543,29 @@ class TestReporting:
         assert back["pose_rmse"] == pytest.approx(report.pose_rmse, rel=1e-9)
         assert back["heading_rmse"] == pytest.approx(report.heading_rmse, rel=1e-9)
 
-    def test_condition_matrix_square(self, rig, K_default, tmp_path):
-        frames, extractor, teach_map = rig
-        report = repeat(frames[:2], teach_map, extractor, LocalizeParams(), K_default)
+    def test_condition_matrix_square(self, tmp_path):
         conds = ["dawn", "noon", "night"]
-        records = [
-            RunRecord(f"{tc}-{rc}", tc, rc, report) for tc in conds for rc in conds
-        ]
-        written = emit_report(records, tmp_path)
-        matrix = (tmp_path / "condition_matrix.csv").read_text().splitlines()
-        header = matrix[0].split(",")
-        assert header[0] == "teach\\repeat"
-        assert header[1:] == sorted(conds)
+        cells = {(tc, rc): 10.0 * i + j for i, tc in enumerate(conds)
+                 for j, rc in enumerate(conds)}
+        write_condition_matrix(cells, tmp_path / "m.csv")
+        matrix = (tmp_path / "m.csv").read_text().splitlines()
+        assert matrix[0] == "teach\\repeat,dawn,night,noon"
         assert len(matrix) == 1 + len(conds)
-        for line in matrix[1:]:
-            cells = line.split(",")
-            assert cells[0] in conds
-            assert len(cells) == 1 + len(conds)
-        assert len(written) == len(records) + 1
+        for line, tc in zip(matrix[1:], sorted(conds)):
+            cells_read = line.split(",")
+            assert cells_read[0] == tc
+            assert cells_read[1:] == [repr(cells[tc, rc]) for rc in sorted(conds)]
 
-    def test_emit_report_requires_runs(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report([], tmp_path)
+    def test_condition_matrix_marks_a_missing_pair_nan(self, tmp_path):
+        write_condition_matrix({("noon", "dusk"): 12.5, ("dusk", "noon"): 3.0},
+                               tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_text().splitlines() == [
+            "teach\\repeat,dusk,noon", "dusk,nan,3.0", "noon,12.5,nan"]
+
+    def test_condition_matrix_requires_runs(self, tmp_path):
+        with pytest.raises(ValueError, match="no runs"):
+            write_condition_matrix({}, tmp_path / "m.csv")
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestMapPersistence:

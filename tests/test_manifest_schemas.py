@@ -237,6 +237,11 @@ class TestEveryKey:
         ("run_manifest.json", lambda m: m.update(command="train"), "command 'train' "),
         ("run_manifest.json", lambda m: m.update(config=3), "config 3 "),
         ("run_manifest.json", lambda m: m.pop("config"), "lacks key 'config'"),
+        # the labels of the run's condition matrix cell
+        ("run_manifest.json", lambda m: m["config"].pop("teach_condition"),
+         "config lacks key 'teach_condition'"),
+        ("run_manifest.json", lambda m: m["config"].update(repeat_condition=3),
+         "config.repeat_condition 3 "),
     ])
     def test_report_checks_its_run_files(self, artifacts, tmp_path, capsys, name, edit, head):
         root, _ = artifacts
