@@ -51,7 +51,7 @@ def run(argv=None) -> int:
                           "--condition", rep_cond, "--seed", str(args.seed * 100 + 50 + j),
                           *scene, "--out", str(seq)])
             steps.append(["repeat", "--map", str(map_dir), "--frames", str(seq), *extractor,
-                          "--name", name, "--seed", str(args.seed), "--out", str(rep)])
+                          "--name", name, "--out", str(rep)])
     steps.append(["report", "--runs", *[str(d) for d in repeat_dirs],
                   "--out", str(out / "report")])
 
