@@ -14,16 +14,18 @@ from pathlib import Path
 import numpy as np
 
 from stereoloc import autodiff as ad
-from stereoloc import features, matching, storage, synth
+from stereoloc import features, harness, matching, storage, synth
 from stereoloc.autodiff import Tape, Var
 from stereoloc.errors import (
     DegenerateGeometry,
     InsufficientMatches,
     InvalidViewpoint,
     LocalizationFailure,
+    OutOfBounds,
     StereolocError,
+    TeachFailure,
 )
-from stereoloc.estimator import RansacParams, align_core
+from stereoloc.estimator import RansacParams, align_core, check_alignable
 from stereoloc.features import KeypointSet
 from stereoloc.geometry import (
     CameraIntrinsics,
@@ -545,6 +547,34 @@ def backproject_jacobian(y, K: CameraIntrinsics) -> np.ndarray:
     J[1, 1] = K.b * K.fu / (K.fv * d)
     J[:, 2] = -p / d
     return J
+
+
+# ---------------------------------------------------------------------------
+# teaching
+
+
+def teach_reference(frames, extractor, K: CameraIntrinsics, disparity_source: str = "gt"):
+    """`harness.teach` one frame at a time: each frame's extractor pass is a
+    batch of one, followed at once by its checks."""
+    if disparity_source not in harness.DISPARITY_SOURCES:
+        raise ValueError(
+            f"disparity must be one of {harness.DISPARITY_SOURCES}, not {disparity_source!r}")
+    if not frames:
+        raise TeachFailure("empty teach sequence")
+    vertices = []
+    for i, frame in enumerate(frames):
+        try:
+            coords, desc, scores, p3d, parts = harness._keypoints_numpy(
+                extractor, [frame], disparity_source, K)[0]
+        except (OutOfBounds, InsufficientMatches) as e:  # non-finite pixels, or a bad size
+            raise TeachFailure(f"frame {i}: {e}") from e
+        try:  # no pose can be found against a vertex the alignment refuses
+            check_alignable(p3d)
+        except DegenerateGeometry as e:
+            raise TeachFailure(f"frame {i}: {len(p3d)} lifted points: {e}") from e
+        vertices.append(harness.MapVertex(i, np.asarray(frame.pose, float), coords, desc, scores,
+                                          p3d, frame, parts))
+    return harness.TeachMap(vertices, K, extractor.ident)
 
 
 # ---------------------------------------------------------------------------

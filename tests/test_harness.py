@@ -103,6 +103,23 @@ class TestTeach:
             teach([frames[0], patched, frames[2]], extractor, K_default)
 
 
+    @pytest.mark.parametrize("at", [1, 2, 3])
+    def test_a_frame_of_another_size_names_the_frame_and_both_sizes(self, rig, scene, K_default,
+                                                                     at):
+        # a 32x24 frame extracts, but its vertex would not load with the map
+        frames, extractor, _ = rig
+        small = render_one(scene, (0.1, 0.0, 0.2), synth.default_intrinsics(32, 24),
+                           synth.CONDITIONS["noon"], (24, 32))
+        seq = [*frames[:at], small, *frames[at:4]]
+        with pytest.raises(TeachFailure, match=f"^frame {at}: 32x24 pixels, but frame 0 has 64x48$"):
+            teach(seq, extractor, K_default)
+        left = frames[1].left.copy()
+        left[0, 0] = np.nan
+        seq[1] = StereoFrame(left, frames[1].right, frames[1].disparity, frames[1].pose)
+        with pytest.raises(TeachFailure, match="^frame 1: sample point outside"):  # an earlier one first
+            teach(seq, extractor, K_default)
+
+
 @dataclass
 class GridExtractor:
     """Analytic features whose keypoints sit on whole pixels: two rows and
