@@ -217,7 +217,8 @@ def _keypoints_numpy(
 
 
 # Teach extracts its frames in batches of this many. A batch's im2col columns
-# and stack are live at once: 2 holds peak RSS, 3 adds 1.7% and 10 adds 21%.
+# and stack are live at once: on the 64x48 repeat-day benchmark, 3 raised peak
+# RSS by 3% over 2 and 10 by 21%, and neither taught faster.
 TEACH_BATCH = 2
 
 

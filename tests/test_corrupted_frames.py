@@ -156,9 +156,10 @@ def _taught(teach_fn, frames, ex, K, source):
 @given(n=st.integers(3, 5),
        bad=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(sorted(PIXELS) + sorted(LIFTS))),
                     min_size=1, max_size=2),
-       extractor=st.sampled_from(["analytic", "learned"]), source=st.sampled_from(DISPARITY_SOURCES),
-       top=st.integers(0, 47), left=st.integers(0, 63), height=st.integers(1, 48),
-       width=st.integers(1, 64), value=st.floats(-SCALE, SCALE, width=32))
+       extractor=st.sampled_from(["analytic", "learned"]),
+       source=st.sampled_from(DISPARITY_SOURCES), top=st.integers(0, 47),
+       left=st.integers(0, 63), height=st.integers(1, 48), width=st.integers(1, 64),
+       value=st.floats(-SCALE, SCALE, width=32))
 @example(n=3, bad=[(1, "all NaN")], extractor="learned", source="gt", top=0, left=0, height=1,
          width=1, value=1.0)
 @example(n=5, bad=[(4, "+inf patch"), (2, "lifts on one row")], extractor="analytic",
@@ -177,8 +178,9 @@ def test_teach_in_batches_is_teach_one_frame_at_a_time(
         if name in LIFTS:
             seq[i % n] = LIFTS[name](f, seq, top)
         else:  # pixels as a float32 blob holds them, in both views
-            corrupt = lambda img: PIXELS[name](img, box, value).astype(np.float32).astype(float)  # noqa: E731
-            seq[i % n] = StereoFrame(corrupt(f.left), corrupt(f.right), f.disparity, f.pose)
+            views = (PIXELS[name](img, box, value).astype(np.float32).astype(float)
+                     for img in (f.left, f.right))
+            seq[i % n] = StereoFrame(*views, f.disparity, f.pose)
     ex = extractors[extractor]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

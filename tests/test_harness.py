@@ -102,7 +102,6 @@ class TestTeach:
         with pytest.raises(TeachFailure, match="frame 1"):
             teach([frames[0], patched, frames[2]], extractor, K_default)
 
-
     @pytest.mark.parametrize("at", [1, 2, 3])
     def test_a_frame_of_another_size_names_the_frame_and_both_sizes(self, rig, scene, K_default,
                                                                      at):
@@ -111,12 +110,14 @@ class TestTeach:
         small = render_one(scene, (0.1, 0.0, 0.2), synth.default_intrinsics(32, 24),
                            synth.CONDITIONS["noon"], (24, 32))
         seq = [*frames[:at], small, *frames[at:4]]
-        with pytest.raises(TeachFailure, match=f"^frame {at}: 32x24 pixels, but frame 0 has 64x48$"):
+        with pytest.raises(TeachFailure, match=f"^frame {at}: 32x24 pixels, but frame 0 has "
+                                               "64x48$"):
             teach(seq, extractor, K_default)
-        left = frames[1].left.copy()
+        before = seq[at - 1]  # a bad frame before it fails first
+        left = before.left.copy()
         left[0, 0] = np.nan
-        seq[1] = StereoFrame(left, frames[1].right, frames[1].disparity, frames[1].pose)
-        with pytest.raises(TeachFailure, match="^frame 1: sample point outside"):  # an earlier one first
+        seq[at - 1] = StereoFrame(left, before.right, before.disparity, before.pose)
+        with pytest.raises(TeachFailure, match=f"^frame {at - 1}: sample point outside"):
             teach(seq, extractor, K_default)
 
 
