@@ -363,8 +363,10 @@ def conv2d(x: Var, weight: Var, bias: Var) -> Var:
     """'Same' 2D convolution (zero padding, stride 1, odd kernel sizes).
 
     x: (C_in, B, H, W); weight: (C_out, C_in, kh, kw); bias: (C_out,).
+    Builds no input gradient for a tape constant.
     """
     xv, wv, bv = x.value, weight.value, bias.value
+    x_grad = x.index is not None
     c_out, c_in, kh, kw = wv.shape
     if xv.ndim != 4 or xv.shape[0] != c_in:
         raise ShapeError(f"conv2d input {xv.shape} incompatible with kernel {wv.shape}")
@@ -385,8 +387,10 @@ def conv2d(x: Var, weight: Var, bias: Var) -> Var:
         # weight gradient correlates the input with the same columns of g,
         # which gives it flipped, input and output channels swapped
         gcols = _im2col(g, kh, kw)
-        flipped = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-        gx = (flipped @ gcols).reshape(xv.shape)
+        gx = None
+        if x_grad:
+            flipped = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+            gx = (flipped @ gcols).reshape(xv.shape)
         gw = (xv.reshape(c_in, -1) @ gcols.T).reshape(c_in, c_out, kh, kw)
         gb = g.reshape(c_out, -1).sum(axis=1)
         return gx, gw[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), gb

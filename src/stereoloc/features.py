@@ -107,15 +107,14 @@ def encode(
     """Run the encoder and the score branch on a batch of images (B, H, W):
     the stack's parts, the pooled encoder maps (C_i, B, H/2^i, W/2^i) then
     the (1, B, H, W) score map, and the bottleneck for the keypoint branch."""
-    x = tape.constant(images)
-    if x.value.ndim != 3:
-        raise ShapeError(f"expected a (B, H, W) batch of images, got {x.value.shape}")
-    h, w = x.value.shape[-2:]
+    feat = tape.constant(np.expand_dims(images, 0))  # one input channel, no gradient
+    if feat.value.ndim != 4:
+        raise ShapeError(f"expected a (B, H, W) batch of images, got {feat.value.shape[1:]}")
+    h, w = feat.value.shape[-2:]
     depth = len(cfg.channels)
     if h % (1 << depth) or w % (1 << depth):
         raise ImageSizeError(f"image {h}x{w} not divisible by 2^{depth}")
 
-    feat = ad.reshape(x, (1,) + x.value.shape)
     parts = []
     for i in range(1, depth + 1):
         feat = ad.tanh(ad.conv2d(feat, params[f"enc{i}.weight"], params[f"enc{i}.bias"]))

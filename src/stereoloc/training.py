@@ -1,12 +1,15 @@
 """Losses, Adam optimization, and the training loop.
 
-Each training batch records one tape. Over the whole batch at once: one
-extractor forward on the source frames, their descriptors and scores on the
-targets, windowed keypoint detection, dense soft matching, stereo 3D
-lifting, gating (a pair either of whose points did not lift, or that the
-ground truth calls an outlier, weighs zero), the keypoint loss (planar
-coordinates of the kept pairs) and the pose loss on the differentiable
-weighted-SVD alignment. One backward pass runs on the sum of the kept samples' losses.
+Every 4 samples of a training batch record one tape (`TAPE_SAMPLES`), and
+every 8 of a forward-only pass one no-grad tape (`NO_GRAD_TAPE_SAMPLES`).
+Over a tape's samples at once: one extractor forward on the source frames,
+their descriptors and scores on the targets, windowed keypoint detection,
+dense soft matching, stereo 3D lifting, gating (a pair either of whose
+points did not lift, or that the ground truth calls an outlier, weighs
+zero), the keypoint loss (planar coordinates of the kept pairs) and the pose
+loss on the differentiable weighted-SVD alignment. One backward pass per
+gradient tape runs on the sum of its kept samples' losses; each sample's
+values are the same bits on a tape of any width.
 The tapes are float32 (`TRAINING_DTYPE`); the gradient checks pass float64.
 Early stopping watches the validation loss; the best-validation weights
 win.
@@ -69,10 +72,16 @@ class TrainConfig:
 # loss that reads it; the gradient checks pass float64.
 TRAINING_DTYPE = np.float32
 
-# Samples recorded on one tape: the training batch. Validation hands
-# `total_loss` all its samples, and one tape over them all would hold every
-# image's maps at once.
+# Samples recorded on one gradient tape: the training batch. Validation
+# hands `total_loss` all its samples, and one tape over them all would hold
+# every image's maps at once.
 TAPE_SAMPLES = 4
+# Samples on one no-grad tape. It records nothing, so at 32x24 the time of
+# a 4-sample pass is mostly per-call overhead: on train-desk, 8 samples cut
+# validation 20% per sample (1.76 -> 1.40 ms) for +3% peak RSS. 16 cut 30%,
+# but held 8.6 MB at its peak against 4.4 (tracemalloc, 16 pairs), +6.5 MB
+# peak RSS (+12%). Every op runs per sample, so any width gives the same bits.
+NO_GRAD_TAPE_SAMPLES = 8
 
 
 @dataclass
@@ -172,9 +181,10 @@ def total_loss(
 ) -> tuple[float, dict[str, np.ndarray] | None, list[SampleStats]]:
     """Mean loss over samples, with gradients accumulated in a fixed order.
 
-    Each run of up to TAPE_SAMPLES samples records one tape of `dtype` and,
-    with gradients, one backward pass over the sum of its losses; the
-    returned gradients are float64, as the weights are. Skipped samples
+    Each run of up to TAPE_SAMPLES samples (NO_GRAD_TAPE_SAMPLES without
+    gradients) records one tape of `dtype` and, with gradients, one backward
+    pass over the sum of its losses; the returned gradients are float64, as
+    the weights are. Skipped samples
     contribute nothing; if every sample is skipped the loss is nan and the
     gradients are zero. A pair with a non-finite pixel in either image the
     extractor reads (the left views) stays off the tapes, skipped.
@@ -188,12 +198,13 @@ def total_loss(
     finite = [np.isfinite(s.source.left).all() and np.isfinite(s.target.left).all()
               for s in samples]
     taped = [s for s, ok in zip(samples, finite) if ok]
+    width = TAPE_SAMPLES if compute_grads else NO_GRAD_TAPE_SAMPLES
     losses = []
     stats_all = []
-    for start in range(0, len(taped), TAPE_SAMPLES):
+    for start in range(0, len(taped), width):
         tape = Tape(grad=compute_grads, dtype=dtype)
         params = weights.bind(tape)
-        loss, stats = batch_loss(tape, params, cfg, taped[start : start + TAPE_SAMPLES], K, lcfg)
+        loss, stats = batch_loss(tape, params, cfg, taped[start : start + width], K, lcfg)
         stats_all += stats
         losses += [s.total for s in stats if not s.skipped]
         if compute_grads and loss is not None:

@@ -300,8 +300,8 @@ class TestBatchAxis:
 
 class TestConstantOperands:
     """mul and matmul build no gradient for an operand that is a tape
-    constant; the other operand's gradient is bitwise the one taken with
-    both operands as parameters."""
+    constant, nor conv2d for its input; the other operands' gradients are
+    bitwise the ones taken with every operand a parameter."""
 
     @pytest.mark.parametrize("op, shapes", [
         (ad.mul, ((4, 3, 5), ())),  # a temperature times similarities
@@ -336,6 +336,30 @@ class TestConstantOperands:
             assert pulled[1 - constant] is not None
             grads.append(backward(t, scalarize(out, up))[operands[1 - constant].index])
         assert _same_bits(*grads)
+
+    def test_conv2d_builds_no_input_gradient_for_a_constant(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        x0, w0 = rng.normal(size=(2, 3, 6, 8)), rng.normal(size=(4, 2, 3, 3))
+        b0 = rng.normal(size=4)
+        up = rng.normal(size=(4, 3, 6, 8))
+        pullbacks = []
+        record = Tape.record
+
+        def kept(tape, value, parents, pullback):
+            pullbacks.append(pullback)
+            return record(tape, value, parents, pullback)
+
+        monkeypatch.setattr(Tape, "record", kept)
+        pulled = []
+        for as_param in (True, False):
+            t = Tape()
+            x = t.param(x0) if as_param else t.constant(x0)
+            pullbacks.clear()
+            ad.conv2d(x, t.param(w0), t.param(b0))
+            pulled.append(pullbacks[0](up))
+        (gx, gw, gb), (gx_const, gw_const, gb_const) = pulled
+        assert gx is not None and gx_const is None
+        assert _same_bits(gw, gw_const) and _same_bits(gb, gb_const)
 
 
 class TestPullbacksKeepShapes:

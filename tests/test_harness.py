@@ -749,10 +749,11 @@ class TestStatelessLocalize:
             # all 10 for the live frame's full forward; the vertex's stack
             # is rebuilt from its stored parts, with no extractor pass
             assert len(convs) == 10
-            # one per primitive (constants are not records): the vertex's 25
-            # extractor records give way to 3 upsamples and a concat, and
-            # each stack sample takes its score channel by one int take
-            assert len(records) == 68
+            # one per primitive (constants, the image batch among them, are
+            # not records): the vertex's 24 extractor records give way to 3
+            # upsamples and a concat, and each stack sample takes its score
+            # channel by one int take
+            assert len(records) == 67
             assert len(tapes) == 2  # live frame; vertex stack and matching
             assert not any(t.grad for t in tapes)
             assert all(t.dtype == np.float32 for t in tapes)

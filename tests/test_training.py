@@ -188,11 +188,48 @@ class TestSampleLoss:
         mean, grads, stats = total_loss(samples, w, lcfg, K, compute_grads=False,
                                         dtype=np.float64)
         assert grads is None
-        # one tape per batch of 4 samples
-        assert len(samples) == 8 and len(tapes) == 2 and not any(t.grad for t in tapes)
+        # one no-grad tape of 8 samples; the gradient pass recorded 2 tapes of
+        # 4, so the bitwise equality below holds across the two widths
+        assert len(samples) == 8 and len(tapes) == 1 and not tapes[0].grad
         assert np.float64(mean).tobytes() == np.float64(with_grads[0]).tobytes()
         assert repr(stats) == repr(with_grads[2])  # repr: exact floats, NaN == NaN
         assert any(not s.skipped for s in stats)
+
+    def test_forward_only_tapes_of_eight_give_each_sample_its_bits_alone(
+        self, scene, monkeypatch
+    ):
+        """11 pairs, pair 5 with a NaN left pixel: the other 10 go on one
+        no-grad tape of 8 and one of 2, and each sample's stats, and the mean
+        over the kept ones, are the bits of that sample on a tape of its own."""
+        samples, K = tiny_dataset(scene, count=11, seed=12)
+        frame = samples[5].source
+        left = frame.left.copy()
+        left[3, 7] = np.nan
+        samples[5] = dataclasses.replace(samples[5], source=dataclasses.replace(frame, left=left))
+        w = features.init_weights(features.ExtractorConfig(window=8, seed=6))
+        lcfg = LossConfig()
+        singles = [total_loss([s], w, lcfg, K, compute_grads=False) for s in samples]
+        tapes, widths = [], []
+        tape_cls, batch_loss = training.Tape, training.batch_loss
+
+        def recorded(grad=True, dtype=np.float64):
+            tapes.append(tape_cls(grad, dtype))
+            return tapes[-1]
+
+        def counted(tape, params, cfg, batch, *args):
+            widths.append((tape, len(batch)))
+            return batch_loss(tape, params, cfg, batch, *args)
+
+        monkeypatch.setattr(training, "Tape", recorded)
+        monkeypatch.setattr(training, "batch_loss", counted)
+        mean, grads, stats = total_loss(samples, w, lcfg, K, compute_grads=False)
+        assert grads is None and not any(t.grad for t in tapes)
+        assert widths == list(zip(tapes, [8, 2]))
+        assert stats[5].skipped
+        assert repr(stats) == repr([single[2][0] for single in singles])
+        kept = [single[0] for single in singles if not single[2][0].skipped]
+        assert len(kept) > 1
+        assert np.float64(mean).tobytes() == np.float64(np.mean(kept)).tobytes()
 
     def test_target_pass_runs_no_keypoint_branch(self, small_data, monkeypatch):
         samples, K = small_data
@@ -283,15 +320,15 @@ class TestSampleLoss:
         samples, K = small_data
         w = features.init_weights(features.ExtractorConfig(window=8, seed=2))
         peaks = {}
-        for count in (4, 16):
+        for count in (8, 32):
             tracemalloc.start()
             try:
-                total_loss((samples * 2)[:count], w, LossConfig(), K, compute_grads=False)
+                total_loss((samples * 4)[:count], w, LossConfig(), K, compute_grads=False)
                 peaks[count] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # at most TAPE_SAMPLES samples share a tape
-        assert peaks[16] <= 1.25 * peaks[4]
+        # at most NO_GRAD_TAPE_SAMPLES samples share a tape
+        assert peaks[32] <= 1.25 * peaks[8]
 
     def test_loss_config_validation(self):
         with pytest.raises(ValueError):
