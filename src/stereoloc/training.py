@@ -76,11 +76,12 @@ TRAINING_DTYPE = np.float32
 # hands `total_loss` all its samples, and one tape over them all would hold
 # every image's maps at once.
 TAPE_SAMPLES = 4
-# Samples on one no-grad tape. It records nothing, so at 32x24 the time of
-# a 4-sample pass is mostly per-call overhead: on train-desk, 8 samples cut
-# validation 20% per sample (1.76 -> 1.40 ms) for +3% peak RSS. 16 cut 30%,
-# but held 8.6 MB at its peak against 4.4 (tracemalloc, 16 pairs), +6.5 MB
-# peak RSS (+12%). Every op runs per sample, so any width gives the same bits.
+# Samples on one no-grad tape. It records nothing, so at 32x24 a 4-sample
+# pass spends most of its time on per-call overhead: on train-desk, tapes of
+# 8 take validation from 1.97 to 1.60 ms per sample for +2% peak RSS. Tapes
+# of 16 save 14% more, but a pass over 16 pairs peaks at 9.0 MB traced
+# against 4.6, and peak RSS rises 5.5 MB (+12% over tapes of 4). Every op
+# runs per sample, so any width gives each sample the same bits.
 NO_GRAD_TAPE_SAMPLES = 8
 
 
@@ -184,10 +185,10 @@ def total_loss(
     Each run of up to TAPE_SAMPLES samples (NO_GRAD_TAPE_SAMPLES without
     gradients) records one tape of `dtype` and, with gradients, one backward
     pass over the sum of its losses; the returned gradients are float64, as
-    the weights are. Skipped samples
-    contribute nothing; if every sample is skipped the loss is nan and the
-    gradients are zero. A pair with a non-finite pixel in either image the
-    extractor reads (the left views) stays off the tapes, skipped.
+    the weights are. Skipped samples contribute nothing; if every sample is
+    skipped the loss is nan and the gradients are zero. A pair with a
+    non-finite pixel in either image the extractor reads (the left views)
+    stays off the tapes, skipped.
     """
     cfg = weights.config
     grad_sum = (
