@@ -1041,6 +1041,36 @@ class TestRigidAlignBatch:
             assert all(np.isfinite(g[i]).all() for g in grads)
 
 
+class TestRigidAlignIsAlignCore:
+    """On a set whose weights are all positive, `rigid_align`'s row is
+    `align_core`'s (C, r) bit for bit, aligned alone or beside other sets,
+    good or degenerate, of the same size."""
+
+    KINDS = [k for k in SET_KINDS if k != "tied spectrum"]  # a cube has 8 points
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_are_align_core_bitwise(self, seed):
+        rng = np.random.default_rng((61, seed))
+        t = Tape()
+        for _ in range(25):
+            n = int(rng.integers(3, 201))
+            ps = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-2, 2) + rng.normal(size=3)
+            C0, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            pt = ps @ C0.T + rng.normal(size=3) + rng.uniform(0, 0.5) * rng.normal(size=(n, 3))
+            w = rng.uniform(0.01, 2.0, size=n)
+            C, r = align_core(ps, pt, w)[:2]
+            expected = np.concatenate([C.ravel(), r])[None]
+            alone = ad.rigid_align(*(t.constant(x[None]) for x in (ps, pt, w))).value
+            assert _same_bits(alone, expected)
+            others = [_alignment_set(k, rng, n) for k in rng.choice(self.KINDS, size=2)]
+            at = int(rng.integers(0, 3))
+            others.insert(at, (ps, pt, w))
+            batch = (np.stack(x) for x in zip(*others))
+            with np.errstate(invalid="ignore"):
+                mixed = ad.rigid_align(*(t.constant(x) for x in batch)).value
+            assert _same_bits(mixed[at:at + 1], expected)
+
+
 def _with_specials(x: np.ndarray, rng) -> np.ndarray:
     """x with values spanning 1e-8 to 1e8 and a sprinkle of NaN, +-inf."""
     x = x * 10.0 ** rng.integers(-8, 9, size=x.shape)

@@ -15,6 +15,7 @@ from stereoloc.estimator import (
     _minimal_set_poses,
     _minimal_sets,
     align_core,
+    check_alignable,
     gt_outlier_gate,
     ransac_pose,
     rotation_from_covariance,
@@ -344,6 +345,47 @@ class TestRansacNonFinite:
         ps = np.full((10, 3), np.nan)
         with pytest.raises(LocalizationFailure):
             ransac_pose(ps, ps.copy(), np.ones(10), RansacParams(iterations=20))
+
+
+class TestAlignmentNonFinite:
+    """A non-finite positively weighted pair, or an infinite weight, is
+    degenerate geometry, refused without a warning; a zero-weight pair may
+    hold anything."""
+
+    @staticmethod
+    def instance(seed):
+        ps, pt, w, _, _ = planar_instance(seed, n=6)
+        return ps, pt, w
+
+    @pytest.mark.parametrize("where, bad", [(where, bad) for where in (0, 1)
+                                            for bad in (np.nan, np.inf, -np.inf)]
+                             + [(2, np.inf)])  # a NaN weight is not positive
+    def test_align_core_refuses(self, where, bad):
+        ps, pt, w = self.instance(12)
+        (ps, pt, w)[where][3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateGeometry, match="non-finite"):
+                align_core(ps, pt, w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_check_alignable_refuses(self, bad):
+        points = self.instance(13)[0]
+        points[2, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateGeometry, match="non-finite"):
+                check_alignable(points)
+
+    def test_zero_weight_pair_may_be_non_finite(self):
+        ps, pt, w = self.instance(14)
+        base = align_core(ps, pt, w)[:2]
+        ps2 = np.concatenate([ps, [[np.nan, 1.0, 2.0]]])
+        pt2 = np.concatenate([pt, [[np.inf, 0.0, 0.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            poisoned = align_core(ps2, pt2, np.concatenate([w, [0.0]]))[:2]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(base, poisoned))
 
 
 TRIANGLE_KINDS = ("random", "rigid", "mirror", "near-collinear", "duplicated", "non-finite")
