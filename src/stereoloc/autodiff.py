@@ -586,32 +586,17 @@ def rigid_align(p_s: Var, p_t: Var, w: Var) -> Var:
     `estimator`'s closed form; pairs of zero weight take no part.
 
     Differentiates the SVD solution with the batched adjoint of Ionescu et
-    al. (ICCV 2015). A set with fewer than 3 positively weighted pairs, a
-    non-finite weighted pair, nearly collinear points or a near-tied
-    spectrum (where the adjoint would blow up) gives a NaN row with zero
-    gradient.
+    al. (ICCV 2015). A set `estimator.align_core` would refuse (fewer than
+    3 positively weighted pairs, a non-finite one, or nearly collinear
+    points) or with a near-tied spectrum, where the adjoint would blow up,
+    gives a NaN row with zero gradient.
 
     Computes in float64 on any tape, and its rows and input gradients are
     float64: near a tied spectrum the adjoint's 1 / (s_j^2 - s_i^2) would
     amplify a float32 SVD's rounding into the gradient.
     """
     ps, pt, wv = (np.asarray(x.value, dtype=np.float64) for x in (p_s, p_t, w))
-    active = wv > 0
-    finite = np.isfinite(ps).all(axis=-1) & np.isfinite(pt).all(axis=-1) & np.isfinite(wv)
-    ok = (active.sum(axis=1) >= 3) & (finite | ~active).all(axis=1)
-    use = active & ok[:, None]
-    wz = np.where(use, wv, 0.0)
-    wsum = np.where(ok, wz.sum(axis=1), 1.0)[:, None]  # a set left out weighs 0
-    wn = wz / wsum
-    ps0 = np.where(use[..., None], ps, 0.0)
-    pt0 = np.where(use[..., None], pt, 0.0)
-    mu_s = (wn[:, None] @ ps0)[:, 0]
-    mu_t = (wn[:, None] @ pt0)[:, 0]
-    a = ps0 - mu_s[:, None]
-    b = pt0 - mu_t[:, None]
-    W = np.swapaxes(b * wn[..., None], 1, 2) @ a
-    ok &= np.isfinite(W).all(axis=(1, 2))
-    W[~ok] = np.eye(3)  # a stand-in the SVD accepts; its row is NaN
+    _, ok, (use, wn, wsum, ps0, pt0, mu_s, mu_t, a, b, W) = _estimator.centre_pairs(ps, pt, wv)
     C, (U, s, Vt, D), collinear = _estimator.rotation_from_covariance(W)
     gap = -np.diff(s, axis=1).max(axis=1)
     ok &= ~collinear & (gap >= 1e-8 * np.maximum(1.0, s[:, 0]))

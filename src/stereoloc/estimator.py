@@ -45,59 +45,78 @@ def _spectrum(W: np.ndarray):
     return U, s, Vt, s[..., 1] <= COLLINEARITY_TOL * np.maximum(s[..., 0], 1e-300)
 
 
-def _proper_rotation(U: np.ndarray, Vt: np.ndarray):
-    """C = U D Vt, a proper rotation by D = diag(1, 1, sign det(U Vt)), and D."""
-    D = np.broadcast_to(np.eye(3), U.shape).copy()
-    D[..., 2, 2] = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
-    return U @ D @ Vt, D
-
-
 def rotation_from_covariance(W: np.ndarray):
     """Closed-form rotations for a (..., 3, 3) stack of cross-covariances:
-    (C, (U, s, Vt, D), collinear), C the proper rotation maximizing
-    tr(C^T W) and collinear the flag of `_spectrum`."""
+    (C, (U, s, Vt, D), collinear), C = U D Vt the proper rotation maximizing
+    tr(C^T W), D = diag(1, 1, sign det(U Vt)), collinear `_spectrum`'s flag."""
     U, s, Vt, collinear = _spectrum(W)
-    C, D = _proper_rotation(U, Vt)
-    return C, (U, s, Vt, D), collinear
+    D = np.broadcast_to(np.eye(3), U.shape).copy()
+    D[..., 2, 2] = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
+    return U @ D @ Vt, (U, s, Vt, D), collinear
 
 
-def _centred_spectrum(p_s, p_t, w):
-    """align_core up to its refusals: drop zero-weight pairs, refuse fewer
-    than 3 positively weighted pairs, centre on the weighted centroids and
-    refuse a nearly collinear cross-covariance. Returns the centroids and
-    the cross-covariance's SVD."""
+def centre_pairs(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
+    """Weighted centring of (B, N, 3) point sets under (B, N) weights, on each
+    set's positively weighted pairs: (enough, ok, (use, wn, wsum, ps0, pt0,
+    mu_s, mu_t, a, b, W)). Per set, enough flags 3 or more such pairs and ok
+    also flags them and W finite; a set that is not ok weighs 0, and its
+    cross-covariance W is the identity, a stand-in the SVD accepts. ps0 and
+    pt0 zero the pairs `use` leaves out; a and b are them centred."""
+    active = w > 0
+    finite = np.isfinite(p_s).all(axis=-1) & np.isfinite(p_t).all(axis=-1) & np.isfinite(w)
+    enough = active.sum(axis=1) >= 3
+    ok = enough & (finite | ~active).all(axis=1)
+    use = active & ok[:, None]
+    if use.all():  # np.where would give back the same values, laid out alike
+        ps0, pt0 = np.ascontiguousarray(p_s), np.ascontiguousarray(p_t)
+    else:
+        w = np.where(use, w, 0.0)
+        ps0, pt0 = (np.where(use[..., None], p, 0.0) for p in (p_s, p_t))
+    wsum = np.where(ok, w.sum(axis=1), 1.0)[:, None]  # a set left out weighs 0
+    wn = w / wsum
+    mu_s = (wn[:, None] @ ps0)[:, 0]
+    mu_t = (wn[:, None] @ pt0)[:, 0]
+    a = ps0 - mu_s[:, None]
+    b = pt0 - mu_t[:, None]
+    W = np.swapaxes(b * wn[..., None], 1, 2) @ a
+    ok &= np.isfinite(W).all(axis=(1, 2))
+    if not ok.all():
+        W[~ok] = np.eye(3)
+    return enough, ok, (use, wn, wsum, ps0, pt0, mu_s, mu_t, a, b, W)
+
+
+def _refuse(enough, ok, s, collinear) -> None:
+    """Raise the DegenerateGeometry of a batch of one set by the flags of
+    `centre_pairs` and then of `_spectrum`."""
+    if not enough[0]:
+        raise DegenerateGeometry("fewer than 3 positively weighted pairs")
+    if not ok[0]:
+        raise DegenerateGeometry("non-finite weighted pair or cross-covariance")
+    if collinear[0]:
+        raise DegenerateGeometry(f"weighted points nearly collinear (spectrum {s[0]})")
+
+
+def check_alignable(points: np.ndarray) -> None:
+    """Raise the DegenerateGeometry of `align_core(points, points, ones)`, with
+    no rotation solved: fewer than 3 points, non-finite or collinear ones."""
+    points = np.asarray(points, dtype=float)[None]
+    enough, ok, parts = centre_pairs(points, points, np.ones(points.shape[:2]))
+    _, s, _, collinear = _spectrum(parts[-1])
+    _refuse(enough, ok, s, collinear)
+
+
+def align_core(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
+    """Closed-form weighted alignment of one set, (C, r). Weights are
+    normalized, so the solution is invariant to a uniform rescaling of w;
+    zero-weight pairs are dropped up front, so they are bitwise inert."""
     p_s, p_t, w = (np.asarray(a, dtype=float) for a in (p_s, p_t, w))
     active = w > 0
     if not active.all():
         p_s, p_t, w = p_s[active], p_t[active], w[active]
-    if len(w) < 3 or w.sum() <= 0:
-        raise DegenerateGeometry("fewer than 3 positively weighted pairs")
-    wn = w / w.sum()
-    mu_s = wn @ p_s
-    mu_t = wn @ p_t
-    W = ((p_t - mu_t) * wn[:, None]).T @ (p_s - mu_s)
-    U, s, Vt, collinear = _spectrum(W)
-    if collinear:
-        raise DegenerateGeometry(f"weighted points nearly collinear (spectrum {s})")
-    return mu_s, mu_t, U, s, Vt
-
-
-def check_alignable(points: np.ndarray) -> None:
-    """Raise the DegenerateGeometry of `align_core(points, points, ones)`: fewer
-    than 3 points, or duplicated or collinear ones. The pose is not solved."""
-    _centred_spectrum(points, points, np.ones(len(points)))
-
-
-def align_core(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
-    """Closed-form weighted alignment; returns (C, r, svd factors).
-
-    Weights are normalized internally, so the solution is invariant to a
-    uniform rescaling of w. Zero-weight pairs are dropped up front, which
-    makes the solution bitwise independent of their presence.
-    """
-    mu_s, mu_t, U, s, Vt = _centred_spectrum(p_s, p_t, w)
-    C, D = _proper_rotation(U, Vt)
-    return C, mu_t - C @ mu_s, (U, s, Vt, D)
+    enough, ok, (*_, mu_s, mu_t, _, _, W) = centre_pairs(p_s[None], p_t[None], w[None])
+    C, (_, s, _, _), collinear = rotation_from_covariance(W)
+    _refuse(enough, ok, s, collinear)
+    return C[0], mu_t[0] - C[0] @ mu_s[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -218,7 +237,7 @@ def ransac_pose(
     w_in = w[best_mask]
     if w_in.sum() <= 0 or int((w_in > 0).sum()) < 3:
         w_in = np.ones(best_count)
-    C, r, _ = align_core(p_s[best_mask], p_t[best_mask], w_in)
+    C, r = align_core(p_s[best_mask], p_t[best_mask], w_in)
     return SE3Pose(C, r), best_mask
 
 

@@ -372,7 +372,7 @@ class AlignmentProblem:
 
 def weighted_alignment(prob: AlignmentProblem) -> SE3Pose:
     """Pose minimizing the weighted squared alignment cost."""
-    C, r, _ = align_core(prob.p_s, prob.p_t, prob.w)
+    C, r = align_core(prob.p_s, prob.p_t, prob.w)
     return SE3Pose(C, r)
 
 
@@ -423,7 +423,7 @@ def ransac_pose_reference(
     for _ in range(params.iterations):
         idx = rng.choice(n, size=3, replace=False)
         try:
-            C, r, _ = align_core(p_s[idx], p_t[idx], ones)
+            C, r = align_core(p_s[idx], p_t[idx], ones)
         except DegenerateGeometry:
             continue
         res = np.linalg.norm(p_s @ C.T + r - p_t, axis=1)

@@ -1036,7 +1036,7 @@ class TestRigidAlignBatch:
                 continue
             alone = ad.rigid_align(*(t.constant(x[i:i + 1]) for x in (ps, pt, w))).value
             assert _same_bits(out[i:i + 1], alone)
-            C, r, _ = align_core(ps[i], pt[i], w[i])
+            C, r = align_core(ps[i], pt[i], w[i])
             assert np.abs(out[i] - np.concatenate([C.ravel(), r])).max() <= 1e-12
             assert all(np.isfinite(g[i]).all() for g in grads)
 
@@ -1058,7 +1058,7 @@ class TestRigidAlignIsAlignCore:
             C0, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             pt = ps @ C0.T + rng.normal(size=3) + rng.uniform(0, 0.5) * rng.normal(size=(n, 3))
             w = rng.uniform(0.01, 2.0, size=n)
-            C, r = align_core(ps, pt, w)[:2]
+            C, r = align_core(ps, pt, w)
             expected = np.concatenate([C.ravel(), r])[None]
             alone = ad.rigid_align(*(t.constant(x[None]) for x in (ps, pt, w))).value
             assert _same_bits(alone, expected)

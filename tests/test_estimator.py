@@ -379,12 +379,12 @@ class TestAlignmentNonFinite:
 
     def test_zero_weight_pair_may_be_non_finite(self):
         ps, pt, w = self.instance(14)
-        base = align_core(ps, pt, w)[:2]
+        base = align_core(ps, pt, w)
         ps2 = np.concatenate([ps, [[np.nan, 1.0, 2.0]]])
         pt2 = np.concatenate([pt, [[np.inf, 0.0, 0.0]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            poisoned = align_core(ps2, pt2, np.concatenate([w, [0.0]]))[:2]
+            poisoned = align_core(ps2, pt2, np.concatenate([w, [0.0]]))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(base, poisoned))
 
 
