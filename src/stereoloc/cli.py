@@ -80,9 +80,11 @@ def _write_run_manifest(out_dir: Path, args: argparse.Namespace) -> None:
 def _parse_size(text: str) -> tuple[int, int]:
     try:
         w, h = (int(p) for p in text.lower().split("x"))
-        return h, w
     except ValueError as e:
         raise ConfigError(f"bad --size {text!r}, expected WxH") from e
+    if min(w, h) < 1:
+        raise ConfigError(f"bad --size {text!r}: each side must be at least 1 pixel")
+    return h, w
 
 
 def _init_weights(args) -> features.ExtractorWeights:

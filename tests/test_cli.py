@@ -336,6 +336,17 @@ class TestExitCodes:
         assert "error: data: " in err and setting in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("size", ["64x0", "0x48", "64x-48", "-64x48"])
+    @pytest.mark.parametrize("command", ["path", "pairs", "eval-grad"])
+    def test_a_size_without_pixels_is_3(self, tmp_path, capsys, command, size):
+        out = tmp_path / "out"
+        argv = (["eval-grad", "--channels", "1,2,2"] if command == "eval-grad" else
+                ["synth", "--kind", command, "--count", "2", "--out", str(out)])
+        assert main([*argv, f"--size={size}"]) == 3  # one token: "-64x48" is no flag
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and f"--size {size!r}" in err
+        assert not out.exists()
+
     def test_analytic_window_of_zero_is_3(self, tmp_path, capsys):
         seq = tmp_path / "seq"
         assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
