@@ -7,10 +7,12 @@ Thin wrapper over the CLI subcommands, as scripts/run_experiment.py is:
 
     python scripts/condition_matrix.py --out runs/matrix --ckpt runs/exp0/train/checkpoint
 
-Without `--ckpt` the maps are taught with analytic features. Each repeat
-condition's live sequence is rendered once per teach sequence from one
-seed, so its frames are the same under every teach condition. The matrix
-and the per-run table land in `<out>/report`.
+Without `--ckpt` the maps are taught with analytic features. Every teach
+sequence follows the same path, so each repeat condition's live sequence
+is rendered once, from one seed, as a repeat of the first teach sequence,
+and repeated against every map. A run's teach label is its map's: `teach`
+records the condition of the sequence it taught. The matrix and the
+per-run table land in `<out>/report`.
 """
 
 import argparse
@@ -38,20 +40,24 @@ def run(argv=None) -> int:
     extractor = ["--ckpt", args.ckpt] if args.ckpt else ["--features", "analytic"]
     steps, repeat_dirs = [], []
     for i, teach_cond in enumerate(args.conditions):
-        teach_seq, map_dir = out / f"teach_{teach_cond}", out / f"map_{teach_cond}"
+        teach_seq = out / f"teach_{teach_cond}"
         steps.append(["synth", "--kind", "path", "--count", str(args.frames),
                       "--condition", teach_cond, "--seed", str(args.seed * 100 + i), *scene,
                       "--out", str(teach_seq)])
-        steps.append(["teach", "--frames", str(teach_seq), *extractor, "--out", str(map_dir)])
-        for j, rep_cond in enumerate(args.conditions):
+        steps.append(["teach", "--frames", str(teach_seq), *extractor,
+                      "--out", str(out / f"map_{teach_cond}")])
+    path = out / f"teach_{args.conditions[0]}"  # every teach sequence's poses
+    for j, rep_cond in enumerate(args.conditions):
+        steps.append(["synth", "--kind", "repeat", "--of", str(path), "--condition", rep_cond,
+                      "--seed", str(args.seed * 100 + 50 + j), *scene,
+                      "--out", str(out / f"seq_{rep_cond}")])
+    for teach_cond in args.conditions:
+        for rep_cond in args.conditions:
             name = f"{teach_cond}_vs_{rep_cond}"
-            seq, rep = out / f"seq_{name}", out / f"repeat_{name}"
-            repeat_dirs.append(rep)
-            steps.append(["synth", "--kind", "repeat", "--of", str(teach_seq),
-                          "--condition", rep_cond, "--seed", str(args.seed * 100 + 50 + j),
-                          *scene, "--out", str(seq)])
-            steps.append(["repeat", "--map", str(map_dir), "--frames", str(seq), *extractor,
-                          "--name", name, "--out", str(rep)])
+            repeat_dirs.append(out / f"repeat_{name}")
+            steps.append(["repeat", "--map", str(out / f"map_{teach_cond}"),
+                          "--frames", str(out / f"seq_{rep_cond}"), *extractor,
+                          "--name", name, "--out", str(repeat_dirs[-1])])
     steps.append(["report", "--runs", *[str(d) for d in repeat_dirs],
                   "--out", str(out / "report")])
 

@@ -130,9 +130,7 @@ def cmd_synth(args) -> int:
         poses = np.array([e["pose"] for e in manifest["frames"]])
         live, _ = synth.offset_poses(poses, seed=args.seed)
         frames = synth.render_sequence(scene, live, args.condition, K, size, args.seed)
-        synth.save_sequence(out, frames, K, args.condition, args.seed,
-                            extra={"repeat_of": str(args.of),
-                                   "teach_condition": manifest["condition"]})
+        synth.save_sequence(out, frames, K, args.condition, args.seed)
     else:
         raise ConfigError(f"unknown kind {args.kind!r}")
     _write_run_manifest(out, args)
@@ -220,6 +218,7 @@ def cmd_teach(args) -> int:
     extractor = _load_extractor(args)
     teach_map = harness.teach(frames, extractor, K, disparity_source=args.disparity)
     harness.save_map(out, teach_map)
+    args.teach_condition = manifest["condition"]  # `repeat` labels its runs by it
     _write_run_manifest(out, args)
     print(f"taught {len(teach_map.vertices)} vertices into {out}")
     return 0
@@ -229,6 +228,9 @@ def cmd_teach(args) -> int:
 # config holds the run's two condition labels, and summary.json, the RunReport fields named here.
 RUN_MANIFEST_SCHEMA = {"command": "repeat", "config": {
     "teach_condition": storage.text, "repeat_condition": storage.text}}
+# The run manifest `teach` writes into a map directory; a map taught before it
+# recorded the condition of its sequence gives its repeat runs the teach label `teach`.
+TEACH_MANIFEST_SCHEMA = {"command": "teach", "config": {"teach_condition?": storage.text}}
 SUMMARY_SCHEMA = {key: storage.number for key in (
     "mean_inliers", "failure_count", "failure_fraction", "pose_rmse", "heading_rmse")}
 
@@ -251,8 +253,12 @@ def cmd_repeat(args) -> int:
         disparity=args.disparity,
     )
     report = harness.repeat(frames, teach_map, extractor, params, teach_map.K)
-    # the run manifest records both labels of the run's condition matrix cell
-    args.teach_condition = manifest.get("extra", {}).get("teach_condition", "teach")
+    # the run manifest records both labels of the run's condition matrix cell: the
+    # map's teach condition and the live sequence's condition
+    teach_run = Path(args.map) / "run_manifest.json"
+    taught = (storage.read_json(teach_run, TEACH_MANIFEST_SCHEMA)["config"]
+              if teach_run.is_file() else {})
+    args.teach_condition = taught.get("teach_condition", "teach")
     args.repeat_condition = manifest["condition"]
     name = args.name or args.repeat_condition
     harness.write_run_csv(report, out / f"run_{name}.csv")

@@ -572,10 +572,8 @@ def load_dataset(directory: str | Path) -> tuple[list[Sample], dict]:
     return samples, manifest
 
 
-def save_sequence(
-    out_dir: str | Path, frames: list[StereoFrame], K: CameraIntrinsics,
-    condition: str, seed: int, extra: dict | None = None,
-) -> Path:
+def save_sequence(out_dir: str | Path, frames: list[StereoFrame], K: CameraIntrinsics,
+                  condition: str, seed: int) -> Path:
     if not frames:
         raise ValueError("no frames to save")
     out_dir = Path(out_dir)
@@ -585,17 +583,14 @@ def save_sequence(
         storage.write_blob(out_dir / fname, frame_blob(frame))
         entries.append({"file": fname, "pose": frame.pose.tolist()})
     h, w = frames[0].left.shape
-    manifest = {
+    storage.write_manifest(out_dir, {
         "kind": "sequence",
         "condition": condition,
         "seed": int(seed),
         "image_size": [h, w],
         "camera": asdict(K),
         "frames": entries,
-    }
-    if extra:
-        manifest["extra"] = extra
-    storage.write_manifest(out_dir, manifest)
+    })
     return out_dir
 
 
@@ -603,8 +598,6 @@ SEQUENCE_SCHEMA = {
     "kind": "sequence", "condition": storage.text, "seed": storage.count,
     "image_size": [storage.size, 2], "camera": CAMERA_SCHEMA,
     "frames": [{"file": storage.file_name, "pose": POSE_SCHEMA}],
-    # a repeat sequence's; `repeat` records `teach_condition` as its run's teach label
-    "extra?": {"repeat_of": storage.text, "teach_condition": storage.text},
 }
 
 

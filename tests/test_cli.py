@@ -200,6 +200,43 @@ class TestSubcommands:
         table = (rpt / "aggregate.csv").read_text().splitlines()
         assert len(table) == 2  # header + one run
 
+    def test_the_teach_label_is_the_maps(self, tmp_path, capsys):
+        """A live sequence rendered --of a noon teach sequence and repeated
+        against a map taught on dusk fills the dusk row: `teach` records its
+        sequence's condition in the map directory's run manifest, and
+        `repeat` reads it there. A map directory without that manifest
+        labels the run `teach`; a malformed label is a data error."""
+        make = ["synth", "--count", "2", "--seed", "7", "--scene-seed", "3"]
+        noon, dusk, live = tmp_path / "noon", tmp_path / "dusk", tmp_path / "live"
+        map_dir, rep = tmp_path / "map", tmp_path / "rep"
+        for seq in (noon, dusk):
+            assert main([*make, "--kind", "path", "--condition", seq.name, "--out", str(seq)]) == 0
+        assert main([*make, "--kind", "repeat", "--of", str(noon), "--condition", "noon",
+                     "--out", str(live)]) == 0
+        assert main(["teach", "--frames", str(dusk), "--features", "analytic",
+                     "--out", str(map_dir)]) == 0
+        repeat = ["repeat", "--map", str(map_dir), "--frames", str(live),
+                  "--features", "analytic", "--out", str(rep)]
+
+        def labels():
+            config = json.loads((rep / "run_manifest.json").read_text())["config"]
+            rows = (rep / "condition_matrix.csv").read_text().splitlines()
+            return config["teach_condition"], config["repeat_condition"], rows[1].split(",")[0]
+
+        assert main(repeat) == 0
+        assert labels() == ("dusk", "noon", "dusk")
+        teach_run = map_dir / "run_manifest.json"
+        manifest = json.loads(teach_run.read_text())
+        manifest["config"]["teach_condition"] = 3
+        storage.write_json(teach_run, manifest)
+        capsys.readouterr()
+        assert main(repeat) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and "teach_condition" in err
+        teach_run.unlink()
+        assert main(repeat) == 0
+        assert labels() == ("teach", "noon", "teach")
+
     def test_analytic_features_need_no_checkpoint(self, workdir):
         teach_seq = workdir / "teach_seq"
         map_dir = workdir / "map_analytic"

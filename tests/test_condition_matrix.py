@@ -7,7 +7,6 @@ import json
 import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from stereoloc import synth
@@ -67,13 +66,15 @@ def test_report_over_one_run_writes_its_own_matrix(sweep, tmp_path):
                 == (run / "condition_matrix.csv").read_bytes())
 
 
-def test_a_repeat_conditions_frames_are_the_same_under_every_teach_condition(sweep):
-    out, _ = sweep
-    for rc in CONDITIONS:
-        (a, _), (b, _) = (synth.load_sequence(out / f"seq_{tc}_vs_{rc}") for tc in CONDITIONS)
-        for fa, fb in zip(a, b):
-            for field in ("left", "right", "disparity", "pose"):
-                assert np.array_equal(getattr(fa, field), getattr(fb, field))
+def test_each_repeat_condition_is_rendered_once_and_repeated_against_every_map(sweep):
+    out, runs = sweep
+    assert sorted(p.name for p in out.glob("seq_*")) == sorted(f"seq_{rc}" for rc in CONDITIONS)
+    for run in runs:
+        tc, rc = labels(run)
+        config = json.loads((run / "run_manifest.json").read_text())["config"]
+        assert (config["name"], config["map"], config["frames"]) == (
+            f"{tc}_vs_{rc}", str(out / f"map_{tc}"), str(out / f"seq_{rc}"))
+        assert synth.load_sequence(out / f"seq_{rc}")[1]["condition"] == rc
 
 
 def test_two_runs_of_one_cell_are_3_and_named(sweep, tmp_path, capsys):

@@ -22,7 +22,6 @@ from stereoloc.cli import main
 
 # keys whose numbers may be negative in a valid manifest
 SIGNED = {"world_pose", "pose", "src_pose", "tgt_pose", "cu", "cv", "alpha", "beta", "gamma"}
-OPTIONAL = {"extra"}
 LOADERS = {"map": harness.load_map, "sequence": synth.load_sequence,
            "pairs": synth.load_dataset, "checkpoint": features.load_checkpoint}
 
@@ -71,7 +70,7 @@ def _mutations(path, value) -> list[str]:
     """The mutations a key's value can take."""
     keyed = [k for k in path if isinstance(k, str)]
     return [mutation for mutation, applies in [
-        ("delete", isinstance(path[-1], str) and path[-1] not in OPTIONAL),
+        ("delete", isinstance(path[-1], str)),
         ("type", True),
         ("nan", True),
         ("negative", _json_type(value) == "number" and keyed[-1] not in SIGNED),
@@ -133,7 +132,7 @@ class TestEveryKey:
         root = tmp_path_factory.mktemp("schemas")
         make = ["synth", "--seed", "7", "--scene-seed", "3"]
         assert main([*make, "--kind", "path", "--count", "2", "--out", str(root / "seq")]) == 0
-        # a repeat sequence, so its manifest holds the optional `extra`
+        # a repeat sequence, as `repeat` reads one
         assert main([*make, "--kind", "repeat", "--of", str(root / "seq"),
                      "--out", str(root / "sequence")]) == 0
         assert main(["teach", "--frames", str(root / "seq"), "--features", "analytic",
