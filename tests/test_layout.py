@@ -3,8 +3,8 @@ by the program itself (a name that only tests use is a test helper and
 belongs in tests/oracles.py, not in src/), every dataclass field is read
 by it, every defaulted parameter is passed by some call, no module reads
 another module's private names, only `storage` writes files or reads
-JSON, no module scatters with a ufunc's `at`, and every CLI flag is read by
-its subcommand."""
+JSON, no module scatters with a ufunc's `at`, only `estimator` calls
+`np.linalg.svd`, and every CLI flag is read by its subcommand."""
 
 import ast
 import re
@@ -213,6 +213,21 @@ def test_no_module_scatters_with_ufunc_at():
                     and isinstance(func.value.value, ast.Name) and func.value.value.id == "np"):
                 offences.append(f"{path.stem}:{node.lineno}: calls np.{func.value.attr}.at")
     assert not offences, "ufunc scatters in the package:\n" + "\n".join(offences)
+
+
+def test_one_svd_site():
+    """One weighted alignment: the package's one SVD is `np.linalg.svd` in
+    `estimator`, which training's `autodiff.rigid_align`, RANSAC's refit and
+    teach's vertex check all reach. No other module names numpy's `svd`."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "svd"
+                    or isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                    and any(alias.name == "svd" for alias in node.names)):
+                sites.append(f"{path.stem}:{node.lineno}")
+    assert len(sites) == 1 and sites[0].startswith("estimator:"), (
+        "np.linalg.svd must be named once, in estimator:\n" + "\n".join(sites))
 
 
 def _args_reads(fn: ast.FunctionDef, functions: dict[str, ast.FunctionDef],
