@@ -119,20 +119,17 @@ def cmd_synth(args) -> int:
     K = synth.default_intrinsics(w, h)
     if args.kind == "pairs":
         synth.make_dataset(out, scene, count=args.count, seed=args.seed, size=size)
-    elif args.kind == "path":
-        poses = synth.path_poses(args.count)
+    else:  # a sequence along the path, or offset from the --of sequence's poses
+        if args.kind == "path":
+            poses = synth.path_poses(args.count)
+        elif not args.of:
+            raise ConfigError("--of TEACH_DIR required for --kind repeat")
+        else:
+            _, manifest = synth.load_sequence(args.of)
+            poses, _ = synth.offset_poses(np.array([e["pose"] for e in manifest["frames"]]),
+                                          seed=args.seed)
         frames = synth.render_sequence(scene, poses, args.condition, K, size, args.seed)
         synth.save_sequence(out, frames, K, args.condition, args.seed)
-    elif args.kind == "repeat":
-        if not args.of:
-            raise ConfigError("--of TEACH_DIR required for --kind repeat")
-        _, manifest = synth.load_sequence(args.of)
-        poses = np.array([e["pose"] for e in manifest["frames"]])
-        live, _ = synth.offset_poses(poses, seed=args.seed)
-        frames = synth.render_sequence(scene, live, args.condition, K, size, args.seed)
-        synth.save_sequence(out, frames, K, args.condition, args.seed)
-    else:
-        raise ConfigError(f"unknown kind {args.kind!r}")
     _write_run_manifest(out, args)
     print(f"wrote {args.kind} data to {out}")
     return 0
@@ -228,8 +225,7 @@ def cmd_teach(args) -> int:
 # config holds the run's two condition labels, and summary.json, the RunReport fields named here.
 RUN_MANIFEST_SCHEMA = {"command": "repeat", "config": {
     "teach_condition": storage.text, "repeat_condition": storage.text}}
-# The run manifest `teach` writes into a map directory; a map taught before it
-# recorded the condition of its sequence gives its repeat runs the teach label `teach`.
+# A map directory's run manifest names the condition `teach` taught; without it, `teach`.
 TEACH_MANIFEST_SCHEMA = {"command": "teach", "config": {"teach_condition?": storage.text}}
 SUMMARY_SCHEMA = {key: storage.number for key in (
     "mean_inliers", "failure_count", "failure_fraction", "pose_rmse", "heading_rmse")}
@@ -253,8 +249,7 @@ def cmd_repeat(args) -> int:
         disparity=args.disparity,
     )
     report = harness.repeat(frames, teach_map, extractor, params, teach_map.K)
-    # the run manifest records both labels of the run's condition matrix cell: the
-    # map's teach condition and the live sequence's condition
+    # the run manifest records both labels of the run's condition matrix cell
     teach_run = Path(args.map) / "run_manifest.json"
     taught = (storage.read_json(teach_run, TEACH_MANIFEST_SCHEMA)["config"]
               if teach_run.is_file() else {})

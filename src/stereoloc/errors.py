@@ -35,8 +35,10 @@ class InsufficientMatches(StereolocError):
 
 
 class TeachFailure(StereolocError):
-    """A taught frame produced too few usable keypoints to map, or only
-    duplicated or collinear ones."""
+    """A teach sequence that cannot be mapped: it is empty, or a frame has
+    non-finite pixels or no keypoints (as at a size the extractor cannot
+    take), is not the size of frame 0, or lifts fewer than 3 points, or
+    only duplicated or collinear ones."""
 
 
 class InvalidViewpoint(StereolocError):

@@ -58,10 +58,9 @@ def rotation_from_covariance(W: np.ndarray):
 def centre_pairs(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
     """Weighted centring of (B, N, 3) point sets under (B, N) weights, on each
     set's positively weighted pairs: (enough, ok, (use, wn, wsum, ps0, pt0,
-    mu_s, mu_t, a, b, W)). Per set, enough flags 3 or more such pairs and ok
-    also flags them and W finite; a set that is not ok weighs 0, and its
-    cross-covariance W is the identity, a stand-in the SVD accepts. ps0 and
-    pt0 zero the pairs `use` leaves out; a and b are them centred."""
+    mu_s, mu_t, a, b, W)). Per set, enough flags 3 or more such pairs, ok
+    also them and W finite. ps0 and pt0 zero the pairs `use` leaves out, a
+    and b are them centred; a set that is not ok weighs 0 and has W = I."""
     active = w > 0
     finite = np.isfinite(p_s).all(axis=-1) & np.isfinite(p_t).all(axis=-1) & np.isfinite(w)
     enough = active.sum(axis=1) >= 3
@@ -86,8 +85,7 @@ def centre_pairs(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
 
 
 def _refuse(enough, ok, s, collinear) -> None:
-    """Raise the DegenerateGeometry of a batch of one set by the flags of
-    `centre_pairs` and then of `_spectrum`."""
+    """Raise a batch of one's DegenerateGeometry: `centre_pairs`' flags, then `_spectrum`'s."""
     if not enough[0]:
         raise DegenerateGeometry("fewer than 3 positively weighted pairs")
     if not ok[0]:
@@ -109,11 +107,9 @@ def align_core(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
     """Closed-form weighted alignment of one set, (C, r). Weights are
     normalized, so the solution is invariant to a uniform rescaling of w;
     zero-weight pairs are dropped up front, so they are bitwise inert."""
-    p_s, p_t, w = (np.asarray(a, dtype=float) for a in (p_s, p_t, w))
-    active = w > 0
-    if not active.all():
-        p_s, p_t, w = p_s[active], p_t[active], w[active]
-    enough, ok, (*_, mu_s, mu_t, _, _, W) = centre_pairs(p_s[None], p_t[None], w[None])
+    keep = np.asarray(w) > 0
+    p_s, p_t, w = (np.asarray(a, dtype=float)[None, keep] for a in (p_s, p_t, w))
+    enough, ok, (*_, mu_s, mu_t, _, _, W) = centre_pairs(p_s, p_t, w)
     C, (_, s, _, _), collinear = rotation_from_covariance(W)
     _refuse(enough, ok, s, collinear)
     return C[0], mu_t[0] - C[0] @ mu_s[0]
@@ -237,8 +233,7 @@ def ransac_pose(
     w_in = w[best_mask]
     if w_in.sum() <= 0 or int((w_in > 0).sum()) < 3:
         w_in = np.ones(best_count)
-    C, r = align_core(p_s[best_mask], p_t[best_mask], w_in)
-    return SE3Pose(C, r), best_mask
+    return SE3Pose(*align_core(p_s[best_mask], p_t[best_mask], w_in)), best_mask
 
 
 def gt_outlier_gate(residuals: np.ndarray, threshold: float) -> np.ndarray:
