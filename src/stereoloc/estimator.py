@@ -58,9 +58,9 @@ def rotation_from_covariance(W: np.ndarray):
 def centre_pairs(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
     """Weighted centring of (B, N, 3) point sets under (B, N) weights, on each
     set's positively weighted pairs: (enough, ok, (use, wn, wsum, ps0, pt0,
-    mu_s, mu_t, a, b, W)). Per set, enough flags 3 or more such pairs, ok
-    also them and W finite. ps0 and pt0 zero the pairs `use` leaves out, a
-    and b are them centred; a set that is not ok weighs 0 and has W = I."""
+    mu_s, mu_t, a, b, W)). Per set, enough flags 3 or more such pairs, ok also
+    them finite and a finite W. ps0 and pt0 zero the pairs `use` leaves out,
+    a and b centre them; a set not ok weighs 0, with W = I for the SVD."""
     active = w > 0
     finite = np.isfinite(p_s).all(axis=-1) & np.isfinite(p_t).all(axis=-1) & np.isfinite(w)
     enough = active.sum(axis=1) >= 3
