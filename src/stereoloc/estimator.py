@@ -50,7 +50,7 @@ def rotation_from_covariance(W: np.ndarray):
     (C, (U, s, Vt, D), collinear), C = U D Vt the proper rotation maximizing
     tr(C^T W), D = diag(1, 1, sign det(U Vt)), collinear `_spectrum`'s flag."""
     U, s, Vt, collinear = _spectrum(W)
-    D = np.broadcast_to(np.eye(3), U.shape).copy()
+    D = np.eye(3) * np.ones(U.shape[:-2] + (1, 1))
     D[..., 2, 2] = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
     return U @ D @ Vt, (U, s, Vt, D), collinear
 
@@ -62,13 +62,14 @@ def centre_pairs(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
     them finite and a finite W. ps0 and pt0 zero the pairs `use` leaves out,
     a and b centre them; a set not ok weighs 0, with W = I for the SVD."""
     active = w > 0
-    finite = np.isfinite(p_s).all(axis=-1) & np.isfinite(p_t).all(axis=-1) & np.isfinite(w)
-    enough = active.sum(axis=1) >= 3
-    ok = enough & (finite | ~active).all(axis=1)
-    use = active & ok[:, None]
-    if use.all():  # np.where would give back the same values, laid out alike
-        ps0, pt0 = np.ascontiguousarray(p_s), np.ascontiguousarray(p_t)
+    if w.shape[1] >= 3 and active.all() and all(np.isfinite(x).all() for x in (p_s, p_t, w)):
+        enough = ok = np.ones(len(w), dtype=bool)  # np.where would change no value or layout
+        use, ps0, pt0 = active, np.ascontiguousarray(p_s), np.ascontiguousarray(p_t)
     else:
+        finite = np.isfinite(p_s).all(axis=-1) & np.isfinite(p_t).all(axis=-1) & np.isfinite(w)
+        enough = active.sum(axis=1) >= 3
+        ok = enough & (finite | ~active).all(axis=1)
+        use = active & ok[:, None]
         w = np.where(use, w, 0.0)
         ps0, pt0 = (np.where(use[..., None], p, 0.0) for p in (p_s, p_t))
     wsum = np.where(ok, w.sum(axis=1), 1.0)[:, None]  # a set left out weighs 0
@@ -78,7 +79,7 @@ def centre_pairs(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
     a = ps0 - mu_s[:, None]
     b = pt0 - mu_t[:, None]
     W = np.swapaxes(b * wn[..., None], 1, 2) @ a
-    ok &= np.isfinite(W).all(axis=(1, 2))
+    ok = ok & np.isfinite(W).all(axis=(1, 2))  # not in place: enough may be ok
     if not ok.all():
         W[~ok] = np.eye(3)
     return enough, ok, (use, wn, wsum, ps0, pt0, mu_s, mu_t, a, b, W)
@@ -107,9 +108,10 @@ def align_core(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
     """Closed-form weighted alignment of one set, (C, r). Weights are
     normalized, so the solution is invariant to a uniform rescaling of w;
     zero-weight pairs are dropped up front, so they are bitwise inert."""
-    keep = np.asarray(w) > 0
-    p_s, p_t, w = (np.asarray(a, dtype=float)[None, keep] for a in (p_s, p_t, w))
-    enough, ok, (*_, mu_s, mu_t, _, _, W) = centre_pairs(p_s, p_t, w)
+    p_s, p_t, w = (np.asarray(a, dtype=float) for a in (p_s, p_t, w))
+    if not (keep := w > 0).all():
+        p_s, p_t, w = p_s[keep], p_t[keep], w[keep]
+    enough, ok, (*_, mu_s, mu_t, _, _, W) = centre_pairs(p_s[None], p_t[None], w[None])
     C, (_, s, _, _), collinear = rotation_from_covariance(W)
     _refuse(enough, ok, s, collinear)
     return C[0], mu_t[0] - C[0] @ mu_s[0]
