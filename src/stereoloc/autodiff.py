@@ -596,7 +596,7 @@ def rigid_align(p_s: Var, p_t: Var, w: Var) -> Var:
     amplify a float32 SVD's rounding into the gradient.
     """
     ps, pt, wv = (np.asarray(x.value, dtype=np.float64) for x in (p_s, p_t, w))
-    _, ok, (use, wn, wsum, ps0, pt0, mu_s, mu_t, a, b, W) = _estimator.centre_pairs(ps, pt, wv)
+    _, ok, use, wn, wsum, ps0, pt0, mu_s, mu_t, a, b, W = _estimator.centre_pairs(ps, pt, wv)
     C, (U, s, Vt, D), collinear = _estimator.rotation_from_covariance(W)
     gap = -np.diff(s, axis=1).max(axis=1)
     ok &= ~collinear & (gap >= 1e-8 * np.maximum(1.0, s[:, 0]))

@@ -9,6 +9,7 @@ rotation.
 
 from __future__ import annotations
 
+import collections
 import functools
 import operator
 from dataclasses import dataclass
@@ -55,23 +56,21 @@ def rotation_from_covariance(W: np.ndarray):
     return U @ D @ Vt, (U, s, Vt, D), collinear
 
 
-def centre_pairs(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
+Centred = collections.namedtuple("Centred", "enough ok use wn wsum ps0 pt0 mu_s mu_t a b W")
+
+
+def centre_pairs(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray) -> Centred:
     """Weighted centring of (B, N, 3) point sets under (B, N) weights, on each
-    set's positively weighted pairs: (enough, ok, (use, wn, wsum, ps0, pt0,
-    mu_s, mu_t, a, b, W)). Per set, enough flags 3 or more such pairs, ok also
-    them finite and a finite W. ps0 and pt0 zero the pairs `use` leaves out,
-    a and b centre them; a set not ok weighs 0, with W = I for the SVD."""
+    set's positively weighted pairs. Per set, enough flags 3 or more such
+    pairs and ok also them and W finite; a set not ok weighs 0, with W = I
+    for the SVD. ps0 and pt0 zero the pairs `use` leaves out, a and b centre them."""
     active = w > 0
-    if w.shape[1] >= 3 and active.all() and all(np.isfinite(x).all() for x in (p_s, p_t, w)):
-        enough = ok = np.ones(len(w), dtype=bool)  # np.where would change no value or layout
-        use, ps0, pt0 = active, np.ascontiguousarray(p_s), np.ascontiguousarray(p_t)
-    else:
-        finite = np.isfinite(p_s).all(axis=-1) & np.isfinite(p_t).all(axis=-1) & np.isfinite(w)
-        enough = active.sum(axis=1) >= 3
-        ok = enough & (finite | ~active).all(axis=1)
-        use = active & ok[:, None]
-        w = np.where(use, w, 0.0)
-        ps0, pt0 = (np.where(use[..., None], p, 0.0) for p in (p_s, p_t))
+    finite = np.isfinite(p_s).all(axis=-1) & np.isfinite(p_t).all(axis=-1) & np.isfinite(w)
+    enough = active.sum(axis=1) >= 3
+    ok = enough & (finite | ~active).all(axis=1)
+    use = active & ok[:, None]
+    w = np.where(use, w, 0.0)
+    ps0, pt0 = (np.where(use[..., None], p, 0.0) for p in (p_s, p_t))
     wsum = np.where(ok, w.sum(axis=1), 1.0)[:, None]  # a set left out weighs 0
     wn = w / wsum
     mu_s = (wn[:, None] @ ps0)[:, 0]
@@ -79,17 +78,16 @@ def centre_pairs(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
     a = ps0 - mu_s[:, None]
     b = pt0 - mu_t[:, None]
     W = np.swapaxes(b * wn[..., None], 1, 2) @ a
-    ok = ok & np.isfinite(W).all(axis=(1, 2))  # not in place: enough may be ok
-    if not ok.all():
-        W[~ok] = np.eye(3)
-    return enough, ok, (use, wn, wsum, ps0, pt0, mu_s, mu_t, a, b, W)
+    ok &= np.isfinite(W).all(axis=(1, 2))
+    W[~ok] = np.eye(3)
+    return Centred(enough, ok, use, wn, wsum, ps0, pt0, mu_s, mu_t, a, b, W)
 
 
-def _refuse(enough, ok, s, collinear) -> None:
+def _refuse(c: Centred, s, collinear) -> None:
     """Raise a batch of one's DegenerateGeometry: `centre_pairs`' flags, then `_spectrum`'s."""
-    if not enough[0]:
+    if not c.enough[0]:
         raise DegenerateGeometry("fewer than 3 positively weighted pairs")
-    if not ok[0]:
+    if not c.ok[0]:
         raise DegenerateGeometry("non-finite weighted pair or cross-covariance")
     if collinear[0]:
         raise DegenerateGeometry(f"weighted points nearly collinear (spectrum {s[0]})")
@@ -99,9 +97,9 @@ def check_alignable(points: np.ndarray) -> None:
     """Raise the DegenerateGeometry of `align_core(points, points, ones)`, with
     no rotation solved: fewer than 3 points, non-finite or collinear ones."""
     points = np.asarray(points, dtype=float)[None]
-    enough, ok, parts = centre_pairs(points, points, np.ones(points.shape[:2]))
-    _, s, _, collinear = _spectrum(parts[-1])
-    _refuse(enough, ok, s, collinear)
+    c = centre_pairs(points, points, np.ones(points.shape[:2]))
+    _, s, _, collinear = _spectrum(c.W)
+    _refuse(c, s, collinear)
 
 
 def align_core(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
@@ -111,10 +109,10 @@ def align_core(p_s: np.ndarray, p_t: np.ndarray, w: np.ndarray):
     p_s, p_t, w = (np.asarray(a, dtype=float) for a in (p_s, p_t, w))
     if not (keep := w > 0).all():
         p_s, p_t, w = p_s[keep], p_t[keep], w[keep]
-    enough, ok, (*_, mu_s, mu_t, _, _, W) = centre_pairs(p_s[None], p_t[None], w[None])
-    C, (_, s, _, _), collinear = rotation_from_covariance(W)
-    _refuse(enough, ok, s, collinear)
-    return C[0], mu_t[0] - C[0] @ mu_s[0]
+    c = centre_pairs(p_s[None], p_t[None], w[None])
+    C, (_, s, _, _), collinear = rotation_from_covariance(c.W)
+    _refuse(c, s, collinear)
+    return C[0], c.mu_t[0] - C[0] @ c.mu_s[0]
 
 
 @functools.lru_cache(maxsize=64)
