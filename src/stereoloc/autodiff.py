@@ -347,16 +347,20 @@ def _repeat2x2(x: Array) -> Array:
 
 def _im2col(x: Array, kh: int, kw: int) -> Array:
     """(C, B, H, W) zero-padded 'same' -> (C*kh*kw, B*H*W), each image
-    padded on its own."""
-    h, w = x.shape[-2:]
-    ph, pw = kh // 2, kw // 2
-    xp = np.zeros(x.shape[:-2] + (h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    xp[..., ph:ph + h, pw:pw + w] = x
-    cols = np.empty((x.shape[0], kh, kw) + x.shape[1:], dtype=x.dtype)
-    for dy in range(kh):
-        for dx in range(kw):
-            cols[:, dy, dx] = xp[..., dy:dy + h, dx:dx + w]
-    return cols.reshape(x.shape[0] * kh * kw, -1)
+    padded on its own: as one flat row with ph*W + pw zeros at either end,
+    whose (dy, dx) block is the run of H*W cells at dy*W + dx, less the
+    |dx - pw| cells per image row that the shift wraps into the next row."""
+    c, b, h, w = x.shape
+    pw, n, margin = kw // 2, h * w, kh // 2 * w + kw // 2
+    flat = np.zeros((c, b, n + 2 * margin), dtype=x.dtype)
+    flat[..., margin:margin + n] = x.reshape(c, b, n)
+    s = flat.strides
+    cols = np.lib.stride_tricks.as_strided(  # every block in one strided copy
+        flat, (c, kh, kw, b, n), (s[0], w * s[2], s[2], s[1], s[2])).copy()
+    for dx in range(kw):
+        wraps = slice(pw - dx) if dx <= pw else slice(max(0, w + pw - dx), None)
+        cols.reshape(c, kh, kw, b, h, w)[:, :, dx, :, :, wraps] = 0
+    return cols.reshape(c * kh * kw, -1)
 
 
 def conv2d(x: Var, weight: Var, bias: Var) -> Var:

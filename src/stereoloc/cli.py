@@ -384,8 +384,9 @@ def main(argv: list[str] | None = None) -> int:
             subparser.set_defaults(**_config_defaults(args, subparser))
             args = parser.parse_args(argv)
         return args.func(args)
-    # an image size the configured extractor cannot take is a data error
-    except (ConfigError, FileNotFoundError, ValueError, ImageSizeError) as e:
+    # an image size the configured extractor cannot take is a data error, and
+    # so is any filesystem fault (OSError), reading or writing
+    except (ConfigError, OSError, ValueError, ImageSizeError) as e:
         print(f"error: data: {e}", file=sys.stderr)
         return 3
     except StereolocError as e:

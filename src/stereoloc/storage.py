@@ -61,9 +61,10 @@ def write_json(path: Path, obj) -> None:
 def read_json(path: Path, schema) -> dict:
     """The JSON file at `path`, checked against `schema`."""
     path = Path(path)
-    if not path.is_file():  # a directory too, which read_text would raise an OSError on
-        raise FileNotFoundError(f"no file {path}")
-    value = json.loads(path.read_text())
+    try:
+        value = json.loads(path.read_text())
+    except (RecursionError, ValueError) as e:  # too deeply nested, or not JSON or UTF-8
+        raise ValueError(f"{path}: {e}") from None
     check(value, schema, path)
     return value
 

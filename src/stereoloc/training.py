@@ -232,16 +232,14 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray  # each moment one flat buffer: the params' tensors raveled in order
+    v: np.ndarray
     step: int = 0
 
     @staticmethod
     def for_params(params: dict[str, np.ndarray]) -> "AdamState":
-        return AdamState(
-            {k: np.zeros_like(p) for k, p in params.items()},
-            {k: np.zeros_like(p) for k, p in params.items()},
-        )
+        n = sum(p.size for p in params.values())
+        return AdamState(np.zeros(n), np.zeros(n))
 
 
 def adam_step(
@@ -250,18 +248,23 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place: the per-tensor recurrence,
+    in its order of operations, in one pass per operation over all tensors."""
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
-    for k, p in params.items():
-        g = grads[k]
-        state.m[k] = b1 * state.m[k] + (1.0 - b1) * g
-        state.v[k] = b2 * state.v[k] + (1.0 - b2) * (g * g)
-        m_hat = state.m[k] / bc1
-        v_hat = state.v[k] / bc2
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    g = np.concatenate([grads[k].ravel() for k in params])
+    state.m *= b1
+    state.m += (1.0 - b1) * g
+    state.v *= b2
+    state.v += (1.0 - b2) * (g * g)
+    step = lr * (state.m / bc1)
+    step /= np.sqrt(state.v / bc2) + ADAM_EPS
+    start = 0
+    for p in params.values():
+        p -= step[start:start + p.size].reshape(p.shape)
+        start += p.size
     return params, state
 
 

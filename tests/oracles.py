@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from stereoloc import autodiff as ad
-from stereoloc import features, harness, matching, storage, synth
+from stereoloc import features, harness, matching, storage, synth, training
 from stereoloc.autodiff import Tape, Var
 from stereoloc.errors import (
     DegenerateGeometry,
@@ -263,7 +263,7 @@ def conv2d_reference(x: Array, weight: Array, bias: Array) -> Array:
     """`ad.conv2d`'s forward with the bias added out of place."""
     c_out, _, kh, kw = weight.shape
     _, h, w = x.shape
-    return (weight.reshape(c_out, -1) @ ad._im2col(x, kh, kw)).reshape(c_out, h, w) + bias[
+    return (weight.reshape(c_out, -1) @ im2col_reference(x, kh, kw)).reshape(c_out, h, w) + bias[
         :, None, None
     ]
 
@@ -484,6 +484,33 @@ def pose_loss(est: PlanarPose, gt: PlanarPose, lam: float) -> float:
     dr = Te.r - Tg.r
     drot = Te.C @ Tg.C.T - np.eye(3)
     return float(dr @ dr + lam * (drot * drot).sum())
+
+
+# ---------------------------------------------------------------------------
+# optimizer
+
+
+def adam_step_reference(
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    m: dict[str, np.ndarray],
+    v: dict[str, np.ndarray],
+    step: int,
+    lr: float,
+) -> None:
+    """`training.adam_step` as a loop over the tensors, each moment a dict
+    of per-tensor arrays, as it was before the flat moment buffers; `step`
+    is the step being taken (1 first). Updates params, m and v in place."""
+    b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
+    bc1 = 1.0 - b1**step
+    bc2 = 1.0 - b2**step
+    for k, p in params.items():
+        g = grads[k]
+        m[k] = b1 * m[k] + (1.0 - b1) * g
+        v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+        m_hat = m[k] / bc1
+        v_hat = v[k] / bc2
+        p -= lr * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

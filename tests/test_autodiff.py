@@ -660,14 +660,21 @@ class TestImageKernelsMatchOracles:
     reference implementations in tests/oracles.py."""
 
     @pytest.mark.parametrize("c", [1, 3, 32])
-    @pytest.mark.parametrize("hw", [(1, 1), (2, 3), (5, 7), (24, 32)])
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 6), (7, 1), (2, 3), (5, 7), (24, 32)])
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_im2col_matches_reference(self, c, hw, k):
-        x = np.random.default_rng(40).normal(size=(c, *hw))
-        cols = ad._im2col(x[:, None], k, k)  # a batch of one
-        ref = im2col_reference(x, k, k)
-        assert cols.shape == ref.shape
-        assert cols.tobytes() == ref.tobytes()
+    @pytest.mark.parametrize("b", [1, 2, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_im2col_matches_reference(self, c, hw, k, b, dtype):
+        # a horizontal shift must not wrap into the next row, nor the last
+        # row of one image into the next image
+        x = np.random.default_rng(40).normal(size=(c, b, *hw)).astype(dtype)
+        cols = ad._im2col(x, k, k)
+        assert cols.dtype == dtype
+        assert cols.shape == (c * k * k, b * hw[0] * hw[1])
+        per_image = cols.reshape(c * k * k, b, -1)
+        for i in range(b):
+            ref = im2col_reference(x[:, i], k, k)
+            assert np.ascontiguousarray(per_image[:, i]).tobytes() == ref.tobytes(), i
 
     @pytest.mark.parametrize(
         "c_in, c_out, hw, k",

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -49,7 +50,8 @@ class TestStorage:
         assert main(["teach", "--frames", str(tmp_path / "seq"), "--features", "analytic",
                      "--out", str(tmp_path / "map")]) == 3
         err = capsys.readouterr().err
-        assert err == f"error: data: no file {tmp_path / 'seq' / storage.MANIFEST_NAME}\n"
+        manifest = tmp_path / "seq" / storage.MANIFEST_NAME
+        assert err == f"error: data: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{manifest}'\n"
 
     @pytest.mark.parametrize("write", [
         lambda path: storage.write_blob(path, np.ones(3)),
@@ -131,6 +133,82 @@ class TestStorage:
             raw = (tmp_path / "map" / entry["file"]).read_bytes()
             assert raw == f32(v.frame.left, v.frame.right, v.frame.disparity, v.coords,
                               v.descriptors, v.scores, v.points3d, *v.parts)
+
+
+class TestFilesystemFaults:
+    """A filesystem fault on any path the CLI reads or writes is a data
+    error (exit 3) whose message names the path, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def taught(self, tmp_path_factory):
+        """A 2-frame analytic map and its sequence, taught through the CLI."""
+        root = tmp_path_factory.mktemp("faults")
+        assert main(["synth", "--kind", "path", "--count", "2", "--condition", "noon",
+                     "--seed", "7", "--scene-seed", "3", "--out", str(root / "seq")]) == 0
+        assert main(["teach", "--frames", str(root / "seq"), "--features", "analytic",
+                     "--out", str(root / "map")]) == 0
+        return root
+
+    @staticmethod
+    def copy_with_a_directory_for(source: Path, name: str, to: Path) -> Path:
+        to.mkdir()
+        for path in source.iterdir():
+            if path.name == name:
+                (to / name).mkdir()
+            else:
+                (to / path.name).write_bytes(path.read_bytes())
+        return to
+
+    @staticmethod
+    def assert_3_naming(argv, path, capsys):
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and str(path) in err
+
+    def test_config_naming_a_directory_is_3(self, tmp_path, capsys):
+        self.assert_3_naming(["synth", "--config", str(tmp_path), "--out",
+                              str(tmp_path / "x")], tmp_path, capsys)
+
+    def test_a_map_blob_replaced_by_a_directory_is_3(self, taught, tmp_path, capsys):
+        map_dir = self.copy_with_a_directory_for(taught / "map", "vertex_00001.f32",
+                                                 tmp_path / "map")
+        self.assert_3_naming(["repeat", "--map", str(map_dir), "--frames", str(taught / "seq"),
+                              "--features", "analytic", "--out", str(tmp_path / "rep")],
+                             map_dir / "vertex_00001.f32", capsys)
+
+    def test_a_sequence_blob_replaced_by_a_directory_is_3(self, taught, tmp_path, capsys):
+        seq = self.copy_with_a_directory_for(taught / "seq", "frame_00001.f32",
+                                             tmp_path / "seq")
+        self.assert_3_naming(["teach", "--frames", str(seq), "--features", "analytic",
+                              "--out", str(tmp_path / "map")], seq / "frame_00001.f32", capsys)
+
+    def test_out_naming_an_existing_file_is_3(self, tmp_path, capsys):
+        (tmp_path / "taken").write_bytes(b"")
+        self.assert_3_naming(["synth", "--kind", "path", "--count", "2",
+                              "--out", str(tmp_path / "taken")], tmp_path / "taken", capsys)
+
+    def test_out_under_an_existing_file_is_3(self, tmp_path, capsys):
+        (tmp_path / "taken").write_bytes(b"")
+        self.assert_3_naming(["synth", "--kind", "path", "--count", "2",
+                              "--out", str(tmp_path / "taken" / "sub")],
+                             tmp_path / "taken", capsys)
+
+    def test_a_deeply_nested_manifest_is_3(self, taught, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        for path in (taught / "seq").iterdir():
+            (seq / path.name).write_bytes(path.read_bytes())
+        (seq / storage.MANIFEST_NAME).write_text("[" * 200000 + "]" * 200000)
+        self.assert_3_naming(["teach", "--frames", str(seq), "--features", "analytic",
+                              "--out", str(tmp_path / "map")], seq / storage.MANIFEST_NAME,
+                             capsys)
+
+    def test_read_json_refuses_deep_nesting_as_a_value_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: maximum recursion depth")):
+            storage.read_json(path, [storage.number])
 
 
 class TestConfigFile:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from stereoloc.training import (
 )
 
 from conftest import rel_err
-from oracles import apply, gt_outlier_gate_reference, keypoint_loss, planar_to_se3, pose_loss
+from oracles import (
+    adam_step_reference,
+    apply,
+    gt_outlier_gate_reference,
+    keypoint_loss,
+    planar_to_se3,
+    pose_loss,
+)
 
 
 def tiny_dataset(scene, count=8, seed=11):
@@ -611,6 +619,33 @@ class TestAdam:
             xr -= 0.1 * mh / (math.sqrt(vh) + 1e-8)
             assert params["x"][0] == pytest.approx(xr, abs=1e-12)
         assert abs(params["x"][0] - 2.0) < 0.05
+
+
+class TestAdamMatchesReference:
+    CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoint"
+
+    def test_flat_moments_give_the_per_tensor_loop_bit_for_bit(self):
+        weights, _ = features.load_checkpoint(self.CHECKPOINT)
+        assert len(weights.tensors) == 20
+        params = weights.copy().tensors
+        ref = weights.copy().tensors
+        m = {k: np.zeros_like(p) for k, p in ref.items()}
+        v = {k: np.zeros_like(p) for k, p in ref.items()}
+        state = AdamState.for_params(params)
+        rng = np.random.default_rng(36)
+        for step in range(1, 51):
+            grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.shape)
+                     for k, p in ref.items()}
+            if step == 7:
+                grads = {k: np.zeros_like(g) for k, g in grads.items()}
+            lr = 0.0 if step == 13 else 2e-3
+            adam_step(params, grads, state, lr)
+            adam_step_reference(ref, grads, m, v, step, lr)
+            assert state.step == step
+            for k in ref:
+                assert params[k].tobytes() == ref[k].tobytes(), (step, k)
+            assert state.m.tobytes() == np.concatenate([a.ravel() for a in m.values()]).tobytes()
+            assert state.v.tobytes() == np.concatenate([a.ravel() for a in v.values()]).tobytes()
 
 
 class TestTrainLoop:
