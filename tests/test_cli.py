@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -151,12 +152,9 @@ class TestFilesystemFaults:
 
     @staticmethod
     def copy_with_a_directory_for(source: Path, name: str, to: Path) -> Path:
-        to.mkdir()
-        for path in source.iterdir():
-            if path.name == name:
-                (to / name).mkdir()
-            else:
-                (to / path.name).write_bytes(path.read_bytes())
+        shutil.copytree(source, to)
+        (to / name).unlink()
+        (to / name).mkdir()
         return to
 
     @staticmethod
@@ -195,10 +193,7 @@ class TestFilesystemFaults:
                              tmp_path / "taken", capsys)
 
     def test_a_deeply_nested_manifest_is_3(self, taught, tmp_path, capsys):
-        seq = tmp_path / "seq"
-        seq.mkdir()
-        for path in (taught / "seq").iterdir():
-            (seq / path.name).write_bytes(path.read_bytes())
+        seq = shutil.copytree(taught / "seq", tmp_path / "seq")
         (seq / storage.MANIFEST_NAME).write_text("[" * 200000 + "]" * 200000)
         self.assert_3_naming(["teach", "--frames", str(seq), "--features", "analytic",
                               "--out", str(tmp_path / "map")], seq / storage.MANIFEST_NAME,

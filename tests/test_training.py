@@ -620,8 +620,6 @@ class TestAdam:
             assert params["x"][0] == pytest.approx(xr, abs=1e-12)
         assert abs(params["x"][0] - 2.0) < 0.05
 
-
-class TestAdamMatchesReference:
     CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoint"
 
     def test_flat_moments_give_the_per_tensor_loop_bit_for_bit(self):
